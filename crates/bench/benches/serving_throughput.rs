@@ -19,17 +19,24 @@
 //! 2. the macro floor (asserted): aggregate decode tokens/s of a
 //!    continuous batch at context 256 vs the same requests decoded
 //!    sequentially, at batch 4 and 8;
-//! 3. a short end-to-end serve trace (reported): `ServeEngine` with
+//! 3. prefill as GEMM (asserted): a 512-token prompt through
+//!    `step_runs` in runs of the engine's per-tick row budget vs the same
+//!    prompt one token a step, prompt tokens/s each, floor 1.5×;
+//! 4. a short end-to-end serve trace (reported): `ServeEngine` with
 //!    Poisson arrivals vs `sequential_generate`, aggregate tokens/s.
+//!
+//! 2 and 3 are written to `BENCH_serving.json` at the workspace root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
-use mant_model::{ActMode, KvMode, ModelConfig, SessionId, TransformerModel};
+use mant_model::{ActMode, KvMode, ModelConfig, Run, SessionId, TransformerModel};
+use mant_numerics::kernels;
 use mant_quant::{mant_gemv, mant_gemv_batch, quantize_vector_int8, MantWeightQuantizer};
 use mant_serve::{
     requests_from_trace, sequential_generate, AdmissionPolicy, ServeConfig, ServeEngine,
+    PREFILL_ROWS_PER_TICK,
 };
 use mant_sim::{poisson_trace, LengthDist, TraceConfig};
 use mant_tensor::TensorGenerator;
@@ -37,6 +44,9 @@ use mant_tensor::TensorGenerator;
 const CONTEXT: usize = 256;
 const DECODE: usize = 32;
 const GROUP: usize = 64;
+const PROMPT: usize = 512;
+/// Prefill in budget-sized runs over one token a step, at least.
+const PREFILL_FLOOR: f64 = 1.5;
 
 fn token(i: usize, j: usize, vocab: usize) -> usize {
     (i * 131 + j * 37) % vocab
@@ -126,12 +136,46 @@ fn sequential_decode_tps(
     (batch * DECODE) as f64 / decode_secs
 }
 
+/// Wall seconds of one [`PROMPT`]-token prefill on a fresh session:
+/// `run` tokens a step through [`mant_model::BatchRunner::step_runs`] with
+/// no logits asked for — a mid-prompt chunk — or, with `run == 1`, one
+/// [`mant_model::BatchRunner::step`] a token, the way the engine fed
+/// prompts before runs.
+fn prefill_secs(model: &TransformerModel, packed: &mant_model::PackedWeights, run: usize) -> f64 {
+    let tokens: Vec<usize> = (0..PROMPT)
+        .map(|j| token(0, j, model.config.vocab))
+        .collect();
+    let blocks = model.config.layers * PROMPT.div_ceil(GROUP);
+    let mut br = model.batch_runner(
+        packed,
+        ActMode::None,
+        KvMode::Mant4 { group: GROUP },
+        blocks,
+        GROUP,
+    );
+    let id = br.create_session();
+    let t0 = Instant::now();
+    for chunk in tokens.chunks(run) {
+        if run == 1 {
+            black_box(br.step(&[(id, chunk[0])]));
+        } else {
+            black_box(br.step_runs(&[Run {
+                id,
+                tokens: chunk,
+                logit_rows: 0,
+            }]));
+        }
+    }
+    t0.elapsed().as_secs_f64()
+}
+
 fn macro_continuous_batching(_c: &mut Criterion) {
     let model = TransformerModel::synthesize(&ModelConfig::sim_llama(), 4200);
     let packed = model.pack_weights(GROUP).unwrap();
 
     let seq_tps = sequential_decode_tps(&model, &packed, 8);
     println!("serving_throughput: sequential decode @ context {CONTEXT}: {seq_tps:.1} tok/s");
+    let mut batched_json = Vec::new();
     for batch in [4usize, 8] {
         let tps = batched_decode_tps(&model, &packed, batch);
         let ratio = tps / seq_tps;
@@ -149,7 +193,53 @@ fn macro_continuous_batching(_c: &mut Criterion) {
             "continuous batched decode at batch {batch} ({tps:.1} tok/s) regressed below \
              85% of sequential decode ({seq_tps:.1} tok/s)"
         );
+        batched_json.push(format!(
+            "    {{\"batch\": {batch}, \"tokens_per_s\": {tps:.1}, \"vs_sequential\": {ratio:.3}}}"
+        ));
     }
+
+    // Runs and steps back to back, three times over: the host's speed
+    // drifts by the second, so each pair shares a regime. Each side is
+    // reported at its quickest pass; the floor is asserted on the best
+    // pair, as `spec_decode` does.
+    let pairs: Vec<(f64, f64)> = (0..3)
+        .map(|_| {
+            (
+                prefill_secs(&model, &packed, PREFILL_ROWS_PER_TICK),
+                prefill_secs(&model, &packed, 1),
+            )
+        })
+        .collect();
+    let quickest =
+        |side: fn(&(f64, f64)) -> f64| pairs.iter().map(side).fold(f64::INFINITY, f64::min);
+    let runs_tps = PROMPT as f64 / quickest(|p| p.0);
+    let steps_tps = PROMPT as f64 / quickest(|p| p.1);
+    let speedup = pairs.iter().map(|p| p.1 / p.0).fold(0.0, f64::max);
+    println!(
+        "serving_throughput: prefill of {PROMPT} tokens: {runs_tps:.1} tok/s in \
+         {PREFILL_ROWS_PER_TICK}-token runs vs {steps_tps:.1} tok/s one token a step \
+         ({speedup:.2}x in the best pair)"
+    );
+    assert!(
+        speedup >= PREFILL_FLOOR,
+        "prefill in {PREFILL_ROWS_PER_TICK}-token runs ({runs_tps:.1} tok/s) is only \
+         {speedup:.2}x one token a step ({steps_tps:.1} tok/s); floor {PREFILL_FLOOR}x"
+    );
+
+    let json = format!(
+        "{{\n  \"bench\": \"serving_throughput\",\n  \"tier\": \"{}\",\n  \
+         \"context\": {CONTEXT},\n  \"sequential_decode_tokens_per_s\": {seq_tps:.1},\n  \
+         \"batched_decode\": [\n{}\n  ],\n  \
+         \"prefill\": {{\"prompt_tokens\": {PROMPT}, \"run_tokens\": {PREFILL_ROWS_PER_TICK}, \
+         \"runs_tokens_per_s\": {runs_tps:.1}, \"steps_tokens_per_s\": {steps_tps:.1}, \
+         \"speedup\": {speedup:.3}, \"speedup_floor\": {PREFILL_FLOOR}}}\n}}\n",
+        kernels().name(),
+        batched_json.join(",\n"),
+    );
+    // Same anchoring as the other BENCH_*.json artifacts: the workspace root.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
+    std::fs::write(path, &json).expect("write BENCH_serving.json");
+    println!("wrote BENCH_serving.json (workspace root)");
 }
 
 fn serve_trace_smoke(_c: &mut Criterion) {

@@ -2,25 +2,35 @@
 //! engine of the continuous-batching serving runtime.
 //!
 //! A [`BatchRunner`] owns one paged KV-cache pool (`mant_quant::pool`) and
-//! a slab of per-sequence sessions; every [`BatchRunner::step`] processes
-//! one token for each listed session in a single fused pass:
+//! a slab of per-sequence sessions. It has **one** forward pass,
+//! [`BatchRunner::step_runs`], over a ragged batch of [`Run`]s — each a
+//! session and the consecutive tokens it is fed: one for a decode step
+//! ([`BatchRunner::step`] is that adapter), a chunk of a prompt or of a
+//! post-preemption replay, the candidates of a speculative verify
+//! ([`BatchRunner::step_multi`], [`BatchRunner::speculate_step`]):
 //!
 //! - linear projections run the **multi-query packed GEMM**
-//!   ([`crate::QuantizedLinear::matmul`]): each weight group is decoded to
-//!   integer operands once and swept across the whole batch's INT8
-//!   activations, amortizing the per-group overhead a lone GEMV pays;
-//! - attention runs per sequence over its own pooled packed cache
-//!   ([`mant_quant::pool::attention_incremental_paged`]) — ragged context
-//!   lengths batch naturally because `Q·Kᵀ`/`P·V` never materialize a
-//!   rectangular score matrix;
-//! - the f32 LM head runs the batched matvec
-//!   ([`mant_tensor::matvec_batch`]).
+//!   ([`crate::QuantizedLinear::matmul`]) over every row of every run:
+//!   each weight tile is decoded to integer operands once and swept across
+//!   all rows' INT8 activations, so a prefill chunk is matrix–matrix work
+//!   and not one GEMV per token;
+//! - attention runs per run over the session's pooled packed cache —
+//!   ragged context lengths batch naturally because `Q·Kᵀ`/`P·V` never
+//!   materialize a rectangular score matrix. Within a run each row is
+//!   pushed, then attends; the rows cached before the run began are swept
+//!   once for all its queries ([`mant_quant::pool::RunAttention`]), and a
+//!   run too short to pay for that attends one query at a time
+//!   ([`mant_quant::pool::attention_incremental_paged`]);
+//! - the f32 LM head ([`mant_tensor::matvec_batch`]) runs only for the
+//!   rows whose logits the caller asks for ([`Run::logit_rows`]).
 //!
 //! Every per-sequence floating-point operation is executed in the same
-//! order as the sequential [`crate::ModelRunner`] on the same backend, so
-//! a batch of N sequences produces logits **bit-identical** to N
-//! independent single-sequence runs at every step — sequences can join
-//! and leave the batch at any iteration without perturbing the others.
+//! order as the sequential [`crate::ModelRunner`] on the same backend —
+//! which stays a separate implementation because it is the oracle this
+//! one is tested against — so every row of every run is **bit-identical**
+//! to feeding the same tokens through independent single-sequence runs,
+//! however a stream is cut into runs; sequences can join and leave the
+//! batch at any iteration without perturbing the others.
 //!
 //! # Prefix sharing
 //!
@@ -39,7 +49,9 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use mant_quant::pool::{attention_incremental_paged, KvCachePool, PagedKvCache, PoolConfig};
+use mant_quant::pool::{
+    attention_incremental_paged, KvCachePool, PagedKvCache, PoolConfig, RunAttention,
+};
 use mant_quant::{quantize_vector_int8, QuantizedVector, VarianceMap};
 use mant_tensor::matvec_batch;
 use mant_tensor::ops::{gelu, rmsnorm, silu};
@@ -56,6 +68,20 @@ use crate::layers::{ActMode, KvMode, TransformerModel};
 pub struct SessionId {
     slot: usize,
     nonce: u64,
+}
+
+/// One session's share of a [`BatchRunner::step_runs`] forward pass:
+/// consecutive tokens fed to the session in one go.
+#[derive(Clone, Copy, Debug)]
+pub struct Run<'a> {
+    /// The session the tokens extend.
+    pub id: SessionId,
+    /// The tokens, in feed order; at least one.
+    pub tokens: &'a [usize],
+    /// How many of the run's **last** rows get next-token logits: 0 for a
+    /// mid-prompt chunk, 1 for a decode step or the chunk that ends a
+    /// prompt, all of them for a speculative verify pass.
+    pub logit_rows: usize,
 }
 
 /// Per-sequence state: one pooled KV cache per layer.
@@ -369,22 +395,39 @@ impl BatchRunner<'_> {
         self.prefixes.len()
     }
 
-    /// Free blocks the next [`BatchRunner::step`] will consume for session
-    /// `id` — fresh boundary blocks plus copy-on-write copies, summed over
+    /// Free blocks the next one-token step will consume for session `id` —
+    /// fresh boundary blocks plus copy-on-write copies, summed over
     /// layers. The watermark scheduler sums this across the batch to
-    /// decide whether an iteration can proceed or must preempt.
+    /// decide whether an iteration can proceed or must preempt. A longer
+    /// run that stays inside the session's current block needs exactly as
+    /// many ([`BatchRunner::blocks_needed_for_run`]).
     ///
     /// # Panics
     ///
     /// Panics if `id` is stale or unknown.
     pub fn blocks_needed_for_step(&self, id: SessionId) -> usize {
+        self.blocks_needed_for_run(id, 1)
+    }
+
+    /// Free blocks a run of `n` tokens will consume for session `id`: a
+    /// fresh block per boundary crossed plus the copy-on-write copy of a
+    /// shared partial block, summed over layers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is stale or unknown.
+    pub fn blocks_needed_for_run(&self, id: SessionId, n: usize) -> usize {
+        self.blocks_for_pushes(id, n, false)
+    }
+
+    /// [`PagedKvCache::blocks_needed_for_pushes`] summed over `id`'s layers.
+    fn blocks_for_pushes(&self, id: SessionId, n: usize, assume_shared_tail: bool) -> usize {
         self.check(id);
-        self.slots[id.slot]
-            .as_ref()
-            .expect("checked above")
+        let session = self.slots[id.slot].as_ref().expect("checked above");
+        session
             .caches
             .iter()
-            .map(|c| c.blocks_needed_for_push(&self.pool))
+            .map(|c| c.blocks_needed_for_pushes(&self.pool, n, assume_shared_tail))
             .sum()
     }
 
@@ -429,38 +472,104 @@ impl BatchRunner<'_> {
         self.model.config.layers * self.pool.blocks_for_tokens(tokens)
     }
 
-    /// Processes one token for every listed session in a single fused
-    /// batch iteration (mixed prefill/decode: each session just feeds
-    /// whatever its next token is) and returns next-token logits per
-    /// entry, in order. Per-sequence results are bit-identical to the
-    /// sequential [`TransformerModel::packed_runner`] fed the same tokens.
+    /// One forward pass over a ragged batch of **runs**: each [`Run`] feeds
+    /// consecutive tokens to one session — one token for a decode step,
+    /// a chunk of a prompt, a replayed span, the candidates of a
+    /// speculative verify — and all rows of all runs share every linear
+    /// layer's multi-query GEMM. Returns the logits of each run's last
+    /// [`Run::logit_rows`] rows, run after run, in order; rows that ask
+    /// for none never touch the LM head.
+    ///
+    /// Every row is bit-identical to feeding the same tokens one at a time
+    /// through the sequential [`TransformerModel::packed_runner`]. Within a
+    /// layer each run's rows push and attend in order, so row `i` attends
+    /// over exactly the rows a sequential run would hold and every
+    /// V-window commit fires at the same row count; the cached rows a run
+    /// found when it began are swept once for all its queries
+    /// ([`RunAttention`]). Layer-major order changes nothing a causal
+    /// transformer can observe.
     ///
     /// # Panics
     ///
-    /// Panics if `batch` is empty, lists a session twice, holds a stale
-    /// [`SessionId`] or an out-of-vocabulary token — or if the pool runs
-    /// out of blocks mid-step, which admission control
-    /// ([`BatchRunner::blocks_for_request`] against
-    /// [`KvCachePool::free_blocks`]) must prevent.
+    /// Panics if `runs` is empty, a run has no tokens or asks for more
+    /// logit rows than it has, a session is listed twice, a [`SessionId`]
+    /// is stale or a token out of vocabulary — or if the pool runs out of
+    /// blocks mid-step, which the caller's budget
+    /// ([`BatchRunner::blocks_needed_for_step`] for a run that stays
+    /// inside one block, [`BatchRunner::blocks_needed_for_spec_step`]
+    /// otherwise) must prevent.
+    pub fn step_runs(&mut self, runs: &[Run<'_>]) -> Vec<Vec<f32>> {
+        self.forward(runs, None)
+    }
+
+    /// [`BatchRunner::step_runs`] with one token per session and its logits
+    /// back: the plain continuous-batching decode iteration.
+    ///
+    /// # Panics
+    ///
+    /// As [`BatchRunner::step_runs`].
     pub fn step(&mut self, batch: &[(SessionId, usize)]) -> Vec<Vec<f32>> {
+        let runs: Vec<Run<'_>> = batch
+            .iter()
+            .map(|(id, token)| Run {
+                id: *id,
+                tokens: std::slice::from_ref(token),
+                logit_rows: 1,
+            })
+            .collect();
+        self.step_runs(&runs)
+    }
+
+    /// [`BatchRunner::step_runs`] with one run and one logit row per token.
+    ///
+    /// # Panics
+    ///
+    /// As [`BatchRunner::step_runs`].
+    pub fn step_multi(&mut self, id: SessionId, tokens: &[usize]) -> Vec<Vec<f32>> {
+        self.step_runs(&[Run {
+            id,
+            tokens,
+            logit_rows: tokens.len(),
+        }])
+    }
+
+    /// The forward pass behind [`BatchRunner::step_runs`]. `capture`
+    /// collects every row's f32 K/V vectors per layer, for the rollback
+    /// checkpoint of a speculative span (one run).
+    fn forward(&mut self, runs: &[Run<'_>], mut capture: Option<&mut KvCapture>) -> Vec<Vec<f32>> {
         // Chaos seam: the induced panic lands before any session or pool
         // mutation, so a catch_unwind caller sees fully consistent state.
         #[cfg(feature = "fault-inject")]
         if mant_trace::fault::fire(mant_trace::fault::site::BATCH_STEP) {
             panic!("injected fault: batch.step");
         }
-        assert!(!batch.is_empty(), "empty batch");
+        assert!(!runs.is_empty(), "empty batch");
         let cfg = &self.model.config;
-        for (i, &(id, token)) in batch.iter().enumerate() {
-            self.check(id);
-            assert!(token < cfg.vocab, "token {token} out of vocabulary");
+        for (i, run) in runs.iter().enumerate() {
+            self.check(run.id);
+            assert!(!run.tokens.is_empty(), "empty token run");
             assert!(
-                batch[..i].iter().all(|&(other, _)| other != id),
+                run.logit_rows <= run.tokens.len(),
+                "a run of {} tokens cannot yield {} logit rows",
+                run.tokens.len(),
+                run.logit_rows
+            );
+            for &token in run.tokens {
+                assert!(token < cfg.vocab, "token {token} out of vocabulary");
+            }
+            assert!(
+                runs[..i].iter().all(|other| other.id != run.id),
                 "session listed twice in one batch iteration"
             );
         }
         let w = &self.model.weights;
         let g = self.packed.group_size();
+        if let Some(cap) = capture.as_deref_mut() {
+            debug_assert_eq!(runs.len(), 1, "a rollback capture covers one run");
+            if cap.is_empty() {
+                cap.resize(w.layers.len(), Vec::new());
+            }
+        }
 
         // Per-tick aggregate kernel buckets: when tracing is on, each
         // kernel family accumulates nanoseconds across all layers and one
@@ -469,161 +578,13 @@ impl BatchRunner<'_> {
         let prof = mant_trace::enabled();
         let (mut t_gemm, mut t_attn, mut t_kv, mut t_gemv) = (0u64, 0u64, 0u64, 0u64);
 
-        let mut xs: Vec<Vec<f32>> = batch
+        let mut xs: Vec<Vec<f32>> = runs
             .iter()
-            .map(|&(_, token)| w.embedding.row(token).to_vec())
+            .flat_map(|run| run.tokens.iter())
+            .map(|&token| w.embedding.row(token).to_vec())
             .collect();
-
-        for (li, layer) in w.layers.iter().enumerate() {
-            let pl = &self.packed.layers()[li];
-
-            // --- Attention block ---
-            let xqs = quantize_batch(xs.iter().map(|x| rmsnorm(x, &layer.attn_norm, 1e-5)), g);
-            let (qs, ks, vs) = timed(prof, &mut t_gemm, || {
-                (pl.wq.matmul(&xqs), pl.wk.matmul(&xqs), pl.wv.matmul(&xqs))
-            });
-            let (slots, pool) = (&mut self.slots, &mut self.pool);
-            timed(prof, &mut t_kv, || {
-                for (i, &(id, _)) in batch.iter().enumerate() {
-                    let session = slots[id.slot].as_mut().expect("validated above");
-                    if let Err(e) = session.caches[li].push(pool, &ks[i], &vs[i]) {
-                        panic!(
-                            "{e} during a batch step; admission control must reserve \
-                             blocks_for_request() blocks before scheduling a sequence"
-                        );
-                    }
-                }
-            });
-            let attns: Vec<Vec<f32>> = timed(prof, &mut t_attn, || {
-                batch
-                    .iter()
-                    .zip(qs.iter())
-                    .map(|(&(id, _), q)| {
-                        let session = self.slots[id.slot].as_ref().expect("validated above");
-                        attention_incremental_paged(
-                            q,
-                            &session.caches[li],
-                            &self.pool,
-                            cfg.heads,
-                            cfg.kv_heads,
-                            cfg.head_dim(),
-                        )
-                    })
-                    .collect()
-            });
-            let attns_q = quantize_batch(attns.into_iter(), g);
-            let os = timed(prof, &mut t_gemm, || pl.wo.matmul(&attns_q));
-            for (x, o) in xs.iter_mut().zip(os.iter()) {
-                for (xi, oi) in x.iter_mut().zip(o.iter()) {
-                    *xi += oi;
-                }
-            }
-
-            // --- FFN block ---
-            let xnq = quantize_batch(xs.iter().map(|x| rmsnorm(x, &layer.ffn_norm, 1e-5)), g);
-            let hs: Vec<Vec<f32>> = match cfg.ffn_kind {
-                FfnKind::GatedSilu => {
-                    let gate_w = pl.w_gate.as_ref().expect("gated model packs a gate");
-                    let (gates, ups) = timed(prof, &mut t_gemm, || {
-                        (gate_w.matmul(&xnq), pl.w_up.matmul(&xnq))
-                    });
-                    gates
-                        .iter()
-                        .zip(ups.iter())
-                        .map(|(gate, up)| {
-                            gate.iter()
-                                .zip(up.iter())
-                                .map(|(&gv, &uv)| silu(gv) * uv)
-                                .collect()
-                        })
-                        .collect()
-                }
-                FfnKind::PlainGelu => {
-                    let ups = timed(prof, &mut t_gemm, || pl.w_up.matmul(&xnq));
-                    ups.iter()
-                        .map(|up| up.iter().map(|&u| gelu(u)).collect())
-                        .collect()
-                }
-            };
-            let hs_q = quantize_batch(hs.into_iter(), g);
-            let ffs = timed(prof, &mut t_gemm, || pl.w_down.matmul(&hs_q));
-            for (x, ff) in xs.iter_mut().zip(ffs.iter()) {
-                for (xi, fi) in x.iter_mut().zip(ff.iter()) {
-                    *xi += fi;
-                }
-            }
-        }
-
-        for &(id, _) in batch {
-            self.slots[id.slot]
-                .as_mut()
-                .expect("validated above")
-                .seq_len += 1;
-        }
-        let finals: Vec<Vec<f32>> = xs.iter().map(|x| rmsnorm(x, &w.final_norm, 1e-5)).collect();
-        let final_refs: Vec<&[f32]> = finals.iter().map(Vec::as_slice).collect();
-        let logits = timed(prof, &mut t_gemv, || matvec_batch(&w.lm_head, &final_refs));
-        if prof {
-            // Laid end-to-end ending now, so the buckets nest inside the
-            // caller's enclosing step span.
-            mant_trace::tail_spans(&[
-                ("kernel.gemm", t_gemm),
-                ("kernel.attn", t_attn),
-                ("kernel.kv_quant", t_kv),
-                ("kernel.gemv", t_gemv),
-            ]);
-        }
-        logits
-    }
-
-    /// Processes `tokens` consecutive tokens for **one** session in a
-    /// single fused pass — the prefill-shaped run speculative
-    /// verification uses to turn k decode GEMVs into k-column GEMMs —
-    /// and returns one logit row per token, bit-identical to feeding the
-    /// same tokens through [`BatchRunner::step`] one at a time.
-    ///
-    /// Within each layer the cache interleaves push and attend per
-    /// token, so token `i` attends over exactly the rows a sequential
-    /// run would hold and every V-window commit fires at the same row
-    /// count; layer-major order changes nothing a causal transformer can
-    /// observe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale/unknown, `tokens` is empty or holds an
-    /// out-of-vocabulary token, or the pool runs out of blocks — the
-    /// caller budgets via [`BatchRunner::blocks_needed_for_spec_step`].
-    pub fn step_multi(&mut self, id: SessionId, tokens: &[usize]) -> Vec<Vec<f32>> {
-        self.step_multi_impl(id, tokens, None)
-    }
-
-    fn step_multi_impl(
-        &mut self,
-        id: SessionId,
-        tokens: &[usize],
-        mut capture: Option<&mut KvCapture>,
-    ) -> Vec<Vec<f32>> {
-        assert!(!tokens.is_empty(), "empty token run");
-        self.check(id);
-        let cfg = &self.model.config;
-        for &t in tokens {
-            assert!(t < cfg.vocab, "token {t} out of vocabulary");
-        }
-        let w = &self.model.weights;
-        let g = self.packed.group_size();
-        if let Some(cap) = capture.as_deref_mut() {
-            if cap.is_empty() {
-                cap.resize(w.layers.len(), Vec::new());
-            }
-        }
-
-        let prof = mant_trace::enabled();
-        let (mut t_gemm, mut t_attn, mut t_kv, mut t_gemv) = (0u64, 0u64, 0u64, 0u64);
-
-        let mut xs: Vec<Vec<f32>> = tokens
-            .iter()
-            .map(|&t| w.embedding.row(t).to_vec())
-            .collect();
+        let (slots, pool) = (&mut self.slots, &mut self.pool);
+        let (heads, kv_heads, head_dim) = (cfg.heads, cfg.kv_heads, cfg.head_dim());
 
         for (li, layer) in w.layers.iter().enumerate() {
             let pl = &self.packed.layers()[li];
@@ -640,29 +601,49 @@ impl BatchRunner<'_> {
                         .map(|(k, v)| (k.clone(), v.clone())),
                 );
             }
-            let mut attns: Vec<Vec<f32>> = Vec::with_capacity(tokens.len());
-            let (slots, pool) = (&mut self.slots, &mut self.pool);
-            for i in 0..tokens.len() {
-                timed(prof, &mut t_kv, || {
-                    let session = slots[id.slot].as_mut().expect("validated above");
-                    if let Err(e) = session.caches[li].push(pool, &ks[i], &vs[i]) {
-                        panic!(
-                            "{e} during a multi-token step; the caller must budget \
-                             blocks_needed_for_spec_step() free blocks before speculating"
-                        );
+            let mut attns: Vec<Vec<f32>> = Vec::with_capacity(xs.len());
+            let mut row0 = 0usize;
+            for run in runs {
+                let rows = row0..row0 + run.tokens.len();
+                row0 = rows.end;
+                let cache = &mut slots[run.id.slot].as_mut().expect("validated above").caches[li];
+                let mut push = |cache: &mut PagedKvCache, pool: &mut KvCachePool, r: usize| {
+                    timed(prof, &mut t_kv, || {
+                        if let Err(e) = cache.push(pool, &ks[r], &vs[r]) {
+                            panic!(
+                                "{e} during a forward step; the caller must budget the step's \
+                                 blocks (blocks_needed_for_step / blocks_needed_for_spec_step) \
+                                 before scheduling it"
+                            );
+                        }
+                    });
+                };
+                if rows.len() < RunAttention::MIN_ROWS {
+                    for r in rows {
+                        push(cache, pool, r);
+                        attns.push(timed(prof, &mut t_attn, || {
+                            attention_incremental_paged(
+                                &qs[r], cache, pool, heads, kv_heads, head_dim,
+                            )
+                        }));
                     }
-                });
-                attns.push(timed(prof, &mut t_attn, || {
-                    let session = slots[id.slot].as_ref().expect("validated above");
-                    attention_incremental_paged(
-                        &qs[i],
-                        &session.caches[li],
-                        pool,
-                        cfg.heads,
-                        cfg.kv_heads,
-                        cfg.head_dim(),
-                    )
-                }));
+                } else {
+                    let mut sweep = timed(prof, &mut t_attn, || {
+                        RunAttention::begin(
+                            &qs[rows.clone()],
+                            cache,
+                            pool,
+                            heads,
+                            kv_heads,
+                            head_dim,
+                        )
+                    });
+                    for (i, r) in rows.enumerate() {
+                        push(cache, pool, r);
+                        timed(prof, &mut t_attn, || sweep.attend_pushed(i, cache, pool));
+                    }
+                    attns.extend(timed(prof, &mut t_attn, || sweep.finish(cache, pool)));
+                }
             }
             let attns_q = quantize_batch(attns.into_iter(), g);
             let os = timed(prof, &mut t_gemm, || pl.wo.matmul(&attns_q));
@@ -707,14 +688,27 @@ impl BatchRunner<'_> {
             }
         }
 
-        self.slots[id.slot]
-            .as_mut()
-            .expect("validated above")
-            .seq_len += tokens.len();
-        let finals: Vec<Vec<f32>> = xs.iter().map(|x| rmsnorm(x, &w.final_norm, 1e-5)).collect();
+        // Only the rows somebody will read go through the LM head.
+        let mut finals: Vec<Vec<f32>> = Vec::new();
+        let mut row0 = 0usize;
+        for run in runs {
+            let end = row0 + run.tokens.len();
+            slots[run.id.slot]
+                .as_mut()
+                .expect("validated above")
+                .seq_len += run.tokens.len();
+            finals.extend(
+                xs[end - run.logit_rows..end]
+                    .iter()
+                    .map(|x| rmsnorm(x, &w.final_norm, 1e-5)),
+            );
+            row0 = end;
+        }
         let final_refs: Vec<&[f32]> = finals.iter().map(Vec::as_slice).collect();
         let logits = timed(prof, &mut t_gemv, || matvec_batch(&w.lm_head, &final_refs));
         if prof {
+            // Laid end-to-end ending now, so the buckets nest inside the
+            // caller's enclosing step span.
             mant_trace::tail_spans(&[
                 ("kernel.gemm", t_gemm),
                 ("kernel.attn", t_attn),
@@ -760,14 +754,8 @@ impl BatchRunner<'_> {
     ///
     /// Panics if `id` is stale or unknown.
     pub fn blocks_needed_for_spec_step(&self, id: SessionId, k: usize) -> usize {
-        self.check(id);
-        let session = self.slots[id.slot].as_ref().expect("checked above");
-        let ckpt = Self::needs_checkpoint(session.seq_len, k, self.kv_group);
-        session
-            .caches
-            .iter()
-            .map(|c| c.blocks_needed_for_pushes(&self.pool, k, ckpt))
-            .sum()
+        let ckpt = Self::needs_checkpoint(self.seq_len(id), k, self.kv_group);
+        self.blocks_for_pushes(id, k, ckpt)
     }
 
     /// Whether a k-candidate speculative span starting at length `n` can
@@ -826,14 +814,12 @@ impl BatchRunner<'_> {
             panic!("injected fault: batch.spec_step");
         }
         assert!(k >= 1, "speculation needs at least one draft candidate");
-        self.check(id);
-        draft.check(draft_id);
-        let n = self.slots[id.slot].as_ref().expect("checked above").seq_len;
-        let dn = draft.slots[draft_id.slot]
-            .as_ref()
-            .expect("checked above")
-            .seq_len;
-        assert_eq!(n, dn, "draft session out of lockstep with the target");
+        let n = self.seq_len(id);
+        assert_eq!(
+            n,
+            draft.seq_len(draft_id),
+            "draft session out of lockstep with the target"
+        );
         let ckpt_t = Self::needs_checkpoint(n, k, self.kv_group);
         let ckpt_d = Self::needs_checkpoint(n, k, draft.kv_group);
 
@@ -849,7 +835,14 @@ impl BatchRunner<'_> {
         for _ in 0..k {
             inputs.push(fed);
             let cap = if ckpt_d { Some(&mut draft_cap) } else { None };
-            let logits = draft.step_multi_impl(draft_id, &[fed], cap);
+            let logits = draft.forward(
+                &[Run {
+                    id: draft_id,
+                    tokens: &[fed],
+                    logit_rows: 1,
+                }],
+                cap,
+            );
             fed = argmax(&logits[0]);
             // Chaos seam: corrupt the candidate *after* the draft argmax.
             // Safe by construction — verification compares target argmax
@@ -871,7 +864,14 @@ impl BatchRunner<'_> {
         let target_ckpt = ckpt_t.then(|| self.fork_caches(id));
         let mut target_cap: KvCapture = Vec::new();
         let cap = if ckpt_t { Some(&mut target_cap) } else { None };
-        let rows = self.step_multi_impl(id, &inputs, cap);
+        let rows = self.forward(
+            &[Run {
+                id,
+                tokens: &inputs,
+                logit_rows: inputs.len(),
+            }],
+            cap,
+        );
         let mut tokens = Vec::with_capacity(k);
         let mut accepted = 0usize;
         for (row, &d) in rows.iter().zip(drafts.iter()) {
@@ -1290,6 +1290,130 @@ mod tests {
         let am = br.step(&[(a, 9)]);
         let bm = br.step(&[(b, 9)]);
         assert_eq!(bits(&am[0]), bits(&bm[0]));
+    }
+
+    /// SplitMix64: the seeded stream behind the ragged-run property test.
+    fn next(state: &mut u64) -> usize {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 33) as usize
+    }
+
+    #[test]
+    fn ragged_runs_bit_identical_to_the_one_token_oracle() {
+        // Three sessions — the third a mid-block fork of the first, so its
+        // first run copies a shared block — take random streams through
+        // random run partitions: random subsets per step, run lengths that
+        // stay inside, end on and cross the 32-row blocks and 16-row V
+        // windows, logits for no row, the last row or every row. Every
+        // logit row must equal the sequential `ModelRunner`'s, and every
+        // cache the one a twin session reaches one token at a time.
+        let m = TransformerModel::synthesize(&ModelConfig::sim_llama(), 70);
+        let packed = m.pack_weights(64).unwrap();
+        let kv = KvMode::Int4 { group: 16 };
+        for seed in 1..=4u64 {
+            let mut rng = seed;
+            let fork_at = 5 + next(&mut rng) % 40;
+            let mut streams: Vec<Vec<usize>> = (0..3)
+                .map(|_| {
+                    let len = 50 + next(&mut rng) % 45;
+                    (0..len).map(|_| next(&mut rng) % 512).collect()
+                })
+                .collect();
+            let shared = streams[0][..fork_at].to_vec();
+            streams[2].splice(..fork_at, shared);
+            let oracle: Vec<_> = streams
+                .iter()
+                .map(|s| run_sequence_packed(&m, &packed, ActMode::None, kv, s))
+                .collect();
+
+            let mut br = m.batch_runner(&packed, ActMode::None, kv, 32, 32);
+            let mut ids = [Some(br.create_session()), Some(br.create_session()), None];
+            let mut pos = [0usize, 0, fork_at];
+            while (0..3).any(|i| pos[i] < streams[i].len()) {
+                // (session, run length, logit rows) for a random subset.
+                let mut picks: Vec<(usize, usize, usize)> = Vec::new();
+                for i in 0..3 {
+                    let left = streams[i].len() - pos[i];
+                    let Some(_) = ids[i] else { continue };
+                    if left == 0 || next(&mut rng).is_multiple_of(4) {
+                        continue;
+                    }
+                    let mut len = 1 + next(&mut rng) % left.min(40);
+                    if i == 0 && pos[0] < fork_at {
+                        len = len.min(fork_at - pos[0]);
+                    }
+                    let logit_rows = [0, 1, len][next(&mut rng) % 3];
+                    picks.push((i, len, logit_rows));
+                }
+                if picks.is_empty() {
+                    continue;
+                }
+                let runs: Vec<Run<'_>> = picks
+                    .iter()
+                    .map(|&(i, len, logit_rows)| Run {
+                        id: ids[i].unwrap(),
+                        tokens: &streams[i][pos[i]..pos[i] + len],
+                        logit_rows,
+                    })
+                    .collect();
+                let mut logits = br.step_runs(&runs).into_iter();
+                for &(i, len, logit_rows) in &picks {
+                    pos[i] += len;
+                    for t in pos[i] - logit_rows..pos[i] {
+                        assert_eq!(
+                            bits(&logits.next().unwrap()),
+                            bits(oracle[i].row(t)),
+                            "seed {seed}: session {i} row {t} diverged from the oracle"
+                        );
+                    }
+                }
+                assert!(logits.next().is_none(), "seed {seed}: stray logit rows");
+                if ids[2].is_none() && pos[0] == fork_at {
+                    ids[2] = Some(br.fork_session(ids[0].unwrap()));
+                }
+            }
+
+            let mut twin = m.batch_runner(&packed, ActMode::None, kv, 32, 32);
+            for (i, stream) in streams.iter().enumerate() {
+                let t = twin.create_session();
+                for &tok in stream {
+                    twin.step(&[(t, tok)]);
+                }
+                let got = br.slots[ids[i].unwrap().slot].as_ref().unwrap();
+                let want = twin.slots[t.slot].as_ref().unwrap();
+                assert_eq!(got.seq_len, want.seq_len);
+                for (g, w) in got.caches.iter().zip(want.caches.iter()) {
+                    assert_eq!(
+                        bits(g.dequantize_k(&br.pool).as_slice()),
+                        bits(w.dequantize_k(&twin.pool).as_slice()),
+                        "seed {seed}: session {i} K cache"
+                    );
+                    assert_eq!(
+                        bits(g.dequantize_v(&br.pool).as_slice()),
+                        bits(w.dequantize_v(&twin.pool).as_slice()),
+                        "seed {seed}: session {i} V cache"
+                    );
+                    assert_eq!(g.used_bits(), w.used_bits(), "seed {seed}: session {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot yield")]
+    fn more_logit_rows_than_tokens_rejected() {
+        let m = TransformerModel::synthesize(&ModelConfig::sim_llama(), 71);
+        let packed = m.pack_weights(64).unwrap();
+        let mut br = m.batch_runner(&packed, ActMode::None, KvMode::Mant4 { group: 64 }, 8, 64);
+        let a = br.create_session();
+        let _ = br.step_runs(&[Run {
+            id: a,
+            tokens: &[1, 2],
+            logit_rows: 3,
+        }]);
     }
 
     #[test]

@@ -351,41 +351,51 @@ impl KernelDispatch {
         }
     }
 
-    /// Two batch members through [`KernelDispatch::dot_i16_x4_groups`] in
-    /// one pass over the decoded weight tile: each 32-operand row block
-    /// is loaded **once** and multiply-accumulated against both members'
-    /// sign-extended activations. The sweep is load-bound, and weight
-    /// loads dominate (eight per block against two activation loads), so
-    /// pairing nearly halves the traffic that gates GEMM throughput.
-    /// Each member's accumulation chain is instruction-for-instruction
-    /// the chain of the single-member sweep, so both results stay
-    /// bit-identical to the scalar kernel.
+    /// Every member of a batch through
+    /// [`KernelDispatch::dot_i16_x4_groups`] against one decoded 4-row
+    /// tile, in one dispatch: member `m`'s group dots land in
+    /// `out[m · groups..(m + 1) · groups]`, where `groups = out.len() /
+    /// members.len()`. The AVX2 tier takes the members two at a time: each
+    /// 32-operand row block is loaded **once** and multiply-accumulated
+    /// against both members' sign-extended activations. The sweep is
+    /// load-bound, and weight loads dominate (eight per block against two
+    /// activation loads), so pairing nearly halves the traffic that gates
+    /// GEMM throughput. Each member's accumulation chain is
+    /// instruction-for-instruction the chain of the single-member sweep,
+    /// so every result stays bit-identical to the scalar kernel.
+    ///
+    /// The tile is whatever [`KernelDispatch::decode_packed_i16`] decoded
+    /// — four weight rows for the decode-once GEMM, four cached K rows or
+    /// four channels of a committed V window for run-batched attention —
+    /// and a tile of a few dozen operands per row is why the dispatch is
+    /// per tile, not per pair.
     ///
     /// # Panics
     ///
-    /// Debug-asserts the same per-member contract as
-    /// [`KernelDispatch::dot_i16_x4_groups`].
-    #[allow(clippy::similar_names)]
-    pub fn dot_i16_x4_groups_x2(
+    /// Debug-asserts `out` divides evenly among the members, and the
+    /// per-member contract of [`KernelDispatch::dot_i16_x4_groups`].
+    pub fn dot_i16_x4_groups_batch(
         self,
-        xa: &[i8],
-        xb: &[i8],
+        members: &[&[i8]],
         w16: [&[i16]; 4],
         group_size: usize,
-        out_a: &mut [[i64; 4]],
-        out_b: &mut [[i64; 4]],
+        out: &mut [[i64; 4]],
     ) {
-        debug_assert_eq!(xa.len(), xb.len());
-        debug_assert_eq!(out_a.len(), out_b.len());
+        if members.is_empty() || out.is_empty() {
+            return;
+        }
+        let groups = out.len() / members.len();
+        debug_assert_eq!(out.len(), groups * members.len());
         match self {
             #[cfg(target_arch = "x86_64")]
             KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
                 // SAFETY: the match guard just confirmed AVX2 on this CPU.
-                unsafe { x86::dot_i16_x4_groups_x2_avx2(xa, xb, w16, group_size, out_a, out_b) }
+                unsafe { x86::dot_i16_x4_groups_batch_avx2(members, w16, group_size, groups, out) }
             }
             _ => {
-                self.dot_i16_x4_groups(xa, w16, group_size, out_a);
-                self.dot_i16_x4_groups(xb, w16, group_size, out_b);
+                for (x, o) in members.iter().zip(out.chunks_exact_mut(groups)) {
+                    self.dot_i16_x4_groups(x, w16, group_size, o);
+                }
             }
         }
     }
@@ -953,8 +963,8 @@ mod x86 {
         }
     }
 
-    /// AVX2 paired sweep (see
-    /// [`super::KernelDispatch::dot_i16_x4_groups_x2`]): per 32-code
+    /// AVX2 paired sweep, the inner step of
+    /// [`dot_i16_x4_groups_batch_avx2`]: per 32-code
     /// block each row's two operand vectors are loaded once and fed to
     /// `pmaddwd` against both members. Eight accumulators (four rows ×
     /// two members), four extended activations and two weight temporaries
@@ -964,7 +974,7 @@ mod x86 {
     /// twice.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::similar_names)]
-    pub(super) fn dot_i16_x4_groups_x2_avx2(
+    fn dot_i16_x4_groups_x2_avx2(
         xa: &[i8],
         xb: &[i8],
         w16: [&[i16]; 4],
@@ -1030,6 +1040,30 @@ mod x86 {
                     o[lane] = i64::from(sums[lane]) + tail[lane];
                 }
             }
+        }
+    }
+
+    /// AVX2 batch sweep (see
+    /// [`super::KernelDispatch::dot_i16_x4_groups_batch`]): members in
+    /// pairs through [`dot_i16_x4_groups_x2_avx2`], an odd last one
+    /// through [`dot_i16_x4_groups_avx2`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn dot_i16_x4_groups_batch_avx2(
+        members: &[&[i8]],
+        w16: [&[i16]; 4],
+        group_size: usize,
+        groups: usize,
+        out: &mut [[i64; 4]],
+    ) {
+        let mut outs = out.chunks_exact_mut(groups);
+        let mut next = || outs.next().expect("one output chunk per member");
+        let mut pairs = members.chunks_exact(2);
+        for pair in pairs.by_ref() {
+            let (oa, ob) = (next(), next());
+            dot_i16_x4_groups_x2_avx2(pair[0], pair[1], w16, group_size, oa, ob);
+        }
+        if let [last] = pairs.remainder() {
+            dot_i16_x4_groups_avx2(last, w16, group_size, next());
         }
     }
 
@@ -1376,14 +1410,13 @@ mod tests {
     }
 
     #[test]
-    fn dot_i16_x4_groups_x2_matches_single_member_all_tiers() {
-        // The paired two-member sweep must equal two single-member sweeps
-        // bit for bit on every tier, including odd group sizes that force
-        // the scalar tail.
+    fn dot_i16_x4_groups_batch_matches_single_member_all_tiers() {
+        // The batch sweep must equal single-member sweeps bit for bit on
+        // every tier: even and odd member counts (pairs plus a lone last
+        // member), an empty batch, and an odd group size that forces the
+        // scalar tail.
         for (groups, gs) in [(1usize, 16usize), (2, 32), (3, 64), (2, 33)] {
             let len = groups * gs;
-            let xa: Vec<i8> = (0..len).map(|i| ((i * 73 + 9) % 255) as u8 as i8).collect();
-            let xb: Vec<i8> = (0..len).map(|i| ((i * 41 + 5) % 255) as u8 as i8).collect();
             let dec: Vec<Vec<i16>> = (0..4)
                 .map(|r| {
                     (0..len)
@@ -1392,16 +1425,24 @@ mod tests {
                 })
                 .collect();
             let w16 = [&dec[0][..], &dec[1][..], &dec[2][..], &dec[3][..]];
-            let mut expect_a = vec![[0i64; 4]; groups];
-            let mut expect_b = vec![[0i64; 4]; groups];
-            KernelDispatch::Scalar.dot_i16_x4_groups(&xa, w16, gs, &mut expect_a);
-            KernelDispatch::Scalar.dot_i16_x4_groups(&xb, w16, gs, &mut expect_b);
-            for d in tiers() {
-                let mut got_a = vec![[0i64; 4]; groups];
-                let mut got_b = vec![[0i64; 4]; groups];
-                d.dot_i16_x4_groups_x2(&xa, &xb, w16, gs, &mut got_a, &mut got_b);
-                assert_eq!(got_a, expect_a, "tier {} groups {groups} gs {gs}", d.name());
-                assert_eq!(got_b, expect_b, "tier {} groups {groups} gs {gs}", d.name());
+            for count in [0usize, 1, 2, 5] {
+                let xs: Vec<Vec<i8>> = (0..count)
+                    .map(|m| {
+                        (0..len)
+                            .map(|i| ((i * 73 + m * 31 + 9) % 255) as u8 as i8)
+                            .collect()
+                    })
+                    .collect();
+                let members: Vec<&[i8]> = xs.iter().map(Vec::as_slice).collect();
+                let mut expect = vec![[0i64; 4]; count * groups];
+                for (x, o) in members.iter().zip(expect.chunks_exact_mut(groups)) {
+                    KernelDispatch::Scalar.dot_i16_x4_groups(x, w16, gs, o);
+                }
+                for d in tiers() {
+                    let mut got = vec![[0i64; 4]; count * groups];
+                    d.dot_i16_x4_groups_batch(&members, w16, gs, &mut got);
+                    assert_eq!(got, expect, "tier {} gs {gs} members {count}", d.name());
+                }
             }
         }
     }

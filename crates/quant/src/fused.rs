@@ -233,8 +233,12 @@ pub fn mant_gemv_batch_with(
     } else {
         Vec::new()
     };
+    let members: Vec<&[i8]> = xs.iter().map(QuantizedVector::codes).collect();
     let mut gout = vec![[0i64; 4]; groups];
-    let mut gout_b = vec![[0i64; 4]; groups];
+    // Every member's group dots over one decoded tile.
+    let mut gouts = vec![[0i64; 4]; if decode_once { xs.len() * groups } else { 0 }];
+    // The tile's weight scales, widened once for all members.
+    let mut wscales = vec![[0.0f64; 4]; groups];
     let mut accs = vec![[0.0f64; 4]; xs.len()];
     let mut tile_lo = 0usize;
     while tile_lo < n {
@@ -256,48 +260,20 @@ pub fn mant_gemv_batch_with(
                     }
                 }
                 let wdecs = [&wdec[0][..], &wdec[1][..], &wdec[2][..], &wdec[3][..]];
-                // Members sweep the decoded tile in pairs: the paired
-                // kernel loads each row block once for both members,
-                // halving the weight-load traffic that gates the sweep.
-                let mut members = accs
+                // One dispatch per tile; members sweep it in pairs, the
+                // paired kernel loading each row block once for both.
+                d.dot_i16_x4_groups_batch(&members, wdecs, gs, &mut gouts);
+                for (g, ws) in wscales.iter_mut().enumerate() {
+                    *ws = [0, 1, 2, 3].map(|lane| f64::from(mrows[lane][g].scale));
+                }
+                for ((acc, xsc), ints) in accs
                     .iter_mut()
-                    .zip(xs.iter())
                     .zip(xscales.iter())
-                    .map(|((acc, x), xsc)| (acc, x, xsc));
-                while let Some((acc_a, x_a, xsc_a)) = members.next() {
-                    match members.next() {
-                        Some((acc_b, x_b, xsc_b)) => {
-                            d.dot_i16_x4_groups_x2(
-                                x_a.codes(),
-                                x_b.codes(),
-                                wdecs,
-                                gs,
-                                &mut gout,
-                                &mut gout_b,
-                            );
-                            for (member_acc, member_xsc, member_gout) in
-                                [(acc_a, xsc_a, &gout), (acc_b, xsc_b, &gout_b)]
-                            {
-                                for (g, ints) in member_gout.iter().enumerate() {
-                                    let xs_scale = member_xsc[g];
-                                    for lane in 0..4 {
-                                        member_acc[lane] += xs_scale
-                                            * f64::from(mrows[lane][g].scale)
-                                            * ints[lane] as f64;
-                                    }
-                                }
-                            }
-                        }
-                        None => {
-                            d.dot_i16_x4_groups(x_a.codes(), wdecs, gs, &mut gout);
-                            for (g, ints) in gout.iter().enumerate() {
-                                let xs_scale = xsc_a[g];
-                                for lane in 0..4 {
-                                    acc_a[lane] += xs_scale
-                                        * f64::from(mrows[lane][g].scale)
-                                        * ints[lane] as f64;
-                                }
-                            }
+                    .zip(gouts.chunks_exact(groups))
+                {
+                    for ((ints, &xs_scale), ws) in ints.iter().zip(xsc).zip(&wscales) {
+                        for lane in 0..4 {
+                            acc[lane] += xs_scale * ws[lane] * ints[lane] as f64;
                         }
                     }
                 }

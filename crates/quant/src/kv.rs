@@ -449,13 +449,24 @@ impl VStaging {
         let Some((pcodes, pscale)) = quantize_probs_int8(probs_tail) else {
             return;
         };
-        let mut col8 = Vec::with_capacity(self.window.len());
-        for (o, c) in out.iter_mut().zip(chan_lo..) {
-            col8.clear();
-            col8.extend(self.window.iter().map(|row| row[c]));
-            let s8 = self.channel_scales[c].max(f32::MIN_POSITIVE);
-            let int_result = kernels().int8_dot(&pcodes, &col8);
-            *o += (f64::from(pscale) * f64::from(s8) * int_result as f64) as f32;
+        // Row-major sweep: each staged row adds `p_t · v_t[c]` into every
+        // channel's integer sum — contiguous loads instead of one strided
+        // gather per channel. The sums are the exact integers an
+        // `int8_dot` per channel returns: a window holds at most
+        // `group_size` rows of products below 2^14, far inside i32.
+        let mut sums = vec![0i32; out.len()];
+        for (&p, row) in pcodes.iter().zip(self.window.iter()) {
+            for (s, &v) in sums.iter_mut().zip(&row[chan_lo..]) {
+                *s += i32::from(p) * i32::from(v);
+            }
+        }
+        for ((o, &int_result), &scale) in out
+            .iter_mut()
+            .zip(sums.iter())
+            .zip(&self.channel_scales[chan_lo..])
+        {
+            let s8 = scale.max(f32::MIN_POSITIVE);
+            *o += (f64::from(pscale) * f64::from(s8) * f64::from(int_result)) as f32;
         }
     }
 
@@ -840,6 +851,14 @@ fn validate_attention_shapes(
 /// single FP16-rounded scale; `None` when every probability is zero (the
 /// whole window then contributes nothing).
 pub(crate) fn quantize_probs_int8(probs: &[f32]) -> Option<(Vec<i8>, f32)> {
+    let mut codes = vec![0i8; probs.len()];
+    quantize_probs_int8_into(probs, &mut codes).map(|scale| (codes, scale))
+}
+
+/// [`quantize_probs_int8`] into a caller-owned buffer, returning the
+/// scale — for the run-batched sweep, which quantizes one window for many
+/// queries.
+pub(crate) fn quantize_probs_int8_into(probs: &[f32], codes: &mut [i8]) -> Option<f32> {
     // Vectorized through the process kernel tier, bit-identical to the
     // scalar fold + per-element `quantize_symmetric_int` loop.
     let d = kernels();
@@ -848,9 +867,8 @@ pub(crate) fn quantize_probs_int8(probs: &[f32]) -> Option<(Vec<i8>, f32)> {
         return None;
     }
     let scale = int8_scale(amax).max(f32::MIN_POSITIVE);
-    let mut codes = vec![0i8; probs.len()];
-    d.quantize_i8(probs, scale, &mut codes);
-    Some((codes, scale))
+    d.quantize_i8(probs, scale, codes);
+    Some(scale)
 }
 
 /// FP16-rounded INT8 scale for a given max magnitude.
@@ -1092,6 +1110,35 @@ mod tests {
         vq.attend(&probs, 8, &mut partial);
         for (j, &p) in partial.iter().enumerate() {
             assert!((p - 1.0 - fused[8 + j]).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn staged_attend_bits_equal_the_per_channel_int8_dot() {
+        // The row-major sweep must give every channel the bits of the
+        // column formulation it replaced: one `int8_dot` of the window's
+        // probability codes against the channel's staged codes, scaled in
+        // f64 and added as one f32.
+        let mut gen = TensorGenerator::new(83);
+        let (dim, g) = (48usize, 16usize);
+        let mut staging = VStaging::new(dim, g, vmap());
+        let v = gen.group_diverse_matrix(11, dim, dim, 0.7);
+        for t in 0..11 {
+            assert!(staging.push(v.row(t)).is_none());
+        }
+        let probs: Vec<f32> = (0..11).map(|i| 0.3 / (1.0 + i as f32)).collect();
+        let (chan_lo, width) = (16usize, 24usize);
+        let mut got = vec![0.25f32; width];
+        staging.attend_staged(&probs, chan_lo, &mut got);
+
+        let (pcodes, pscale) = quantize_probs_int8(&probs).unwrap();
+        for (j, &o) in got.iter().enumerate() {
+            let c = chan_lo + j;
+            let col: Vec<i8> = staging.window.iter().map(|row| row[c]).collect();
+            let s8 = staging.channel_scales[c].max(f32::MIN_POSITIVE);
+            let int_result = kernels().int8_dot(&pcodes, &col);
+            let want = 0.25f32 + (f64::from(pscale) * f64::from(s8) * int_result as f64) as f32;
+            assert_eq!(o.to_bits(), want.to_bits(), "channel {c}");
         }
     }
 

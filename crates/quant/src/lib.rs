@@ -62,7 +62,7 @@ pub use fused::{
 pub use kv::{KCacheQuantizer, VCacheQuantizer};
 pub use mantq::{GroupDtype, MantQuantizedMatrix, MantWeightQuantizer};
 pub use plan::pair_table;
-pub use pool::{attention_incremental_paged, KvCachePool, PagedKvCache, PoolConfig};
+pub use pool::{attention_incremental_paged, KvCachePool, PagedKvCache, PoolConfig, RunAttention};
 pub use quantizer::{FakeQuantizer, Fp16Quantizer, GridQuantizer};
 pub use scheme::Granularity;
 pub use search::{

@@ -44,12 +44,19 @@ use mant_tensor::Matrix;
 
 use crate::activation::{quantize_vector_int8, QuantizedVector};
 use crate::error::QuantError;
-use crate::fused::group_dot_packed;
-use crate::kv::{attend_window, encode_k_row_into, quantize_probs_int8, VStaging};
+use crate::fused::{group_dot_packed, DECODE_ONCE_MIN_BATCH};
+use crate::kv::{
+    attend_window, encode_k_row_into, quantize_probs_int8, quantize_probs_int8_into, VStaging,
+};
 #[allow(unused_imports)] // doc links
 use crate::kv::{KCacheQuantizer, VCacheQuantizer};
 use crate::mantq::{packed_code, GroupMeta};
+use crate::plan::kernel_table;
 use crate::variance::VarianceMap;
+
+use mant_numerics::kernels;
+#[allow(unused_imports)] // doc links
+use mant_numerics::KernelDispatch;
 
 use mant_tensor::ops::softmax_inplace;
 
@@ -715,6 +722,33 @@ impl PagedKvCache {
     }
 }
 
+/// The shape contract of paged attention, checked once per call; returns
+/// the cache group size.
+fn check_attention_shapes(
+    q_len: usize,
+    cache: &PagedKvCache,
+    heads: usize,
+    kv_heads: usize,
+    head_dim: usize,
+) -> usize {
+    assert_eq!(q_len, heads * head_dim, "query length mismatch");
+    assert!(
+        kv_heads > 0 && heads.is_multiple_of(kv_heads),
+        "kv_heads ({kv_heads}) must divide heads ({heads})"
+    );
+    assert_eq!(
+        cache.dim(),
+        kv_heads * head_dim,
+        "paged cache width mismatch"
+    );
+    let g = cache.group_size();
+    assert!(
+        head_dim.is_multiple_of(g),
+        "fused attention needs the group size ({g}) to divide the head dimension ({head_dim})"
+    );
+    g
+}
+
 /// Multi-head attention of one query vector against a pooled cache on the
 /// incremental path — the paged twin of
 /// [`crate::kv::attention_incremental`], bit-identical to it on equal
@@ -734,21 +768,7 @@ pub fn attention_incremental_paged(
     kv_heads: usize,
     head_dim: usize,
 ) -> Vec<f32> {
-    assert_eq!(q.len(), heads * head_dim, "query length mismatch");
-    assert!(
-        kv_heads > 0 && heads.is_multiple_of(kv_heads),
-        "kv_heads ({kv_heads}) must divide heads ({heads})"
-    );
-    assert_eq!(
-        cache.dim(),
-        kv_heads * head_dim,
-        "paged cache width mismatch"
-    );
-    let g = cache.group_size();
-    assert!(
-        head_dim.is_multiple_of(g),
-        "fused attention needs the group size ({g}) to divide the head dimension ({head_dim})"
-    );
+    let g = check_attention_shapes(q.len(), cache, heads, kv_heads, head_dim);
     let seq = cache.len();
     let queries_per_kv = heads / kv_heads;
     let groups_per_head = head_dim / g;
@@ -772,6 +792,307 @@ pub fn attention_incremental_paged(
         );
     }
     out
+}
+
+/// Attention for a **run** of consecutive rows of one sequence — a prefill
+/// chunk, a replayed span, a speculative verify pass — with the K rows and
+/// V windows the cache already holds swept once for all of the run's
+/// queries instead of once per query.
+///
+/// Packed K rows and committed V windows never change once written, so
+/// they are matrix operands: four K rows (or four channels of a window)
+/// are decoded to i16 once ([`KernelDispatch::decode_packed_i16`]) and
+/// every query sweeps the decoded tile through the GEMM tier's kernels
+/// ([`KernelDispatch::dot_i16_x4_groups_batch`]). Only the INT8 staging
+/// window is mutable — a
+/// later row can widen a channel scale and re-encode it — so its share of
+/// `P·V` is taken the moment the query's own row has been pushed, as
+/// [`attention_incremental_paged`] would.
+///
+/// Protocol: [`RunAttention::begin`] before the run's first push, then for
+/// each row `i` in order [`PagedKvCache::push`] followed by
+/// [`RunAttention::attend_pushed`]`(i, ..)`, then [`RunAttention::finish`].
+/// Row `i` of the result equals `attention_incremental_paged(&qs[i], ..)`
+/// called right after row `i`'s push, **bit for bit**: every score is the
+/// same ascending f64 sum of `(q_scale · k_scale) · int` group terms
+/// `fused_dot` forms (the integer dots are exact on every kernel), and
+/// every output channel adds its windows in ascending order and the
+/// staged rows last, as `attend` does. (The staged term is taken from a
+/// zeroed buffer and added at the end; `0.0 + t` differs from `t` only for
+/// `t = -0.0`, and adding either zero to a sum that started at `+0.0`
+/// gives the same bits.)
+///
+/// Worth its tile decodes from [`RunAttention::MIN_ROWS`] rows up; below
+/// that call [`attention_incremental_paged`] per row.
+pub struct RunAttention {
+    heads: usize,
+    kv_heads: usize,
+    head_dim: usize,
+    /// Rows the cache held when the run began.
+    base: usize,
+    /// The run's queries, INT8 at the cache group size.
+    qv: Vec<QuantizedVector>,
+    /// `[row · heads + head]`: scores over positions `0..=base + row`,
+    /// softmaxed in place once the row has been pushed.
+    probs: Vec<Vec<f32>>,
+    /// `[row]`: the staging window's share of `P·V`, per output channel.
+    tails: Vec<Vec<f32>>,
+    /// Leading cache rows (a multiple of 4) whose K tiles have been swept
+    /// for every query still to come.
+    tiled_rows: usize,
+    /// Decoded operands of the tile being swept.
+    tile: [Vec<i16>; 4],
+}
+
+impl RunAttention {
+    /// Run length from which the sweep pays for decoding each tile —
+    /// the GEMM tier's own break-even, for the same reason.
+    pub const MIN_ROWS: usize = DECODE_ONCE_MIN_BATCH;
+
+    /// Quantizes the run's queries and scores them against every K row
+    /// `cache` already holds. Call before the run's first push.
+    ///
+    /// # Panics
+    ///
+    /// As [`attention_incremental_paged`], for every query.
+    pub fn begin(
+        qs: &[Vec<f32>],
+        cache: &PagedKvCache,
+        pool: &KvCachePool,
+        heads: usize,
+        kv_heads: usize,
+        head_dim: usize,
+    ) -> Self {
+        let base = cache.len();
+        let qv = qs
+            .iter()
+            .map(|q| {
+                let g = check_attention_shapes(q.len(), cache, heads, kv_heads, head_dim);
+                quantize_vector_int8(q, g).expect("group divides head dim, hence q length")
+            })
+            .collect();
+        let mut run = RunAttention {
+            heads,
+            kv_heads,
+            head_dim,
+            base,
+            qv,
+            probs: (0..qs.len() * heads)
+                .map(|m| vec![0.0; base + m / heads + 1])
+                .collect(),
+            tails: vec![vec![0.0; heads * head_dim]; qs.len()],
+            tiled_rows: base / 4 * 4,
+            tile: std::array::from_fn(|_| vec![0i16; head_dim]),
+        };
+        run.score_tiles(cache, pool, 0, run.tiled_rows, 0);
+        run
+    }
+
+    /// Scores queries `first_row..` against cache rows `t_lo..t_hi` (whole
+    /// tiles of four), one decode per tile and KV head.
+    fn score_tiles(
+        &mut self,
+        cache: &PagedKvCache,
+        pool: &KvCachePool,
+        t_lo: usize,
+        t_hi: usize,
+        first_row: usize,
+    ) {
+        let RunAttention {
+            heads,
+            kv_heads,
+            head_dim,
+            ref qv,
+            ref mut probs,
+            ref mut tile,
+            ..
+        } = *self;
+        if first_row >= qv.len() || t_lo == t_hi {
+            return;
+        }
+        let d = kernels();
+        let g = cache.group_size();
+        let gb = pool.group_bytes();
+        let bt = pool.cfg.block_tokens;
+        let per_kv = heads / kv_heads;
+        let gph = head_dim / g;
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        for kv_head in 0..kv_heads {
+            // Member m is query row `first_row + m / per_kv`, head
+            // `kv_head · per_kv + m % per_kv`.
+            let head_of = |m: usize| kv_head * per_kv + m % per_kv;
+            let count = (qv.len() - first_row) * per_kv;
+            let members: Vec<&[i8]> = (0..count)
+                .map(|m| {
+                    let lo = head_of(m) * head_dim;
+                    &qv[first_row + m / per_kv].codes()[lo..lo + head_dim]
+                })
+                .collect();
+            let q_scales: Vec<f64> = (0..count * gph)
+                .map(|i| {
+                    let m = i / gph;
+                    f64::from(qv[first_row + m / per_kv].scale(head_of(m) * gph + i % gph))
+                })
+                .collect();
+            let mut gouts = vec![[0i64; 4]; count * gph];
+            let k_lo = kv_head * gph;
+            for t0 in (t_lo..t_hi).step_by(4) {
+                let rows = [0, 1, 2, 3].map(|lane| {
+                    let t = t0 + lane;
+                    pool.k_row(cache.blocks[t / bt], t % bt)
+                });
+                for (dec, (codes, meta)) in tile.iter_mut().zip(rows) {
+                    for j in 0..gph {
+                        d.decode_packed_i16(
+                            &codes[(k_lo + j) * gb..(k_lo + j + 1) * gb],
+                            g,
+                            kernel_table(meta[k_lo + j].dtype),
+                            &mut dec[j * g..(j + 1) * g],
+                        );
+                    }
+                }
+                let decoded = [0, 1, 2, 3].map(|lane| &tile[lane][..head_dim]);
+                d.dot_i16_x4_groups_batch(&members, decoded, g, &mut gouts);
+                for (m, (ints, qs)) in gouts
+                    .chunks_exact(gph)
+                    .zip(q_scales.chunks_exact(gph))
+                    .enumerate()
+                {
+                    // `fused_dot`'s sum: ascending groups, f64, from zero.
+                    let mut acc = [0.0f64; 4];
+                    for (j, (ints, &qs)) in ints.iter().zip(qs.iter()).enumerate() {
+                        for lane in 0..4 {
+                            acc[lane] +=
+                                qs * f64::from(rows[lane].1[k_lo + j].scale) * ints[lane] as f64;
+                        }
+                    }
+                    let scores =
+                        &mut probs[(first_row + m / per_kv) * heads + head_of(m)][t0..t0 + 4];
+                    for (s, a) in scores.iter_mut().zip(acc) {
+                        *s = a as f32 * scale;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Finishes query `row` now that its own K/V row is in `cache`: scores
+    /// against the rows no tile covered yet, softmax, and the staging
+    /// window's share of `P·V`. Rows must come in order, each right after
+    /// its push.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` does not hold exactly the rows up to `row`.
+    pub fn attend_pushed(&mut self, row: usize, cache: &PagedKvCache, pool: &KvCachePool) {
+        let rows_now = self.base + row + 1;
+        assert_eq!(cache.len(), rows_now, "attend_pushed out of step with push");
+        let g = cache.group_size();
+        let per_kv = self.heads / self.kv_heads;
+        let gph = self.head_dim / g;
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let staged_from = cache.committed_windows * g;
+        for h in 0..self.heads {
+            let kv_head = h / per_kv;
+            let scores = &mut self.probs[row * self.heads + h];
+            for (t, s) in scores.iter_mut().enumerate().skip(self.tiled_rows) {
+                *s = cache.fused_dot(pool, t, &self.qv[row], h * gph, kv_head * gph, gph) * scale;
+            }
+            softmax_inplace(scores);
+            cache.staging.attend_staged(
+                &scores[staged_from..],
+                kv_head * self.head_dim,
+                &mut self.tails[row][h * self.head_dim..(h + 1) * self.head_dim],
+            );
+        }
+        if rows_now.is_multiple_of(4) {
+            // The push completed a tile: later queries take it decoded.
+            self.score_tiles(cache, pool, rows_now - 4, rows_now, row + 1);
+            self.tiled_rows = rows_now;
+        }
+    }
+
+    /// `P·V` over the committed windows — each decoded once per KV head for
+    /// every query that sees it — plus each query's staged share; one
+    /// output vector per run row.
+    pub fn finish(mut self, cache: &PagedKvCache, pool: &KvCachePool) -> Vec<Vec<f32>> {
+        let RunAttention {
+            heads,
+            kv_heads,
+            head_dim,
+            base,
+            ..
+        } = self;
+        let d = kernels();
+        let g = cache.group_size();
+        let gb = pool.group_bytes();
+        let bt = pool.cfg.block_tokens;
+        let per_kv = heads / kv_heads;
+        let n = self.qv.len();
+        let mut out = vec![vec![0.0f32; heads * head_dim]; n];
+        // Per window and KV head: the members whose probabilities over the
+        // window are not all zero, with their INT8 codes and scales.
+        let mut live: Vec<(usize, f64)> = Vec::new();
+        let mut pcodes = vec![0i8; n * per_kv * g];
+        let mut gouts = vec![[0i64; 4]; n * per_kv];
+        for w in 0..cache.committed_windows {
+            // A window committed inside the run exists only for the rows
+            // pushed since.
+            let first_row = ((w + 1) * g).saturating_sub(base + 1);
+            if first_row >= n {
+                break;
+            }
+            let win_token = w * g;
+            let (meta, codes) = pool.v_window(cache.blocks[win_token / bt], (win_token % bt) / g);
+            for kv_head in 0..kv_heads {
+                let head_of = |m: usize| kv_head * per_kv + m % per_kv;
+                live.clear();
+                for m in 0..(n - first_row) * per_kv {
+                    let p = &self.probs[(first_row + m / per_kv) * heads + head_of(m)];
+                    let slot = &mut pcodes[live.len() * g..(live.len() + 1) * g];
+                    if let Some(pscale) =
+                        quantize_probs_int8_into(&p[win_token..win_token + g], slot)
+                    {
+                        live.push((m, f64::from(pscale)));
+                    }
+                }
+                let members: Vec<&[i8]> = pcodes.chunks_exact(g).take(live.len()).collect();
+                let gouts = &mut gouts[..live.len()];
+                let (c_lo, c_hi) = (kv_head * head_dim, (kv_head + 1) * head_dim);
+                for c0 in (c_lo..c_hi).step_by(4) {
+                    // A ragged last tile repeats its last channel; the
+                    // spare lanes are dropped below.
+                    let chans = [0, 1, 2, 3].map(|lane| (c0 + lane).min(c_hi - 1));
+                    for (dec, c) in self.tile.iter_mut().zip(chans) {
+                        d.decode_packed_i16(
+                            &codes[c * gb..(c + 1) * gb],
+                            g,
+                            kernel_table(meta[c].dtype),
+                            &mut dec[..g],
+                        );
+                    }
+                    let decoded = [0, 1, 2, 3].map(|lane| &self.tile[lane][..g]);
+                    d.dot_i16_x4_groups_batch(&members, decoded, g, gouts);
+                    let lanes = (c_hi - c0).min(4);
+                    let v_scales = chans.map(|c| f64::from(meta[c].scale));
+                    for (&(m, pscale), ints) in live.iter().zip(gouts.iter()) {
+                        let o0 = head_of(m) * head_dim + c0 - c_lo;
+                        let o = &mut out[first_row + m / per_kv][o0..o0 + lanes];
+                        // `attend_window`'s term, one `+=` per channel.
+                        for (lane, oc) in o.iter_mut().enumerate() {
+                            *oc += (pscale * v_scales[lane] * ints[lane] as f64) as f32;
+                        }
+                    }
+                }
+            }
+        }
+        for (o, tail) in out.iter_mut().zip(self.tails.iter()) {
+            for (oc, tc) in o.iter_mut().zip(tail.iter()) {
+                *oc += tc;
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -1215,6 +1536,112 @@ mod tests {
         assert_eq!(view.blocks_needed_for_pushes(&pool, 3, false), 2);
         child.release(&mut pool);
         assert_eq!(view.blocks_needed_for_pushes(&pool, 3, false), 1);
+    }
+
+    /// Pushes `data` rows `lo..hi` through `view` as one run and checks
+    /// every row's attention against the one-query path on a twin cache.
+    fn check_run(
+        pool: &mut KvCachePool,
+        view: &mut PagedKvCache,
+        twin: &mut PagedKvCache,
+        data: &Matrix,
+        queries: &Matrix,
+        (lo, hi): (usize, usize),
+        (heads, kv_heads): (usize, usize),
+    ) {
+        let head_dim = view.dim() / kv_heads;
+        let qs: Vec<Vec<f32>> = (lo..hi).map(|t| queries.row(t).to_vec()).collect();
+        let mut run = RunAttention::begin(&qs, view, pool, heads, kv_heads, head_dim);
+        let mut want = Vec::new();
+        for (i, t) in (lo..hi).enumerate() {
+            view.push(pool, data.row(t), data.row(t + 1)).unwrap();
+            run.attend_pushed(i, view, pool);
+            twin.push(pool, data.row(t), data.row(t + 1)).unwrap();
+            want.push(attention_incremental_paged(
+                &qs[i], twin, pool, heads, kv_heads, head_dim,
+            ));
+        }
+        let got = run.finish(view, pool);
+        for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+            let g: Vec<u32> = g.iter().map(|v| v.to_bits()).collect();
+            let w: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(g, w, "run {lo}..{hi} row {i}");
+        }
+    }
+
+    #[test]
+    fn run_attention_bit_identical_to_per_query_attention() {
+        // 16-row windows in 32-row blocks. The cuts leave bases that are
+        // and are not multiples of the 4-row tile, end one run exactly on a
+        // window commit (16) and one on a block boundary (32), cross a
+        // block and two commits inside one run (35..70), and finish with a
+        // run shorter than a tile. Plain heads, then GQA with two query
+        // heads per KV head, then an odd group size whose 15-channel heads
+        // leave a ragged last channel tile.
+        for (group_size, block_tokens, heads, kv_heads, groups_per_head) in [
+            (16usize, 32usize, 4usize, 4usize, 1usize),
+            (16, 32, 8, 4, 1),
+            (5, 20, 4, 4, 3),
+        ] {
+            let head_dim = group_size * groups_per_head;
+            let mut gen = TensorGenerator::new(99);
+            let mut pool = KvCachePool::new(PoolConfig {
+                kv_dim: kv_heads * head_dim,
+                group_size,
+                block_tokens,
+                blocks: 10,
+            })
+            .unwrap();
+            let data = gen.group_diverse_matrix(81, kv_heads * head_dim, group_size, 0.5);
+            let queries = gen.group_diverse_matrix(80, heads * head_dim, group_size, 1.0);
+            let mut view = PagedKvCache::new(&pool, vmap(), vmap());
+            let mut twin = PagedKvCache::new(&pool, vmap(), vmap());
+            for cut in [0usize, 5, 16, 19, 32, 35, 70, 77, 80].windows(2) {
+                check_run(
+                    &mut pool,
+                    &mut view,
+                    &mut twin,
+                    &data,
+                    &queries,
+                    (cut[0], cut[1]),
+                    (heads, kv_heads),
+                );
+            }
+            assert_eq!(
+                view.dequantize_v(&pool).as_slice(),
+                twin.dequantize_v(&pool).as_slice()
+            );
+        }
+    }
+
+    #[test]
+    fn run_attention_sees_a_forked_prefix() {
+        // A fork shares its parent's blocks: the run reads the shared K
+        // rows and V windows through the child's own block list and its
+        // first push copies the partial block.
+        let mut gen = TensorGenerator::new(100);
+        let mut pool = pool(8, 32);
+        let data = gen.group_diverse_matrix(61, 64, 16, 0.5);
+        let queries = gen.group_diverse_matrix(60, 64, 16, 1.0);
+        let mut parent = PagedKvCache::new(&pool, vmap(), vmap());
+        let mut twin = PagedKvCache::new(&pool, vmap(), vmap());
+        for t in 0..37 {
+            parent
+                .push(&mut pool, data.row(t), data.row(t + 1))
+                .unwrap();
+            twin.push(&mut pool, data.row(t), data.row(t + 1)).unwrap();
+        }
+        let mut child = parent.fork(&mut pool);
+        check_run(
+            &mut pool,
+            &mut child,
+            &mut twin,
+            &data,
+            &queries,
+            (37, 60),
+            (4, 4),
+        );
+        assert_eq!(parent.len(), 37, "the parent never moved");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The continuous-batching serving engine.
 //!
-//! Each [`ServeEngine::tick`] is one batched token iteration:
+//! Each [`ServeEngine::tick`] is one iteration — one forward pass over a
+//! ragged batch of runs:
 //!
 //! 1. **Admit** — FCFS, while the batch has a free lane and the admission
 //!    policy clears the candidate (see [`AdmissionPolicy`]). With prefix
@@ -13,22 +14,51 @@
 //!    its blocks are released, the request requeued, and its tokens
 //!    recomputed on readmission — byte-identical, since re-encoding a
 //!    prefix is deterministic.
-//! 3. **Compose** — every active sequence contributes exactly one token:
-//!    its next prompt token while prefilling, else its last generated
-//!    token (mixed prefill/decode in one batch — token-level continuous
-//!    batching).
-//! 4. **Step** — one [`BatchRunner::step`] over the quantized backend:
-//!    multi-query packed GEMMs for the linear layers, per-sequence paged
-//!    incremental attention. With speculation enabled, decode-phase
-//!    sequences instead run a [`BatchRunner::speculate_step`]
-//!    draft-and-verify round (draft k candidates cheaply, verify them in
-//!    one k-token batched target pass, keep the longest agreeing prefix
-//!    plus a bonus token), while the draft runner shadows every plain
-//!    step so its KV caches stay in lockstep.
-//! 5. **Advance** — greedy argmax over each sequence's logits; sequences
-//!    that produced their last token retire, releasing their block holds.
-//!    Block-aligned prompt prefixes are registered in the runner's prefix
-//!    cache as prefill crosses each boundary.
+//! 3. **Compose** — every active sequence contributes at most one *run* of
+//!    consecutive tokens. A decoding sequence feeds its last generated
+//!    token: one row, always, never deferred. A sequence still feeding
+//!    known tokens — its prompt, or the tail a preemption makes it replay
+//!    — feeds
+//!    - **one token** in a tick where any sequence decodes: that tick is
+//!      somebody's inter-token gap, and it stays what a one-token step
+//!      costs;
+//!    - otherwise **as many as the tick's row budget has left**
+//!      ([`PREFILL_ROWS_PER_TICK`], filled oldest admission first, so the
+//!      oldest prefilling sequence always advances and leftover rows go
+//!      to the next), a run never reaching past the end of the sequence's
+//!      current KV block nor past its last known token.
+//!
+//!    Block-bounded runs keep the rest of the engine as it was: a run
+//!    needs exactly the blocks one push needs (so the pressure valve's
+//!    arithmetic holds), a prompt still sits exactly on every block
+//!    boundary it crosses (so every shareable prefix is registered), and
+//!    every V window commits at a run end.
+//! 4. **Step** — one [`BatchRunner::step_runs`] over the quantized
+//!    backend: every row of every run through the multi-query packed
+//!    GEMMs, paged attention per run (cached rows swept once for all of a
+//!    run's queries), and the LM head only for rows whose logits are read
+//!    — the row after a sequence's last known token. With speculation
+//!    enabled, decode-phase sequences instead run a
+//!    [`BatchRunner::speculate_step`] draft-and-verify round (draft k
+//!    candidates cheaply, verify them as one k-token run, keep the longest
+//!    agreeing prefix plus a bonus token), while the draft runner is fed
+//!    the same runs, for their KV only, so its caches stay in lockstep.
+//! 5. **Advance** — greedy argmax over each finished run's logits;
+//!    sequences that produced their last token retire, releasing their
+//!    block holds. Block-aligned prompt prefixes are registered in the
+//!    runner's prefix cache as prefill reaches each boundary.
+//!
+//! The row budget is a constant, not a [`ServeConfig`] field: one value is
+//! in use. It buys GEMM-shaped prefill — from [`PREFILL_ROWS_PER_TICK`]
+//! rows a row costs what it costs in a 64-row run, about half a one-token
+//! step — in exactly the ticks no token is waiting on, and it bounds how
+//! long such a tick keeps a new arrival from being admitted: full-budget
+//! ticks at contexts up to 512 measured 4.5–5.6 ms at the median (13 ms
+//! with a 64-row budget) on the two-core reference box, under the 10 ms
+//! the benchmark counts as a stall. The engine clock
+//! ([`GenRequest::deadline_iter`], [`Completion`]'s iteration stamps)
+//! still counts iterations; an iteration now advances a sequence by up to
+//! a run.
 //!
 //! Because the batch runner is bit-identical to sequential execution —
 //! and prefix forks and preemption recompute are too — the engine's
@@ -40,7 +70,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use mant_model::{ActMode, BatchRunner, KvMode, PackedWeights, SessionId, TransformerModel};
+use mant_model::{ActMode, BatchRunner, KvMode, PackedWeights, Run, SessionId, TransformerModel};
 use mant_trace::Hist;
 
 pub use mant_model::argmax;
@@ -186,13 +216,17 @@ struct ActiveSeq {
 }
 
 impl ActiveSeq {
-    /// The token to feed at position `pos` (prompt, then generated).
-    fn feed_token(&self) -> usize {
-        if self.pos < self.req.prompt.len() {
-            self.req.prompt[self.pos]
-        } else {
-            self.generated[self.pos - self.req.prompt.len()]
-        }
+    /// The next `len` tokens to feed from position `pos` (prompt, then
+    /// generated).
+    fn feed(&self, len: usize) -> Vec<usize> {
+        self.req
+            .prompt
+            .iter()
+            .chain(self.generated.iter())
+            .skip(self.pos)
+            .take(len)
+            .copied()
+            .collect()
     }
 }
 
@@ -240,6 +274,8 @@ pub struct ServeEngine<'m> {
     ladder: Ladder,
     busy_iterations: u64,
     occupancy_sum: u64,
+    stepped_rows: usize,
+    logit_rows: usize,
     peak_running: usize,
     peak_used_blocks: usize,
     vocab: usize,
@@ -261,6 +297,11 @@ enum RemoveReason {
     Expired,
     Cancelled,
 }
+
+/// Prompt and replay rows one tick feeds on top of its decode rows (see
+/// the module docs on the iteration contract for how it was sized and why
+/// it is not configurable).
+pub const PREFILL_ROWS_PER_TICK: usize = 32;
 
 /// Ladder rung at which `draft_k` is halved.
 const RUNG_HALVE_DRAFT: u8 = 1;
@@ -454,6 +495,8 @@ impl<'m> ServeEngine<'m> {
             ladder: Ladder::default(),
             busy_iterations: 0,
             occupancy_sum: 0,
+            stepped_rows: 0,
+            logit_rows: 0,
             peak_running: 0,
             peak_used_blocks: 0,
             vocab: model.config.vocab,
@@ -686,8 +729,9 @@ impl<'m> ServeEngine<'m> {
         }
     }
 
-    /// One engine iteration (admit → relieve → compose → step → advance);
-    /// returns the number of tokens generated this iteration. With
+    /// One engine iteration (admit → relieve → compose → step → advance;
+    /// see the module docs); returns the number of tokens generated this
+    /// iteration. With
     /// nothing runnable, the clock still advances by one (an idle
     /// iteration). Busy ticks record their phase timings into the
     /// always-on [`LatencyBreakdown`] and, when global tracing is enabled,
@@ -721,24 +765,81 @@ impl<'m> ServeEngine<'m> {
             self.iter += 1;
             return 0;
         }
-        // Partition: decode-phase sequences with at least two tokens left
-        // run a draft-and-verify round; everything else (prefill, replay,
-        // the final token, or no speculation) takes the plain batched
-        // step. The draft runner is fed the same plain-step tokens so its
-        // sessions stay in lockstep for later speculative rounds.
-        let spec_idx: Vec<usize> = (0..self.active.len())
-            .filter(|&i| self.spec_k(&self.active[i]).is_some())
-            .collect();
-        let step_idx: Vec<usize> = (0..self.active.len())
-            .filter(|i| !spec_idx.contains(i))
-            .collect();
-        let batch: Vec<(SessionId, usize)> = step_idx
+        // Partition and plan. Decode-phase sequences with at least two
+        // tokens left run a draft-and-verify round. Everything else takes
+        // one run of the batched step: a decode sequence its one pending
+        // token; a sequence still feeding known tokens (prompt, or the
+        // replayed tail after a preemption) one token too while anything
+        // in the batch decodes — a tick is some sequence's inter-token
+        // gap then — and otherwise as many as the tick's row budget has
+        // left, oldest admission first, never past the end of its current
+        // KV block and never past `replay_until`. A sequence the budget
+        // leaves no rows for sits the tick out.
+        let bt = self.runner.pool().block_tokens();
+        let decoding = self.active.iter().any(|s| s.pos >= s.replay_until);
+        let mut budget = PREFILL_ROWS_PER_TICK;
+        let mut spec_idx: Vec<usize> = Vec::new();
+        let mut plan: Vec<(usize, usize)> = Vec::new();
+        debug_assert!(
+            self.active.is_sorted_by_key(|s| s.admit_seq),
+            "active sequences are kept oldest admission first"
+        );
+        for (i, s) in self.active.iter().enumerate() {
+            if self.spec_k(s).is_some() {
+                spec_idx.push(i);
+                continue;
+            }
+            let len = if decoding || s.pos >= s.replay_until {
+                1
+            } else {
+                let len = (s.replay_until - s.pos).min(bt - s.pos % bt).min(budget);
+                budget -= len;
+                len
+            };
+            if len > 0 {
+                // A run that stays inside one block needs exactly the
+                // blocks one push needs — what `relieve_pressure` budgeted.
+                debug_assert_eq!(
+                    self.runner.blocks_needed_for_run(s.sid, len),
+                    self.runner.blocks_needed_for_step(s.sid),
+                    "a run crossed a block boundary"
+                );
+                plan.push((i, len));
+            }
+        }
+        let feeds: Vec<Vec<usize>> = plan
             .iter()
-            .map(|&i| {
+            .map(|&(i, len)| self.active[i].feed(len))
+            .collect();
+        let runs: Vec<Run<'_>> = plan
+            .iter()
+            .zip(feeds.iter())
+            .map(|(&(i, len), tokens)| {
                 let s = &self.active[i];
-                (s.sid, s.feed_token())
+                Run {
+                    id: s.sid,
+                    tokens,
+                    // Only the row after the last known token is read.
+                    logit_rows: usize::from(s.pos + len >= s.replay_until),
+                }
             })
             .collect();
+        // The draft runner is fed the same runs, for their KV only, so its
+        // sessions stay in lockstep for later speculative rounds.
+        let draft_runs: Vec<Run<'_>> = if self.draft.is_some() {
+            plan.iter()
+                .zip(feeds.iter())
+                .map(|(&(i, _), tokens)| Run {
+                    id: self.active[i]
+                        .draft_sid
+                        .expect("speculation opens draft sessions"),
+                    tokens,
+                    logit_rows: 0,
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         let t_composed = Instant::now();
         // Sequences leaving the batch this tick for a reason other than
         // finishing: quarantined after a panic (blocks released, request
@@ -747,21 +848,7 @@ impl<'m> ServeEngine<'m> {
         // back-to-front at tick end so indices stay valid throughout.
         let mut poisoned: Vec<usize> = Vec::new();
         let mut rolled_back: Vec<usize> = Vec::new();
-        let dbatch: Vec<(SessionId, usize)> = if self.draft.is_some() {
-            step_idx
-                .iter()
-                .map(|&i| {
-                    let s = &self.active[i];
-                    (
-                        s.draft_sid.expect("speculation opens draft sessions"),
-                        s.feed_token(),
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // The batched step mutates every session in `batch` as it goes, so
+        // The batched step mutates every session in `runs` as it goes, so
         // a panic inside it cannot be retried per-sequence: recovery is a
         // whole-batch rollback through the proven preemption machinery
         // (sessions torn down, requests requeued, tokens recomputed
@@ -773,16 +860,14 @@ impl<'m> ServeEngine<'m> {
             let runner = &mut self.runner;
             let draft = self.draft.as_mut();
             catch_unwind(AssertUnwindSafe(|| {
-                let logits = if batch.is_empty() {
+                let logits = if runs.is_empty() {
                     Vec::new()
                 } else {
-                    runner.step(&batch)
+                    runner.step_runs(&runs)
                 };
                 if let Some(d) = draft {
-                    if !dbatch.is_empty() {
-                        // Logits discarded: this step only advances the
-                        // draft KV in lockstep with the target.
-                        d.runner.step(&dbatch);
+                    if !draft_runs.is_empty() {
+                        d.runner.step_runs(&draft_runs);
                     }
                 }
                 logits
@@ -790,24 +875,24 @@ impl<'m> ServeEngine<'m> {
         };
         let logits = match step_result {
             Ok(logits) => {
-                if !batch.is_empty() {
+                if !runs.is_empty() {
                     self.consecutive_step_panics = 0;
                 }
-                logits
+                Some(logits)
             }
             Err(_) => {
                 self.consecutive_step_panics += 1;
                 mant_trace::counter("step.panics", 1);
                 let can_roll_back = matches!(self.admission, AdmissionPolicy::Watermark { .. });
+                let stepped = plan.iter().map(|&(i, _)| i);
                 if can_roll_back && self.consecutive_step_panics < STEP_PANIC_QUARANTINE_AFTER {
-                    rolled_back.extend(step_idx.iter().copied());
+                    rolled_back.extend(stepped);
                 } else {
-                    poisoned.extend(step_idx.iter().copied());
+                    poisoned.extend(stepped);
                     self.consecutive_step_panics = 0;
                 }
-                // No logits: the advance loop below sees an empty zip and
-                // the batch's sequences neither emit nor finish this tick.
-                Vec::new()
+                // The batch's sequences neither emit nor finish this tick.
+                None
             }
         };
         let mut spec_out: Vec<(usize, mant_model::SpecOutcome)> =
@@ -818,7 +903,7 @@ impl<'m> ServeEngine<'m> {
                 (
                     s.sid,
                     s.draft_sid.expect("spec_k requires a draft session"),
-                    s.feed_token(),
+                    s.feed(1)[0],
                     self.spec_k(s).expect("filtered on spec_k"),
                 )
             };
@@ -843,47 +928,70 @@ impl<'m> ServeEngine<'m> {
         let t_stepped = Instant::now();
         self.iter += 1;
         self.busy_iterations += 1;
-        self.occupancy_sum += self.active.len() as u64;
+        self.occupancy_sum += (plan.len() + spec_idx.len()) as u64;
         self.peak_used_blocks = self.peak_used_blocks.max(self.runner.pool().used_blocks());
 
         let mut produced = 0usize;
+        let mut stepped_rows = 0usize;
+        let mut logit_rows = 0usize;
         let mut finished: Vec<usize> = Vec::new();
         let mut first_tokens: Vec<u64> = Vec::new();
         let mut token_events: Vec<EngineEvent> = Vec::new();
-        for (&i, seq_logits) in step_idx.iter().zip(logits.iter()) {
-            let s = &mut self.active[i];
-            if s.pos < s.req.prompt.len() && s.pos >= s.prompt_fed {
-                // A prompt position stepped for the first time (positions
-                // below `prompt_fed` were stepped before a preemption;
-                // positions below the prefix-hit length are never stepped
-                // at all).
-                self.prompt_tokens += 1;
-                s.prompt_fed = s.pos + 1;
-            } else if s.pos < s.replay_until {
-                self.recomputed_tokens += 1;
-            }
-            s.pos += 1;
-            if s.pos >= s.replay_until {
-                // The logits after the last known token (prompt, or the
-                // replayed tail after a preemption) yield the next greedy
-                // token.
-                let token = argmax(seq_logits);
-                s.generated.push(token);
-                if s.first_token_iter.is_none() {
-                    s.first_token_iter = Some(self.iter);
-                    first_tokens.push(s.req.id);
+        // A panicked step left `logits` empty and advances nothing: its
+        // sequences are already marked to leave.
+        if let Some(logits) = logits {
+            let mut logits = logits.into_iter();
+            for &(i, len) in &plan {
+                let s = &mut self.active[i];
+                let end = s.pos + len;
+                // Prompt rows stepped for the first time (rows below
+                // `prompt_fed` were stepped before a preemption; rows below
+                // the prefix-hit length are never stepped at all); the
+                // other rows below `replay_until` are recompute.
+                let prompt_len = s.req.prompt.len();
+                let fresh = end.min(prompt_len).saturating_sub(s.pos.max(s.prompt_fed));
+                if fresh > 0 {
+                    s.prompt_fed = end.min(prompt_len);
                 }
-                produced += 1;
-                self.generated_tokens += 1;
-                if self.events_enabled {
-                    token_events.push(EngineEvent::Token {
-                        id: s.req.id,
-                        token,
-                    });
+                self.prompt_tokens += fresh;
+                self.recomputed_tokens += end.min(s.replay_until).saturating_sub(s.pos) - fresh;
+                s.pos = end;
+                stepped_rows += len;
+                if s.pos >= s.replay_until {
+                    // The logits after the last known token (prompt, or the
+                    // replayed tail after a preemption) yield the next
+                    // greedy token.
+                    let token = argmax(&logits.next().expect("one logit row per finished run"));
+                    logit_rows += 1;
+                    s.generated.push(token);
+                    if s.first_token_iter.is_none() {
+                        s.first_token_iter = Some(self.iter);
+                        first_tokens.push(s.req.id);
+                    }
+                    produced += 1;
+                    self.generated_tokens += 1;
+                    if self.events_enabled {
+                        token_events.push(EngineEvent::Token {
+                            id: s.req.id,
+                            token,
+                        });
+                    }
                 }
-            }
-            if s.generated.len() == s.req.max_new_tokens {
-                finished.push(i);
+                if s.generated.len() == s.req.max_new_tokens {
+                    finished.push(i);
+                }
+                if self.prefix_sharing && s.pos <= prompt_len && s.pos.is_multiple_of(bt) {
+                    // Prefill just reached a block boundary (a run never
+                    // crosses one): the blocks behind it are immutable, so
+                    // the snapshot is free to share.
+                    self.runner.register_prefix(s.sid, &s.req.prompt[..s.pos]);
+                    // Mirror on the draft runner: its prefix cache must see
+                    // the same registration sequence so shared admissions
+                    // hit both caches at the same length.
+                    if let (Some(d), Some(dsid)) = (self.draft.as_mut(), s.draft_sid) {
+                        d.runner.register_prefix(dsid, &s.req.prompt[..s.pos]);
+                    }
+                }
             }
         }
         // Speculative rounds: every emitted token is a decode token that
@@ -905,6 +1013,9 @@ impl<'m> ServeEngine<'m> {
             if s.generated.len() == s.req.max_new_tokens {
                 finished.push(*i);
             }
+            // The verify pass: one target row, and one logit row, per draft.
+            stepped_rows += out.drafted;
+            logit_rows += out.drafted;
             self.spec.rounds += 1;
             self.spec.drafted += out.drafted as u64;
             self.spec.accepted += out.accepted as u64;
@@ -924,27 +1035,6 @@ impl<'m> ServeEngine<'m> {
                 let ns = t0.elapsed().as_nanos() as u64;
                 self.breakdown.ttft.record(ns);
                 mant_trace::sample("ttft", ns);
-            }
-        }
-        if self.prefix_sharing {
-            // Register every block boundary prefill crosses: committed
-            // blocks are immutable, so the snapshot is free to share.
-            // Sequences leaving under quarantine or rollback are skipped —
-            // their sessions may hold a partially-written step.
-            let bt = self.runner.pool().block_tokens();
-            for (i, s) in self.active.iter().enumerate() {
-                if poisoned.contains(&i) || rolled_back.contains(&i) {
-                    continue;
-                }
-                if s.pos <= s.req.prompt.len() && s.pos % bt == 0 && s.pos > 0 {
-                    self.runner.register_prefix(s.sid, &s.req.prompt[..s.pos]);
-                    // Mirror on the draft runner: its prefix cache must see
-                    // the same registration sequence so shared admissions
-                    // hit both caches at the same length.
-                    if let (Some(d), Some(dsid)) = (self.draft.as_mut(), s.draft_sid) {
-                        d.runner.register_prefix(dsid, &s.req.prompt[..s.pos]);
-                    }
-                }
             }
         }
         // Retire back-to-front so indices stay valid. Finished, poisoned,
@@ -1043,6 +1133,10 @@ impl<'m> ServeEngine<'m> {
         if produced > 0 {
             mant_trace::counter("tokens.generated", produced as u64);
         }
+        self.stepped_rows += stepped_rows;
+        self.logit_rows += logit_rows;
+        mant_trace::counter("rows.stepped", stepped_rows as u64);
+        mant_trace::counter("rows.logits", logit_rows as u64);
         mant_trace::gauge("queue.depth", self.scheduler.waiting() as u64);
         mant_trace::gauge("sequences.active", self.active.len() as u64);
         mant_trace::gauge("pool.used_blocks", self.runner.pool().used_blocks() as u64);
@@ -1082,6 +1176,8 @@ impl<'m> ServeEngine<'m> {
             generated_tokens: self.generated_tokens,
             prompt_tokens: self.prompt_tokens,
             mean_batch_occupancy: self.occupancy_sum as f64 / self.busy_iterations.max(1) as f64,
+            stepped_rows: self.stepped_rows,
+            logit_rows: self.logit_rows,
             peak_running: self.peak_running,
             peak_used_blocks: self.peak_used_blocks,
             preemptions: self.preemptions,

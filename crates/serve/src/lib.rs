@@ -8,11 +8,13 @@
 //! This crate supplies that serving layer:
 //!
 //! - [`ServeEngine`]: admits concurrent [`GenRequest`]s, schedules mixed
-//!   prefill+decode iterations (token-level continuous batching), and
-//!   drives [`mant_model::BatchRunner`] — multi-query packed GEMMs over
-//!   the whole batch, per-sequence incremental attention over a paged,
-//!   packed, **refcounted copy-on-write** KV-cache pool accounted in real
-//!   packed bits;
+//!   prefill+decode iterations (token-level continuous batching; prompts
+//!   advance by block-bounded runs of up to [`PREFILL_ROWS_PER_TICK`]
+//!   rows in the ticks nothing decodes), and drives
+//!   [`mant_model::BatchRunner`] — multi-query packed GEMMs over every
+//!   row of the ragged batch, per-sequence incremental attention over a
+//!   paged, packed, **refcounted copy-on-write** KV-cache pool accounted
+//!   in real packed bits;
 //! - [`AdmissionPolicy`]: whole-lifetime block reservation (a step can
 //!   never exhaust the pool) or vLLM-style watermark admission — blocks
 //!   allocated as tokens arrive, pool pressure relieved by dropping
@@ -84,7 +86,7 @@ pub mod scheduler;
 
 pub use engine::{
     argmax, sequential_generate, AdmissionPolicy, EngineEvent, ServeConfig, ServeEngine,
-    SpeculativeConfig,
+    SpeculativeConfig, PREFILL_ROWS_PER_TICK,
 };
 pub use metrics::{
     percentile, DegradationStats, LatencyBreakdown, Percentiles, ServeReport, SpeculationStats,

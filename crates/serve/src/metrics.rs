@@ -195,8 +195,16 @@ pub struct ServeReport {
     pub generated_tokens: usize,
     /// Prompt tokens prefetched through the engine.
     pub prompt_tokens: usize,
-    /// Mean sequences per busy iteration (continuous-batching occupancy).
+    /// Mean sequences per busy iteration that took rows in it
+    /// (continuous-batching occupancy; a prefilling sequence the tick's row
+    /// budget left nothing for is not in the step).
     pub mean_batch_occupancy: f64,
+    /// Rows the target model stepped: one per decode token, one per prompt
+    /// or replayed token of every prefill run, one per candidate of every
+    /// speculative verify pass.
+    pub stepped_rows: usize,
+    /// Stepped rows whose logits were computed (the LM head ran for them).
+    pub logit_rows: usize,
     /// Most sequences ever running at once (admitted concurrency peak).
     pub peak_running: usize,
     /// Most pool blocks ever in use at once.

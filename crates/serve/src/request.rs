@@ -23,7 +23,9 @@ pub struct GenRequest {
     /// iteration. Once the clock reaches it the request is cancelled —
     /// while still queued it is removed without ever being ticked, and a
     /// running sequence releases its pool blocks mid-generation. `None`
-    /// means no deadline. (Wall-clock deadlines — the gateway's
+    /// means no deadline. The clock counts engine iterations, and an
+    /// iteration advances a sequence by up to a run of prompt tokens, not
+    /// by one. (Wall-clock deadlines — the gateway's
     /// `deadline_ms` — are enforced by the caller via
     /// [`ServeEngine::expire`](crate::ServeEngine::expire) instead.)
     pub deadline_iter: Option<u64>,

@@ -9,7 +9,8 @@ use mant_model::{
     run_sequence_packed, ActMode, FfnKind, KvMode, ModelConfig, SessionId, TransformerModel,
 };
 use mant_serve::{
-    requests_from_trace, sequential_generate, AdmissionPolicy, GenRequest, ServeConfig, ServeEngine,
+    requests_from_trace, sequential_generate, AdmissionPolicy, GenRequest, ServeConfig,
+    ServeEngine, PREFILL_ROWS_PER_TICK,
 };
 use mant_sim::{poisson_trace, LengthDist, TraceConfig};
 use proptest::prelude::*;
@@ -667,6 +668,205 @@ fn speculative_under_forced_preemption_stays_byte_identical() {
             c.id
         );
         assert_eq!(c.tokens.len(), 24);
+    }
+}
+
+/// A request with a seeded prompt of `prompt_len` tokens.
+fn long_request(id: u64, prompt_len: usize, max_new_tokens: usize, vocab: usize) -> GenRequest {
+    GenRequest {
+        id,
+        prompt: (0..prompt_len)
+            .map(|t| ((id as usize) * 131 + t * 29 + 7) % vocab)
+            .collect(),
+        max_new_tokens,
+        arrival_iter: 0,
+        deadline_iter: None,
+    }
+}
+
+/// Prompts on every side of the cuts a prefill run can take — one token,
+/// around the tick's row budget, around one and two 64-row blocks, a long
+/// one — arrive together, so some prefill in budget-sized runs while
+/// nothing decodes and the rest one token a tick beside the decoders.
+/// Streams must equal the sequential baseline, with and without prefix
+/// registration at every boundary, and the row counters must account for
+/// exactly the rows a sequence has: every prompt token once, every
+/// generated token but the last fed back once, one logit row per
+/// generated token.
+#[test]
+fn prompt_lengths_around_every_run_cut_stay_byte_identical() {
+    let cfg = ModelConfig::sim_llama();
+    let model = TransformerModel::synthesize(&cfg, 97);
+    let packed = model.pack_weights(64).unwrap();
+    let act = ActMode::None;
+    let kv = KvMode::Mant4 { group: 64 };
+    let budget = PREFILL_ROWS_PER_TICK;
+    let requests: Vec<GenRequest> = [1, budget - 1, budget, budget + 1, 63, 64, 65, 129, 512]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| long_request(i as u64, len, 4, cfg.vocab))
+        .collect();
+    let (baseline, _) = sequential_generate(&model, &packed, act, kv, &requests);
+    for prefix_sharing in [false, true] {
+        let mut engine = ServeEngine::new(
+            &model,
+            &packed,
+            ServeConfig {
+                max_batch: 3,
+                pool_blocks: 64,
+                block_tokens: 64,
+                act,
+                kv,
+                admission: AdmissionPolicy::Watermark {
+                    watermark_blocks: 4,
+                },
+                prefix_sharing,
+                speculative: None,
+            },
+        );
+        for r in &requests {
+            engine.submit(r.clone());
+        }
+        let report = engine.run_to_completion();
+        assert_eq!(report.completions.len(), requests.len());
+        for c in &report.completions {
+            assert_eq!(
+                c.tokens, baseline[c.id as usize],
+                "prompt of {} tokens diverged (prefix_sharing {prefix_sharing})",
+                c.prompt_len
+            );
+        }
+        let prompt_rows: usize = requests.iter().map(|r| r.prompt.len()).sum();
+        let generated: usize = requests.iter().map(|r| r.max_new_tokens).sum();
+        assert_eq!(report.prompt_tokens, prompt_rows);
+        assert_eq!(report.recomputed_tokens, 0);
+        assert_eq!(
+            report.stepped_rows,
+            prompt_rows + generated - requests.len()
+        );
+        assert_eq!(report.logit_rows, generated);
+        assert!(
+            report.iterations < (prompt_rows / 4) as u64,
+            "prefill still runs a token a tick: {} iterations",
+            report.iterations
+        );
+    }
+}
+
+/// Replay after preemption takes the same runs as prefill: prompts of
+/// several 16-row blocks in a pool too small for their grown caches are
+/// preempted, recomputed in block-bounded runs, and still match.
+#[test]
+fn preempted_long_prompts_replay_in_runs_byte_identically() {
+    let cfg = ModelConfig::sim_llama();
+    let model = TransformerModel::synthesize(&cfg, 98);
+    let packed = model.pack_weights(64).unwrap();
+    let act = ActMode::None;
+    let kv = KvMode::Int4 { group: 16 };
+    // Lifetimes of 41–70 + 60 tokens are 7–9 blocks × 2 layers; the three
+    // of them grow towards 48 blocks and the pool holds 22.
+    let requests: Vec<GenRequest> = [41usize, 55, 70]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| long_request(i as u64, len, 60, cfg.vocab))
+        .collect();
+    let mut engine = ServeEngine::new(
+        &model,
+        &packed,
+        ServeConfig {
+            max_batch: 3,
+            pool_blocks: 22,
+            block_tokens: 16,
+            act,
+            kv,
+            admission: AdmissionPolicy::Watermark {
+                watermark_blocks: 1,
+            },
+            prefix_sharing: false,
+            speculative: None,
+        },
+    );
+    for r in &requests {
+        engine.submit(r.clone());
+    }
+    let report = engine.run_to_completion();
+    assert_eq!(report.completions.len(), 3);
+    assert!(report.preemptions > 0, "the pool cannot hold all three");
+    assert!(
+        report.recomputed_tokens >= 41,
+        "a whole prompt is replayed: {}",
+        report.recomputed_tokens
+    );
+    let (baseline, _) = sequential_generate(&model, &packed, act, kv, &requests);
+    for c in &report.completions {
+        assert_eq!(
+            c.tokens, baseline[c.id as usize],
+            "replay in runs changed request {}'s tokens",
+            c.id
+        );
+    }
+    let prompt_rows: usize = requests.iter().map(|r| r.prompt.len()).sum();
+    assert_eq!(
+        report.prompt_tokens, prompt_rows,
+        "replayed rows are not prompt work"
+    );
+}
+
+/// Speculation on top of run prefill: the draft runner is fed the same
+/// block-bounded runs (for its KV only), so both caches reach decode in
+/// lockstep and the verified streams match the target-only baseline.
+#[test]
+fn speculative_after_run_prefill_stays_byte_identical() {
+    use mant_model::{synthesize_speculative_pair, DraftConfig};
+    let cfg = ModelConfig::sim_llama();
+    let (target, draft) = synthesize_speculative_pair(
+        &cfg,
+        99,
+        &DraftConfig {
+            layers: 1,
+            tail_block_ratio: 0.02,
+        },
+    );
+    let packed = target.pack_weights(64).unwrap();
+    let draft_packed = draft.pack_weights(64).unwrap();
+    let act = ActMode::None;
+    let kv = KvMode::Int4 { group: 16 };
+    let requests: Vec<GenRequest> = [31usize, 33, 65]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| long_request(i as u64, len, 12, cfg.vocab))
+        .collect();
+    let mut engine = ServeEngine::new_with_draft(
+        &target,
+        &packed,
+        &draft,
+        &draft_packed,
+        ServeConfig {
+            max_batch: 3,
+            pool_blocks: 64,
+            block_tokens: 16,
+            act,
+            kv,
+            admission: AdmissionPolicy::Watermark {
+                watermark_blocks: 4,
+            },
+            prefix_sharing: true,
+            speculative: Some(mant_serve::SpeculativeConfig { draft_k: 4 }),
+        },
+    );
+    for r in &requests {
+        engine.submit(r.clone());
+    }
+    let report = engine.run_to_completion();
+    assert_eq!(report.completions.len(), requests.len());
+    assert!(report.speculation.expect("spec engine").rounds > 0);
+    let (baseline, _) = sequential_generate(&target, &packed, act, kv, &requests);
+    for c in &report.completions {
+        assert_eq!(
+            c.tokens, baseline[c.id as usize],
+            "speculation after run prefill changed request {}'s tokens",
+            c.id
+        );
     }
 }
 

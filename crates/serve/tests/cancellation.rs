@@ -49,9 +49,10 @@ fn cancel_running_returns_blocks_to_free_list() {
     for r in &requests {
         engine.submit(r.clone());
     }
-    // Run both sequences past prefill (but short of request 1's finish)
-    // so request 0 holds several blocks.
-    for _ in 0..10 {
+    // Run both sequences past prefill (request 0's 20-token prompt is two
+    // block-bounded runs) but short of request 1's finish, so request 0
+    // holds several blocks.
+    for _ in 0..4 {
         engine.tick();
     }
     assert_eq!(engine.running(), 2);
@@ -110,7 +111,8 @@ fn cancel_is_refcount_correct_under_prefix_sharing() {
     for r in &requests {
         engine.submit(r.clone());
     }
-    for _ in 0..40 {
+    // Three block-bounded prefill runs each, then a few decode ticks.
+    for _ in 0..8 {
         engine.tick();
     }
     assert_eq!(engine.running(), 2);

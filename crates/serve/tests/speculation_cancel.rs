@@ -76,8 +76,9 @@ fn cancel_mid_speculation_unwinds_both_runners() {
     for r in &requests {
         engine.submit(r.clone());
     }
-    // Past prefill and into draft-and-verify territory for everyone.
-    for _ in 0..12 {
+    // Past prefill (one tick: every prompt fits one run) and into
+    // draft-and-verify territory for everyone.
+    for _ in 0..4 {
         engine.tick();
     }
     let spec_rounds = engine.report(0.0).speculation.expect("spec engine").rounds;
@@ -126,10 +127,11 @@ fn expire_mid_speculation_unwinds_both_runners() {
     let (target, draft) = spec_pair(72);
     let packed = target.pack_weights(64).unwrap();
     let draft_packed = draft.pack_weights(64).unwrap();
-    // Request 1's engine-clock deadline lands well after prefill but
-    // before its 40-token output can finish — it dies mid-speculation.
+    // Request 1's engine-clock deadline lands after prefill (one tick)
+    // but before its 40-token output can finish (a round emits at most
+    // five tokens) — it dies mid-speculation.
     let mut requests = [req(0, 8, 20), req(1, 6, 40)];
-    requests[1].deadline_iter = Some(12);
+    requests[1].deadline_iter = Some(6);
 
     let mut engine = spec_engine(&target, &packed, &draft, &draft_packed);
     let target_total = engine.free_blocks();
@@ -137,7 +139,7 @@ fn expire_mid_speculation_unwinds_both_runners() {
     for r in &requests {
         engine.submit(r.clone());
     }
-    for _ in 0..10 {
+    for _ in 0..4 {
         engine.tick();
     }
     assert!(

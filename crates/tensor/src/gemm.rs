@@ -65,6 +65,28 @@ pub fn gemv(x: &[f32], b: &Matrix) -> Vec<f32> {
     y
 }
 
+/// Output rows [`matvec`] and [`matvec_batch`] compute together. One
+/// output is a chain of dependent f32 adds, so a lone row runs at add
+/// latency; eight independent chains keep the adder busy instead.
+const ROW_TILE: usize = 8;
+
+/// `W[n0..n0 + R] · x`: `R` output rows at once, each with its own
+/// accumulator fed in ascending `k` — per output exactly the add chain of
+/// `w.row(n).iter().zip(x).map(|(a, b)| a * b).sum::<f32>()`, so the bits
+/// are the same.
+fn dot_rows<const R: usize>(w: &Matrix, n0: usize, x: &[f32]) -> [f32; R] {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &w.row(n0 + r)[..x.len()]);
+    // The iterator sum's own starting value, whatever this toolchain
+    // uses for it (the sign of zero is observable).
+    let mut acc = [std::iter::empty::<f32>().sum::<f32>(); R];
+    for (k, &xv) in x.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(rows.iter()) {
+            *a += row[k] * xv;
+        }
+    }
+    acc
+}
+
 /// `y = W · x` for `W` stored `out × in` (rows are output channels, the
 /// accumulation dimension contiguous) — the linear-projection primitive of
 /// the f32 reference execution backend.
@@ -73,24 +95,16 @@ pub fn gemv(x: &[f32], b: &Matrix) -> Vec<f32> {
 ///
 /// Panics if `x.len() != w.cols()`.
 pub fn matvec(w: &Matrix, x: &[f32]) -> Vec<f32> {
-    assert_eq!(x.len(), w.cols(), "matvec inner dimension mismatch");
-    (0..w.rows())
-        .map(|n| {
-            w.row(n)
-                .iter()
-                .zip(x.iter())
-                .map(|(&a, &b)| a * b)
-                .sum::<f32>()
-        })
-        .collect()
+    matvec_batch(w, &[x]).pop().expect("one input, one output")
 }
 
 /// Batched [`matvec`]: `y_i = W · x_i` for a batch of activation vectors
 /// against one `out × in` weight matrix. The weight rows are walked in the
-/// outer loop so each stays hot in cache while every batch member consumes
-/// it — the f32 analogue of the packed multi-query GEMM — and each output
-/// element is computed with exactly the same multiply/add sequence as
-/// [`matvec`], so results are **bit-identical** to the per-vector calls.
+/// outer loop, eight at a time, so each tile stays hot in cache
+/// while every batch member consumes it — the f32 analogue of the packed
+/// multi-query GEMM — and each output element sums its products in
+/// ascending order whatever the batch or the tile, so results are
+/// **bit-identical** to the per-vector calls.
 ///
 /// # Panics
 ///
@@ -100,14 +114,15 @@ pub fn matvec_batch(w: &Matrix, xs: &[&[f32]]) -> Vec<Vec<f32>> {
         assert_eq!(x.len(), w.cols(), "matvec inner dimension mismatch");
     }
     let mut out: Vec<Vec<f32>> = xs.iter().map(|_| vec![0.0f32; w.rows()]).collect();
-    for n in 0..w.rows() {
-        let w_row = w.row(n);
+    let tiled = w.rows() / ROW_TILE * ROW_TILE;
+    for n0 in (0..tiled).step_by(ROW_TILE) {
         for (y, x) in out.iter_mut().zip(xs.iter()) {
-            y[n] = w_row
-                .iter()
-                .zip(x.iter())
-                .map(|(&a, &b)| a * b)
-                .sum::<f32>();
+            y[n0..n0 + ROW_TILE].copy_from_slice(&dot_rows::<ROW_TILE>(w, n0, x));
+        }
+    }
+    for n in tiled..w.rows() {
+        for (y, x) in out.iter_mut().zip(xs.iter()) {
+            y[n] = dot_rows::<1>(w, n, x)[0];
         }
     }
     out
@@ -188,6 +203,43 @@ mod tests {
         for (x, y) in xs.iter().zip(batched.iter()) {
             assert_eq!(y, &matvec(&w, x), "batched matvec drifted from matvec");
         }
+    }
+
+    #[test]
+    fn matvec_bits_equal_the_one_chain_loop() {
+        // Row counts on both sides of the tile, signed zeros and a
+        // cancelling pair included: every output must carry the bits of
+        // the plain in-order iterator sum.
+        for rows in [1usize, 7, 8, 9, 19] {
+            let w = Matrix::from_fn(rows, 37, |r, c| match (r + c) % 11 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => ((r * 37 + c) as f32 * 0.73).sin() * 3.0,
+            });
+            let x: Vec<f32> = (0..37)
+                .map(|j| {
+                    if j % 5 == 0 {
+                        -0.0
+                    } else {
+                        (j as f32 * 0.29).cos()
+                    }
+                })
+                .collect();
+            let want: Vec<u32> = (0..rows)
+                .map(|n| {
+                    let chain: f32 = w.row(n).iter().zip(x.iter()).map(|(&a, &b)| a * b).sum();
+                    chain.to_bits()
+                })
+                .collect();
+            let got: Vec<u32> = matvec(&w, &x).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "rows = {rows}");
+        }
+        // No columns: the empty sum, sign included.
+        let empty: f32 = std::iter::empty::<f32>().sum();
+        assert_eq!(
+            matvec(&Matrix::zeros(3, 0), &[])[0].to_bits(),
+            empty.to_bits()
+        );
     }
 
     #[test]
