@@ -19,9 +19,14 @@
 //! 2. the macro floor (asserted): aggregate decode tokens/s of a
 //!    continuous batch at context 256 vs the same requests decoded
 //!    sequentially, at batch 4 and 8;
-//! 3. prefill as GEMM (asserted): a 512-token prompt through
-//!    `step_runs` in runs of the engine's per-tick row budget vs the same
-//!    prompt one token a step, prompt tokens/s each, floor 1.5×;
+//! 3. prefill (asserted): a 512-token prompt through `step_runs` in runs
+//!    of the engine's per-tick row budget, asking logits for no row (a
+//!    mid-prompt chunk: KV-only in the last layer) and for every row, vs
+//!    the same prompt one token a step, prompt tokens/s each. Two gains
+//!    are reported apart: the **GEMM shape** (all-logit runs over
+//!    one-token steps, the same work per row; floor 1.5×) and **KV-only
+//!    rows** (no-logit runs over all-logit runs, the same shape; floor
+//!    1.25×);
 //! 4. a short end-to-end serve trace (reported): `ServeEngine` with
 //!    Poisson arrivals vs `sequential_generate`, aggregate tokens/s.
 //!
@@ -45,8 +50,11 @@ const CONTEXT: usize = 256;
 const DECODE: usize = 32;
 const GROUP: usize = 64;
 const PROMPT: usize = 512;
-/// Prefill in budget-sized runs over one token a step, at least.
-const PREFILL_FLOOR: f64 = 1.5;
+/// Prefill in budget-sized all-logit runs over one token a step, at least.
+const GEMM_SHAPE_FLOOR: f64 = 1.5;
+/// Budget-sized runs asking no logits over the same runs asking them for
+/// every row, at least.
+const KV_ONLY_FLOOR: f64 = 1.25;
 
 fn token(i: usize, j: usize, vocab: usize) -> usize {
     (i * 131 + j * 37) % vocab
@@ -136,12 +144,18 @@ fn sequential_decode_tps(
     (batch * DECODE) as f64 / decode_secs
 }
 
-/// Wall seconds of one [`PROMPT`]-token prefill on a fresh session:
-/// `run` tokens a step through [`mant_model::BatchRunner::step_runs`] with
-/// no logits asked for — a mid-prompt chunk — or, with `run == 1`, one
-/// [`mant_model::BatchRunner::step`] a token, the way the engine fed
-/// prompts before runs.
-fn prefill_secs(model: &TransformerModel, packed: &mant_model::PackedWeights, run: usize) -> f64 {
+/// Wall seconds of one [`PROMPT`]-token prefill on a fresh session, `run`
+/// tokens a step through [`mant_model::BatchRunner::step_runs`]: with no
+/// logits asked for — a mid-prompt chunk, whose rows are KV-only in the
+/// last layer — or with `logits` for every row, which is also what one
+/// token a step (`run == 1`, the way the engine fed prompts before runs)
+/// computes.
+fn prefill_secs(
+    model: &TransformerModel,
+    packed: &mant_model::PackedWeights,
+    run: usize,
+    logits: bool,
+) -> f64 {
     let tokens: Vec<usize> = (0..PROMPT)
         .map(|j| token(0, j, model.config.vocab))
         .collect();
@@ -156,15 +170,11 @@ fn prefill_secs(model: &TransformerModel, packed: &mant_model::PackedWeights, ru
     let id = br.create_session();
     let t0 = Instant::now();
     for chunk in tokens.chunks(run) {
-        if run == 1 {
-            black_box(br.step(&[(id, chunk[0])]));
-        } else {
-            black_box(br.step_runs(&[Run {
-                id,
-                tokens: chunk,
-                logit_rows: 0,
-            }]));
-        }
+        black_box(br.step_runs(&[Run {
+            id,
+            tokens: chunk,
+            logit_rows: if logits { chunk.len() } else { 0 },
+        }]));
     }
     t0.elapsed().as_secs_f64()
 }
@@ -198,32 +208,44 @@ fn macro_continuous_batching(_c: &mut Criterion) {
         ));
     }
 
-    // Runs and steps back to back, three times over: the host's speed
-    // drifts by the second, so each pair shares a regime. Each side is
-    // reported at its quickest pass; the floor is asserted on the best
-    // pair, as `spec_decode` does.
-    let pairs: Vec<(f64, f64)> = (0..3)
+    // The three arms back to back, three times over: the host's speed
+    // drifts by the second, so each triple shares a regime. Each arm is
+    // reported at its quickest pass; each floor is asserted on the best
+    // triple, as `spec_decode` does.
+    let passes: Vec<[f64; 3]> = (0..3)
         .map(|_| {
-            (
-                prefill_secs(&model, &packed, PREFILL_ROWS_PER_TICK),
-                prefill_secs(&model, &packed, 1),
-            )
+            [
+                prefill_secs(&model, &packed, PREFILL_ROWS_PER_TICK, false),
+                prefill_secs(&model, &packed, PREFILL_ROWS_PER_TICK, true),
+                prefill_secs(&model, &packed, 1, true),
+            ]
         })
         .collect();
-    let quickest =
-        |side: fn(&(f64, f64)) -> f64| pairs.iter().map(side).fold(f64::INFINITY, f64::min);
-    let runs_tps = PROMPT as f64 / quickest(|p| p.0);
-    let steps_tps = PROMPT as f64 / quickest(|p| p.1);
-    let speedup = pairs.iter().map(|p| p.1 / p.0).fold(0.0, f64::max);
+    let tps =
+        |arm: usize| PROMPT as f64 / passes.iter().map(|p| p[arm]).fold(f64::INFINITY, f64::min);
+    let (kv_only_tps, runs_tps, steps_tps) = (tps(0), tps(1), tps(2));
+    let best = |slow: usize, quick: usize| {
+        passes
+            .iter()
+            .map(|p| p[slow] / p[quick])
+            .fold(0.0, f64::max)
+    };
+    let (gemm_shape, kv_only, speedup) = (best(2, 1), best(1, 0), best(2, 0));
     println!(
-        "serving_throughput: prefill of {PROMPT} tokens: {runs_tps:.1} tok/s in \
-         {PREFILL_ROWS_PER_TICK}-token runs vs {steps_tps:.1} tok/s one token a step \
-         ({speedup:.2}x in the best pair)"
+        "serving_throughput: prefill of {PROMPT} tokens: {kv_only_tps:.1} tok/s in \
+         {PREFILL_ROWS_PER_TICK}-token runs asking no logits, {runs_tps:.1} tok/s asking all, \
+         {steps_tps:.1} tok/s one token a step (best triple: GEMM shape {gemm_shape:.2}x, \
+         KV-only rows {kv_only:.2}x, together {speedup:.2}x)"
     );
     assert!(
-        speedup >= PREFILL_FLOOR,
-        "prefill in {PREFILL_ROWS_PER_TICK}-token runs ({runs_tps:.1} tok/s) is only \
-         {speedup:.2}x one token a step ({steps_tps:.1} tok/s); floor {PREFILL_FLOOR}x"
+        gemm_shape >= GEMM_SHAPE_FLOOR,
+        "prefill in {PREFILL_ROWS_PER_TICK}-token all-logit runs ({runs_tps:.1} tok/s) is only \
+         {gemm_shape:.2}x one token a step ({steps_tps:.1} tok/s); floor {GEMM_SHAPE_FLOOR}x"
+    );
+    assert!(
+        kv_only >= KV_ONLY_FLOOR,
+        "{PREFILL_ROWS_PER_TICK}-token runs asking no logits ({kv_only_tps:.1} tok/s) are only \
+         {kv_only:.2}x the same runs asking all ({runs_tps:.1} tok/s); floor {KV_ONLY_FLOOR}x"
     );
 
     let json = format!(
@@ -231,8 +253,12 @@ fn macro_continuous_batching(_c: &mut Criterion) {
          \"context\": {CONTEXT},\n  \"sequential_decode_tokens_per_s\": {seq_tps:.1},\n  \
          \"batched_decode\": [\n{}\n  ],\n  \
          \"prefill\": {{\"prompt_tokens\": {PROMPT}, \"run_tokens\": {PREFILL_ROWS_PER_TICK}, \
-         \"runs_tokens_per_s\": {runs_tps:.1}, \"steps_tokens_per_s\": {steps_tps:.1}, \
-         \"speedup\": {speedup:.3}, \"speedup_floor\": {PREFILL_FLOOR}}}\n}}\n",
+         \"kv_only_runs_tokens_per_s\": {kv_only_tps:.1}, \
+         \"all_logit_runs_tokens_per_s\": {runs_tps:.1}, \
+         \"steps_tokens_per_s\": {steps_tps:.1}, \
+         \"gemm_shape_speedup\": {gemm_shape:.3}, \"gemm_shape_floor\": {GEMM_SHAPE_FLOOR}, \
+         \"kv_only_speedup\": {kv_only:.3}, \"kv_only_floor\": {KV_ONLY_FLOOR}, \
+         \"speedup\": {speedup:.3}}}\n}}\n",
         kernels().name(),
         batched_json.join(",\n"),
     );

@@ -237,7 +237,16 @@ fn metrics_endpoint_serves_the_full_observability_surface() {
         assert!(check_hist(&series, kernel) > 0, "{kernel} never recorded");
     }
 
-    // Occupancy gauges.
+    // Row counters: every stepped row is a logit row or a KV-only one
+    // (prompts of 6-8 tokens have mid-prompt rows, so some are). The
+    // engine is idle by now, so the three counts are of the same ticks.
+    let rows = |kind: &str| {
+        value(&series, &format!("mant_rows_{kind}_total"), None)
+            .unwrap_or_else(|| panic!("mant_rows_{kind}_total missing: {prom}"))
+    };
+    assert!(rows("kv_only") > 0.0, "{prom}");
+    assert_eq!(rows("stepped"), rows("logits") + rows("kv_only"), "{prom}");
+
     for gauge in [
         "mant_queue_depth",
         "mant_sequences_active",

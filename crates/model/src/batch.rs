@@ -21,8 +21,14 @@
 //!   once for all its queries ([`mant_quant::pool::RunAttention`]), and a
 //!   run too short to pay for that attends one query at a time
 //!   ([`mant_quant::pool::attention_incremental_paged`]);
-//! - the f32 LM head ([`mant_tensor::matvec_batch`]) runs only for the
-//!   rows whose logits the caller asks for ([`Run::logit_rows`]).
+//! - the **last layer is demand-driven**: every row's K/V projections and
+//!   cache push run, but the query projection, attention, `wo` and the FFN
+//!   run only for the rows whose logits the caller asks for
+//!   ([`Run::logit_rows`]), and so does the f32 LM head
+//!   ([`mant_tensor::matvec_batch`]). A row's K/V depend only on the
+//!   layer's input, and nothing reads the last layer's hidden state of a
+//!   row without logits — so a mid-prompt chunk pays for one layer's K/V
+//!   work less than `layers` whole layers, and nothing observable moves.
 //!
 //! Every per-sequence floating-point operation is executed in the same
 //! order as the sequential [`crate::ModelRunner`] on the same backend —
@@ -80,7 +86,10 @@ pub struct Run<'a> {
     pub tokens: &'a [usize],
     /// How many of the run's **last** rows get next-token logits: 0 for a
     /// mid-prompt chunk, 1 for a decode step or the chunk that ends a
-    /// prompt, all of them for a speculative verify pass.
+    /// prompt, all of them for a speculative verify pass. The other rows
+    /// are **KV-only**: they are cached in every layer, but the last layer
+    /// stops after their K/V projections — no query, attention, `wo`, FFN
+    /// or LM head.
     pub logit_rows: usize,
 }
 
@@ -477,8 +486,10 @@ impl BatchRunner<'_> {
     /// a chunk of a prompt, a replayed span, the candidates of a
     /// speculative verify — and all rows of all runs share every linear
     /// layer's multi-query GEMM. Returns the logits of each run's last
-    /// [`Run::logit_rows`] rows, run after run, in order; rows that ask
-    /// for none never touch the LM head.
+    /// [`Run::logit_rows`] rows, run after run, in order (no row at all
+    /// when no run asks for one). Rows that ask for none leave the last
+    /// layer after their K/V are cached: its query projection, attention,
+    /// `wo` and FFN, and the LM head, never see them.
     ///
     /// Every row is bit-identical to feeding the same tokens one at a time
     /// through the sequential [`TransformerModel::packed_runner`]. Within a
@@ -486,8 +497,9 @@ impl BatchRunner<'_> {
     /// over exactly the rows a sequential run would hold and every
     /// V-window commit fires at the same row count; the cached rows a run
     /// found when it began are swept once for all its queries
-    /// ([`RunAttention`]). Layer-major order changes nothing a causal
-    /// transformer can observe.
+    /// ([`RunAttention`]); a last-layer run with KV-only rows pushes them
+    /// all and attends its few live rows one query at a time. Layer-major
+    /// order changes nothing a causal transformer can observe.
     ///
     /// # Panics
     ///
@@ -588,11 +600,23 @@ impl BatchRunner<'_> {
 
         for (li, layer) in w.layers.iter().enumerate() {
             let pl = &self.packed.layers()[li];
+            let last = li + 1 == w.layers.len();
+            // Rows of `run` whose hidden state this layer must produce, its
+            // last ones: a next layer reads every row, but after the last
+            // layer only the rows that get logits are read, and a row's
+            // K/V — all it leaves behind — come from the layer's input.
+            let live_rows = |run: &Run<'_>| {
+                if last {
+                    run.logit_rows
+                } else {
+                    run.tokens.len()
+                }
+            };
 
             // --- Attention block ---
-            let xqs = quantize_batch(xs.iter().map(|x| rmsnorm(x, &layer.attn_norm, 1e-5)), g);
-            let (qs, ks, vs) = timed(prof, &mut t_gemm, || {
-                (pl.wq.matmul(&xqs), pl.wk.matmul(&xqs), pl.wv.matmul(&xqs))
+            let mut xqs = quantize_batch(xs.iter().map(|x| rmsnorm(x, &layer.attn_norm, 1e-5)), g);
+            let (ks, vs) = timed(prof, &mut t_gemm, || {
+                (pl.wk.matmul(&xqs), pl.wv.matmul(&xqs))
             });
             if let Some(cap) = capture.as_deref_mut() {
                 cap[li].extend(
@@ -601,11 +625,33 @@ impl BatchRunner<'_> {
                         .map(|(k, v)| (k.clone(), v.clone())),
                 );
             }
+            if last {
+                // From here on `xs` and `xqs` hold the live rows only.
+                let keep: Vec<bool> = runs
+                    .iter()
+                    .flat_map(|run| {
+                        let dead = run.tokens.len() - live_rows(run);
+                        (0..run.tokens.len()).map(move |j| j >= dead)
+                    })
+                    .collect();
+                retain_rows(&mut xs, &keep);
+                retain_rows(&mut xqs, &keep);
+            }
+            // An all-dead last layer has no query: a matmul over no rows
+            // would still sweep every weight tile.
+            let qs = if xqs.is_empty() {
+                Vec::new()
+            } else {
+                timed(prof, &mut t_gemm, || pl.wq.matmul(&xqs))
+            };
             let mut attns: Vec<Vec<f32>> = Vec::with_capacity(xs.len());
             let mut row0 = 0usize;
             for run in runs {
                 let rows = row0..row0 + run.tokens.len();
                 row0 = rows.end;
+                // The run's live rows are `qs[q0..q0 + live]`.
+                let (q0, live) = (attns.len(), live_rows(run));
+                let dead = rows.len() - live;
                 let cache = &mut slots[run.id.slot].as_mut().expect("validated above").caches[li];
                 let mut push = |cache: &mut PagedKvCache, pool: &mut KvCachePool, r: usize| {
                     timed(prof, &mut t_kv, || {
@@ -618,19 +664,28 @@ impl BatchRunner<'_> {
                         }
                     });
                 };
-                if rows.len() < RunAttention::MIN_ROWS {
-                    for r in rows {
+                if dead > 0 || live < RunAttention::MIN_ROWS {
+                    // Every row is pushed, in order; the live ones attend
+                    // right after their own push, one query at a time.
+                    for (j, r) in rows.enumerate() {
                         push(cache, pool, r);
-                        attns.push(timed(prof, &mut t_attn, || {
-                            attention_incremental_paged(
-                                &qs[r], cache, pool, heads, kv_heads, head_dim,
-                            )
-                        }));
+                        if j >= dead {
+                            attns.push(timed(prof, &mut t_attn, || {
+                                attention_incremental_paged(
+                                    &qs[q0 + j - dead],
+                                    cache,
+                                    pool,
+                                    heads,
+                                    kv_heads,
+                                    head_dim,
+                                )
+                            }));
+                        }
                     }
                 } else {
                     let mut sweep = timed(prof, &mut t_attn, || {
                         RunAttention::begin(
-                            &qs[rows.clone()],
+                            &qs[q0..q0 + live],
                             cache,
                             pool,
                             heads,
@@ -644,6 +699,10 @@ impl BatchRunner<'_> {
                     }
                     attns.extend(timed(prof, &mut t_attn, || sweep.finish(cache, pool)));
                 }
+            }
+            if attns.is_empty() {
+                // Nothing reads this (last) layer's output.
+                break;
             }
             let attns_q = quantize_batch(attns.into_iter(), g);
             let os = timed(prof, &mut t_gemm, || pl.wo.matmul(&attns_q));
@@ -688,24 +747,22 @@ impl BatchRunner<'_> {
             }
         }
 
-        // Only the rows somebody will read go through the LM head.
-        let mut finals: Vec<Vec<f32>> = Vec::new();
-        let mut row0 = 0usize;
         for run in runs {
-            let end = row0 + run.tokens.len();
             slots[run.id.slot]
                 .as_mut()
                 .expect("validated above")
                 .seq_len += run.tokens.len();
-            finals.extend(
-                xs[end - run.logit_rows..end]
-                    .iter()
-                    .map(|x| rmsnorm(x, &w.final_norm, 1e-5)),
-            );
-            row0 = end;
         }
-        let final_refs: Vec<&[f32]> = finals.iter().map(Vec::as_slice).collect();
-        let logits = timed(prof, &mut t_gemv, || matvec_batch(&w.lm_head, &final_refs));
+        // The rows the last layer kept are the rows somebody will read, in
+        // order: only they go through the LM head.
+        let logits = if xs.is_empty() {
+            Vec::new()
+        } else {
+            let finals: Vec<Vec<f32>> =
+                xs.iter().map(|x| rmsnorm(x, &w.final_norm, 1e-5)).collect();
+            let final_refs: Vec<&[f32]> = finals.iter().map(Vec::as_slice).collect();
+            timed(prof, &mut t_gemv, || matvec_batch(&w.lm_head, &final_refs))
+        };
         if prof {
             // Laid end-to-end ending now, so the buckets nest inside the
             // caller's enclosing step span.
@@ -990,6 +1047,12 @@ impl BatchRunner<'_> {
 fn quantize_batch(xs: impl Iterator<Item = Vec<f32>>, group: usize) -> Vec<QuantizedVector> {
     xs.map(|x| quantize_vector_int8(&x, group).expect("group size divides the activation length"))
         .collect()
+}
+
+/// Keeps `rows[i]` where `keep[i]`, in order.
+fn retain_rows<T>(rows: &mut Vec<T>, keep: &[bool]) {
+    let mut keep = keep.iter();
+    rows.retain(|_| *keep.next().expect("one flag per row"));
 }
 
 /// Runs `f`, adding its wall nanoseconds into `acc` when `prof` is on —
@@ -1301,18 +1364,50 @@ mod tests {
         ((z ^ (z >> 31)) >> 33) as usize
     }
 
+    /// Asserts session `got` of `br` holds bit for bit what session `want`
+    /// of `twin` holds: length, every layer's K and V rows, bit accounting.
+    fn assert_same_caches(
+        br: &BatchRunner<'_>,
+        got: SessionId,
+        twin: &BatchRunner<'_>,
+        want: SessionId,
+        what: &str,
+    ) {
+        let got = br.slots[got.slot].as_ref().unwrap();
+        let want = twin.slots[want.slot].as_ref().unwrap();
+        assert_eq!(got.seq_len, want.seq_len, "{what}: seq_len");
+        for (g, w) in got.caches.iter().zip(want.caches.iter()) {
+            assert_eq!(
+                bits(g.dequantize_k(&br.pool).as_slice()),
+                bits(w.dequantize_k(&twin.pool).as_slice()),
+                "{what}: K cache"
+            );
+            assert_eq!(
+                bits(g.dequantize_v(&br.pool).as_slice()),
+                bits(w.dequantize_v(&twin.pool).as_slice()),
+                "{what}: V cache"
+            );
+            assert_eq!(g.used_bits(), w.used_bits(), "{what}: used_bits");
+        }
+    }
+
     #[test]
     fn ragged_runs_bit_identical_to_the_one_token_oracle() {
         // Three sessions — the third a mid-block fork of the first, so its
         // first run copies a shared block — take random streams through
         // random run partitions: random subsets per step, run lengths that
         // stay inside, end on and cross the 32-row blocks and 16-row V
-        // windows, logits for no row, the last row or every row. Every
-        // logit row must equal the sequential `ModelRunner`'s, and every
-        // cache the one a twin session reaches one token at a time.
+        // windows, logits for no row (KV-only), the last row, every row, or
+        // a tail of the run shorter and longer than the run-attention
+        // break-even. After every step every logit row must equal the
+        // sequential `ModelRunner`'s, and every stepped cache the one a twin
+        // session reaches one token at a time. The step after the fork is
+        // fixed: a KV-only run, a decode row and an all-logits run together,
+        // then a decode row on top of the KV-only chunk.
         let m = TransformerModel::synthesize(&ModelConfig::sim_llama(), 70);
         let packed = m.pack_weights(64).unwrap();
         let kv = KvMode::Int4 { group: 16 };
+        let (mut mixed_steps, mut short_tails, mut long_tails) = (0, 0, 0);
         for seed in 1..=4u64 {
             let mut rng = seed;
             let fork_at = 5 + next(&mut rng) % 40;
@@ -1330,26 +1425,45 @@ mod tests {
                 .collect();
 
             let mut br = m.batch_runner(&packed, ActMode::None, kv, 32, 32);
+            let mut twin = m.batch_runner(&packed, ActMode::None, kv, 32, 32);
             let mut ids = [Some(br.create_session()), Some(br.create_session()), None];
+            let twins: Vec<SessionId> = (0..3).map(|_| twin.create_session()).collect();
+            for &tok in &streams[2][..fork_at] {
+                twin.step(&[(twins[2], tok)]);
+            }
             let mut pos = [0usize, 0, fork_at];
+            // Steps composed by hand, taken before any random one.
+            let mut fixed: Vec<Vec<(usize, usize, usize)>> = Vec::new();
             while (0..3).any(|i| pos[i] < streams[i].len()) {
-                // (session, run length, logit rows) for a random subset.
-                let mut picks: Vec<(usize, usize, usize)> = Vec::new();
-                for i in 0..3 {
-                    let left = streams[i].len() - pos[i];
-                    let Some(_) = ids[i] else { continue };
-                    if left == 0 || next(&mut rng).is_multiple_of(4) {
-                        continue;
+                let left = |pos: &[usize; 3], i: usize| streams[i].len() - pos[i];
+                // (session, run length, logit rows): a fixed step if one
+                // is due, otherwise a random subset.
+                let picks: Vec<(usize, usize, usize)> = fixed.pop().unwrap_or_else(|| {
+                    let mut picks = Vec::new();
+                    for (i, id) in ids.iter().enumerate() {
+                        if id.is_none() || left(&pos, i) == 0 || next(&mut rng).is_multiple_of(4) {
+                            continue;
+                        }
+                        let mut len = 1 + next(&mut rng) % left(&pos, i).min(40);
+                        if i == 0 && pos[0] < fork_at {
+                            len = len.min(fork_at - pos[0]);
+                        }
+                        let tail = 1 + next(&mut rng) % len;
+                        picks.push((i, len, [0, 1, len, tail][next(&mut rng) % 4]));
                     }
-                    let mut len = 1 + next(&mut rng) % left.min(40);
-                    if i == 0 && pos[0] < fork_at {
-                        len = len.min(fork_at - pos[0]);
-                    }
-                    let logit_rows = [0, 1, len][next(&mut rng) % 3];
-                    picks.push((i, len, logit_rows));
-                }
+                    picks
+                });
                 if picks.is_empty() {
                     continue;
+                }
+                for &(_, len, logit_rows) in &picks {
+                    if 0 < logit_rows && logit_rows < len {
+                        if logit_rows < RunAttention::MIN_ROWS {
+                            short_tails += 1;
+                        } else {
+                            long_tails += 1;
+                        }
+                    }
                 }
                 let runs: Vec<Run<'_>> = picks
                     .iter()
@@ -1361,6 +1475,9 @@ mod tests {
                     .collect();
                 let mut logits = br.step_runs(&runs).into_iter();
                 for &(i, len, logit_rows) in &picks {
+                    for &tok in &streams[i][pos[i]..pos[i] + len] {
+                        twin.step(&[(twins[i], tok)]);
+                    }
                     pos[i] += len;
                     for t in pos[i] - logit_rows..pos[i] {
                         assert_eq!(
@@ -1369,36 +1486,68 @@ mod tests {
                             "seed {seed}: session {i} row {t} diverged from the oracle"
                         );
                     }
+                    let what = format!("seed {seed}: session {i} at {}", pos[i]);
+                    assert_same_caches(&br, ids[i].unwrap(), &twin, twins[i], &what);
                 }
                 assert!(logits.next().is_none(), "seed {seed}: stray logit rows");
                 if ids[2].is_none() && pos[0] == fork_at {
                     ids[2] = Some(br.fork_session(ids[0].unwrap()));
+                    if left(&pos, 1) > 0 {
+                        let (kv_only, all) = ((left(&pos, 0) - 1).min(7), left(&pos, 2).min(5));
+                        // Popped back to front.
+                        fixed.push(vec![(0, 1, 1)]);
+                        fixed.push(vec![(0, kv_only, 0), (1, 1, 1), (2, all, all)]);
+                        mixed_steps += 1;
+                    }
                 }
             }
+        }
+        assert!(mixed_steps > 0, "no seed took the fixed mixed step");
+        assert!(
+            short_tails > 0 && long_tails > 0,
+            "partly live runs must fall on both sides of the run-attention break-even \
+             ({short_tails} below, {long_tails} at or above)"
+        );
+    }
 
-            let mut twin = m.batch_runner(&packed, ActMode::None, kv, 32, 32);
-            for (i, stream) in streams.iter().enumerate() {
-                let t = twin.create_session();
-                for &tok in stream {
-                    twin.step(&[(t, tok)]);
-                }
-                let got = br.slots[ids[i].unwrap().slot].as_ref().unwrap();
-                let want = twin.slots[t.slot].as_ref().unwrap();
-                assert_eq!(got.seq_len, want.seq_len);
-                for (g, w) in got.caches.iter().zip(want.caches.iter()) {
-                    assert_eq!(
-                        bits(g.dequantize_k(&br.pool).as_slice()),
-                        bits(w.dequantize_k(&twin.pool).as_slice()),
-                        "seed {seed}: session {i} K cache"
-                    );
-                    assert_eq!(
-                        bits(g.dequantize_v(&br.pool).as_slice()),
-                        bits(w.dequantize_v(&twin.pool).as_slice()),
-                        "seed {seed}: session {i} V cache"
-                    );
-                    assert_eq!(g.used_bits(), w.used_bits(), "seed {seed}: session {i}");
-                }
+    #[test]
+    fn all_kv_only_step_returns_no_logits_and_caches_every_row() {
+        // Every run asks for no logits: the last layer has no live row, so
+        // there is no query to project and no LM head to run — yet every
+        // row must be cached in every layer, and a decode step on top must
+        // read the oracle's logits.
+        let m = TransformerModel::synthesize(&ModelConfig::sim_llama(), 72);
+        let packed = m.pack_weights(64).unwrap();
+        let kv = KvMode::Int4 { group: 16 };
+        let streams: [Vec<usize>; 2] = [
+            (0..21).map(|i| (i * 19 + 3) % 512).collect(),
+            (0..2).map(|i| (i * 47 + 8) % 512).collect(),
+        ];
+        let mut br = m.batch_runner(&packed, ActMode::None, kv, 16, 32);
+        let mut twin = m.batch_runner(&packed, ActMode::None, kv, 16, 32);
+        let ids = [br.create_session(), br.create_session()];
+        let twins = [twin.create_session(), twin.create_session()];
+        let runs: Vec<Run<'_>> = (0..2)
+            .map(|i| Run {
+                id: ids[i],
+                tokens: &streams[i][..streams[i].len() - 1],
+                logit_rows: 0,
+            })
+            .collect();
+        assert!(br.step_runs(&runs).is_empty(), "nobody asked for logits");
+        for i in 0..2 {
+            let fed = streams[i].len() - 1;
+            for &tok in &streams[i][..fed] {
+                twin.step(&[(twins[i], tok)]);
             }
+            assert_same_caches(&br, ids[i], &twin, twins[i], &format!("session {i}"));
+            let solo = run_sequence_packed(&m, &packed, ActMode::None, kv, &streams[i]);
+            let logits = br.step(&[(ids[i], streams[i][fed])]);
+            assert_eq!(
+                bits(&logits[0]),
+                bits(solo.row(fed)),
+                "session {i}: decode after a KV-only chunk diverged from the oracle"
+            );
         }
     }
 

@@ -36,8 +36,10 @@
 //! 4. **Step** — one [`BatchRunner::step_runs`] over the quantized
 //!    backend: every row of every run through the multi-query packed
 //!    GEMMs, paged attention per run (cached rows swept once for all of a
-//!    run's queries), and the LM head only for rows whose logits are read
-//!    — the row after a sequence's last known token. With speculation
+//!    run's queries), and the last layer past its K/V projections, and the
+//!    LM head, only for rows whose logits are read — the row after a
+//!    sequence's last known token; every other prompt or replay row is
+//!    **KV-only** there ([`ServeReport::kv_only_rows`]). With speculation
 //!    enabled, decode-phase sequences instead run a
 //!    [`BatchRunner::speculate_step`] draft-and-verify round (draft k
 //!    candidates cheaply, verify them as one k-token run, keep the longest
@@ -54,8 +56,9 @@
 //! step — in exactly the ticks no token is waiting on, and it bounds how
 //! long such a tick keeps a new arrival from being admitted: full-budget
 //! ticks at contexts up to 512 measured 4.5–5.6 ms at the median (13 ms
-//! with a 64-row budget) on the two-core reference box, under the 10 ms
-//! the benchmark counts as a stall. The engine clock
+//! with a 64-row budget) on the two-core reference box when it was sized,
+//! and about 3 ms since mid-prompt rows are KV-only in the last layer —
+//! under the 10 ms the benchmark counts as a stall. The engine clock
 //! ([`GenRequest::deadline_iter`], [`Completion`]'s iteration stamps)
 //! still counts iterations; an iteration now advances a sequence by up to
 //! a run.
@@ -276,6 +279,7 @@ pub struct ServeEngine<'m> {
     occupancy_sum: u64,
     stepped_rows: usize,
     logit_rows: usize,
+    kv_only_rows: usize,
     peak_running: usize,
     peak_used_blocks: usize,
     vocab: usize,
@@ -497,6 +501,7 @@ impl<'m> ServeEngine<'m> {
             occupancy_sum: 0,
             stepped_rows: 0,
             logit_rows: 0,
+            kv_only_rows: 0,
             peak_running: 0,
             peak_used_blocks: 0,
             vocab: model.config.vocab,
@@ -934,6 +939,7 @@ impl<'m> ServeEngine<'m> {
         let mut produced = 0usize;
         let mut stepped_rows = 0usize;
         let mut logit_rows = 0usize;
+        let mut kv_only_rows = 0usize;
         let mut finished: Vec<usize> = Vec::new();
         let mut first_tokens: Vec<u64> = Vec::new();
         let mut token_events: Vec<EngineEvent> = Vec::new();
@@ -957,6 +963,10 @@ impl<'m> ServeEngine<'m> {
                 self.recomputed_tokens += end.min(s.replay_until).saturating_sub(s.pos) - fresh;
                 s.pos = end;
                 stepped_rows += len;
+                // The plan asked logits for the run's last row if it ends
+                // the known tokens, for none otherwise: the rest of its
+                // rows left the last layer after their K/V were cached.
+                kv_only_rows += len - usize::from(s.pos >= s.replay_until);
                 if s.pos >= s.replay_until {
                     // The logits after the last known token (prompt, or the
                     // replayed tail after a preemption) yield the next
@@ -1135,8 +1145,10 @@ impl<'m> ServeEngine<'m> {
         }
         self.stepped_rows += stepped_rows;
         self.logit_rows += logit_rows;
+        self.kv_only_rows += kv_only_rows;
         mant_trace::counter("rows.stepped", stepped_rows as u64);
         mant_trace::counter("rows.logits", logit_rows as u64);
+        mant_trace::counter("rows.kv_only", kv_only_rows as u64);
         mant_trace::gauge("queue.depth", self.scheduler.waiting() as u64);
         mant_trace::gauge("sequences.active", self.active.len() as u64);
         mant_trace::gauge("pool.used_blocks", self.runner.pool().used_blocks() as u64);
@@ -1178,6 +1190,7 @@ impl<'m> ServeEngine<'m> {
             mean_batch_occupancy: self.occupancy_sum as f64 / self.busy_iterations.max(1) as f64,
             stepped_rows: self.stepped_rows,
             logit_rows: self.logit_rows,
+            kv_only_rows: self.kv_only_rows,
             peak_running: self.peak_running,
             peak_used_blocks: self.peak_used_blocks,
             preemptions: self.preemptions,

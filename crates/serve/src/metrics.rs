@@ -205,6 +205,13 @@ pub struct ServeReport {
     pub stepped_rows: usize,
     /// Stepped rows whose logits were computed (the LM head ran for them).
     pub logit_rows: usize,
+    /// Stepped rows that were **KV-only**: prompt or replayed rows whose
+    /// logits nobody reads, which the model caches in every layer but
+    /// takes through the last layer only as far as their K/V projections.
+    /// Always `stepped_rows - logit_rows`, and `prompt_tokens +
+    /// recomputed_tokens` less one row per run that ended a sequence's
+    /// known tokens.
+    pub kv_only_rows: usize,
     /// Most sequences ever running at once (admitted concurrency peak).
     pub peak_running: usize,
     /// Most pool blocks ever in use at once.

@@ -745,6 +745,11 @@ fn prompt_lengths_around_every_run_cut_stay_byte_identical() {
             prompt_rows + generated - requests.len()
         );
         assert_eq!(report.logit_rows, generated);
+        assert_eq!(
+            report.kv_only_rows,
+            prompt_rows - requests.len(),
+            "every prompt row but each prompt's last is KV-only"
+        );
         assert!(
             report.iterations < (prompt_rows / 4) as u64,
             "prefill still runs a token a tick: {} iterations",
@@ -868,6 +873,104 @@ fn speculative_after_run_prefill_stays_byte_identical() {
             c.id
         );
     }
+}
+
+/// KV-only rows under everything at once: long prompts, speculation on and
+/// a pool tight enough to preempt and replay, so mid-prompt chunks, replayed
+/// spans and the draft runner's lock-step feed all stop after their K/V in
+/// the last layer while verify passes and decode rows run it whole. Streams
+/// must equal the baseline, the pools must drain, and `kv_only_rows` must be
+/// exactly the known-token rows stepped (`prompt_tokens +
+/// recomputed_tokens`) less one per run that ended a sequence's known
+/// tokens — the only such rows with a logit row.
+#[test]
+fn kv_only_rows_are_every_known_token_row_but_the_run_ends() {
+    use mant_model::{synthesize_speculative_pair, DraftConfig};
+    let cfg = ModelConfig::sim_llama();
+    let (target, draft) = synthesize_speculative_pair(
+        &cfg,
+        100,
+        &DraftConfig {
+            layers: 1,
+            tail_block_ratio: 0.02,
+        },
+    );
+    let packed = target.pack_weights(64).unwrap();
+    let draft_packed = draft.pack_weights(64).unwrap();
+    let act = ActMode::None;
+    let kv = KvMode::Int4 { group: 16 };
+    // As `preempted_long_prompts_replay_in_runs_byte_identically`, with a
+    // fourth request queued behind: any three of these lifetimes grow
+    // towards 48 or more target blocks in a pool of 22.
+    let requests: Vec<GenRequest> = [41usize, 55, 70, 97]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| long_request(i as u64, len, 60, cfg.vocab))
+        .collect();
+    let mut engine = ServeEngine::new_with_draft(
+        &target,
+        &packed,
+        &draft,
+        &draft_packed,
+        ServeConfig {
+            max_batch: 3,
+            pool_blocks: 22,
+            block_tokens: 16,
+            act,
+            kv,
+            admission: AdmissionPolicy::Watermark {
+                watermark_blocks: 1,
+            },
+            prefix_sharing: false,
+            speculative: Some(mant_serve::SpeculativeConfig { draft_k: 3 }),
+        },
+    );
+    for r in &requests {
+        engine.submit(r.clone());
+    }
+    let report = engine.run_to_completion();
+    assert_eq!(report.completions.len(), requests.len());
+    assert!(report.preemptions > 0, "the pool cannot hold three of them");
+    assert!(
+        report.recomputed_tokens >= 41,
+        "a whole prompt is replayed: {}",
+        report.recomputed_tokens
+    );
+    let spec = report.speculation.as_ref().expect("spec engine");
+    assert!(spec.rounds > 0);
+    let (baseline, _) = sequential_generate(&target, &packed, act, kv, &requests);
+    for c in &report.completions {
+        assert_eq!(
+            c.tokens, baseline[c.id as usize],
+            "KV-only rows changed request {}'s tokens",
+            c.id
+        );
+    }
+    assert_eq!(engine.used_blocks(), 0, "target pool must drain");
+    assert_eq!(
+        engine.draft_free_blocks(),
+        Some(22),
+        "draft pool must drain"
+    );
+
+    // Known-token rows are stepped by the batched plan only; its other
+    // rows are one-token decode steps, and a verify pass steps one row per
+    // draft. Rows with logits: every decode and verify row, plus one per
+    // run that ended a sequence's known tokens.
+    let known_rows = report.prompt_tokens + report.recomputed_tokens;
+    let prompt_rows: usize = requests.iter().map(|r| r.prompt.len()).sum();
+    assert_eq!(report.prompt_tokens, prompt_rows);
+    let decode_rows = report.stepped_rows - known_rows - spec.drafted as usize;
+    let run_ends = report.logit_rows - decode_rows - spec.drafted as usize;
+    assert_eq!(report.kv_only_rows, known_rows - run_ends);
+    // Every request ends its known tokens once per admission that gets
+    // that far: at least once each, at most once more per preemption.
+    assert!(
+        (requests.len()..=requests.len() + report.preemptions).contains(&run_ends),
+        "{run_ends} run ends for {} requests and {} preemptions",
+        requests.len(),
+        report.preemptions
+    );
 }
 
 /// In-flight duplicate request ids are rejected at submit: ids key the
