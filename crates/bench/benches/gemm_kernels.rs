@@ -12,6 +12,14 @@
 //! unpacked); without SIMD the ladder degrades gracefully to 1.0× — and
 //! written to `BENCH_kernels.json` so the kernel-level perf trajectory
 //! is machine-readable.
+//!
+//! The decode-once tier gets a batch sweep: `mant_gemv_batch` at 3, 8 and
+//! 32 members against that many `mant_gemv` calls on the sim model's
+//! three projection shapes, each placed against the host's measured
+//! `pmaddwd` issue rate (a register-resident probe) as GMAC/s and a share
+//! of that peak. On AVX2 the 32-member batch must beat 32 GEMVs by ≥ 3×
+//! on every shape, and the 3-member batch — the first size that takes
+//! the tile — must not lose more than 10 %.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -19,7 +27,7 @@ use std::time::Instant;
 
 use mant_numerics::{kernels, KernelDispatch};
 use mant_quant::{
-    dequant_then_gemm, mant_gemm, mant_gemv, mant_gemv_scalar, mant_gemv_with,
+    dequant_then_gemm, mant_gemm, mant_gemv, mant_gemv_batch, mant_gemv_scalar, mant_gemv_with,
     quantize_activations_int8, quantize_vector_int8, MantWeightQuantizer, UnpackedWeights,
 };
 use mant_tensor::{gemm, TensorGenerator};
@@ -28,18 +36,38 @@ const K: usize = 512;
 const N: usize = 256;
 const G: usize = 64;
 const GEMM_M: usize = 8;
+/// The sim model's projections as `(n, k)`: attention q/k/v/o, FFN
+/// gate/up, FFN down.
+const SIM_SHAPES: [(usize, usize); 3] = [(256, 256), (512, 256), (256, 512)];
+const BATCH_SWEEP: [usize; 3] = [3, 8, 32];
 
 /// Best-of-8 mean seconds per call over `iters` calls. Best-of, not
 /// mean-of: CI containers throttle in bursts, and the ratio assertions
 /// below need each variant's clean-window speed.
 fn time_best(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
+    (0..8)
+        .map(|_| time_once(iters, &mut f))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Mean seconds per call over one run of `iters` calls.
+fn time_once(iters: usize, f: &mut impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    t0.elapsed().as_secs_f64() / iters as f64
+}
+
+/// [`time_best`] for two variants whose *ratio* is asserted: the eight
+/// repetitions alternate between them, so both minima are drawn from the
+/// same stretch of wall time and a slow stretch of the host cannot land on
+/// one side only.
+fn time_best_pair(iters: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
     for _ in 0..8 {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / iters as f64);
+        best.0 = best.0.min(time_once(iters, &mut f));
+        best.1 = best.1.min(time_once(iters, &mut g));
     }
     best
 }
@@ -133,6 +161,70 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         }
     });
 
+    // --- Decode-once tier: batch sweep against the pmaddwd roofline ---
+    let probe_iters = 1 << 20;
+    let mac_peak_gmacs = {
+        let t = time_best(1, || {
+            black_box(tier.mac_peak_probe(black_box(probe_iters)));
+        });
+        tier.mac_peak_probe(probe_iters) as f64 / t / 1e9
+    };
+    let mut sweep_rows = Vec::new();
+    let (mut batch32_vs_gemv, mut batch3_vs_gemv) = (f64::INFINITY, f64::INFINITY);
+    for (n, k) in SIM_SHAPES {
+        let w = gen.group_diverse_matrix(n, k, G, 0.02);
+        let wq = MantWeightQuantizer::new(G)
+            .quantize(&w)
+            .expect("valid group size");
+        let xs: Vec<_> = (0..*BATCH_SWEEP.iter().max().expect("non-empty sweep"))
+            .map(|_| {
+                let x: Vec<f32> = (0..k).map(|_| gen.standard_normal()).collect();
+                quantize_vector_int8(&x, G).expect("valid group size")
+            })
+            .collect();
+        for m in BATCH_SWEEP {
+            let (t_batch, t_gemvs) = time_best_pair(
+                10,
+                || {
+                    black_box(
+                        mant_gemv_batch(black_box(&xs[..m]), black_box(&wq)).expect("shapes"),
+                    );
+                },
+                || {
+                    for x in &xs[..m] {
+                        black_box(mant_gemv(black_box(x), black_box(&wq)).expect("shapes"));
+                    }
+                },
+            );
+            let gmacs = (m * n * k) as f64 / t_batch / 1e9;
+            // No vector MAC to measure on the scalar tier: share 0.
+            let peak_share = if mac_peak_gmacs > 0.0 {
+                gmacs / mac_peak_gmacs
+            } else {
+                0.0
+            };
+            let vs_gemv = t_gemvs / t_batch;
+            match m {
+                32 => batch32_vs_gemv = batch32_vs_gemv.min(vs_gemv),
+                3 => batch3_vs_gemv = batch3_vs_gemv.min(vs_gemv),
+                _ => {}
+            }
+            println!(
+                "gemv_batch {n}x{k} m={m}: {:.1} us vs {m} gemv {:.1} us = {vs_gemv:.2}x, \
+                 {gmacs:.1} GMAC/s ({:.0}% of the {mac_peak_gmacs:.0} GMAC/s pmaddwd peak)",
+                t_batch * 1e6,
+                t_gemvs * 1e6,
+                100.0 * peak_share,
+            );
+            sweep_rows.push(format!(
+                "    {{\"n\": {n}, \"k\": {k}, \"m\": {m}, \"batch_ns\": {:.0}, \"gemv_ns\": {:.0}, \
+                 \"gmacs\": {gmacs:.2}, \"peak_share\": {peak_share:.3}, \"vs_gemv\": {vs_gemv:.3}}}",
+                t_batch * 1e9,
+                t_gemvs * 1e9,
+            ));
+        }
+    }
+
     let gemv_packed_speedup = t_gemv_scalar / t_gemv_packed;
     let gemv_simd_speedup = t_gemv_packed / t_gemv_simd;
     let gemv_total_speedup = t_gemv_scalar / t_gemv_simd;
@@ -153,13 +245,14 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"gemm_kernels\",\n  \"tier\": \"{}\",\n  \"shape\": {{\"m\": {GEMM_M}, \"k\": {K}, \"n\": {N}, \"group\": {G}}},\n  \"gemv_scalar_ns\": {:.0},\n  \"gemv_packed_ns\": {:.0},\n  \"gemv_simd_ns\": {:.0},\n  \"gemv_packed_speedup\": {gemv_packed_speedup:.3},\n  \"gemv_simd_speedup\": {gemv_simd_speedup:.3},\n  \"gemv_total_speedup\": {gemv_total_speedup:.3},\n  \"gemm_scalar_ns\": {:.0},\n  \"gemm_packed_ns\": {:.0},\n  \"gemm_packed_speedup\": {gemm_speedup:.3},\n  \"gemv_packed_threshold\": 1.3,\n  \"gemv_simd_threshold\": 2.0,\n  \"bit_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"gemm_kernels\",\n  \"tier\": \"{}\",\n  \"shape\": {{\"m\": {GEMM_M}, \"k\": {K}, \"n\": {N}, \"group\": {G}}},\n  \"gemv_scalar_ns\": {:.0},\n  \"gemv_packed_ns\": {:.0},\n  \"gemv_simd_ns\": {:.0},\n  \"gemv_packed_speedup\": {gemv_packed_speedup:.3},\n  \"gemv_simd_speedup\": {gemv_simd_speedup:.3},\n  \"gemv_total_speedup\": {gemv_total_speedup:.3},\n  \"gemm_scalar_ns\": {:.0},\n  \"gemm_packed_ns\": {:.0},\n  \"gemm_packed_speedup\": {gemm_speedup:.3},\n  \"gemv_packed_threshold\": 1.3,\n  \"gemv_simd_threshold\": 2.0,\n  \"mac_peak_gmacs\": {mac_peak_gmacs:.2},\n  \"batch_sweep\": [\n{}\n  ],\n  \"batch32_vs_gemv\": {batch32_vs_gemv:.3},\n  \"batch3_vs_gemv\": {batch3_vs_gemv:.3},\n  \"batch32_threshold\": 3.0,\n  \"batch3_threshold\": 0.9,\n  \"bit_identical\": true\n}}\n",
         tier.name(),
         t_gemv_scalar * 1e9,
         t_gemv_packed * 1e9,
         t_gemv_simd * 1e9,
         t_gemm_scalar * 1e9,
         t_gemm_packed * 1e9,
+        sweep_rows.join(",\n"),
     );
     // The bench binary's cwd is the package dir (crates/bench); anchor the
     // artifact at the workspace root so CI and humans find it in one place.
@@ -182,6 +275,14 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         assert!(
             gemv_total_speedup >= 4.0,
             "AVX2 GEMV must beat the unpacked baseline by >= 4x, got {gemv_total_speedup:.2}x"
+        );
+        assert!(
+            batch32_vs_gemv >= 3.0,
+            "a 32-member batch must beat 32 GEMVs by >= 3x on every shape, got {batch32_vs_gemv:.2}x"
+        );
+        assert!(
+            batch3_vs_gemv >= 0.9,
+            "a 3-member batch must not lose to 3 GEMVs by > 10%, got {batch3_vs_gemv:.2}x"
         );
     } else if tier.is_simd() {
         assert!(

@@ -177,8 +177,9 @@ pub fn dot_packed_x4(xcodes: &[i8], w: [&[u8]; 4], luts: [&PairLut; 4]) -> [i64;
 /// natural code order — the amortization step of the decode-once GEMM:
 /// for a batch of activations, each weight group is decoded to i16
 /// **once** and every batch member then sweeps the decoded operands with
-/// the plain [`dot_i8_i16`] MAC, instead of paying the pair-table walk
-/// per member. Entry `i` of `out` is exactly `lut`'s decoded value for
+/// plain integer MACs (`KernelDispatch::dot_tile8_scaled` over eight rows
+/// at a time; [`dot_i8_i16`] is its one-row scalar reference), instead of
+/// paying the pair-table walk per member. Entry `i` of `out` is exactly `lut`'s decoded value for
 /// code `i` (decoded MANT operands span ±1017, comfortably inside i16 —
 /// see [`MAX_I32_GROUP`]'s derivation), so any dot over the decoded
 /// operands is bit-identical to the fused packed kernels.
@@ -205,8 +206,8 @@ pub fn decode_packed_i16(wpacked: &[u8], len: usize, lut: &PairLut, out: &mut [i
 }
 
 /// Integer dot of INT8 activation codes against a group's **pre-decoded**
-/// i16 operands ([`decode_packed_i16`]) — the per-member inner loop of
-/// the decode-once GEMM. Bit-identical to [`dot_packed`] on the packed
+/// i16 operands ([`decode_packed_i16`]) — the one-row scalar reference
+/// of the decode-once sweep. Bit-identical to [`dot_packed`] on the packed
 /// codes: the decoded operands are the identical integers and the i32
 /// accumulation is exact under the [`MAX_I32_GROUP`] bound, so any
 /// summation order gives the same total.

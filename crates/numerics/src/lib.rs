@@ -74,4 +74,6 @@ pub use nf::{nf4_paper_grid, qlora_nf4_grid};
 pub use packing::{pack_nibbles, pack_nibbles_into, unpack_nibbles, NibbleIter};
 pub use pot::pot4_grid;
 pub use probit::probit;
-pub use simd::{kernel_lut, kernels, scalar_forced, KernelDispatch, KernelLut};
+pub use simd::{
+    kernel_lut, kernels, scalar_forced, tile8_len, KernelDispatch, KernelLut, TILE_ROWS,
+};

@@ -12,6 +12,10 @@
 //!   *any* partial-sum arrangement (vector lanes, horizontal reductions,
 //!   scalar tails) produces the identical total — integer addition is
 //!   associative when nothing overflows.
+//! - The decode-once tile sweep ([`KernelDispatch::dot_tile8_scaled`])
+//!   carries its f64 scale epilogue: `i32 → f64` is exact, and vector
+//!   `mulpd`/`addpd` round each lane exactly like the scalar `*`/`+`, in
+//!   the scalar expression's association, with no FMA contraction.
 //! - `abs_max` computes a maximum, which is order-independent, and the
 //!   `maxps` operand order is chosen so NaN inputs are skipped exactly
 //!   like the scalar fold.
@@ -79,6 +83,18 @@ pub fn kernel_lut(lut16: &[i32; 16]) -> KernelLut {
         lo8,
         hi8,
     }
+}
+
+/// Rows of the decoded tile the decode-once sweep works on
+/// ([`KernelDispatch::dot_tile8_scaled`]): eight, one per 32-bit lane of a
+/// 256-bit vector, so a group's eight dots fill one register.
+pub const TILE_ROWS: usize = 8;
+
+/// Entries of an interleaved [`TILE_ROWS`]-row tile of `k` operands per
+/// row ([`KernelDispatch::interleave_tile8`]): `⌈k/2⌉` column pairs of
+/// eight rows of two.
+pub const fn tile8_len(k: usize) -> usize {
+    k.div_ceil(2) * TILE_ROWS * 2
 }
 
 /// The kernel tier every packed-dot and INT8-quantization call routes
@@ -281,46 +297,120 @@ impl KernelDispatch {
         }
     }
 
-    /// Grouped four-row sweep of [`crate::kernels::dot_i8_i16`]: group
-    /// `g` of `out` holds the dots of the `g`-th `group_size`-code slice
-    /// of `xcodes` against each row's `g`-th decoded-operand slice. The
-    /// per-member inner loop of the decode-once GEMM — with the weight
-    /// tile already decoded ([`KernelDispatch::decode_packed_i16`]), each
-    /// batch member pays only sign-extended loads and `pmaddwd`
-    /// multiply-accumulates, no per-member nibble decode. Bit-identical
-    /// to the scalar kernel on every input: the products are exact i32s
-    /// under the [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP) bound,
-    /// so any lane arrangement sums to the same total.
+    /// Interleaves a decoded row-major tile — [`TILE_ROWS`] rows of `k`
+    /// i16 operands each, as [`KernelDispatch::decode_packed_i16`] wrote
+    /// them — into the layout [`KernelDispatch::dot_tile8_scaled`] sweeps:
+    /// `[k-pair][row 0..8][2]`, i.e. operand `i` of row `r` lands at
+    /// `((i / 2) · 8 + r) · 2 + i % 2`. One 32-byte vector then holds the
+    /// same column pair of all eight rows, which is what lets a vector
+    /// lane be an output row. `out` holds [`tile8_len`]`(k)` entries; with
+    /// an odd `k` the last pair's second slot is zero in every row. A pure
+    /// permutation — every tier writes the identical bytes (the AVX2 arm
+    /// is one 8×8 `u32` transpose per 16 columns).
     ///
     /// # Panics
     ///
-    /// Debug-asserts the slice lengths agree and `group_size` respects
-    /// [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP).
-    pub fn dot_i16_x4_groups(
-        self,
-        xcodes: &[i8],
-        w16: [&[i16]; 4],
-        group_size: usize,
-        out: &mut [[i64; 4]],
-    ) {
-        let groups = out.len();
-        debug_assert_eq!(xcodes.len(), groups * group_size);
-        debug_assert!(w16.iter().all(|r| r.len() == groups * group_size));
-        debug_assert!(group_size <= kernels::MAX_I32_GROUP, "i32 group bound");
-        match self {
+    /// Panics if `rows.len() != TILE_ROWS · k` or `out.len() !=
+    /// tile8_len(k)`.
+    pub fn interleave_tile8(self, rows: &[i16], k: usize, out: &mut [i16]) {
+        assert_eq!(rows.len(), TILE_ROWS * k, "tile is eight rows of k");
+        assert_eq!(out.len(), tile8_len(k), "interleaved tile length");
+        let done = match self {
             #[cfg(target_arch = "x86_64")]
             KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-                // SAFETY: the match guard just confirmed AVX2 on this CPU.
-                unsafe { x86::dot_i16_x4_groups_avx2(xcodes, w16, group_size, out) }
+                // SAFETY: the match guard just confirmed AVX2 on this CPU;
+                // the lengths were asserted above.
+                unsafe { x86::interleave_tile8_avx2(rows, k, out) }
+            }
+            _ => 0,
+        };
+        for (pair, o) in out
+            .chunks_exact_mut(TILE_ROWS * 2)
+            .enumerate()
+            .skip(done / 2)
+        {
+            for (r, o) in o.chunks_exact_mut(2).enumerate() {
+                let row = &rows[r * k..(r + 1) * k];
+                o[0] = row[2 * pair];
+                o[1] = row.get(2 * pair + 1).copied().unwrap_or(0);
+            }
+        }
+    }
+
+    /// The decode-once sweep, all of it: every member of a batch against
+    /// one interleaved eight-row tile ([`KernelDispatch::interleave_tile8`]),
+    /// group dots **and** the f64 scale epilogue. For member `j`, row `r`
+    /// and every group `g` in ascending order,
+    ///
+    /// ```text
+    /// accs[j][r] += (xscales[j·G + g] · wscales[g][r]) · Σ_i x_j[i] · w_r[i]   (i in group g)
+    /// ```
+    ///
+    /// with `G = wscales.len()` groups of `group_size` operands — the
+    /// exact expression and association of the one-vector GEMV, so a
+    /// caller that starts `accs` at zero gets the GEMV's bits.
+    ///
+    /// `xcodes` is the members' INT8 codes **widened to i16** (values in
+    /// `-128..=127`), `accs.len()` rows of `G · group_size`, row-major. On
+    /// the AVX2 arm a vector lane is an output row: per column pair the
+    /// tile's 32-byte vector is loaded once and each member of a register
+    /// block of up to eight adds `pmaddwd(broadcast(x pair), w)` into its
+    /// own `i32x8`. At the end of a group that register *is* the eight
+    /// rows' dots — no horizontal reduction — and the epilogue converts it
+    /// (`cvtdq2pd`) and applies `mulpd`, `mulpd`, `addpd` in place.
+    /// Exactness: an i32 lane holds one (member, row, group) sum, exact
+    /// under [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP); `i32 → f64`
+    /// is exact and equals the scalar `i64 as f64`; vector `mulpd` /
+    /// `addpd` round per lane exactly like the scalar operators, and no
+    /// FMA is formed. The AVX2 arm needs an even `group_size` (a pair must
+    /// not straddle two groups); odd group sizes, the SSSE3 tier and the
+    /// scalar tier run the scalar arm on the same layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths disagree with `accs.len()` members,
+    /// `wscales.len()` groups and `group_size`; debug-asserts the
+    /// [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP) bound and the INT8
+    /// range of `xcodes`.
+    pub fn dot_tile8_scaled(
+        self,
+        tile: &[i16],
+        wscales: &[[f64; TILE_ROWS]],
+        group_size: usize,
+        xcodes: &[i16],
+        xscales: &[f64],
+        accs: &mut [[f64; TILE_ROWS]],
+    ) {
+        let (m, groups) = (accs.len(), wscales.len());
+        let k = groups * group_size;
+        assert_eq!(tile.len(), tile8_len(k), "interleaved tile length");
+        assert_eq!(xcodes.len(), m * k, "member codes");
+        assert_eq!(xscales.len(), m * groups, "member scales");
+        debug_assert!(group_size <= kernels::MAX_I32_GROUP, "i32 group bound");
+        debug_assert!(
+            xcodes.iter().all(|&x| i16::from(x as i8) == x),
+            "INT8 codes"
+        );
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelDispatch::Avx2
+                if group_size.is_multiple_of(2) && std::arch::is_x86_feature_detected!("avx2") =>
+            {
+                // SAFETY: the match guard just confirmed AVX2 on this CPU
+                // and an even group size; the lengths were asserted above.
+                unsafe {
+                    x86::dot_tile8_scaled_avx2(tile, wscales, group_size, xcodes, xscales, accs);
+                }
             }
             _ => {
-                for (g, o) in out.iter_mut().enumerate() {
-                    let xg = &xcodes[g * group_size..(g + 1) * group_size];
-                    for lane in 0..4 {
-                        o[lane] = kernels::dot_i8_i16(
-                            xg,
-                            &w16[lane][g * group_size..(g + 1) * group_size],
-                        );
+                for (j, acc) in accs.iter_mut().enumerate() {
+                    let x = &xcodes[j * k..(j + 1) * k];
+                    for (g, ws) in wscales.iter().enumerate() {
+                        let ints = scalar_tile8_group(tile, x, g * group_size, group_size);
+                        let xs = xscales[j * groups + g];
+                        for r in 0..TILE_ROWS {
+                            acc[r] += xs * ws[r] * f64::from(ints[r]);
+                        }
                     }
                 }
             }
@@ -351,52 +441,21 @@ impl KernelDispatch {
         }
     }
 
-    /// Every member of a batch through
-    /// [`KernelDispatch::dot_i16_x4_groups`] against one decoded 4-row
-    /// tile, in one dispatch: member `m`'s group dots land in
-    /// `out[m · groups..(m + 1) · groups]`, where `groups = out.len() /
-    /// members.len()`. The AVX2 tier takes the members two at a time: each
-    /// 32-operand row block is loaded **once** and multiply-accumulated
-    /// against both members' sign-extended activations. The sweep is
-    /// load-bound, and weight loads dominate (eight per block against two
-    /// activation loads), so pairing nearly halves the traffic that gates
-    /// GEMM throughput. Each member's accumulation chain is
-    /// instruction-for-instruction the chain of the single-member sweep,
-    /// so every result stays bit-identical to the scalar kernel.
-    ///
-    /// The tile is whatever [`KernelDispatch::decode_packed_i16`] decoded
-    /// — four weight rows for the decode-once GEMM, four cached K rows or
-    /// four channels of a committed V window for run-batched attention —
-    /// and a tile of a few dozen operands per row is why the dispatch is
-    /// per tile, not per pair.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts `out` divides evenly among the members, and the
-    /// per-member contract of [`KernelDispatch::dot_i16_x4_groups`].
-    pub fn dot_i16_x4_groups_batch(
-        self,
-        members: &[&[i8]],
-        w16: [&[i16]; 4],
-        group_size: usize,
-        out: &mut [[i64; 4]],
-    ) {
-        if members.is_empty() || out.is_empty() {
-            return;
-        }
-        let groups = out.len() / members.len();
-        debug_assert_eq!(out.len(), groups * members.len());
+    /// Peak-rate probe for the kernel bench's roofline row: `iters` rounds
+    /// of six independent register-resident `pmaddwd` + `paddd` chains on
+    /// this tier — the multiply-accumulate of
+    /// [`KernelDispatch::dot_tile8_scaled`] with no loads, stores or
+    /// epilogue. Returns the multiply-accumulates issued (16 per
+    /// `pmaddwd`), or 0 when the tier has no 256-bit integer MAC to
+    /// measure; the caller times the call.
+    pub fn mac_peak_probe(self, iters: usize) -> u64 {
         match self {
             #[cfg(target_arch = "x86_64")]
             KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
                 // SAFETY: the match guard just confirmed AVX2 on this CPU.
-                unsafe { x86::dot_i16_x4_groups_batch_avx2(members, w16, group_size, groups, out) }
+                unsafe { x86::mac_peak_probe_avx2(iters) }
             }
-            _ => {
-                for (x, o) in members.iter().zip(out.chunks_exact_mut(groups)) {
-                    self.dot_i16_x4_groups(x, w16, group_size, o);
-                }
-            }
+            _ => 0,
         }
     }
 
@@ -446,6 +505,38 @@ impl KernelDispatch {
     }
 }
 
+/// The scalar arm's group dots for [`KernelDispatch::dot_tile8_scaled`]:
+/// member codes `x[lo..lo + len]` against the same columns of all eight
+/// rows of an interleaved tile. Whole column pairs go two products at a
+/// time (the `pmaddwd` shape, which the compiler vectorizes on the
+/// baseline ISA); a group that starts or ends mid-pair — odd group sizes
+/// only — takes that column alone. Summation order is free: the i32 sums
+/// are exact under [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP).
+fn scalar_tile8_group(tile: &[i16], x: &[i16], lo: usize, len: usize) -> [i32; TILE_ROWS] {
+    let mut ints = [0i32; TILE_ROWS];
+    let mut column = |i: usize| {
+        let at = i / 2 * TILE_ROWS * 2 + i % 2;
+        for (r, int) in ints.iter_mut().enumerate() {
+            *int += i32::from(x[i]) * i32::from(tile[at + 2 * r]);
+        }
+    };
+    let (first, last) = (lo.div_ceil(2), (lo + len) / 2);
+    if lo % 2 == 1 {
+        column(lo);
+    }
+    if (lo + len) % 2 == 1 {
+        column(lo + len - 1);
+    }
+    for pair in first..last {
+        let w = &tile[pair * TILE_ROWS * 2..(pair + 1) * TILE_ROWS * 2];
+        let (x0, x1) = (i32::from(x[2 * pair]), i32::from(x[2 * pair + 1]));
+        for (int, w) in ints.iter_mut().zip(w.chunks_exact(2)) {
+            *int += x0 * i32::from(w[0]) + x1 * i32::from(w[1]);
+        }
+    }
+    ints
+}
+
 /// The scalar oracle for [`KernelDispatch::abs_max`]: the NaN-skipping
 /// fold from 0.0 (same expression as `mant-tensor`'s `abs_max`).
 pub fn scalar_abs_max(xs: &[f32]) -> f32 {
@@ -464,7 +555,7 @@ pub fn scalar_quantize_i8(xs: &[f32], scale: f32, out: &mut [i8]) {
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::{scalar_abs_max, KernelLut};
+    use super::{scalar_abs_max, tile8_len, KernelLut, TILE_ROWS};
     use crate::kernels::{self, MAX_I32_GROUP};
 
     /// Elements per i64 drain of the `int8_dot` i32 lane accumulators.
@@ -898,173 +989,186 @@ mod x86 {
         );
     }
 
-    /// AVX2 grouped four-row sweep over **pre-decoded** i16 weight
-    /// operands (see [`super::KernelDispatch::dot_i16_x4_groups`]): per
-    /// 32 codes, the activation is sign-extended once and swept across
-    /// all four rows with plain loads and `pmaddwd` — the nibble decode
-    /// the fused kernels pay per call was already hoisted into
-    /// [`decode_packed_i16_avx2`]. Exactness: every `pmaddwd` lane sum
-    /// is a subset of one group's products, bounded by
-    /// [`MAX_I32_GROUP`], so i32 addition is associative and the hadd
-    /// reduction matches the scalar kernel bit for bit.
+    /// AVX2 body of [`super::KernelDispatch::interleave_tile8`]: per 16
+    /// columns, the eight rows' vectors are eight rows of eight `u32`
+    /// column pairs, and the tile wants them pair-major — an 8×8 `u32`
+    /// transpose (`punpck{l,h}dq`, `punpck{l,h}qdq`, `vperm2i128`).
+    /// Returns the number of leading columns written (a multiple of 16);
+    /// the caller finishes the rest.
     #[target_feature(enable = "avx2")]
-    pub(super) fn dot_i16_x4_groups_avx2(
-        xcodes: &[i8],
-        w16: [&[i16]; 4],
-        group_size: usize,
-        out: &mut [[i64; 4]],
-    ) {
-        let blocks = group_size / 32;
-        for (g, o) in out.iter_mut().enumerate() {
-            let xg = &xcodes[g * group_size..(g + 1) * group_size];
-            let mut acc = [_mm256_setzero_si256(); 4];
-            for i in 0..blocks {
-                // SAFETY: `i < blocks = group_size / 32`: the 32-byte load
-                // stays inside this group's slice of `xcodes`.
-                let x = unsafe { _mm256_loadu_si256(xg.as_ptr().add(i * 32).cast()) };
-                let xlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(x));
-                let xhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(x));
-                for lane in 0..4 {
-                    // SAFETY: every row holds `groups * group_size`
-                    // operands, so the two 16-operand loads at
-                    // `g*group_size + i*32` are in bounds.
-                    let (wlo, whi) = unsafe {
-                        let base = w16[lane].as_ptr().add(g * group_size + i * 32);
-                        (
-                            _mm256_loadu_si256(base.cast()),
-                            _mm256_loadu_si256(base.add(16).cast()),
-                        )
-                    };
-                    acc[lane] = _mm256_add_epi32(acc[lane], _mm256_madd_epi16(xlo, wlo));
-                    acc[lane] = _mm256_add_epi32(acc[lane], _mm256_madd_epi16(xhi, whi));
-                }
+    pub(super) fn interleave_tile8_avx2(rows: &[i16], k: usize, out: &mut [i16]) -> usize {
+        assert!(rows.len() == TILE_ROWS * k && out.len() == tile8_len(k));
+        let blocks = k / 16;
+        for b in 0..blocks {
+            let mut v = [_mm256_setzero_si256(); TILE_ROWS];
+            for (r, row) in v.iter_mut().enumerate() {
+                // SAFETY: `b*16 + 16 <= k`, so row `r`'s 16 operands at
+                // `r*k + b*16` lie inside `rows`' `8*k` entries.
+                *row = unsafe { _mm256_loadu_si256(rows.as_ptr().add(r * k + b * 16).cast()) };
             }
-            let mut tail = [0i64; 4];
-            if blocks * 32 < group_size {
-                for (lane, t) in tail.iter_mut().enumerate() {
-                    *t = kernels::dot_i8_i16(
-                        &xg[blocks * 32..],
-                        &w16[lane][g * group_size + blocks * 32..(g + 1) * group_size],
-                    );
-                }
+            // `t[half][i]`: rows `2i, 2i+1` interleaved pair by pair —
+            // pairs 0, 1 | 4, 5 in half 0 and 2, 3 | 6, 7 in half 1.
+            let mut t = [[v[0]; 4]; 2];
+            for (i, two) in v.chunks_exact(2).enumerate() {
+                t[0][i] = _mm256_unpacklo_epi32(two[0], two[1]);
+                t[1][i] = _mm256_unpackhi_epi32(two[0], two[1]);
             }
-            // Same hadd tree as [`dot_packed_x4_groups_avx2`]; exact under
-            // the group bound.
-            let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
-            let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
-            let s = _mm256_hadd_epi32(s01, s23);
-            let quad = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
-            let mut sums = [0i32; 4];
-            // SAFETY: `sums` is a writable 16-byte buffer.
-            unsafe { _mm_storeu_si128(sums.as_mut_ptr().cast(), quad) };
-            for lane in 0..4 {
-                o[lane] = i64::from(sums[lane]) + tail[lane];
-            }
-        }
-    }
-
-    /// AVX2 paired sweep, the inner step of
-    /// [`dot_i16_x4_groups_batch_avx2`]: per 32-code
-    /// block each row's two operand vectors are loaded once and fed to
-    /// `pmaddwd` against both members. Eight accumulators (four rows ×
-    /// two members), four extended activations and two weight temporaries
-    /// stay within the sixteen ymm registers. Per member the accumulator
-    /// updates are exactly those of [`dot_i16_x4_groups_avx2`], so the
-    /// reduction is bit-identical to running the single-member sweep
-    /// twice.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::similar_names)]
-    fn dot_i16_x4_groups_x2_avx2(
-        xa: &[i8],
-        xb: &[i8],
-        w16: [&[i16]; 4],
-        group_size: usize,
-        out_a: &mut [[i64; 4]],
-        out_b: &mut [[i64; 4]],
-    ) {
-        let blocks = group_size / 32;
-        for (g, (oa, ob)) in out_a.iter_mut().zip(out_b.iter_mut()).enumerate() {
-            let xga = &xa[g * group_size..(g + 1) * group_size];
-            let xgb = &xb[g * group_size..(g + 1) * group_size];
-            let mut acc_a = [_mm256_setzero_si256(); 4];
-            let mut acc_b = [_mm256_setzero_si256(); 4];
-            for i in 0..blocks {
-                // SAFETY: `i < blocks = group_size / 32`: both 32-byte
-                // loads stay inside this group's activation slices.
-                let (va, vb) = unsafe {
+            for (half, th) in t.iter().enumerate() {
+                // Four rows of pair `p` in the low 128 bits, of pair
+                // `p + 4` in the high: rows 0..4 in `top`, 4..8 in `bottom`.
+                let quads = [
                     (
-                        _mm256_loadu_si256(xga.as_ptr().add(i * 32).cast()),
-                        _mm256_loadu_si256(xgb.as_ptr().add(i * 32).cast()),
-                    )
-                };
-                let alo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-                let ahi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(va));
-                let blo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-                let bhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(vb));
-                for lane in 0..4 {
-                    // SAFETY: every row holds `groups * group_size`
-                    // operands, so the two 16-operand loads at
-                    // `g*group_size + i*32` are in bounds.
-                    let (wlo, whi) = unsafe {
-                        let base = w16[lane].as_ptr().add(g * group_size + i * 32);
-                        (
-                            _mm256_loadu_si256(base.cast()),
-                            _mm256_loadu_si256(base.add(16).cast()),
-                        )
-                    };
-                    acc_a[lane] = _mm256_add_epi32(acc_a[lane], _mm256_madd_epi16(alo, wlo));
-                    acc_a[lane] = _mm256_add_epi32(acc_a[lane], _mm256_madd_epi16(ahi, whi));
-                    acc_b[lane] = _mm256_add_epi32(acc_b[lane], _mm256_madd_epi16(blo, wlo));
-                    acc_b[lane] = _mm256_add_epi32(acc_b[lane], _mm256_madd_epi16(bhi, whi));
-                }
-            }
-            for (acc, xg, o) in [(acc_a, xga, oa), (acc_b, xgb, ob)] {
-                let mut tail = [0i64; 4];
-                if blocks * 32 < group_size {
-                    for (lane, t) in tail.iter_mut().enumerate() {
-                        *t = kernels::dot_i8_i16(
-                            &xg[blocks * 32..],
-                            &w16[lane][g * group_size + blocks * 32..(g + 1) * group_size],
+                        _mm256_unpacklo_epi64(th[0], th[1]),
+                        _mm256_unpacklo_epi64(th[2], th[3]),
+                    ),
+                    (
+                        _mm256_unpackhi_epi64(th[0], th[1]),
+                        _mm256_unpackhi_epi64(th[2], th[3]),
+                    ),
+                ];
+                for (odd, (top, bottom)) in quads.into_iter().enumerate() {
+                    let pair = b * 8 + half * 2 + odd;
+                    // SAFETY: pairs `pair` and `pair + 4` are below
+                    // `blocks*8 <= k/2`, so both 16-entry stores are
+                    // inside `out`'s `ceil(k/2) * 16` entries.
+                    unsafe {
+                        _mm256_storeu_si256(
+                            out.as_mut_ptr().add(pair * 16).cast(),
+                            _mm256_permute2x128_si256::<0x20>(top, bottom),
+                        );
+                        _mm256_storeu_si256(
+                            out.as_mut_ptr().add((pair + 4) * 16).cast(),
+                            _mm256_permute2x128_si256::<0x31>(top, bottom),
                         );
                     }
                 }
-                let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
-                let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
-                let s = _mm256_hadd_epi32(s01, s23);
-                let quad =
-                    _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
-                let mut sums = [0i32; 4];
-                // SAFETY: `sums` is a writable 16-byte buffer.
-                unsafe { _mm_storeu_si128(sums.as_mut_ptr().cast(), quad) };
-                for lane in 0..4 {
-                    o[lane] = i64::from(sums[lane]) + tail[lane];
+            }
+        }
+        blocks * 16
+    }
+
+    /// AVX2 body of [`super::KernelDispatch::dot_tile8_scaled`]: members
+    /// in register blocks of eight, the remainder through the block of
+    /// exactly its size, so no lane or register idles at any batch size.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn dot_tile8_scaled_avx2(
+        tile: &[i16],
+        wscales: &[[f64; TILE_ROWS]],
+        group_size: usize,
+        xcodes: &[i16],
+        xscales: &[f64],
+        accs: &mut [[f64; TILE_ROWS]],
+    ) {
+        let groups = wscales.len();
+        let k = groups * group_size;
+        for (b, block) in accs.chunks_mut(8).enumerate() {
+            let x = &xcodes[b * 8 * k..][..block.len() * k];
+            let xs = &xscales[b * 8 * groups..][..block.len() * groups];
+            match block.len() {
+                1 => tile8_block_avx2::<1>(tile, wscales, group_size, x, xs, block),
+                2 => tile8_block_avx2::<2>(tile, wscales, group_size, x, xs, block),
+                3 => tile8_block_avx2::<3>(tile, wscales, group_size, x, xs, block),
+                4 => tile8_block_avx2::<4>(tile, wscales, group_size, x, xs, block),
+                5 => tile8_block_avx2::<5>(tile, wscales, group_size, x, xs, block),
+                6 => tile8_block_avx2::<6>(tile, wscales, group_size, x, xs, block),
+                7 => tile8_block_avx2::<7>(tile, wscales, group_size, x, xs, block),
+                _ => tile8_block_avx2::<8>(tile, wscales, group_size, x, xs, block),
+            }
+        }
+    }
+
+    /// One register block of [`dot_tile8_scaled_avx2`]: `MB` members'
+    /// `i32x8` accumulators (lane = output row) live in registers beside
+    /// the tile vector and one broadcast — ten of sixteen at `MB = 8`.
+    /// Per column pair: one tile load, then per member a 4-byte broadcast
+    /// load, `pmaddwd`, `paddd`. Per group the accumulators are converted
+    /// and scaled where they sit; see the dispatcher for why every step is
+    /// exact.
+    #[target_feature(enable = "avx2")]
+    fn tile8_block_avx2<const MB: usize>(
+        tile: &[i16],
+        wscales: &[[f64; TILE_ROWS]],
+        group_size: usize,
+        xcodes: &[i16],
+        xscales: &[f64],
+        accs: &mut [[f64; TILE_ROWS]],
+    ) {
+        let groups = wscales.len();
+        let k = groups * group_size;
+        let pairs = group_size / 2;
+        assert!(group_size.is_multiple_of(2) && tile.len() == k * TILE_ROWS);
+        assert!(xcodes.len() == MB * k && xscales.len() == MB * groups && accs.len() == MB);
+        for (g, ws) in wscales.iter().enumerate() {
+            let mut acc = [_mm256_setzero_si256(); MB];
+            for p in g * pairs..(g + 1) * pairs {
+                // SAFETY: `p < groups * pairs = k / 2` and the tile holds
+                // 16 entries per pair (asserted above).
+                let w = unsafe { _mm256_loadu_si256(tile.as_ptr().add(p * 16).cast()) };
+                for (j, a) in acc.iter_mut().enumerate() {
+                    // SAFETY: `j < MB` and `2p + 1 < k`, so the two codes
+                    // at `j*k + 2p` are inside `xcodes`' `MB * k` entries
+                    // (asserted above); the read is unaligned.
+                    let x = unsafe {
+                        xcodes
+                            .as_ptr()
+                            .add(j * k + 2 * p)
+                            .cast::<i32>()
+                            .read_unaligned()
+                    };
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(_mm256_set1_epi32(x), w));
+                }
+            }
+            // SAFETY: `ws` is eight f64s; two unaligned 4-lane loads.
+            let (ws_lo, ws_hi) = unsafe {
+                (
+                    _mm256_loadu_pd(ws.as_ptr()),
+                    _mm256_loadu_pd(ws.as_ptr().add(4)),
+                )
+            };
+            for (j, (a, out)) in acc.iter().zip(accs.iter_mut()).enumerate() {
+                let xs = _mm256_set1_pd(xscales[j * groups + g]);
+                let lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(*a));
+                let hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(*a));
+                // `(xs · ws) · int`, then `+=` — the scalar association.
+                let lo = _mm256_mul_pd(_mm256_mul_pd(xs, ws_lo), lo);
+                let hi = _mm256_mul_pd(_mm256_mul_pd(xs, ws_hi), hi);
+                // SAFETY: `out` is eight f64s; unaligned 4-lane accesses.
+                unsafe {
+                    let p = out.as_mut_ptr();
+                    _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), lo));
+                    _mm256_storeu_pd(p.add(4), _mm256_add_pd(_mm256_loadu_pd(p.add(4)), hi));
                 }
             }
         }
     }
 
-    /// AVX2 batch sweep (see
-    /// [`super::KernelDispatch::dot_i16_x4_groups_batch`]): members in
-    /// pairs through [`dot_i16_x4_groups_x2_avx2`], an odd last one
-    /// through [`dot_i16_x4_groups_avx2`].
+    /// AVX2 body of [`super::KernelDispatch::mac_peak_probe`]. The
+    /// multiplicand steps every round, so no `pmaddwd` is loop-invariant,
+    /// and the six multipliers differ, so none is shared; fourteen live
+    /// registers. Lanes wrap silently — the sums mean nothing and are only
+    /// kept alive through `black_box`.
     #[target_feature(enable = "avx2")]
-    pub(super) fn dot_i16_x4_groups_batch_avx2(
-        members: &[&[i8]],
-        w16: [&[i16]; 4],
-        group_size: usize,
-        groups: usize,
-        out: &mut [[i64; 4]],
-    ) {
-        let mut outs = out.chunks_exact_mut(groups);
-        let mut next = || outs.next().expect("one output chunk per member");
-        let mut pairs = members.chunks_exact(2);
-        for pair in pairs.by_ref() {
-            let (oa, ob) = (next(), next());
-            dot_i16_x4_groups_x2_avx2(pair[0], pair[1], w16, group_size, oa, ob);
+    pub(super) fn mac_peak_probe_avx2(iters: usize) -> u64 {
+        use std::hint::black_box;
+        let step = _mm256_set1_epi16(black_box(1));
+        let mut x = _mm256_set1_epi16(black_box(3));
+        let mut w = [_mm256_setzero_si256(); 6];
+        for (j, wj) in w.iter_mut().enumerate() {
+            *wj = _mm256_set1_epi16(black_box(j as i16 + 5));
         }
-        if let [last] = pairs.remainder() {
-            dot_i16_x4_groups_avx2(last, w16, group_size, next());
+        let mut acc = [_mm256_setzero_si256(); 6];
+        for _ in 0..iters {
+            for (a, &wj) in acc.iter_mut().zip(&w) {
+                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(x, wj));
+            }
+            x = _mm256_add_epi16(x, step);
         }
+        let mut sum = acc[0];
+        for &a in &acc[1..] {
+            sum = _mm256_add_epi32(sum, a);
+        }
+        black_box(hsum_i32x8_wide(sum));
+        iters as u64 * 6 * 16
     }
 
     /// AVX2 [`kernels::int8_dot`]: 32 elements per iteration, i32 lanes
@@ -1353,97 +1457,132 @@ mod tests {
     }
 
     #[test]
-    fn dot_i16_x4_groups_matches_scalar_and_packed_all_tiers() {
-        // Cross-check the whole decode-once pair against the fused packed
-        // grouped kernel on every tier: decode each row, sweep the decoded
-        // operands, and require bit-identity with dot_packed_x4_groups.
-        for (groups, gs) in [(1usize, 16usize), (2, 32), (3, 64), (2, 33)] {
-            let len = groups * gs;
-            let xcodes: Vec<i8> = (0..len).map(|i| ((i * 73 + 9) % 255) as u8 as i8).collect();
-            let rows: Vec<Vec<u8>> = (0..4)
-                .map(|r| (0..len).map(|i| ((i * 5 + r * 3) % 16) as u8).collect())
+    fn interleave_tile8_equals_naive_gather_all_tiers() {
+        // Lengths around the 16-column transpose block, odd ones included
+        // (the last pair's second slot must be zero, never stale).
+        for k in [0usize, 1, 2, 15, 16, 17, 31, 32, 33, 64, 130] {
+            let rows: Vec<i16> = (0..TILE_ROWS * k)
+                .map(|i| ((i * 29 + 7) % 2035) as i16 - 1017)
                 .collect();
-            let luts: Vec<KernelLut> = [0u32, 17, 60, 127]
-                .iter()
-                .map(|&a| kernel_lut(&mant_decode_lut(Mant::new(a).unwrap())))
-                .collect();
-            // Per-row packed codes (groups packed independently, as the
-            // quantized matrix stores them) and per-group LUT slices.
-            let gb = gs.div_ceil(2);
-            let packed: Vec<Vec<u8>> = rows
-                .iter()
-                .map(|r| {
-                    let mut p = Vec::with_capacity(groups * gb);
-                    for g in 0..groups {
-                        p.extend(pack_nibbles(&r[g * gs..(g + 1) * gs]));
-                    }
-                    p
-                })
-                .collect();
-            let lut_rows: Vec<Vec<&KernelLut>> =
-                (0..4).map(|lane| vec![&luts[lane]; groups]).collect();
-            let mut expect = vec![[0i64; 4]; groups];
-            KernelDispatch::Scalar.dot_packed_x4_groups(
-                &xcodes,
-                [&packed[0], &packed[1], &packed[2], &packed[3]],
-                gs,
-                [&lut_rows[0], &lut_rows[1], &lut_rows[2], &lut_rows[3]],
-                &mut expect,
-            );
-            for d in tiers() {
-                let mut dec: Vec<Vec<i16>> = vec![vec![0i16; len]; 4];
-                for lane in 0..4 {
-                    for g in 0..groups {
-                        d.decode_packed_i16(
-                            &packed[lane][g * gb..(g + 1) * gb],
-                            gs,
-                            &luts[lane],
-                            &mut dec[lane][g * gs..(g + 1) * gs],
-                        );
+            let mut naive = vec![0i16; tile8_len(k)];
+            for pair in 0..k.div_ceil(2) {
+                for r in 0..TILE_ROWS {
+                    for half in 0..2 {
+                        let i = pair * 2 + half;
+                        if i < k {
+                            naive[(pair * TILE_ROWS + r) * 2 + half] = rows[r * k + i];
+                        }
                     }
                 }
-                let mut got = vec![[0i64; 4]; groups];
-                d.dot_i16_x4_groups(&xcodes, [&dec[0], &dec[1], &dec[2], &dec[3]], gs, &mut got);
-                assert_eq!(got, expect, "tier {} groups {groups} gs {gs}", d.name());
+            }
+            for d in tiers() {
+                let mut got = vec![-1i16; tile8_len(k)];
+                d.interleave_tile8(&rows, k, &mut got);
+                assert_eq!(got, naive, "tier {} k {k}", d.name());
+            }
+        }
+    }
+
+    /// Eight packed rows (row `r` through `luts[r]` in every group) taken
+    /// through the decode-once pipeline on tier `d`: decode, interleave.
+    fn decoded_tile(
+        d: KernelDispatch,
+        packed: &[Vec<u8>],
+        luts: &[KernelLut],
+        groups: usize,
+        gs: usize,
+    ) -> Vec<i16> {
+        let (k, gb) = (groups * gs, gs.div_ceil(2));
+        let mut dec = vec![0i16; TILE_ROWS * k];
+        for r in 0..TILE_ROWS {
+            for g in 0..groups {
+                d.decode_packed_i16(
+                    &packed[r][g * gb..(g + 1) * gb],
+                    gs,
+                    &luts[r],
+                    &mut dec[r * k + g * gs..r * k + (g + 1) * gs],
+                );
+            }
+        }
+        let mut tile = vec![0i16; tile8_len(k)];
+        d.interleave_tile8(&dec, k, &mut tile);
+        tile
+    }
+
+    #[test]
+    fn dot_tile8_scaled_matches_packed_kernels_all_tiers() {
+        // The whole decode-once pipeline against the fused packed kernel
+        // plus the GEMV's scalar epilogue, on every tier: member counts on
+        // both sides of the eight-member register block (and an empty
+        // batch), an odd group size that takes the scalar arm, and
+        // accumulators that do not start at zero (the contract is `+=`).
+        let luts: Vec<KernelLut> = [0u32, 17, 60, 127, 5, 99, 1, 64]
+            .iter()
+            .map(|&a| kernel_lut(&mant_decode_lut(Mant::new(a).unwrap())))
+            .collect();
+        for (groups, gs) in [(1usize, 16usize), (2, 32), (3, 64), (2, 33)] {
+            let (k, gb) = (groups * gs, gs.div_ceil(2));
+            let packed: Vec<Vec<u8>> = (0..TILE_ROWS)
+                .map(|r| {
+                    let codes: Vec<u8> = (0..k).map(|i| ((i * 5 + r * 3) % 16) as u8).collect();
+                    codes.chunks(gs).flat_map(pack_nibbles).collect()
+                })
+                .collect();
+            let wscales: Vec<[f64; TILE_ROWS]> = (0..groups)
+                .map(|g| std::array::from_fn(|r| f64::from(0.013f32 * (1 + g * 8 + r) as f32)))
+                .collect();
+            for count in [0usize, 1, 2, 5, 8, 9] {
+                let x8: Vec<i8> = (0..count * k)
+                    .map(|i| ((i * 73 + 9) % 255) as u8 as i8)
+                    .collect();
+                let x16: Vec<i16> = x8.iter().map(|&x| i16::from(x)).collect();
+                let xscales: Vec<f64> = (0..count * groups)
+                    .map(|i| f64::from(0.37f32 / (1 + i) as f32))
+                    .collect();
+                let mut expect = vec![[0.5f64; TILE_ROWS]; count];
+                for (j, acc) in expect.iter_mut().enumerate() {
+                    for g in 0..groups {
+                        for r in 0..TILE_ROWS {
+                            let int = kernels::dot_packed(
+                                &x8[j * k + g * gs..j * k + (g + 1) * gs],
+                                &packed[r][g * gb..(g + 1) * gb],
+                                &luts[r].pair,
+                            );
+                            acc[r] += xscales[j * groups + g] * wscales[g][r] * int as f64;
+                        }
+                    }
+                }
+                for d in tiers() {
+                    let tile = decoded_tile(d, &packed, &luts, groups, gs);
+                    let mut got = vec![[0.5f64; TILE_ROWS]; count];
+                    d.dot_tile8_scaled(&tile, &wscales, gs, &x16, &xscales, &mut got);
+                    let bits = |v: &[[f64; TILE_ROWS]]| -> Vec<u64> {
+                        v.iter().flatten().map(|x| x.to_bits()).collect()
+                    };
+                    assert_eq!(
+                        bits(&got),
+                        bits(&expect),
+                        "tier {} gs {gs} members {count}",
+                        d.name()
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn dot_i16_x4_groups_batch_matches_single_member_all_tiers() {
-        // The batch sweep must equal single-member sweeps bit for bit on
-        // every tier: even and odd member counts (pairs plus a lone last
-        // member), an empty batch, and an odd group size that forces the
-        // scalar tail.
-        for (groups, gs) in [(1usize, 16usize), (2, 32), (3, 64), (2, 33)] {
-            let len = groups * gs;
-            let dec: Vec<Vec<i16>> = (0..4)
-                .map(|r| {
-                    (0..len)
-                        .map(|i| ((i * 29 + r * 13) % 2035) as i16 - 1017)
-                        .collect()
-                })
-                .collect();
-            let w16 = [&dec[0][..], &dec[1][..], &dec[2][..], &dec[3][..]];
-            for count in [0usize, 1, 2, 5] {
-                let xs: Vec<Vec<i8>> = (0..count)
-                    .map(|m| {
-                        (0..len)
-                            .map(|i| ((i * 73 + m * 31 + 9) % 255) as u8 as i8)
-                            .collect()
-                    })
-                    .collect();
-                let members: Vec<&[i8]> = xs.iter().map(Vec::as_slice).collect();
-                let mut expect = vec![[0i64; 4]; count * groups];
-                for (x, o) in members.iter().zip(expect.chunks_exact_mut(groups)) {
-                    KernelDispatch::Scalar.dot_i16_x4_groups(x, w16, gs, o);
-                }
-                for d in tiers() {
-                    let mut got = vec![[0i64; 4]; count * groups];
-                    d.dot_i16_x4_groups_batch(&members, w16, gs, &mut got);
-                    assert_eq!(got, expect, "tier {} gs {gs} members {count}", d.name());
-                }
-            }
+    fn dot_tile8_scaled_exact_at_i32_bound() {
+        // One group of the maximum admissible length at worst-case
+        // magnitudes: each i32 lane ends within 0.7% of i32::MAX and must
+        // still convert to the exact f64 on every tier.
+        let k = MAX_I32_GROUP;
+        let tile = vec![-(127i16 * 7 + 128); tile8_len(k)];
+        let x16 = vec![-128i16; 3 * k];
+        let int = k as f64 * 128.0 * 1017.0;
+        for d in tiers() {
+            let mut got = vec![[0.0f64; TILE_ROWS]; 3];
+            d.dot_tile8_scaled(&tile, &[[1.0; TILE_ROWS]], k, &x16, &[1.0; 3], &mut got);
+            assert_eq!(got, vec![[int; TILE_ROWS]; 3], "{}", d.name());
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the numeric formats.
 
 use mant_numerics::packing::{pack_nibbles, unpack_nibbles, NibbleIter};
-use mant_numerics::simd::{scalar_abs_max, scalar_quantize_i8};
+use mant_numerics::simd::{scalar_abs_max, scalar_quantize_i8, tile8_len, TILE_ROWS};
 use mant_numerics::{
     dot_packed, dot_packed_x4, fp16, int4_decode_lut, int4_group_mac, int8_dot, kernel_lut,
     mant_decode_lut, mant_group_psums, pair_decode_lut, Grid, KernelDispatch, KernelLut, Mant,
@@ -303,6 +303,80 @@ proptest! {
         let oracle = dot_packed_x4(&xcodes, w, lr.map(|l| &l.pair));
         for d in tiers() {
             prop_assert_eq!(d.dot_packed_x4(&xcodes, w, lr), oracle, "tier {}", d.name());
+        }
+    }
+
+    /// The eight-row tile sweep — decode, interleave, lane-per-row dots,
+    /// fused f64 epilogue — equals on every tier, bit for bit, the
+    /// per-member oracle: scalar `dot_packed` per (member, row, group),
+    /// then the GEMV's `acc += xs · ws · int as f64` in ascending groups.
+    /// Group sizes on both arms of the AVX2 guard (33 is odd: scalar
+    /// arm), 1..=19 members so every remainder block 1..=8 runs beside
+    /// full blocks, per-row per-group decode tables (128 selects INT4),
+    /// and group 0 pinned at the extremes in every row and member
+    /// (x = −128 against −1017). Scales use the full f64 mantissa, so a
+    /// reassociated epilogue rounds differently and fails.
+    #[test]
+    fn simd_tile8_bit_identical_to_per_member_dot_packed(
+        shape in (0usize..6, 0usize..8, 1usize..=19),
+        coeffs in proptest::collection::vec(0u32..129, TILE_ROWS * 8),
+        wseed in proptest::collection::vec(0u8..16, TILE_ROWS * 512),
+        xseed in proptest::collection::vec(-128i64..=127, 19 * 512),
+        scales in proptest::collection::vec(-4.0f64..4.0, (19 + TILE_ROWS) * 8),
+    ) {
+        let gs = [2usize, 32, 64, 96, 128, 33][shape.0];
+        let groups = 1 + shape.1 % (512 / gs).min(8);
+        let (m, k, gb) = (shape.2, groups * gs, gs.div_ceil(2));
+        let lut_of = |r: usize, g: usize| match coeffs[r * 8 + g] {
+            _ if g == 0 => mant_kernel_lut(127),
+            128 => kernel_lut(&int4_decode_lut()),
+            a => mant_kernel_lut(a),
+        };
+        let luts: Vec<Vec<KernelLut>> = (0..TILE_ROWS)
+            .map(|r| (0..groups).map(|g| lut_of(r, g)).collect())
+            .collect();
+        let packed: Vec<Vec<u8>> = (0..TILE_ROWS)
+            .map(|r| {
+                let mut codes = wseed[r * k..(r + 1) * k].to_vec();
+                codes[..gs].fill(0xf);
+                codes.chunks(gs).flat_map(pack_nibbles).collect()
+            })
+            .collect();
+        let mut x8: Vec<i8> = xseed[..m * k].iter().map(|&v| v as i8).collect();
+        x8.chunks_mut(k).for_each(|x| x[..gs].fill(-128));
+        let x16: Vec<i16> = x8.iter().map(|&x| i16::from(x)).collect();
+        let xscales = &scales[..m * groups];
+        let wscales: Vec<[f64; TILE_ROWS]> = scales[19 * 8..]
+            .chunks_exact(TILE_ROWS)
+            .take(groups)
+            .map(|c| std::array::from_fn(|r| c[r]))
+            .collect();
+
+        let mut oracle = vec![[0.0f64; TILE_ROWS]; m];
+        for (j, acc) in oracle.iter_mut().enumerate() {
+            for g in 0..groups {
+                let x = &x8[j * k + g * gs..j * k + (g + 1) * gs];
+                for r in 0..TILE_ROWS {
+                    let int = dot_packed(x, &packed[r][g * gb..(g + 1) * gb], &luts[r][g].pair);
+                    acc[r] += xscales[j * groups + g] * wscales[g][r] * int as f64;
+                }
+            }
+        }
+        let oracle: Vec<u64> = oracle.iter().flatten().map(|v| v.to_bits()).collect();
+        for d in tiers() {
+            let mut dec = vec![0i16; TILE_ROWS * k];
+            for r in 0..TILE_ROWS {
+                for g in 0..groups {
+                    let out = &mut dec[r * k + g * gs..r * k + (g + 1) * gs];
+                    d.decode_packed_i16(&packed[r][g * gb..(g + 1) * gb], gs, &luts[r][g], out);
+                }
+            }
+            let mut tile = vec![0i16; tile8_len(k)];
+            d.interleave_tile8(&dec, k, &mut tile);
+            let mut got = vec![[0.0f64; TILE_ROWS]; m];
+            d.dot_tile8_scaled(&tile, &wscales, gs, &x16, xscales, &mut got);
+            let got: Vec<u64> = got.iter().flatten().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &oracle, "tier {} gs {} groups {} m {}", d.name(), gs, groups, m);
         }
     }
 

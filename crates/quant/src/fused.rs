@@ -15,7 +15,10 @@
 //! INT option instead run a single plain MAC lane. The group scales
 //! `s_X · s_W` multiply the integer result afterwards, outside the array.
 
-use mant_numerics::{int4_group_mac, kernels, mant_group_psums, unpack_nibbles, KernelDispatch};
+use mant_numerics::{
+    int4_group_mac, kernels, mant_group_psums, tile8_len, unpack_nibbles, KernelDispatch,
+    KernelLut, TILE_ROWS,
+};
 use mant_tensor::{gemm, matvec, Matrix};
 
 use crate::activation::{ActivationTensor, QuantizedVector};
@@ -48,7 +51,8 @@ pub fn group_dot_packed(meta: GroupMeta, xcodes: &[i8], wpacked: &[u8]) -> i64 {
 /// Computes `X · Wᵀ` entirely in integer arithmetic plus one scale multiply
 /// per (row, group): `x` is `M×K` INT8, `w` is `N×K` MANT-encoded (rows are
 /// output channels), both grouped identically along K. Returns the `M×N`
-/// f32 result.
+/// f32 result; row `i` is **bit-identical** to [`mant_gemv`] of activation
+/// row `i` — the rows of `x` are the members of one [`mant_gemv_batch`].
 ///
 /// # Errors
 ///
@@ -86,102 +90,59 @@ pub fn mant_gemm_with(
     x: &ActivationTensor,
     w: &MantQuantizedMatrix,
 ) -> Result<Matrix, QuantError> {
-    if x.cols() != w.cols() {
-        return Err(QuantError::ShapeMismatch {
-            context: "activation inner dim vs weight inner dim",
-        });
-    }
-    if x.group_size() != w.group_size() {
-        return Err(QuantError::ShapeMismatch {
-            context: "activation group size vs weight group size",
-        });
-    }
-    let m = x.rows();
-    let n = w.rows();
-    let groups = x.groups_per_row();
-    let mut out = Matrix::zeros(m, n);
-    // Cache-blocked multi-query loop: FOUR output rows per sweep. For each
-    // weight group index, the tile's four packed code slices and interned
-    // pair tables are gathered once, then every activation row's codes for
-    // that group — hot in L1 — feed all four rows through the tiled
-    // packed kernel. Each output element still accumulates its groups in
-    // ascending order with the identical f64 expression, so the result is
-    // bit-identical to the row-at-a-time GEMV.
-    // Resolve every activation row's per-group f64 scale once up front —
-    // they are re-swept for each of the n/4 weight tiles.
-    let xscales: Vec<Vec<f64>> = (0..m)
-        .map(|mi| (0..groups).map(|g| f64::from(x.scale(mi, g))).collect())
+    check_operand(x.cols(), x.group_size(), w)?;
+    let (m, n, groups) = (x.rows(), w.rows(), x.groups_per_row());
+    let codes: Vec<&[i8]> = (0..m).map(|mi| x.row_codes(mi)).collect();
+    let xscales: Vec<f64> = (0..m * groups)
+        .map(|i| f64::from(x.scale(i / groups, i % groups)))
         .collect();
-    let gs = w.group_size();
-    let mut gout = vec![[0i64; 4]; groups];
-    let mut accs = vec![[0.0f64; 4]; m];
-    let mut tile_lo = 0usize;
-    while tile_lo < n {
-        let tile = (n - tile_lo).min(4);
-        accs.iter_mut().for_each(|a| *a = [0.0; 4]);
-        if tile == 4 {
-            let wrows = [0, 1, 2, 3].map(|lane| w.packed_row(tile_lo + lane));
-            let lrows = [0, 1, 2, 3].map(|lane| w.plan_row(tile_lo + lane));
-            let mrows = [0, 1, 2, 3].map(|lane| w.meta_row(tile_lo + lane));
-            for (mi, acc) in accs.iter_mut().enumerate() {
-                d.dot_packed_x4_groups(x.row_codes(mi), wrows, gs, lrows, &mut gout);
-                for (g, ints) in gout.iter().enumerate() {
-                    let xs = xscales[mi][g];
-                    for lane in 0..4 {
-                        acc[lane] += xs * f64::from(mrows[lane][g].scale) * ints[lane] as f64;
-                    }
-                }
-            }
-        } else {
-            for g in 0..groups {
-                for lane in 0..tile {
-                    let ni = tile_lo + lane;
-                    let wrow = w.packed_group_codes(ni, g);
-                    let lut = w.plan_table(ni, g);
-                    let ws = f64::from(w.meta(ni, g).scale);
-                    for (mi, acc) in accs.iter_mut().enumerate() {
-                        let int_result = d.dot_packed(x.group_codes(mi, g), wrow, lut);
-                        acc[lane] += f64::from(x.scale(mi, g)) * ws * int_result as f64;
-                    }
-                }
-            }
-        }
-        for (mi, acc) in accs.iter().enumerate() {
-            for lane in 0..tile {
-                out[(mi, tile_lo + lane)] = acc[lane] as f32;
-            }
-        }
-        tile_lo += tile;
+    let mut out = Matrix::zeros(m, n);
+    if n > 0 {
+        let mut rows: Vec<&mut [f32]> = out.as_mut_slice().chunks_exact_mut(n).collect();
+        gemm_rows(d, &codes, &xscales, w, &mut rows);
     }
     Ok(out)
 }
 
+/// Batch size from which the GEMM driver decodes each weight tile once
+/// ([`mant_gemv_batch`]) instead of running the fused per-member kernels:
+/// the tile decode and interleave cost about one member's fused sweep, so
+/// they start paying for themselves once three or more members reuse them.
+pub const DECODE_ONCE_MIN_BATCH: usize = 3;
+
 /// Batched [`mant_gemv`]: one weight matrix against a whole batch of
 /// independently quantized activation vectors (a continuous-batching
-/// decode iteration's ragged batch, or a speculative verify pass's token
-/// run). Output `[i][n]` is **bit-identical** to `mant_gemv(&xs[i], w)[n]`.
+/// decode iteration's ragged batch, a prefill run, a speculative verify
+/// pass). Output `[i][n]` is **bit-identical** to `mant_gemv(&xs[i], w)[n]`.
 ///
-/// From [`DECODE_ONCE_MIN_BATCH`] members up, each 4-row weight tile is
-/// **decoded once** to i16 operands and every member sweeps the decoded
-/// tile with plain sign-extend-and-`pmaddwd` dots — the nibble-decode
-/// work that dominates the fused kernels is paid once per tile instead of
-/// once per member, which is what makes the k-token GEMM shapes of
-/// speculative verification materially cheaper per row than k GEMVs.
-/// Below the threshold the decode cost has nothing to amortize against,
-/// so small batches keep the fused per-member kernels. Both paths produce
-/// identical bits: the decoded operands are the same integers the pair
-/// tables hold, and the integer group dots are exact.
+/// From [`DECODE_ONCE_MIN_BATCH`] members up, the weights are taken in
+/// tiles of eight output rows ([`TILE_ROWS`]). A tile is **decoded once**
+/// to i16 operands and interleaved to `[column pair][row 0..8][2]`
+/// ([`KernelDispatch::interleave_tile8`]), so that one 256-bit vector is
+/// the same column pair of all eight rows; the members' INT8 codes are
+/// widened to i16 once per call. The sweep
+/// ([`KernelDispatch::dot_tile8_scaled`]) then needs no per-member nibble
+/// decode and **no horizontal reduction**: `pmaddwd(broadcast(x pair),
+/// tile vector)` adds each row's two products into that row's own 32-bit
+/// lane, so at the end of a group a member's register holds the eight
+/// rows' group dots, and the scale epilogue (`i32 → f64`, `(xs · ws) ·
+/// int`, `+=`) runs on it in place. A short last tile is zero-padded: the
+/// spare rows decode to zeros under a zero scale and are never stored.
+/// Below the threshold there is nothing to amortize the decode against,
+/// and small batches keep the fused per-member kernels of [`mant_gemv`].
+///
+/// Both paths produce identical bits. The decoded operands are the same
+/// integers the pair tables hold; an i32 lane holds exactly one (member,
+/// row, group) sum, exact under
+/// [`MAX_I32_GROUP`](mant_numerics::MAX_I32_GROUP); `i32 → f64` is exact;
+/// and the epilogue is the GEMV's expression in the GEMV's association
+/// and ascending group order, in per-lane IEEE `mulpd`/`addpd` with no
+/// FMA.
 ///
 /// # Errors
 ///
 /// Returns [`QuantError::ShapeMismatch`] if any vector's length or group
 /// size disagrees with the weights.
-/// Batch size from which [`mant_gemv_batch`] decodes each weight tile
-/// once instead of running the fused per-member kernels: the tile decode
-/// costs about one member's fused sweep, so it starts paying for itself
-/// once three or more members reuse it.
-pub const DECODE_ONCE_MIN_BATCH: usize = 3;
-
 pub fn mant_gemv_batch(
     xs: &[QuantizedVector],
     w: &MantQuantizedMatrix,
@@ -201,115 +162,16 @@ pub fn mant_gemv_batch_with(
     w: &MantQuantizedMatrix,
 ) -> Result<Vec<Vec<f32>>, QuantError> {
     for x in xs {
-        if x.len() != w.cols() {
-            return Err(QuantError::ShapeMismatch {
-                context: "activation vector length vs weight inner dim",
-            });
-        }
-        if x.group_size() != w.group_size() {
-            return Err(QuantError::ShapeMismatch {
-                context: "activation group size vs weight group size",
-            });
-        }
+        check_operand(x.len(), x.group_size(), w)?;
     }
-    let groups = w.cols() / w.group_size();
-    let n = w.rows();
-    let mut out: Vec<Vec<f32>> = xs.iter().map(|_| vec![0.0f32; n]).collect();
-    // Same cache-blocked tiling as [`mant_gemm`]: four weight rows per
-    // sweep, each batch member's group codes loaded once per tile.
-    // Resolve every batch member's per-group f64 scale once up front —
-    // they are re-swept for each of the n/4 weight tiles.
-    let xscales: Vec<Vec<f64>> = xs
+    let codes: Vec<&[i8]> = xs.iter().map(QuantizedVector::codes).collect();
+    let xscales: Vec<f64> = xs
         .iter()
-        .map(|x| (0..groups).map(|g| f64::from(x.scale(g))).collect())
+        .flat_map(|x| (0..x.groups()).map(|g| f64::from(x.scale(g))))
         .collect();
-    let gs = w.group_size();
-    let gb = gs.div_ceil(2);
-    let decode_once = xs.len() >= DECODE_ONCE_MIN_BATCH;
-    // The decode-once scratch: one 4-row tile's decoded i16 operands,
-    // reused across tiles (at most `4 · cols` i16s live at a time).
-    let mut wdec: Vec<Vec<i16>> = if decode_once {
-        (0..4).map(|_| vec![0i16; groups * gs]).collect()
-    } else {
-        Vec::new()
-    };
-    let members: Vec<&[i8]> = xs.iter().map(QuantizedVector::codes).collect();
-    let mut gout = vec![[0i64; 4]; groups];
-    // Every member's group dots over one decoded tile.
-    let mut gouts = vec![[0i64; 4]; if decode_once { xs.len() * groups } else { 0 }];
-    // The tile's weight scales, widened once for all members.
-    let mut wscales = vec![[0.0f64; 4]; groups];
-    let mut accs = vec![[0.0f64; 4]; xs.len()];
-    let mut tile_lo = 0usize;
-    while tile_lo < n {
-        let tile = (n - tile_lo).min(4);
-        accs.iter_mut().for_each(|a| *a = [0.0; 4]);
-        if tile == 4 {
-            let wrows = [0, 1, 2, 3].map(|lane| w.packed_row(tile_lo + lane));
-            let lrows = [0, 1, 2, 3].map(|lane| w.plan_row(tile_lo + lane));
-            let mrows = [0, 1, 2, 3].map(|lane| w.meta_row(tile_lo + lane));
-            if decode_once {
-                for lane in 0..4 {
-                    for g in 0..groups {
-                        d.decode_packed_i16(
-                            &wrows[lane][g * gb..(g + 1) * gb],
-                            gs,
-                            lrows[lane][g],
-                            &mut wdec[lane][g * gs..(g + 1) * gs],
-                        );
-                    }
-                }
-                let wdecs = [&wdec[0][..], &wdec[1][..], &wdec[2][..], &wdec[3][..]];
-                // One dispatch per tile; members sweep it in pairs, the
-                // paired kernel loading each row block once for both.
-                d.dot_i16_x4_groups_batch(&members, wdecs, gs, &mut gouts);
-                for (g, ws) in wscales.iter_mut().enumerate() {
-                    *ws = [0, 1, 2, 3].map(|lane| f64::from(mrows[lane][g].scale));
-                }
-                for ((acc, xsc), ints) in accs
-                    .iter_mut()
-                    .zip(xscales.iter())
-                    .zip(gouts.chunks_exact(groups))
-                {
-                    for ((ints, &xs_scale), ws) in ints.iter().zip(xsc).zip(&wscales) {
-                        for lane in 0..4 {
-                            acc[lane] += xs_scale * ws[lane] * ints[lane] as f64;
-                        }
-                    }
-                }
-            } else {
-                for ((acc, x), xsc) in accs.iter_mut().zip(xs.iter()).zip(xscales.iter()) {
-                    d.dot_packed_x4_groups(x.codes(), wrows, gs, lrows, &mut gout);
-                    for (g, ints) in gout.iter().enumerate() {
-                        let xs_scale = xsc[g];
-                        for lane in 0..4 {
-                            acc[lane] +=
-                                xs_scale * f64::from(mrows[lane][g].scale) * ints[lane] as f64;
-                        }
-                    }
-                }
-            }
-        } else {
-            for g in 0..groups {
-                for lane in 0..tile {
-                    let ni = tile_lo + lane;
-                    let wrow = w.packed_group_codes(ni, g);
-                    let lut = w.plan_table(ni, g);
-                    let ws = f64::from(w.meta(ni, g).scale);
-                    for (acc, x) in accs.iter_mut().zip(xs.iter()) {
-                        let int_result = d.dot_packed(x.group_codes(g), wrow, lut);
-                        acc[lane] += f64::from(x.scale(g)) * ws * int_result as f64;
-                    }
-                }
-            }
-        }
-        for (y, acc) in out.iter_mut().zip(accs.iter()) {
-            for lane in 0..tile {
-                y[tile_lo + lane] = acc[lane] as f32;
-            }
-        }
-        tile_lo += tile;
-    }
+    let mut out = vec![vec![0.0f32; w.rows()]; xs.len()];
+    let mut rows: Vec<&mut [f32]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+    gemm_rows(d, &codes, &xscales, w, &mut rows);
     Ok(out)
 }
 
@@ -354,66 +216,173 @@ pub fn mant_gemv_with(
     x: &QuantizedVector,
     w: &MantQuantizedMatrix,
 ) -> Result<Vec<f32>, QuantError> {
-    if x.len() != w.cols() {
+    check_operand(x.len(), x.group_size(), w)?;
+    let xscales: Vec<f64> = (0..x.groups()).map(|g| f64::from(x.scale(g))).collect();
+    let mut out = vec![0.0f32; w.rows()];
+    gemm_rows(d, &[x.codes()], &xscales, w, &mut [&mut out]);
+    Ok(out)
+}
+
+/// The shape contract every GEMM entry checks per activation row.
+fn check_operand(len: usize, group_size: usize, w: &MantQuantizedMatrix) -> Result<(), QuantError> {
+    if len != w.cols() {
         return Err(QuantError::ShapeMismatch {
-            context: "activation vector length vs weight inner dim",
+            context: "activation length vs weight inner dim",
         });
     }
-    if x.group_size() != w.group_size() {
+    if group_size != w.group_size() {
         return Err(QuantError::ShapeMismatch {
             context: "activation group size vs weight group size",
         });
     }
-    let groups = x.groups();
-    let n = w.rows();
-    let mut out = vec![0.0f32; n];
-    // Packed hot loop with the same 4-output-row tiling as the GEMM: per
-    // group, one byte load and one pair-table hit per code pair across
-    // four weight rows while the activation codes sit in L1, i32
-    // accumulation inside the group, the decode plan's interned table per
-    // group. Per-element accumulation order matches the row-at-a-time
-    // formulation, so tiling changes no bit.
-    // The activation side is identical for every output row: resolve each
-    // group's f64 scale once, not once per 4-row tile; `gout` is the
-    // reused per-tile buffer of raw group dots from the grouped sweep.
-    let xscales: Vec<f64> = (0..groups).map(|g| f64::from(x.scale(g))).collect();
+    Ok(())
+}
+
+/// The one driver behind [`mant_gemv`], [`mant_gemv_batch`] and
+/// [`mant_gemm`], parameterised by member count (a GEMV is one): member
+/// `i` is `codes[i]` with per-group f64 scales `xscales[i · groups..]`,
+/// and `out[i][n]` receives row `n` of `W` against it. Picks the sweep by
+/// member count alone.
+fn gemm_rows(
+    d: KernelDispatch,
+    codes: &[&[i8]],
+    xscales: &[f64],
+    w: &MantQuantizedMatrix,
+    out: &mut [&mut [f32]],
+) {
+    if w.cols() == 0 {
+        // Empty sums: the zero-initialised outputs already hold them.
+        return;
+    }
+    if codes.len() >= DECODE_ONCE_MIN_BATCH {
+        tile8_sweep(d, codes, xscales, w, out);
+    } else {
+        fused_sweep(d, codes, xscales, w, out);
+    }
+}
+
+/// The fused per-member sweep ([`mant_gemv`], and batches too small to
+/// amortize a tile decode): four output rows per tile, the nibble decode
+/// inside the dot kernel. Per group, one byte load and one pair-table hit
+/// per code pair across four weight rows while the activation codes sit
+/// in L1, i32 accumulation inside the group, the decode plan's interned
+/// table per group. Every output accumulates its groups in ascending
+/// order as `acc += xs · ws · int as f64` from zero — the expression all
+/// other paths reproduce.
+fn fused_sweep(
+    d: KernelDispatch,
+    codes: &[&[i8]],
+    xscales: &[f64],
+    w: &MantQuantizedMatrix,
+    out: &mut [&mut [f32]],
+) {
+    let (n, gs, groups) = (w.rows(), w.group_size(), w.groups_per_row());
+    let gb = w.group_bytes();
+    // The reused per-tile buffer of raw group dots from the grouped sweep.
     let mut gout = vec![[0i64; 4]; groups];
-    let gs = w.group_size();
-    let mut tile_lo = 0usize;
-    while tile_lo < n {
-        let tile = (n - tile_lo).min(4);
-        if tile == 4 {
-            let wrows = [0, 1, 2, 3].map(|lane| w.packed_row(tile_lo + lane));
-            let lrows = [0, 1, 2, 3].map(|lane| w.plan_row(tile_lo + lane));
-            let mrows = [0, 1, 2, 3].map(|lane| w.meta_row(tile_lo + lane));
-            d.dot_packed_x4_groups(x.codes(), wrows, gs, lrows, &mut gout);
+    for tile_lo in (0..n / 4 * 4).step_by(4) {
+        let wrows = [0, 1, 2, 3].map(|lane| w.packed_row(tile_lo + lane));
+        let lrows = [0, 1, 2, 3].map(|lane| w.plan_row(tile_lo + lane));
+        let mrows = [0, 1, 2, 3].map(|lane| w.meta_row(tile_lo + lane));
+        for ((x, xsc), y) in codes.iter().zip(xscales.chunks(groups)).zip(out.iter_mut()) {
+            d.dot_packed_x4_groups(x, wrows, gs, lrows, &mut gout);
             let mut acc = [0.0f64; 4];
-            for (g, (ints, &xs)) in gout.iter().zip(xscales.iter()).enumerate() {
+            for (g, (ints, &xs)) in gout.iter().zip(xsc).enumerate() {
                 for lane in 0..4 {
                     acc[lane] += xs * f64::from(mrows[lane][g].scale) * ints[lane] as f64;
                 }
             }
             for lane in 0..4 {
-                out[tile_lo + lane] = acc[lane] as f32;
-            }
-        } else {
-            for (ni, o) in out.iter_mut().enumerate().skip(tile_lo).take(tile) {
-                let mut acc = 0.0f64;
-                for g in 0..groups {
-                    let int_result = d.dot_packed(
-                        x.group_codes(g),
-                        w.packed_group_codes(ni, g),
-                        w.plan_table(ni, g),
-                    );
-                    acc +=
-                        f64::from(x.scale(g)) * f64::from(w.meta(ni, g).scale) * int_result as f64;
-                }
-                *o = acc as f32;
+                y[tile_lo + lane] = acc[lane] as f32;
             }
         }
-        tile_lo += tile;
     }
-    Ok(out)
+    for ni in n / 4 * 4..n {
+        let (wrow, lrow, mrow) = (w.packed_row(ni), w.plan_row(ni), w.meta_row(ni));
+        for ((x, xsc), y) in codes.iter().zip(xscales.chunks(groups)).zip(out.iter_mut()) {
+            let mut acc = 0.0f64;
+            for (g, &xs) in xsc.iter().enumerate() {
+                let int = d.dot_packed(
+                    &x[g * gs..(g + 1) * gs],
+                    &wrow[g * gb..(g + 1) * gb],
+                    lrow[g],
+                );
+                acc += xs * f64::from(mrow[g].scale) * int as f64;
+            }
+            y[ni] = acc as f32;
+        }
+    }
+}
+
+/// The decode-once sweep (see [`mant_gemv_batch`]): per tile of
+/// [`TILE_ROWS`] output rows, decode → interleave → one
+/// [`KernelDispatch::dot_tile8_scaled`] call for the whole batch. The
+/// scratch is one tile, reused across tiles — the weights stay 4-bit
+/// resident.
+fn tile8_sweep(
+    d: KernelDispatch,
+    codes: &[&[i8]],
+    xscales: &[f64],
+    w: &MantQuantizedMatrix,
+    out: &mut [&mut [f32]],
+) {
+    let (n, k, gs, groups) = (w.rows(), w.cols(), w.group_size(), w.groups_per_row());
+    let mut x16 = Vec::with_capacity(codes.len() * k);
+    for x in codes {
+        x16.extend(x.iter().map(|&c| i16::from(c)));
+    }
+    let mut dec = vec![0i16; TILE_ROWS * k];
+    let mut tile = vec![0i16; tile8_len(k)];
+    let mut wscales = vec![[0.0f64; TILE_ROWS]; groups];
+    let mut accs = vec![[0.0f64; TILE_ROWS]; codes.len()];
+    for tile_lo in (0..n).step_by(TILE_ROWS) {
+        let rows = (n - tile_lo).min(TILE_ROWS);
+        if rows < TILE_ROWS {
+            // The short last tile: spare rows are zeros under zero scales.
+            dec[rows * k..].fill(0);
+            wscales.fill([0.0; TILE_ROWS]);
+        }
+        for (lane, row) in dec.chunks_exact_mut(k).take(rows).enumerate() {
+            let ni = tile_lo + lane;
+            let groups = w.plan_row(ni).iter().copied().zip(w.meta_row(ni));
+            decode_tile_row(d, w.packed_row(ni), gs, groups, lane, row, &mut wscales);
+        }
+        d.interleave_tile8(&dec, k, &mut tile);
+        accs.fill([0.0; TILE_ROWS]);
+        d.dot_tile8_scaled(&tile, &wscales, gs, &x16, xscales, &mut accs);
+        for (y, acc) in out.iter_mut().zip(&accs) {
+            for (o, &a) in y[tile_lo..tile_lo + rows].iter_mut().zip(acc) {
+                *o = a as f32;
+            }
+        }
+    }
+}
+
+/// Decodes one row of an eight-row tile for
+/// [`KernelDispatch::dot_tile8_scaled`]: `packed` holds the row's groups
+/// back to back, `groups` yields each group's decode table and metadata,
+/// the i16 operands land in `row` and the scales in lane `lane` of
+/// `scales`. Shared by the GEMM driver (a weight row) and run attention
+/// (a cached K row, a channel of a V window).
+pub(crate) fn decode_tile_row<'a>(
+    d: KernelDispatch,
+    packed: &[u8],
+    group_size: usize,
+    groups: impl Iterator<Item = (&'a KernelLut, &'a GroupMeta)>,
+    lane: usize,
+    row: &mut [i16],
+    scales: &mut [[f64; TILE_ROWS]],
+) {
+    let gb = group_size.div_ceil(2);
+    for (g, (lut, meta)) in groups.enumerate() {
+        d.decode_packed_i16(
+            &packed[g * gb..(g + 1) * gb],
+            group_size,
+            lut,
+            &mut row[g * group_size..(g + 1) * group_size],
+        );
+        scales[g][lane] = f64::from(meta.scale);
+    }
 }
 
 /// The pre-packing storage layout of a quantized matrix — one 4-bit code
@@ -733,25 +702,31 @@ mod tests {
 
     #[test]
     fn gemm_tile_remainders_bit_identical_to_gemv() {
-        // Output-row counts straddling the 4-row tile (1, 3, 4, 5, 9)
-        // must all match the untiled GEMV bit for bit.
+        // Output-row counts on every side of the fused sweep's 4-row tile
+        // and the decode-once sweep's 8-row tile — a lone full tile (8), a
+        // short last tile after full ones (12, 250), none (256) — against
+        // batch sizes on every side of the eight-member register block.
+        // Every batch row and every `mant_gemm` row (the same driver, the
+        // members arriving as tensor rows) must match the one-vector GEMV
+        // bit for bit.
         use crate::activation::quantize_vector_int8;
         let mut gen = TensorGenerator::new(74);
-        for n in [1usize, 3, 4, 5, 9] {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for n in [1usize, 3, 4, 5, 8, 9, 12, 250, 256] {
             let w = gen.group_diverse_matrix(n, 128, 32, 0.02);
             let wq = MantWeightQuantizer::new(32).quantize(&w).unwrap();
-            let xs: Vec<_> = (0..3)
-                .map(|_| {
-                    let x: Vec<f32> = (0..128).map(|_| gen.standard_normal()).collect();
-                    quantize_vector_int8(&x, 32).unwrap()
-                })
-                .collect();
-            let batched = mant_gemv_batch(&xs, &wq).unwrap();
-            for (x, y) in xs.iter().zip(batched.iter()) {
-                let single = mant_gemv(x, &wq).unwrap();
-                let y_bits: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-                let s_bits: Vec<u32> = single.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(y_bits, s_bits, "n={n}");
+            for m in [3usize, 7, 8, 9, 33] {
+                let x = gen.activation_matrix(m, 128, 1.0, 0.02, 20.0);
+                let xs: Vec<_> = (0..m)
+                    .map(|r| quantize_vector_int8(x.row(r), 32).unwrap())
+                    .collect();
+                let batched = mant_gemv_batch(&xs, &wq).unwrap();
+                let gemm = mant_gemm(&quantize_activations_int8(&x, 32).unwrap(), &wq).unwrap();
+                for (r, (xq, y)) in xs.iter().zip(batched.iter()).enumerate() {
+                    let single = bits(&mant_gemv(xq, &wq).unwrap());
+                    assert_eq!(bits(y), single, "batch n={n} m={m} row {r}");
+                    assert_eq!(bits(gemm.row(r)), single, "gemm n={n} m={m} row {r}");
+                }
             }
         }
     }
@@ -785,6 +760,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn empty_inner_dimension_yields_zeros() {
+        // A zero-column matrix is constructible; every entry point returns
+        // the empty sums instead of tripping over zero-sized tiles.
+        use crate::activation::quantize_vector_int8;
+        let wq = MantWeightQuantizer::new(64)
+            .quantize(&Matrix::zeros(5, 0))
+            .unwrap();
+        let x = quantize_vector_int8(&[], 64).unwrap();
+        assert_eq!(mant_gemv(&x, &wq).unwrap(), vec![0.0; 5]);
+        let xs = vec![x; 4];
+        assert_eq!(mant_gemv_batch(&xs, &wq).unwrap(), vec![vec![0.0; 5]; 4]);
+        let xq = quantize_activations_int8(&Matrix::zeros(4, 0), 64).unwrap();
+        assert_eq!(mant_gemm(&xq, &wq).unwrap().as_slice(), &[0.0; 20]);
     }
 
     #[test]

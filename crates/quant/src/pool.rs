@@ -44,7 +44,7 @@ use mant_tensor::Matrix;
 
 use crate::activation::{quantize_vector_int8, QuantizedVector};
 use crate::error::QuantError;
-use crate::fused::{group_dot_packed, DECODE_ONCE_MIN_BATCH};
+use crate::fused::{decode_tile_row, group_dot_packed, DECODE_ONCE_MIN_BATCH};
 use crate::kv::{
     attend_window, encode_k_row_into, quantize_probs_int8, quantize_probs_int8_into, VStaging,
 };
@@ -54,9 +54,9 @@ use crate::mantq::{packed_code, GroupMeta};
 use crate::plan::kernel_table;
 use crate::variance::VarianceMap;
 
-use mant_numerics::kernels;
 #[allow(unused_imports)] // doc links
 use mant_numerics::KernelDispatch;
+use mant_numerics::{kernels, tile8_len, TILE_ROWS};
 
 use mant_tensor::ops::softmax_inplace;
 
@@ -800,13 +800,20 @@ pub fn attention_incremental_paged(
 /// queries instead of once per query.
 ///
 /// Packed K rows and committed V windows never change once written, so
-/// they are matrix operands: four K rows (or four channels of a window)
-/// are decoded to i16 once ([`KernelDispatch::decode_packed_i16`]) and
-/// every query sweeps the decoded tile through the GEMM tier's kernels
-/// ([`KernelDispatch::dot_i16_x4_groups_batch`]). Only the INT8 staging
-/// window is mutable — a
-/// later row can widen a channel scale and re-encode it — so its share of
-/// `P·V` is taken the moment the query's own row has been pushed, as
+/// they are matrix operands for the GEMM tier's one kernel
+/// ([`KernelDispatch::dot_tile8_scaled`]; layout and exactness argument at
+/// [`crate::fused::mant_gemv_batch`]): eight cached K rows — or eight
+/// channels of a committed V window — are decoded to i16 once, interleaved
+/// to `[column pair][row 0..8][2]`, and every query of the run is a batch
+/// member. A vector lane is a K row (a V channel), so a member's register
+/// holds the tile's eight group dots with no horizontal reduction, and the
+/// `(q_scale · k_scale) · int` epilogue runs on it in place. Only whole
+/// tiles are swept: `tiled_rows` is a multiple of eight, the at most seven
+/// K rows past it are scored per row, and a head's ragged last channel
+/// tile repeats its last channel in the spare lanes, which are dropped.
+/// Only the INT8 staging window is mutable — a later row can widen a
+/// channel scale and re-encode it — so its share of `P·V` is taken the
+/// moment the query's own row has been pushed, as
 /// [`attention_incremental_paged`] would.
 ///
 /// Protocol: [`RunAttention::begin`] before the run's first push, then for
@@ -815,10 +822,11 @@ pub fn attention_incremental_paged(
 /// Row `i` of the result equals `attention_incremental_paged(&qs[i], ..)`
 /// called right after row `i`'s push, **bit for bit**: every score is the
 /// same ascending f64 sum of `(q_scale · k_scale) · int` group terms
-/// `fused_dot` forms (the integer dots are exact on every kernel), and
-/// every output channel adds its windows in ascending order and the
-/// staged rows last, as `attend` does. (The staged term is taken from a
-/// zeroed buffer and added at the end; `0.0 + t` differs from `t` only for
+/// `fused_dot` forms (the integer dots are exact on every kernel, the
+/// vector epilogue rounds per lane like the scalar one), and every output
+/// channel adds its windows in ascending order and the staged rows last,
+/// as `attend` does. (A window's term and the staged term are each taken
+/// from a zeroed accumulator; `0.0 + t` differs from `t` only for
 /// `t = -0.0`, and adding either zero to a sum that started at `+0.0`
 /// gives the same bits.)
 ///
@@ -832,16 +840,26 @@ pub struct RunAttention {
     base: usize,
     /// The run's queries, INT8 at the cache group size.
     qv: Vec<QuantizedVector>,
+    /// The same codes widened to i16 in member order, `[KV head][row]
+    /// [query head of that KV head][head_dim]`: the members that sweep a
+    /// KV head's tile — every head sharing it, of every row from some row
+    /// on — are one contiguous slice.
+    q16: Vec<i16>,
+    /// The queries' group scales as f64, in the same order.
+    q_scales: Vec<f64>,
     /// `[row · heads + head]`: scores over positions `0..=base + row`,
     /// softmaxed in place once the row has been pushed.
     probs: Vec<Vec<f32>>,
     /// `[row]`: the staging window's share of `P·V`, per output channel.
     tails: Vec<Vec<f32>>,
-    /// Leading cache rows (a multiple of 4) whose K tiles have been swept
-    /// for every query still to come.
+    /// Leading cache rows (a multiple of [`TILE_ROWS`]) whose K tiles have
+    /// been swept for every query still to come.
     tiled_rows: usize,
-    /// Decoded operands of the tile being swept.
-    tile: [Vec<i16>; 4],
+    /// Decoded operands of the tile being swept, row-major: [`TILE_ROWS`]
+    /// rows of `head_dim` (a K tile) or `group_size` (a V tile).
+    dec: Vec<i16>,
+    /// The same tile interleaved for the kernel.
+    tile: Vec<i16>,
 }
 
 impl RunAttention {
@@ -864,32 +882,48 @@ impl RunAttention {
         head_dim: usize,
     ) -> Self {
         let base = cache.len();
-        let qv = qs
+        let qv: Vec<QuantizedVector> = qs
             .iter()
             .map(|q| {
                 let g = check_attention_shapes(q.len(), cache, heads, kv_heads, head_dim);
                 quantize_vector_int8(q, g).expect("group divides head dim, hence q length")
             })
             .collect();
+        // One KV head's share of a query: its heads are adjacent.
+        let codes_per_kv = heads / kv_heads * head_dim;
+        let scales_per_kv = codes_per_kv / cache.group_size();
+        let mut q16 = Vec::with_capacity(qs.len() * heads * head_dim);
+        let mut q_scales = Vec::with_capacity(qs.len() * kv_heads * scales_per_kv);
+        for kv_head in 0..kv_heads {
+            for q in &qv {
+                let codes = &q.codes()[kv_head * codes_per_kv..(kv_head + 1) * codes_per_kv];
+                q16.extend(codes.iter().map(|&c| i16::from(c)));
+                let groups = kv_head * scales_per_kv..(kv_head + 1) * scales_per_kv;
+                q_scales.extend(groups.map(|j| f64::from(q.scale(j))));
+            }
+        }
         let mut run = RunAttention {
             heads,
             kv_heads,
             head_dim,
             base,
             qv,
+            q16,
+            q_scales,
             probs: (0..qs.len() * heads)
                 .map(|m| vec![0.0; base + m / heads + 1])
                 .collect(),
             tails: vec![vec![0.0; heads * head_dim]; qs.len()],
-            tiled_rows: base / 4 * 4,
-            tile: std::array::from_fn(|_| vec![0i16; head_dim]),
+            tiled_rows: base / TILE_ROWS * TILE_ROWS,
+            dec: vec![0i16; TILE_ROWS * head_dim],
+            tile: vec![0i16; tile8_len(head_dim)],
         };
         run.score_tiles(cache, pool, 0, run.tiled_rows, 0);
         run
     }
 
     /// Scores queries `first_row..` against cache rows `t_lo..t_hi` (whole
-    /// tiles of four), one decode per tile and KV head.
+    /// tiles of [`TILE_ROWS`]), one decode per tile and KV head.
     fn score_tiles(
         &mut self,
         cache: &PagedKvCache,
@@ -903,7 +937,10 @@ impl RunAttention {
             kv_heads,
             head_dim,
             ref qv,
+            ref q16,
+            ref q_scales,
             ref mut probs,
+            ref mut dec,
             ref mut tile,
             ..
         } = *self;
@@ -917,58 +954,35 @@ impl RunAttention {
         let per_kv = heads / kv_heads;
         let gph = head_dim / g;
         let scale = 1.0 / (head_dim as f32).sqrt();
+        // Member m of a KV head is query row `first_row + m / per_kv`,
+        // head `kv_head · per_kv + m % per_kv`.
+        let count = (qv.len() - first_row) * per_kv;
+        let mut k_scales = vec![[0.0f64; TILE_ROWS]; gph];
+        let mut accs = vec![[0.0f64; TILE_ROWS]; count];
         for kv_head in 0..kv_heads {
-            // Member m is query row `first_row + m / per_kv`, head
-            // `kv_head · per_kv + m % per_kv`.
-            let head_of = |m: usize| kv_head * per_kv + m % per_kv;
-            let count = (qv.len() - first_row) * per_kv;
-            let members: Vec<&[i8]> = (0..count)
-                .map(|m| {
-                    let lo = head_of(m) * head_dim;
-                    &qv[first_row + m / per_kv].codes()[lo..lo + head_dim]
-                })
-                .collect();
-            let q_scales: Vec<f64> = (0..count * gph)
-                .map(|i| {
-                    let m = i / gph;
-                    f64::from(qv[first_row + m / per_kv].scale(head_of(m) * gph + i % gph))
-                })
-                .collect();
-            let mut gouts = vec![[0i64; 4]; count * gph];
+            let at = (kv_head * qv.len() + first_row) * per_kv;
+            let members = &q16[at * head_dim..(at + count) * head_dim];
+            let member_scales = &q_scales[at * gph..(at + count) * gph];
             let k_lo = kv_head * gph;
-            for t0 in (t_lo..t_hi).step_by(4) {
-                let rows = [0, 1, 2, 3].map(|lane| {
+            for t0 in (t_lo..t_hi).step_by(TILE_ROWS) {
+                for (lane, row) in dec.chunks_exact_mut(head_dim).enumerate() {
                     let t = t0 + lane;
-                    pool.k_row(cache.blocks[t / bt], t % bt)
-                });
-                for (dec, (codes, meta)) in tile.iter_mut().zip(rows) {
-                    for j in 0..gph {
-                        d.decode_packed_i16(
-                            &codes[(k_lo + j) * gb..(k_lo + j + 1) * gb],
-                            g,
-                            kernel_table(meta[k_lo + j].dtype),
-                            &mut dec[j * g..(j + 1) * g],
-                        );
-                    }
+                    let (codes, meta) = pool.k_row(cache.blocks[t / bt], t % bt);
+                    let groups = meta[k_lo..k_lo + gph]
+                        .iter()
+                        .map(|m| (kernel_table(m.dtype), m));
+                    let codes = &codes[k_lo * gb..(k_lo + gph) * gb];
+                    decode_tile_row(d, codes, g, groups, lane, row, &mut k_scales);
                 }
-                let decoded = [0, 1, 2, 3].map(|lane| &tile[lane][..head_dim]);
-                d.dot_i16_x4_groups_batch(&members, decoded, g, &mut gouts);
-                for (m, (ints, qs)) in gouts
-                    .chunks_exact(gph)
-                    .zip(q_scales.chunks_exact(gph))
-                    .enumerate()
-                {
-                    // `fused_dot`'s sum: ascending groups, f64, from zero.
-                    let mut acc = [0.0f64; 4];
-                    for (j, (ints, &qs)) in ints.iter().zip(qs.iter()).enumerate() {
-                        for lane in 0..4 {
-                            acc[lane] +=
-                                qs * f64::from(rows[lane].1[k_lo + j].scale) * ints[lane] as f64;
-                        }
-                    }
+                d.interleave_tile8(dec, head_dim, tile);
+                // `fused_dot`'s sum: ascending groups, f64, from zero.
+                accs.fill([0.0; TILE_ROWS]);
+                d.dot_tile8_scaled(tile, &k_scales, g, members, member_scales, &mut accs);
+                for (m, acc) in accs.iter().enumerate() {
+                    let head = kv_head * per_kv + m % per_kv;
                     let scores =
-                        &mut probs[(first_row + m / per_kv) * heads + head_of(m)][t0..t0 + 4];
-                    for (s, a) in scores.iter_mut().zip(acc) {
+                        &mut probs[(first_row + m / per_kv) * heads + head][t0..t0 + TILE_ROWS];
+                    for (s, &a) in scores.iter_mut().zip(acc) {
                         *s = a as f32 * scale;
                     }
                 }
@@ -1005,9 +1019,9 @@ impl RunAttention {
                 &mut self.tails[row][h * self.head_dim..(h + 1) * self.head_dim],
             );
         }
-        if rows_now.is_multiple_of(4) {
+        if rows_now.is_multiple_of(TILE_ROWS) {
             // The push completed a tile: later queries take it decoded.
-            self.score_tiles(cache, pool, rows_now - 4, rows_now, row + 1);
+            self.score_tiles(cache, pool, rows_now - TILE_ROWS, rows_now, row + 1);
             self.tiled_rows = rows_now;
         }
     }
@@ -1031,10 +1045,15 @@ impl RunAttention {
         let n = self.qv.len();
         let mut out = vec![vec![0.0f32; heads * head_dim]; n];
         // Per window and KV head: the members whose probabilities over the
-        // window are not all zero, with their INT8 codes and scales.
-        let mut live: Vec<(usize, f64)> = Vec::new();
-        let mut pcodes = vec![0i8; n * per_kv * g];
-        let mut gouts = vec![[0i64; 4]; n * per_kv];
+        // window are not all zero, with their INT8 codes (quantized, then
+        // widened for the kernel) and scales.
+        let mut live: Vec<usize> = Vec::new();
+        let mut p_scales: Vec<f64> = Vec::new();
+        let mut p8 = vec![0i8; g];
+        let mut p16 = vec![0i16; n * per_kv * g];
+        let mut accs = vec![[0.0f64; TILE_ROWS]; n * per_kv];
+        let dec = &mut self.dec[..TILE_ROWS * g];
+        let tile = &mut self.tile[..tile8_len(g)];
         for w in 0..cache.committed_windows {
             // A window committed inside the run exists only for the rows
             // pushed since.
@@ -1047,40 +1066,46 @@ impl RunAttention {
             for kv_head in 0..kv_heads {
                 let head_of = |m: usize| kv_head * per_kv + m % per_kv;
                 live.clear();
+                p_scales.clear();
                 for m in 0..(n - first_row) * per_kv {
                     let p = &self.probs[(first_row + m / per_kv) * heads + head_of(m)];
-                    let slot = &mut pcodes[live.len() * g..(live.len() + 1) * g];
                     if let Some(pscale) =
-                        quantize_probs_int8_into(&p[win_token..win_token + g], slot)
+                        quantize_probs_int8_into(&p[win_token..win_token + g], &mut p8)
                     {
-                        live.push((m, f64::from(pscale)));
+                        let slot = &mut p16[live.len() * g..(live.len() + 1) * g];
+                        for (o, &c) in slot.iter_mut().zip(&p8) {
+                            *o = i16::from(c);
+                        }
+                        live.push(m);
+                        p_scales.push(f64::from(pscale));
                     }
                 }
-                let members: Vec<&[i8]> = pcodes.chunks_exact(g).take(live.len()).collect();
-                let gouts = &mut gouts[..live.len()];
+                let members = &p16[..live.len() * g];
+                let accs = &mut accs[..live.len()];
                 let (c_lo, c_hi) = (kv_head * head_dim, (kv_head + 1) * head_dim);
-                for c0 in (c_lo..c_hi).step_by(4) {
-                    // A ragged last tile repeats its last channel; the
-                    // spare lanes are dropped below.
-                    let chans = [0, 1, 2, 3].map(|lane| (c0 + lane).min(c_hi - 1));
-                    for (dec, c) in self.tile.iter_mut().zip(chans) {
-                        d.decode_packed_i16(
-                            &codes[c * gb..(c + 1) * gb],
-                            g,
-                            kernel_table(meta[c].dtype),
-                            &mut dec[..g],
-                        );
+                if live.is_empty() {
+                    continue;
+                }
+                for c0 in (c_lo..c_hi).step_by(TILE_ROWS) {
+                    let mut v_scales = [[0.0f64; TILE_ROWS]];
+                    for (lane, row) in dec.chunks_exact_mut(g).enumerate() {
+                        // A ragged last tile repeats its last channel; the
+                        // spare lanes are dropped below.
+                        let c = (c0 + lane).min(c_hi - 1);
+                        let group = std::iter::once((kernel_table(meta[c].dtype), &meta[c]));
+                        let codes = &codes[c * gb..(c + 1) * gb];
+                        decode_tile_row(d, codes, g, group, lane, row, &mut v_scales);
                     }
-                    let decoded = [0, 1, 2, 3].map(|lane| &self.tile[lane][..g]);
-                    d.dot_i16_x4_groups_batch(&members, decoded, g, gouts);
-                    let lanes = (c_hi - c0).min(4);
-                    let v_scales = chans.map(|c| f64::from(meta[c].scale));
-                    for (&(m, pscale), ints) in live.iter().zip(gouts.iter()) {
+                    d.interleave_tile8(dec, g, tile);
+                    accs.fill([0.0; TILE_ROWS]);
+                    d.dot_tile8_scaled(tile, &v_scales, g, members, &p_scales, accs);
+                    let lanes = (c_hi - c0).min(TILE_ROWS);
+                    for (&m, acc) in live.iter().zip(accs.iter()) {
                         let o0 = head_of(m) * head_dim + c0 - c_lo;
                         let o = &mut out[first_row + m / per_kv][o0..o0 + lanes];
                         // `attend_window`'s term, one `+=` per channel.
-                        for (lane, oc) in o.iter_mut().enumerate() {
-                            *oc += (pscale * v_scales[lane] * ints[lane] as f64) as f32;
+                        for (oc, &a) in o.iter_mut().zip(acc) {
+                            *oc += a as f32;
                         }
                     }
                 }
@@ -1571,17 +1596,21 @@ mod tests {
 
     #[test]
     fn run_attention_bit_identical_to_per_query_attention() {
-        // 16-row windows in 32-row blocks. The cuts leave bases that are
-        // and are not multiples of the 4-row tile, end one run exactly on a
-        // window commit (16) and one on a block boundary (32), cross a
-        // block and two commits inside one run (35..70), and finish with a
-        // run shorter than a tile. Plain heads, then GQA with two query
-        // heads per KV head, then an odd group size whose 15-channel heads
-        // leave a ragged last channel tile.
+        // The cuts start a run at every `base % 8` (the K tile is eight
+        // rows): runs too short to reach a tile boundary (0..5, 16..18),
+        // runs that complete a K tile mid-run so later queries take it
+        // decoded (5..9, 23..28), runs ending exactly on a window commit
+        // (9..16, 77..80), one crossing a block boundary with a commit
+        // inside (28..35) and one crossing blocks and several commits
+        // (35..70). Plain heads; GQA with two query heads per KV head and
+        // two groups per head; an odd group size (scalar arm) whose
+        // 15-channel heads leave a ragged last channel tile; and GQA with
+        // an even group whose 12-channel heads are ragged on the AVX2 arm.
         for (group_size, block_tokens, heads, kv_heads, groups_per_head) in [
             (16usize, 32usize, 4usize, 4usize, 1usize),
-            (16, 32, 8, 4, 1),
+            (16, 32, 8, 4, 2),
             (5, 20, 4, 4, 3),
+            (6, 24, 4, 2, 2),
         ] {
             let head_dim = group_size * groups_per_head;
             let mut gen = TensorGenerator::new(99);
@@ -1596,7 +1625,7 @@ mod tests {
             let queries = gen.group_diverse_matrix(80, heads * head_dim, group_size, 1.0);
             let mut view = PagedKvCache::new(&pool, vmap(), vmap());
             let mut twin = PagedKvCache::new(&pool, vmap(), vmap());
-            for cut in [0usize, 5, 16, 19, 32, 35, 70, 77, 80].windows(2) {
+            for cut in [0usize, 5, 9, 16, 18, 23, 28, 35, 70, 77, 80].windows(2) {
                 check_run(
                     &mut pool,
                     &mut view,
