@@ -1,11 +1,19 @@
-//! Benchmarks the offline encode search.
+//! Benchmarks the group-encode kernel and the offline encode search on it.
 //!
-//! Two questions:
+//! Three questions:
 //!
 //! 1. Per group (Sec. V-C trade-off): MSE coefficient search vs the
 //!    real-time variance lookup — search is accurate but "intolerable in a
 //!    real-time scenario"; variance lookup is streaming-cheap.
-//! 2. At batch scale: the serial vs thread-parallel encode engine over a
+//! 2. What the kernel buys: the search of one 64-element group timed three
+//!    ways in one process — the per-element oracle loop
+//!    (`GroupDtype::quantize_value` per candidate per element, what every
+//!    encode path ran before the kernel), the kernel's scalar arm, and the
+//!    detected tier as `select_group_dtype` runs it — plus what the same
+//!    kernel makes of a K-row and a V-row push. The three searches must
+//!    agree to the bit, and the sweep must beat the oracle loop by the
+//!    floors asserted at the bottom. Written to `BENCH_encode.json`.
+//! 3. At batch scale: the serial vs thread-parallel encode engine over a
 //!    full weight matrix (the per-group candidate search is embarrassingly
 //!    parallel; the parallel path is bit-identical by construction and is
 //!    verified to be so below). Run with `MANT_THREADS=<n>` to pin the
@@ -15,15 +23,18 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
+use mant_numerics::{kernels, EncodeTable, KernelDispatch};
 use mant_quant::{
     par_select_group_dtypes_batch, select_group_dtype, select_group_dtypes_batch, CandidateSet,
-    MantQuantizedMatrix, VarianceMap,
+    GroupDtype, KCacheQuantizer, MantQuantizedMatrix, VCacheQuantizer, VarianceMap,
 };
-use mant_tensor::{par, RunningGroupStats, TensorGenerator};
+use mant_tensor::{abs_max, par, Matrix, RunningGroupStats, TensorGenerator};
+
+const GROUP: usize = 64;
 
 fn bench_encode_search(c: &mut Criterion) {
     let mut gen = TensorGenerator::new(1002);
-    let group: Vec<f32> = (0..64).map(|_| gen.standard_normal() * 0.3).collect();
+    let group: Vec<f32> = (0..GROUP).map(|_| gen.standard_normal() * 0.3).collect();
     let set = CandidateSet::paper();
     let vmap = VarianceMap::analytic(&set).expect("paper set is non-empty");
 
@@ -41,16 +52,179 @@ fn bench_encode_search(c: &mut Criterion) {
     g.finish();
 }
 
-/// Serial vs parallel batched encode over a realistic projection-sized
-/// weight matrix (1024×4096 ≈ a 7B-class K/Q projection), group size 64.
+/// The search as every encode path ran it before the group-encode kernel:
+/// per candidate, the per-element `quantize_value` loop; first minimum wins.
+fn oracle_search(group: &[f32], set: &CandidateSet) -> (GroupDtype, f64) {
+    let amax = abs_max(group);
+    let mut best = (set.candidates()[0], f64::INFINITY);
+    for &cand in set.candidates() {
+        let scale = cand.scale_for(amax);
+        let mut acc = 0.0f64;
+        for &x in group {
+            let e = f64::from(x - cand.quantize_value(x, scale));
+            acc += e * e;
+        }
+        let err = if amax == 0.0 {
+            0.0
+        } else {
+            acc / group.len() as f64
+        };
+        if err < best.1 {
+            best = (cand, err);
+        }
+    }
+    best
+}
+
+/// The search on one named kernel tier, from the kernel's public entry —
+/// `select_group_dtype` with the tier made explicit.
+fn search_on(
+    tier: KernelDispatch,
+    group: &[f32],
+    set: &CandidateSet,
+    tables: &[EncodeTable],
+) -> (GroupDtype, f64) {
+    let amax = tier.abs_max(group);
+    let scales: Vec<f32> = set.candidates().iter().map(|c| c.scale_for(amax)).collect();
+    let mut sums = vec![0.0f64; tables.len()];
+    if amax != 0.0 {
+        tier.encode_errors(tables, &scales, group, None, &mut sums);
+    }
+    let mut best = (set.candidates()[0], f64::INFINITY);
+    for (&cand, &sum) in set.candidates().iter().zip(&sums) {
+        let err = sum / group.len() as f64;
+        if err < best.1 {
+            best = (cand, err);
+        }
+    }
+    best
+}
+
+/// Quickest of `rounds` runs of `f`, in seconds.
+fn best_of(rounds: usize, mut f: impl FnMut()) -> f64 {
+    (0..rounds)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The kernel against its oracle: search per group three ways, K-row and
+/// V-row pushes, floors asserted, `BENCH_encode.json` written.
+fn bench_encode_kernel(w: &Matrix) {
+    const ROUNDS: usize = 5;
+    const GROUPS: usize = 512;
+    let set = CandidateSet::paper();
+    let tables: Vec<EncodeTable> = set.candidates().iter().map(|c| c.encode_table()).collect();
+    let groups: Vec<&[f32]> = w.as_slice().chunks_exact(GROUP).take(GROUPS).collect();
+    let tier = kernels();
+
+    for g in &groups {
+        let (dtype, err) = oracle_search(g, &set);
+        let scalar = search_on(KernelDispatch::Scalar, g, &set, &tables);
+        let real = select_group_dtype(g, &set).expect("non-empty set");
+        assert_eq!((scalar.0, scalar.1.to_bits()), (dtype, err.to_bits()));
+        assert_eq!((real.0, real.1.to_bits()), (dtype, err.to_bits()));
+    }
+
+    let per_group = |f: &dyn Fn(&[f32]) -> (GroupDtype, f64)| -> f64 {
+        best_of(ROUNDS, || {
+            for g in &groups {
+                black_box(f(black_box(g)));
+            }
+        }) / GROUPS as f64
+    };
+    let t_oracle = per_group(&|g| oracle_search(g, &set));
+    let t_scalar = per_group(&|g| search_on(KernelDispatch::Scalar, g, &set, &tables));
+    let t_tier = per_group(&|g| select_group_dtype(g, &set).expect("non-empty set"));
+    let scalar_speedup = t_oracle / t_scalar;
+    let tier_speedup = t_oracle / t_tier;
+    println!(
+        "search per {GROUP}-element group: oracle loop {:.2} us / scalar arm {:.2} us ({scalar_speedup:.2}x) / {} {:.2} us ({tier_speedup:.2}x)",
+        t_oracle * 1e6,
+        t_scalar * 1e6,
+        tier.name(),
+        t_tier * 1e6,
+    );
+
+    // sim_llama's cache geometry: 256 wide, windows of 64 rows. 512 rows
+    // are eight V commits; the owned caches share the push path with the
+    // paged pool verbatim. The V cache sees the rows once before it is
+    // timed, so its channel scales have settled (no prefill set them) and
+    // a timed push is the steady state: no bootstrap, no widening.
+    const KV_DIM: usize = 256;
+    const ROWS: usize = 512;
+    let vmap = VarianceMap::analytic(&set).expect("paper set is non-empty");
+    let mut gen = TensorGenerator::new(2002);
+    let rows = gen.group_diverse_matrix(ROWS, KV_DIM, GROUP, 0.5);
+    let mut kc = KCacheQuantizer::new(KV_DIM, GROUP, vmap.clone()).expect("64 divides 256");
+    let t_k = best_of(ROUNDS, || {
+        kc.reset();
+        for r in 0..ROWS {
+            kc.push(black_box(rows.row(r)));
+        }
+    }) / ROWS as f64;
+    let mut vc = VCacheQuantizer::new(KV_DIM, GROUP, vmap).expect("positive group");
+    let push_all = |vc: &mut VCacheQuantizer| {
+        vc.truncate(0);
+        for r in 0..ROWS {
+            vc.push(black_box(rows.row(r)));
+        }
+    };
+    push_all(&mut vc);
+    let t_v = best_of(ROUNDS, || push_all(&mut vc)) / ROWS as f64;
+    println!(
+        "kv push per {KV_DIM}-wide row: K {:.2} us / V {:.2} us (commits included)",
+        t_k * 1e6,
+        t_v * 1e6
+    );
+
+    // The vector floor binds only where the vector arm runs.
+    let tier_threshold = if tier == KernelDispatch::Avx2 {
+        4.0
+    } else {
+        1.5
+    };
+    let json = format!(
+        "{{\n  \"bench\": \"encode_search\",\n  \"tier\": \"{}\",\n  \"group\": {GROUP},\n  \"candidates\": {},\n  \"search_oracle_ns\": {:.0},\n  \"search_scalar_ns\": {:.0},\n  \"search_tier_ns\": {:.0},\n  \"scalar_speedup\": {scalar_speedup:.3},\n  \"tier_speedup\": {tier_speedup:.3},\n  \"scalar_threshold\": 1.5,\n  \"tier_threshold\": {tier_threshold:.1},\n  \"k_push_ns\": {:.0},\n  \"v_push_ns\": {:.0},\n  \"bit_identical\": true\n}}\n",
+        tier.name(),
+        set.len(),
+        t_oracle * 1e9,
+        t_scalar * 1e9,
+        t_tier * 1e9,
+        t_k * 1e9,
+        t_v * 1e9,
+    );
+    // Same anchoring as the other BENCH_*.json artifacts: the workspace root.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_encode.json");
+    std::fs::write(path, &json).expect("write BENCH_encode.json");
+    println!("wrote BENCH_encode.json (workspace root)");
+
+    assert!(
+        scalar_speedup >= 1.5,
+        "the kernel's scalar arm must beat the per-element oracle loop by >= 1.5x, got {scalar_speedup:.2}x"
+    );
+    assert!(
+        tier_speedup >= tier_threshold,
+        "the {} sweep must beat the per-element oracle loop by >= {tier_threshold}x, got {tier_speedup:.2}x",
+        tier.name()
+    );
+}
+
+/// Serial vs parallel batched encode over a projection-sized weight
+/// matrix, group size 64.
 fn bench_batched_encode(c: &mut Criterion) {
     let mut gen = TensorGenerator::new(1005);
-    let w = gen.group_diverse_matrix(1024, 4096, 64, 0.02);
+    let w = gen.group_diverse_matrix(1024, 4096, GROUP, 0.02);
     let set = CandidateSet::paper();
+
+    bench_encode_kernel(&w);
 
     // Bare batch selection (no encoding), serial vs parallel, over the
     // first 2048 groups.
-    let groups: Vec<&[f32]> = w.as_slice().chunks_exact(64).take(2048).collect();
+    let groups: Vec<&[f32]> = w.as_slice().chunks_exact(GROUP).take(2048).collect();
     let mut g = c.benchmark_group("batch_dtype_selection_2048_groups");
     g.bench_function("serial", |b| {
         b.iter(|| {
@@ -72,13 +246,15 @@ fn bench_batched_encode(c: &mut Criterion) {
     let mut g = c.benchmark_group("batched_encode_1024x4096_g64");
     g.bench_function("serial", |b| {
         b.iter(|| {
-            black_box(MantQuantizedMatrix::quantize(black_box(&w), 64, &set).expect("valid group"))
+            black_box(
+                MantQuantizedMatrix::quantize(black_box(&w), GROUP, &set).expect("valid group"),
+            )
         })
     });
     g.bench_function("parallel", |b| {
         b.iter(|| {
             black_box(
-                MantQuantizedMatrix::par_quantize(black_box(&w), 64, &set).expect("valid group"),
+                MantQuantizedMatrix::par_quantize(black_box(&w), GROUP, &set).expect("valid group"),
             )
         })
     });
@@ -98,9 +274,9 @@ fn bench_batched_encode(c: &mut Criterion) {
         (best, out.expect("ran at least once"))
     };
     let (t_ser, q_ser) =
-        time_best(&|| MantQuantizedMatrix::quantize(&w, 64, &set).expect("valid group"));
+        time_best(&|| MantQuantizedMatrix::quantize(&w, GROUP, &set).expect("valid group"));
     let (t_par, q_par) =
-        time_best(&|| MantQuantizedMatrix::par_quantize(&w, 64, &set).expect("valid group"));
+        time_best(&|| MantQuantizedMatrix::par_quantize(&w, GROUP, &set).expect("valid group"));
     let identical = {
         let a = q_ser.dequantize();
         let b = q_par.dequantize();

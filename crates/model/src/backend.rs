@@ -333,4 +333,95 @@ mod tests {
         let m = TransformerModel::synthesize(&ModelConfig::sim_llama(), 24);
         assert!(m.pack_weights(96).is_err());
     }
+
+    /// FNV-1a, 64 bit.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Self {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn eat(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn eat_dtype(&mut self, dtype: mant_quant::GroupDtype) {
+            self.eat(dtype.label().as_bytes());
+        }
+    }
+
+    /// Everything the encode search decided about one projection: packed
+    /// bytes, per-group type and scale bits, and the type histogram.
+    fn projection_hash(lin: &QuantizedLinear) -> u64 {
+        let q = lin.packed();
+        let mut h = Fnv::new();
+        for r in 0..q.rows() {
+            h.eat(q.packed_row(r));
+            for m in q.meta_row(r) {
+                h.eat_dtype(m.dtype);
+                h.eat(&m.scale.to_bits().to_le_bytes());
+            }
+        }
+        for (label, count) in q.dtype_histogram() {
+            h.eat(label.as_bytes());
+            h.eat(&(count as u64).to_le_bytes());
+        }
+        h.0
+    }
+
+    #[test]
+    fn golden_pin_sim_llama_seed7_encode_selections() {
+        // The benchmark's model (`sim_llama`, seed 7, group 64): every
+        // selection the offline search and the KV calibration make is
+        // pinned to the values the per-element scalar path produced before
+        // any group-encode kernel existed. A kernel change that moves one
+        // type, one scale bit or one packed nibble fails here by name, on
+        // every tier (`MANT_FORCE_SCALAR=1` included).
+        const PROJECTIONS: [(&str, u64); 14] = [
+            ("layer0.wq", 0xf267_3fb3_bf6f_7921),
+            ("layer0.wk", 0x78b7_f708_5e86_5af1),
+            ("layer0.wv", 0x8b11_25b8_c2d9_6c3a),
+            ("layer0.wo", 0x807c_1d39_cb18_0e8a),
+            ("layer0.w_gate", 0x86da_7b0f_004b_9ab4),
+            ("layer0.w_up", 0xbf0f_f7df_e457_ba30),
+            ("layer0.w_down", 0xe273_b692_bbe0_0213),
+            ("layer1.wq", 0x5897_ef39_126c_0814),
+            ("layer1.wk", 0x7384_5b8d_9c31_122f),
+            ("layer1.wv", 0x96f0_f3d0_6daa_98ad),
+            ("layer1.wo", 0xd676_57d2_2175_60d2),
+            ("layer1.w_gate", 0xdba1_60a5_e4be_5584),
+            ("layer1.w_up", 0xf018_50e2_6abd_030a),
+            ("layer1.w_down", 0xeafc_4b90_de06_5687),
+        ];
+        const K_MAP: u64 = 0x11e9_2d8c_85f0_d386;
+        const V_MAP: u64 = 0xb5cf_6895_ef8d_e6f7;
+
+        let m = TransformerModel::synthesize(&ModelConfig::sim_llama(), 7);
+        let packed = m.pack_weights(64).unwrap();
+        let got: Vec<u64> = packed
+            .layers()
+            .iter()
+            .flat_map(|l| {
+                let gate = l.w_gate.as_ref().expect("sim_llama is gated");
+                [&l.wq, &l.wk, &l.wv, &l.wo, gate, &l.w_up, &l.w_down]
+            })
+            .map(projection_hash)
+            .collect();
+        assert_eq!(got.len(), PROJECTIONS.len());
+        for ((name, want), got) in PROJECTIONS.iter().zip(&got) {
+            assert_eq!(got, want, "{name}: encode selections moved ({got:#018x})");
+        }
+
+        let (kmap, vmap) = m.kv_maps(64);
+        for (name, map, want) in [("K map", &kmap, K_MAP), ("V map", &vmap, V_MAP)] {
+            let mut h = Fnv::new();
+            for &dtype in map.buckets() {
+                h.eat_dtype(dtype);
+            }
+            assert_eq!(h.0, want, "{name}: variance buckets moved ({:#018x})", h.0);
+        }
+    }
 }

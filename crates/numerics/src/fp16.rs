@@ -5,6 +5,7 @@
 //! round-to-nearest-even, without external crates.
 
 /// Converts `f32` to binary16 bits with round-to-nearest-even.
+#[inline]
 pub fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
@@ -48,6 +49,7 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
 }
 
 /// Converts binary16 bits to `f32` exactly.
+#[inline]
 pub fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = u32::from(h & 0x8000) << 16;
     let exp = (h >> 10) & 0x1f;
@@ -81,6 +83,7 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 /// // 1/3 is not representable in 11 significand bits.
 /// assert!((quantize_fp16(1.0 / 3.0) - 1.0 / 3.0).abs() > 0.0);
 /// ```
+#[inline]
 pub fn quantize_fp16(x: f32) -> f32 {
     f16_bits_to_f32(f32_to_f16_bits(x))
 }
@@ -98,11 +101,9 @@ fn round_shift_right_even(value: u32, shift: u32) -> u32 {
     let truncated = value >> shift;
     let remainder = value & ((1u32 << shift) - 1);
     let half = 1u32 << (shift - 1);
-    match remainder.cmp(&half) {
-        std::cmp::Ordering::Greater => truncated + 1,
-        std::cmp::Ordering::Equal => truncated + (truncated & 1),
-        std::cmp::Ordering::Less => truncated,
-    }
+    // Branch-free: which side of the half the remainder falls on is a coin
+    // flip the predictor loses.
+    truncated + u32::from(remainder > half) + (u32::from(remainder == half) & truncated)
 }
 
 #[cfg(test)]
@@ -157,6 +158,28 @@ mod tests {
             }
             let f = f16_bits_to_f32(bits);
             assert_eq!(f32_to_f16_bits(f), bits, "bits {bits:#06x}");
+        }
+    }
+
+    #[test]
+    fn rounding_shift_is_the_three_way_compare() {
+        // The branch-free sum against the comparison it replaced, on every
+        // 12-bit value at every shift that leaves a remainder.
+        for shift in 1..=12u32 {
+            for value in 0..(1u32 << 12) {
+                let truncated = value >> shift;
+                let remainder = value & ((1 << shift) - 1);
+                let want = match remainder.cmp(&(1 << (shift - 1))) {
+                    std::cmp::Ordering::Greater => truncated + 1,
+                    std::cmp::Ordering::Equal => truncated + (truncated & 1),
+                    std::cmp::Ordering::Less => truncated,
+                };
+                assert_eq!(
+                    round_shift_right_even(value, shift),
+                    want,
+                    "{value} >> {shift}"
+                );
+            }
         }
     }
 

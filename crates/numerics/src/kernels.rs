@@ -236,6 +236,159 @@ pub fn int8_dot(a: &[i8], b: &[i8]) -> i64 {
         .sum()
 }
 
+/// One candidate type as the group-encode kernel reads it: what a value
+/// divided by the group scale is rounded to.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum EncodeTable {
+    /// The eight ascending positive levels `a·i + 2^i` of a MANT
+    /// coefficient ([`Mant::levels_f32`]); the nearest one wins, the first
+    /// on a tie, and the code is sign-magnitude.
+    Mant([f32; 8]),
+    /// Symmetric INT4: round half away from zero, clamp to ±7, NaN → 0;
+    /// the code is the two's-complement low nibble.
+    Int4,
+}
+
+impl From<Mant> for EncodeTable {
+    fn from(mant: Mant) -> Self {
+        EncodeTable::Mant(*mant.levels_f32())
+    }
+}
+
+/// Elements the group-encode kernel takes per step: one 256-bit vector of
+/// f32. The scalar arm below runs the same eight-lane loop without
+/// intrinsics, so every tier shares one shape.
+pub(crate) const ENCODE_LANES: usize = 8;
+
+type Lanes<T> = [T; ENCODE_LANES];
+
+const SIGN_BIT: u32 = 0x8000_0000;
+
+/// The MANT lanes of the encode kernel: for each quotient `v`, the strict
+/// `<` scan of `|v|` against the ascending levels — the scan of
+/// [`Mant::encode_magnitude`], whose early return for NaN and `m ≤ 0` the
+/// scan reproduces by itself (a NaN error never compares below, and level
+/// 0 is the nearest to zero). Returns the 4-bit codes and the signed
+/// unscaled levels they decode to.
+#[inline(always)]
+fn mant_lanes(levels: &[f32; 8], v: &Lanes<f32>) -> (Lanes<u8>, Lanes<f32>) {
+    let m: Lanes<f32> = std::array::from_fn(|l| v[l].abs());
+    let mut best_err: Lanes<f32> = std::array::from_fn(|l| (m[l] - levels[0]).abs());
+    let mut idx = [0u8; ENCODE_LANES];
+    let mut level = [levels[0]; ENCODE_LANES];
+    for (i, &candidate) in levels.iter().enumerate().skip(1) {
+        for l in 0..ENCODE_LANES {
+            let err = (m[l] - candidate).abs();
+            let closer = err < best_err[l];
+            idx[l] = if closer { i as u8 } else { idx[l] };
+            level[l] = if closer { candidate } else { level[l] };
+            best_err[l] = if closer { err } else { best_err[l] };
+        }
+    }
+    (
+        std::array::from_fn(|l| idx[l] | ((v[l].to_bits() >> 28) as u8 & 0x8)),
+        std::array::from_fn(|l| f32::from_bits(level[l].to_bits() | (v[l].to_bits() & SIGN_BIT))),
+    )
+}
+
+/// The INT4 lanes: `quantize_symmetric_int(v, 7)` without the libm
+/// `round`. After the clamp to ±8 (which moves no result: everything from
+/// ±7.5 out rounds to beyond ±7 and is clamped back) the truncation fits an
+/// `i32`, the fraction `c − trunc(c)` is exact, and comparing it with ±0.5
+/// is round-half-away. NaN survives the clamp, truncates to 0 and compares
+/// false.
+#[inline(always)]
+fn int4_lanes(v: &Lanes<f32>) -> Lanes<i32> {
+    std::array::from_fn(|l| {
+        let c = v[l].clamp(-8.0, 8.0);
+        let t = c as i32;
+        let d = c - t as f32;
+        (t + i32::from(d >= 0.5) - i32::from(d <= -0.5)).clamp(-7, 7)
+    })
+}
+
+/// `e_j² · ω_j` of eight elements under one table and scale, as f64 — the
+/// per-element oracle's operations per lane: `v = x / scale`, round to
+/// the table, `q = ±level · scale`, `e = x − q` in f32, widened, `(e·e)·ω`.
+#[inline(always)]
+fn error_lanes(
+    table: &EncodeTable,
+    scale: f32,
+    x: &Lanes<f32>,
+    w: Option<&Lanes<f64>>,
+) -> Lanes<f64> {
+    let v: Lanes<f32> = std::array::from_fn(|l| x[l] / scale);
+    let q = match table {
+        EncodeTable::Mant(levels) => mant_lanes(levels, &v).1,
+        EncodeTable::Int4 => int4_lanes(&v).map(|r| r as f32),
+    };
+    std::array::from_fn(|l| {
+        let e = f64::from(x[l] - q[l] * scale);
+        match w {
+            Some(w) => e * e * w[l],
+            None => e * e,
+        }
+    })
+}
+
+/// Copies up to [`ENCODE_LANES`] elements into a zero-padded lane array.
+#[inline(always)]
+fn padded(xs: &[f32]) -> Lanes<f32> {
+    let mut lanes = [0.0; ENCODE_LANES];
+    lanes[..xs.len()].copy_from_slice(xs);
+    lanes
+}
+
+/// The scalar arm of [`crate::KernelDispatch::encode_errors`], which
+/// states the contract: every candidate's `Σ_j e_j² · ω_j` over `group`,
+/// added **onto** `sums` — each chain continues in element order from the
+/// value already there, which is how the vector arm hands over its tail
+/// elements (and `0.0` when this arm runs alone). The candidates' chains
+/// are interleaved chunk by chunk, never reassociated.
+pub(crate) fn encode_errors_onto(
+    tables: &[EncodeTable],
+    scales: &[f32],
+    group: &[f32],
+    weights: Option<&[f32]>,
+    sums: &mut [f64],
+) {
+    debug_assert!(tables.len() == scales.len() && tables.len() == sums.len());
+    debug_assert!(weights.is_none_or(|w| w.len() == group.len()));
+    for (at, x) in group.chunks(ENCODE_LANES).enumerate() {
+        let live = x.len();
+        let x = padded(x);
+        let w = weights.map(|w| padded(&w[at * ENCODE_LANES..][..live]).map(f64::from));
+        for ((table, &scale), sum) in tables.iter().zip(scales).zip(sums.iter_mut()) {
+            for term in &error_lanes(table, scale, &x, w.as_ref())[..live] {
+                *sum += term;
+            }
+        }
+    }
+}
+
+/// The scalar arm of [`crate::KernelDispatch::encode_packed`], which
+/// states the contract: the packed nibbles of `group` under one table and
+/// scale, the pad nibble of an odd length zero.
+pub(crate) fn encode_packed(table: &EncodeTable, scale: f32, group: &[f32], out: &mut [u8]) {
+    debug_assert_eq!(out.len(), group.len().div_ceil(2), "packed group length");
+    for (x, out) in group
+        .chunks(ENCODE_LANES)
+        .zip(out.chunks_mut(ENCODE_LANES / 2))
+    {
+        let live = x.len();
+        let x = padded(x);
+        let v: Lanes<f32> = std::array::from_fn(|l| x[l] / scale);
+        let mut codes = match table {
+            EncodeTable::Mant(levels) => mant_lanes(levels, &v).0,
+            EncodeTable::Int4 => int4_lanes(&v).map(|r| r as u8 & 0x0f),
+        };
+        codes[live..].fill(0);
+        for (byte, pair) in out.iter_mut().zip(codes.chunks_exact(2)) {
+            *byte = pair[0] | (pair[1] << 4);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

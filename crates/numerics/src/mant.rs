@@ -27,6 +27,24 @@ pub const MAX_MAG: u8 = MAG_CODES - 1;
 /// Exclusive upper bound on the coefficient `a` (8-bit encoding, Sec. IV-A).
 pub const MAX_COEFFICIENT: u32 = 128;
 
+/// `LEVELS_F32[a][i] = (a·i + 2^i) as f32` for every coefficient — the
+/// table the per-element encode scans and the group-encode kernel
+/// (`crate::kernels::EncodeTable`) broadcasts. Levels stay below 2^10, so
+/// the conversion is exact.
+static LEVELS_F32: [[f32; MAG_CODES as usize]; MAX_COEFFICIENT as usize] = {
+    let mut table = [[0.0f32; MAG_CODES as usize]; MAX_COEFFICIENT as usize];
+    let mut a = 0;
+    while a < MAX_COEFFICIENT as usize {
+        let mut i = 0;
+        while i < MAG_CODES as usize {
+            table[a][i] = (a as u32 * i as u32 + (1u32 << i)) as f32;
+            i += 1;
+        }
+        a += 1;
+    }
+    table
+};
+
 /// A sign-magnitude MANT code: 1 sign bit + 3 magnitude bits.
 ///
 /// Unlike two's-complement INT4, the magnitude 0 code is *not* the value
@@ -114,6 +132,7 @@ impl Mant {
     /// # Panics
     ///
     /// Panics if `i > 7`.
+    #[inline]
     pub fn level(&self, i: u8) -> u32 {
         assert!(i <= MAX_MAG, "MANT magnitude code {i} exceeds 7");
         self.a * u32::from(i) + (1u32 << i)
@@ -128,7 +147,15 @@ impl Mant {
         out
     }
 
+    /// All eight positive levels as f32, in increasing order — exactly
+    /// `levels()` converted (a precomputed table, no range assert).
+    #[inline]
+    pub fn levels_f32(&self) -> &'static [f32; 8] {
+        &LEVELS_F32[self.a as usize]
+    }
+
     /// The largest positive level, `7a + 128`.
+    #[inline]
     pub fn max_level(&self) -> u32 {
         self.level(MAX_MAG)
     }
@@ -141,10 +168,11 @@ impl Mant {
         if m.is_nan() || m <= 0.0 {
             return 0;
         }
+        let levels = self.levels_f32();
         let mut best = 0u8;
-        let mut best_err = (m - self.level(0) as f32).abs();
+        let mut best_err = (m - levels[0]).abs();
         for i in 1..MAG_CODES {
-            let err = (m - self.level(i) as f32).abs();
+            let err = (m - levels[usize::from(i)]).abs();
             if err < best_err {
                 best = i;
                 best_err = err;
@@ -173,7 +201,13 @@ impl Mant {
 
     /// Rounds `x` to the nearest representable MANT value (unscaled).
     pub fn quantize(&self, x: f32) -> f32 {
-        self.decode(self.encode(x)) as f32
+        let code = self.encode(x);
+        let level = self.levels_f32()[usize::from(code.magnitude)];
+        if code.negative {
+            -level
+        } else {
+            level
+        }
     }
 
     /// The signed contribution of `code` to the multiply lane:
@@ -285,6 +319,17 @@ mod tests {
         let m = Mant::new(17).unwrap();
         assert_eq!(m.levels(), [1, 19, 38, 59, 84, 117, 166, 247]);
         assert_eq!(m.max_level(), 247);
+    }
+
+    #[test]
+    fn f32_level_table_is_the_integer_levels() {
+        for a in 0..MAX_COEFFICIENT {
+            let m = Mant::new(a).unwrap();
+            assert_eq!(m.levels_f32().map(|l| l as u32), m.levels(), "a={a}");
+            for x in [-300.0f32, -59.5, -0.0, 0.4, 19.0, 1e9] {
+                assert_eq!(m.quantize(x), m.decode(m.encode(x)) as f32, "a={a} x={x}");
+            }
+        }
     }
 
     #[test]

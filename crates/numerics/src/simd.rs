@@ -23,6 +23,12 @@
 //!   identical to the scalar `/`), then reproduces `f32::round`'s
 //!   ties-away-from-zero rule with an exact truncate-and-adjust
 //!   construction instead of the (different) nearest-even `roundps` mode.
+//! - The group-encode kernel ([`KernelDispatch::encode_errors`],
+//!   [`KernelDispatch::encode_packed`]) is floating point throughout and
+//!   nothing in it is associative, so it reorders nothing: a lane runs the
+//!   per-element oracle's IEEE operations in the oracle's order, and each
+//!   candidate's f64 error sum stays one in-order chain (several
+//!   candidates' chains share a vector; none is split).
 //!
 //! Dispatch is a [`KernelDispatch`] tier selected **once per process** by
 //! [`kernels()`] via `is_x86_feature_detected!`: AVX2 (32 codes per
@@ -43,7 +49,7 @@
 use std::sync::OnceLock;
 
 use crate::int::quantize_symmetric_int;
-use crate::kernels::{self, pair_decode_lut, PairLut};
+use crate::kernels::{self, pair_decode_lut, EncodeTable, PairLut};
 
 /// A group dtype's decode tables in every shape the kernel tiers need:
 /// the 256-entry pair table the scalar kernels walk, plus the 16-entry
@@ -503,6 +509,113 @@ impl KernelDispatch {
             _ => scalar_quantize_i8(xs, scale, out),
         }
     }
+
+    /// [`KernelDispatch::quantize_i8`] with one scale **per element**:
+    /// `out[i] = clamp(round(xs[i] / max(scales[i], MIN_POSITIVE)), ±127)`,
+    /// NaN → 0 — a V row staged across its channels, each at its own
+    /// scale (a channel that has not seen a nonzero value yet still has
+    /// scale 0, hence the floor). Same per-lane operations as the
+    /// one-scale kernel, so bit-identical to [`quantize_symmetric_int`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices differ in length.
+    pub fn quantize_i8_lanes(self, xs: &[f32], scales: &[f32], out: &mut [i8]) {
+        assert!(xs.len() == scales.len() && xs.len() == out.len());
+        let done = match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+                // SAFETY: the match guard just confirmed AVX2 on this CPU;
+                // the lengths were asserted above.
+                unsafe { x86::quantize_i8_lanes_avx2(xs, scales, out) }
+            }
+            _ => 0,
+        };
+        for ((o, &x), &s) in out.iter_mut().zip(xs).zip(scales).skip(done) {
+            *o = quantize_symmetric_int(x / s.max(f32::MIN_POSITIVE), 127) as i8;
+        }
+    }
+
+    /// The *errors* entry of the group-encode kernel: for every candidate
+    /// `c`, `sums[c] = Σ_j e_j² · ω_j` over `group` encoded with
+    /// `tables[c]` at `scales[c]` (`weights = None` means `ω = 1`) — the
+    /// per-element `quantize_value` loop of the offline search, for all
+    /// candidates in one sweep. Each candidate's sum is the in-order f64
+    /// chain over `j` starting from `0.0`, so every value has the bits the
+    /// per-element loop produces.
+    ///
+    /// On the AVX2 arm a lane is an element: per eight elements and
+    /// candidate, `divps` by the scale (never a reciprocal multiply),
+    /// `|v|`, eight `|m − level|` with a strict `<` blend in ascending
+    /// level order, the sign from `v`'s sign bit, `q = ±level · scale`,
+    /// `e = x − q` in f32, `cvtps2pd`, `(e·e)·ω` — the oracle's IEEE
+    /// operations in the oracle's order; INT4 rounds by
+    /// truncate-and-compare. The terms of four candidates are then
+    /// transposed so a lane is a *candidate*, and added element by
+    /// element: four in-order chains per `addpd`, none reassociated.
+    /// Elements past the last whole vector — and every element on the
+    /// other tiers — go through the scalar arm
+    /// (`kernels::encode_errors_onto`), the same eight-lane loop without
+    /// intrinsics, which continues the same chains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scales` or `sums` differs in length from `tables`, or
+    /// `weights` from `group`.
+    pub fn encode_errors(
+        self,
+        tables: &[EncodeTable],
+        scales: &[f32],
+        group: &[f32],
+        weights: Option<&[f32]>,
+        sums: &mut [f64],
+    ) {
+        assert!(tables.len() == scales.len() && tables.len() == sums.len());
+        assert!(weights.is_none_or(|w| w.len() == group.len()));
+        sums.fill(0.0);
+        let done = match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+                // SAFETY: the match guard just confirmed AVX2 on this CPU;
+                // the lengths were asserted above.
+                unsafe { x86::encode_errors_avx2(tables, scales, group, weights, sums) }
+            }
+            _ => 0,
+        };
+        kernels::encode_errors_onto(
+            tables,
+            scales,
+            &group[done..],
+            weights.map(|w| &w[done..]),
+            sums,
+        );
+    }
+
+    /// The *encode* entry of the group-encode kernel: the packed nibbles of
+    /// `group` under one table and scale — two codes per byte, first code
+    /// in the low nibble, an odd tail in a final low nibble with a zero
+    /// pad; code for code what the per-element `GroupDtype::encode`
+    /// returns. The AVX2 arm runs the lanes of
+    /// [`KernelDispatch::encode_errors`] up to the code and packs eight
+    /// codes into four bytes; the tail, and the other tiers, go through
+    /// the scalar arm (`kernels::encode_packed`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold `group.len().div_ceil(2)` bytes.
+    pub fn encode_packed(self, table: &EncodeTable, scale: f32, group: &[f32], out: &mut [u8]) {
+        assert_eq!(out.len(), group.len().div_ceil(2), "packed group length");
+        let done = match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+                // SAFETY: the match guard just confirmed AVX2 on this CPU;
+                // the length was asserted above.
+                unsafe { x86::encode_packed_avx2(table, scale, group, out) }
+            }
+            _ => 0,
+        };
+        kernels::encode_packed(table, scale, &group[done..], &mut out[done / 2..]);
+    }
 }
 
 /// The scalar arm's group dots for [`KernelDispatch::dot_tile8_scaled`]:
@@ -556,7 +669,7 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::{scalar_abs_max, tile8_len, KernelLut, TILE_ROWS};
-    use crate::kernels::{self, MAX_I32_GROUP};
+    use crate::kernels::{self, EncodeTable, ENCODE_LANES, MAX_I32_GROUP};
 
     /// Elements per i64 drain of the `int8_dot` i32 lane accumulators.
     /// Each `pmaddwd` adds at most `2 · 128 · 128 = 2^15` per lane; a
@@ -1281,8 +1394,9 @@ mod x86 {
         xs[blocks * 4..].iter().fold(head, |m, &v| m.max(v.abs()))
     }
 
-    /// AVX2 symmetric INT8 quantization, bit-identical to
-    /// `quantize_symmetric_int(x / scale, 127)` per element:
+    /// Eight lanes of AVX2 symmetric INT8 quantization, bit-identical to
+    /// `quantize_symmetric_int(x / scale, 127)` per lane; the eight codes
+    /// come back as the low eight bytes.
     ///
     /// - `divps` is IEEE-exact — the identical quotient as scalar `/`;
     /// - `f32::round` (ties away from zero) is reproduced exactly as
@@ -1295,38 +1409,259 @@ mod x86 {
     ///   the clamped value converts exactly; this also canonicalizes
     ///   ±inf the way the scalar path's saturating `as i64` does);
     /// - NaN lanes are zeroed by the ordered-compare mask, matching the
-    ///   scalar NaN → 0 rule.
+    ///   scalar NaN → 0 rule;
+    /// - the saturating packs narrow values already inside ±127.
     #[target_feature(enable = "avx2")]
-    pub(super) fn quantize_i8_avx2(xs: &[f32], scale: f32, out: &mut [i8]) {
-        debug_assert_eq!(xs.len(), out.len());
-        let blocks = xs.len() / 8;
-        let vs = _mm256_set1_ps(scale);
+    fn quantize_i8x8_avx2(v: __m256, scale: __m256) -> __m128i {
         let half = _mm256_set1_ps(0.5);
         let one = _mm256_set1_ps(1.0);
         let sign = _mm256_set1_ps(-0.0);
         let hi = _mm256_set1_ps(127.0);
         let lo = _mm256_set1_ps(-127.0);
+        let q = _mm256_div_ps(v, scale);
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
+        let d = _mm256_sub_ps(q, t);
+        let away = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_andnot_ps(sign, d), half);
+        let sign1 = _mm256_or_ps(_mm256_and_ps(q, sign), one);
+        let r = _mm256_add_ps(t, _mm256_and_ps(away, sign1));
+        let r = _mm256_min_ps(_mm256_max_ps(r, lo), hi);
+        let r = _mm256_and_ps(r, _mm256_cmp_ps::<_CMP_ORD_Q>(q, q));
+        let iv = _mm256_cvttps_epi32(r);
+        let words = _mm_packs_epi32(
+            _mm256_castsi256_si128(iv),
+            _mm256_extracti128_si256::<1>(iv),
+        );
+        _mm_packs_epi16(words, words)
+    }
+
+    /// AVX2 [`super::KernelDispatch::quantize_i8`], eight elements per
+    /// iteration through [`quantize_i8x8_avx2`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn quantize_i8_avx2(xs: &[f32], scale: f32, out: &mut [i8]) {
+        assert_eq!(xs.len(), out.len(), "one code per element");
+        let blocks = xs.len() / 8;
+        let vs = _mm256_set1_ps(scale);
         for i in 0..blocks {
             // SAFETY: `i < blocks = xs.len() / 8`: the 8-float load is
-            // within `xs`.
-            let v = unsafe { _mm256_loadu_ps(xs.as_ptr().add(i * 8)) };
-            let q = _mm256_div_ps(v, vs);
-            let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
-            let d = _mm256_sub_ps(q, t);
-            let away = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_andnot_ps(sign, d), half);
-            let sign1 = _mm256_or_ps(_mm256_and_ps(q, sign), one);
-            let r = _mm256_add_ps(t, _mm256_and_ps(away, sign1));
-            let r = _mm256_min_ps(_mm256_max_ps(r, lo), hi);
-            let r = _mm256_and_ps(r, _mm256_cmp_ps::<_CMP_ORD_Q>(q, q));
-            let iv = _mm256_cvttps_epi32(r);
-            let mut tmp = [0i32; 8];
-            // SAFETY: `tmp` is a writable 32-byte buffer; unaligned store.
-            unsafe { _mm256_storeu_si256(tmp.as_mut_ptr().cast(), iv) };
-            for (o, &c) in out[i * 8..i * 8 + 8].iter_mut().zip(tmp.iter()) {
-                *o = c as i8;
+            // within `xs` and the 8-byte store within `out` (same length).
+            unsafe {
+                let v = _mm256_loadu_ps(xs.as_ptr().add(i * 8));
+                _mm_storel_epi64(
+                    out.as_mut_ptr().add(i * 8).cast(),
+                    quantize_i8x8_avx2(v, vs),
+                );
             }
         }
         super::scalar_quantize_i8(&xs[blocks * 8..], scale, &mut out[blocks * 8..]);
+    }
+
+    /// AVX2 body of [`super::KernelDispatch::quantize_i8_lanes`]: as
+    /// [`quantize_i8_avx2`] with the scale vector loaded beside the values
+    /// and floored at `MIN_POSITIVE` (`maxps` keeps the floor for a NaN
+    /// scale, like `f32::max`). Returns the number of leading elements
+    /// written (a multiple of 8); the caller finishes the rest.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn quantize_i8_lanes_avx2(xs: &[f32], scales: &[f32], out: &mut [i8]) -> usize {
+        assert!(xs.len() == scales.len() && xs.len() == out.len());
+        let blocks = xs.len() / 8;
+        let floor = _mm256_set1_ps(f32::MIN_POSITIVE);
+        for i in 0..blocks {
+            // SAFETY: `i < blocks = xs.len() / 8`: both 8-float loads and
+            // the 8-byte store are within their slices (equal lengths,
+            // asserted above).
+            unsafe {
+                let v = _mm256_loadu_ps(xs.as_ptr().add(i * 8));
+                let s = _mm256_max_ps(_mm256_loadu_ps(scales.as_ptr().add(i * 8)), floor);
+                _mm_storel_epi64(out.as_mut_ptr().add(i * 8).cast(), quantize_i8x8_avx2(v, s));
+            }
+        }
+        blocks * 8
+    }
+
+    /// The MANT lanes of the group-encode kernel
+    /// ([`super::KernelDispatch::encode_errors`]): the magnitude code of
+    /// each quotient in `v` — the strict `<` scan of `|v|` against the
+    /// ascending levels.
+    /// `cmpltps` is false on NaN and `minps(err, best)` keeps `best` unless
+    /// `err < best`, exactly the scalar `if err < best_err`.
+    #[target_feature(enable = "avx2")]
+    fn mant_index_avx2(levels: &[f32; 8], v: __m256) -> __m256i {
+        let sign = _mm256_set1_ps(-0.0);
+        let m = _mm256_andnot_ps(sign, v);
+        let mut best_err = _mm256_andnot_ps(sign, _mm256_sub_ps(m, _mm256_set1_ps(levels[0])));
+        let mut idx = _mm256_setzero_ps();
+        for (i, &level) in levels.iter().enumerate().skip(1) {
+            let err = _mm256_andnot_ps(sign, _mm256_sub_ps(m, _mm256_set1_ps(level)));
+            let closer = _mm256_cmp_ps::<_CMP_LT_OQ>(err, best_err);
+            let code = _mm256_castsi256_ps(_mm256_set1_epi32(i as i32));
+            idx = _mm256_blendv_ps(idx, code, closer);
+            best_err = _mm256_min_ps(err, best_err);
+        }
+        _mm256_castps_si256(idx)
+    }
+
+    /// The INT4 lanes of the group-encode kernel: `quantize_symmetric_int(v,
+    /// 7)` per lane — clamp to ±8, truncate, compare the exact fraction
+    /// with ±0.5, clamp to ±7, NaN → 0 (`kernels::int4_lanes`, the scalar
+    /// lanes, operation for operation; `maxps`/`minps` turn a NaN into a
+    /// bound, which the ordered-compare mask zeroes at the end).
+    #[target_feature(enable = "avx2")]
+    fn int4_round_avx2(v: __m256) -> __m256i {
+        let c = _mm256_min_ps(_mm256_max_ps(v, _mm256_set1_ps(-8.0)), _mm256_set1_ps(8.0));
+        let t = _mm256_cvttps_epi32(c);
+        let d = _mm256_sub_ps(c, _mm256_cvtepi32_ps(t));
+        // A true compare is all ones, i.e. -1.
+        let up = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GE_OQ>(d, _mm256_set1_ps(0.5)));
+        let down = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(d, _mm256_set1_ps(-0.5)));
+        let r = _mm256_add_epi32(_mm256_sub_epi32(t, up), down);
+        let r = _mm256_max_epi32(
+            _mm256_min_epi32(r, _mm256_set1_epi32(7)),
+            _mm256_set1_epi32(-7),
+        );
+        _mm256_and_si256(r, _mm256_castps_si256(_mm256_cmp_ps::<_CMP_ORD_Q>(v, v)))
+    }
+
+    /// `e · e` of eight elements under one table and scale, widened: the
+    /// low and the high four lanes as f64 (see
+    /// [`super::KernelDispatch::encode_errors`] for the operation list).
+    #[target_feature(enable = "avx2")]
+    fn squared_errors_avx2(table: &EncodeTable, scale: f32, x: __m256) -> [__m256d; 2] {
+        let vs = _mm256_set1_ps(scale);
+        let v = _mm256_div_ps(x, vs);
+        let q = match table {
+            EncodeTable::Mant(levels) => {
+                // SAFETY: `levels` is eight f32s; unaligned 32-byte load.
+                let all = unsafe { _mm256_loadu_ps(levels.as_ptr()) };
+                let level = _mm256_permutevar8x32_ps(all, mant_index_avx2(levels, v));
+                _mm256_or_ps(level, _mm256_and_ps(v, _mm256_set1_ps(-0.0)))
+            }
+            EncodeTable::Int4 => _mm256_cvtepi32_ps(int4_round_avx2(v)),
+        };
+        let e = _mm256_sub_ps(x, _mm256_mul_ps(q, vs));
+        let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(e));
+        let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(e));
+        [_mm256_mul_pd(lo, lo), _mm256_mul_pd(hi, hi)]
+    }
+
+    /// 4×4 f64 transpose: `rows[c]` holds four elements' terms of
+    /// candidate `c`; lane `c` of result `j` is candidate `c`'s term of
+    /// element `j`.
+    #[target_feature(enable = "avx2")]
+    fn transpose4_pd(rows: [__m256d; 4]) -> [__m256d; 4] {
+        let t0 = _mm256_unpacklo_pd(rows[0], rows[1]);
+        let t1 = _mm256_unpackhi_pd(rows[0], rows[1]);
+        let t2 = _mm256_unpacklo_pd(rows[2], rows[3]);
+        let t3 = _mm256_unpackhi_pd(rows[2], rows[3]);
+        [
+            _mm256_permute2f128_pd::<0x20>(t0, t2),
+            _mm256_permute2f128_pd::<0x20>(t1, t3),
+            _mm256_permute2f128_pd::<0x31>(t0, t2),
+            _mm256_permute2f128_pd::<0x31>(t1, t3),
+        ]
+    }
+
+    /// AVX2 body of [`super::KernelDispatch::encode_errors`] over the whole
+    /// vectors of `group`: every chain starts at `0.0` and `sums[c]` is
+    /// overwritten; returns the number of leading elements summed (a
+    /// multiple of [`ENCODE_LANES`]). Candidates go four at
+    /// a time — a last partial quad repeats its last candidate in the spare
+    /// lanes, which are dropped — and each quad's accumulator is one
+    /// `f64x4` whose lane `c` is candidate `c`'s chain.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn encode_errors_avx2(
+        tables: &[EncodeTable],
+        scales: &[f32],
+        group: &[f32],
+        weights: Option<&[f32]>,
+        sums: &mut [f64],
+    ) -> usize {
+        assert!(tables.len() == scales.len() && tables.len() == sums.len());
+        assert!(weights.is_none_or(|w| w.len() == group.len()));
+        let blocks = group.len() / ENCODE_LANES;
+        if tables.is_empty() || blocks == 0 {
+            return 0;
+        }
+        for (quad, sums) in sums.chunks_mut(4).enumerate() {
+            let cand: [usize; 4] = std::array::from_fn(|k| (quad * 4 + k).min(tables.len() - 1));
+            let mut acc = _mm256_setzero_pd();
+            for b in 0..blocks {
+                // SAFETY: `b < blocks = group.len() / 8`, so the 8-float
+                // load is within `group`.
+                let x = unsafe { _mm256_loadu_ps(group.as_ptr().add(b * ENCODE_LANES)) };
+                let w = weights.map(|w| {
+                    // SAFETY: `weights` is as long as `group` (asserted
+                    // above), so the same 8-float load is within it.
+                    let w = unsafe { _mm256_loadu_ps(w.as_ptr().add(b * ENCODE_LANES)) };
+                    [
+                        _mm256_cvtps_pd(_mm256_castps256_ps128(w)),
+                        _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(w)),
+                    ]
+                });
+                let terms = cand.map(|c| {
+                    let [lo, hi] = squared_errors_avx2(&tables[c], scales[c], x);
+                    match w {
+                        Some([w_lo, w_hi]) => [_mm256_mul_pd(lo, w_lo), _mm256_mul_pd(hi, w_hi)],
+                        None => [lo, hi],
+                    }
+                });
+                for half in 0..2 {
+                    for term in transpose4_pd(terms.map(|t| t[half])) {
+                        acc = _mm256_add_pd(acc, term);
+                    }
+                }
+            }
+            let mut lanes = [0.0f64; 4];
+            // SAFETY: `lanes` is a writable 32-byte buffer; unaligned store.
+            unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), acc) };
+            sums.copy_from_slice(&lanes[..sums.len()]);
+        }
+        blocks * ENCODE_LANES
+    }
+
+    /// AVX2 body of [`super::KernelDispatch::encode_packed`] over the whole
+    /// vectors of `group`; returns the number of leading elements encoded
+    /// (a multiple of [`ENCODE_LANES`], so the packed bytes end on a byte).
+    /// Per vector: the eight codes as `i32` lanes, each odd lane shifted
+    /// onto its even neighbour (`c_even | c_odd << 4` is the low byte of
+    /// every 64-bit lane), the four bytes gathered and stored.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn encode_packed_avx2(
+        table: &EncodeTable,
+        scale: f32,
+        group: &[f32],
+        out: &mut [u8],
+    ) -> usize {
+        assert_eq!(out.len(), group.len().div_ceil(2));
+        let blocks = group.len() / ENCODE_LANES;
+        let vs = _mm256_set1_ps(scale);
+        // Byte 0 of each 64-bit lane to bytes 0 and 1; the rest zeroed.
+        let gather = _mm_set_epi8(-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 8, 0);
+        for (b, out) in out
+            .chunks_exact_mut(ENCODE_LANES / 2)
+            .take(blocks)
+            .enumerate()
+        {
+            // SAFETY: `b < blocks = group.len() / 8`, so the 8-float load
+            // is within `group`.
+            let x = unsafe { _mm256_loadu_ps(group.as_ptr().add(b * ENCODE_LANES)) };
+            let v = _mm256_div_ps(x, vs);
+            let codes = match table {
+                EncodeTable::Mant(levels) => {
+                    let negative = _mm256_srli_epi32::<28>(_mm256_castps_si256(v));
+                    _mm256_or_si256(
+                        mant_index_avx2(levels, v),
+                        _mm256_and_si256(negative, _mm256_set1_epi32(0x8)),
+                    )
+                }
+                EncodeTable::Int4 => _mm256_and_si256(int4_round_avx2(v), _mm256_set1_epi32(0x0f)),
+            };
+            let pairs = _mm256_or_si256(codes, _mm256_srli_epi64::<28>(codes));
+            let lo = _mm_shuffle_epi8(_mm256_castsi256_si128(pairs), gather);
+            let hi = _mm_shuffle_epi8(_mm256_extracti128_si256::<1>(pairs), gather);
+            let bytes = _mm_cvtsi128_si32(_mm_unpacklo_epi16(lo, hi));
+            out.copy_from_slice(&bytes.to_le_bytes());
+        }
+        blocks * ENCODE_LANES
     }
 }
 

@@ -1,11 +1,12 @@
 //! Property-based tests for the numeric formats.
 
+use mant_numerics::int::quantize_symmetric_int;
 use mant_numerics::packing::{pack_nibbles, unpack_nibbles, NibbleIter};
 use mant_numerics::simd::{scalar_abs_max, scalar_quantize_i8, tile8_len, TILE_ROWS};
 use mant_numerics::{
     dot_packed, dot_packed_x4, fp16, int4_decode_lut, int4_group_mac, int8_dot, kernel_lut,
-    mant_decode_lut, mant_group_psums, pair_decode_lut, Grid, KernelDispatch, KernelLut, Mant,
-    MantCode, MAX_I32_GROUP,
+    mant_decode_lut, mant_group_psums, pair_decode_lut, EncodeTable, Grid, KernelDispatch,
+    KernelLut, Mant, MantCode, MAX_I32_GROUP,
 };
 use proptest::prelude::*;
 
@@ -440,5 +441,259 @@ proptest! {
             d.quantize_i8(&xs, scale, &mut got);
             prop_assert_eq!(&got, &oracle, "tier {}", d.name());
         }
+    }
+
+    /// The per-element-scale variant (a V row across its channels) equals
+    /// the scalar loop lane for lane — zero scales (floored at
+    /// `MIN_POSITIVE`), rounding boundaries and non-finite values included.
+    #[test]
+    fn simd_quantize_i8_lanes_bit_identical(mut xs in proptest::collection::vec(-300.0f32..300.0, 0..120),
+                                            mut scales in proptest::collection::vec(0.001f32..10.0, 120),
+                                            special_at in 0usize..120,
+                                            special in 0usize..5,
+                                            zero_scale_at in 0usize..120) {
+        if special_at < xs.len() {
+            xs[special_at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 63.5 * 0.125, 0.0][special];
+            scales[special_at] = 0.125;
+        }
+        scales[zero_scale_at] = 0.0;
+        let scales = &scales[..xs.len()];
+        let oracle: Vec<i8> = xs
+            .iter()
+            .zip(scales)
+            .map(|(&x, &s)| quantize_symmetric_int(x / s.max(f32::MIN_POSITIVE), 127) as i8)
+            .collect();
+        for d in tiers() {
+            let mut got = vec![0i8; xs.len()];
+            d.quantize_i8_lanes(&xs, scales, &mut got);
+            prop_assert_eq!(&got, &oracle, "tier {}", d.name());
+        }
+    }
+}
+
+/// The candidate types the group-encode kernel is tested under: the
+/// paper's fifteen coefficients, the largest legal one, and INT4 (`None`).
+const ENCODE_TYPES: [Option<u32>; 17] = [
+    Some(0),
+    Some(5),
+    Some(10),
+    Some(17),
+    Some(20),
+    Some(30),
+    Some(40),
+    Some(50),
+    Some(60),
+    Some(70),
+    Some(80),
+    Some(90),
+    Some(100),
+    Some(110),
+    Some(120),
+    Some(127),
+    None,
+];
+
+/// Group sizes: odd ones carry a pad nibble, 1 and 5 never fill a vector,
+/// 15 is one vector plus a tail the scalar arm continues.
+const ENCODE_SIZES: [usize; 7] = [1, 5, 8, 15, 64, 96, 128];
+
+fn encode_table(ty: Option<u32>) -> EncodeTable {
+    ty.map_or(EncodeTable::Int4, |a| Mant::new(a).unwrap().into())
+}
+
+/// The per-element oracle of the group-encode kernel — what
+/// `GroupDtype::encode` / `quantize_value` compute: the 4-bit code of
+/// `x / scale` and the value it decodes to.
+fn oracle_encode(ty: Option<u32>, x: f32, scale: f32) -> (u8, f32) {
+    let v = x / scale;
+    match ty {
+        Some(a) => {
+            let m = Mant::new(a).unwrap();
+            let code = m.encode(v);
+            (code.to_bits(), m.decode(code) as f32 * scale)
+        }
+        None => {
+            let q = quantize_symmetric_int(v, 7);
+            ((q as i8 as u8) & 0x0f, q as f32 * scale)
+        }
+    }
+}
+
+/// Both kernel entries on every tier against the per-element oracle:
+/// errors as f64 bits (all of `types` in one sweep), codes as bytes.
+fn assert_encode_kernel_matches_oracle(
+    types: &[Option<u32>],
+    scales: &[f32],
+    group: &[f32],
+    weights: Option<&[f32]>,
+) {
+    let tables: Vec<EncodeTable> = types.iter().map(|&ty| encode_table(ty)).collect();
+    let mut want_errs = Vec::new();
+    let mut want_codes = Vec::new();
+    for (&ty, &scale) in types.iter().zip(scales) {
+        let mut acc = 0.0f64;
+        let mut codes = Vec::new();
+        for (j, &x) in group.iter().enumerate() {
+            let (code, q) = oracle_encode(ty, x, scale);
+            let e = f64::from(x - q);
+            acc += e * e * weights.map_or(1.0, |w| f64::from(w[j]));
+            codes.push(code);
+        }
+        want_errs.push(acc.to_bits());
+        want_codes.push(pack_nibbles(&codes));
+    }
+    for d in tiers() {
+        let mut sums = vec![f64::NAN; types.len()];
+        d.encode_errors(&tables, scales, group, weights, &mut sums);
+        let got: Vec<u64> = sums.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(got, want_errs, "errors, tier {} group {group:?}", d.name());
+        for (c, table) in tables.iter().enumerate() {
+            let mut packed = vec![0xffu8; group.len().div_ceil(2)];
+            d.encode_packed(table, scales[c], group, &mut packed);
+            assert_eq!(
+                packed,
+                want_codes[c],
+                "codes, tier {} type {:?} scale {} group {group:?}",
+                d.name(),
+                types[c],
+                scales[c]
+            );
+        }
+    }
+}
+
+/// One ulp below, the value, one ulp above (by magnitude; around zero,
+/// the smallest subnormal of either sign).
+fn ulp_neighbours(x: f32) -> [f32; 3] {
+    if x == 0.0 {
+        return [-f32::from_bits(1), x, f32::from_bits(1)];
+    }
+    [
+        f32::from_bits(x.to_bits() - 1),
+        x,
+        f32::from_bits(x.to_bits() + 1),
+    ]
+}
+
+proptest! {
+    /// Random groups with special lanes planted — ±0, ±∞, NaN, a subnormal
+    /// — under all seventeen types in one sweep, with and without ω, at
+    /// ordinary scales and at the smallest one `scale_for` can return.
+    #[test]
+    fn encode_kernel_bit_identical_to_per_element_oracle(
+        size in 0usize..ENCODE_SIZES.len(),
+        mut group in proptest::collection::vec(-40.0f32..40.0, 128),
+        omega in proptest::collection::vec(0.01f32..30.0, 128),
+        weighted in 0u8..2,
+        scales in proptest::collection::vec(0.001f32..3.0, ENCODE_TYPES.len()),
+        tiny_scale_at in 0usize..2 * ENCODE_TYPES.len(),
+        specials in proptest::collection::vec((0usize..128, 0usize..8), 0..6),
+    ) {
+        let n = ENCODE_SIZES[size];
+        const SPECIAL: [f32; 8] = [
+            0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-40, -1e30, 1e30,
+        ];
+        for (at, which) in specials {
+            group[at] = SPECIAL[which];
+        }
+        let mut scales = scales;
+        if let Some(s) = scales.get_mut(tiny_scale_at) {
+            *s = f32::MIN_POSITIVE;
+        }
+        let weights = (weighted == 1).then_some(&omega[..n]);
+        assert_encode_kernel_matches_oracle(&ENCODE_TYPES, &scales, &group[..n], weights);
+    }
+}
+
+/// Every midpoint between adjacent levels and one ulp either side, both
+/// signs, at power-of-two scales (so `x / scale` *is* the planted value):
+/// the tie must fall to the lower level on every tier, its neighbours to
+/// their own side.
+#[test]
+fn encode_kernel_ties_fall_where_the_scalar_scan_puts_them() {
+    for ty in ENCODE_TYPES {
+        let mut planted = vec![0.0f32, -0.0];
+        match ty {
+            Some(a) => {
+                let levels = Mant::new(a).unwrap().levels_f32();
+                planted.extend(levels.iter().flat_map(|&l| ulp_neighbours(l)));
+                for pair in levels.windows(2) {
+                    planted.extend(ulp_neighbours((pair[0] + pair[1]) / 2.0));
+                }
+            }
+            None => {
+                for half in -18..=18 {
+                    planted.extend(ulp_neighbours(half as f32 / 2.0));
+                }
+            }
+        }
+        let signed: Vec<f32> = planted.iter().flat_map(|&v| [v, -v]).collect();
+        for scale in [1.0f32, 0.125, 4.0] {
+            let group: Vec<f32> = signed.iter().map(|&v| v * scale).collect();
+            for &n in &ENCODE_SIZES {
+                for chunk in group.chunks(n) {
+                    assert_encode_kernel_matches_oracle(&[ty], &[scale], chunk, None);
+                }
+            }
+        }
+    }
+}
+
+/// An all-zero group costs nothing and encodes to the zero code under
+/// every type (MANT's magnitude-0 code, INT4's 0), pad nibble included.
+#[test]
+fn encode_kernel_all_zero_group() {
+    for &n in &ENCODE_SIZES {
+        let scales = [1.0f32; ENCODE_TYPES.len()];
+        assert_encode_kernel_matches_oracle(&ENCODE_TYPES, &scales, &vec![0.0; n], None);
+    }
+    // Candidate counts around the four-candidate quad of the vector arm.
+    let group: Vec<f32> = (0..64).map(|i| (i as f32 - 31.5) * 0.37).collect();
+    for count in [0usize, 1, 2, 3, 5] {
+        assert_encode_kernel_matches_oracle(
+            &ENCODE_TYPES[17 - count..],
+            &vec![0.11; count],
+            &group,
+            None,
+        );
+    }
+}
+
+/// INT4 rounding through the kernel equals `quantize_symmetric_int(v, 7)`
+/// on `count` consecutive bit patterns from `first`, on every tier.
+fn assert_int4_rounding_matches(first: u32, count: u32) {
+    let xs: Vec<f32> = (0..count)
+        .map(|i| f32::from_bits(first.wrapping_add(i)))
+        .collect();
+    let want: Vec<u8> = xs
+        .iter()
+        .map(|&x| (quantize_symmetric_int(x, 7) as i8 as u8) & 0x0f)
+        .collect();
+    let want = pack_nibbles(&want);
+    for d in tiers() {
+        let mut got = vec![0u8; want.len()];
+        d.encode_packed(&EncodeTable::Int4, 1.0, &xs, &mut got);
+        assert!(got == want, "tier {} from {first:#010x}", d.name());
+    }
+}
+
+#[test]
+fn int4_rounding_identity_around_every_half_integer() {
+    for half in -18i32..=18 {
+        for x in ulp_neighbours(half as f32 / 2.0) {
+            // 64 patterns around each, so vector and tail lanes both see it.
+            assert_int4_rounding_matches(x.to_bits().wrapping_sub(32), 64);
+        }
+    }
+}
+
+/// The rounding identity on all 2³² bit patterns (about a minute in a
+/// release build).
+#[test]
+#[ignore = "exhaustive: run with --release -- --ignored"]
+fn int4_rounding_identity_on_every_bit_pattern() {
+    const CHUNK: u32 = 1 << 20;
+    for chunk in 0..(1u64 << 32) / u64::from(CHUNK) {
+        assert_int4_rounding_matches(chunk as u32 * CHUNK, CHUNK);
     }
 }

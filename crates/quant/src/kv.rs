@@ -253,21 +253,29 @@ pub(crate) fn encode_k_row_into(
     codes_out: &mut [u8],
     meta_out: &mut [GroupMeta],
 ) {
+    /// Groups whose `Σv/Σv²/max` chains run side by side: each chain adds
+    /// in its own element order, but four of them keep the adder busy
+    /// where one waits out every addition's latency.
+    const ABREAST: usize = 4;
     let group_bytes = group_size.div_ceil(2);
     debug_assert_eq!(codes_out.len(), (k.len() / group_size) * group_bytes);
     debug_assert_eq!(meta_out.len(), k.len() / group_size);
-    for (g, group) in k.chunks_exact(group_size).enumerate() {
-        let mut stats = RunningGroupStats::new();
-        stats.extend_from_slice(group);
-        let dtype = vmap.select_for(&stats);
-        let scale = dtype.scale_for(stats.abs_max());
-        meta_out[g] = GroupMeta { dtype, scale };
-        encode_group_packed(
-            dtype,
-            scale,
-            group,
-            &mut codes_out[g * group_bytes..(g + 1) * group_bytes],
-        );
+    let mut codes_out = codes_out.chunks_exact_mut(group_bytes);
+    let mut meta_out = meta_out.iter_mut();
+    for groups in k.chunks(ABREAST * group_size) {
+        let mut stats = [RunningGroupStats::new(); ABREAST];
+        for j in 0..group_size {
+            for (stats, group) in stats.iter_mut().zip(groups.chunks_exact(group_size)) {
+                stats.push(group[j]);
+            }
+        }
+        for (stats, group) in stats.iter().zip(groups.chunks_exact(group_size)) {
+            let dtype = vmap.select_for(stats);
+            let scale = dtype.scale_for(stats.abs_max());
+            *meta_out.next().expect("one entry per group") = GroupMeta { dtype, scale };
+            let codes = codes_out.next().expect("one packed group per group");
+            encode_group_packed(dtype, scale, group, codes);
+        }
     }
 }
 
@@ -316,31 +324,40 @@ pub(crate) fn attend_window(
 /// rows — so truncation can rebuild the accumulators exactly). Owns the
 /// staging/commit logic; the owned [`VCacheQuantizer`] and the paged
 /// pool's views differ only in where committed windows land.
+///
+/// Everything per channel is an array over channels, so a pushed row is
+/// quantized and accumulated **across** channels — a vector lane is a
+/// channel, and each channel's `Σv/Σv²/max` chain keeps its row order.
 #[derive(Clone, Debug)]
 pub(crate) struct VStaging {
     pub(crate) dim: usize,
     pub(crate) group_size: usize,
-    pub(crate) vmap: VarianceMap,
+    vmap: VarianceMap,
     /// Per-channel INT8 scales for the staging window (from prefill, or
     /// bootstrapped from the first vectors seen).
-    pub(crate) channel_scales: Vec<f32>,
+    channel_scales: Vec<f32>,
     /// Snapshot of `channel_scales` as of the current window's first row —
     /// refreshed on construction, reset, prefill-scale derivation, and
     /// every commit. [`VStaging::truncate`] restores these before
     /// re-pushing the kept rows, so a widening triggered by a *dropped*
     /// row is undone and the rebuilt window is bit-identical to one that
     /// never staged the dropped rows.
-    pub(crate) window_start_scales: Vec<f32>,
-    /// Phase-1 staging buffer: INT8 rows, at most `group_size` of them.
-    pub(crate) window: Vec<Vec<i8>>,
-    /// The staged rows' original f32 values in arrival order — what
+    window_start_scales: Vec<f32>,
+    /// Rows staged, at most `group_size`.
+    rows: usize,
+    /// Phase-1 staging buffer: the staged rows' INT8 codes, `[t][c]`.
+    window: Vec<i8>,
+    /// The staged rows' original f32 values, `[t][c]` — what
     /// [`VStaging::truncate`] re-pushes to rebuild the RQU stats
     /// bit-exactly. A software rollback convenience (the accelerator keeps
     /// the arriving vectors in SRAM for the window anyway); not packed
     /// storage and not counted in the bit accounting.
-    pub(crate) window_f32: Vec<Vec<f32>>,
-    /// RQU accumulators per channel over the current window.
-    pub(crate) stats: Vec<RunningGroupStats>,
+    window_f32: Vec<f32>,
+    /// RQU accumulators over the current window, per channel: `Σv`, `Σv²`
+    /// and `max |v|`, each the chain [`RunningGroupStats::push`] keeps.
+    sum: Vec<f64>,
+    sum_sq: Vec<f64>,
+    abs_max: Vec<f32>,
 }
 
 impl VStaging {
@@ -351,10 +368,30 @@ impl VStaging {
             vmap,
             channel_scales: vec![0.0; dim],
             window_start_scales: vec![0.0; dim],
+            rows: 0,
             window: Vec::new(),
             window_f32: Vec::new(),
-            stats: vec![RunningGroupStats::new(); dim],
+            sum: vec![0.0; dim],
+            sum_sq: vec![0.0; dim],
+            abs_max: vec![0.0; dim],
         }
+    }
+
+    /// Rows currently staged.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The INT8 codes of staged row `t`.
+    pub(crate) fn staged_row(&self, t: usize) -> &[i8] {
+        &self.window[t * self.dim..(t + 1) * self.dim]
+    }
+
+    /// Channel `c`'s staging scale as the codes are read back: floored at
+    /// the smallest positive f32 (a channel that only ever saw zeros still
+    /// has scale 0).
+    pub(crate) fn staging_scale(&self, c: usize) -> f32 {
+        self.channel_scales[c].max(f32::MIN_POSITIVE)
     }
 
     /// Derives the staging window's per-channel INT8 scales from a prefill
@@ -378,65 +415,111 @@ impl VStaging {
     /// Panics if `v.len() != dim`.
     pub(crate) fn push(&mut self, v: &[f32]) -> Option<CommittedWindow> {
         assert_eq!(v.len(), self.dim, "value vector length mismatch");
-        let mut row = Vec::with_capacity(self.dim);
-        for (c, &x) in v.iter().enumerate() {
-            if self.channel_scales[c] == 0.0 && x != 0.0 {
-                // No prefill happened: bootstrap the channel scale from the
-                // first nonzero observation.
-                self.channel_scales[c] = int8_scale(x.abs());
-            }
-            if x.abs() > 127.0 * self.channel_scales[c] {
-                // The channel outgrew its prefill range: widen the scale
-                // and re-encode the staged codes for this channel (cheap —
-                // the window holds at most one group of rows).
-                let old = self.channel_scales[c].max(f32::MIN_POSITIVE);
-                let new = int8_scale(x.abs());
-                for staged in &mut self.window {
-                    let rescaled = f32::from(staged[c]) * old / new;
-                    staged[c] = quantize_symmetric_int(rescaled, 127) as i8;
+        // The rare channels first, one at a time: a scale that has to be
+        // bootstrapped or widened before this row fits it.
+        let outgrown = |x: f32, s: f32| (s == 0.0 && x != 0.0) || x.abs() > 127.0 * s;
+        if v.iter()
+            .zip(&self.channel_scales)
+            .fold(false, |any, (&x, &s)| any | outgrown(x, s))
+        {
+            for (c, &x) in v.iter().enumerate() {
+                if outgrown(x, self.channel_scales[c]) {
+                    self.rescale_channel(c, x);
                 }
-                self.channel_scales[c] = new;
             }
-            let s = self.channel_scales[c].max(f32::MIN_POSITIVE);
-            row.push(quantize_symmetric_int(x / s, 127) as i8);
-            self.stats[c].push(x);
         }
-        self.window.push(row);
-        self.window_f32.push(v.to_vec());
-        if self.window.len() == self.group_size {
+        // Then every channel at its final scale, across the row.
+        let at = self.window.len();
+        self.window.resize(at + self.dim, 0);
+        kernels().quantize_i8_lanes(v, &self.channel_scales, &mut self.window[at..]);
+        self.window_f32.extend_from_slice(v);
+        for ((sum, sum_sq), &x) in self.sum.iter_mut().zip(&mut self.sum_sq).zip(v) {
+            let x = f64::from(x);
+            *sum += x;
+            *sum_sq += x * x;
+        }
+        for (abs_max, &x) in self.abs_max.iter_mut().zip(v) {
+            *abs_max = abs_max.max(x.abs());
+        }
+        self.rows += 1;
+        if self.rows == self.group_size {
             Some(self.commit())
         } else {
             None
         }
     }
 
+    /// Gives channel `c` a scale that holds `x`, before `x` is staged.
+    fn rescale_channel(&mut self, c: usize, x: f32) {
+        if self.channel_scales[c] == 0.0 && x != 0.0 {
+            // No prefill happened: bootstrap the channel scale from the
+            // first nonzero observation.
+            self.channel_scales[c] = int8_scale(x.abs());
+        }
+        if x.abs() > 127.0 * self.channel_scales[c] {
+            // The channel outgrew its prefill range: widen the scale
+            // and re-encode the staged codes for this channel (cheap —
+            // the window holds at most one group of rows).
+            let old = self.channel_scales[c].max(f32::MIN_POSITIVE);
+            let new = int8_scale(x.abs());
+            for staged in self.window.iter_mut().skip(c).step_by(self.dim) {
+                let rescaled = f32::from(*staged) * old / new;
+                *staged = quantize_symmetric_int(rescaled, 127) as i8;
+            }
+            self.channel_scales[c] = new;
+        }
+    }
+
     /// Phase 2 of Fig. 8: variance → `a`, then requantize the staged INT8
     /// window to packed 4-bit MANT, one group per channel.
     fn commit(&mut self) -> CommittedWindow {
-        let gb = self.group_size.div_ceil(2);
-        let mut meta = Vec::with_capacity(self.dim);
-        let mut codes = vec![0u8; gb * self.dim];
-        let mut group = vec![0.0f32; self.group_size];
-        for c in 0..self.dim {
-            let dtype = self.vmap.select_for(&self.stats[c]);
+        let (g, dim) = (self.group_size, self.dim);
+        let gb = g.div_ceil(2);
+        // One transpose of the window, `[t][c]` → `[c][t]`, makes every
+        // channel's temporal group contiguous.
+        let mut by_channel = vec![0i8; g * dim];
+        for t in 0..g {
+            for (c, &code) in self.staged_row(t).iter().enumerate() {
+                by_channel[c * g + t] = code;
+            }
+        }
+        let d = kernels();
+        let mut meta = Vec::with_capacity(dim);
+        let mut codes = vec![0u8; gb * dim];
+        let mut group = vec![0.0f32; g];
+        for c in 0..dim {
+            let stats = RunningGroupStats::from_parts(
+                self.sum[c],
+                self.sum_sq[c],
+                self.abs_max[c],
+                self.rows,
+            );
+            let dtype = self.vmap.select_for(&stats);
             // The group contents are the *staged INT8* values (the paper
             // requantizes the stacked INT8 V cache), so the scale comes
             // from their dequantized max.
-            let s8 = self.channel_scales[c].max(f32::MIN_POSITIVE);
-            for (t, row) in self.window.iter().enumerate() {
-                group[t] = f32::from(row[c]) * s8;
+            let s8 = self.staging_scale(c);
+            for (x, &code) in group.iter_mut().zip(&by_channel[c * g..(c + 1) * g]) {
+                *x = f32::from(code) * s8;
             }
-            let amax = group.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-            let scale = dtype.scale_for(amax);
+            let scale = dtype.scale_for(d.abs_max(&group));
             meta.push(GroupMeta { dtype, scale });
             encode_group_packed(dtype, scale, &group, &mut codes[c * gb..(c + 1) * gb]);
-            self.stats[c].reset();
         }
-        self.window.clear();
-        self.window_f32.clear();
+        self.clear_window();
         self.window_start_scales
             .copy_from_slice(&self.channel_scales);
         CommittedWindow { meta, codes }
+    }
+
+    /// Empties the window and zeroes its accumulators; scales stay.
+    fn clear_window(&mut self) {
+        self.rows = 0;
+        self.window.clear();
+        self.window_f32.clear();
+        self.sum.fill(0.0);
+        self.sum_sq.fill(0.0);
+        self.abs_max.fill(0.0);
     }
 
     /// The staged-rows lane of `P·V`: INT8 probabilities × INT8 staged
@@ -455,7 +538,7 @@ impl VStaging {
         // `int8_dot` per channel returns: a window holds at most
         // `group_size` rows of products below 2^14, far inside i32.
         let mut sums = vec![0i32; out.len()];
-        for (&p, row) in pcodes.iter().zip(self.window.iter()) {
+        for (&p, row) in pcodes.iter().zip(self.window.chunks_exact(self.dim)) {
             for (s, &v) in sums.iter_mut().zip(&row[chan_lo..]) {
                 *s += i32::from(p) * i32::from(v);
             }
@@ -479,16 +562,13 @@ impl VStaging {
     /// dropped rows are undone — the result is bit-identical to a staging
     /// buffer that never saw the dropped rows.
     pub(crate) fn truncate(&mut self, keep: usize) {
-        debug_assert!(keep <= self.window.len());
-        let kept: Vec<Vec<f32>> = self.window_f32.drain(..).take(keep).collect();
-        self.window.clear();
+        debug_assert!(keep <= self.rows);
+        let kept = self.window_f32[..keep * self.dim].to_vec();
+        self.clear_window();
         self.channel_scales
             .copy_from_slice(&self.window_start_scales);
-        for s in &mut self.stats {
-            s.reset();
-        }
-        for row in &kept {
-            let committed = self.push(row);
+        for t in 0..keep {
+            let committed = self.push(&kept[t * self.dim..(t + 1) * self.dim]);
             debug_assert!(
                 committed.is_none(),
                 "re-staging fewer rows than a full window cannot commit"
@@ -500,13 +580,9 @@ impl VStaging {
     /// storage can be recycled by a new sequence; bit-identical afterwards
     /// to a freshly constructed staging buffer.
     pub(crate) fn reset(&mut self) {
-        self.window.clear();
-        self.window_f32.clear();
-        for s in &mut self.stats {
-            s.reset();
-        }
-        self.channel_scales.iter_mut().for_each(|s| *s = 0.0);
-        self.window_start_scales.iter_mut().for_each(|s| *s = 0.0);
+        self.clear_window();
+        self.channel_scales.fill(0.0);
+        self.window_start_scales.fill(0.0);
     }
 }
 
@@ -539,7 +615,7 @@ impl VCacheQuantizer {
 
     /// Number of cached value vectors (committed + staged).
     pub fn len(&self) -> usize {
-        self.committed.len() * self.staging.group_size + self.staging.window.len()
+        self.committed.len() * self.staging.group_size + self.staging.rows()
     }
 
     /// Whether the cache is empty.
@@ -549,7 +625,7 @@ impl VCacheQuantizer {
 
     /// Rows currently staged in the INT8 process window.
     pub fn window_len(&self) -> usize {
-        self.staging.window.len()
+        self.staging.rows()
     }
 
     /// Number of committed 4-bit windows.
@@ -697,11 +773,13 @@ impl VCacheQuantizer {
                 out.push_row(&row);
             }
         }
-        for row8 in &self.staging.window {
-            let row: Vec<f32> = row8
+        for t in 0..self.staging.rows() {
+            let row: Vec<f32> = self
+                .staging
+                .staged_row(t)
                 .iter()
                 .enumerate()
-                .map(|(c, &q)| f32::from(q) * self.staging.channel_scales[c].max(f32::MIN_POSITIVE))
+                .map(|(c, &q)| f32::from(q) * self.staging.staging_scale(c))
                 .collect();
             out.push_row(&row);
         }
@@ -720,7 +798,7 @@ impl VCacheQuantizer {
         let dim = self.staging.dim;
         let gb = self.staging.group_size.div_ceil(2);
         let committed = self.committed.len() * (dim * gb * 8 + dim * 24);
-        let staged = self.staging.window.len() * dim * 8;
+        let staged = self.staging.rows() * dim * 8;
         committed + staged
     }
 }
@@ -1134,12 +1212,151 @@ mod tests {
         let (pcodes, pscale) = quantize_probs_int8(&probs).unwrap();
         for (j, &o) in got.iter().enumerate() {
             let c = chan_lo + j;
-            let col: Vec<i8> = staging.window.iter().map(|row| row[c]).collect();
-            let s8 = staging.channel_scales[c].max(f32::MIN_POSITIVE);
+            let col: Vec<i8> = (0..staging.rows())
+                .map(|t| staging.staged_row(t)[c])
+                .collect();
+            let s8 = staging.staging_scale(c);
             let int_result = kernels().int8_dot(&pcodes, &col);
             let want = 0.25f32 + (f64::from(pscale) * f64::from(s8) * int_result as f64) as f32;
             assert_eq!(o.to_bits(), want.to_bits(), "channel {c}");
         }
+    }
+
+    /// The staging engine as it was before rows were quantized across
+    /// channels: one channel at a time, one element at a time, a
+    /// `RunningGroupStats` per channel, per-element `GroupDtype::encode` at
+    /// the commit. The oracle of [`VStaging`].
+    struct ScalarStaging {
+        group_size: usize,
+        vmap: VarianceMap,
+        scales: Vec<f32>,
+        window: Vec<Vec<i8>>,
+        stats: Vec<RunningGroupStats>,
+    }
+
+    impl ScalarStaging {
+        fn new(dim: usize, group_size: usize, vmap: VarianceMap) -> Self {
+            ScalarStaging {
+                group_size,
+                vmap,
+                scales: vec![0.0; dim],
+                window: Vec::new(),
+                stats: vec![RunningGroupStats::new(); dim],
+            }
+        }
+
+        fn push(&mut self, v: &[f32]) -> Option<CommittedWindow> {
+            let mut row = Vec::new();
+            for (c, &x) in v.iter().enumerate() {
+                if self.scales[c] == 0.0 && x != 0.0 {
+                    self.scales[c] = int8_scale(x.abs());
+                }
+                if x.abs() > 127.0 * self.scales[c] {
+                    let old = self.scales[c].max(f32::MIN_POSITIVE);
+                    let new = int8_scale(x.abs());
+                    for staged in &mut self.window {
+                        let rescaled = f32::from(staged[c]) * old / new;
+                        staged[c] = quantize_symmetric_int(rescaled, 127) as i8;
+                    }
+                    self.scales[c] = new;
+                }
+                let s = self.scales[c].max(f32::MIN_POSITIVE);
+                row.push(quantize_symmetric_int(x / s, 127) as i8);
+                self.stats[c].push(x);
+            }
+            self.window.push(row);
+            (self.window.len() == self.group_size).then(|| self.commit())
+        }
+
+        fn commit(&mut self) -> CommittedWindow {
+            let gb = self.group_size.div_ceil(2);
+            let mut meta = Vec::new();
+            let mut codes = Vec::new();
+            for c in 0..self.scales.len() {
+                let dtype = self.vmap.select_for(&self.stats[c]);
+                let s8 = self.scales[c].max(f32::MIN_POSITIVE);
+                let group: Vec<f32> = self.window.iter().map(|r| f32::from(r[c]) * s8).collect();
+                let scale = dtype.scale_for(abs_max(&group));
+                meta.push(GroupMeta { dtype, scale });
+                let nibbles: Vec<u8> = group.iter().map(|&x| dtype.encode(x, scale)).collect();
+                let packed = mant_numerics::pack_nibbles(&nibbles);
+                assert_eq!(packed.len(), gb);
+                codes.extend(packed);
+                self.stats[c].reset();
+            }
+            self.window.clear();
+            CommittedWindow { meta, codes }
+        }
+    }
+
+    fn assert_staging_equals_oracle(staging: &VStaging, oracle: &ScalarStaging) {
+        assert_eq!(staging.rows(), oracle.window.len());
+        for (t, row) in oracle.window.iter().enumerate() {
+            assert_eq!(staging.staged_row(t), &row[..], "staged row {t}");
+        }
+        let bits = |s: &[f32]| -> Vec<u32> { s.iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&staging.channel_scales), bits(&oracle.scales));
+        for (c, stats) in oracle.stats.iter().enumerate() {
+            let got = RunningGroupStats::from_parts(
+                staging.sum[c],
+                staging.sum_sq[c],
+                staging.abs_max[c],
+                staging.rows(),
+            );
+            // Through `Debug` (shortest round-trip digits), so a channel
+            // that has absorbed a NaN still compares equal to itself.
+            assert_eq!(format!("{got:?}"), format!("{stats:?}"), "channel {c}");
+        }
+    }
+
+    #[test]
+    fn staging_across_channels_equals_the_row_at_a_time_scalar_path() {
+        // 24 channels = three eight-lane vectors, window of 8, no prefill:
+        // every scale is bootstrapped, and late — channels 3 and 12 stay at
+        // zero while their vector neighbours are live — then channels 9, 17
+        // and 1 outgrow their scales (re-encoding what is staged) beside
+        // lanes that do neither. A cut at three rows must undo channel 1's
+        // widening, which only a dropped row caused.
+        let (dim, g) = (24usize, 8usize);
+        let mut gen = TensorGenerator::new(91);
+        let mut rows: Vec<Vec<f32>> = (0..16)
+            .map(|_| (0..dim).map(|_| gen.uniform(-1.0, 1.0)).collect())
+            .collect();
+        for row in rows.iter_mut().take(1) {
+            row[3] = 0.0;
+            row[12] = 0.0;
+        }
+        rows[1][9] = 55.0;
+        rows[1][12] = -0.0;
+        rows[2][17] = -31.0;
+        rows[2][12] = 0.4;
+        rows[4][1] = 900.0;
+        rows[5][20] = f32::NAN;
+
+        let mut staging = VStaging::new(dim, g, vmap());
+        let mut oracle = ScalarStaging::new(dim, g, vmap());
+        for row in &rows[..6] {
+            assert!(staging.push(row).is_none() && oracle.push(row).is_none());
+            assert_staging_equals_oracle(&staging, &oracle);
+        }
+        // Cut mid-window; the oracle is a twin that never saw rows 3..6.
+        staging.truncate(3);
+        let mut oracle = ScalarStaging::new(dim, g, vmap());
+        for row in &rows[..3] {
+            oracle.push(row);
+        }
+        assert_staging_equals_oracle(&staging, &oracle);
+        // On through the commit and into the next window.
+        for row in &rows[6..] {
+            let (got, want) = (staging.push(row), oracle.push(row));
+            assert_eq!(got.is_some(), want.is_some());
+            if let (Some(got), Some(want)) = (got, want) {
+                assert_eq!(got.meta, want.meta);
+                assert_eq!(got.codes, want.codes);
+            }
+            assert_staging_equals_oracle(&staging, &oracle);
+        }
+        assert_eq!(staging.rows(), 16 - 3 - g);
     }
 
     #[test]

@@ -1,40 +1,24 @@
 //! MANT weight quantization: per-group adaptive types with packed storage.
 
 use mant_numerics::fp16::quantize_fp16;
-use mant_numerics::{int4_grid, Grid, Mant, MantCode, NumericsError};
+use mant_numerics::{int4_grid, kernels, EncodeTable, Grid, Mant, MantCode, NumericsError};
 use mant_tensor::par::par_map_indexed;
-use mant_tensor::{abs_max, Matrix};
+use mant_tensor::Matrix;
 
 use mant_numerics::KernelLut;
 
 use crate::error::QuantError;
 use crate::plan::kernel_table;
 use crate::quantizer::FakeQuantizer;
-use crate::search::{select_group_dtype_weighted, CandidateSet};
+use crate::search::CandidateSet;
 
 /// Encodes one group straight into its **packed** nibble storage: two
 /// codes per byte, first code in the low nibble, an odd tail in a final
 /// low nibble. Shared by the weight quantizer, the streaming K-cache
 /// encoder, and the V-window commit, so every packed buffer in the
-/// workspace has one layout.
+/// workspace has one layout — the group-encode kernel's.
 pub(crate) fn encode_group_packed(dtype: GroupDtype, scale: f32, group: &[f32], out: &mut [u8]) {
-    debug_assert_eq!(out.len(), group.len().div_ceil(2));
-    let enc = |x: f32| {
-        let code = dtype.encode(x, scale);
-        // Same hardening as `pack_nibbles`: a >4-bit code here would OR
-        // into the neighboring nibble and corrupt two elements into
-        // plausible-looking packed data. Debug builds assert; release
-        // builds mask so the packed buffer stays well-formed either way.
-        debug_assert!(code < 16, "encoder produced a non-4-bit code");
-        code & 0x0f
-    };
-    let mut pairs = group.chunks_exact(2);
-    for (o, pair) in out.iter_mut().zip(pairs.by_ref()) {
-        *o = enc(pair[0]) | (enc(pair[1]) << 4);
-    }
-    if let [last] = pairs.remainder() {
-        out[group.len() / 2] = enc(*last);
-    }
+    kernels().encode_packed(&dtype.encode_table(), scale, group, out);
 }
 
 /// Decodes the packed code of element `j` within a group slice.
@@ -47,17 +31,20 @@ pub(crate) fn packed_code(codes: &[u8], j: usize) -> u8 {
     }
 }
 
-/// Encodes one row: per-group candidate search, scale derivation, and
-/// packed 4-bit encoding. The unit of work for both the serial and
+/// Encodes one row: per group, one kernel sweep over every candidate
+/// (`abs_max` once, each candidate's FP16 scale once), then the packed
+/// 4-bit encoding under the winner. The unit of work for both the serial and
 /// parallel quantization paths (groups within a row are processed in
 /// order, so splitting by rows cannot reorder any floating-point
-/// operation).
+/// operation). The callers have been through
+/// [`MantQuantizedMatrix::validate`]: the set is not empty and the column
+/// weights span the row.
 fn encode_row(
     row: &[f32],
     group_size: usize,
     set: &CandidateSet,
     col_weights: Option<&[f32]>,
-) -> Result<(Vec<u8>, Vec<GroupMeta>), QuantError> {
+) -> (Vec<u8>, Vec<GroupMeta>) {
     let groups_per_row = row.len() / group_size;
     let group_bytes = group_size.div_ceil(2);
     let mut codes = vec![0u8; groups_per_row * group_bytes];
@@ -66,17 +53,19 @@ fn encode_row(
         let lo = g * group_size;
         let group = &row[lo..lo + group_size];
         let gw = col_weights.map(|cw| &cw[lo..lo + group_size]);
-        let (dtype, _) = select_group_dtype_weighted(group, gw, set)?;
-        let scale = dtype.scale_for(abs_max(group));
-        meta.push(GroupMeta { dtype, scale });
-        encode_group_packed(
-            dtype,
+        let (best, _, scale) = set.select(group, gw);
+        meta.push(GroupMeta {
+            dtype: set.candidates()[best],
+            scale,
+        });
+        kernels().encode_packed(
+            &set.tables()[best],
             scale,
             group,
             &mut codes[g * group_bytes..(g + 1) * group_bytes],
         );
     }
-    Ok((codes, meta))
+    (codes, meta)
 }
 
 /// The data type assigned to one group: a MANT coefficient or plain INT4
@@ -117,7 +106,18 @@ impl GroupDtype {
         quantize_fp16(amax / self.max_level()).max(f32::MIN_POSITIVE)
     }
 
-    /// Encodes `x / scale` to a 4-bit code.
+    /// The type as the group-encode kernel reads it.
+    pub fn encode_table(&self) -> EncodeTable {
+        match self {
+            GroupDtype::Mant(m) => (*m).into(),
+            GroupDtype::Int4 => EncodeTable::Int4,
+        }
+    }
+
+    /// Encodes `x / scale` to a 4-bit code. With
+    /// [`GroupDtype::quantize_value`], the per-element oracle of the
+    /// group-encode kernel every encode path runs
+    /// ([`mant_numerics::KernelDispatch::encode_packed`]).
     pub fn encode(&self, x: f32, scale: f32) -> u8 {
         let v = x / scale;
         match self {
@@ -237,7 +237,7 @@ impl MantQuantizedMatrix {
             Vec::with_capacity(w.rows() * (w.cols() / group_size) * group_size.div_ceil(2));
         let mut meta = Vec::with_capacity(w.rows() * (w.cols() / group_size));
         for r in 0..w.rows() {
-            let (row_codes, row_meta) = encode_row(w.row(r), group_size, set, col_weights)?;
+            let (row_codes, row_meta) = encode_row(w.row(r), group_size, set, col_weights);
             codes.extend(row_codes);
             meta.extend(row_meta);
         }
@@ -295,8 +295,7 @@ impl MantQuantizedMatrix {
         let mut codes =
             Vec::with_capacity(w.rows() * (w.cols() / group_size) * group_size.div_ceil(2));
         let mut meta = Vec::with_capacity(w.rows() * (w.cols() / group_size));
-        for row in rows {
-            let (row_codes, row_meta) = row?;
+        for (row_codes, row_meta) in rows {
             codes.extend(row_codes);
             meta.extend(row_meta);
         }

@@ -366,7 +366,7 @@ impl PagedKvCache {
 
     /// Rows currently staged in the per-sequence INT8 process window.
     pub fn window_len(&self) -> usize {
-        self.staging.window.len()
+        self.staging.rows()
     }
 
     /// Committed 4-bit V windows.
@@ -680,7 +680,7 @@ impl PagedKvCache {
         let gb = self.staging.group_size.div_ceil(2);
         let k = self.rows * (gpr * gb * 8 + gpr * 24);
         let v_committed = self.committed_windows * (dim * gb * 8 + dim * 24);
-        let v_staged = self.staging.window.len() * dim * 8;
+        let v_staged = self.staging.rows() * dim * 8;
         k + v_committed + v_staged
     }
 
@@ -715,8 +715,8 @@ impl PagedKvCache {
                     .decode(packed_code(&codes[c * gb..(c + 1) * gb], t % g))
                     * m.scale
             } else {
-                let row = &self.staging.window[t - self.committed_windows * g];
-                f32::from(row[c]) * self.staging.channel_scales[c].max(f32::MIN_POSITIVE)
+                let row = self.staging.staged_row(t - self.committed_windows * g);
+                f32::from(row[c]) * self.staging.staging_scale(c)
             }
         })
     }

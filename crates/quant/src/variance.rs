@@ -19,7 +19,7 @@ use mant_tensor::{abs_max, variance, RunningGroupStats};
 
 use crate::error::QuantError;
 use crate::mantq::GroupDtype;
-use crate::search::{group_quantization_error_weighted, CandidateSet};
+use crate::search::{candidate_errors, CandidateSet};
 
 /// Number of log-spaced variance buckets in the LUT.
 const BUCKETS: usize = 48;
@@ -71,7 +71,9 @@ impl VarianceMap {
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::EmptyCandidateSet`] if `set` is empty.
+    /// Returns [`QuantError::EmptyCandidateSet`] if `set` is empty, and
+    /// [`QuantError::ShapeMismatch`] if a group's weights differ from it in
+    /// length.
     pub fn from_calibration_weighted<'a>(
         groups: impl IntoIterator<Item = (&'a [f32], Option<&'a [f32]>)>,
         set: &CandidateSet,
@@ -84,9 +86,17 @@ impl VarianceMap {
         // per-candidate variance sums (for the introspection entries),
         // attributed to each group's MSE winner.
         let items: Vec<(&[f32], Option<&[f32]>)> = groups.into_iter().collect();
-        // The 16-candidate error sweep per group is the hot kernel; fan it
-        // across threads (bit-identical: per-group results are reduced in
-        // input order below, so no accumulation is reordered).
+        if items
+            .iter()
+            .any(|(group, weights)| weights.is_some_and(|w| w.len() != group.len()))
+        {
+            return Err(QuantError::ShapeMismatch {
+                context: "calibration weights vs group length",
+            });
+        }
+        // Fan the per-group error sweeps across threads (bit-identical:
+        // per-group results are reduced in input order below, so no
+        // accumulation is reordered).
         // (bucket, normalized variance, winning candidate, per-candidate errors)
         type GroupCalib = (usize, f64, usize, Vec<f64>);
         let per_group: Vec<Option<GroupCalib>> = par_map_slice(&items, |&(group, weights)| {
@@ -103,21 +113,27 @@ impl VarianceMap {
                 ws.iter().map(|&w| f64::from(w)).sum::<f64>() / n
             });
             let norm = f64::from(amax) * f64::from(amax) * mean_w.max(1e-30);
+            // One kernel sweep gives every candidate's error; the
+            // winner is the first minimum, as in the weight search.
+            let mut cand_errs = vec![0.0f64; set.len()];
+            candidate_errors(
+                set.candidates(),
+                set.tables(),
+                group,
+                weights,
+                amax,
+                &mut vec![0.0; set.len()],
+                &mut cand_errs,
+            );
             let mut win_idx = 0usize;
             let mut win_err = f64::INFINITY;
-            let cand_errs: Vec<f64> = set
-                .candidates()
-                .iter()
-                .enumerate()
-                .map(|(i, &cand)| {
-                    let e = group_quantization_error_weighted(group, weights, cand) / norm;
-                    if e < win_err {
-                        win_err = e;
-                        win_idx = i;
-                    }
-                    e
-                })
-                .collect();
+            for (i, e) in cand_errs.iter_mut().enumerate() {
+                *e /= norm;
+                if *e < win_err {
+                    win_err = *e;
+                    win_idx = i;
+                }
+            }
             Some((bucket_of(nvar), nvar, win_idx, cand_errs))
         });
 
@@ -228,6 +244,12 @@ impl VarianceMap {
     /// The `(representative_variance, dtype)` pairs, sorted ascending.
     pub fn entries(&self) -> &[(f64, GroupDtype)] {
         &self.entries
+    }
+
+    /// The LUT itself: the selected type of every log-spaced variance
+    /// bucket, ascending — what [`VarianceMap::select`] indexes.
+    pub fn buckets(&self) -> &[GroupDtype] {
+        &self.buckets
     }
 
     /// Selects the type for a group with the given normalized variance.

@@ -93,6 +93,19 @@ impl RunningGroupStats {
         RunningGroupStats::default()
     }
 
+    /// An accumulator holding sums kept elsewhere — `Σx`, `Σx²` and
+    /// `max |x|` over `count` elements, each accumulated the way
+    /// [`RunningGroupStats::push`] does. For engines that keep many
+    /// groups' sums as parallel arrays (one vector lane per group).
+    pub fn from_parts(sum: f64, sum_sq: f64, abs_max: f32, count: usize) -> Self {
+        RunningGroupStats {
+            sum,
+            sum_sq,
+            abs_max,
+            count,
+        }
+    }
+
     /// Absorbs one element.
     pub fn push(&mut self, x: f32) {
         self.sum += f64::from(x);
