@@ -20,15 +20,28 @@
 //! of that peak. On AVX2 the 32-member batch must beat 32 GEMVs by ≥ 3×
 //! on every shape, and the 3-member batch — the first size that takes
 //! the tile — must not lose more than 10 %.
+//!
+//! The attention tail closes the report: the softmax kernel per element
+//! against the libm loop it replaced — on 256 benign scores, and on the
+//! eight score rows (layer × head) of one position of a real `sim_llama`
+//! prefill, a fifth of which lie more than 87 below their row's maximum,
+//! where libm's `expf` returns subnormals and every operation on them
+//! takes a microcode assist — then the staged-window `P·V` at half a window
+//! and one paged attention step at context 1024. On AVX2 the kernel must
+//! beat the libm loop by ≥ 2× on the benign row and ≥ 4× on the real ones;
+//! the scalar arm must beat it by ≥ 1.2× on the real rows on every tier.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
-use mant_numerics::{kernels, KernelDispatch};
+use mant_model::{ActMode, ForwardObserver, KvMode, ModelConfig, TransformerModel};
+use mant_numerics::{kernels, KernelDispatch, EXP_FLOOR};
 use mant_quant::{
-    dequant_then_gemm, mant_gemm, mant_gemv, mant_gemv_batch, mant_gemv_scalar, mant_gemv_with,
-    quantize_activations_int8, quantize_vector_int8, MantWeightQuantizer, UnpackedWeights,
+    attention_incremental_paged, dequant_then_gemm, mant_gemm, mant_gemv, mant_gemv_batch,
+    mant_gemv_scalar, mant_gemv_with, quantize_activations_int8, quantize_vector_int8,
+    CandidateSet, KvCachePool, MantWeightQuantizer, PagedKvCache, PoolConfig, UnpackedWeights,
+    VCacheQuantizer, VarianceMap,
 };
 use mant_tensor::{gemm, TensorGenerator};
 
@@ -70,6 +83,233 @@ fn time_best_pair(iters: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f6
         best.1 = best.1.min(time_once(iters, &mut g));
     }
     best
+}
+
+/// The softmax every attention path ran before the kernel: libm `expf`
+/// and one running sum.
+fn libm_softmax(x: &mut [f32]) {
+    let max = x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    let mut sum = 0.0f32;
+    for v in x.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in x.iter_mut() {
+        *v /= sum;
+    }
+}
+
+/// Per layer, the latest query vector and every key vector of a forward
+/// pass.
+struct QkCapture {
+    q: Vec<Vec<f32>>,
+    k: Vec<Vec<Vec<f32>>>,
+}
+
+impl ForwardObserver for QkCapture {
+    fn on_query_vector(&mut self, layer: usize, q: &[f32]) {
+        self.q[layer] = q.to_vec();
+    }
+    fn on_kv_vectors(&mut self, layer: usize, k: &[f32], _v: &[f32]) {
+        self.k[layer].push(k.to_vec());
+    }
+}
+
+/// The score rows of the last token of a `ctx`-token prefill of the
+/// serving benchmark's model (`sim_llama`, seed 7, packed weights, MANT4
+/// KV), one per (layer, head): `q_h · k_t,h / √head_dim` over every
+/// position.
+fn prefill_score_rows(ctx: usize) -> Vec<Vec<f32>> {
+    let cfg = ModelConfig::sim_llama();
+    let model = TransformerModel::synthesize(&cfg, 7);
+    let packed = model.pack_weights(G).expect("64 divides every width");
+    let mut runner = model.packed_runner(&packed, ActMode::None, KvMode::Mant4 { group: G });
+    let mut cap = QkCapture {
+        q: vec![Vec::new(); cfg.layers],
+        k: vec![Vec::new(); cfg.layers],
+    };
+    for j in 0..ctx {
+        runner.step_observed((j * 131 + 38) % cfg.vocab, &mut cap);
+    }
+    let hd = cfg.head_dim();
+    let scale = 1.0 / (hd as f32).sqrt();
+    let mut rows = Vec::new();
+    for (q, ks) in cap.q.iter().zip(&cap.k) {
+        for h in 0..cfg.heads {
+            let kv = h / (cfg.heads / cfg.kv_heads) * hd;
+            let qh = &q[h * hd..(h + 1) * hd];
+            rows.push(
+                ks.iter()
+                    .map(|k| {
+                        let dot: f32 = qh.iter().zip(&k[kv..kv + hd]).map(|(a, b)| a * b).sum();
+                        dot * scale
+                    })
+                    .collect(),
+            );
+        }
+    }
+    rows
+}
+
+/// Scores of a row more than the kernel's floor below its maximum.
+fn under_floor(scores: &[f32]) -> usize {
+    let max = scores.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    scores.iter().filter(|&&v| v - max < EXP_FLOOR).count()
+}
+
+/// Softmaxes a fresh copy of every row; each way under comparison pays the
+/// same copy.
+fn softmax_each(rows: &[Vec<f32>], scratch: &mut [f32], softmax: impl Fn(&mut [f32])) {
+    for row in rows {
+        let buf = &mut scratch[..row.len()];
+        buf.copy_from_slice(row);
+        softmax(black_box(buf));
+    }
+}
+
+/// One line of the softmax comparison, nanoseconds per element.
+struct SoftmaxRow {
+    label: &'static str,
+    len: usize,
+    /// Share of the scores more than the floor below their row's maximum.
+    floor_share: f64,
+    libm_ns: f64,
+    scalar_ns: f64,
+    tier_ns: f64,
+}
+
+impl SoftmaxRow {
+    /// The libm loop against the scalar arm and against the process tier,
+    /// each pair in alternating repetitions; the libm figure kept is the
+    /// better of its two readings.
+    fn measure(label: &'static str, rows: &[Vec<f32>]) -> SoftmaxRow {
+        let len: usize = rows.iter().map(Vec::len).sum();
+        let per_elem = 1e9 / len as f64;
+        let longest = rows.iter().map(Vec::len).max().unwrap_or(0);
+        let (mut a, mut b) = (vec![0.0f32; longest], vec![0.0f32; longest]);
+        let tier = kernels();
+        let (libm_a, scalar) = time_best_pair(
+            100,
+            || softmax_each(rows, &mut a, libm_softmax),
+            || softmax_each(rows, &mut b, |x| KernelDispatch::Scalar.softmax(x)),
+        );
+        let (libm_b, vector) = time_best_pair(
+            100,
+            || softmax_each(rows, &mut a, libm_softmax),
+            || softmax_each(rows, &mut b, |x| tier.softmax(x)),
+        );
+        SoftmaxRow {
+            label,
+            len,
+            floor_share: rows.iter().map(|r| under_floor(r)).sum::<usize>() as f64 / len as f64,
+            libm_ns: libm_a.min(libm_b) * per_elem,
+            scalar_ns: scalar * per_elem,
+            tier_ns: vector * per_elem,
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "    {{\"row\": \"{}\", \"len\": {}, \"floor_share\": {:.3}, \"libm_ns_per_elem\": {:.2}, \
+             \"scalar_ns_per_elem\": {:.2}, \"tier_ns_per_elem\": {:.2}}}",
+            self.label, self.len, self.floor_share, self.libm_ns, self.scalar_ns, self.tier_ns
+        )
+    }
+}
+
+/// The attention tail section; returns its JSON fields and the three
+/// ratios the floors are asserted on: tier vs libm on the benign row, tier
+/// vs libm and scalar arm vs libm on the prefill rows.
+fn attention_tail() -> (String, [f64; 3]) {
+    const CTX: usize = 448;
+    let mut gen = TensorGenerator::new(4004);
+    let benign: Vec<f32> = (0..256).map(|_| 2.0 * gen.standard_normal()).collect();
+    let rows = [
+        SoftmaxRow::measure("benign_256", &[benign]),
+        SoftmaxRow::measure("sim_llama_prefill_ctx448", &prefill_score_rows(CTX)),
+    ];
+    for r in &rows {
+        println!(
+            "softmax {} ({} scores, {:.1}% under the floor): libm {:.2} / scalar arm {:.2} / {} {:.2} \
+             ns per element = {:.2}x scalar, {:.2}x tier",
+            r.label,
+            r.len,
+            100.0 * r.floor_share,
+            r.libm_ns,
+            r.scalar_ns,
+            kernels().name(),
+            r.tier_ns,
+            r.libm_ns / r.scalar_ns,
+            r.libm_ns / r.tier_ns,
+        );
+    }
+
+    // The staged-window share of P·V: half a window staged, one head's 64
+    // channels per call as the serving path makes it, all four heads.
+    let map = VarianceMap::analytic(&CandidateSet::paper()).expect("non-empty set");
+    let kv_dim = 256;
+    let values = gen.group_diverse_matrix(1024, kv_dim, G, 0.5);
+    let mut vc = VCacheQuantizer::new(kv_dim, G, map.clone()).expect("positive group");
+    for r in 0..G / 2 {
+        vc.push(values.row(r));
+    }
+    let mut probs: Vec<f32> = (0..G / 2).map(|_| gen.standard_normal()).collect();
+    kernels().softmax(&mut probs);
+    let mut out = vec![0.0f32; kv_dim];
+    let t_staged = time_best(400, || {
+        for (h, o) in out.chunks_exact_mut(64).enumerate() {
+            vc.attend(black_box(&probs), h * 64, o);
+        }
+    });
+
+    // One decode row's attention at context 1024, as the serving
+    // benchmark's `quant.attn_ctx1024_us` probe makes it.
+    let mut pool = KvCachePool::new(PoolConfig {
+        kv_dim,
+        group_size: G,
+        block_tokens: 64,
+        blocks: 16,
+    })
+    .expect("valid geometry");
+    let mut cache = PagedKvCache::new(&pool, map.clone(), map);
+    let keys = gen.group_diverse_matrix(1024, kv_dim, G, 0.5);
+    for r in 0..1024 {
+        cache
+            .push(&mut pool, keys.row(r), values.row(r))
+            .expect("the pool has room");
+    }
+    let q: Vec<f32> = (0..kv_dim).map(|_| gen.standard_normal()).collect();
+    let t_paged = time_best(20, || {
+        black_box(attention_incremental_paged(
+            black_box(&q),
+            &cache,
+            &pool,
+            4,
+            4,
+            64,
+        ));
+    });
+    println!(
+        "attend_staged, 32 staged rows x 4 heads of 64: {:.2} us; attention_incremental_paged \
+         ctx 1024: {:.1} us",
+        t_staged * 1e6,
+        t_paged * 1e6,
+    );
+
+    let json = format!(
+        "  \"attention_tail\": {{\n   \"softmax\": [\n{}\n   ],\n   \"attend_staged_32rows_4heads_ns\": {:.0},\n   \
+         \"attn_paged_ctx1024_ns\": {:.0},\n   \"tier_vs_libm_benign_threshold\": 2.0,\n   \
+         \"tier_vs_libm_prefill_threshold\": 4.0,\n   \"scalar_vs_libm_prefill_threshold\": 1.2\n  }},\n",
+        rows.iter().map(SoftmaxRow::json).collect::<Vec<_>>().join(",\n"),
+        t_staged * 1e9,
+        t_paged * 1e9,
+    );
+    let ratios = [
+        rows[0].libm_ns / rows[0].tier_ns,
+        rows[1].libm_ns / rows[1].tier_ns,
+        rows[1].libm_ns / rows[1].scalar_ns,
+    ];
+    (json, ratios)
 }
 
 fn bench_gemm_kernels(c: &mut Criterion) {
@@ -225,6 +465,8 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         }
     }
 
+    let (tail_json, [softmax_benign, softmax_prefill, softmax_prefill_scalar]) = attention_tail();
+
     let gemv_packed_speedup = t_gemv_scalar / t_gemv_packed;
     let gemv_simd_speedup = t_gemv_packed / t_gemv_simd;
     let gemv_total_speedup = t_gemv_scalar / t_gemv_simd;
@@ -245,7 +487,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"gemm_kernels\",\n  \"tier\": \"{}\",\n  \"shape\": {{\"m\": {GEMM_M}, \"k\": {K}, \"n\": {N}, \"group\": {G}}},\n  \"gemv_scalar_ns\": {:.0},\n  \"gemv_packed_ns\": {:.0},\n  \"gemv_simd_ns\": {:.0},\n  \"gemv_packed_speedup\": {gemv_packed_speedup:.3},\n  \"gemv_simd_speedup\": {gemv_simd_speedup:.3},\n  \"gemv_total_speedup\": {gemv_total_speedup:.3},\n  \"gemm_scalar_ns\": {:.0},\n  \"gemm_packed_ns\": {:.0},\n  \"gemm_packed_speedup\": {gemm_speedup:.3},\n  \"gemv_packed_threshold\": 1.3,\n  \"gemv_simd_threshold\": 2.0,\n  \"mac_peak_gmacs\": {mac_peak_gmacs:.2},\n  \"batch_sweep\": [\n{}\n  ],\n  \"batch32_vs_gemv\": {batch32_vs_gemv:.3},\n  \"batch3_vs_gemv\": {batch3_vs_gemv:.3},\n  \"batch32_threshold\": 3.0,\n  \"batch3_threshold\": 0.9,\n  \"bit_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"gemm_kernels\",\n  \"tier\": \"{}\",\n  \"shape\": {{\"m\": {GEMM_M}, \"k\": {K}, \"n\": {N}, \"group\": {G}}},\n  \"gemv_scalar_ns\": {:.0},\n  \"gemv_packed_ns\": {:.0},\n  \"gemv_simd_ns\": {:.0},\n  \"gemv_packed_speedup\": {gemv_packed_speedup:.3},\n  \"gemv_simd_speedup\": {gemv_simd_speedup:.3},\n  \"gemv_total_speedup\": {gemv_total_speedup:.3},\n  \"gemm_scalar_ns\": {:.0},\n  \"gemm_packed_ns\": {:.0},\n  \"gemm_packed_speedup\": {gemm_speedup:.3},\n  \"gemv_packed_threshold\": 1.3,\n  \"gemv_simd_threshold\": 2.0,\n  \"mac_peak_gmacs\": {mac_peak_gmacs:.2},\n  \"batch_sweep\": [\n{}\n  ],\n  \"batch32_vs_gemv\": {batch32_vs_gemv:.3},\n  \"batch3_vs_gemv\": {batch3_vs_gemv:.3},\n  \"batch32_threshold\": 3.0,\n  \"batch3_threshold\": 0.9,\n{tail_json}  \"bit_identical\": true\n}}\n",
         tier.name(),
         t_gemv_scalar * 1e9,
         t_gemv_packed * 1e9,
@@ -263,6 +505,10 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     assert!(
         gemv_packed_speedup >= 1.3,
         "packed pair-LUT GEMV must beat the unpacked kernel by >= 1.3x, got {gemv_packed_speedup:.2}x"
+    );
+    assert!(
+        softmax_prefill_scalar >= 1.2,
+        "the softmax's scalar arm must beat the libm loop by >= 1.2x on a real prefill row, got {softmax_prefill_scalar:.2}x"
     );
     // Without a SIMD tier the ladder's top rung is the packed-scalar
     // kernel itself — a graceful 1.0× — so the vector floors only bind
@@ -283,6 +529,14 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         assert!(
             batch3_vs_gemv >= 0.9,
             "a 3-member batch must not lose to 3 GEMVs by > 10%, got {batch3_vs_gemv:.2}x"
+        );
+        assert!(
+            softmax_benign >= 2.0,
+            "AVX2 softmax must beat the libm loop by >= 2x on benign scores, got {softmax_benign:.2}x"
+        );
+        assert!(
+            softmax_prefill >= 4.0,
+            "AVX2 softmax must beat the libm loop by >= 4x on a real prefill row, got {softmax_prefill:.2}x"
         );
     } else if tier.is_simd() {
         assert!(

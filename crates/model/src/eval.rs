@@ -11,7 +11,8 @@
 //! increases it. Ordering and rough ratios between methods transfer; the
 //! absolute values are not WikiText PPLs (see DESIGN.md substitutions).
 
-use mant_tensor::ops::{cross_entropy, softmax_inplace};
+use mant_numerics::kernels;
+use mant_tensor::ops::cross_entropy;
 use mant_tensor::{Matrix, TensorGenerator};
 
 use crate::backend::PackedWeights;
@@ -89,9 +90,9 @@ fn ppl_from_logits(reference: &TransformerModel, q_logits: &Matrix, tokens: &[us
     let mut h_sum = 0.0f64;
     for t in 0..tokens.len() {
         let mut p = ref_logits.row(t).to_vec();
-        softmax_inplace(&mut p);
+        kernels().softmax(&mut p);
         let mut q = q_logits.row(t).to_vec();
-        softmax_inplace(&mut q);
+        kernels().softmax(&mut q);
         ce_sum += cross_entropy(&p, &q);
         h_sum += cross_entropy(&p, &p);
     }

@@ -2,12 +2,13 @@
 
 use mant_numerics::fp16::quantize_fp16;
 use mant_numerics::int::quantize_symmetric_int;
+use mant_numerics::kernels;
 use mant_quant::kv as kvq;
 use mant_quant::{
     quantize_vector_int8, CandidateSet, FakeQuantizer, KCacheQuantizer, VCacheQuantizer,
     VarianceMap,
 };
-use mant_tensor::ops::{gelu, rmsnorm, silu, softmax_inplace};
+use mant_tensor::ops::{gelu, rmsnorm, silu};
 use mant_tensor::par::par_map_slice;
 use mant_tensor::{abs_max, matvec, Matrix};
 
@@ -684,7 +685,7 @@ fn attention(cfg: &ModelConfig, q: &[f32], k_all: &Matrix, v_all: &Matrix) -> Ve
                 qh.iter().zip(kh.iter()).map(|(&a, &b)| a * b).sum::<f32>() * scale
             })
             .collect();
-        softmax_inplace(&mut scores);
+        kernels().softmax(&mut scores);
         let oh = &mut out[lo..hi];
         for (t, &s) in scores.iter().enumerate() {
             if s == 0.0 {

@@ -236,6 +236,190 @@ pub fn int8_dot(a: &[i8], b: &[i8]) -> i64 {
         .sum()
 }
 
+/// `log2(e)` rounded to f32.
+pub(crate) const LOG2_E: f32 = std::f32::consts::LOG2_E;
+/// `1.5 · 2²³`: adding it to `|v| < 2²²` rounds `v` to the nearest integer
+/// (ties to even) and leaves that integer, as two's complement, in the low
+/// mantissa bits of the sum.
+pub(crate) const ROUND_MAGIC: f32 = 12_582_912.0;
+/// The high part of `ln 2`, `0.693359375`: nine significant bits, so its
+/// product with an integer of at most fifteen bits is exact in f32.
+pub(crate) const LN2_HI: f32 = 355.0 / 512.0;
+/// `ln 2 − LN2_HI`, rounded to f32.
+pub(crate) const LN2_LO: f32 = -2.121_944_4e-4;
+/// Cephes' `expf` polynomial, highest degree first: `e^r ≈ 1 + r +
+/// r²·P(r)` on `|r| ≤ ½ ln 2`.
+#[allow(clippy::excessive_precision)] // the digits as Cephes publishes them
+pub(crate) const EXP_POLY: [f32; 6] = [
+    1.987_569_150_0e-4,
+    1.398_199_950_7e-3,
+    8.333_451_907_3e-3,
+    4.166_579_589_4e-2,
+    1.666_666_545_9e-1,
+    5.000_000_120_1e-1,
+];
+/// Below this [`exp_nonpositive`] returns `+0.0`. `e⁻⁸⁷ ≈ 1.6·10⁻³⁸` is
+/// still above the smallest normal f32 (`2⁻¹²⁶ ≈ 1.18·10⁻³⁸`, which is
+/// `e⁻⁸⁷·³³⁶`), so every result is a normal number or zero.
+pub const EXP_FLOOR: f32 = -87.0;
+
+/// `e^d` for `d ≤ 0` — the one exponential of the workspace's softmax.
+/// Branch-free and written with plain f32 `*`, `+`, `−` only (no FMA, no
+/// libm), so a vector lane that issues the same operations in the same
+/// order gets the same bits:
+///
+/// ```text
+/// t = d·log2e + 1.5·2²³        n = t − 1.5·2²³   (= round(d·log2e), exact)
+/// r = (d − n·LN2_HI) − n·LN2_LO                   (n·LN2_HI is exact)
+/// y = (P(r)·r² + r) + 1                           (Horner, EXP_POLY)
+/// e = y · 2ⁿ                   2ⁿ from t's low mantissa bits, shifted
+///                              into the exponent field
+/// ```
+///
+/// Within one ulp of the true value and non-decreasing on all of
+/// `[EXP_FLOOR, 0]`; `+0.0` below [`EXP_FLOOR`] (so `n ≥ −126` wherever the
+/// result is kept, and no result is subnormal); a NaN stays that NaN. Not
+/// meant for `d > 0`.
+#[inline(always)]
+pub fn exp_nonpositive(d: f32) -> f32 {
+    let t = d * LOG2_E + ROUND_MAGIC;
+    let n = t - ROUND_MAGIC;
+    let r = (d - n * LN2_HI) - n * LN2_LO;
+    let mut p = EXP_POLY[0];
+    for &c in &EXP_POLY[1..] {
+        p = p * r + c;
+    }
+    let y = (p * (r * r) + r) + 1.0;
+    // The shift drops everything but `n + 127`: a power of two, or for a
+    // NaN or out-of-range `d` some other value with a zero mantissa —
+    // never a NaN, so a NaN `y` keeps its payload.
+    let two_n = f32::from_bits(t.to_bits().wrapping_add(127) << 23);
+    if d < EXP_FLOOR {
+        0.0
+    } else {
+        y * two_n
+    }
+}
+
+/// Lanes of the softmax sum: element `j` of each whole chunk adds into lane
+/// `j`, on every tier.
+pub(crate) const SOFTMAX_LANES: usize = 8;
+
+/// The total of the softmax sum lanes, in the one association every tier
+/// uses.
+#[inline(always)]
+pub(crate) fn sum_softmax_lanes(l: &[f32; SOFTMAX_LANES]) -> f32 {
+    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+}
+
+/// The scalar arm of [`crate::KernelDispatch::softmax`], which states the
+/// contract: in-place softmax of a score row.
+///
+/// The maximum skips NaN scores; a row with no score above `-∞` (empty,
+/// all `-∞`, all NaN) becomes all zeros. Otherwise `x_j ←
+/// exp_nonpositive(x_j − max)` ([`exp_nonpositive`]), summed in one fixed
+/// order — element `j` of each whole chunk of eight into lane `j` in
+/// ascending chunk order, the lanes as
+/// `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`, then the tail elements in order —
+/// and each element is divided by the sum when it is `> 0`. A NaN score
+/// (or a `+∞` maximum) makes the sum NaN, and the row is left as the
+/// un-normalized exponentials.
+pub fn softmax(x: &mut [f32]) {
+    let max = x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    if max == f32::NEG_INFINITY {
+        x.fill(0.0);
+        return;
+    }
+    let mut lanes = [0.0f32; SOFTMAX_LANES];
+    let mut chunks = x.chunks_exact_mut(SOFTMAX_LANES);
+    for chunk in chunks.by_ref() {
+        for (v, lane) in chunk.iter_mut().zip(&mut lanes) {
+            *v = exp_nonpositive(*v - max);
+            *lane += *v;
+        }
+    }
+    let mut sum = sum_softmax_lanes(&lanes);
+    for v in chunks.into_remainder() {
+        *v = exp_nonpositive(*v - max);
+        sum += *v;
+    }
+    if sum > 0.0 {
+        for v in x.iter_mut() {
+            *v /= sum;
+        }
+    }
+}
+
+/// Channels per block of the staged `P·V` kernel's vector arm: two `i32x8`
+/// accumulators.
+pub(crate) const STAGED_LANES: usize = 16;
+
+/// The scalar arm of [`crate::KernelDispatch::staged_pv`], which states
+/// the contract: the INT8 staging window's share of `P·V`. For every
+/// output channel `j`,
+///
+/// ```text
+/// out[j] += ((pscale · max(vscales[j], MIN_POSITIVE)) · Σ_t pcodes[t] · window[t·stride + j]) as f32
+/// ```
+///
+/// where `window` is the `[t][c]` staging window from the first output
+/// channel on and `stride` its row length. The sum is an exact `i32` over
+/// the `pcodes.len()` staged rows (a product is at most `2¹⁴`, so
+/// [`MAX_I32_GROUP`] rows stay far inside `i32`); the scale product is
+/// f64, associated as written.
+///
+/// # Panics
+///
+/// Panics if `vscales` and `out` differ in length, a row is shorter than
+/// `out`, or the window does not hold `pcodes.len()` rows.
+pub fn staged_pv(
+    pcodes: &[i8],
+    window: &[i8],
+    stride: usize,
+    pscale: f32,
+    vscales: &[f32],
+    out: &mut [f32],
+) {
+    check_staged_pv(pcodes, window, stride, vscales, out);
+    /// Channels per pass: a head's worth, so a staged row is one long
+    /// contiguous sweep and the sums still live on the stack.
+    const BLOCK: usize = 64;
+    let pscale = f64::from(pscale);
+    for (block, (out, vscales)) in out.chunks_mut(BLOCK).zip(vscales.chunks(BLOCK)).enumerate() {
+        let mut sums = [0i32; BLOCK];
+        let sums = &mut sums[..out.len()];
+        // Row-major sweep: each staged row adds `p_t · v_t[c]` into every
+        // channel's sum, contiguous loads. (No rows, no window to slice.)
+        let rows = window.get(block * BLOCK..).unwrap_or_default();
+        for (&p, row) in pcodes.iter().zip(rows.chunks(stride)) {
+            for (s, &v) in sums.iter_mut().zip(row) {
+                *s += i32::from(p) * i32::from(v);
+            }
+        }
+        for ((o, &int), &scale) in out.iter_mut().zip(sums.iter()).zip(vscales) {
+            let scale = f64::from(scale.max(f32::MIN_POSITIVE));
+            *o += (pscale * scale * f64::from(int)) as f32;
+        }
+    }
+}
+
+/// The shape contract of [`staged_pv`], shared by every arm.
+pub(crate) fn check_staged_pv(
+    pcodes: &[i8],
+    window: &[i8],
+    stride: usize,
+    vscales: &[f32],
+    out: &[f32],
+) {
+    assert_eq!(vscales.len(), out.len(), "one scale per output channel");
+    assert!(out.len() <= stride, "channel range exceeds a window row");
+    assert!(
+        pcodes.is_empty() || (pcodes.len() - 1) * stride + out.len() <= window.len(),
+        "window holds fewer rows than probabilities"
+    );
+    debug_assert!(pcodes.len() <= MAX_I32_GROUP, "i32 window bound exceeded");
+}
+
 /// One candidate type as the group-encode kernel reads it: what a value
 /// divided by the group scale is rounded to.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -451,6 +635,67 @@ mod tests {
             .map(|(&x, &y)| i64::from(x) * i64::from(y))
             .sum();
         assert_eq!(int8_dot(&a, &b), expect);
+    }
+
+    /// The softmax every caller gets: the process tier's.
+    fn tier_softmax(x: &mut [f32]) {
+        crate::simd::kernels().softmax(x);
+    }
+
+    #[test]
+    fn softmax_sums_to_one() {
+        let mut x = vec![1.0f32, 2.0, 3.0, -1.0];
+        tier_softmax(&mut x);
+        let sum: f32 = x.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-6);
+        assert!(x[2] > x[1] && x[1] > x[0] && x[0] > x[3]);
+    }
+
+    #[test]
+    fn softmax_stable_for_large_inputs() {
+        let mut x = vec![1000.0f32, 1001.0];
+        tier_softmax(&mut x);
+        assert!(x.iter().all(|v| v.is_finite()));
+        assert!((x[0] + x[1] - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn softmax_degenerate() {
+        let mut empty: Vec<f32> = vec![];
+        tier_softmax(&mut empty);
+        let mut ninf = vec![f32::NEG_INFINITY; 3];
+        tier_softmax(&mut ninf);
+        assert_eq!(ninf, vec![0.0, 0.0, 0.0]);
+        // Scores below the floor are exactly zero, not subnormal.
+        let mut far = vec![0.0f32, -87.0, -87.5, -1e30, f32::NEG_INFINITY];
+        tier_softmax(&mut far);
+        assert!(far[1] >= f32::MIN_POSITIVE);
+        assert_eq!(far[2..], [0.0, 0.0, 0.0]);
+        // A NaN score stays NaN and poisons the sum: the row is left as
+        // the un-normalized exponentials.
+        let mut nan = vec![1.0f32, f32::NAN, 0.0];
+        tier_softmax(&mut nan);
+        assert_eq!(nan[0], 1.0);
+        assert!(nan[1].is_nan());
+        assert!((nan[2] - (-1.0f32).exp()).abs() < 1e-7);
+        let mut all_nan = vec![f32::NAN; 9];
+        tier_softmax(&mut all_nan);
+        assert_eq!(all_nan, vec![0.0; 9]);
+    }
+
+    #[test]
+    fn exp_nonpositive_fixed_points() {
+        assert_eq!(exp_nonpositive(0.0), 1.0);
+        assert_eq!(exp_nonpositive(-0.0), 1.0);
+        assert_eq!(
+            exp_nonpositive(EXP_FLOOR).to_bits(),
+            1.645_811_5e-38f32.to_bits()
+        );
+        let below = f32::from_bits(EXP_FLOOR.to_bits() + 1);
+        assert_eq!(exp_nonpositive(below).to_bits(), 0);
+        assert_eq!(exp_nonpositive(f32::NEG_INFINITY).to_bits(), 0);
+        let nan = f32::from_bits(0x7fc1_2345);
+        assert_eq!(exp_nonpositive(nan).to_bits(), nan.to_bits());
     }
 
     #[test]

@@ -29,6 +29,12 @@
 //!   per-element oracle's IEEE operations in the oracle's order, and each
 //!   candidate's f64 error sum stays one in-order chain (several
 //!   candidates' chains share a vector; none is split).
+//! - The attention tail ([`KernelDispatch::softmax`],
+//!   [`KernelDispatch::staged_pv`]) follows the same two rules: the
+//!   softmax's exponential is one polynomial whose lanes issue the scalar
+//!   function's IEEE operations one for one, and its sum has one lane
+//!   order on every tier; the staged `P·V` sums are exact integers with the
+//!   f64 scale epilogue per lane in the scalar association.
 //!
 //! Dispatch is a [`KernelDispatch`] tier selected **once per process** by
 //! [`kernels()`] via `is_x86_feature_detected!`: AVX2 (32 codes per
@@ -616,6 +622,71 @@ impl KernelDispatch {
         };
         kernels::encode_packed(table, scale, &group[done..], &mut out[done / 2..]);
     }
+
+    /// In-place softmax of a score row — the one softmax of the workspace;
+    /// [`kernels::softmax`] (the scalar arm) states the contract. Every
+    /// step is either order-independent (the NaN-skipping maximum) or has
+    /// one fixed order on every tier (the eight-lane sum), and an AVX2
+    /// lane issues [`kernels::exp_nonpositive`]'s IEEE operations one for
+    /// one — `mulps`/`addps`/`subps`, never an FMA, the rounding by the
+    /// magic-number add, not `roundps` — so every tier returns the scalar
+    /// arm's bits. The SSSE3 tier takes the scalar arm.
+    pub fn softmax(self, x: &mut [f32]) {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+                // SAFETY: the match guard just confirmed AVX2 on this CPU.
+                unsafe { x86::softmax_avx2(x) }
+            }
+            _ => kernels::softmax(x),
+        }
+    }
+
+    /// The INT8 staging window's share of `P·V`, added into `out` —
+    /// [`kernels::staged_pv`] (the scalar arm) states the contract. The
+    /// AVX2 arm takes two staged rows per step over blocks of sixteen
+    /// channels, up to four blocks abreast: the rows' bytes interleaved and
+    /// widened, one `pmaddwd` against the broadcast probability pair per
+    /// eight channels (an odd last row pairs with a zero probability). The
+    /// `i32` sums are exact in any order; the epilogue converts them
+    /// (`cvtdq2pd`, exact) and applies `mulpd`, `mulpd`, `cvtpd2ps`,
+    /// `addps` per lane in the scalar expression's association. Channels
+    /// past the last whole sixteen, and the other tiers, go through the
+    /// scalar arm.
+    ///
+    /// # Panics
+    ///
+    /// As [`kernels::staged_pv`].
+    pub fn staged_pv(
+        self,
+        pcodes: &[i8],
+        window: &[i8],
+        stride: usize,
+        pscale: f32,
+        vscales: &[f32],
+        out: &mut [f32],
+    ) {
+        kernels::check_staged_pv(pcodes, window, stride, vscales, out);
+        let done = match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+                // SAFETY: the match guard just confirmed AVX2 on this CPU;
+                // the shapes were checked above.
+                unsafe { x86::staged_pv_avx2(pcodes, window, stride, pscale, vscales, out) }
+            }
+            _ => 0,
+        };
+        if done < out.len() {
+            kernels::staged_pv(
+                pcodes,
+                &window[done..],
+                stride,
+                pscale,
+                &vscales[done..],
+                &mut out[done..],
+            );
+        }
+    }
 }
 
 /// The scalar arm's group dots for [`KernelDispatch::dot_tile8_scaled`]:
@@ -669,7 +740,7 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::{scalar_abs_max, tile8_len, KernelLut, TILE_ROWS};
-    use crate::kernels::{self, EncodeTable, ENCODE_LANES, MAX_I32_GROUP};
+    use crate::kernels::{self, EncodeTable, ENCODE_LANES, MAX_I32_GROUP, STAGED_LANES};
 
     /// Elements per i64 drain of the `int8_dot` i32 lane accumulators.
     /// Each `pmaddwd` adds at most `2 · 128 · 128 = 2^15` per lane; a
@@ -1662,6 +1733,198 @@ mod x86 {
             out.copy_from_slice(&bytes.to_le_bytes());
         }
         blocks * ENCODE_LANES
+    }
+
+    /// Eight lanes of [`kernels::exp_nonpositive`], operation for
+    /// operation: every `mulps`/`addps`/`subps` below is the scalar
+    /// function's `*`/`+`/`−` at the same place, the power of two comes out
+    /// of `t`'s bits by the same add and shift, and `cmpltps` is false on a
+    /// NaN like the scalar `<`.
+    #[target_feature(enable = "avx2")]
+    fn exp_nonpositive_avx2(d: __m256) -> __m256 {
+        let magic = _mm256_set1_ps(kernels::ROUND_MAGIC);
+        let t = _mm256_add_ps(_mm256_mul_ps(d, _mm256_set1_ps(kernels::LOG2_E)), magic);
+        let n = _mm256_sub_ps(t, magic);
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(d, _mm256_mul_ps(n, _mm256_set1_ps(kernels::LN2_HI))),
+            _mm256_mul_ps(n, _mm256_set1_ps(kernels::LN2_LO)),
+        );
+        let mut p = _mm256_set1_ps(kernels::EXP_POLY[0]);
+        for &c in &kernels::EXP_POLY[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+        }
+        let y = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+            _mm256_set1_ps(1.0),
+        );
+        let two_n = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+            _mm256_castps_si256(t),
+            _mm256_set1_epi32(127),
+        )));
+        let below = _mm256_cmp_ps::<_CMP_LT_OQ>(d, _mm256_set1_ps(kernels::EXP_FLOOR));
+        _mm256_andnot_ps(below, _mm256_mul_ps(y, two_n))
+    }
+
+    /// AVX2 [`super::KernelDispatch::softmax`]: the whole chunks of eight in
+    /// vectors, the tail through the scalar functions. `maxps(v, acc)`
+    /// keeps `acc` when `v` is NaN, like the scalar fold's `f32::max` (the
+    /// sign of a zero maximum may differ from the fold's, which changes no
+    /// exponential); the sum accumulator's lane `j` is the scalar arm's
+    /// lane `j`, and `divps` is the scalar `/`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn softmax_avx2(x: &mut [f32]) {
+        let whole = x.len() / kernels::SOFTMAX_LANES * kernels::SOFTMAX_LANES;
+        let (head, tail) = x.split_at_mut(whole);
+        let mut lanes = [0.0f32; kernels::SOFTMAX_LANES];
+
+        let mut vmax = _mm256_set1_ps(f32::NEG_INFINITY);
+        for chunk in head.chunks_exact(kernels::SOFTMAX_LANES) {
+            // SAFETY: `chunk` is exactly eight floats; unaligned load.
+            vmax = _mm256_max_ps(unsafe { _mm256_loadu_ps(chunk.as_ptr()) }, vmax);
+        }
+        // SAFETY: `lanes` is a writable 32-byte buffer; unaligned store.
+        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), vmax) };
+        let max = lanes
+            .iter()
+            .chain(tail.iter())
+            .fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+        if max == f32::NEG_INFINITY {
+            x.fill(0.0);
+            return;
+        }
+
+        let vm = _mm256_set1_ps(max);
+        let mut vsum = _mm256_setzero_ps();
+        for chunk in head.chunks_exact_mut(kernels::SOFTMAX_LANES) {
+            // SAFETY: `chunk` is exactly eight floats; unaligned accesses.
+            unsafe {
+                let e = exp_nonpositive_avx2(_mm256_sub_ps(_mm256_loadu_ps(chunk.as_ptr()), vm));
+                _mm256_storeu_ps(chunk.as_mut_ptr(), e);
+                vsum = _mm256_add_ps(vsum, e);
+            }
+        }
+        // SAFETY: `lanes` is a writable 32-byte buffer; unaligned store.
+        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), vsum) };
+        let mut sum = kernels::sum_softmax_lanes(&lanes);
+        for v in tail.iter_mut() {
+            *v = kernels::exp_nonpositive(*v - max);
+            sum += *v;
+        }
+
+        if sum > 0.0 {
+            let vs = _mm256_set1_ps(sum);
+            for chunk in head.chunks_exact_mut(kernels::SOFTMAX_LANES) {
+                // SAFETY: `chunk` is exactly eight floats; unaligned accesses.
+                unsafe {
+                    let q = _mm256_div_ps(_mm256_loadu_ps(chunk.as_ptr()), vs);
+                    _mm256_storeu_ps(chunk.as_mut_ptr(), q);
+                }
+            }
+            for v in tail.iter_mut() {
+                *v /= sum;
+            }
+        }
+    }
+
+    /// AVX2 body of [`super::KernelDispatch::staged_pv`] over the whole
+    /// blocks of [`STAGED_LANES`] channels; returns the number of leading
+    /// channels finished (the caller does the rest). Four blocks at a time
+    /// while they last — a 64-channel head is one step — then one at a time.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn staged_pv_avx2(
+        pcodes: &[i8],
+        window: &[i8],
+        stride: usize,
+        pscale: f32,
+        vscales: &[f32],
+        out: &mut [f32],
+    ) -> usize {
+        if pcodes.is_empty() {
+            return 0;
+        }
+        let whole = out.len() / STAGED_LANES * STAGED_LANES;
+        let mut lo = 0;
+        while lo + 4 * STAGED_LANES <= whole {
+            staged_pv_blocks_avx2::<4>(pcodes, window, stride, pscale, vscales, out, lo);
+            lo += 4 * STAGED_LANES;
+        }
+        while lo < whole {
+            staged_pv_blocks_avx2::<1>(pcodes, window, stride, pscale, vscales, out, lo);
+            lo += STAGED_LANES;
+        }
+        whole
+    }
+
+    /// `N` adjacent blocks of [`staged_pv_avx2`], channels `lo..lo + 16·N`:
+    /// their `2·N` accumulators stay in registers over the whole window, so
+    /// a probability pair is built and broadcast once per `N` blocks. Per
+    /// block and pair of staged rows, `punpck{l,h}bw` interleaves the two
+    /// rows' sixteen bytes channel by channel, `pmovsxbw` widens eight
+    /// channels' pairs, and `pmaddwd` against the broadcast `(p_t, p_t+1)`
+    /// leaves `p_t·v_t[c] + p_t+1·v_t+1[c]` in channel `c`'s `i32` lane.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    fn staged_pv_blocks_avx2<const N: usize>(
+        pcodes: &[i8],
+        window: &[i8],
+        stride: usize,
+        pscale: f32,
+        vscales: &[f32],
+        out: &mut [f32],
+        lo: usize,
+    ) {
+        kernels::check_staged_pv(pcodes, window, stride, vscales, out);
+        assert!(lo + N * STAGED_LANES <= out.len());
+        let mut acc = [[_mm256_setzero_si256(); 2]; N];
+        for (pair, p) in pcodes.chunks(2).enumerate() {
+            // An odd last row pairs with itself at probability zero.
+            let (t0, t1, p1) = match p {
+                [_, p1] => (2 * pair, 2 * pair + 1, *p1),
+                _ => (2 * pair, 2 * pair, 0),
+            };
+            let both = u32::from(p[0] as i16 as u16) | u32::from(p1 as i16 as u16) << 16;
+            let pp = _mm256_set1_epi32(both as i32);
+            for (block, acc) in acc.iter_mut().enumerate() {
+                let at = lo + block * STAGED_LANES;
+                // SAFETY: `t0, t1 < pcodes.len()` and `at + 16 <=
+                // out.len()` (asserted above), so both 16-byte loads end at
+                // or before `(pcodes.len() - 1) * stride + out.len() <=
+                // window.len()` (checked above).
+                let (a, b) = unsafe {
+                    (
+                        _mm_loadu_si128(window.as_ptr().add(t0 * stride + at).cast()),
+                        _mm_loadu_si128(window.as_ptr().add(t1 * stride + at).cast()),
+                    )
+                };
+                let first = _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(a, b));
+                let second = _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(a, b));
+                acc[0] = _mm256_add_epi32(acc[0], _mm256_madd_epi16(first, pp));
+                acc[1] = _mm256_add_epi32(acc[1], _mm256_madd_epi16(second, pp));
+            }
+        }
+        let ps = _mm256_set1_pd(f64::from(pscale));
+        let floor = _mm256_set1_ps(f32::MIN_POSITIVE);
+        for (half, &int) in acc.iter().flatten().enumerate() {
+            let at = lo + half * 8;
+            // SAFETY: `at + 8 <= lo + 16·N <= out.len()` (asserted above),
+            // and `vscales` is as long as `out` (checked above); unaligned
+            // eight-float accesses.
+            unsafe {
+                let s = _mm256_max_ps(_mm256_loadu_ps(vscales.as_ptr().add(at)), floor);
+                // `((pscale · scale) · int) as f32`, four lanes at a time.
+                let term_lo = _mm256_cvtpd_ps(_mm256_mul_pd(
+                    _mm256_mul_pd(ps, _mm256_cvtps_pd(_mm256_castps256_ps128(s))),
+                    _mm256_cvtepi32_pd(_mm256_castsi256_si128(int)),
+                ));
+                let term_hi = _mm256_cvtpd_ps(_mm256_mul_pd(
+                    _mm256_mul_pd(ps, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(s))),
+                    _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(int)),
+                ));
+                let o = out.as_mut_ptr().add(at);
+                let sum = _mm256_add_ps(_mm256_loadu_ps(o), _mm256_set_m128(term_hi, term_lo));
+                _mm256_storeu_ps(o, sum);
+            }
+        }
     }
 }
 

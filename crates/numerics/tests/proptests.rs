@@ -4,9 +4,9 @@ use mant_numerics::int::quantize_symmetric_int;
 use mant_numerics::packing::{pack_nibbles, unpack_nibbles, NibbleIter};
 use mant_numerics::simd::{scalar_abs_max, scalar_quantize_i8, tile8_len, TILE_ROWS};
 use mant_numerics::{
-    dot_packed, dot_packed_x4, fp16, int4_decode_lut, int4_group_mac, int8_dot, kernel_lut,
-    mant_decode_lut, mant_group_psums, pair_decode_lut, EncodeTable, Grid, KernelDispatch,
-    KernelLut, Mant, MantCode, MAX_I32_GROUP,
+    dot_packed, dot_packed_x4, exp_nonpositive, fp16, int4_decode_lut, int4_group_mac, int8_dot,
+    kernel_lut, kernels, mant_decode_lut, mant_group_psums, pair_decode_lut, EncodeTable, Grid,
+    KernelDispatch, KernelLut, Mant, MantCode, EXP_FLOOR, MAX_I32_GROUP,
 };
 use proptest::prelude::*;
 
@@ -695,5 +695,255 @@ fn int4_rounding_identity_on_every_bit_pattern() {
     const CHUNK: u32 = 1 << 20;
     for chunk in 0..(1u64 << 32) / u64::from(CHUNK) {
         assert_int4_rounding_matches(chunk as u32 * CHUNK, CHUNK);
+    }
+}
+
+proptest! {
+    /// Softmax output is a probability vector whatever the input.
+    #[test]
+    fn softmax_probability(mut x in proptest::collection::vec(-100.0f32..100.0, 1..32)) {
+        kernels().softmax(&mut x);
+        let sum: f32 = x.iter().sum();
+        prop_assert!((sum - 1.0).abs() < 1e-4);
+        prop_assert!(x.iter().all(|&p| (0.0..=1.0).contains(&p)));
+    }
+
+    /// Softmax is shift-invariant.
+    #[test]
+    fn softmax_shift_invariant(x in proptest::collection::vec(-10.0f32..10.0, 2..16), shift in -50.0f32..50.0) {
+        let mut a = x.clone();
+        kernels().softmax(&mut a);
+        let mut b: Vec<f32> = x.iter().map(|&v| v + shift).collect();
+        kernels().softmax(&mut b);
+        for (p, q) in a.iter().zip(b.iter()) {
+            prop_assert!((p - q).abs() < 1e-4);
+        }
+    }
+}
+
+/// Every tier's softmax of `scores` has the scalar arm's bits — NaN
+/// payloads included.
+fn assert_softmax_tiers_agree(scores: &[f32], what: &str) {
+    let mut want = scores.to_vec();
+    mant_numerics::kernels::softmax(&mut want);
+    for d in tiers() {
+        let mut got = scores.to_vec();
+        d.softmax(&mut got);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(&got) == bits(&want),
+            "tier {} len {} {what}: {got:?} vs {want:?}",
+            d.name(),
+            scores.len()
+        );
+    }
+}
+
+/// Lengths on both sides of every chunk boundary up to 70, then rows as
+/// long as a serving context; scores spread over ±200 around the maximum so
+/// both sides of the `-87` floor are hit, with the exact floor, the sliver
+/// `[-87.34, -87)` whose true exponential is still a normal number, `-∞`,
+/// `+∞`, NaN, tied maxima (signed zeros too) and a maximum in the scalar
+/// tail planted in turn.
+#[test]
+fn softmax_bit_identical_across_tiers() {
+    let mut rng = proptest::test_runner::TestRng::from_name("softmax_bit_identical_across_tiers");
+    let lens = (0usize..=70).chain([255, 256, 257, 1023]);
+    for len in lens {
+        let base: Vec<f32> = (0..len)
+            .map(|_| (rng.unit_f64() * 400.0 - 200.0) as f32)
+            .collect();
+        assert_softmax_tiers_agree(&base, "plain");
+        assert_softmax_tiers_agree(&vec![f32::NEG_INFINITY; len], "all -inf");
+        assert_softmax_tiers_agree(&vec![f32::NAN; len], "all NaN");
+        if len == 0 {
+            continue;
+        }
+        let at = |k: u64| (k % len as u64) as usize;
+        let planted = |what: &str, plant: &dyn Fn(&mut Vec<f32>)| {
+            let mut x = base.clone();
+            plant(&mut x);
+            assert_softmax_tiers_agree(&x, what);
+        };
+        // The maximum is 13 exactly, so `x - max` is the planted distance.
+        let (a, b, c) = (at(rng.next_u64()), at(rng.next_u64()), at(rng.next_u64()));
+        planted("floor", &|x| {
+            x.iter_mut().for_each(|v| *v = v.min(12.0));
+            x[a] = 13.0;
+            for (k, d) in [
+                -87.0f32, -87.000_01, -87.1, -87.2, -87.3, -87.34, -86.999_99,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let i = (b + k) % x.len();
+                if i != a {
+                    x[i] = 13.0 + d;
+                }
+            }
+        });
+        planted("max in tail", &|x| *x.last_mut().unwrap() = 250.0);
+        planted("-inf", &|x| {
+            x[a] = f32::NEG_INFINITY;
+            x[b] = f32::NEG_INFINITY;
+        });
+        planted("+inf", &|x| x[a] = f32::INFINITY);
+        planted("NaN", &|x| {
+            x[a] = f32::NAN;
+            x[b] = f32::from_bits(0xffc5_4321);
+            x[c] = f32::from_bits(0x7f81_0000);
+        });
+        planted("tied maxima", &|x| {
+            x[a] = 201.0;
+            x[b] = 201.0;
+            x[c] = 201.0;
+        });
+        planted("tied zeros", &|x| {
+            x.iter_mut().for_each(|v| *v = -v.abs());
+            x[a] = 0.0;
+            x[b] = -0.0;
+            x[c] = 0.0;
+        });
+    }
+}
+
+/// `exp_nonpositive` on `count` consecutive bit patterns from `first`
+/// (ascending patterns are descending values): within one ulp of the f64
+/// `exp`, and never larger than at the pattern before.
+fn assert_exp_accurate_and_monotone(first: u32, count: u32) -> f64 {
+    let mut above = f32::INFINITY;
+    let mut worst = 0.0f64;
+    for bits in first..first + count {
+        let d = f32::from_bits(bits);
+        let e = exp_nonpositive(d);
+        assert!(
+            e <= above,
+            "exp({d:e}) = {e:e} above its upper neighbour's {above:e}"
+        );
+        above = e;
+        let exact = f64::from(d).exp();
+        let nearest = exact as f32;
+        let ulp = f64::from(f32::from_bits(nearest.to_bits() + 1)) - f64::from(nearest);
+        let err = (f64::from(e) - exact).abs() / ulp;
+        assert!(
+            err <= 1.0,
+            "exp({d:e}) = {e:e} is {err:.3} ulp from {exact:e}"
+        );
+        assert!(
+            e >= f32::MIN_POSITIVE,
+            "exp({d:e}) = {e:e} is not a normal number"
+        );
+        worst = worst.max(err);
+    }
+    worst
+}
+
+/// Bit patterns of `-0.0 ..= EXP_FLOOR`, in ascending pattern order.
+fn exp_domain() -> (u32, u32) {
+    ((-0.0f32).to_bits(), EXP_FLOOR.to_bits())
+}
+
+/// Windows of consecutive floats spread over the whole domain, at both of
+/// its ends, and across every point where the range reduction steps to the
+/// next power of two.
+#[test]
+fn exp_within_one_ulp_and_monotone() {
+    const WINDOW: u32 = 2048;
+    let (lo, hi) = exp_domain();
+    for k in 0..256 {
+        assert_exp_accurate_and_monotone(lo + (hi - lo - WINDOW) / 255 * k, WINDOW);
+    }
+    assert_exp_accurate_and_monotone(hi - WINDOW + 1, WINDOW);
+    for n in 0..126 {
+        let step = -(n as f32 + 0.5) * std::f32::consts::LN_2;
+        assert_exp_accurate_and_monotone(step.to_bits() - WINDOW / 2, WINDOW);
+    }
+    assert_eq!(exp_nonpositive(0.0), 1.0);
+    assert_eq!(exp_nonpositive(f32::from_bits(hi + 1)).to_bits(), 0);
+}
+
+/// The same on every f32 of the domain — 1.1 billion of them, about a
+/// minute in a release build.
+#[test]
+#[ignore = "exhaustive: run with --release -- --ignored"]
+fn exp_within_one_ulp_and_monotone_on_every_f32() {
+    let (lo, hi) = exp_domain();
+    let worst = assert_exp_accurate_and_monotone(lo, hi - lo + 1);
+    println!("{} floats, worst error {worst:.4} ulp", hi - lo + 1);
+}
+
+/// The staged `P·V` kernel against the plain per-channel loop it is
+/// defined by, on every tier, bit for bit: every row count up to a 64-row
+/// window (odd counts pair their last row with nothing), channel ranges
+/// that start and end off the sixteen-channel step, zero and NaN channel
+/// scales, accumulators that do not start at zero — and all-extreme codes,
+/// where each `i32` lane reaches `64 · 127 · 127`.
+#[test]
+fn staged_pv_sums_equal_the_scalar_loop() {
+    let mut rng = proptest::test_runner::TestRng::from_name("staged_pv_sums_equal_the_scalar_loop");
+    let dim = 83usize;
+    let mut code = move || (rng.below(255) as i32 - 127) as i8;
+    for rows in 0..=64usize {
+        for extreme in [false, true] {
+            let (pcodes, window): (Vec<i8>, Vec<i8>) = if extreme {
+                let sign = |i: usize| if i.is_multiple_of(3) { -127i8 } else { 127 };
+                (
+                    (0..rows).map(sign).collect(),
+                    (0..rows * dim).map(|i| sign(i / dim)).collect(),
+                )
+            } else {
+                (
+                    (0..rows).map(|_| code()).collect(),
+                    (0..rows * dim).map(|_| code()).collect(),
+                )
+            };
+            let scales: Vec<f32> = (0..dim)
+                .map(|c| match c % 11 {
+                    3 => 0.0,
+                    7 => f32::NAN,
+                    _ => 0.003 * (1 + c) as f32,
+                })
+                .collect();
+            let pscale = 0.007_87f32;
+            for (chan_lo, width) in [
+                (0, dim),
+                (0, 16),
+                (5, 32),
+                (3, 37),
+                (70, 13),
+                (9, 0),
+                (1, 64),
+            ] {
+                let mut want = vec![0.25f32; width];
+                for (j, o) in want.iter_mut().enumerate() {
+                    let c = chan_lo + j;
+                    let int: i32 = (0..rows)
+                        .map(|t| i32::from(pcodes[t]) * i32::from(window[t * dim + c]))
+                        .sum();
+                    if extreme {
+                        assert_eq!(int, rows as i32 * 127 * 127);
+                    }
+                    let scale = f64::from(scales[c].max(f32::MIN_POSITIVE));
+                    *o += (f64::from(pscale) * scale * f64::from(int)) as f32;
+                }
+                for d in tiers() {
+                    let mut got = vec![0.25f32; width];
+                    d.staged_pv(
+                        &pcodes,
+                        window.get(chan_lo..).unwrap_or(&[]),
+                        dim,
+                        pscale,
+                        &scales[chan_lo..chan_lo + width],
+                        &mut got,
+                    );
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert!(
+                        bits(&got) == bits(&want),
+                        "tier {} rows {rows} channels {chan_lo}+{width} extreme {extreme}",
+                        d.name()
+                    );
+                }
+            }
+        }
     }
 }

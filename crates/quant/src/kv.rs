@@ -17,7 +17,6 @@
 use mant_numerics::fp16::quantize_fp16;
 use mant_numerics::int::quantize_symmetric_int;
 use mant_numerics::kernels;
-use mant_tensor::ops::softmax_inplace;
 use mant_tensor::{abs_max, Matrix, RunningGroupStats};
 
 use crate::activation::{quantize_vector_int8, QuantizedVector};
@@ -523,34 +522,38 @@ impl VStaging {
     }
 
     /// The staged-rows lane of `P·V`: INT8 probabilities × INT8 staged
-    /// codes per channel, scaled by the channel's staging scale. Adds into
-    /// `out` for channels `chan_lo..`.
-    pub(crate) fn attend_staged(&self, probs_tail: &[f32], chan_lo: usize, out: &mut [f32]) {
+    /// codes per channel, scaled by the channel's staging scale
+    /// ([`mant_numerics::KernelDispatch::staged_pv`]). Adds into `out` for
+    /// channels `chan_lo..`. `p8` is scratch for the rows' probability
+    /// codes, at least `probs_tail.len()` long.
+    pub(crate) fn attend_staged_with(
+        &self,
+        probs_tail: &[f32],
+        p8: &mut [i8],
+        chan_lo: usize,
+        out: &mut [f32],
+    ) {
         if self.window.is_empty() {
             return;
         }
-        let Some((pcodes, pscale)) = quantize_probs_int8(probs_tail) else {
+        let pcodes = &mut p8[..probs_tail.len()];
+        let Some(pscale) = quantize_probs_int8_into(probs_tail, pcodes) else {
             return;
         };
-        // Row-major sweep: each staged row adds `p_t · v_t[c]` into every
-        // channel's integer sum — contiguous loads instead of one strided
-        // gather per channel. The sums are the exact integers an
-        // `int8_dot` per channel returns: a window holds at most
-        // `group_size` rows of products below 2^14, far inside i32.
-        let mut sums = vec![0i32; out.len()];
-        for (&p, row) in pcodes.iter().zip(self.window.chunks_exact(self.dim)) {
-            for (s, &v) in sums.iter_mut().zip(&row[chan_lo..]) {
-                *s += i32::from(p) * i32::from(v);
-            }
-        }
-        for ((o, &int_result), &scale) in out
-            .iter_mut()
-            .zip(sums.iter())
-            .zip(&self.channel_scales[chan_lo..])
-        {
-            let s8 = scale.max(f32::MIN_POSITIVE);
-            *o += (f64::from(pscale) * f64::from(s8) * f64::from(int_result)) as f32;
-        }
+        kernels().staged_pv(
+            pcodes,
+            &self.window[chan_lo..],
+            self.dim,
+            pscale,
+            &self.channel_scales[chan_lo..chan_lo + out.len()],
+            out,
+        );
+    }
+
+    /// [`VStaging::attend_staged_with`] on a scratch buffer of its own.
+    #[cfg(test)]
+    pub(crate) fn attend_staged(&self, probs_tail: &[f32], chan_lo: usize, out: &mut [f32]) {
+        self.attend_staged_with(probs_tail, &mut vec![0; probs_tail.len()], chan_lo, out);
     }
 
     /// Keeps only the first `keep` staged rows by **replaying** them:
@@ -733,6 +736,20 @@ impl VCacheQuantizer {
     /// Panics if `probs.len() != self.len()` or the channel range exceeds
     /// `dim`.
     pub fn attend(&self, probs: &[f32], chan_lo: usize, out: &mut [f32]) {
+        let mut p8 = vec![0i8; self.staging.group_size];
+        self.attend_with(probs, &mut p8, chan_lo, out);
+    }
+
+    /// [`VCacheQuantizer::attend`] with the caller's scratch for one
+    /// window's probability codes (`group_size` long), so a caller that
+    /// attends head after head allocates nothing per head.
+    pub(crate) fn attend_with(
+        &self,
+        probs: &[f32],
+        p8: &mut [i8],
+        chan_lo: usize,
+        out: &mut [f32],
+    ) {
         assert_eq!(probs.len(), self.len(), "probability length mismatch");
         assert!(
             chan_lo + out.len() <= self.staging.dim,
@@ -743,14 +760,15 @@ impl VCacheQuantizer {
         for w in &self.committed {
             let window_probs = &probs[t0..t0 + g];
             t0 += g;
-            let Some((pcodes, pscale)) = quantize_probs_int8(window_probs) else {
+            let Some(pscale) = quantize_probs_int8_into(window_probs, &mut p8[..g]) else {
                 continue;
             };
-            attend_window(&w.meta, &w.codes, g, &pcodes, pscale, chan_lo, out);
+            attend_window(&w.meta, &w.codes, g, &p8[..g], pscale, chan_lo, out);
         }
         // Staged rows: INT8 × INT8 per channel, scaled by the channel's
         // staging scale.
-        self.staging.attend_staged(&probs[t0..], chan_lo, out);
+        self.staging
+            .attend_staged_with(&probs[t0..], p8, chan_lo, out);
     }
 
     /// Dequantizes the full cache (committed 4-bit windows + INT8 staging
@@ -842,7 +860,7 @@ pub fn attention_dequantize(
                 qh.iter().zip(kh.iter()).map(|(&a, &b)| a * b).sum::<f32>() * scale
             })
             .collect();
-        softmax_inplace(&mut scores);
+        kernels().softmax(&mut scores);
         let oh = &mut out[lo..hi];
         for (t, &s) in scores.iter().enumerate() {
             if s == 0.0 {
@@ -884,22 +902,28 @@ pub fn attention_incremental(
         head_dim.is_multiple_of(g),
         "fused attention needs the group size ({g}) to divide the head dimension ({head_dim})"
     );
-    let seq = kc.len();
     let queries_per_kv = heads / kv_heads;
     let groups_per_head = head_dim / g;
     let qv = quantize_vector_int8(q, g).expect("group divides head dim, hence q length");
     let scale = 1.0 / (head_dim as f32).sqrt();
     let mut out = vec![0.0f32; heads * head_dim];
+    let mut scores = vec![0.0f32; kc.len()];
+    let mut p8 = vec![0i8; vc.group_size()];
     for h in 0..heads {
         let lo = h * head_dim;
         let kv_head = h / queries_per_kv;
         let q_lo_group = lo / g;
         let k_lo_group = kv_head * head_dim / g;
-        let mut scores: Vec<f32> = (0..seq)
-            .map(|t| kc.fused_dot(t, &qv, q_lo_group, k_lo_group, groups_per_head) * scale)
-            .collect();
-        softmax_inplace(&mut scores);
-        vc.attend(&scores, kv_head * head_dim, &mut out[lo..lo + head_dim]);
+        for (t, s) in scores.iter_mut().enumerate() {
+            *s = kc.fused_dot(t, &qv, q_lo_group, k_lo_group, groups_per_head) * scale;
+        }
+        kernels().softmax(&mut scores);
+        vc.attend_with(
+            &scores,
+            &mut p8,
+            kv_head * head_dim,
+            &mut out[lo..lo + head_dim],
+        );
     }
     out
 }
@@ -926,16 +950,9 @@ fn validate_attention_shapes(
 }
 
 /// Quantizes one window's attention probabilities to symmetric INT8 with a
-/// single FP16-rounded scale; `None` when every probability is zero (the
-/// whole window then contributes nothing).
-pub(crate) fn quantize_probs_int8(probs: &[f32]) -> Option<(Vec<i8>, f32)> {
-    let mut codes = vec![0i8; probs.len()];
-    quantize_probs_int8_into(probs, &mut codes).map(|scale| (codes, scale))
-}
-
-/// [`quantize_probs_int8`] into a caller-owned buffer, returning the
-/// scale — for the run-batched sweep, which quantizes one window for many
-/// queries.
+/// single FP16-rounded scale into `codes` (as long as `probs`), returning
+/// the scale; `None` when every probability is zero (the whole window then
+/// contributes nothing, and `codes` is left as it was).
 pub(crate) fn quantize_probs_int8_into(probs: &[f32], codes: &mut [i8]) -> Option<f32> {
     // Vectorized through the process kernel tier, bit-identical to the
     // scalar fold + per-element `quantize_symmetric_int` loop.
@@ -947,6 +964,13 @@ pub(crate) fn quantize_probs_int8_into(probs: &[f32], codes: &mut [i8]) -> Optio
     let scale = int8_scale(amax).max(f32::MIN_POSITIVE);
     d.quantize_i8(probs, scale, codes);
     Some(scale)
+}
+
+/// [`quantize_probs_int8_into`] into a fresh buffer.
+#[cfg(test)]
+pub(crate) fn quantize_probs_int8(probs: &[f32]) -> Option<(Vec<i8>, f32)> {
+    let mut codes = vec![0i8; probs.len()];
+    quantize_probs_int8_into(probs, &mut codes).map(|scale| (codes, scale))
 }
 
 /// FP16-rounded INT8 scale for a given max magnitude.

@@ -2,12 +2,12 @@
 //!
 //! A deliberately small, dependency-light dense linear-algebra layer:
 //! row-major [`Matrix`] with blocked GEMM, the activation functions a
-//! transformer needs (softmax, RMSNorm, SiLU), group views along the inner
-//! dimension (the unit of group-wise quantization), streaming statistics,
-//! and seeded random generators that reproduce the *distributional*
-//! properties of LLM tensors the paper relies on — in particular the
-//! group-level diversity of Fig. 3 and the outlier channels of LLM
-//! activations.
+//! transformer needs (RMSNorm, SiLU, GELU; the softmax is a kernel of
+//! `mant-numerics`), group views along the inner dimension (the unit of
+//! group-wise quantization), streaming statistics, and seeded random
+//! generators that reproduce the *distributional* properties of LLM tensors
+//! the paper relies on — in particular the group-level diversity of Fig. 3
+//! and the outlier channels of LLM activations.
 
 pub mod gemm;
 pub mod group;

@@ -1,40 +1,5 @@
 //! Transformer activation functions and normalizations.
 
-use crate::matrix::Matrix;
-
-/// In-place numerically stable softmax over a slice.
-///
-/// An all-`-inf` or empty slice becomes all zeros (no probability mass).
-pub fn softmax_inplace(x: &mut [f32]) {
-    if x.is_empty() {
-        return;
-    }
-    let max = x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-    if max == f32::NEG_INFINITY {
-        x.iter_mut().for_each(|v| *v = 0.0);
-        return;
-    }
-    let mut sum = 0.0f32;
-    for v in x.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    if sum > 0.0 {
-        for v in x.iter_mut() {
-            *v /= sum;
-        }
-    }
-}
-
-/// Row-wise softmax of a matrix.
-pub fn softmax_rows(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for r in 0..out.rows() {
-        softmax_inplace(out.row_mut(r));
-    }
-    out
-}
-
 /// RMSNorm: `x_i · g_i / sqrt(mean(x²) + ε)`, the normalization used by the
 /// LLaMA family.
 pub fn rmsnorm(x: &[f32], gain: &[f32], eps: f32) -> Vec<f32> {
@@ -92,32 +57,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn softmax_sums_to_one() {
-        let mut x = vec![1.0f32, 2.0, 3.0, -1.0];
-        softmax_inplace(&mut x);
-        let sum: f32 = x.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6);
-        assert!(x[2] > x[1] && x[1] > x[0] && x[0] > x[3]);
-    }
-
-    #[test]
-    fn softmax_stable_for_large_inputs() {
-        let mut x = vec![1000.0f32, 1001.0];
-        softmax_inplace(&mut x);
-        assert!(x.iter().all(|v| v.is_finite()));
-        assert!((x[0] + x[1] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn softmax_degenerate() {
-        let mut empty: Vec<f32> = vec![];
-        softmax_inplace(&mut empty);
-        let mut ninf = vec![f32::NEG_INFINITY; 3];
-        softmax_inplace(&mut ninf);
-        assert_eq!(ninf, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn rmsnorm_unit_scale() {
         let x = vec![3.0f32, -4.0]; // rms = sqrt(12.5)
         let g = vec![1.0f32, 1.0];
@@ -141,15 +80,5 @@ mod tests {
         let ce_self = cross_entropy(&p, &p);
         let q = vec![0.1f32, 0.2, 0.7];
         assert!(cross_entropy(&p, &q) > ce_self);
-    }
-
-    #[test]
-    fn softmax_rows_shape() {
-        let m = Matrix::from_fn(3, 4, |r, c| (r + c) as f32);
-        let s = softmax_rows(&m);
-        for r in 0..3 {
-            let sum: f32 = s.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-6);
-        }
     }
 }
