@@ -7,8 +7,8 @@
 //! linearly with the sequence — the quadratic-total-cost pathology the
 //! quantized execution backend removes. The incremental path consumes the
 //! packed codes in place: fused `Q·Kᵀ` group dots
-//! ([`KCacheQuantizer::fused_dot`]) and psum-based `P·V`
-//! ([`VCacheQuantizer::attend`]). This bench measures one full attention
+//! ([`PagedKvCache::fused_dot`]) and psum-based `P·V`
+//! ([`PagedKvCache::attend`]). This bench measures one full attention
 //! step (scores → softmax → weighted V sum, all heads) both ways at two
 //! sequence lengths and prints the per-step speedup.
 
@@ -17,8 +17,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mant_numerics::kernels;
-use mant_quant::kv::{attention_dequantize, attention_incremental};
-use mant_quant::{CandidateSet, KCacheQuantizer, VCacheQuantizer, VarianceMap};
+use mant_quant::{
+    attention_f32, attention_incremental_paged, CandidateSet, KvCachePool, PagedKvCache,
+    PoolConfig, VarianceMap,
+};
 use mant_tensor::TensorGenerator;
 
 const DIM: usize = 512; // 8 heads × head_dim 64
@@ -26,16 +28,27 @@ const HEADS: usize = 8;
 const HEAD_DIM: usize = 64;
 const GROUP: usize = 64;
 
-fn build_caches(seq: usize, seed: u64) -> (KCacheQuantizer, VCacheQuantizer, Vec<f32>) {
+/// A prefilled cache of `seq` tokens in a pool of the serving geometry
+/// (64-token blocks), and a query.
+fn build_cache(seq: usize, seed: u64) -> (PagedKvCache, KvCachePool, Vec<f32>) {
     let set = CandidateSet::paper();
     let vmap = VarianceMap::analytic(&set).expect("non-empty set");
     let mut gen = TensorGenerator::new(seed);
-    let mut kc = KCacheQuantizer::new(DIM, GROUP, vmap.clone()).expect("group divides dim");
-    let mut vc = VCacheQuantizer::new(DIM, GROUP, vmap).expect("positive group");
-    kc.prefill(&gen.group_diverse_matrix(seq, DIM, GROUP, 0.5));
-    vc.prefill(&gen.group_diverse_matrix(seq, DIM, GROUP, 0.5));
+    let mut pool = KvCachePool::new(PoolConfig {
+        kv_dim: DIM,
+        group_size: GROUP,
+        block_tokens: 64,
+        blocks: seq.div_ceil(64),
+    })
+    .expect("group divides dim and block");
+    let mut cache = PagedKvCache::new(&pool, vmap.clone(), vmap);
+    let k = gen.group_diverse_matrix(seq, DIM, GROUP, 0.5);
+    let v = gen.group_diverse_matrix(seq, DIM, GROUP, 0.5);
+    cache
+        .prefill(&mut pool, &k, &v)
+        .expect("the pool is sized for the sequence");
     let q: Vec<f32> = (0..DIM).map(|_| gen.standard_normal()).collect();
-    (kc, vc, q)
+    (cache, pool, q)
 }
 
 fn bench_decode_throughput(c: &mut Criterion) {
@@ -43,31 +56,20 @@ fn bench_decode_throughput(c: &mut Criterion) {
     // serialized to BENCH_decode.json after the sweep.
     let mut report: Vec<(usize, f64, f64, f64)> = Vec::new();
     for &seq in &[256usize, 1024] {
-        let (kc, vc, q) = build_caches(seq, 2000 + seq as u64);
+        let (cache, pool, q) = build_cache(seq, 2000 + seq as u64);
+        // Materialize both sides and attend in f32, vs packed groups in place.
+        let dequantize = |q: &[f32]| {
+            let (k_all, v_all) = (cache.dequantize_k(&pool), cache.dequantize_v(&pool));
+            attention_f32(q, &k_all, &v_all, HEADS, HEADS, HEAD_DIM)
+        };
+        let incremental =
+            |q: &[f32]| attention_incremental_paged(q, &cache, &pool, HEADS, HEADS, HEAD_DIM);
         let mut g = c.benchmark_group(format!("decode_step_seq{seq}_dim{DIM}"));
         g.bench_function("dequantize_path", |b| {
-            b.iter(|| {
-                black_box(attention_dequantize(
-                    black_box(&q),
-                    &kc,
-                    &vc,
-                    HEADS,
-                    HEADS,
-                    HEAD_DIM,
-                ))
-            })
+            b.iter(|| black_box(dequantize(black_box(&q))))
         });
         g.bench_function("incremental_path", |b| {
-            b.iter(|| {
-                black_box(attention_incremental(
-                    black_box(&q),
-                    &kc,
-                    &vc,
-                    HEADS,
-                    HEADS,
-                    HEAD_DIM,
-                ))
-            })
+            b.iter(|| black_box(incremental(black_box(&q))))
         });
         g.finish();
 
@@ -84,10 +86,8 @@ fn bench_decode_throughput(c: &mut Criterion) {
             }
             (best, out.expect("ran at least once"))
         };
-        let (t_deq, y_deq) =
-            time_best(&|| attention_dequantize(&q, &kc, &vc, HEADS, HEADS, HEAD_DIM));
-        let (t_inc, y_inc) =
-            time_best(&|| attention_incremental(&q, &kc, &vc, HEADS, HEADS, HEAD_DIM));
+        let (t_deq, y_deq) = time_best(&|| dequantize(&q));
+        let (t_inc, y_inc) = time_best(&|| incremental(&q));
         let norm: f32 = y_deq.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-6);
         let dist: f32 = y_deq
             .iter()

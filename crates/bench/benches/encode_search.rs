@@ -26,7 +26,7 @@ use std::time::Instant;
 use mant_numerics::{kernels, EncodeTable, KernelDispatch};
 use mant_quant::{
     par_select_group_dtypes_batch, select_group_dtype, select_group_dtypes_batch, CandidateSet,
-    GroupDtype, KCacheQuantizer, MantQuantizedMatrix, VCacheQuantizer, VarianceMap,
+    GroupDtype, KvCachePool, MantQuantizedMatrix, PagedKvCache, PoolConfig, VarianceMap,
 };
 use mant_tensor::{abs_max, par, Matrix, RunningGroupStats, TensorGenerator};
 
@@ -149,36 +149,39 @@ fn bench_encode_kernel(w: &Matrix) {
         t_tier * 1e6,
     );
 
-    // sim_llama's cache geometry: 256 wide, windows of 64 rows. 512 rows
-    // are eight V commits; the owned caches share the push path with the
-    // paged pool verbatim. The V cache sees the rows once before it is
-    // timed, so its channel scales have settled (no prefill set them) and
-    // a timed push is the steady state: no bootstrap, no widening.
+    // sim_llama's cache geometry: 256 wide, windows of 64 rows, 64-token
+    // blocks. 512 rows are eight V commits; a push encodes the K row and
+    // stages the V row. The cache sees the rows once before it is timed, so
+    // its channel scales have settled (no prefill set them; a cut to zero
+    // keeps them) and a timed push is the steady state: no bootstrap, no
+    // widening.
     const KV_DIM: usize = 256;
     const ROWS: usize = 512;
     let vmap = VarianceMap::analytic(&set).expect("paper set is non-empty");
     let mut gen = TensorGenerator::new(2002);
-    let rows = gen.group_diverse_matrix(ROWS, KV_DIM, GROUP, 0.5);
-    let mut kc = KCacheQuantizer::new(KV_DIM, GROUP, vmap.clone()).expect("64 divides 256");
-    let t_k = best_of(ROUNDS, || {
-        kc.reset();
+    let keys = gen.group_diverse_matrix(ROWS, KV_DIM, GROUP, 0.5);
+    let values = gen.group_diverse_matrix(ROWS, KV_DIM, GROUP, 0.5);
+    let mut pool = KvCachePool::new(PoolConfig {
+        kv_dim: KV_DIM,
+        group_size: GROUP,
+        block_tokens: 64,
+        blocks: ROWS / 64,
+    })
+    .expect("64 divides 256 and the block");
+    let mut cache = PagedKvCache::new(&pool, vmap.clone(), vmap);
+    let mut push_all = || {
+        cache.truncate(&mut pool, 0);
         for r in 0..ROWS {
-            kc.push(black_box(rows.row(r)));
-        }
-    }) / ROWS as f64;
-    let mut vc = VCacheQuantizer::new(KV_DIM, GROUP, vmap).expect("positive group");
-    let push_all = |vc: &mut VCacheQuantizer| {
-        vc.truncate(0);
-        for r in 0..ROWS {
-            vc.push(black_box(rows.row(r)));
+            cache
+                .push(&mut pool, black_box(keys.row(r)), black_box(values.row(r)))
+                .expect("the pool holds every row");
         }
     };
-    push_all(&mut vc);
-    let t_v = best_of(ROUNDS, || push_all(&mut vc)) / ROWS as f64;
+    push_all();
+    let t_kv = best_of(ROUNDS, &mut push_all) / ROWS as f64;
     println!(
-        "kv push per {KV_DIM}-wide row: K {:.2} us / V {:.2} us (commits included)",
-        t_k * 1e6,
-        t_v * 1e6
+        "kv push per {KV_DIM}-wide K+V row pair: {:.2} us (K encode, V staging, commits included)",
+        t_kv * 1e6
     );
 
     // The vector floor binds only where the vector arm runs.
@@ -188,14 +191,13 @@ fn bench_encode_kernel(w: &Matrix) {
         1.5
     };
     let json = format!(
-        "{{\n  \"bench\": \"encode_search\",\n  \"tier\": \"{}\",\n  \"group\": {GROUP},\n  \"candidates\": {},\n  \"search_oracle_ns\": {:.0},\n  \"search_scalar_ns\": {:.0},\n  \"search_tier_ns\": {:.0},\n  \"scalar_speedup\": {scalar_speedup:.3},\n  \"tier_speedup\": {tier_speedup:.3},\n  \"scalar_threshold\": 1.5,\n  \"tier_threshold\": {tier_threshold:.1},\n  \"k_push_ns\": {:.0},\n  \"v_push_ns\": {:.0},\n  \"bit_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"encode_search\",\n  \"tier\": \"{}\",\n  \"group\": {GROUP},\n  \"candidates\": {},\n  \"search_oracle_ns\": {:.0},\n  \"search_scalar_ns\": {:.0},\n  \"search_tier_ns\": {:.0},\n  \"scalar_speedup\": {scalar_speedup:.3},\n  \"tier_speedup\": {tier_speedup:.3},\n  \"scalar_threshold\": 1.5,\n  \"tier_threshold\": {tier_threshold:.1},\n  \"kv_push_ns\": {:.0},\n  \"bit_identical\": true\n}}\n",
         tier.name(),
         set.len(),
         t_oracle * 1e9,
         t_scalar * 1e9,
         t_tier * 1e9,
-        t_k * 1e9,
-        t_v * 1e9,
+        t_kv * 1e9,
     );
     // Same anchoring as the other BENCH_*.json artifacts: the workspace root.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_encode.json");

@@ -2,7 +2,9 @@
 //! process-window size, the coefficient candidate-set size, and MSE-search
 //! vs variance-mapping for real-time type selection.
 
-use mant_quant::{select_group_dtype, CandidateSet, VCacheQuantizer, VarianceMap};
+use mant_quant::{
+    select_group_dtype, CandidateSet, KvCachePool, PagedKvCache, PoolConfig, VarianceMap,
+};
 use mant_tensor::{abs_max, mse, RunningGroupStats, TensorGenerator};
 
 /// One row of the V-cache window ablation.
@@ -25,14 +27,23 @@ pub fn v_window_sizes() -> Vec<WindowAblationRow> {
         .iter()
         .map(|&window| {
             let mut gen = TensorGenerator::new(7000 + window as u64);
-            let mut vq = VCacheQuantizer::new(dim, window, vmap.clone()).expect("positive");
+            // One block holds the trace; the value row doubles as the key.
+            let mut pool = KvCachePool::new(PoolConfig {
+                kv_dim: dim,
+                group_size: window,
+                block_tokens: steps,
+                blocks: 1,
+            })
+            .expect("window divides width and trace");
+            let mut vq = PagedKvCache::new(&pool, vmap.clone(), vmap.clone());
             let mut rows = mant_tensor::Matrix::zeros(0, dim);
             for _ in 0..steps {
                 let v: Vec<f32> = (0..dim).map(|_| gen.standard_normal() * 0.5).collect();
-                vq.push(&v);
+                vq.push(&mut pool, &v, &v)
+                    .expect("the block holds the trace");
                 rows.push_row(&v);
             }
-            let deq = vq.dequantize();
+            let deq = vq.dequantize_v(&pool);
             let rel_err = mse(rows.as_slice(), deq.as_slice())
                 / mse(rows.as_slice(), &vec![0.0; rows.len()]).max(1e-30);
             WindowAblationRow {

@@ -2,11 +2,9 @@
 
 use mant_numerics::fp16::quantize_fp16;
 use mant_numerics::int::quantize_symmetric_int;
-use mant_numerics::kernels;
-use mant_quant::kv as kvq;
 use mant_quant::{
-    quantize_vector_int8, CandidateSet, FakeQuantizer, KCacheQuantizer, VCacheQuantizer,
-    VarianceMap,
+    attention_f32, attention_incremental_paged, quantize_vector_int8, CandidateSet, FakeQuantizer,
+    KvCachePool, PagedKvCache, PoolConfig, VarianceMap,
 };
 use mant_tensor::ops::{gelu, rmsnorm, silu};
 use mant_tensor::par::par_map_slice;
@@ -189,18 +187,17 @@ pub enum KvMode {
     },
 }
 
-// A handful of instances exist (one per layer), so the size spread
-// between the matrix and quantizer variants is irrelevant; boxing would
-// only add a pointer chase to the decode hot loop.
-#[allow(clippy::large_enum_variant)]
-enum LayerKvCache {
-    Fp {
-        k: Matrix,
-        v: Matrix,
-    },
+/// A runner's KV store, every layer's cache.
+enum RunnerKv {
+    /// Full-precision `(K, V)` rows per layer.
+    Fp(Vec<(Matrix, Matrix)>),
+    /// A private pool — the store the serving engine runs — and one view
+    /// per layer. The runner cannot know its sequence length, so the pool
+    /// starts at one block a layer and [`KvCachePool::grow`]s; a block is
+    /// always one V window, the smallest legal block.
     Quant {
-        k: KCacheQuantizer,
-        v: VCacheQuantizer,
+        pool: KvCachePool,
+        caches: Vec<PagedKvCache>,
     },
 }
 
@@ -219,7 +216,7 @@ enum LayerKvCache {
 pub struct ModelRunner<'m> {
     model: &'m TransformerModel,
     act: ActMode,
-    caches: Vec<LayerKvCache>,
+    kv: RunnerKv,
     seq_len: usize,
     /// Packed linear weights when driving [`ExecutionBackend::Quantized`];
     /// `None` selects the f32 reference backend over the model's dense
@@ -305,44 +302,33 @@ impl TransformerModel {
     /// Creates a fresh runner with the given runtime quantization modes.
     pub fn runner(&self, act: ActMode, kv: KvMode) -> ModelRunner<'_> {
         let kv_dim = self.config.kv_dim();
-        let mant_maps = match kv {
-            KvMode::Mant4 { group } => Some(self.kv_maps(group)),
-            _ => None,
-        };
-        let int_map = match kv {
-            KvMode::Int4 { .. } => Some(int4_kv_map()),
-            _ => None,
-        };
-        let caches = (0..self.config.layers)
-            .map(|_| match kv {
-                KvMode::Fp16 => LayerKvCache::Fp {
-                    k: Matrix::zeros(0, kv_dim),
-                    v: Matrix::zeros(0, kv_dim),
-                },
-                KvMode::Int4 { group } => {
-                    let vmap = int_map.as_ref().expect("map built for Int4");
-                    LayerKvCache::Quant {
-                        k: KCacheQuantizer::new(kv_dim, group, vmap.clone())
-                            .expect("group divides the KV width"),
-                        v: VCacheQuantizer::new(kv_dim, group, vmap.clone())
-                            .expect("group is positive"),
-                    }
-                }
-                KvMode::Mant4 { group } => {
-                    let (kmap, vmap) = mant_maps.as_ref().expect("maps built for Mant4");
-                    LayerKvCache::Quant {
-                        k: KCacheQuantizer::new(kv_dim, group, kmap.clone())
-                            .expect("group divides the KV width"),
-                        v: VCacheQuantizer::new(kv_dim, group, vmap.clone())
-                            .expect("group is positive"),
-                    }
-                }
+        let layers = self.config.layers;
+        let packed_kv = |group: usize, (kmap, vmap): (VarianceMap, VarianceMap)| {
+            let pool = KvCachePool::new(PoolConfig {
+                kv_dim,
+                group_size: group,
+                block_tokens: group,
+                blocks: layers,
             })
-            .collect();
+            .expect("group divides the KV width");
+            let caches = (0..layers)
+                .map(|_| PagedKvCache::new(&pool, kmap.clone(), vmap.clone()))
+                .collect();
+            RunnerKv::Quant { pool, caches }
+        };
+        let kv = match kv {
+            KvMode::Fp16 => RunnerKv::Fp(
+                (0..layers)
+                    .map(|_| (Matrix::zeros(0, kv_dim), Matrix::zeros(0, kv_dim)))
+                    .collect(),
+            ),
+            KvMode::Int4 { group } => packed_kv(group, (int4_kv_map(), int4_kv_map())),
+            KvMode::Mant4 { group } => packed_kv(group, self.kv_maps(group)),
+        };
         ModelRunner {
             model: self,
             act,
-            caches,
+            kv,
             seq_len: 0,
             packed: None,
         }
@@ -453,6 +439,11 @@ impl ModelRunner<'_> {
         assert!(token < cfg.vocab, "token {token} out of vocabulary");
         let w = &self.model.weights;
         let mut x: Vec<f32> = w.embedding.row(token).to_vec();
+        if let RunnerKv::Quant { pool, caches } = &mut self.kv {
+            // Every layer pushes one row this step; cover them all at once.
+            let needed: usize = caches.iter().map(|c| c.blocks_needed_for_push(pool)).sum();
+            pool.grow(needed.saturating_sub(pool.free_blocks()));
+        }
 
         for (li, layer) in w.layers.iter().enumerate() {
             // `self.packed` is a Copy reference with the runner's lifetime,
@@ -482,38 +473,30 @@ impl ModelRunner<'_> {
             obs.on_query_vector(li, &q);
             obs.on_kv_vectors(li, &k, &v);
 
-            let fused_attention = packed_layer.is_some();
-            let attn = match &mut self.caches[li] {
-                LayerKvCache::Fp { k: kc, v: vc } => {
+            let (heads, kv_heads, hd) = (cfg.heads, cfg.kv_heads, cfg.head_dim());
+            let attn = match &mut self.kv {
+                RunnerKv::Fp(layers) => {
+                    let (kc, vc) = &mut layers[li];
                     kc.push_row(&k);
                     vc.push_row(&v);
-                    attention(cfg, &q, kc, vc)
+                    attention_f32(&q, kc, vc, heads, kv_heads, hd)
                 }
-                LayerKvCache::Quant { k: kc, v: vc } => {
-                    kc.push(&k);
-                    vc.push(&v);
-                    if fused_attention {
+                RunnerKv::Quant { pool, caches } => {
+                    let cache = &mut caches[li];
+                    // No plan may be installed around an oracle, so a
+                    // refusal after the growth above is a bug.
+                    cache
+                        .push(pool, &k, &v)
+                        .expect("the pool was grown to cover this step");
+                    if packed_layer.is_some() {
                         // Quantized backend: consume packed cache groups in
                         // place — no per-step full-cache dequantization.
-                        kvq::attention_incremental(
-                            &q,
-                            kc,
-                            vc,
-                            cfg.heads,
-                            cfg.kv_heads,
-                            cfg.head_dim(),
-                        )
+                        attention_incremental_paged(&q, cache, pool, heads, kv_heads, hd)
                     } else {
                         // Reference backend: materialize the dequantized
                         // cache (the path the decode bench measures against).
-                        kvq::attention_dequantize(
-                            &q,
-                            kc,
-                            vc,
-                            cfg.heads,
-                            cfg.kv_heads,
-                            cfg.head_dim(),
-                        )
+                        let (k_all, v_all) = (cache.dequantize_k(pool), cache.dequantize_v(pool));
+                        attention_f32(&q, &k_all, &v_all, heads, kv_heads, hd)
                     }
                 }
             };
@@ -662,42 +645,6 @@ fn l2(x: &[f32]) -> f32 {
         .map(|&v| f64::from(v) * f64::from(v))
         .sum::<f64>()
         .sqrt() as f32
-}
-
-/// Multi-head attention of one query vector against the cached K/V.
-/// With `kv_heads < heads`, query heads share K/V heads (GQA; one shared
-/// head is MQA).
-fn attention(cfg: &ModelConfig, q: &[f32], k_all: &Matrix, v_all: &Matrix) -> Vec<f32> {
-    let hd = cfg.head_dim();
-    let seq = k_all.rows();
-    let queries_per_kv = cfg.heads / cfg.kv_heads;
-    let mut out = vec![0.0f32; cfg.hidden];
-    let scale = 1.0 / (hd as f32).sqrt();
-    for h in 0..cfg.heads {
-        let lo = h * hd;
-        let hi = lo + hd;
-        let kv_lo = (h / queries_per_kv) * hd;
-        let kv_hi = kv_lo + hd;
-        let qh = &q[lo..hi];
-        let mut scores: Vec<f32> = (0..seq)
-            .map(|t| {
-                let kh = &k_all.row(t)[kv_lo..kv_hi];
-                qh.iter().zip(kh.iter()).map(|(&a, &b)| a * b).sum::<f32>() * scale
-            })
-            .collect();
-        kernels().softmax(&mut scores);
-        let oh = &mut out[lo..hi];
-        for (t, &s) in scores.iter().enumerate() {
-            if s == 0.0 {
-                continue;
-            }
-            let vh = &v_all.row(t)[kv_lo..kv_hi];
-            for (o, &v) in oh.iter_mut().zip(vh.iter()) {
-                *o += s * v;
-            }
-        }
-    }
-    out
 }
 
 /// Symmetric INT fake quantization of a vector in groups of `group`. The
@@ -967,6 +914,38 @@ mod tests {
         // here is well below the 0.6 the 4-bit cache itself costs vs FP16
         // but far above per-step epsilon.
         assert!(rel < 0.3, "fused KV attention drifted: {rel}");
+    }
+
+    #[test]
+    fn runner_pool_growth_leaves_logits_bit_identical() {
+        // Int4 {16} puts one 16-token window in a block, so 50 tokens
+        // outgrow the initial one-block-a-layer pool three times. A twin
+        // whose pool is grown up front never grows in step; both backends
+        // must give it the same logits bit for bit.
+        let m = model();
+        let packed = m.pack_weights(64).unwrap();
+        let kv = KvMode::Int4 { group: 16 };
+        let blocks = |r: &ModelRunner<'_>| match &r.kv {
+            RunnerKv::Quant { pool, .. } => pool.total_blocks(),
+            RunnerKv::Fp(_) => unreachable!("quantized KV mode"),
+        };
+        for fused in [false, true] {
+            let make = || match fused {
+                true => m.packed_runner(&packed, ActMode::None, kv),
+                false => m.runner(ActMode::None, kv),
+            };
+            let (mut grown, mut sized) = (make(), make());
+            if let RunnerKv::Quant { pool, .. } = &mut sized.kv {
+                pool.grow(3 * m.config.layers);
+            }
+            for i in 0..50 {
+                let (a, b) = (grown.step((i * 43) % 512), sized.step((i * 43) % 512));
+                let bits = |l: &[f32]| l.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(&a), bits(&b), "fused={fused} step {i}");
+            }
+            assert_eq!(blocks(&grown), 4 * m.config.layers, "three growths");
+            assert_eq!(blocks(&sized), 4 * m.config.layers, "none in step");
+        }
     }
 
     #[test]

@@ -13,238 +13,26 @@
 //!   accumulates `Σv`, `Σv²`, and `max|v|` per channel; when the window
 //!   fills (one group size of iterations), variance selects `a` and the
 //!   window is committed to 4-bit MANT.
+//!
+//! This module holds the **encode engines** only — `encode_k_row_into`,
+//! `VStaging`, `attend_window` and the probability quantizer. Where the
+//! bytes land, and every public cache operation over them, is
+//! [`crate::pool`]'s [`crate::PagedKvCache`]: the one KV store.
 
 use mant_numerics::fp16::quantize_fp16;
 use mant_numerics::int::quantize_symmetric_int;
 use mant_numerics::kernels;
 use mant_tensor::{abs_max, Matrix, RunningGroupStats};
 
-use crate::activation::{quantize_vector_int8, QuantizedVector};
-use crate::error::QuantError;
 use crate::fused::group_dot_packed;
-use crate::mantq::{encode_group_packed, packed_code, GroupMeta};
+use crate::mantq::{encode_group_packed, GroupMeta};
 use crate::variance::VarianceMap;
-
-/// Spatial real-time quantizer for the K cache.
-///
-/// Keys are stored as rows of length `dim` (the head dimension), each row
-/// grouped along `dim` and quantized the moment it arrives. Codes are
-/// **nibble-packed** (two per byte, each group byte-aligned): the packed
-/// buffer is the working representation `fused_dot` consumes through the
-/// pair-LUT kernels, not an accounting fiction.
-#[derive(Clone, Debug)]
-pub struct KCacheQuantizer {
-    dim: usize,
-    group_size: usize,
-    vmap: VarianceMap,
-    /// Packed codes, `rows × groups_per_row × ⌈group_size/2⌉` bytes.
-    codes: Vec<u8>,
-    meta: Vec<GroupMeta>,
-    rows: usize,
-}
-
-impl KCacheQuantizer {
-    /// Creates a K-cache quantizer for key vectors of length `dim`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::BadGroupSize`] if `group_size` does not divide
-    /// `dim`.
-    pub fn new(dim: usize, group_size: usize, vmap: VarianceMap) -> Result<Self, QuantError> {
-        if group_size == 0 || !dim.is_multiple_of(group_size) {
-            return Err(QuantError::BadGroupSize {
-                group_size,
-                inner_dim: dim,
-            });
-        }
-        Ok(KCacheQuantizer {
-            dim,
-            group_size,
-            vmap,
-            codes: Vec::new(),
-            meta: Vec::new(),
-            rows: 0,
-        })
-    }
-
-    /// Number of cached key vectors.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// The head dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The group size.
-    pub fn group_size(&self) -> usize {
-        self.group_size
-    }
-
-    /// Groups per cached key vector.
-    pub fn groups_per_row(&self) -> usize {
-        self.dim / self.group_size
-    }
-
-    /// Bytes one packed group occupies (`⌈group_size / 2⌉`).
-    pub fn group_bytes(&self) -> usize {
-        self.group_size.div_ceil(2)
-    }
-
-    /// Packed bytes one cached key row occupies.
-    fn row_bytes(&self) -> usize {
-        self.groups_per_row() * self.group_bytes()
-    }
-
-    /// The **packed** 4-bit codes of group `g` in cached key vector `t`
-    /// (two codes per byte).
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    pub fn packed_group_codes(&self, t: usize, g: usize) -> &[u8] {
-        let gb = self.group_bytes();
-        let base = t * self.row_bytes() + g * gb;
-        &self.codes[base..base + gb]
-    }
-
-    /// Metadata of group `g` in cached key vector `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    pub fn group_meta(&self, t: usize, g: usize) -> GroupMeta {
-        self.meta[t * self.groups_per_row() + g]
-    }
-
-    /// The fused `q · k_t` partial dot over `n_groups` consecutive groups,
-    /// consuming the packed key codes directly (Eq. (5)): for each group,
-    /// an integer psum kernel plus one `s_q · s_k` scale multiply. This is
-    /// the incremental `Q·Kᵀ` primitive — no cache dequantization.
-    ///
-    /// `q_lo` indexes the query's groups, `k_lo` this cache's groups (they
-    /// differ under GQA, where several query heads share one KV head).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query's group size differs from the cache's, or if
-    /// any group index is out of bounds.
-    pub fn fused_dot(
-        &self,
-        t: usize,
-        q: &QuantizedVector,
-        q_lo: usize,
-        k_lo: usize,
-        n_groups: usize,
-    ) -> f32 {
-        assert_eq!(q.group_size(), self.group_size, "query group size mismatch");
-        let mut acc = 0.0f64;
-        for j in 0..n_groups {
-            let meta = self.group_meta(t, k_lo + j);
-            let int_result = group_dot_packed(
-                meta,
-                q.group_codes(q_lo + j),
-                self.packed_group_codes(t, k_lo + j),
-            );
-            acc += f64::from(q.scale(q_lo + j)) * f64::from(meta.scale) * int_result as f64;
-        }
-        acc as f32
-    }
-
-    /// Quantizes and appends one key vector (one decode step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k.len() != dim`.
-    pub fn push(&mut self, k: &[f32]) {
-        assert_eq!(k.len(), self.dim, "key vector length mismatch");
-        let c0 = self.codes.len();
-        let m0 = self.meta.len();
-        self.codes.resize(c0 + self.row_bytes(), 0);
-        self.meta
-            .resize(m0 + self.groups_per_row(), GroupMeta::ZERO);
-        encode_k_row_into(
-            &self.vmap,
-            self.group_size,
-            k,
-            &mut self.codes[c0..],
-            &mut self.meta[m0..],
-        );
-        self.rows += 1;
-    }
-
-    /// Clears the cache so a finished session's storage can be recycled by
-    /// a new sequence, retaining the allocated capacity. A reset cache is
-    /// **bit-identical** to a freshly constructed one: keys are encoded
-    /// independently on arrival, so every later push produces the same
-    /// codes and metadata a fresh cache would.
-    pub fn reset(&mut self) {
-        self.codes.clear();
-        self.meta.clear();
-        self.rows = 0;
-    }
-
-    /// Drops every cached key vector beyond the first `len` — the rollback
-    /// primitive for speculative decode and prefix reuse. Keys are encoded
-    /// row-independently, so the truncated cache is bit-identical to a
-    /// fresh cache fed only the kept prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len > self.len()`.
-    pub fn truncate(&mut self, len: usize) {
-        assert!(
-            len <= self.rows,
-            "truncate length {len} exceeds cached rows {}",
-            self.rows
-        );
-        self.codes.truncate(len * self.row_bytes());
-        self.meta.truncate(len * self.groups_per_row());
-        self.rows = len;
-    }
-
-    /// Quantizes a whole prefill K matrix (`seq × dim`) row by row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k.cols() != dim`.
-    pub fn prefill(&mut self, k: &Matrix) {
-        assert_eq!(k.cols(), self.dim, "prefill width mismatch");
-        for r in 0..k.rows() {
-            self.push(k.row(r));
-        }
-    }
-
-    /// Dequantizes the cache to a `seq × dim` matrix.
-    pub fn dequantize(&self) -> Matrix {
-        let gpr = self.dim / self.group_size;
-        Matrix::from_fn(self.rows, self.dim, |r, c| {
-            let g = c / self.group_size;
-            let m = self.meta[r * gpr + g];
-            let code = packed_code(self.packed_group_codes(r, g), c % self.group_size);
-            m.dtype.decode(code) * m.scale
-        })
-    }
-
-    /// Storage bits: the packed code bytes (4 per element — genuinely
-    /// packed) + 24 per group (scale + coefficient).
-    pub fn storage_bits(&self) -> usize {
-        self.codes.len() * 8 + self.meta.len() * 24
-    }
-}
 
 /// Encodes one key row's groups into pre-sized **packed** code/metadata
 /// slices: per group, streaming stats → variance-selected dtype → FP16
-/// scale → packed 4-bit codes (two per byte, byte-aligned groups). Shared
-/// verbatim by the owned [`KCacheQuantizer`] and the paged pool's
-/// per-sequence views (`crate::pool`), so the two storage engines produce
-/// bit-identical cache contents.
+/// scale → packed 4-bit codes (two per byte, byte-aligned groups). The
+/// spatial K engine: [`crate::PagedKvCache::push`] points it at the
+/// arriving row's slot in the pool.
 pub(crate) fn encode_k_row_into(
     vmap: &VarianceMap,
     group_size: usize,
@@ -295,8 +83,6 @@ pub(crate) struct CommittedWindow {
 /// window's per-channel metadata and channel-major **packed** codes
 /// (`dim × ⌈group_size/2⌉` bytes), `pcodes`/`pscale` the window's
 /// INT8-quantized probabilities. Adds into `out` for channels `chan_lo..`.
-/// Shared by the owned [`VCacheQuantizer`] and the paged pool so both
-/// consume committed storage with bit-identical arithmetic.
 pub(crate) fn attend_window(
     meta: &[GroupMeta],
     codes: &[u8],
@@ -321,8 +107,8 @@ pub(crate) fn attend_window(
 /// process window, its per-channel RQU accumulators and scales, and the
 /// original f32 rows of the window (retained — bounded by one group of
 /// rows — so truncation can rebuild the accumulators exactly). Owns the
-/// staging/commit logic; the owned [`VCacheQuantizer`] and the paged
-/// pool's views differ only in where committed windows land.
+/// staging/commit logic; a [`crate::PagedKvCache`] view owns one and
+/// copies each committed window into its pool block.
 ///
 /// Everything per channel is an array over channels, so a pushed row is
 /// quantized and accumulated **across** channels — a vector lane is a
@@ -550,12 +336,6 @@ impl VStaging {
         );
     }
 
-    /// [`VStaging::attend_staged_with`] on a scratch buffer of its own.
-    #[cfg(test)]
-    pub(crate) fn attend_staged(&self, probs_tail: &[f32], chan_lo: usize, out: &mut [f32]) {
-        self.attend_staged_with(probs_tail, &mut vec![0; probs_tail.len()], chan_lo, out);
-    }
-
     /// Keeps only the first `keep` staged rows by **replaying** them:
     /// channel scales are restored to their window-start snapshot, the
     /// window and RQU accumulators are cleared, and the retained rows'
@@ -587,366 +367,6 @@ impl VStaging {
         self.channel_scales.fill(0.0);
         self.window_start_scales.fill(0.0);
     }
-}
-
-/// Temporal two-phase real-time quantizer for the V cache (Fig. 8).
-#[derive(Clone, Debug)]
-pub struct VCacheQuantizer {
-    staging: VStaging,
-    committed: Vec<CommittedWindow>,
-}
-
-impl VCacheQuantizer {
-    /// Creates a V-cache quantizer for value vectors of length `dim`; the
-    /// process window spans `group_size` decode iterations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::BadGroupSize`] if `group_size` is zero.
-    pub fn new(dim: usize, group_size: usize, vmap: VarianceMap) -> Result<Self, QuantError> {
-        if group_size == 0 {
-            return Err(QuantError::BadGroupSize {
-                group_size,
-                inner_dim: dim,
-            });
-        }
-        Ok(VCacheQuantizer {
-            staging: VStaging::new(dim, group_size, vmap),
-            committed: Vec::new(),
-        })
-    }
-
-    /// Number of cached value vectors (committed + staged).
-    pub fn len(&self) -> usize {
-        self.committed.len() * self.staging.group_size + self.staging.rows()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Rows currently staged in the INT8 process window.
-    pub fn window_len(&self) -> usize {
-        self.staging.rows()
-    }
-
-    /// Number of committed 4-bit windows.
-    pub fn committed_windows(&self) -> usize {
-        self.committed.len()
-    }
-
-    /// Ingests a whole prefill V matrix (`seq × dim`): derives channel
-    /// scales, commits every full window spatially, stages the remainder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.cols() != dim`.
-    pub fn prefill(&mut self, v: &Matrix) {
-        assert_eq!(v.cols(), self.staging.dim, "prefill width mismatch");
-        // Channel-wise INT8 scales for the decode-stage staging window are
-        // derived from the prefill statistics (Sec. V-C: "scales" in Fig. 8).
-        self.staging.set_scales_from_prefill(v);
-        for r in 0..v.rows() {
-            self.push(v.row(r));
-        }
-    }
-
-    /// Phase 1 of Fig. 8: quantizes one value vector to INT8 into the
-    /// process window and updates the per-channel `Σv/Σv²/max`
-    /// accumulators; when the window fills, runs phase 2 (commit to MANT4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != dim`.
-    pub fn push(&mut self, v: &[f32]) {
-        if let Some(window) = self.staging.push(v) {
-            self.committed.push(window);
-        }
-    }
-
-    /// Clears the cache (committed windows, staging window, channel
-    /// scales, RQU accumulators) so a finished session's storage can be
-    /// recycled, retaining allocated capacity. A reset cache is
-    /// **bit-identical** to a freshly constructed one on every later
-    /// operation.
-    pub fn reset(&mut self) {
-        self.committed.clear();
-        self.staging.reset();
-    }
-
-    /// Drops every cached value vector beyond the first `len` — the
-    /// rollback primitive for speculative decode and prefix reuse.
-    ///
-    /// A cut inside the staging window **replays** exactly: channel scales
-    /// revert to their window-start snapshot and the kept rows' original
-    /// f32 values are re-pushed, so the result is bit-identical to a cache
-    /// that never saw the dropped rows (scale widenings triggered only by
-    /// dropped rows are undone). A cut at a committed-window boundary
-    /// keeps the committed prefix and empties the staging window; scales
-    /// revert to the *latest* window-start snapshot, which still reflects
-    /// widenings from dropped committed windows (their INT8 history is
-    /// gone, so exact replay is impossible there — acceptable for prefix
-    /// reuse, where scales only ever widen). A cut strictly inside a
-    /// committed window is rejected: commitment discards the INT8 staging
-    /// data, so such a cut cannot be represented — truncate at a window
-    /// boundary instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len > self.len()`, or if `len` falls strictly inside a
-    /// committed window.
-    pub fn truncate(&mut self, len: usize) {
-        assert!(
-            len <= self.len(),
-            "truncate length {len} exceeds cached rows {}",
-            self.len()
-        );
-        let g = self.staging.group_size;
-        let committed_len = self.committed.len() * g;
-        if len >= committed_len {
-            self.staging.truncate(len - committed_len);
-        } else {
-            assert!(
-                len.is_multiple_of(g),
-                "cannot truncate inside a committed V window (len {len}, window {g})"
-            );
-            self.committed.truncate(len / g);
-            self.staging.truncate(0);
-        }
-    }
-
-    /// The temporal group size (process-window length in decode steps).
-    pub fn group_size(&self) -> usize {
-        self.staging.group_size
-    }
-
-    /// Incremental `P·V`: accumulates `Σ_t probs[t] · v_t[c]` into
-    /// `out[c - chan_lo]` for channels `chan_lo..chan_lo + out.len()`,
-    /// consuming the cache's packed storage directly — committed windows
-    /// via the two-psum integer kernels (Eq. (5)), the INT8 process window
-    /// via its staged codes and channel scales. The probabilities are
-    /// quantized to INT8 per window (the paper's integer `P·V` datapath),
-    /// so every lane is integer arithmetic with one scale multiply per
-    /// (window, channel). No cache dequantization, no `seq × dim`
-    /// materialization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probs.len() != self.len()` or the channel range exceeds
-    /// `dim`.
-    pub fn attend(&self, probs: &[f32], chan_lo: usize, out: &mut [f32]) {
-        let mut p8 = vec![0i8; self.staging.group_size];
-        self.attend_with(probs, &mut p8, chan_lo, out);
-    }
-
-    /// [`VCacheQuantizer::attend`] with the caller's scratch for one
-    /// window's probability codes (`group_size` long), so a caller that
-    /// attends head after head allocates nothing per head.
-    pub(crate) fn attend_with(
-        &self,
-        probs: &[f32],
-        p8: &mut [i8],
-        chan_lo: usize,
-        out: &mut [f32],
-    ) {
-        assert_eq!(probs.len(), self.len(), "probability length mismatch");
-        assert!(
-            chan_lo + out.len() <= self.staging.dim,
-            "channel range out of bounds"
-        );
-        let g = self.staging.group_size;
-        let mut t0 = 0usize;
-        for w in &self.committed {
-            let window_probs = &probs[t0..t0 + g];
-            t0 += g;
-            let Some(pscale) = quantize_probs_int8_into(window_probs, &mut p8[..g]) else {
-                continue;
-            };
-            attend_window(&w.meta, &w.codes, g, &p8[..g], pscale, chan_lo, out);
-        }
-        // Staged rows: INT8 × INT8 per channel, scaled by the channel's
-        // staging scale.
-        self.staging
-            .attend_staged_with(&probs[t0..], p8, chan_lo, out);
-    }
-
-    /// Dequantizes the full cache (committed 4-bit windows + INT8 staging
-    /// rows) to a `seq × dim` matrix.
-    pub fn dequantize(&self) -> Matrix {
-        let dim = self.staging.dim;
-        let g = self.staging.group_size;
-        let gb = g.div_ceil(2);
-        let mut out = Matrix::zeros(0, 0);
-        for w in &self.committed {
-            for t in 0..g {
-                let row: Vec<f32> = (0..dim)
-                    .map(|c| {
-                        let m = w.meta[c];
-                        m.dtype
-                            .decode(packed_code(&w.codes[c * gb..(c + 1) * gb], t))
-                            * m.scale
-                    })
-                    .collect();
-                out.push_row(&row);
-            }
-        }
-        for t in 0..self.staging.rows() {
-            let row: Vec<f32> = self
-                .staging
-                .staged_row(t)
-                .iter()
-                .enumerate()
-                .map(|(c, &q)| f32::from(q) * self.staging.staging_scale(c))
-                .collect();
-            out.push_row(&row);
-        }
-        if out.rows() == 0 {
-            Matrix::zeros(0, dim)
-        } else {
-            out
-        }
-    }
-
-    /// Storage bits: committed windows at their physical packed bytes
-    /// (4 bits per element, plus a pad nibble per channel group when the
-    /// group size is odd) + 24-bit group metadata; staged rows at 8 bits
-    /// (the "marginal and tolerable" INT8 overhead).
-    pub fn storage_bits(&self) -> usize {
-        let dim = self.staging.dim;
-        let gb = self.staging.group_size.div_ceil(2);
-        let committed = self.committed.len() * (dim * gb * 8 + dim * 24);
-        let staged = self.staging.rows() * dim * 8;
-        committed + staged
-    }
-}
-
-/// Multi-head attention of one query vector against the packed caches on
-/// the **dequantize path**: both caches are materialized to `seq × dim`
-/// matrices, then scored in f32 — the reference twin of
-/// [`attention_incremental`], and the per-step cost the quantized
-/// execution backend eliminates. With `kv_heads < heads`, query heads
-/// share K/V heads (GQA).
-///
-/// # Panics
-///
-/// Panics if `q.len() != heads · head_dim`, if `kv_heads` is zero or does
-/// not divide `heads`, or if the caches' width is not
-/// `kv_heads · head_dim`.
-pub fn attention_dequantize(
-    q: &[f32],
-    kc: &KCacheQuantizer,
-    vc: &VCacheQuantizer,
-    heads: usize,
-    kv_heads: usize,
-    head_dim: usize,
-) -> Vec<f32> {
-    validate_attention_shapes(q, kc, vc, heads, kv_heads, head_dim);
-    let k_all = kc.dequantize();
-    let v_all = vc.dequantize();
-    let seq = k_all.rows();
-    let queries_per_kv = heads / kv_heads;
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let mut out = vec![0.0f32; heads * head_dim];
-    for h in 0..heads {
-        let lo = h * head_dim;
-        let hi = lo + head_dim;
-        let kv_lo = (h / queries_per_kv) * head_dim;
-        let kv_hi = kv_lo + head_dim;
-        let qh = &q[lo..hi];
-        let mut scores: Vec<f32> = (0..seq)
-            .map(|t| {
-                let kh = &k_all.row(t)[kv_lo..kv_hi];
-                qh.iter().zip(kh.iter()).map(|(&a, &b)| a * b).sum::<f32>() * scale
-            })
-            .collect();
-        kernels().softmax(&mut scores);
-        let oh = &mut out[lo..hi];
-        for (t, &s) in scores.iter().enumerate() {
-            if s == 0.0 {
-                continue;
-            }
-            let vh = &v_all.row(t)[kv_lo..kv_hi];
-            for (o, &v) in oh.iter_mut().zip(vh.iter()) {
-                *o += s * v;
-            }
-        }
-    }
-    out
-}
-
-/// Multi-head attention of one query vector against the packed caches on
-/// the **incremental path**: `Q·Kᵀ` runs the fused per-group integer dots
-/// ([`KCacheQuantizer::fused_dot`]) against the query quantized to
-/// group-wise INT8, and `P·V` consumes committed windows and INT8 staging
-/// rows via [`VCacheQuantizer::attend`]. Nothing materializes a
-/// `seq × dim` matrix — per-step work is proportional to the codes read,
-/// which is what makes long-sequence decode cheap. GQA as in
-/// [`attention_dequantize`].
-///
-/// # Panics
-///
-/// As [`attention_dequantize`], plus if the K-cache group size does not
-/// divide `head_dim` (groups must not straddle heads).
-pub fn attention_incremental(
-    q: &[f32],
-    kc: &KCacheQuantizer,
-    vc: &VCacheQuantizer,
-    heads: usize,
-    kv_heads: usize,
-    head_dim: usize,
-) -> Vec<f32> {
-    validate_attention_shapes(q, kc, vc, heads, kv_heads, head_dim);
-    let g = kc.group_size();
-    assert!(
-        head_dim.is_multiple_of(g),
-        "fused attention needs the group size ({g}) to divide the head dimension ({head_dim})"
-    );
-    let queries_per_kv = heads / kv_heads;
-    let groups_per_head = head_dim / g;
-    let qv = quantize_vector_int8(q, g).expect("group divides head dim, hence q length");
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let mut out = vec![0.0f32; heads * head_dim];
-    let mut scores = vec![0.0f32; kc.len()];
-    let mut p8 = vec![0i8; vc.group_size()];
-    for h in 0..heads {
-        let lo = h * head_dim;
-        let kv_head = h / queries_per_kv;
-        let q_lo_group = lo / g;
-        let k_lo_group = kv_head * head_dim / g;
-        for (t, s) in scores.iter_mut().enumerate() {
-            *s = kc.fused_dot(t, &qv, q_lo_group, k_lo_group, groups_per_head) * scale;
-        }
-        kernels().softmax(&mut scores);
-        vc.attend_with(
-            &scores,
-            &mut p8,
-            kv_head * head_dim,
-            &mut out[lo..lo + head_dim],
-        );
-    }
-    out
-}
-
-fn validate_attention_shapes(
-    q: &[f32],
-    kc: &KCacheQuantizer,
-    vc: &VCacheQuantizer,
-    heads: usize,
-    kv_heads: usize,
-    head_dim: usize,
-) {
-    assert_eq!(q.len(), heads * head_dim, "query length mismatch");
-    assert!(
-        kv_heads > 0 && heads.is_multiple_of(kv_heads),
-        "kv_heads ({kv_heads}) must divide heads ({heads})"
-    );
-    assert_eq!(kc.dim(), kv_heads * head_dim, "K-cache width mismatch");
-    assert_eq!(
-        kc.len(),
-        vc.len(),
-        "K and V caches disagree on sequence length"
-    );
 }
 
 /// Quantizes one window's attention probabilities to symmetric INT8 with a
@@ -985,11 +405,31 @@ fn int8_scale(amax: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::quantize_vector_int8;
+    use crate::pool::{
+        attention_f32, attention_incremental_paged, KvCachePool, PagedKvCache, PoolConfig,
+    };
     use crate::search::CandidateSet;
     use mant_tensor::{mse, TensorGenerator};
 
     fn vmap() -> VarianceMap {
         VarianceMap::analytic(&CandidateSet::paper()).unwrap()
+    }
+
+    /// An empty cache over a private one-block pool with room for `tokens`
+    /// rows — the contiguous layout (`slot == t`), so these tests exercise
+    /// the engines, not block arithmetic. Tests that only care about one
+    /// side push the same row as key and value.
+    fn cache(kv_dim: usize, group_size: usize, tokens: usize) -> (KvCachePool, PagedKvCache) {
+        let pool = KvCachePool::new(PoolConfig {
+            kv_dim,
+            group_size,
+            block_tokens: tokens.next_multiple_of(group_size),
+            blocks: 1,
+        })
+        .unwrap();
+        let cache = PagedKvCache::new(&pool, vmap(), vmap());
+        (pool, cache)
     }
 
     fn relative_error(orig: &Matrix, deq: &Matrix) -> f64 {
@@ -1001,11 +441,11 @@ mod tests {
     #[test]
     fn k_cache_spatial_roundtrip() {
         let mut gen = TensorGenerator::new(71);
-        let mut kq = KCacheQuantizer::new(128, 64, vmap()).unwrap();
+        let (mut pool, mut kv) = cache(128, 64, 40);
         let k = gen.group_diverse_matrix(40, 128, 64, 0.5);
-        kq.prefill(&k);
-        assert_eq!(kq.len(), 40);
-        let deq = kq.dequantize();
+        kv.prefill(&mut pool, &k, &k).unwrap();
+        assert_eq!(kv.len(), 40);
+        let deq = kv.dequantize_k(&pool);
         assert_eq!(deq.shape(), (40, 128));
         // Variance-based type selection is a fast surrogate for the MSE
         // search; its 4-bit error stays within a few percent.
@@ -1018,41 +458,52 @@ mod tests {
 
     #[test]
     fn k_cache_incremental_matches_batch() {
+        // Keys are encoded row-independently: a prefill (which also derives
+        // V staging scales) and a push loop leave the same K rows.
         let mut gen = TensorGenerator::new(72);
         let k = gen.group_diverse_matrix(10, 128, 64, 0.5);
-        let mut a = KCacheQuantizer::new(128, 64, vmap()).unwrap();
-        a.prefill(&k);
-        let mut b = KCacheQuantizer::new(128, 64, vmap()).unwrap();
+        let (mut pool_a, mut a) = cache(128, 64, 10);
+        a.prefill(&mut pool_a, &k, &k).unwrap();
+        let (mut pool_b, mut b) = cache(128, 64, 10);
         for r in 0..k.rows() {
-            b.push(k.row(r));
+            b.push(&mut pool_b, k.row(r), k.row(r)).unwrap();
         }
-        assert_eq!(a.dequantize().as_slice(), b.dequantize().as_slice());
+        assert_eq!(
+            a.dequantize_k(&pool_a).as_slice(),
+            b.dequantize_k(&pool_b).as_slice()
+        );
     }
 
     #[test]
     fn k_cache_bad_group_size() {
-        assert!(KCacheQuantizer::new(100, 64, vmap()).is_err());
+        let bad = PoolConfig {
+            kv_dim: 100,
+            group_size: 64,
+            block_tokens: 64,
+            blocks: 1,
+        };
+        assert!(KvCachePool::new(bad).is_err());
     }
 
     #[test]
     fn v_cache_two_phase_counts() {
         let mut gen = TensorGenerator::new(73);
-        let mut vq = VCacheQuantizer::new(32, 8, vmap()).unwrap();
+        let (mut pool, mut kv) = cache(32, 8, 20);
         let v = gen.group_diverse_matrix(20, 32, 32, 0.5);
-        vq.prefill(&v);
+        kv.prefill(&mut pool, &v, &v).unwrap();
         // 20 rows with window 8 → 2 committed windows + 4 staged rows.
-        assert_eq!(vq.committed_windows(), 2);
-        assert_eq!(vq.window_len(), 4);
-        assert_eq!(vq.len(), 20);
+        assert_eq!(kv.committed_windows(), 2);
+        assert_eq!(kv.window_len(), 4);
+        assert_eq!(kv.len(), 20);
     }
 
     #[test]
     fn v_cache_roundtrip_error_small() {
         let mut gen = TensorGenerator::new(74);
-        let mut vq = VCacheQuantizer::new(64, 16, vmap()).unwrap();
+        let (mut pool, mut kv) = cache(64, 16, 64);
         let v = gen.group_diverse_matrix(64, 64, 64, 0.5);
-        vq.prefill(&v);
-        let deq = vq.dequantize();
+        kv.prefill(&mut pool, &v, &v).unwrap();
+        let deq = kv.dequantize_v(&pool);
         assert_eq!(deq.shape(), (64, 64));
         // 4-bit committed + INT8 staged: overall error stays small.
         assert!(
@@ -1065,31 +516,31 @@ mod tests {
     #[test]
     fn v_cache_window_commits_on_fill() {
         let mut gen = TensorGenerator::new(75);
-        let mut vq = VCacheQuantizer::new(16, 4, vmap()).unwrap();
+        let (mut pool, mut kv) = cache(16, 4, 4);
         for i in 0..4 {
             let row: Vec<f32> = (0..16).map(|_| gen.uniform(-1.0, 1.0)).collect();
-            vq.push(&row);
+            kv.push(&mut pool, &row, &row).unwrap();
             if i < 3 {
-                assert_eq!(vq.committed_windows(), 0);
-                assert_eq!(vq.window_len(), i + 1);
+                assert_eq!(kv.committed_windows(), 0);
+                assert_eq!(kv.window_len(), i + 1);
             }
         }
-        assert_eq!(vq.committed_windows(), 1);
-        assert_eq!(vq.window_len(), 0);
+        assert_eq!(kv.committed_windows(), 1);
+        assert_eq!(kv.window_len(), 0);
     }
 
     #[test]
     fn v_cache_decode_only_bootstraps_scales() {
         // No prefill at all: the engine must still work (scales bootstrap).
         let mut gen = TensorGenerator::new(76);
-        let mut vq = VCacheQuantizer::new(8, 4, vmap()).unwrap();
+        let (mut pool, mut kv) = cache(8, 4, 8);
         let mut rows = Matrix::zeros(0, 0);
         for _ in 0..8 {
             let row: Vec<f32> = (0..8).map(|_| gen.uniform(-2.0, 2.0)).collect();
-            vq.push(&row);
+            kv.push(&mut pool, &row, &row).unwrap();
             rows.push_row(&row);
         }
-        let deq = vq.dequantize();
+        let deq = kv.dequantize_v(&pool);
         assert_eq!(deq.shape(), (8, 8));
         // Bootstrapped scales may clip later larger values; error is
         // bounded but nonzero.
@@ -1102,10 +553,10 @@ mod tests {
         // argues this *helps* quality since recent tokens matter more. The
         // staged rows should be more accurate than committed 4-bit rows.
         let mut gen = TensorGenerator::new(77);
-        let mut vq = VCacheQuantizer::new(32, 16, vmap()).unwrap();
+        let (mut pool, mut kv) = cache(32, 16, 24);
         let v = gen.group_diverse_matrix(24, 32, 32, 0.5);
-        vq.prefill(&v); // 1 window committed, 8 rows staged
-        let deq = vq.dequantize();
+        kv.prefill(&mut pool, &v, &v).unwrap(); // 1 window committed, 8 rows staged
+        let deq = kv.dequantize_v(&pool);
         let committed_err = mse(&v.as_slice()[..16 * 32], &deq.as_slice()[..16 * 32]);
         let staged_err = mse(&v.as_slice()[16 * 32..], &deq.as_slice()[16 * 32..]);
         assert!(
@@ -1115,35 +566,21 @@ mod tests {
     }
 
     #[test]
-    fn storage_accounting() {
-        let mut vq = VCacheQuantizer::new(16, 4, vmap()).unwrap();
-        for _ in 0..6 {
-            vq.push(&[0.5; 16]);
-        }
-        // 1 committed window (4×16 codes + 16 metas) + 2 staged rows.
-        assert_eq!(vq.storage_bits(), (4 * 16 * 4 + 16 * 24) + 2 * 16 * 8);
-        let mut kq = KCacheQuantizer::new(16, 16, vmap()).unwrap();
-        kq.push(&[0.5; 16]);
-        assert_eq!(kq.storage_bits(), 16 * 4 + 24);
-    }
-
-    #[test]
     fn fused_dot_matches_dequantized_scores() {
-        use crate::activation::quantize_vector_int8;
         let mut gen = TensorGenerator::new(78);
         let dim = 128;
         let g = 32;
-        let mut kq = KCacheQuantizer::new(dim, g, vmap()).unwrap();
+        let (mut pool, mut kv) = cache(dim, g, 24);
         let k = gen.group_diverse_matrix(24, dim, g, 0.5);
-        kq.prefill(&k);
+        kv.prefill(&mut pool, &k, &k).unwrap();
         let q_vec: Vec<f32> = (0..dim).map(|_| gen.standard_normal()).collect();
         let qv = quantize_vector_int8(&q_vec, g).unwrap();
         let q_deq = qv.dequantize();
-        let k_deq = kq.dequantize();
+        let k_deq = kv.dequantize_k(&pool);
         // Whole-row dots and per-head (2-group) partial dots both match
         // the dequantize-then-f32 reference on the same quantized query.
         for t in 0..24 {
-            let full = kq.fused_dot(t, &qv, 0, 0, dim / g);
+            let full = kv.fused_dot(&pool, t, &qv, 0, 0, dim / g);
             let reference: f32 = q_deq
                 .iter()
                 .zip(k_deq.row(t).iter())
@@ -1153,7 +590,7 @@ mod tests {
                 (full - reference).abs() <= reference.abs().max(1.0) * 1e-4,
                 "t={t}: {full} vs {reference}"
             );
-            let partial = kq.fused_dot(t, &qv, 2, 2, 2);
+            let partial = kv.fused_dot(&pool, t, &qv, 2, 2, 2);
             let reference_p: f32 = q_deq[2 * g..4 * g]
                 .iter()
                 .zip(k_deq.row(t)[2 * g..4 * g].iter())
@@ -1168,22 +605,22 @@ mod tests {
         let mut gen = TensorGenerator::new(79);
         let dim = 64;
         let g = 16;
-        let mut vq = VCacheQuantizer::new(dim, g, vmap()).unwrap();
+        let (mut pool, mut kv) = cache(dim, g, 40);
         let v = gen.group_diverse_matrix(40, dim, dim, 0.5);
-        vq.prefill(&v); // 2 committed windows + 8 staged rows
-        assert_eq!(vq.committed_windows(), 2);
-        assert_eq!(vq.window_len(), 8);
+        kv.prefill(&mut pool, &v, &v).unwrap(); // 2 committed windows + 8 staged rows
+        assert_eq!(kv.committed_windows(), 2);
+        assert_eq!(kv.window_len(), 8);
         // Softmax-like probabilities.
         let mut probs: Vec<f32> = (0..40).map(|i| (-(i as f32) * 0.1).exp()).collect();
         let z: f32 = probs.iter().sum();
         probs.iter_mut().for_each(|p| *p /= z);
 
         let mut fused = vec![0.0f32; dim];
-        vq.attend(&probs, 0, &mut fused);
+        kv.attend(&pool, &probs, 0, &mut fused);
         // Reference: the same weighted sum over the dequantized cache with
         // probabilities quantized the same way per window (the only extra
         // error source the integer path introduces).
-        let deq = vq.dequantize();
+        let deq = kv.dequantize_v(&pool);
         for (c, &f) in fused.iter().enumerate() {
             let mut reference = 0.0f32;
             for t0 in (0..40).step_by(g) {
@@ -1209,7 +646,7 @@ mod tests {
         }
         // Channel sub-ranges accumulate (attend adds into `out`).
         let mut partial = vec![1.0f32; 8];
-        vq.attend(&probs, 8, &mut partial);
+        kv.attend(&pool, &probs, 8, &mut partial);
         for (j, &p) in partial.iter().enumerate() {
             assert!((p - 1.0 - fused[8 + j]).abs() < 1e-6);
         }
@@ -1231,7 +668,7 @@ mod tests {
         let probs: Vec<f32> = (0..11).map(|i| 0.3 / (1.0 + i as f32)).collect();
         let (chan_lo, width) = (16usize, 24usize);
         let mut got = vec![0.25f32; width];
-        staging.attend_staged(&probs, chan_lo, &mut got);
+        staging.attend_staged_with(&probs, &mut [0; 11], chan_lo, &mut got);
 
         let (pcodes, pscale) = quantize_probs_int8(&probs).unwrap();
         for (j, &o) in got.iter().enumerate() {
@@ -1382,26 +819,25 @@ mod tests {
         }
         assert_eq!(staging.rows(), 16 - 3 - g);
     }
-
     #[test]
     fn attention_helpers_agree_incl_gqa() {
-        // The shared incremental/dequantize attention pair must agree up
-        // to the INT8 query/probability rounding, for MHA and GQA head
-        // layouts alike.
+        // The incremental path and the dequantize path (the shared f32
+        // loop over the dequantized cache) must agree up to the INT8
+        // query/probability rounding, for MHA and GQA head layouts alike.
         let mut gen = TensorGenerator::new(80);
         let (head_dim, g) = (32, 16);
         for (heads, kv_heads) in [(4usize, 4usize), (4, 2), (4, 1)] {
             let kv_dim = kv_heads * head_dim;
-            let vmap = vmap();
-            let mut kc = KCacheQuantizer::new(kv_dim, g, vmap.clone()).unwrap();
-            let mut vc = VCacheQuantizer::new(kv_dim, g, vmap).unwrap();
-            kc.prefill(&gen.group_diverse_matrix(40, kv_dim, g, 0.5));
-            vc.prefill(&gen.group_diverse_matrix(40, kv_dim, kv_dim, 0.5));
+            let (mut pool, mut kv) = cache(kv_dim, g, 40);
+            let k = gen.group_diverse_matrix(40, kv_dim, g, 0.5);
+            let v = gen.group_diverse_matrix(40, kv_dim, kv_dim, 0.5);
+            kv.prefill(&mut pool, &k, &v).unwrap();
             let q: Vec<f32> = (0..heads * head_dim)
                 .map(|_| gen.standard_normal())
                 .collect();
-            let reference = attention_dequantize(&q, &kc, &vc, heads, kv_heads, head_dim);
-            let fused = attention_incremental(&q, &kc, &vc, heads, kv_heads, head_dim);
+            let (k_all, v_all) = (kv.dequantize_k(&pool), kv.dequantize_v(&pool));
+            let reference = attention_f32(&q, &k_all, &v_all, heads, kv_heads, head_dim);
+            let fused = attention_incremental_paged(&q, &kv, &pool, heads, kv_heads, head_dim);
             let norm: f32 = reference
                 .iter()
                 .map(|v| v * v)
@@ -1423,68 +859,38 @@ mod tests {
     }
 
     #[test]
-    fn reset_caches_reproduce_fresh_caches_bit_exactly() {
-        // Recycling a finished session's cache via reset() must leave no
-        // trace: the next sequence's codes, metadata, and fused results
-        // must equal a freshly constructed cache's bit for bit.
-        let mut gen = TensorGenerator::new(81);
-        let (dim, g) = (64, 16);
-        let first = gen.group_diverse_matrix(21, dim, g, 0.5);
-        let second = gen.group_diverse_matrix(13, dim, g, 0.7);
-        let q_vec: Vec<f32> = (0..dim).map(|_| gen.standard_normal()).collect();
-        let qv = quantize_vector_int8(&q_vec, g).unwrap();
-        let probs: Vec<f32> = (0..13).map(|i| 1.0 / (i as f32 + 2.0)).collect();
-
-        let mut kq = KCacheQuantizer::new(dim, g, vmap()).unwrap();
-        kq.prefill(&first);
-        kq.reset();
-        assert!(kq.is_empty());
-        let mut vq = VCacheQuantizer::new(dim, g, vmap()).unwrap();
-        vq.prefill(&first);
-        vq.reset();
-        assert!(vq.is_empty());
-        assert_eq!(vq.committed_windows(), 0);
-
-        let mut kq_fresh = KCacheQuantizer::new(dim, g, vmap()).unwrap();
-        let mut vq_fresh = VCacheQuantizer::new(dim, g, vmap()).unwrap();
-        for r in 0..second.rows() {
-            kq.push(second.row(r));
-            kq_fresh.push(second.row(r));
-            vq.push(second.row(r));
-            vq_fresh.push(second.row(r));
-        }
-        assert_eq!(kq.dequantize().as_slice(), kq_fresh.dequantize().as_slice());
-        for t in 0..13 {
+    fn k_truncate_matches_fresh_prefix() {
+        // Keys are encoded row-independently, so a cut cache reads — rows
+        // and fused dots — like a fresh cache fed only the kept prefix. The
+        // V side is cut with it, so the cut lands in the staging region
+        // (29 rows: one committed window, 13 staged).
+        let mut gen = TensorGenerator::new(82);
+        let k = gen.group_diverse_matrix(29, 64, 16, 0.5);
+        let qv = quantize_vector_int8(k.row(28), 16).unwrap();
+        let (mut pool, mut full) = cache(64, 16, 29);
+        full.prefill(&mut pool, &k, &k).unwrap();
+        full.truncate(&mut pool, 19);
+        assert_eq!(full.len(), 19);
+        let (mut prefix_pool, mut prefix) = cache(64, 16, 29);
+        prefix
+            .prefill(&mut prefix_pool, &k.top_rows(19), &k.top_rows(19))
+            .unwrap();
+        // Continuing after the rollback behaves like a fresh cache too.
+        full.push(&mut pool, k.row(28), k.row(28)).unwrap();
+        prefix.push(&mut prefix_pool, k.row(28), k.row(28)).unwrap();
+        assert_eq!(
+            full.dequantize_k(&pool).as_slice(),
+            prefix.dequantize_k(&prefix_pool).as_slice()
+        );
+        for t in 0..20 {
             assert_eq!(
-                kq.fused_dot(t, &qv, 0, 0, dim / g).to_bits(),
-                kq_fresh.fused_dot(t, &qv, 0, 0, dim / g).to_bits()
+                full.fused_dot(&pool, t, &qv, 0, 0, 4).to_bits(),
+                prefix.fused_dot(&prefix_pool, t, &qv, 0, 0, 4).to_bits()
             );
         }
-        assert_eq!(vq.dequantize().as_slice(), vq_fresh.dequantize().as_slice());
-        let (mut a, mut b) = (vec![0.0f32; dim], vec![0.0f32; dim]);
-        vq.attend(&probs, 0, &mut a);
-        vq_fresh.attend(&probs, 0, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(vq.storage_bits(), vq_fresh.storage_bits());
-    }
-
-    #[test]
-    fn k_truncate_matches_fresh_prefix() {
-        let mut gen = TensorGenerator::new(82);
-        let k = gen.group_diverse_matrix(17, 64, 16, 0.5);
-        let mut full = KCacheQuantizer::new(64, 16, vmap()).unwrap();
-        full.prefill(&k);
-        full.truncate(9);
-        assert_eq!(full.len(), 9);
-        let mut prefix = KCacheQuantizer::new(64, 16, vmap()).unwrap();
-        prefix.prefill(&k.top_rows(9));
-        assert_eq!(full.dequantize().as_slice(), prefix.dequantize().as_slice());
-        // Continuing after the rollback behaves like a fresh cache too.
-        full.push(k.row(16));
-        prefix.push(k.row(16));
-        assert_eq!(full.dequantize().as_slice(), prefix.dequantize().as_slice());
-        full.truncate(0);
+        full.truncate(&mut pool, 0);
         assert!(full.is_empty());
+        assert_eq!(pool.free_blocks(), 1);
     }
 
     #[test]
@@ -1492,37 +898,40 @@ mod tests {
         let mut gen = TensorGenerator::new(83);
         let (dim, g) = (32, 8);
         let v = gen.group_diverse_matrix(21, dim, dim, 0.5);
-        let mut vq = VCacheQuantizer::new(dim, g, vmap()).unwrap();
-        vq.prefill(&v); // 2 committed windows + 5 staged rows
-        assert_eq!((vq.committed_windows(), vq.window_len()), (2, 5));
+        let (mut pool, mut kv) = cache(dim, g, 24);
+        kv.prefill(&mut pool, &v, &v).unwrap(); // 2 committed windows + 5 staged rows
+        assert_eq!((kv.committed_windows(), kv.window_len()), (2, 5));
 
         // Cut inside the staging window: staged suffix dropped, committed
         // windows untouched, and continuing re-commits identically to a
         // cache that never saw the dropped rows.
-        let mut twin = VCacheQuantizer::new(dim, g, vmap()).unwrap();
-        twin.prefill(&v);
-        vq.truncate(18);
-        assert_eq!((vq.committed_windows(), vq.window_len()), (2, 2));
-        let deq_full = twin.dequantize();
-        let deq_cut = vq.dequantize();
+        let (mut twin_pool, mut twin) = cache(dim, g, 24);
+        twin.prefill(&mut twin_pool, &v, &v).unwrap();
+        kv.truncate(&mut pool, 18);
+        assert_eq!((kv.committed_windows(), kv.window_len()), (2, 2));
+        let deq_full = twin.dequantize_v(&twin_pool);
+        let deq_cut = kv.dequantize_v(&pool);
         assert_eq!(&deq_full.as_slice()[..18 * dim], deq_cut.as_slice());
         // Refill the dropped rows: the rebuilt RQU stats must commit the
         // third window exactly as the uncut cache did.
         for r in 18..21 {
-            vq.push(v.row(r));
+            kv.push(&mut pool, v.row(r), v.row(r)).unwrap();
         }
         for _ in 21..24 {
             let row: Vec<f32> = (0..dim).map(|_| gen.uniform(-1.0, 1.0)).collect();
-            vq.push(&row);
-            twin.push(&row);
+            kv.push(&mut pool, &row, &row).unwrap();
+            twin.push(&mut twin_pool, &row, &row).unwrap();
         }
-        assert_eq!(vq.committed_windows(), 3);
-        assert_eq!(vq.dequantize().as_slice(), twin.dequantize().as_slice());
+        assert_eq!(kv.committed_windows(), 3);
+        assert_eq!(
+            kv.dequantize_v(&pool).as_slice(),
+            twin.dequantize_v(&twin_pool).as_slice()
+        );
 
         // Window-boundary cut in the committed region.
-        vq.truncate(8);
-        assert_eq!((vq.committed_windows(), vq.window_len()), (1, 0));
-        assert_eq!(vq.len(), 8);
+        kv.truncate(&mut pool, 8);
+        assert_eq!((kv.committed_windows(), kv.window_len()), (1, 0));
+        assert_eq!(kv.len(), 8);
     }
 
     #[test]
@@ -1531,54 +940,44 @@ mod tests {
         // the cache must be bit-identical to a twin that never saw it —
         // including the staged INT8 codes, whose widening-time re-encode
         // is lossy and must be undone by replay, not kept.
-        let (dim, g) = (4usize, 8usize);
-        let mut vq = VCacheQuantizer::new(dim, g, vmap()).unwrap();
-        let mut twin = VCacheQuantizer::new(dim, g, vmap()).unwrap();
-        let quiet = vec![0.25f32, -0.5, 0.125, 0.75];
+        let (dim, g) = (8usize, 8usize);
+        let (mut pool, mut kv) = cache(dim, g, 16);
+        let (mut twin_pool, mut twin) = cache(dim, g, 16);
+        let quiet = [0.25f32, -0.5, 0.125, 0.75, -0.25, 0.5, -0.125, -0.75];
         for _ in 0..3 {
-            vq.push(&quiet);
-            twin.push(&quiet);
+            kv.push(&mut pool, &quiet, &quiet).unwrap();
+            twin.push(&mut twin_pool, &quiet, &quiet).unwrap();
         }
         // The spike bootstraps channel 0 far wider than `quiet` needs.
-        vq.push(&[100.0, -0.5, 0.125, 0.75]);
-        vq.truncate(3);
-        assert_eq!(vq.dequantize().as_slice(), twin.dequantize().as_slice());
+        let mut spike = quiet;
+        spike[0] = 100.0;
+        kv.push(&mut pool, &quiet, &spike).unwrap();
+        kv.truncate(&mut pool, 3);
+        assert_eq!(
+            kv.dequantize_v(&pool).as_slice(),
+            twin.dequantize_v(&twin_pool).as_slice()
+        );
         // Continuing after the rollback matches the twin bit for bit,
         // through the next commit and beyond.
         for i in 0..g {
             let row: Vec<f32> = (0..dim)
                 .map(|c| 0.3 * (i as f32 + 1.0) - c as f32 * 0.1)
                 .collect();
-            vq.push(&row);
-            twin.push(&row);
+            kv.push(&mut pool, &row, &row).unwrap();
+            twin.push(&mut twin_pool, &row, &row).unwrap();
         }
-        assert_eq!(vq.committed_windows(), twin.committed_windows());
-        assert_eq!(vq.dequantize().as_slice(), twin.dequantize().as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "inside a committed V window")]
-    fn v_truncate_inside_committed_window_rejected() {
-        let mut gen = TensorGenerator::new(84);
-        let mut vq = VCacheQuantizer::new(16, 8, vmap()).unwrap();
-        vq.prefill(&gen.group_diverse_matrix(16, 16, 16, 0.5));
-        vq.truncate(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds cached rows")]
-    fn truncate_beyond_len_rejected() {
-        let mut kq = KCacheQuantizer::new(16, 16, vmap()).unwrap();
-        kq.push(&[0.5; 16]);
-        kq.truncate(2);
+        assert_eq!(kv.committed_windows(), twin.committed_windows());
+        assert_eq!(
+            kv.dequantize_v(&pool).as_slice(),
+            twin.dequantize_v(&twin_pool).as_slice()
+        );
     }
 
     #[test]
     fn empty_caches() {
-        let kq = KCacheQuantizer::new(16, 16, vmap()).unwrap();
-        assert!(kq.is_empty());
-        let vq = VCacheQuantizer::new(16, 4, vmap()).unwrap();
-        assert!(vq.is_empty());
-        assert_eq!(vq.dequantize().shape(), (0, 16));
+        let (pool, kv) = cache(16, 4, 4);
+        assert!(kv.is_empty());
+        assert_eq!(kv.dequantize_k(&pool).shape(), (0, 16));
+        assert_eq!(kv.dequantize_v(&pool).shape(), (0, 16));
     }
 }

@@ -23,17 +23,17 @@
 //!   as the bench baseline and bit-identity oracle;
 //! - [`plan`]: interned `&'static` pair-decode tables per group dtype —
 //!   built once per process, cached per matrix as its decode plan;
-//! - [`kv`]: real-time K-cache (spatial) and V-cache (two-phase temporal)
-//!   quantization engines (paper Sec. V-C, Fig. 8), with incremental
-//!   group-wise access — [`KCacheQuantizer::fused_dot`] for `Q·Kᵀ` and
-//!   [`VCacheQuantizer::attend`] for `P·V` — so decode-step attention
-//!   never dequantizes the full cache;
-//! - [`pool`]: the paged, packed KV-cache pool for continuous-batching
-//!   serving — a **refcounted** block allocator owning MANT4/INT8 group
-//!   storage that hands fixed-size blocks to per-sequence
-//!   [`PagedKvCache`] views, bit-identical to the owned quantizers;
-//!   views fork **copy-on-write** ([`PagedKvCache::fork`]), so identical
-//!   prompt prefixes share physical blocks; [`mant_gemv_batch`] is the
+//! - [`kv`]: the real-time K-cache (spatial) and V-cache (two-phase
+//!   temporal) encode engines (paper Sec. V-C, Fig. 8);
+//! - [`pool`]: the one KV store — a paged, packed, **refcounted** block
+//!   allocator owning MANT4/INT8 group storage that hands fixed-size
+//!   blocks to per-sequence [`PagedKvCache`] views, with incremental
+//!   group-wise access ([`PagedKvCache::fused_dot`] for `Q·Kᵀ`,
+//!   [`PagedKvCache::attend`] for `P·V`) so decode-step attention never
+//!   dequantizes the full cache. Views fork **copy-on-write**
+//!   ([`PagedKvCache::fork`]), so identical prompt prefixes share
+//!   physical blocks; a single-sequence caller sizes a private pool (or
+//!   grows one, [`KvCachePool::grow`]); [`mant_gemv_batch`] is the
 //!   matching multi-query GEMM (one weight-group decode pass amortized
 //!   across the whole batch).
 
@@ -59,10 +59,11 @@ pub use fused::{
     mant_gemv, mant_gemv_batch, mant_gemv_batch_with, mant_gemv_scalar, mant_gemv_with,
     UnpackedWeights, DECODE_ONCE_MIN_BATCH,
 };
-pub use kv::{KCacheQuantizer, VCacheQuantizer};
 pub use mantq::{GroupDtype, MantQuantizedMatrix, MantWeightQuantizer};
 pub use plan::pair_table;
-pub use pool::{attention_incremental_paged, KvCachePool, PagedKvCache, PoolConfig, RunAttention};
+pub use pool::{
+    attention_f32, attention_incremental_paged, KvCachePool, PagedKvCache, PoolConfig, RunAttention,
+};
 pub use quantizer::{FakeQuantizer, Fp16Quantizer, GridQuantizer};
 pub use scheme::Granularity;
 pub use search::{

@@ -12,18 +12,20 @@
 //!
 //! - **K** (spatial, Sec. V-C): per token slot, `kv_dim` 4-bit codes plus
 //!   one [`GroupMeta`] per `group_size` channels — written the moment the
-//!   key arrives, exactly like [`KCacheQuantizer`].
+//!   key arrives.
 //! - **V** (temporal, Fig. 8): per window of `group_size` token slots,
 //!   `kv_dim × group_size` channel-major codes plus per-channel metadata —
 //!   written when the per-sequence INT8 process window (which lives in the
 //!   [`PagedKvCache`] view, not the arena) commits.
 //!
 //! `block_tokens` is a multiple of `group_size`, so a V window never
-//! straddles blocks. Both views share the owned quantizers' encode/commit/
-//! attend helpers (`encode_k_row_into`, [`crate::kv`]'s `VStaging`,
-//! `attend_window`), so pooled caches are **bit-identical** to
-//! [`KCacheQuantizer`]/[`VCacheQuantizer`] fed the same vectors — the
-//! property the batch-vs-sequential equivalence suite pins down.
+//! straddles blocks. The arithmetic is [`crate::kv`]'s encode engines
+//! (`encode_k_row_into`, `VStaging`, `attend_window`); this module decides
+//! only where the bytes land, so contents do not depend on geometry — a
+//! one-block pool (`slot == t`, the contiguous layout) and a many-block
+//! pool hold the same rows bit for bit. This is the workspace's **only**
+//! KV store: a single-sequence caller sizes a private pool for its
+//! sequence, and `mant_model`'s one-token runner grows one as it steps.
 //!
 //! # Sharing: refcounted blocks and copy-on-write
 //!
@@ -40,14 +42,14 @@
 //! system prompt map their shared prefix onto the *same* physical packed
 //! blocks.
 
+use std::ops::Range;
+
 use mant_tensor::Matrix;
 
 use crate::activation::{quantize_vector_int8, QuantizedVector};
 use crate::error::QuantError;
 use crate::fused::{decode_tile_row, group_dot_packed, DECODE_ONCE_MIN_BATCH};
 use crate::kv::{attend_window, encode_k_row_into, quantize_probs_int8_into, VStaging};
-#[allow(unused_imports)] // doc links
-use crate::kv::{KCacheQuantizer, VCacheQuantizer};
 use crate::mantq::{packed_code, GroupMeta};
 use crate::plan::kernel_table;
 use crate::variance::VarianceMap;
@@ -101,14 +103,17 @@ impl KvCachePool {
     /// divide `kv_dim` or `block_tokens` or if `block_tokens` is zero,
     /// and [`QuantError::ShapeMismatch`] if `blocks` is zero.
     pub fn new(cfg: PoolConfig) -> Result<Self, QuantError> {
-        if cfg.group_size == 0
-            || !cfg.kv_dim.is_multiple_of(cfg.group_size)
-            || cfg.block_tokens == 0
-            || !cfg.block_tokens.is_multiple_of(cfg.group_size)
-        {
+        let g = cfg.group_size;
+        let bad_width = g == 0 || !cfg.kv_dim.is_multiple_of(g);
+        if bad_width || cfg.block_tokens == 0 || !cfg.block_tokens.is_multiple_of(g) {
+            let inner_dim = if bad_width {
+                cfg.kv_dim
+            } else {
+                cfg.block_tokens
+            };
             return Err(QuantError::BadGroupSize {
-                group_size: cfg.group_size,
-                inner_dim: cfg.kv_dim.min(cfg.block_tokens),
+                group_size: g,
+                inner_dim,
             });
         }
         if cfg.blocks == 0 {
@@ -116,18 +121,34 @@ impl KvCachePool {
                 context: "pool must hold at least one block",
             });
         }
-        let slots = cfg.blocks * cfg.block_tokens;
-        let gpr = cfg.kv_dim / cfg.group_size;
-        let group_bytes = cfg.group_size.div_ceil(2);
-        Ok(KvCachePool {
-            cfg,
-            k_codes: vec![0u8; slots * gpr * group_bytes],
-            k_meta: vec![GroupMeta::ZERO; slots * gpr],
-            v_codes: vec![0u8; (slots / cfg.group_size) * cfg.kv_dim * group_bytes],
-            v_meta: vec![GroupMeta::ZERO; (slots / cfg.group_size) * cfg.kv_dim],
-            free: (0..cfg.blocks as u32).rev().collect(),
-            refs: vec![0u32; cfg.blocks],
-        })
+        let mut pool = KvCachePool {
+            cfg: PoolConfig { blocks: 0, ..cfg },
+            k_codes: Vec::new(),
+            k_meta: Vec::new(),
+            v_codes: Vec::new(),
+            v_meta: Vec::new(),
+            free: Vec::new(),
+            refs: Vec::new(),
+        };
+        pool.grow(cfg.blocks);
+        Ok(pool)
+    }
+
+    /// Appends `extra_blocks` free blocks: the four arenas, `refs` and the
+    /// free list are extended; every live block keeps its id, refcount and
+    /// bytes. For a caller that cannot size its pool up front (the one-token
+    /// runner); a serving pool's size *is* its admission budget.
+    pub fn grow(&mut self, extra_blocks: usize) {
+        let (old, blocks) = (self.cfg.blocks, self.cfg.blocks + extra_blocks);
+        let [k_codes, k_meta, v_codes, v_meta] = self.block_lens().map(|len| len * blocks);
+        self.k_codes.resize(k_codes, 0);
+        self.k_meta.resize(k_meta, GroupMeta::ZERO);
+        self.v_codes.resize(v_codes, 0);
+        self.v_meta.resize(v_meta, GroupMeta::ZERO);
+        self.refs.resize(blocks, 0);
+        // Lowest new id on top of the LIFO list.
+        self.free.extend((old as u32..blocks as u32).rev());
+        self.cfg.blocks = blocks;
     }
 
     /// The pool's shape.
@@ -250,70 +271,65 @@ impl KvCachePool {
         }
     }
 
+    /// What one block takes of each arena: K code bytes, K metadata entries,
+    /// committed-V code bytes, V metadata entries.
+    fn block_lens(&self) -> [usize; 4] {
+        let (bt, dim) = (self.cfg.block_tokens, self.cfg.kv_dim);
+        let (gpr, wpb) = (dim / self.cfg.group_size, bt / self.cfg.group_size);
+        let (k_codes, v_codes) = (bt * self.k_row_bytes(), wpb * self.v_window_bytes());
+        [k_codes, bt * gpr, v_codes, wpb * dim]
+    }
+
     /// Copies block `src`'s whole packed contents (K codes/meta, committed
     /// V codes/meta) into block `dst` — the copy-on-write primitive.
     fn copy_block(&mut self, src: u32, dst: u32) {
-        let bt = self.cfg.block_tokens;
-        let dim = self.cfg.kv_dim;
-        let gpr = dim / self.cfg.group_size;
-        let wpb = bt / self.cfg.group_size;
+        let [k_codes, k_meta, v_codes, v_meta] = self.block_lens();
         let (s, d) = (src as usize, dst as usize);
-        let kb = bt * self.k_row_bytes();
-        self.k_codes.copy_within(s * kb..(s + 1) * kb, d * kb);
-        self.k_meta
-            .copy_within(s * bt * gpr..(s + 1) * bt * gpr, d * bt * gpr);
-        let vb = wpb * self.v_window_bytes();
-        self.v_codes.copy_within(s * vb..(s + 1) * vb, d * vb);
-        self.v_meta
-            .copy_within(s * wpb * dim..(s + 1) * wpb * dim, d * wpb * dim);
+        let from = |len: usize| s * len..(s + 1) * len;
+        self.k_codes.copy_within(from(k_codes), d * k_codes);
+        self.k_meta.copy_within(from(k_meta), d * k_meta);
+        self.v_codes.copy_within(from(v_codes), d * v_codes);
+        self.v_meta.copy_within(from(v_meta), d * v_meta);
+    }
+
+    /// Arena ranges of one token slot's K row: packed codes, metadata.
+    fn k_row_at(&self, block: u32, slot: usize) -> (Range<usize>, Range<usize>) {
+        let (rb, gpr) = (self.k_row_bytes(), self.cfg.kv_dim / self.cfg.group_size);
+        let at = block as usize * self.cfg.block_tokens + slot;
+        (at * rb..(at + 1) * rb, at * gpr..(at + 1) * gpr)
     }
 
     fn k_row(&self, block: u32, slot: usize) -> (&[u8], &[GroupMeta]) {
-        let gpr = self.cfg.kv_dim / self.cfg.group_size;
-        let rb = self.k_row_bytes();
-        let c0 = (block as usize * self.cfg.block_tokens + slot) * rb;
-        let m0 = (block as usize * self.cfg.block_tokens + slot) * gpr;
-        (&self.k_codes[c0..c0 + rb], &self.k_meta[m0..m0 + gpr])
+        let (codes, meta) = self.k_row_at(block, slot);
+        (&self.k_codes[codes], &self.k_meta[meta])
     }
 
     fn k_row_mut(&mut self, block: u32, slot: usize) -> (&mut [u8], &mut [GroupMeta]) {
-        let gpr = self.cfg.kv_dim / self.cfg.group_size;
-        let rb = self.k_row_bytes();
-        let c0 = (block as usize * self.cfg.block_tokens + slot) * rb;
-        let m0 = (block as usize * self.cfg.block_tokens + slot) * gpr;
-        (
-            &mut self.k_codes[c0..c0 + rb],
-            &mut self.k_meta[m0..m0 + gpr],
-        )
+        let (codes, meta) = self.k_row_at(block, slot);
+        (&mut self.k_codes[codes], &mut self.k_meta[meta])
+    }
+
+    /// Arena ranges of one committed V window: metadata, packed codes.
+    fn v_window_at(&self, block: u32, win_in_block: usize) -> (Range<usize>, Range<usize>) {
+        let (wb, dim) = (self.v_window_bytes(), self.cfg.kv_dim);
+        let at = block as usize * (self.cfg.block_tokens / self.cfg.group_size) + win_in_block;
+        (at * dim..(at + 1) * dim, at * wb..(at + 1) * wb)
     }
 
     fn v_window(&self, block: u32, win_in_block: usize) -> (&[GroupMeta], &[u8]) {
-        let wb = self.v_window_bytes();
-        let wpb = self.cfg.block_tokens / self.cfg.group_size;
-        let c0 = (block as usize * wpb + win_in_block) * wb;
-        let m0 = (block as usize * wpb + win_in_block) * self.cfg.kv_dim;
-        (
-            &self.v_meta[m0..m0 + self.cfg.kv_dim],
-            &self.v_codes[c0..c0 + wb],
-        )
+        let (meta, codes) = self.v_window_at(block, win_in_block);
+        (&self.v_meta[meta], &self.v_codes[codes])
     }
 
     fn v_window_mut(&mut self, block: u32, win_in_block: usize) -> (&mut [GroupMeta], &mut [u8]) {
-        let wb = self.v_window_bytes();
-        let wpb = self.cfg.block_tokens / self.cfg.group_size;
-        let c0 = (block as usize * wpb + win_in_block) * wb;
-        let m0 = (block as usize * wpb + win_in_block) * self.cfg.kv_dim;
-        (
-            &mut self.v_meta[m0..m0 + self.cfg.kv_dim],
-            &mut self.v_codes[c0..c0 + wb],
-        )
+        let (meta, codes) = self.v_window_at(block, win_in_block);
+        (&mut self.v_meta[meta], &mut self.v_codes[codes])
     }
 }
 
 /// One sequence's K+V cache for one layer: an ordered list of pool blocks
-/// plus the per-sequence V staging window. The paged twin of a
-/// `(KCacheQuantizer, VCacheQuantizer)` pair — same arithmetic, pooled
-/// storage, so sequences join and leave the batch without reallocation.
+/// plus the per-sequence V staging window — pooled storage, so sequences
+/// join and leave the batch without reallocation.
 ///
 /// Deliberately **not** `Clone`: a bitwise clone would alias pool blocks
 /// without adding holders. Use [`PagedKvCache::fork`], which retains every
@@ -422,10 +438,7 @@ impl PagedKvCache {
     /// control sums this across sequences to know whether a batch
     /// iteration can proceed.
     pub fn blocks_needed_for_push(&self, pool: &KvCachePool) -> usize {
-        let bt = pool.cfg.block_tokens;
-        let new_block = self.rows == self.blocks.len() * bt;
-        let cow_k = !new_block && pool.refcount(self.blocks[self.rows / bt]) > 1;
-        usize::from(new_block) + usize::from(cow_k)
+        self.blocks_needed_for_pushes(pool, 1, false)
     }
 
     /// Free blocks the next `n` consecutive pushes will demand together:
@@ -461,14 +474,14 @@ impl PagedKvCache {
     /// CoW-aware rollback primitive speculative decode uses to discard
     /// rejected draft tokens.
     ///
-    /// Cut semantics match [`VCacheQuantizer::truncate`]: a cut in the V
-    /// staging region **replays** the kept staged rows from their original
-    /// f32 values (scale widenings triggered only by dropped rows are
-    /// undone), so the cache is bit-identical to one that never saw the
-    /// dropped tokens; a cut at a committed-window boundary drops whole
-    /// windows; a cut strictly inside a committed window panics. K rows
-    /// need no erasure — they are encoded independently and slots past
-    /// `len` are never read again.
+    /// A cut in the V staging region **replays** the kept staged rows from
+    /// their original f32 values (scale widenings triggered only by dropped
+    /// rows are undone), so the cache is bit-identical to one that never
+    /// saw the dropped tokens; a cut at a committed-window boundary drops
+    /// whole windows (scales keep those windows' widenings — their INT8
+    /// history is gone); a cut strictly inside a committed window panics.
+    /// K rows need no erasure — they are encoded independently and slots
+    /// past `len` are never read again.
     ///
     /// Block accounting is CoW-sound: tail blocks the kept prefix no
     /// longer touches are *released*, which only drops this view's
@@ -524,9 +537,9 @@ impl PagedKvCache {
 
     /// Quantizes and appends one decode step's key and value vectors,
     /// reserving a fresh block from `pool` when the current one fills and
-    /// copying any still-shared target block first (copy-on-write).
-    /// Identical arithmetic to [`KCacheQuantizer::push`] +
-    /// [`VCacheQuantizer::push`].
+    /// copying any still-shared target block first (copy-on-write): the K
+    /// row encoded on arrival, the V row staged in INT8 and its window
+    /// committed to 4 bits when it fills (Fig. 8's two phases).
     ///
     /// # Errors
     ///
@@ -590,9 +603,29 @@ impl PagedKvCache {
         Ok(())
     }
 
-    /// The fused `q · k_t` partial dot over `n_groups` consecutive groups,
-    /// consuming the pooled packed key codes directly — bit-identical to
-    /// [`KCacheQuantizer::fused_dot`].
+    /// Ingests a whole prefill: derives the staging window's per-channel
+    /// INT8 scales from the prefill V statistics (Sec. V-C: "scales" in
+    /// Fig. 8), then pushes row by row. Errors as [`PagedKvCache::push`];
+    /// the rows pushed before the failure stay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` and `v` are not both `seq × dim`.
+    pub fn prefill(
+        &mut self,
+        pool: &mut KvCachePool,
+        k: &Matrix,
+        v: &Matrix,
+    ) -> Result<(), QuantError> {
+        assert_eq!(k.shape(), v.shape(), "prefill K/V shape mismatch");
+        assert_eq!(v.cols(), self.staging.dim, "prefill width mismatch");
+        self.staging.set_scales_from_prefill(v);
+        (0..k.rows()).try_for_each(|r| self.push(pool, k.row(r), v.row(r)))
+    }
+
+    /// The fused `q · k_t` partial dot over `n_groups` consecutive groups of
+    /// the pooled packed key codes (Eq. (5): integer psums, one `s_q · s_k`
+    /// multiply per group), from query group `q_lo` and key group `k_lo`.
     ///
     /// # Panics
     ///
@@ -624,8 +657,8 @@ impl PagedKvCache {
     }
 
     /// Incremental `P·V` over pooled committed windows plus the
-    /// per-sequence INT8 staging window — bit-identical to
-    /// [`VCacheQuantizer::attend`].
+    /// per-sequence INT8 staging window: adds `Σ_t probs[t] · v_t[c]` into
+    /// `out[c - chan_lo]`, probabilities quantized to INT8 per window.
     ///
     /// # Panics
     ///
@@ -696,7 +729,7 @@ impl PagedKvCache {
         k + v_committed + v_staged
     }
 
-    /// Dequantizes the K side to a `seq × dim` matrix (tests/reference).
+    /// Dequantizes the K side to a `seq × dim` matrix (the reference path).
     pub fn dequantize_k(&self, pool: &KvCachePool) -> Matrix {
         let dim = self.staging.dim;
         let g = self.staging.group_size;
@@ -710,8 +743,8 @@ impl PagedKvCache {
         })
     }
 
-    /// Dequantizes the V side (committed windows + staging rows) to a
-    /// `seq × dim` matrix (tests/reference).
+    /// Dequantizes the V side (committed 4-bit windows + INT8 staging
+    /// rows) to a `seq × dim` matrix (the reference path).
     pub fn dequantize_v(&self, pool: &KvCachePool) -> Matrix {
         let dim = self.staging.dim;
         let g = self.staging.group_size;
@@ -762,10 +795,10 @@ fn check_attention_shapes(
 }
 
 /// Multi-head attention of one query vector against a pooled cache on the
-/// incremental path — the paged twin of
-/// [`crate::kv::attention_incremental`], bit-identical to it on equal
-/// cache contents. GQA as there: with `kv_heads < heads`, query heads
-/// share K/V heads.
+/// **incremental path**: [`PagedKvCache::fused_dot`] scores against the
+/// query quantized to group-wise INT8, then [`PagedKvCache::attend`]. No
+/// `seq × dim` matrix is materialized — work is proportional to the codes
+/// read. With `kv_heads < heads`, query heads share K/V heads (GQA).
 ///
 /// # Panics
 ///
@@ -804,6 +837,52 @@ pub fn attention_incremental_paged(
             kv_head * head_dim,
             &mut out[lo..lo + head_dim],
         );
+    }
+    out
+}
+
+/// Multi-head attention of one query vector against materialized f32 K/V
+/// rows (`seq × kv_heads · head_dim`) — the workspace's one f32 attention
+/// loop: FP16 attention over an unquantized cache, and over
+/// [`PagedKvCache::dequantize_k`] / [`PagedKvCache::dequantize_v`] the
+/// **dequantize path** — reference twin of [`attention_incremental_paged`]
+/// (GQA as there) and the per-step cost the quantized backend eliminates.
+///
+/// # Panics
+///
+/// Panics on the head-layout mismatches [`attention_incremental_paged`]
+/// rejects, or if `k_all` and `v_all` are not both `seq × kv_heads · head_dim`.
+pub fn attention_f32(
+    q: &[f32],
+    k_all: &Matrix,
+    v_all: &Matrix,
+    heads: usize,
+    kv_heads: usize,
+    head_dim: usize,
+) -> Vec<f32> {
+    assert_eq!(q.len(), heads * head_dim, "query length mismatch");
+    assert!(
+        kv_heads > 0 && heads.is_multiple_of(kv_heads),
+        "kv_heads ({kv_heads}) must divide heads ({heads})"
+    );
+    let shape = (k_all.rows(), kv_heads * head_dim);
+    assert_eq!((k_all.shape(), v_all.shape()), (shape, shape), "K/V shape");
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    let mut out = vec![0.0f32; heads * head_dim];
+    let mut scores = vec![0.0f32; k_all.rows()];
+    for (h, oh) in out.chunks_exact_mut(head_dim).enumerate() {
+        let qh = &q[h * head_dim..(h + 1) * head_dim];
+        let kv_lo = h / (heads / kv_heads) * head_dim;
+        for (t, s) in scores.iter_mut().enumerate() {
+            let kh = &k_all.row(t)[kv_lo..kv_lo + head_dim];
+            *s = qh.iter().zip(kh).map(|(&a, &b)| a * b).sum::<f32>() * scale;
+        }
+        kernels().softmax(&mut scores);
+        for (t, &s) in scores.iter().enumerate().filter(|(_, &s)| s != 0.0) {
+            for (o, &v) in oh.iter_mut().zip(&v_all.row(t)[kv_lo..kv_lo + head_dim]) {
+                *o += s * v;
+            }
+        }
     }
     out
 }
@@ -1153,7 +1232,6 @@ impl RunAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::{attention_incremental, KCacheQuantizer, VCacheQuantizer};
     use crate::search::CandidateSet;
     use mant_tensor::TensorGenerator;
 
@@ -1169,6 +1247,48 @@ mod tests {
             blocks,
         })
         .unwrap()
+    }
+
+    /// A fresh standalone cache fed only `rows` (each as key and value) in
+    /// a private one-block pool: `slot == t`, the contiguous layout, with
+    /// no neighbour, no recycled block and no fork in its history.
+    fn standalone<'a>(rows: impl IntoIterator<Item = &'a [f32]>) -> (PagedKvCache, KvCachePool) {
+        let rows: Vec<&[f32]> = rows.into_iter().collect();
+        let mut pool = pool(1, rows.len().next_multiple_of(16));
+        let mut cache = PagedKvCache::new(&pool, vmap(), vmap());
+        for row in rows {
+            cache.push(&mut pool, row, row).unwrap();
+        }
+        (cache, pool)
+    }
+
+    /// Both caches (64 wide, groups of 16) read back the same bits through
+    /// every accessor: dequantized K and V rows, `fused_dot` at every
+    /// position, `attend`.
+    fn assert_same_reads(a: (&PagedKvCache, &KvCachePool), b: (&PagedKvCache, &KvCachePool)) {
+        let ((a, a_pool), (b, b_pool)) = (a, b);
+        assert_eq!(
+            a.dequantize_k(a_pool).as_slice(),
+            b.dequantize_k(b_pool).as_slice()
+        );
+        assert_eq!(
+            a.dequantize_v(a_pool).as_slice(),
+            b.dequantize_v(b_pool).as_slice()
+        );
+        let q: Vec<f32> = (0..64).map(|c| (c as f32 * 0.37).sin()).collect();
+        let qv = quantize_vector_int8(&q, 16).unwrap();
+        for t in 0..a.len() {
+            assert_eq!(
+                a.fused_dot(a_pool, t, &qv, 0, 0, 4).to_bits(),
+                b.fused_dot(b_pool, t, &qv, 0, 0, 4).to_bits(),
+                "t={t}"
+            );
+        }
+        let probs: Vec<f32> = (0..a.len()).map(|i| 1.0 / (1.0 + i as f32)).collect();
+        let (mut got, mut want) = (vec![0.0f32; 64], vec![0.0f32; 64]);
+        a.attend(a_pool, &probs, 0, &mut got);
+        b.attend(b_pool, &probs, 0, &mut want);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1207,58 +1327,49 @@ mod tests {
         ] {
             assert!(KvCachePool::new(bad).is_err(), "{bad:?}");
         }
+        // The error names the dimension that failed — 16 divides 64, the
+        // smaller of the two, but not the 72-token block.
+        let bad_block = PoolConfig {
+            kv_dim: 64,
+            group_size: 16,
+            block_tokens: 72,
+            blocks: 2,
+        };
+        assert_eq!(
+            KvCachePool::new(bad_block).unwrap_err(),
+            QuantError::BadGroupSize {
+                group_size: 16,
+                inner_dim: 72,
+            }
+        );
     }
 
     #[test]
-    fn pooled_cache_bit_identical_to_owned_quantizers() {
-        // The whole point of the pool: a sequence served out of paged
-        // blocks computes exactly what a sequence with its own quantizers
-        // computes. 37 tokens across 32-token blocks exercises a block
-        // boundary and a partially staged window.
+    fn multi_block_cache_bit_identical_to_the_one_block_layout() {
+        // Where a row lands must not matter: the same rows pushed into a
+        // multi-block pool and into a one-block pool (`slot == t`, the
+        // contiguous layout) read back identically through every accessor.
+        // 37 tokens across 32-token blocks exercises a block boundary and a
+        // partially staged window.
         let mut gen = TensorGenerator::new(90);
         let mut pool = pool(4, 32);
         let mut paged = PagedKvCache::new(&pool, vmap(), vmap());
-        let mut kq = KCacheQuantizer::new(64, 16, vmap()).unwrap();
-        let mut vq = VCacheQuantizer::new(64, 16, vmap()).unwrap();
         let data = gen.group_diverse_matrix(37, 64, 16, 0.5);
         for t in 0..37 {
             paged.push(&mut pool, data.row(t), data.row(t)).unwrap();
-            kq.push(data.row(t));
-            vq.push(data.row(t));
         }
+        let (flat, flat_pool) = standalone((0..37).map(|t| data.row(t)));
         assert_eq!(paged.len(), 37);
-        assert_eq!(paged.reserved_blocks(), 2);
-        assert_eq!(paged.committed_windows(), vq.committed_windows());
-        assert_eq!(paged.window_len(), vq.window_len());
-        assert_eq!(
-            paged.dequantize_k(&pool).as_slice(),
-            kq.dequantize().as_slice()
-        );
-        assert_eq!(
-            paged.dequantize_v(&pool).as_slice(),
-            vq.dequantize().as_slice()
-        );
-
-        let q_vec: Vec<f32> = (0..64).map(|_| gen.standard_normal()).collect();
-        let qv = quantize_vector_int8(&q_vec, 16).unwrap();
-        for t in 0..37 {
-            assert_eq!(
-                paged.fused_dot(&pool, t, &qv, 0, 0, 4).to_bits(),
-                kq.fused_dot(t, &qv, 0, 0, 4).to_bits(),
-                "t={t}"
-            );
-        }
-        let probs: Vec<f32> = (0..37).map(|i| 1.0 / (1.0 + i as f32)).collect();
-        let (mut a, mut b) = (vec![0.0f32; 64], vec![0.0f32; 64]);
-        paged.attend(&pool, &probs, 0, &mut a);
-        vq.attend(&probs, 0, &mut b);
-        assert_eq!(a, b);
+        assert_eq!((paged.reserved_blocks(), flat.reserved_blocks()), (2, 1));
+        assert_eq!(paged.committed_windows(), flat.committed_windows());
+        assert_eq!(paged.window_len(), flat.window_len());
+        assert_same_reads((&paged, &pool), (&flat, &flat_pool));
 
         // Whole-attention parity, GQA included.
         let q_full: Vec<f32> = (0..128).map(|_| gen.standard_normal()).collect();
-        let fused_owned = attention_incremental(&q_full, &kq, &vq, 4, 2, 32);
+        let fused_flat = attention_incremental_paged(&q_full, &flat, &flat_pool, 4, 2, 32);
         let fused_paged = attention_incremental_paged(&q_full, &paged, &pool, 4, 2, 32);
-        assert_eq!(fused_owned, fused_paged);
+        assert_eq!(fused_flat, fused_paged);
     }
 
     #[test]
@@ -1277,20 +1388,8 @@ mod tests {
         }
         assert_eq!(pool.used_blocks(), 4);
         for (view, data) in [(&a, &a_data), (&b, &b_data)] {
-            let mut kq = KCacheQuantizer::new(64, 16, vmap()).unwrap();
-            let mut vq = VCacheQuantizer::new(64, 16, vmap()).unwrap();
-            kq.prefill(data);
-            for t in 0..20 {
-                vq.push(data.row(t));
-            }
-            assert_eq!(
-                view.dequantize_k(&pool).as_slice(),
-                kq.dequantize().as_slice()
-            );
-            assert_eq!(
-                view.dequantize_v(&pool).as_slice(),
-                vq.dequantize().as_slice()
-            );
+            let (alone, alone_pool) = standalone((0..20).map(|t| data.row(t)));
+            assert_same_reads((view, &pool), (&alone, &alone_pool));
         }
     }
 
@@ -1308,17 +1407,16 @@ mod tests {
         view.release(&mut pool);
         assert_eq!(pool.free_blocks(), 2);
         assert!(view.is_empty());
+        assert_eq!(view.committed_windows(), 0);
         // The recycled view over dirty blocks equals a fresh standalone
-        // cache on the next sequence.
+        // cache on the next sequence: rows, fused results and accounting,
+        // bit for bit — recycling a finished session leaves no trace.
         for t in 0..18 {
             view.push(&mut pool, second.row(t), second.row(t)).unwrap();
         }
-        let mut kq = KCacheQuantizer::new(64, 16, vmap()).unwrap();
-        kq.prefill(&second.top_rows(18));
-        assert_eq!(
-            view.dequantize_k(&pool).as_slice(),
-            kq.dequantize().as_slice()
-        );
+        let (fresh, fresh_pool) = standalone((0..18).map(|t| second.row(t)));
+        assert_same_reads((&view, &pool), (&fresh, &fresh_pool));
+        assert_eq!(view.used_bits(), fresh.used_bits());
     }
 
     #[test]
@@ -1344,8 +1442,8 @@ mod tests {
     fn fork_shares_blocks_and_cow_diverges_bit_exactly() {
         // Fork mid-block (37 rows over 32-token blocks: one full block, one
         // partial, a half-filled staging window), then push different
-        // continuations into parent and child. Each side must equal an
-        // independent owned-quantizer pair fed its own full stream, and the
+        // continuations into parent and child. Each side must equal a fresh
+        // standalone cache fed its own full stream, and the
         // shared full block must stay physically shared while the partial
         // one is copied on the first divergent write.
         let mut gen = TensorGenerator::new(94);
@@ -1380,29 +1478,11 @@ mod tests {
             }
         }
         for (view, tail) in [(&a, &a_tail), (&b, &b_tail)] {
-            let mut kq = KCacheQuantizer::new(64, 16, vmap()).unwrap();
-            let mut vq = VCacheQuantizer::new(64, 16, vmap()).unwrap();
-            for t in 0..37 {
-                kq.push(prefix.row(t));
-                vq.push(prefix.row(t));
-            }
-            for t in 0..15 {
-                kq.push(tail.row(t));
-                vq.push(tail.row(t));
-            }
-            assert_eq!(
-                view.dequantize_k(&pool).as_slice(),
-                kq.dequantize().as_slice()
-            );
-            assert_eq!(
-                view.dequantize_v(&pool).as_slice(),
-                vq.dequantize().as_slice()
-            );
-            let probs: Vec<f32> = (0..52).map(|i| 1.0 / (1.0 + i as f32)).collect();
-            let (mut got, mut want) = (vec![0.0f32; 64], vec![0.0f32; 64]);
-            view.attend(&pool, &probs, 0, &mut got);
-            vq.attend(&probs, 0, &mut want);
-            assert_eq!(got, want);
+            let stream = (0..37)
+                .map(|t| prefix.row(t))
+                .chain((0..15).map(|t| tail.row(t)));
+            let (alone, alone_pool) = standalone(stream);
+            assert_same_reads((view, &pool), (&alone, &alone_pool));
         }
 
         // Release order is irrelevant; every block comes back.
@@ -1452,6 +1532,49 @@ mod tests {
     }
 
     #[test]
+    fn grow_mid_sequence_keeps_live_and_forked_blocks_bit_exactly() {
+        // A two-block pool grown three times under a sequence and its fork
+        // must read like a pool sized up front: growth moves arenas, never
+        // a block id, a refcount or a byte.
+        let mut gen = TensorGenerator::new(102);
+        let data = gen.group_diverse_matrix(70, 64, 16, 0.5);
+        let tail = gen.group_diverse_matrix(20, 64, 16, 0.8);
+        let (mut grown_pool, mut sized_pool) = (pool(2, 16), pool(9, 16));
+        let run = |pool: &mut KvCachePool, grow: bool| {
+            let push = |pool: &mut KvCachePool, cache: &mut PagedKvCache, row: &[f32]| {
+                if grow && pool.free_blocks() < cache.blocks_needed_for_push(pool) {
+                    pool.grow(2);
+                }
+                cache.push(pool, row, row).unwrap();
+            };
+            let mut parent = PagedKvCache::new(pool, vmap(), vmap());
+            for t in 0..37 {
+                push(pool, &mut parent, data.row(t));
+            }
+            let mut child = parent.fork(pool);
+            for t in 37..70 {
+                push(pool, &mut parent, data.row(t));
+            }
+            for t in 0..20 {
+                push(pool, &mut child, tail.row(t));
+            }
+            (parent, child)
+        };
+        let (parent, child) = run(&mut grown_pool, true);
+        let (parent_sized, child_sized) = run(&mut sized_pool, false);
+        // 2 → 4 → 6 → 8 blocks: five of the parent's, two only the child
+        // holds.
+        assert_eq!(
+            (grown_pool.total_blocks(), grown_pool.used_blocks()),
+            (8, 7)
+        );
+        assert_eq!(grown_pool.shared_blocks(), 2, "the fork still shares");
+        for (got, want) in [(&parent, &parent_sized), (&child, &child_sized)] {
+            assert_same_reads((got, &grown_pool), (want, &sized_pool));
+        }
+    }
+
+    #[test]
     fn truncate_matches_fresh_replay_and_releases_tail_blocks() {
         // 37 rows over 32-token blocks (2 blocks, 2 committed V windows,
         // 5 staged rows). A staging-region cut must be bit-identical to a
@@ -1482,14 +1605,7 @@ mod tests {
             view.push(&mut pool, data.row(t), data.row(t)).unwrap();
             fresh.push(&mut pool, data.row(t), data.row(t)).unwrap();
         }
-        assert_eq!(
-            view.dequantize_k(&pool).as_slice(),
-            fresh.dequantize_k(&pool).as_slice()
-        );
-        assert_eq!(
-            view.dequantize_v(&pool).as_slice(),
-            fresh.dequantize_v(&pool).as_slice()
-        );
+        assert_same_reads((&view, &pool), (&fresh, &pool));
 
         // A cut to a block boundary releases the tail block.
         let free_before = pool.free_blocks();
@@ -1544,14 +1660,7 @@ mod tests {
         for t in 0..35 {
             fresh.push(&mut pool, data.row(t), data.row(t)).unwrap();
         }
-        assert_eq!(
-            child.dequantize_k(&pool).as_slice(),
-            fresh.dequantize_k(&pool).as_slice()
-        );
-        assert_eq!(
-            child.dequantize_v(&pool).as_slice(),
-            fresh.dequantize_v(&pool).as_slice()
-        );
+        assert_same_reads((&child, &pool), (&fresh, &pool));
         // Truncating the child below the fork point drops its hold on the
         // shared tail block without freeing it out from under the parent.
         child.truncate(&mut pool, 32);

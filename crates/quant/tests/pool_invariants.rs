@@ -28,8 +28,9 @@ fn assert_pool_invariant(pool: &KvCachePool, views: &[PagedKvCache]) {
     assert_eq!(holds, refs_total, "view holds must equal summed refcounts");
 }
 
-/// One churn pass over a small pool: alloc (join), push (grow), fork
-/// (retain/CoW), truncate (rollback), release (leave). Any `Err` from
+/// One churn pass over a small pool: alloc (join), push (extend), fork
+/// (retain/CoW), truncate (rollback), release (leave), grow (1–3 more
+/// blocks under whatever is live). Any `Err` from
 /// `push` — organic exhaustion on this deliberately tiny pool, or an
 /// injected `PoolExhausted` when a fault plan is installed — must leave
 /// the allocator consistent, which is also what makes this test immune
@@ -92,6 +93,17 @@ fn churn(ops: &[(usize, usize, usize)], blocks: usize) -> Result<(), TestCaseErr
                 views[i].release(&mut pool);
                 views.remove(i);
             }
+            5 => {
+                // Growth appends free blocks under whatever is live; the
+                // invariant below and the final drain see the new total.
+                let extra = 1 + count % 3;
+                let (total, free) = (pool.total_blocks(), pool.free_blocks());
+                pool.grow(extra);
+                assert_eq!(
+                    (pool.total_blocks(), pool.free_blocks()),
+                    (total + extra, free + extra)
+                );
+            }
             _ => {}
         }
         assert_pool_invariant(&pool, &views);
@@ -114,13 +126,13 @@ fn churn(ops: &[(usize, usize, usize)], blocks: usize) -> Result<(), TestCaseErr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Randomized alloc / push / fork / truncate / release churn with
-    /// organic `PoolExhausted` on an undersized pool: the allocator
+    /// Randomized alloc / push / fork / truncate / release / grow churn
+    /// with organic `PoolExhausted` on an undersized pool: the allocator
     /// invariant holds after every single operation and the pool drains
     /// to empty at the end.
     #[test]
     fn pool_invariant_under_churn_with_truncate(
-        ops in proptest::collection::vec((0usize..5, 0usize..8, 1usize..20), 80),
+        ops in proptest::collection::vec((0usize..6, 0usize..8, 1usize..20), 80),
         blocks in 6usize..16,
     ) {
         churn(&ops, blocks)?;
@@ -149,7 +161,7 @@ fn pool_invariant_with_injected_exhaustion() {
                     .wrapping_add(i as u64)
                     .wrapping_mul(0xbf58476d1ce4e5b9);
                 (
-                    (x % 5) as usize,
+                    (x % 6) as usize,
                     ((x >> 8) % 8) as usize,
                     1 + ((x >> 16) % 19) as usize,
                 )

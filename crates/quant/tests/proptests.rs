@@ -2,11 +2,31 @@
 
 use mant_quant::{
     dequant_then_gemv, mant_gemm, mant_gemv, quantize_activations_int8, quantize_vector_int8,
-    CandidateSet, KCacheQuantizer, KvCachePool, MantQuantizedMatrix, MantWeightQuantizer,
-    PagedKvCache, PoolConfig, VCacheQuantizer, VarianceMap,
+    CandidateSet, KvCachePool, MantQuantizedMatrix, MantWeightQuantizer, PagedKvCache, PoolConfig,
+    VarianceMap,
 };
 use mant_tensor::Matrix;
 use proptest::prelude::*;
+
+/// An empty cache over a private pool of one block, `block_tokens` slots:
+/// the contiguous layout, for properties of the engines rather than of
+/// block arithmetic.
+fn one_block_cache(
+    kv_dim: usize,
+    group_size: usize,
+    block_tokens: usize,
+) -> (KvCachePool, PagedKvCache) {
+    let vmap = VarianceMap::analytic(&CandidateSet::paper()).unwrap();
+    let cfg = PoolConfig {
+        kv_dim,
+        group_size,
+        block_tokens,
+        blocks: 1,
+    };
+    let pool = KvCachePool::new(cfg).unwrap();
+    let cache = PagedKvCache::new(&pool, vmap.clone(), vmap);
+    (pool, cache)
+}
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0f32..10.0, rows * cols)
@@ -84,12 +104,12 @@ proptest! {
     /// The K cache preserves vector count and dimension for any sequence.
     #[test]
     fn k_cache_shape(rows in 1usize..20, vals in proptest::collection::vec(-5.0f32..5.0, 20 * 32)) {
-        let vmap = VarianceMap::analytic(&CandidateSet::paper()).unwrap();
-        let mut kq = KCacheQuantizer::new(32, 16, vmap).unwrap();
+        let (mut pool, mut kv) = one_block_cache(32, 16, 32);
         for r in 0..rows {
-            kq.push(&vals[r * 32..(r + 1) * 32]);
+            let row = &vals[r * 32..(r + 1) * 32];
+            kv.push(&mut pool, row, row).unwrap();
         }
-        let deq = kq.dequantize();
+        let deq = kv.dequantize_k(&pool);
         prop_assert_eq!(deq.shape(), (rows, 32));
     }
 
@@ -141,16 +161,16 @@ proptest! {
     fn fused_dot_tight_epsilon(rows in 1usize..8,
                                vals in proptest::collection::vec(-3.0f32..3.0, 8 * 64),
                                qv in proptest::collection::vec(-3.0f32..3.0, 64)) {
-        let vmap = VarianceMap::analytic(&CandidateSet::paper()).unwrap();
-        let mut kq = KCacheQuantizer::new(64, 32, vmap).unwrap();
+        let (mut pool, mut kv) = one_block_cache(64, 32, 32);
         for r in 0..rows {
-            kq.push(&vals[r * 64..(r + 1) * 64]);
+            let row = &vals[r * 64..(r + 1) * 64];
+            kv.push(&mut pool, row, row).unwrap();
         }
         let q = quantize_vector_int8(&qv, 32).unwrap();
         let q_deq = q.dequantize();
-        let k_deq = kq.dequantize();
+        let k_deq = kv.dequantize_k(&pool);
         for t in 0..rows {
-            let fused = kq.fused_dot(t, &q, 0, 0, 2);
+            let fused = kv.fused_dot(&pool, t, &q, 0, 0, 2);
             let reference: f32 = q_deq.iter().zip(k_deq.row(t)).map(|(&a, &b)| a * b).sum();
             prop_assert!((fused - reference).abs() <= reference.abs().max(1.0) * 1e-4,
                 "t={}: {} vs {}", t, fused, reference);
@@ -160,16 +180,17 @@ proptest! {
     /// The V cache's committed+staged split always accounts for every row.
     #[test]
     fn v_cache_length_invariant(rows in 1usize..40) {
-        let vmap = VarianceMap::analytic(&CandidateSet::paper()).unwrap();
-        let mut vq = VCacheQuantizer::new(8, 16, vmap).unwrap();
+        // The pool's geometry needs the window to divide the width: 16
+        // channels, windows of 16 rows.
+        let (mut pool, mut kv) = one_block_cache(16, 16, 48);
         for i in 0..rows {
-            let row: Vec<f32> = (0..8).map(|c| ((i * 8 + c) % 13) as f32 - 6.0).collect();
-            vq.push(&row);
+            let row: Vec<f32> = (0..16).map(|c| ((i * 16 + c) % 13) as f32 - 6.0).collect();
+            kv.push(&mut pool, &row, &row).unwrap();
         }
-        prop_assert_eq!(vq.len(), rows);
-        prop_assert_eq!(vq.committed_windows(), rows / 16);
-        prop_assert_eq!(vq.window_len(), rows % 16);
-        prop_assert_eq!(vq.dequantize().shape(), (rows, 8));
+        prop_assert_eq!(kv.len(), rows);
+        prop_assert_eq!(kv.committed_windows(), rows / 16);
+        prop_assert_eq!(kv.window_len(), rows % 16);
+        prop_assert_eq!(kv.dequantize_v(&pool).shape(), (rows, 16));
     }
 }
 
@@ -254,8 +275,8 @@ proptest! {
 
     /// Fork-then-diverge is byte-identical to two caches that never met:
     /// a parent forked at a random point, each side continuing on its own
-    /// rows, must dequantize exactly like independent owned quantizers fed
-    /// the same streams (CoW isolation leaves no trace).
+    /// rows, must dequantize exactly like a fresh cache in a private pool
+    /// fed the same stream (CoW isolation leaves no trace).
     #[test]
     fn fork_then_diverge_matches_independent_caches(
         prefix_rows in 1usize..40,
@@ -285,20 +306,17 @@ proptest! {
             }
         }
         for (view, tail, rows) in [(&a, &a_tail, a_rows), (&b, &b_tail, b_rows)] {
-            let mut kq = KCacheQuantizer::new(32, 8, vmap.clone()).unwrap();
-            let mut vq = VCacheQuantizer::new(32, 8, vmap.clone()).unwrap();
-            for t in 0..prefix_rows {
-                kq.push(prefix.row(t));
-                vq.push(prefix.row(t));
+            let (mut alone_pool, mut alone) = one_block_cache(32, 8, 64);
+            let stream = (0..prefix_rows)
+                .map(|t| prefix.row(t))
+                .chain((0..rows).map(|t| tail.row(t)));
+            for row in stream {
+                alone.push(&mut alone_pool, row, row).unwrap();
             }
-            for t in 0..rows {
-                kq.push(tail.row(t));
-                vq.push(tail.row(t));
-            }
-            let (paged_k, owned_k) = (view.dequantize_k(&pool), kq.dequantize());
-            let (paged_v, owned_v) = (view.dequantize_v(&pool), vq.dequantize());
-            prop_assert_eq!(paged_k.as_slice(), owned_k.as_slice());
-            prop_assert_eq!(paged_v.as_slice(), owned_v.as_slice());
+            let (forked_k, alone_k) = (view.dequantize_k(&pool), alone.dequantize_k(&alone_pool));
+            let (forked_v, alone_v) = (view.dequantize_v(&pool), alone.dequantize_v(&alone_pool));
+            prop_assert_eq!(forked_k.as_slice(), alone_k.as_slice());
+            prop_assert_eq!(forked_v.as_slice(), alone_v.as_slice());
         }
         a.release(&mut pool);
         b.release(&mut pool);

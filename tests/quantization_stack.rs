@@ -5,8 +5,8 @@
 use mant::model::{ActMode, KvMode, ModelConfig, TransformerModel};
 use mant::numerics::Mant;
 use mant::quant::{
-    mant_gemm, quantize_activations_int8, CandidateSet, KCacheQuantizer, MantWeightQuantizer,
-    VCacheQuantizer, VarianceMap,
+    mant_gemm, quantize_activations_int8, CandidateSet, KvCachePool, MantWeightQuantizer,
+    PagedKvCache, PoolConfig, VarianceMap,
 };
 use mant::tensor::{gemm, TensorGenerator};
 
@@ -63,15 +63,24 @@ fn storage_accounting_is_consistent() {
     assert_eq!(wq.storage_bits(), expected_bits);
 
     let vmap = VarianceMap::analytic(&CandidateSet::paper()).expect("non-empty");
-    let mut kq = KCacheQuantizer::new(256, 64, vmap.clone()).expect("valid");
-    let mut vq = VCacheQuantizer::new(256, 64, vmap).expect("valid");
+    let mut pool = KvCachePool::new(PoolConfig {
+        kv_dim: 256,
+        group_size: 64,
+        block_tokens: 64,
+        blocks: 1,
+    })
+    .expect("valid");
+    let mut kv = PagedKvCache::new(&pool, vmap.clone(), vmap);
     for _ in 0..64 {
-        kq.push(&vec![0.5; 256]);
-        vq.push(&vec![0.5; 256]);
+        kv.push(&mut pool, &[0.5; 256], &[0.5; 256]).expect("room");
     }
-    assert_eq!(kq.storage_bits(), 64 * 256 * 4 + 64 * 4 * 24);
-    // One committed V window: 4-bit codes + per-channel metadata.
-    assert_eq!(vq.storage_bits(), 64 * 256 * 4 + 256 * 24);
+    // 64 K rows: 4-bit codes + a scale/coefficient per spatial group; one
+    // committed V window: 4-bit codes + per-channel metadata.
+    let k_bits = 64 * 256 * 4 + 64 * 4 * 24;
+    let v_bits = 64 * 256 * 4 + 256 * 24;
+    assert_eq!(kv.used_bits(), k_bits + v_bits);
+    // The one block is exactly full, so live bits are the reserved bits.
+    assert_eq!(pool.used_bits(), k_bits + v_bits);
 }
 
 #[test]
