@@ -1,18 +1,20 @@
 //! Speculative-decoding throughput: draft-and-verify vs target-only
-//! greedy decode.
+//! greedy decode, both through the serving engine.
 //!
 //! Decode is GEMV-bound: every token pays one full pass of single-row
 //! matvecs. A draft-and-verify round replaces `k` of those passes with
-//! `k` *shallow* draft passes plus **one** `k`-token batched target pass
-//! — the multi-row GEMM shape the SIMD kernel tier is measurably better
-//! at than `k` separate GEMVs. The net win is `(accepted + 1)` tokens
-//! per round against `k · draft_cost + verify_cost`, so it scales with
-//! the draft agreement the synthetic pair's tail ratio dials in.
+//! `k` *shallow* draft passes plus **one** `k`-token verify run in the
+//! tick's target step — the multi-row GEMM shape the SIMD kernel tier is
+//! measurably better at than `k` separate GEMVs. The net win is
+//! `(accepted + 1)` tokens per round against `k · draft_cost +
+//! verify_cost`, so it scales with the draft agreement the synthetic
+//! pair's tail ratio dials in.
 //!
-//! The bench generates the same greedy continuation target-only and
-//! speculatively at `draft_k ∈ {2, 4, 8}`, asserts the streams are
-//! byte-identical (speculation must never change outputs), and reports
-//! acceptance rate and net tokens/s to `BENCH_spec.json`.
+//! The bench serves the same single request with [`ServeEngine::new`] and
+//! with [`ServeEngine::new_with_draft`] at `draft_k ∈ {2, 4, 8}`, asserts
+//! the streams are byte-identical (speculation must never change
+//! outputs), and reports acceptance rate, net tokens/s and the per-tick
+//! draft / step / rollback phases to `BENCH_spec.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
@@ -22,6 +24,9 @@ use mant_model::{
     TransformerModel,
 };
 use mant_numerics::kernels;
+use mant_serve::{
+    AdmissionPolicy, GenRequest, ServeConfig, ServeEngine, ServeReport, SpeculativeConfig,
+};
 
 const HIDDEN: usize = 768;
 const LAYERS: usize = 10;
@@ -32,14 +37,12 @@ const KV_GROUP: usize = 64;
 const POOL_BLOCKS: usize = 64;
 const BLOCK_TOKENS: usize = 64;
 const PROMPT_LEN: usize = 16;
-// 1 seed + 11 full k=8 rounds × 9 emitted tokens = exactly 100, so no
-// round's tail is generated-then-truncated (which would bill the
-// speculative side for tokens the throughput figure never credits).
 const DECODE_LEN: usize = 100;
 const DRAFT_KS: [usize; 3] = [2, 4, 8];
 
 /// One speculative measurement: (drafted, accepted, decode seconds,
-/// [draft, verify, rollback] ns, same-rep net-speedup ratio).
+/// [draft, step, rollback] ns summed over the decode ticks, same-rep
+/// net-speedup ratio).
 type SpecRep = (u64, u64, f64, [u64; 3], f64);
 
 fn model_config() -> ModelConfig {
@@ -55,32 +58,56 @@ fn model_config() -> ModelConfig {
     }
 }
 
-fn prompt(vocab: usize) -> Vec<usize> {
-    (0..PROMPT_LEN).map(|i| (i * 37 + 3) % vocab).collect()
+fn serve_config(draft_k: Option<usize>) -> ServeConfig {
+    ServeConfig {
+        max_batch: 1,
+        pool_blocks: POOL_BLOCKS,
+        block_tokens: BLOCK_TOKENS,
+        act: ActMode::None,
+        kv: KvMode::Int4 { group: KV_GROUP },
+        admission: AdmissionPolicy::Watermark {
+            watermark_blocks: 4,
+        },
+        prefix_sharing: false,
+        speculative: draft_k.map(|draft_k| SpeculativeConfig { draft_k }),
+    }
 }
 
-/// Target-only greedy decode of `DECODE_LEN` tokens on a fresh session;
-/// returns the stream and the decode-phase seconds (prefill excluded).
-fn run_target_only(target: &TransformerModel, packed: &PackedWeights) -> (Vec<usize>, f64) {
-    let kv = KvMode::Int4 { group: KV_GROUP };
-    let mut runner = target.batch_runner(packed, ActMode::None, kv, POOL_BLOCKS, BLOCK_TOKENS);
-    let id = runner.create_session();
-    let mut logits = Vec::new();
-    for &t in &prompt(target.config.vocab) {
-        logits = runner.step(&[(id, t)]);
-    }
-    let mut tokens = vec![mant_model::argmax(&logits[0])];
+/// Serves the bench's one request (a `PROMPT_LEN`-token prompt,
+/// `DECODE_LEN` greedy tokens) to completion; returns the report, its wall
+/// seconds those of the decode phase (the tick that prefills the prompt
+/// excluded), and the decode ticks' step-phase nanoseconds.
+fn serve(mut engine: ServeEngine<'_>) -> (ServeReport, u64) {
+    engine.submit(GenRequest {
+        id: 0,
+        prompt: (0..PROMPT_LEN).map(|i| (i * 37 + 3) % 512).collect(),
+        max_new_tokens: DECODE_LEN,
+        arrival_iter: 0,
+        deadline_iter: None,
+    });
+    // The whole prompt is one run: this tick emits the first token.
+    assert_eq!(engine.tick(), 1, "the prompt prefills in one tick");
+    let prefill_step_ns = engine.report(0.0).breakdown.step.sum;
     let t0 = Instant::now();
-    while tokens.len() < DECODE_LEN {
-        let logits = runner.step(&[(id, *tokens.last().expect("non-empty"))]);
-        tokens.push(mant_model::argmax(&logits[0]));
+    while engine.pending() > 0 {
+        engine.tick();
     }
-    (tokens, t0.elapsed().as_secs_f64())
+    let report = engine.report(t0.elapsed().as_secs_f64());
+    let step_ns = report.breakdown.step.sum - prefill_step_ns;
+    (report, step_ns)
 }
 
-/// Speculative greedy decode of (at least) `DECODE_LEN` tokens with
-/// draft-and-verify rounds of size `k`; returns the stream (truncated to
-/// `DECODE_LEN`), drafted/accepted counts, and decode-phase seconds.
+/// Target-only greedy decode: the stream and the decode-phase seconds.
+fn run_target_only(target: &TransformerModel, packed: &PackedWeights) -> (Vec<usize>, f64) {
+    let (report, _) = serve(ServeEngine::new(target, packed, serve_config(None)));
+    (report.completions[0].tokens.clone(), report.wall_seconds)
+}
+
+/// Speculative greedy decode with draft-and-verify rounds of up to `k`
+/// candidates; returns the stream, drafted/accepted counts, decode-phase
+/// seconds and the decode ticks' [draft, step, rollback] nanoseconds (the
+/// step phase holds the draft passes and the target pass that verifies
+/// them).
 fn run_speculative(
     target: &TransformerModel,
     packed: &PackedWeights,
@@ -88,33 +115,23 @@ fn run_speculative(
     draft_packed: &PackedWeights,
     k: usize,
 ) -> (Vec<usize>, u64, u64, f64, [u64; 3]) {
-    let kv = KvMode::Int4 { group: KV_GROUP };
-    let mut tr = target.batch_runner(packed, ActMode::None, kv, POOL_BLOCKS, BLOCK_TOKENS);
-    let mut dr = draft.batch_runner(draft_packed, ActMode::None, kv, POOL_BLOCKS, BLOCK_TOKENS);
-    let tid = tr.create_session();
-    let did = dr.create_session();
-    let mut logits = Vec::new();
-    for &t in &prompt(target.config.vocab) {
-        logits = tr.step(&[(tid, t)]);
-        dr.step(&[(did, t)]);
-    }
-    let mut tokens = vec![mant_model::argmax(&logits[0])];
-    let (mut drafted, mut accepted) = (0u64, 0u64);
-    let mut phase_ns = [0u64; 3];
-    let t0 = Instant::now();
-    while tokens.len() < DECODE_LEN {
-        let cur = *tokens.last().expect("non-empty");
-        let out = tr.speculate_step(tid, cur, &mut dr, did, k);
-        drafted += out.drafted as u64;
-        accepted += out.accepted as u64;
-        phase_ns[0] += out.draft_ns;
-        phase_ns[1] += out.verify_ns;
-        phase_ns[2] += out.rollback_ns;
-        tokens.extend(out.tokens);
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    tokens.truncate(DECODE_LEN);
-    (tokens, drafted, accepted, secs, phase_ns)
+    let (report, step_ns) = serve(ServeEngine::new_with_draft(
+        target,
+        packed,
+        draft,
+        draft_packed,
+        serve_config(Some(k)),
+    ));
+    let spec = report.speculation.expect("speculative engine");
+    let phases = [spec.draft_ns.sum, step_ns, spec.rollback_ns.sum];
+    let tokens = report.completions[0].tokens.clone();
+    (
+        tokens,
+        spec.drafted,
+        spec.accepted,
+        report.wall_seconds,
+        phases,
+    )
 }
 
 fn bench_spec_decode(_c: &mut Criterion) {
@@ -166,29 +183,35 @@ fn bench_spec_decode(_c: &mut Criterion) {
          ({DECODE_LEN} tokens)"
     );
 
-    // (k, acceptance, tok/s, median net speedup, best net speedup).
-    let mut rows: Vec<(usize, f64, f64, f64, f64)> = Vec::new();
+    // (k, acceptance, tok/s, median net speedup, best net speedup,
+    // [draft, step, rollback] ms of the median rep's decode ticks).
+    let mut rows: Vec<(usize, f64, f64, f64, f64, [f64; 3])> = Vec::new();
     for (ki, &k) in DRAFT_KS.iter().enumerate() {
         reps[ki].sort_by(|a, b| a.4.total_cmp(&b.4));
         let best_ratio = reps[ki].last().expect("4 reps ran").4;
         let (drafted, accepted, secs, phases, speedup) = reps[ki][reps[ki].len() / 2];
         let acceptance = accepted as f64 / drafted.max(1) as f64;
         let tps = (DECODE_LEN - 1) as f64 / secs;
+        let [draft_ms, step_ms, rollback_ms] = phases.map(|ns| ns as f64 / 1e6);
         println!(
             "spec_decode: draft_k={k}: acceptance {:.1}%, {tps:.1} tok/s, \
              net {speedup:.2}x median / {best_ratio:.2}x best \
-             (draft {:.1}ms, verify {:.1}ms, rollback {:.1}ms)",
+             (step {step_ms:.1}ms, of it draft {draft_ms:.1}ms; rollback {rollback_ms:.1}ms)",
             acceptance * 100.0,
-            phases[0] as f64 / 1e6,
-            phases[1] as f64 / 1e6,
-            phases[2] as f64 / 1e6
         );
-        rows.push((k, acceptance, tps, speedup, best_ratio));
+        rows.push((
+            k,
+            acceptance,
+            tps,
+            speedup,
+            best_ratio,
+            [draft_ms, step_ms, rollback_ms],
+        ));
     }
 
     let best = rows
         .iter()
-        .map(|&(_, _, _, _, s)| s)
+        .map(|&(_, _, _, _, s, _)| s)
         .fold(f64::NEG_INFINITY, f64::max);
     // Non-regression floor: with SIMD kernels the k-token verify GEMM
     // must beat k GEMVs decisively enough for a net win at the best k;
@@ -204,13 +227,16 @@ fn bench_spec_decode(_c: &mut Criterion) {
 
     let rows_json: Vec<String> = rows
         .iter()
-        .map(|(k, acc, tps, speedup, best_ratio)| {
-            format!(
-                "    {{\"draft_k\": {k}, \"acceptance\": {acc:.4}, \
+        .map(
+            |(k, acc, tps, speedup, best_ratio, [draft_ms, step_ms, rollback_ms])| {
+                format!(
+                    "    {{\"draft_k\": {k}, \"acceptance\": {acc:.4}, \
                  \"tokens_per_s\": {tps:.1}, \"net_speedup\": {speedup:.3}, \
-                 \"best_net_speedup\": {best_ratio:.3}}}"
-            )
-        })
+                 \"best_net_speedup\": {best_ratio:.3}, \"draft_ms\": {draft_ms:.2}, \
+                 \"step_ms\": {step_ms:.2}, \"rollback_ms\": {rollback_ms:.2}}}"
+                )
+            },
+        )
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"spec_decode\",\n  \"tier\": \"{}\",\n  \

@@ -7,7 +7,8 @@
 //! session and the consecutive tokens it is fed: one for a decode step
 //! ([`BatchRunner::step`] is that adapter), a chunk of a prompt or of a
 //! post-preemption replay, the candidates of a speculative verify
-//! ([`BatchRunner::step_multi`], [`BatchRunner::speculate_step`]):
+//! ([`BatchRunner::step_multi`]; drafting, acceptance and rollback are the
+//! caller's — rollback is [`BatchRunner::truncate_session`]):
 //!
 //! - linear projections run the **multi-query packed GEMM**
 //!   ([`crate::QuantizedLinear::matmul`]) over every row of every run:
@@ -53,7 +54,6 @@
 //! block.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use mant_quant::pool::{
     attention_incremental_paged, KvCachePool, PagedKvCache, PoolConfig, RunAttention,
@@ -64,7 +64,6 @@ use mant_tensor::ops::{gelu, rmsnorm, silu};
 
 use crate::backend::PackedWeights;
 use crate::config::FfnKind;
-use crate::eval::argmax;
 use crate::layers::{ActMode, KvMode, TransformerModel};
 
 /// Handle to one generation session inside a [`BatchRunner`]. Carries a
@@ -99,34 +98,6 @@ struct Session {
     caches: Vec<PagedKvCache>,
     seq_len: usize,
 }
-
-/// Outcome of one [`BatchRunner::speculate_step`].
-#[derive(Clone, Debug)]
-pub struct SpecOutcome {
-    /// Tokens appended to the canonical greedy stream, in order: the
-    /// draft candidates the target confirmed, then the target's own
-    /// argmax at the first divergence (or at the bonus position after a
-    /// full acceptance). Never empty. The **last** entry has not been
-    /// fed through either model yet — it is the next pending input,
-    /// exactly like the latest argmax a sequential greedy loop holds.
-    pub tokens: Vec<usize>,
-    /// Draft candidates proposed this step (the `k` passed in).
-    pub drafted: usize,
-    /// Leading draft candidates the target's own argmax confirmed.
-    pub accepted: usize,
-    /// Wall nanoseconds spent in the `k` single-token draft passes.
-    pub draft_ns: u64,
-    /// Wall nanoseconds spent in the one batched k-token verify pass.
-    pub verify_ns: u64,
-    /// Wall nanoseconds spent rolling both caches back past the
-    /// divergence.
-    pub rollback_ns: u64,
-}
-
-/// Per-layer f32 rows captured during a speculative span for checkpoint
-/// rollback: `capture[layer]` accumulates one `(k_row, v_row)` pair per
-/// processed token.
-type KvCapture = Vec<Vec<(Vec<f32>, Vec<f32>)>>;
 
 /// One registered prompt prefix: the exact token chain (hash collisions
 /// are verified away) plus per-layer cache snapshots holding the shared
@@ -426,17 +397,12 @@ impl BatchRunner<'_> {
     ///
     /// Panics if `id` is stale or unknown.
     pub fn blocks_needed_for_run(&self, id: SessionId, n: usize) -> usize {
-        self.blocks_for_pushes(id, n, false)
-    }
-
-    /// [`PagedKvCache::blocks_needed_for_pushes`] summed over `id`'s layers.
-    fn blocks_for_pushes(&self, id: SessionId, n: usize, assume_shared_tail: bool) -> usize {
         self.check(id);
         let session = self.slots[id.slot].as_ref().expect("checked above");
         session
             .caches
             .iter()
-            .map(|c| c.blocks_needed_for_pushes(&self.pool, n, assume_shared_tail))
+            .map(|c| c.blocks_needed_for_pushes(&self.pool, n))
             .sum()
     }
 
@@ -507,48 +473,8 @@ impl BatchRunner<'_> {
     /// logit rows than it has, a session is listed twice, a [`SessionId`]
     /// is stale or a token out of vocabulary — or if the pool runs out of
     /// blocks mid-step, which the caller's budget
-    /// ([`BatchRunner::blocks_needed_for_step`] for a run that stays
-    /// inside one block, [`BatchRunner::blocks_needed_for_spec_step`]
-    /// otherwise) must prevent.
+    /// ([`BatchRunner::blocks_needed_for_run`]) must prevent.
     pub fn step_runs(&mut self, runs: &[Run<'_>]) -> Vec<Vec<f32>> {
-        self.forward(runs, None)
-    }
-
-    /// [`BatchRunner::step_runs`] with one token per session and its logits
-    /// back: the plain continuous-batching decode iteration.
-    ///
-    /// # Panics
-    ///
-    /// As [`BatchRunner::step_runs`].
-    pub fn step(&mut self, batch: &[(SessionId, usize)]) -> Vec<Vec<f32>> {
-        let runs: Vec<Run<'_>> = batch
-            .iter()
-            .map(|(id, token)| Run {
-                id: *id,
-                tokens: std::slice::from_ref(token),
-                logit_rows: 1,
-            })
-            .collect();
-        self.step_runs(&runs)
-    }
-
-    /// [`BatchRunner::step_runs`] with one run and one logit row per token.
-    ///
-    /// # Panics
-    ///
-    /// As [`BatchRunner::step_runs`].
-    pub fn step_multi(&mut self, id: SessionId, tokens: &[usize]) -> Vec<Vec<f32>> {
-        self.step_runs(&[Run {
-            id,
-            tokens,
-            logit_rows: tokens.len(),
-        }])
-    }
-
-    /// The forward pass behind [`BatchRunner::step_runs`]. `capture`
-    /// collects every row's f32 K/V vectors per layer, for the rollback
-    /// checkpoint of a speculative span (one run).
-    fn forward(&mut self, runs: &[Run<'_>], mut capture: Option<&mut KvCapture>) -> Vec<Vec<f32>> {
         // Chaos seam: the induced panic lands before any session or pool
         // mutation, so a catch_unwind caller sees fully consistent state.
         #[cfg(feature = "fault-inject")]
@@ -576,12 +502,6 @@ impl BatchRunner<'_> {
         }
         let w = &self.model.weights;
         let g = self.packed.group_size();
-        if let Some(cap) = capture.as_deref_mut() {
-            debug_assert_eq!(runs.len(), 1, "a rollback capture covers one run");
-            if cap.is_empty() {
-                cap.resize(w.layers.len(), Vec::new());
-            }
-        }
 
         // Per-tick aggregate kernel buckets: when tracing is on, each
         // kernel family accumulates nanoseconds across all layers and one
@@ -618,13 +538,6 @@ impl BatchRunner<'_> {
             let (ks, vs) = timed(prof, &mut t_gemm, || {
                 (pl.wk.matmul(&xqs), pl.wv.matmul(&xqs))
             });
-            if let Some(cap) = capture.as_deref_mut() {
-                cap[li].extend(
-                    ks.iter()
-                        .zip(vs.iter())
-                        .map(|(k, v)| (k.clone(), v.clone())),
-                );
-            }
             if last {
                 // From here on `xs` and `xqs` hold the live rows only.
                 let keep: Vec<bool> = runs
@@ -658,8 +571,7 @@ impl BatchRunner<'_> {
                         if let Err(e) = cache.push(pool, &ks[r], &vs[r]) {
                             panic!(
                                 "{e} during a forward step; the caller must budget the step's \
-                                 blocks (blocks_needed_for_step / blocks_needed_for_spec_step) \
-                                 before scheduling it"
+                                 blocks (blocks_needed_for_run) before scheduling it"
                             );
                         }
                     });
@@ -776,6 +688,37 @@ impl BatchRunner<'_> {
         logits
     }
 
+    /// [`BatchRunner::step_runs`] with one token per session and its logits
+    /// back: the plain continuous-batching decode iteration.
+    ///
+    /// # Panics
+    ///
+    /// As [`BatchRunner::step_runs`].
+    pub fn step(&mut self, batch: &[(SessionId, usize)]) -> Vec<Vec<f32>> {
+        let runs: Vec<Run<'_>> = batch
+            .iter()
+            .map(|(id, token)| Run {
+                id: *id,
+                tokens: std::slice::from_ref(token),
+                logit_rows: 1,
+            })
+            .collect();
+        self.step_runs(&runs)
+    }
+
+    /// [`BatchRunner::step_runs`] with one run and one logit row per token.
+    ///
+    /// # Panics
+    ///
+    /// As [`BatchRunner::step_runs`].
+    pub fn step_multi(&mut self, id: SessionId, tokens: &[usize]) -> Vec<Vec<f32>> {
+        self.step_runs(&[Run {
+            id,
+            tokens,
+            logit_rows: tokens.len(),
+        }])
+    }
+
     /// Rolls one session back to its first `len` tokens — every layer
     /// cache (CoW-aware, staging replayed bit-exactly per
     /// [`PagedKvCache::truncate`]) plus the session length.
@@ -797,233 +740,6 @@ impl BatchRunner<'_> {
             cache.truncate(pool, len);
         }
         session.seq_len = len;
-    }
-
-    /// Free blocks a [`BatchRunner::speculate_step`] of `k` candidates
-    /// may consume **in this runner** for session `id`: the k-push burst
-    /// per layer, with the copy-on-write charge forced whenever the step
-    /// will fork a rollback checkpoint (the fork shares the trailing
-    /// partial block, so the span's first push must copy it). The
-    /// serving engine budgets this against the target and the draft
-    /// pool separately before scheduling speculation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale or unknown.
-    pub fn blocks_needed_for_spec_step(&self, id: SessionId, k: usize) -> usize {
-        let ckpt = Self::needs_checkpoint(self.seq_len(id), k, self.kv_group);
-        self.blocks_for_pushes(id, k, ckpt)
-    }
-
-    /// Whether a k-candidate speculative span starting at length `n` can
-    /// demand a rollback below a V window committed *during* the span —
-    /// the condition under which [`BatchRunner::speculate_step`] forks
-    /// checkpoint caches before touching the pool. At least one token is
-    /// always emitted, so a cut below `n + 1` never happens.
-    fn needs_checkpoint(n: usize, k: usize, group: usize) -> bool {
-        (n + k) / group * group > n + 1
-    }
-
-    /// One draft-and-verify round for session `id` (the target) against
-    /// `draft_id` in `draft` (the cheap model, kept in token lockstep):
-    ///
-    /// 1. **Draft**: feed the pending token `cur` and then each greedy
-    ///    draft prediction through the draft model, `k` single-token
-    ///    passes, yielding candidates `d_1..d_k`.
-    /// 2. **Verify**: feed `[cur, d_1..d_{k-1}]` through the target in
-    ///    one [`BatchRunner::step_multi`] pass — a k-column GEMM where
-    ///    sequential decode would pay k GEMVs. Row `i`'s argmax is the
-    ///    target's own next token after the true greedy prefix, because
-    ///    every earlier candidate in the run was confirmed before row
-    ///    `i` is consumed (accept-longest-prefix).
-    /// 3. **Rollback**: both caches hold `n + k` rows but the canonical
-    ///    stream keeps `n + tokens.len()`; the rejected tail is
-    ///    discarded via [`PagedKvCache::truncate`], or — when the cut
-    ///    would land under a V window committed during the span, which
-    ///    quantized state cannot replay — by reinstalling checkpoint
-    ///    caches forked at `n` and re-pushing the captured f32 rows.
-    ///
-    /// Greedy byte-identity: every emitted token is the argmax of target
-    /// logits computed over exactly the true greedy prefix, so the
-    /// emitted stream equals sequential target-only greedy decode
-    /// bit-for-bit regardless of what the draft proposes; the draft only
-    /// decides how many tokens each round yields (1 to `k`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either session is stale/unknown, the sessions are not
-    /// at the same length, `k` is zero, `cur` is out of vocabulary, or
-    /// either pool runs out of blocks
-    /// ([`BatchRunner::blocks_needed_for_spec_step`] on both runners is
-    /// the budget).
-    pub fn speculate_step(
-        &mut self,
-        id: SessionId,
-        cur: usize,
-        draft: &mut BatchRunner<'_>,
-        draft_id: SessionId,
-        k: usize,
-    ) -> SpecOutcome {
-        // Chaos seam: as in [`BatchRunner::step`], the induced panic
-        // precedes every mutation of either runner.
-        #[cfg(feature = "fault-inject")]
-        if mant_trace::fault::fire(mant_trace::fault::site::SPEC_STEP) {
-            panic!("injected fault: batch.spec_step");
-        }
-        assert!(k >= 1, "speculation needs at least one draft candidate");
-        let n = self.seq_len(id);
-        assert_eq!(
-            n,
-            draft.seq_len(draft_id),
-            "draft session out of lockstep with the target"
-        );
-        let ckpt_t = Self::needs_checkpoint(n, k, self.kv_group);
-        let ckpt_d = Self::needs_checkpoint(n, k, draft.kv_group);
-
-        // Draft phase: greedy self-feeding. inputs[i] is what gets fed
-        // (cur, then every candidate but the last); drafts[i] is the
-        // candidate argmax'd out of pass i.
-        let t0 = Instant::now();
-        let draft_ckpt = ckpt_d.then(|| draft.fork_caches(draft_id));
-        let mut draft_cap: KvCapture = Vec::new();
-        let mut inputs = Vec::with_capacity(k);
-        let mut drafts = Vec::with_capacity(k);
-        let mut fed = cur;
-        for _ in 0..k {
-            inputs.push(fed);
-            let cap = if ckpt_d { Some(&mut draft_cap) } else { None };
-            let logits = draft.forward(
-                &[Run {
-                    id: draft_id,
-                    tokens: &[fed],
-                    logit_rows: 1,
-                }],
-                cap,
-            );
-            fed = argmax(&logits[0]);
-            // Chaos seam: corrupt the candidate *after* the draft argmax.
-            // Safe by construction — verification compares target argmax
-            // against the candidate, so a corrupted draft can only shrink
-            // the accepted prefix, never change emitted tokens.
-            #[cfg(feature = "fault-inject")]
-            if let Some(off) =
-                mant_trace::fault::payload(mant_trace::fault::site::SPEC_DRAFT_CORRUPT)
-            {
-                let vocab = self.model.config.vocab;
-                fed = (fed + 1 + off as usize % (vocab - 1)) % vocab;
-            }
-            drafts.push(fed);
-        }
-        let draft_ns = t0.elapsed().as_nanos() as u64;
-
-        // Verify: all k candidate positions in one batched target pass.
-        let t1 = Instant::now();
-        let target_ckpt = ckpt_t.then(|| self.fork_caches(id));
-        let mut target_cap: KvCapture = Vec::new();
-        let cap = if ckpt_t { Some(&mut target_cap) } else { None };
-        let rows = self.forward(
-            &[Run {
-                id,
-                tokens: &inputs,
-                logit_rows: inputs.len(),
-            }],
-            cap,
-        );
-        let mut tokens = Vec::with_capacity(k);
-        let mut accepted = 0usize;
-        for (row, &d) in rows.iter().zip(drafts.iter()) {
-            let y = argmax(row);
-            tokens.push(y);
-            if y != d {
-                break;
-            }
-            accepted += 1;
-        }
-        let verify_ns = t1.elapsed().as_nanos() as u64;
-
-        // Rollback: keep the accepted prefix plus the pending token's
-        // fed predecessors; the last emitted token is pending, not fed.
-        let t2 = Instant::now();
-        let keep = n + tokens.len();
-        self.settle(id, n, keep, k, target_ckpt, &target_cap);
-        draft.settle(draft_id, n, keep, k, draft_ckpt, &draft_cap);
-        let rollback_ns = t2.elapsed().as_nanos() as u64;
-
-        SpecOutcome {
-            tokens,
-            drafted: k,
-            accepted,
-            draft_ns,
-            verify_ns,
-            rollback_ns,
-        }
-    }
-
-    /// Forks every layer cache of `id` in place (refcount bumps only) —
-    /// the rollback checkpoint a speculative span takes before it may
-    /// cut below a committed V window.
-    fn fork_caches(&mut self, id: SessionId) -> Vec<PagedKvCache> {
-        let (slots, pool) = (&mut self.slots, &mut self.pool);
-        let session = slots[id.slot].as_ref().expect("checked above");
-        session.caches.iter().map(|c| c.fork(pool)).collect()
-    }
-
-    /// Finishes a speculative span at `keep` rows. While the cut stays
-    /// at or above every window committed during the span,
-    /// [`PagedKvCache::truncate`]'s staging replay is bit-exact and any
-    /// checkpoint is simply released. A deeper cut cannot be replayed
-    /// from quantized state (committing a V window re-encodes it
-    /// lossily), so the checkpoint caches — forked at `n`, untouched
-    /// since — are reinstalled and fed the captured f32 rows up to
-    /// `keep`: exactly the push sequence a sequential run performs, and
-    /// therefore bit-identical to one.
-    fn settle(
-        &mut self,
-        id: SessionId,
-        n: usize,
-        keep: usize,
-        k: usize,
-        ckpt: Option<Vec<PagedKvCache>>,
-        cap: &KvCapture,
-    ) {
-        let g = self.kv_group;
-        let (slots, pool) = (&mut self.slots, &mut self.pool);
-        let session = slots[id.slot].as_mut().expect("checked above");
-        let committed_after = (n + k) / g * g;
-        if keep >= committed_after {
-            if keep < n + k {
-                for cache in &mut session.caches {
-                    cache.truncate(pool, keep);
-                }
-                session.seq_len = keep;
-            }
-            if let Some(mut caches) = ckpt {
-                for c in &mut caches {
-                    c.release(pool);
-                }
-            }
-            return;
-        }
-        let fresh = ckpt.expect("a checkpoint is always forked when an interior cut is possible");
-        debug_assert_eq!(
-            cap.len(),
-            session.caches.len(),
-            "capture covers every layer"
-        );
-        for (slot_cache, (mut cache, rows)) in session
-            .caches
-            .iter_mut()
-            .zip(fresh.into_iter().zip(cap.iter()))
-        {
-            slot_cache.release(pool);
-            for (k_row, v_row) in &rows[..keep - n] {
-                cache
-                    .push(pool, k_row, v_row)
-                    .expect("re-pushing rows the span already held cannot exhaust the pool");
-            }
-            *slot_cache = cache;
-        }
-        session.seq_len = keep;
     }
 
     /// The KV quantization group size.
@@ -1563,118 +1279,6 @@ mod tests {
             tokens: &[1, 2],
             logit_rows: 3,
         }]);
-    }
-
-    #[test]
-    fn speculate_step_stream_matches_sequential_greedy() {
-        // A 3-layer target with its 1-layer draft truncation; a live tail
-        // keeps agreement partial so both the accept and reject paths
-        // run, and the sweep over prompt lengths and k moves the
-        // speculative span across 16-row V window boundaries — covering
-        // the staging-truncate rollback and the checkpoint rollback.
-        let mut cfg = ModelConfig::sim_llama();
-        cfg.layers = 3;
-        let spec = crate::synth::DraftConfig {
-            layers: 1,
-            tail_block_ratio: 0.25,
-        };
-        let (target, draft) = crate::synth::synthesize_speculative_pair(&cfg, 60, &spec);
-        let t_packed = target.pack_weights(64).unwrap();
-        let d_packed = draft.pack_weights(64).unwrap();
-        let kv = KvMode::Int4 { group: 16 };
-        for (prompt_len, k) in [(5usize, 2usize), (9, 3), (14, 5), (16, 4)] {
-            let prompt: Vec<usize> = (0..prompt_len).map(|i| (i * 29 + 11) % 512).collect();
-            let gen_len = 24;
-
-            // Sequential greedy reference on the target alone.
-            let mut seq = target.batch_runner(&t_packed, ActMode::None, kv, 96, 16);
-            let s = seq.create_session();
-            let mut logits = Vec::new();
-            for &t in &prompt {
-                logits = seq.step(&[(s, t)]);
-            }
-            let mut expect = vec![argmax(&logits[0])];
-            while expect.len() < gen_len {
-                let l = seq.step(&[(s, *expect.last().unwrap())]);
-                expect.push(argmax(&l[0]));
-            }
-
-            // Speculative decode over the same prompt.
-            let mut tr = target.batch_runner(&t_packed, ActMode::None, kv, 96, 16);
-            let mut dr = draft.batch_runner(&d_packed, ActMode::None, kv, 96, 16);
-            let tid = tr.create_session();
-            let did = dr.create_session();
-            let mut logits = Vec::new();
-            for &t in &prompt {
-                logits = tr.step(&[(tid, t)]);
-                dr.step(&[(did, t)]);
-            }
-            let mut got = vec![argmax(&logits[0])];
-            while got.len() < gen_len {
-                let cur = *got.last().unwrap();
-                let out = tr.speculate_step(tid, cur, &mut dr, did, k);
-                assert!(!out.tokens.is_empty());
-                assert!(out.accepted <= out.drafted);
-                got.extend(out.tokens);
-                assert_eq!(tr.seq_len(tid), dr.seq_len(did), "lockstep broken");
-            }
-            got.truncate(gen_len);
-            assert_eq!(
-                got, expect,
-                "speculative stream diverged (prompt {prompt_len}, k {k})"
-            );
-            // No block may leak through checkpoint forks or rollbacks.
-            tr.end_session(tid);
-            dr.end_session(did);
-            assert_eq!(tr.pool().used_blocks(), 0);
-            assert_eq!(dr.pool().used_blocks(), 0);
-        }
-    }
-
-    #[test]
-    fn speculate_step_high_agreement_accepts_most_candidates() {
-        // A near-inert tail makes the draft track the target closely
-        // under Int4 KV (shared fixed variance map), so acceptance must
-        // stay high. (An exactly-zero tail ratio cannot be used here:
-        // the MANT W4 grid has no zero code, so packed zeroed tail
-        // projections are *not* inert — see `DraftConfig`.)
-        let mut cfg = ModelConfig::sim_llama();
-        cfg.layers = 2;
-        let spec = crate::synth::DraftConfig {
-            layers: 1,
-            tail_block_ratio: 0.02,
-        };
-        let (target, draft) = crate::synth::synthesize_speculative_pair(&cfg, 61, &spec);
-        let t_packed = target.pack_weights(64).unwrap();
-        let d_packed = draft.pack_weights(64).unwrap();
-        let kv = KvMode::Int4 { group: 16 };
-        let mut tr = target.batch_runner(&t_packed, ActMode::None, kv, 96, 16);
-        let mut dr = draft.batch_runner(&d_packed, ActMode::None, kv, 96, 16);
-        let tid = tr.create_session();
-        let did = dr.create_session();
-        let prompt: Vec<usize> = (0..6).map(|i| (i * 17 + 2) % 512).collect();
-        let mut logits = Vec::new();
-        for &t in &prompt {
-            logits = tr.step(&[(tid, t)]);
-            dr.step(&[(did, t)]);
-        }
-        let mut cur = argmax(&logits[0]);
-        let (mut drafted, mut accepted) = (0usize, 0usize);
-        for _ in 0..6 {
-            let out = tr.speculate_step(tid, cur, &mut dr, did, 4);
-            drafted += out.drafted;
-            accepted += out.accepted;
-            cur = *out.tokens.last().unwrap();
-        }
-        assert_eq!(drafted, 24);
-        assert!(
-            accepted * 2 >= drafted,
-            "near-inert tail must keep acceptance high: {accepted}/{drafted}"
-        );
-        tr.end_session(tid);
-        dr.end_session(did);
-        assert_eq!(tr.pool().used_blocks(), 0);
-        assert_eq!(dr.pool().used_blocks(), 0);
     }
 
     #[test]

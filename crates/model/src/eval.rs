@@ -155,8 +155,8 @@ pub fn generation_fidelity(
 /// **lowest index** (the first maximum wins, via a strict `>` sweep).
 ///
 /// This is the one argmax every greedy consumer shares — the serving
-/// engine, the sequential baseline, the fidelity proxy, and the
-/// speculative verifier ([`crate::BatchRunner::speculate_step`]). A
+/// engine's plain and speculative-verify rows, its draft pass, the
+/// sequential baseline and the fidelity proxy. A
 /// private copy with a different tie rule would silently break the
 /// byte-identity contracts between them.
 pub fn argmax(v: &[f32]) -> usize {

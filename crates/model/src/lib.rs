@@ -32,7 +32,7 @@ pub mod layers;
 pub mod synth;
 
 pub use backend::{ExecutionBackend, PackedLayer, PackedWeights, QuantizedLinear};
-pub use batch::{BatchRunner, Run, SessionId, SpecOutcome};
+pub use batch::{BatchRunner, Run, SessionId};
 pub use calib::{calibrate, Calibration};
 pub use config::{FfnKind, ModelConfig};
 pub use eval::{argmax, generation_fidelity, perplexity_proxy, perplexity_proxy_packed, PplReport};

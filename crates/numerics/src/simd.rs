@@ -198,37 +198,14 @@ impl KernelDispatch {
         }
     }
 
-    /// [`crate::kernels::dot_packed_x4`] through this tier: the
-    /// activation codes are widened to vector operands once per iteration
-    /// and swept across all four weight rows.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the same contract as the scalar kernel.
-    pub fn dot_packed_x4(self, xcodes: &[i8], w: [&[u8]; 4], luts: [&KernelLut; 4]) -> [i64; 4] {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-                // SAFETY: the match guard just confirmed AVX2 on this CPU.
-                unsafe { x86::dot_packed_x4_avx2(xcodes, w, luts) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Ssse3 if std::arch::is_x86_feature_detected!("ssse3") => {
-                // SAFETY: the match guard just confirmed SSSE3 on this CPU.
-                unsafe { x86::dot_packed_x4_ssse3(xcodes, w, luts) }
-            }
-            _ => kernels::dot_packed_x4(xcodes, w, luts.map(|l| &l.pair)),
-        }
-    }
-
     /// A whole row-tile's group dots in one call: group `g` of the result
-    /// equals `dot_packed_x4` over the `g`-th `group_size`-code slice of
-    /// `xcodes` and the `g`-th packed group of each row, through each
-    /// row's `g`-th decode table. One call per 4-row tile amortizes the
-    /// per-call setup (dispatch, masks, reduction plumbing) that
-    /// dominates `dot_packed_x4` at serving group sizes — the per-group
-    /// arithmetic and accumulation order are unchanged, so the results
-    /// are bit-identical to the per-group calls.
+    /// equals [`crate::kernels::dot_packed_x4`] over the `g`-th
+    /// `group_size`-code slice of `xcodes` and the `g`-th packed group of
+    /// each row, through each row's `g`-th decode table. The activation
+    /// codes are widened to vector operands once per iteration and swept
+    /// across all four weight rows, and one call per 4-row tile pays the
+    /// per-call setup (dispatch, masks, reduction plumbing) once instead
+    /// of once per group — which dominates at serving group sizes.
     ///
     /// `w` holds each row's full packed codes (`groups · ⌈group_size/2⌉`
     /// bytes), `luts[lane][g]` the per-group decode tables, and `out`
@@ -905,84 +882,12 @@ mod x86 {
         hsum_i32x4(acc) + tail
     }
 
-    /// AVX2 [`kernels::dot_packed_x4`]: the activation vector is widened
-    /// to even/odd i16 lanes once per iteration and swept across all four
-    /// weight rows' decode tables — the same amortization the scalar tile
-    /// does, at 32 codes per step.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn dot_packed_x4_avx2(
-        xcodes: &[i8],
-        w: [&[u8]; 4],
-        luts: [&KernelLut; 4],
-    ) -> [i64; 4] {
-        debug_assert!(w.iter().all(|r| r.len() == xcodes.len().div_ceil(2)));
-        debug_assert!(xcodes.len() <= MAX_I32_GROUP, "i32 group bound exceeded");
-        let blocks = xcodes.len() / 32;
-        let tabs = luts.map(|l| {
-            // SAFETY: `lo8`/`hi8` are 16-byte arrays; unaligned loads.
-            let (tlo, thi) = unsafe {
-                (
-                    _mm_loadu_si128(l.lo8.as_ptr().cast()),
-                    _mm_loadu_si128(l.hi8.as_ptr().cast()),
-                )
-            };
-            (
-                _mm256_broadcastsi128_si256(tlo),
-                _mm256_broadcastsi128_si256(thi),
-            )
-        });
-        let m0f = _mm256_set1_epi16(0x0f);
-        let m00ff = _mm256_set1_epi16(0x00ff);
-        let mut acc = [_mm256_setzero_si256(); 4];
-        for i in 0..blocks {
-            // SAFETY: `i < blocks = xcodes.len() / 32`: the 32-byte load
-            // is within `xcodes`.
-            let x = unsafe { _mm256_loadu_si256(xcodes.as_ptr().add(i * 32).cast()) };
-            let xe = _mm256_srai_epi16::<8>(_mm256_slli_epi16::<8>(x));
-            let xo = _mm256_srai_epi16::<8>(x);
-            for lane in 0..4 {
-                // SAFETY: every row holds `ceil(len/2) >= blocks*16`
-                // bytes, so the 16-byte load at `i*16` is in bounds.
-                let wb = unsafe { _mm_loadu_si128(w[lane].as_ptr().add(i * 16).cast()) };
-                let w16 = _mm256_cvtepu8_epi16(wb);
-                let (tlo, thi) = tabs[lane];
-                let we = decode16_avx2(_mm256_and_si256(w16, m0f), tlo, thi, m00ff);
-                let wo = decode16_avx2(_mm256_srli_epi16::<4>(w16), tlo, thi, m00ff);
-                acc[lane] = _mm256_add_epi32(acc[lane], _mm256_madd_epi16(xe, we));
-                acc[lane] = _mm256_add_epi32(acc[lane], _mm256_madd_epi16(xo, wo));
-            }
-        }
-        let tail = if xcodes.len() == blocks * 32 {
-            [0i64; 4]
-        } else {
-            kernels::dot_packed_x4(
-                &xcodes[blocks * 32..],
-                w.map(|r| &r[blocks * 16..]),
-                luts.map(|l| &l.pair),
-            )
-        };
-        // One hadd tree reduces all four lane accumulators together —
-        // every intermediate is a subset sum of one group's products, so
-        // the [`MAX_I32_GROUP`] bound keeps each `phaddd` overflow-free.
-        let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
-        let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
-        let s = _mm256_hadd_epi32(s01, s23);
-        let quad = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
-        let mut sums = [0i32; 4];
-        // SAFETY: `sums` is a writable 16-byte buffer; unaligned store.
-        unsafe { _mm_storeu_si128(sums.as_mut_ptr().cast(), quad) };
-        let mut out = [0i64; 4];
-        for lane in 0..4 {
-            out[lane] = i64::from(sums[lane]) + tail[lane];
-        }
-        out
-    }
-
     /// AVX2 grouped row-tile sweep (see
-    /// [`super::KernelDispatch::dot_packed_x4_groups`]): the per-group
-    /// body of [`dot_packed_x4_avx2`] run back to back over consecutive
-    /// groups with the masks, bounds plumbing, and dispatch paid once per
-    /// tile instead of once per group.
+    /// [`super::KernelDispatch::dot_packed_x4_groups`]): per group, the
+    /// activation vector is widened to even/odd i16 lanes once per
+    /// iteration and swept across all four weight rows' decode tables —
+    /// the same amortization the scalar tile does, at 32 codes per step —
+    /// with the masks, bounds plumbing, and dispatch paid once per tile.
     #[target_feature(enable = "avx2")]
     pub(super) fn dot_packed_x4_groups_avx2(
         xcodes: &[i8],
@@ -1048,8 +953,9 @@ mod x86 {
                     ],
                 )
             };
-            // Same hadd tree as [`dot_packed_x4_avx2`]; exact under the
-            // group bound.
+            // One hadd tree reduces all four lane accumulators together —
+            // every intermediate is a subset sum of one group's products, so
+            // the [`MAX_I32_GROUP`] bound keeps each `phaddd` overflow-free.
             let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
             let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
             let s = _mm256_hadd_epi32(s01, s23);
@@ -2008,31 +1914,59 @@ mod tests {
 
     #[test]
     fn dot_packed_x4_matches_scalar_all_tiers() {
+        // Three groups a tile, each byte-aligned and decoded through its
+        // own table per row: every tier's grouped sweep must equal the
+        // scalar tile kernel run group by group.
+        const GROUPS: usize = 3;
+        let luts: Vec<KernelLut> = [0u32, 17, 60, 127, 5, 99]
+            .iter()
+            .map(|&a| kernel_lut(&mant_decode_lut(Mant::new(a).unwrap())))
+            .collect();
         for len in [3usize, 16, 33, 64, 65, 129] {
-            let xcodes: Vec<i8> = (0..len).map(|i| ((i * 91 + 5) % 255) as u8 as i8).collect();
+            let xcodes: Vec<i8> = (0..GROUPS * len)
+                .map(|i| ((i * 91 + 5) % 255) as u8 as i8)
+                .collect();
             let rows: Vec<Vec<u8>> = (0..4)
                 .map(|r| {
-                    pack_nibbles(
-                        &(0..len)
-                            .map(|i| ((i * 3 + r * 5) % 16) as u8)
-                            .collect::<Vec<_>>(),
+                    (0..GROUPS)
+                        .flat_map(|g| {
+                            pack_nibbles(
+                                &(0..len)
+                                    .map(|i| ((i * 3 + r * 5 + g * 7) % 16) as u8)
+                                    .collect::<Vec<_>>(),
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
+            let w = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
+            let row_luts: Vec<Vec<&KernelLut>> = (0..4)
+                .map(|r| {
+                    (0..GROUPS)
+                        .map(|g| &luts[(r + 2 * g) % luts.len()])
+                        .collect()
+                })
+                .collect();
+            let lr = [
+                &row_luts[0][..],
+                &row_luts[1][..],
+                &row_luts[2][..],
+                &row_luts[3][..],
+            ];
+            let gb = len.div_ceil(2);
+            let oracle: Vec<[i64; 4]> = (0..GROUPS)
+                .map(|g| {
+                    kernels::dot_packed_x4(
+                        &xcodes[g * len..(g + 1) * len],
+                        w.map(|r| &r[g * gb..(g + 1) * gb]),
+                        lr.map(|l| &l[g].pair),
                     )
                 })
                 .collect();
-            let luts: Vec<KernelLut> = [0u32, 17, 60, 127]
-                .iter()
-                .map(|&a| kernel_lut(&mant_decode_lut(Mant::new(a).unwrap())))
-                .collect();
-            let w = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
-            let lr = [&luts[0], &luts[1], &luts[2], &luts[3]];
-            let oracle = kernels::dot_packed_x4(&xcodes, w, lr.map(|l| &l.pair));
             for d in tiers() {
-                assert_eq!(
-                    d.dot_packed_x4(&xcodes, w, lr),
-                    oracle,
-                    "{} len {len}",
-                    d.name()
-                );
+                let mut got = vec![[0i64; 4]; GROUPS];
+                d.dot_packed_x4_groups(&xcodes, w, len, lr, &mut got);
+                assert_eq!(got, oracle, "{} len {len}", d.name());
             }
         }
     }

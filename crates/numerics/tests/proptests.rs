@@ -285,25 +285,39 @@ proptest! {
         }
     }
 
-    /// The SIMD 4-row tile equals four scalar packed dots for any mix of
-    /// coefficients and any tail parity.
+    /// The SIMD grouped 4-row tile equals the scalar tile kernel run group
+    /// by group, for any mix of coefficients and any tail parity: two
+    /// byte-aligned groups a row, each through its own decode table.
     #[test]
     fn simd_dot_packed_x4_bit_identical(coeffs in (0u32..128, 0u32..128, 0u32..128, 0u32..128),
-                                        wcodes in proptest::collection::vec(0u8..16, 4..280),
-                                        xseed in proptest::collection::vec(-128i64..=127, 70)) {
-        let len = wcodes.len() / 4;
-        let xcodes: Vec<i8> = xseed[..len].iter().map(|&v| v as i8).collect();
-        let rows: Vec<&[u8]> = wcodes.chunks_exact(len).take(4).collect();
-        let packed: Vec<Vec<u8>> = rows.iter().map(|r| pack_nibbles(r)).collect();
+                                        wcodes in proptest::collection::vec(0u8..16, 8..560),
+                                        xseed in proptest::collection::vec(-128i64..=127, 140)) {
+        let len = wcodes.len() / 8;
+        let gb = len.div_ceil(2);
+        let xcodes: Vec<i8> = xseed[..2 * len].iter().map(|&v| v as i8).collect();
+        let packed: Vec<Vec<u8>> = wcodes
+            .chunks_exact(2 * len)
+            .take(4)
+            .map(|row| row.chunks_exact(len).flat_map(pack_nibbles).collect())
+            .collect();
         let luts: Vec<KernelLut> = [coeffs.0, coeffs.1, coeffs.2, coeffs.3]
             .iter()
             .map(|&a| mant_kernel_lut(a))
             .collect();
         let w = [&packed[0][..], &packed[1][..], &packed[2][..], &packed[3][..]];
-        let lr = [&luts[0], &luts[1], &luts[2], &luts[3]];
-        let oracle = dot_packed_x4(&xcodes, w, lr.map(|l| &l.pair));
+        let row_luts: Vec<[&KernelLut; 2]> = (0..4).map(|r| [&luts[r], &luts[(r + 1) % 4]]).collect();
+        let lr = [&row_luts[0][..], &row_luts[1][..], &row_luts[2][..], &row_luts[3][..]];
+        let oracle: Vec<[i64; 4]> = (0..2)
+            .map(|g| dot_packed_x4(
+                &xcodes[g * len..(g + 1) * len],
+                w.map(|r| &r[g * gb..(g + 1) * gb]),
+                lr.map(|l| &l[g].pair),
+            ))
+            .collect();
         for d in tiers() {
-            prop_assert_eq!(d.dot_packed_x4(&xcodes, w, lr), oracle, "tier {}", d.name());
+            let mut got = vec![[0i64; 4]; 2];
+            d.dot_packed_x4_groups(&xcodes, w, len, lr, &mut got);
+            prop_assert_eq!(&got, &oracle, "tier {}", d.name());
         }
     }
 

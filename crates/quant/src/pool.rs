@@ -438,35 +438,25 @@ impl PagedKvCache {
     /// control sums this across sequences to know whether a batch
     /// iteration can proceed.
     pub fn blocks_needed_for_push(&self, pool: &KvCachePool) -> usize {
-        self.blocks_needed_for_pushes(pool, 1, false)
+        self.blocks_needed_for_pushes(pool, 1)
     }
 
     /// Free blocks the next `n` consecutive pushes will demand together:
     /// a fresh block for every block boundary crossed in
     /// `(rows, rows + n]`, plus one copy-on-write block when the current
-    /// partial block is (or is about to be) shared. Nothing else can be
+    /// partial block is shared. Nothing else can be
     /// charged: pushes only ever write the trailing block, and a freshly
     /// allocated block is born private. The multi-push generalization of
-    /// [`PagedKvCache::blocks_needed_for_push`] that speculative decode's
-    /// k-token verify burst budgets against.
-    ///
-    /// `assume_shared_tail` charges the CoW copy whenever a partial block
-    /// exists, regardless of its current refcount — the budget for a step
-    /// that will fork a rollback checkpoint *before* pushing (the fork
-    /// shares the partial block, so the first push must copy it).
-    pub fn blocks_needed_for_pushes(
-        &self,
-        pool: &KvCachePool,
-        n: usize,
-        assume_shared_tail: bool,
-    ) -> usize {
+    /// [`PagedKvCache::blocks_needed_for_push`] that a prefill run and
+    /// speculative decode's k-token verify burst budget against.
+    pub fn blocks_needed_for_pushes(&self, pool: &KvCachePool, n: usize) -> usize {
         if n == 0 {
             return 0;
         }
         let bt = pool.cfg.block_tokens;
         let new_blocks = (self.rows + n).div_ceil(bt) - self.blocks.len();
-        let cow_k = self.rows < self.blocks.len() * bt
-            && (assume_shared_tail || pool.refcount(self.blocks[self.rows / bt]) > 1);
+        let cow_k =
+            self.rows < self.blocks.len() * bt && pool.refcount(self.blocks[self.rows / bt]) > 1;
         new_blocks + usize::from(cow_k)
     }
 
@@ -1678,28 +1668,26 @@ mod tests {
         let mut pool = pool(8, 32);
         let data = gen.group_diverse_matrix(40, 64, 16, 0.5);
         let mut view = PagedKvCache::new(&pool, vmap(), vmap());
-        assert_eq!(view.blocks_needed_for_pushes(&pool, 0, false), 0);
-        assert_eq!(view.blocks_needed_for_pushes(&pool, 1, false), 1);
-        assert_eq!(view.blocks_needed_for_pushes(&pool, 33, false), 2);
+        assert_eq!(view.blocks_needed_for_pushes(&pool, 0), 0);
+        assert_eq!(view.blocks_needed_for_pushes(&pool, 1), 1);
+        assert_eq!(view.blocks_needed_for_pushes(&pool, 33), 2);
         for t in 0..30 {
             view.push(&mut pool, data.row(t), data.row(t)).unwrap();
         }
         // 2 slots left in the current block: a 3-push burst crosses one
         // boundary.
-        assert_eq!(view.blocks_needed_for_pushes(&pool, 2, false), 0);
-        assert_eq!(view.blocks_needed_for_pushes(&pool, 3, false), 1);
+        assert_eq!(view.blocks_needed_for_pushes(&pool, 2), 0);
+        assert_eq!(view.blocks_needed_for_pushes(&pool, 3), 1);
         // Multi-push budget agrees with the single-push primitive.
         assert_eq!(
-            view.blocks_needed_for_pushes(&pool, 1, false),
+            view.blocks_needed_for_pushes(&pool, 1),
             view.blocks_needed_for_push(&pool)
         );
-        // An upcoming checkpoint fork charges the CoW copy up front.
-        assert_eq!(view.blocks_needed_for_pushes(&pool, 3, true), 2);
         // A fork makes the partial block shared: one CoW charge on top.
         let mut child = view.fork(&mut pool);
-        assert_eq!(view.blocks_needed_for_pushes(&pool, 3, false), 2);
+        assert_eq!(view.blocks_needed_for_pushes(&pool, 3), 2);
         child.release(&mut pool);
-        assert_eq!(view.blocks_needed_for_pushes(&pool, 3, false), 1);
+        assert_eq!(view.blocks_needed_for_pushes(&pool, 3), 1);
     }
 
     /// Pushes `data` rows `lo..hi` through `view` as one run and checks

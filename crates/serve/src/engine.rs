@@ -40,12 +40,17 @@
 //!    LM head, only for rows whose logits are read — the row after a
 //!    sequence's last known token; every other prompt or replay row is
 //!    **KV-only** there ([`ServeReport::kv_only_rows`]). With speculation
-//!    enabled, decode-phase sequences instead run a
-//!    [`BatchRunner::speculate_step`] draft-and-verify round (draft k
-//!    candidates cheaply, verify them as one k-token run, keep the longest
-//!    agreeing prefix plus a bonus token), while the draft runner is fed
-//!    the same runs, for their KV only, so its caches stay in lockstep.
-//! 5. **Advance** — greedy argmax over each finished run's logits;
+//!    enabled, a decode-phase sequence's run is a **verify run**
+//!    `[cur, d₁..d_{k−1}]` with a logit row per token: its candidates are
+//!    drafted first, inside the tick, as `k` one-row steps of the draft
+//!    runner batched across every speculating sequence; the draft runner
+//!    is fed the other runs too, for their KV only, so its caches stay in
+//!    lockstep. A round never drafts across a V-window commit (the one
+//!    cache mutation a truncate cannot undo), so its rejected tail is
+//!    rolled back with [`BatchRunner::truncate_session`].
+//! 5. **Advance** — greedy argmax over each finished run's logits (a verify
+//!    run keeps the longest prefix its candidates agree with, plus the
+//!    target's own token at the first disagreement);
 //!    sequences that produced their last token retire, releasing their
 //!    block holds. Block-aligned prompt prefixes are registered in the
 //!    runner's prefix cache as prefill reaches each boundary.
@@ -112,10 +117,10 @@ pub enum EngineEvent {
         /// The request's id.
         id: u64,
     },
-    /// A request's sequence was quarantined after a panic inside its own
-    /// step isolation boundary (see the module docs on failure domains):
-    /// its sessions were torn down and every pool block it held was
-    /// released. The rest of the batch is unaffected.
+    /// A request's sequence was quarantined: the batched step it was part
+    /// of kept panicking (or panicked under the reservation policy, which
+    /// cannot requeue), so its sessions were torn down and every pool
+    /// block it held was released.
     Poisoned {
         /// The request's id.
         id: u64,
@@ -189,6 +194,66 @@ struct DraftState<'m> {
     k: usize,
 }
 
+impl DraftState<'_> {
+    /// The draft runner's share of a tick's step, over the tick's `plan`
+    /// of `(index into active, rows, verify)` runs. Pass `j` feeds every
+    /// verify run longer than `j` its latest token — the pending one, then
+    /// each greedy candidate — and appends the next candidate, read off
+    /// its logits, to the run's entry in `feeds`: `k` one-row passes
+    /// batched across every speculating sequence. The first pass also
+    /// carries the plain runs, for their KV only, so every draft session
+    /// stays in lockstep with its target session.
+    fn step(
+        &mut self,
+        active: &[ActiveSeq],
+        plan: &[(usize, usize, bool)],
+        feeds: &mut [Vec<usize>],
+    ) {
+        // Chaos seam: the induced panic precedes every mutation of either
+        // runner.
+        #[cfg(feature = "fault-inject")]
+        if plan.iter().any(|&(_, _, verify)| verify)
+            && mant_trace::fault::fire(mant_trace::fault::site::SPEC_STEP)
+        {
+            panic!("injected fault: batch.spec_step");
+        }
+        // Passes a run takes part in: a verify run one per row, a plain run
+        // the first.
+        let passes = |&(_, len, verify): &(usize, usize, bool)| if verify { len } else { 1 };
+        for j in 0..plan.iter().map(passes).max().unwrap_or(0) {
+            let fed: Vec<usize> = (0..plan.len()).filter(|&p| passes(&plan[p]) > j).collect();
+            let runs: Vec<Run<'_>> = fed
+                .iter()
+                .map(|&p| {
+                    let (i, _, verify) = plan[p];
+                    Run {
+                        id: active[i]
+                            .draft_sid
+                            .expect("speculation opens draft sessions"),
+                        tokens: if verify { &feeds[p][j..=j] } else { &feeds[p] },
+                        logit_rows: usize::from(verify),
+                    }
+                })
+                .collect();
+            let rows = self.runner.step_runs(&runs);
+            for (&p, row) in fed.iter().filter(|&&p| plan[p].2).zip(rows) {
+                let candidate = argmax(&row);
+                // Chaos seam: corrupt the candidate *after* the draft
+                // argmax. Safe by construction — the verify row's argmax is
+                // compared against it, so a corrupted draft can only shrink
+                // the accepted prefix, never change emitted tokens.
+                #[cfg(feature = "fault-inject")]
+                let candidate =
+                    match mant_trace::fault::payload(mant_trace::fault::site::SPEC_DRAFT_CORRUPT) {
+                        Some(off) => (candidate + 1 + off as usize % (row.len() - 1)) % row.len(),
+                        None => candidate,
+                    };
+                feeds[p].push(candidate);
+            }
+        }
+    }
+}
+
 /// One running sequence.
 struct ActiveSeq {
     sid: SessionId,
@@ -230,6 +295,17 @@ impl ActiveSeq {
             .take(len)
             .copied()
             .collect()
+    }
+
+    /// How many of the last rows of a run of `len` tokens from `pos` get
+    /// logits: a verify run reads every row; any other, only the row after
+    /// the last known token.
+    fn logit_rows(&self, len: usize, verify: bool) -> usize {
+        if verify {
+            len
+        } else {
+            usize::from(self.pos + len >= self.replay_until)
+        }
     }
 }
 
@@ -746,9 +822,13 @@ impl<'m> ServeEngine<'m> {
         self.expire_due();
         let t_expired = Instant::now();
         self.admit();
+        // The rung this tick budgets with is the rung it plans with: the
+        // verdict below applies from the next tick, or a release would plan
+        // longer rounds than the pressure valve just made room for.
+        let rung = self.ladder.rung;
         let preempted_before = self.preemptions;
         if let AdmissionPolicy::Watermark { .. } = self.admission {
-            self.relieve_pressure();
+            self.relieve_pressure(rung);
         }
         // Degradation-ladder verdict for this tick: pressured when the
         // pool just had to preempt or the free list is nearly drained,
@@ -770,31 +850,29 @@ impl<'m> ServeEngine<'m> {
             self.iter += 1;
             return 0;
         }
-        // Partition and plan. Decode-phase sequences with at least two
-        // tokens left run a draft-and-verify round. Everything else takes
-        // one run of the batched step: a decode sequence its one pending
-        // token; a sequence still feeding known tokens (prompt, or the
-        // replayed tail after a preemption) one token too while anything
-        // in the batch decodes — a tick is some sequence's inter-token
-        // gap then — and otherwise as many as the tick's row budget has
-        // left, oldest admission first, never past the end of its current
-        // KV block and never past `replay_until`. A sequence the budget
-        // leaves no rows for sits the tick out.
+        // Plan one run per sequence: `(index, rows, verify)`. A
+        // decode-phase sequence that speculates takes a verify run of its
+        // round size; any other decode sequence its one pending token; a
+        // sequence still feeding known tokens (prompt, or the replayed
+        // tail after a preemption) one token too while anything in the
+        // batch decodes — a tick is some sequence's inter-token gap then —
+        // and otherwise as many as the tick's row budget has left, oldest
+        // admission first, never past the end of its current KV block and
+        // never past `replay_until`. A sequence the budget leaves no rows
+        // for sits the tick out.
         let bt = self.runner.pool().block_tokens();
         let decoding = self.active.iter().any(|s| s.pos >= s.replay_until);
         let mut budget = PREFILL_ROWS_PER_TICK;
-        let mut spec_idx: Vec<usize> = Vec::new();
-        let mut plan: Vec<(usize, usize)> = Vec::new();
+        let mut plan: Vec<(usize, usize, bool)> = Vec::new();
         debug_assert!(
             self.active.is_sorted_by_key(|s| s.admit_seq),
             "active sequences are kept oldest admission first"
         );
         for (i, s) in self.active.iter().enumerate() {
-            if self.spec_k(s).is_some() {
-                spec_idx.push(i);
-                continue;
-            }
-            let len = if decoding || s.pos >= s.replay_until {
+            let round = self.spec_k(s, rung);
+            let len = if let Some(k) = round {
+                k
+            } else if decoding || s.pos >= s.replay_until {
                 1
             } else {
                 let len = (s.replay_until - s.pos).min(bt - s.pos % bt).min(budget);
@@ -802,49 +880,29 @@ impl<'m> ServeEngine<'m> {
                 len
             };
             if len > 0 {
-                // A run that stays inside one block needs exactly the
-                // blocks one push needs — what `relieve_pressure` budgeted.
-                debug_assert_eq!(
-                    self.runner.blocks_needed_for_run(s.sid, len),
-                    self.runner.blocks_needed_for_step(s.sid),
+                // A known-token run stays inside one block, so it needs
+                // exactly the blocks one push needs.
+                debug_assert!(
+                    round.is_some()
+                        || self.runner.blocks_needed_for_run(s.sid, len)
+                            == self.runner.blocks_needed_for_step(s.sid),
                     "a run crossed a block boundary"
                 );
-                plan.push((i, len));
+                plan.push((i, len, round.is_some()));
             }
         }
-        let feeds: Vec<Vec<usize>> = plan
+        // A plain run's tokens are known now. A verify run's are its
+        // pending token and the candidates the draft phase appends: it ends
+        // up one longer than the run, the last candidate being compared but
+        // never fed.
+        let mut feeds: Vec<Vec<usize>> = plan
             .iter()
-            .map(|&(i, len)| self.active[i].feed(len))
+            .map(|&(i, len, verify)| self.active[i].feed(if verify { 1 } else { len }))
             .collect();
-        let runs: Vec<Run<'_>> = plan
-            .iter()
-            .zip(feeds.iter())
-            .map(|(&(i, len), tokens)| {
-                let s = &self.active[i];
-                Run {
-                    id: s.sid,
-                    tokens,
-                    // Only the row after the last known token is read.
-                    logit_rows: usize::from(s.pos + len >= s.replay_until),
-                }
-            })
-            .collect();
-        // The draft runner is fed the same runs, for their KV only, so its
-        // sessions stay in lockstep for later speculative rounds.
-        let draft_runs: Vec<Run<'_>> = if self.draft.is_some() {
-            plan.iter()
-                .zip(feeds.iter())
-                .map(|(&(i, _), tokens)| Run {
-                    id: self.active[i]
-                        .draft_sid
-                        .expect("speculation opens draft sessions"),
-                    tokens,
-                    logit_rows: 0,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        debug_assert!(
+            self.blocks_fit(plan.iter().map(|&(i, len, _)| (i, len))),
+            "the planned runs need more blocks than the pressure valve left free"
+        );
         let t_composed = Instant::now();
         // Sequences leaving the batch this tick for a reason other than
         // finishing: quarantined after a panic (blocks released, request
@@ -853,166 +911,111 @@ impl<'m> ServeEngine<'m> {
         // back-to-front at tick end so indices stay valid throughout.
         let mut poisoned: Vec<usize> = Vec::new();
         let mut rolled_back: Vec<usize> = Vec::new();
-        // The batched step mutates every session in `runs` as it goes, so
-        // a panic inside it cannot be retried per-sequence: recovery is a
-        // whole-batch rollback through the proven preemption machinery
-        // (sessions torn down, requests requeued, tokens recomputed
-        // byte-identically on readmission). A *persistent* panic would
-        // turn that into a livelock, so after a few consecutive failures
-        // the batch is quarantined instead. The reservation policy cannot
-        // requeue with carried progress, so it quarantines immediately.
+        // The step — draft passes, then the one target pass — mutates every
+        // session it feeds as it goes, so a panic inside it cannot be
+        // retried per-sequence: recovery is a whole-batch rollback through
+        // the proven preemption machinery (sessions torn down on both
+        // runners, requests requeued, tokens recomputed byte-identically on
+        // readmission). A *persistent* panic would turn that into a
+        // livelock, so after a few consecutive failures the batch is
+        // quarantined instead. The reservation policy cannot requeue with
+        // carried progress, so it quarantines immediately.
+        let mut draft_ns = 0u64;
         let step_result = {
-            let runner = &mut self.runner;
-            let draft = self.draft.as_mut();
+            let (runner, active) = (&mut self.runner, &self.active);
+            let (draft, feeds, draft_ns) = (self.draft.as_mut(), &mut feeds, &mut draft_ns);
             catch_unwind(AssertUnwindSafe(|| {
-                let logits = if runs.is_empty() {
-                    Vec::new()
-                } else {
-                    runner.step_runs(&runs)
-                };
                 if let Some(d) = draft {
-                    if !draft_runs.is_empty() {
-                        d.runner.step_runs(&draft_runs);
-                    }
+                    let t_draft = Instant::now();
+                    d.step(active, &plan, feeds);
+                    *draft_ns = t_draft.elapsed().as_nanos() as u64;
                 }
-                logits
+                let runs: Vec<Run<'_>> = plan
+                    .iter()
+                    .zip(feeds.iter())
+                    .map(|(&(i, len, verify), feed)| Run {
+                        id: active[i].sid,
+                        tokens: &feed[..len],
+                        logit_rows: active[i].logit_rows(len, verify),
+                    })
+                    .collect();
+                runner.step_runs(&runs)
             }))
         };
+        self.occupancy_sum += plan.len() as u64;
         let logits = match step_result {
             Ok(logits) => {
-                if !runs.is_empty() {
-                    self.consecutive_step_panics = 0;
-                }
-                Some(logits)
+                self.consecutive_step_panics = 0;
+                logits
             }
             Err(_) => {
                 self.consecutive_step_panics += 1;
                 mant_trace::counter("step.panics", 1);
                 let can_roll_back = matches!(self.admission, AdmissionPolicy::Watermark { .. });
-                let stepped = plan.iter().map(|&(i, _)| i);
+                let stepped = plan.iter().map(|&(i, _, _)| i);
                 if can_roll_back && self.consecutive_step_panics < STEP_PANIC_QUARANTINE_AFTER {
                     rolled_back.extend(stepped);
                 } else {
                     poisoned.extend(stepped);
                     self.consecutive_step_panics = 0;
                 }
-                // The batch's sequences neither emit nor finish this tick.
-                None
+                // The batch's sequences neither emit nor finish this tick:
+                // no run is advanced, they are already marked to leave.
+                plan.clear();
+                Vec::new()
             }
         };
-        let mut spec_out: Vec<(usize, mant_model::SpecOutcome)> =
-            Vec::with_capacity(spec_idx.len());
-        for &i in &spec_idx {
-            let (sid, dsid, cur, k) = {
-                let s = &self.active[i];
-                (
-                    s.sid,
-                    s.draft_sid.expect("spec_k requires a draft session"),
-                    s.feed(1)[0],
-                    self.spec_k(s).expect("filtered on spec_k"),
-                )
-            };
-            let d = self.draft.as_mut().expect("spec_k requires a draft");
-            // A speculative round touches only its own pair of sessions,
-            // so a panic here quarantines exactly one sequence; the rest
-            // of the batch is untouched and stays byte-identical.
-            let out = {
-                let runner = &mut self.runner;
-                catch_unwind(AssertUnwindSafe(|| {
-                    runner.speculate_step(sid, cur, &mut d.runner, dsid, k)
-                }))
-            };
-            match out {
-                Ok(out) => spec_out.push((i, out)),
-                Err(_) => {
-                    mant_trace::counter("step.panics", 1);
-                    poisoned.push(i);
-                }
-            }
-        }
         let t_stepped = Instant::now();
         self.iter += 1;
         self.busy_iterations += 1;
-        self.occupancy_sum += (plan.len() + spec_idx.len()) as u64;
         self.peak_used_blocks = self.peak_used_blocks.max(self.runner.pool().used_blocks());
 
         let mut produced = 0usize;
         let mut stepped_rows = 0usize;
         let mut logit_rows = 0usize;
         let mut kv_only_rows = 0usize;
+        let mut rollback_ns = 0u64;
         let mut finished: Vec<usize> = Vec::new();
         let mut first_tokens: Vec<u64> = Vec::new();
         let mut token_events: Vec<EngineEvent> = Vec::new();
-        // A panicked step left `logits` empty and advances nothing: its
-        // sequences are already marked to leave.
-        if let Some(logits) = logits {
-            let mut logits = logits.into_iter();
-            for &(i, len) in &plan {
-                let s = &mut self.active[i];
-                let end = s.pos + len;
-                // Prompt rows stepped for the first time (rows below
-                // `prompt_fed` were stepped before a preemption; rows below
-                // the prefix-hit length are never stepped at all); the
-                // other rows below `replay_until` are recompute.
-                let prompt_len = s.req.prompt.len();
-                let fresh = end.min(prompt_len).saturating_sub(s.pos.max(s.prompt_fed));
-                if fresh > 0 {
-                    s.prompt_fed = end.min(prompt_len);
-                }
-                self.prompt_tokens += fresh;
-                self.recomputed_tokens += end.min(s.replay_until).saturating_sub(s.pos) - fresh;
-                s.pos = end;
-                stepped_rows += len;
-                // The plan asked logits for the run's last row if it ends
-                // the known tokens, for none otherwise: the rest of its
-                // rows left the last layer after their K/V were cached.
-                kv_only_rows += len - usize::from(s.pos >= s.replay_until);
-                if s.pos >= s.replay_until {
-                    // The logits after the last known token (prompt, or the
-                    // replayed tail after a preemption) yield the next
-                    // greedy token.
-                    let token = argmax(&logits.next().expect("one logit row per finished run"));
-                    logit_rows += 1;
-                    s.generated.push(token);
-                    if s.first_token_iter.is_none() {
-                        s.first_token_iter = Some(self.iter);
-                        first_tokens.push(s.req.id);
-                    }
-                    produced += 1;
-                    self.generated_tokens += 1;
-                    if self.events_enabled {
-                        token_events.push(EngineEvent::Token {
-                            id: s.req.id,
-                            token,
-                        });
-                    }
-                }
-                if s.generated.len() == s.req.max_new_tokens {
-                    finished.push(i);
-                }
-                if self.prefix_sharing && s.pos <= prompt_len && s.pos.is_multiple_of(bt) {
-                    // Prefill just reached a block boundary (a run never
-                    // crosses one): the blocks behind it are immutable, so
-                    // the snapshot is free to share.
-                    self.runner.register_prefix(s.sid, &s.req.prompt[..s.pos]);
-                    // Mirror on the draft runner: its prefix cache must see
-                    // the same registration sequence so shared admissions
-                    // hit both caches at the same length.
-                    if let (Some(d), Some(dsid)) = (self.draft.as_mut(), s.draft_sid) {
-                        d.runner.register_prefix(dsid, &s.req.prompt[..s.pos]);
-                    }
-                }
+        let mut logits = logits.into_iter();
+        for (&(i, len, verify), feed) in plan.iter().zip(feeds.iter()) {
+            let s = &mut self.active[i];
+            let (start, end) = (s.pos, s.pos + len);
+            // Prompt rows stepped for the first time (rows below
+            // `prompt_fed` were stepped before a preemption; rows below
+            // the prefix-hit length are never stepped at all); the
+            // other rows below `replay_until` are recompute.
+            let prompt_len = s.req.prompt.len();
+            let fresh = end.min(prompt_len).saturating_sub(start.max(s.prompt_fed));
+            if fresh > 0 {
+                s.prompt_fed = end.min(prompt_len);
             }
-        }
-        // Speculative rounds: every emitted token is a decode token that
-        // the verify pass confirmed equals plain greedy decode.
-        for (i, out) in &spec_out {
-            let s = &mut self.active[*i];
-            s.pos += out.tokens.len();
-            for &token in &out.tokens {
+            self.prompt_tokens += fresh;
+            self.recomputed_tokens += end.min(s.replay_until).saturating_sub(start) - fresh;
+            // The rest of the run's rows left the last layer after their K/V
+            // were cached.
+            let read = s.logit_rows(len, verify);
+            stepped_rows += len;
+            logit_rows += read;
+            kv_only_rows += len - read;
+            // Row `r` holds the target's next token after the run's first
+            // `r + 1` tokens: the greedy token, as long as every candidate
+            // before it was confirmed. A plain run reads at most one row.
+            let (mut emitted, mut accepted, mut agreed) = (0usize, 0u64, true);
+            for (r, row) in logits.by_ref().take(read).enumerate() {
+                if !agreed {
+                    continue;
+                }
+                let token = argmax(&row);
+                emitted += 1;
+                agreed = verify && token == feed[r + 1];
+                accepted += u64::from(agreed);
                 s.generated.push(token);
-                produced += 1;
-                self.generated_tokens += 1;
+                if s.first_token_iter.is_none() {
+                    s.first_token_iter = Some(self.iter);
+                    first_tokens.push(s.req.id);
+                }
                 if self.events_enabled {
                     token_events.push(EngineEvent::Token {
                         id: s.req.id,
@@ -1020,25 +1023,53 @@ impl<'m> ServeEngine<'m> {
                     });
                 }
             }
-            if s.generated.len() == s.req.max_new_tokens {
-                finished.push(*i);
+            produced += emitted;
+            self.generated_tokens += emitted;
+            s.pos = end;
+            if verify {
+                self.spec.rounds += 1;
+                self.spec.drafted += len as u64;
+                self.spec.accepted += accepted;
+                mant_trace::counter("spec.drafted", len as u64);
+                mant_trace::counter("spec.accepted", accepted);
+                if emitted < len {
+                    // Both caches hold the whole round; the stream keeps the
+                    // pending token and the confirmed candidates. The window
+                    // cap keeps the cut above every V window the round
+                    // committed, so the truncate is bit-exact.
+                    s.pos = start + emitted;
+                    let t_rollback = Instant::now();
+                    self.runner.truncate_session(s.sid, s.pos);
+                    let d = self.draft.as_mut().expect("a verify run has a draft");
+                    d.runner.truncate_session(
+                        s.draft_sid.expect("speculation opens draft sessions"),
+                        s.pos,
+                    );
+                    rollback_ns += t_rollback.elapsed().as_nanos() as u64;
+                }
             }
-            // The verify pass: one target row, and one logit row, per draft.
-            stepped_rows += out.drafted;
-            logit_rows += out.drafted;
-            self.spec.rounds += 1;
-            self.spec.drafted += out.drafted as u64;
-            self.spec.accepted += out.accepted as u64;
-            self.spec.draft_ns.record(out.draft_ns);
-            self.spec.verify_ns.record(out.verify_ns);
-            self.spec.rollback_ns.record(out.rollback_ns);
-            mant_trace::counter("spec.drafted", out.drafted as u64);
-            mant_trace::counter("spec.accepted", out.accepted as u64);
-            mant_trace::sample("spec.draft_ns", out.draft_ns);
-            mant_trace::sample("spec.verify_ns", out.verify_ns);
-            mant_trace::sample("spec.rollback_ns", out.rollback_ns);
+            if s.generated.len() == s.req.max_new_tokens {
+                finished.push(i);
+            }
+            if self.prefix_sharing && s.pos <= prompt_len && s.pos.is_multiple_of(bt) {
+                // Prefill just reached a block boundary (a run never
+                // crosses one): the blocks behind it are immutable, so
+                // the snapshot is free to share.
+                self.runner.register_prefix(s.sid, &s.req.prompt[..s.pos]);
+                // Mirror on the draft runner: its prefix cache must see
+                // the same registration sequence so shared admissions
+                // hit both caches at the same length.
+                if let (Some(d), Some(dsid)) = (self.draft.as_mut(), s.draft_sid) {
+                    d.runner.register_prefix(dsid, &s.req.prompt[..s.pos]);
+                }
+            }
         }
-        finished.sort_unstable();
+        if plan.iter().any(|&(_, _, verify)| verify) {
+            self.spec.draft_ns.record(draft_ns);
+            self.spec.rollback_ns.record(rollback_ns);
+            mant_trace::sample("spec.draft_ns", draft_ns);
+            mant_trace::sample("spec.rollback_ns", rollback_ns);
+        }
         self.events.extend(token_events);
         for id in first_tokens {
             if let Some(t0) = self.submit_times.get(&id) {
@@ -1370,35 +1401,13 @@ impl<'m> ServeEngine<'m> {
     /// blocks, requeue the request, and recompute its tokens on
     /// readmission (byte-identical by determinism). The oldest sequence
     /// is never preempted, so the engine always makes progress.
-    fn relieve_pressure(&mut self) {
+    fn relieve_pressure(&mut self, rung: u8) {
         loop {
-            // Per-sequence demand for the step each will actually take
-            // this tick: a speculative round may push up to `k` tokens and
-            // fork checkpoint blocks on *both* pools before rolling back.
-            let mut need_target = 0usize;
-            let mut need_draft = 0usize;
-            for s in &self.active {
-                match self.spec_k(s) {
-                    Some(k) => {
-                        need_target += self.runner.blocks_needed_for_spec_step(s.sid, k);
-                        if let (Some(d), Some(dsid)) = (self.draft.as_ref(), s.draft_sid) {
-                            need_draft += d.runner.blocks_needed_for_spec_step(dsid, k);
-                        }
-                    }
-                    None => {
-                        need_target += self.runner.blocks_needed_for_step(s.sid);
-                        if let (Some(d), Some(dsid)) = (self.draft.as_ref(), s.draft_sid) {
-                            need_draft += d.runner.blocks_needed_for_step(dsid);
-                        }
-                    }
-                }
-            }
-            let target_ok = self.runner.pool().free_blocks() >= need_target;
-            let draft_ok = self
-                .draft
-                .as_ref()
-                .is_none_or(|d| d.runner.pool().free_blocks() >= need_draft);
-            if target_ok && draft_ok {
+            // Per-sequence demand for the run each will actually take this
+            // tick: a verify run pushes its whole round on *both* pools
+            // before the rejected tail is rolled back.
+            let runs = self.active.iter().enumerate();
+            if self.blocks_fit(runs.map(|(i, s)| (i, self.spec_k(s, rung).unwrap_or(1)))) {
                 return;
             }
             if self.evict_lru_prefix_everywhere() {
@@ -1413,18 +1422,38 @@ impl<'m> ServeEngine<'m> {
         }
     }
 
-    /// The draft-and-verify round size sequence `s` would run this tick,
-    /// or `None` when it takes a plain step: speculation off, still in
-    /// prefill/replay, or fewer than two tokens left to generate (a round
-    /// always emits at least one bonus token, so the last token is never
-    /// worth drafting for).
-    fn spec_k(&self, s: &ActiveSeq) -> Option<usize> {
+    /// Whether the free lists of both pools cover `runs` together, each an
+    /// `(index into active, rows)` pair: the draft runner is fed every row
+    /// the target is.
+    fn blocks_fit(&self, runs: impl Iterator<Item = (usize, usize)>) -> bool {
+        let (mut need_target, mut need_draft) = (0usize, 0usize);
+        for (i, len) in runs {
+            let s = &self.active[i];
+            need_target += self.runner.blocks_needed_for_run(s.sid, len);
+            if let (Some(d), Some(dsid)) = (self.draft.as_ref(), s.draft_sid) {
+                need_draft += d.runner.blocks_needed_for_run(dsid, len);
+            }
+        }
+        self.runner.pool().free_blocks() >= need_target
+            && self
+                .draft
+                .as_ref()
+                .is_none_or(|d| d.runner.pool().free_blocks() >= need_draft)
+    }
+
+    /// The draft-and-verify round size sequence `s` would run at ladder
+    /// rung `rung`, or `None` when it takes a plain step: speculation off,
+    /// still in prefill/replay, fewer than two tokens left to generate (a
+    /// round always emits at least one token of the target's own, so the
+    /// last token is never worth drafting for), or a V window about to
+    /// fill.
+    fn spec_k(&self, s: &ActiveSeq, rung: u8) -> Option<usize> {
         let d = self.draft.as_ref()?;
         // Ladder rung 2+ turns speculation off entirely; rung 1 halves the
         // round size. Both only change how many drafts are attempted, and
         // verification guarantees emitted tokens equal plain greedy decode
         // — so degradation never changes any sequence's output bytes.
-        if self.ladder.rung >= RUNG_NO_SPEC {
+        if rung >= RUNG_NO_SPEC {
             return None;
         }
         s.draft_sid?;
@@ -1435,14 +1464,17 @@ impl<'m> ServeEngine<'m> {
         if remaining < 2 {
             return None;
         }
-        let k = if self.ladder.rung >= RUNG_HALVE_DRAFT {
+        let k = if rung >= RUNG_HALVE_DRAFT {
             d.k.div_ceil(2)
         } else {
             d.k
         };
-        // A round emits at most `accepted + 1 <= k + 1` tokens; capping k
-        // at `remaining - 1` keeps it from overshooting max_new_tokens.
-        Some(k.min(remaining - 1))
+        // A request's last token always takes a plain step.
+        let k = k.min(remaining - 1);
+        // A round the window cap cuts to one candidate is a plain step
+        // with a dearer draft pass.
+        let capped = window_cap(s.pos, k, self.runner.kv_group());
+        (capped == k || capped >= 2).then_some(capped)
     }
 
     /// Evicts the LRU prefix snapshot from the target runner and, in
@@ -1489,6 +1521,18 @@ impl<'m> ServeEngine<'m> {
             .submit(s.req)
             .expect("a running request was valid at first submission");
     }
+}
+
+/// The longest speculative round, at most `k` rows, a cache of `n` rows and
+/// V windows of `g` can roll back with a truncate. Filling a window
+/// re-encodes it to 4 bits — lossy, so no cut below it can be replayed —
+/// and the only window a round may fill is the one its first row fills:
+/// that row is the pending token, which every outcome keeps. So the round
+/// must end before the next window does: `(n + k') / g * g <= n + 1`.
+fn window_cap(n: usize, k: usize, g: usize) -> usize {
+    // The first window end past `n + 1`, which the round stops short of.
+    let next_commit = (n + 1) / g * g + g;
+    k.min(next_commit - 1 - n)
 }
 
 /// Records one tick phase: the duration lands in the always-on breakdown
@@ -1545,4 +1589,32 @@ pub fn sequential_generate(
         })
         .collect();
     (outputs, t0.elapsed().as_secs_f64())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::window_cap;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The capped round is a round (`>= 1`), no longer than asked for,
+        /// fills no V window past the one its first row may fill, and is
+        /// the longest such.
+        #[test]
+        fn window_cap_is_the_longest_round_a_truncate_can_undo(
+            n in 0usize..4096,
+            k in 1usize..40,
+            g in 1usize..130,
+        ) {
+            let commits_by = |rows: usize| (n + rows) / g * g;
+            let capped = window_cap(n, k, g);
+            prop_assert!((1..=k).contains(&capped), "{capped} outside 1..={k}");
+            prop_assert!(commits_by(capped) <= n + 1, "a {capped}-row round fills a window");
+            prop_assert!(
+                capped == k || commits_by(capped + 1) > n + 1,
+                "a {}-row round would fit too",
+                capped + 1
+            );
+        }
+    }
 }

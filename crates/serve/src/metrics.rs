@@ -28,9 +28,10 @@ pub struct LatencyBreakdown {
     pub admit: Hist,
     /// Batch composition (one feed token per active sequence).
     pub compose: Hist,
-    /// The model step ([`BatchRunner::step`]).
+    /// The model step ([`BatchRunner::step_runs`]; with speculation, the
+    /// draft passes before it too).
     ///
-    /// [`BatchRunner::step`]: ../mant_model/batch/struct.BatchRunner.html#method.step
+    /// [`BatchRunner::step_runs`]: ../mant_model/batch/struct.BatchRunner.html#method.step_runs
     pub step: Hist,
     /// Argmax, retirement, prefix registration after the step.
     pub advance: Hist,
@@ -38,8 +39,10 @@ pub struct LatencyBreakdown {
 
 /// Speculative-decoding outcome counters ([`ServeReport::speculation`]),
 /// accumulated over every draft-and-verify round the engine ran. The
-/// time histograms are per-round wall-clock nanoseconds, log₂-bucketed
-/// like the rest of [`LatencyBreakdown`].
+/// time histograms hold one wall-clock sample, in nanoseconds, per tick
+/// that stepped a verify run — log₂-bucketed like the rest of
+/// [`LatencyBreakdown`], whose `step` phase holds the draft passes and the
+/// target pass that verified them.
 #[derive(Clone, Debug, Default)]
 pub struct SpeculationStats {
     /// Draft-and-verify rounds executed.
@@ -49,12 +52,11 @@ pub struct SpeculationStats {
     /// Candidates the batched verify pass confirmed (always followed by
     /// one bonus token per round, so emitted tokens = `accepted + rounds`).
     pub accepted: u64,
-    /// Per-round draft-phase time (k single-token draft steps), ns.
+    /// Per-tick draft-phase time (the one-row draft passes, batched across
+    /// every speculating sequence), ns.
     pub draft_ns: Hist,
-    /// Per-round verify time (one k-token batched target step), ns.
-    pub verify_ns: Hist,
-    /// Per-round cache-settle time (truncate or checkpoint restore on
-    /// both runners), ns.
+    /// Per-tick rollback time (truncating the rejected tails on both
+    /// runners), ns.
     pub rollback_ns: Hist,
 }
 

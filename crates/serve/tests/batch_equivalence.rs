@@ -509,7 +509,7 @@ fn check_speculative_matches_baseline(draft_k: usize, seed: u64) {
     assert!(spec.drafted >= spec.rounds);
     assert!(spec.drafted <= spec.rounds * draft_k as u64);
     assert!(spec.accepted <= spec.drafted);
-    assert!(!spec.draft_ns.is_empty() && !spec.verify_ns.is_empty());
+    assert!(!spec.draft_ns.is_empty() && !spec.rollback_ns.is_empty());
 }
 
 #[test]
@@ -668,6 +668,138 @@ fn speculative_under_forced_preemption_stays_byte_identical() {
             c.id
         );
         assert_eq!(c.tokens.len(), 24);
+    }
+}
+
+/// One request served alone by a speculative engine over a synthetic
+/// target/draft pair, with `Int4 { group: 16 }` KV so a V window commits
+/// every 16 rows: checks the stream against `sequential_generate` and that
+/// both pools drain, and returns the report.
+fn serve_one_speculatively(
+    layers: usize,
+    seed: u64,
+    tail_block_ratio: f32,
+    request: GenRequest,
+    draft_k: usize,
+) -> mant_serve::ServeReport {
+    use mant_model::{synthesize_speculative_pair, DraftConfig};
+    let mut cfg = ModelConfig::sim_llama();
+    cfg.layers = layers;
+    let draft_cfg = DraftConfig {
+        layers: 1,
+        tail_block_ratio,
+    };
+    let (target, draft) = synthesize_speculative_pair(&cfg, seed, &draft_cfg);
+    let packed = target.pack_weights(64).unwrap();
+    let draft_packed = draft.pack_weights(64).unwrap();
+    let (act, kv) = (ActMode::None, KvMode::Int4 { group: 16 });
+    let mut engine = ServeEngine::new_with_draft(
+        &target,
+        &packed,
+        &draft,
+        &draft_packed,
+        ServeConfig {
+            max_batch: 1,
+            pool_blocks: 96,
+            block_tokens: 16,
+            act,
+            kv,
+            admission: AdmissionPolicy::Watermark {
+                watermark_blocks: 4,
+            },
+            prefix_sharing: false,
+            speculative: Some(mant_serve::SpeculativeConfig { draft_k }),
+        },
+    );
+    engine.submit(request.clone());
+    let report = engine.run_to_completion();
+    let (baseline, _) = sequential_generate(&target, &packed, act, kv, &[request]);
+    assert_eq!(
+        report.completions[0].tokens, baseline[0],
+        "speculative stream diverged (draft_k {draft_k})"
+    );
+    // No block may leak through a round's rollback.
+    assert_eq!(engine.used_blocks(), 0, "target pool must drain");
+    assert_eq!(
+        engine.draft_free_blocks(),
+        Some(96),
+        "draft pool must drain"
+    );
+    assert_eq!(report.step_rollbacks + report.poisoned_requests, 0);
+    report
+}
+
+/// A 3-layer target with its 1-layer draft truncation, at a seed and tail
+/// ratio where the draft agrees with the target about every other token —
+/// so both the accept and the reject path run — and the sweep over prompt
+/// lengths and `draft_k` moves the rounds across 16-row V window
+/// boundaries: rounds that start just before one are cut short.
+#[test]
+fn speculative_stream_matches_sequential_greedy_across_windows() {
+    for (prompt_len, draft_k) in [(5usize, 2usize), (9, 3), (14, 5), (16, 4)] {
+        let request = long_request(0, prompt_len, 24, 512);
+        let report = serve_one_speculatively(3, 69, 0.5, request, draft_k);
+        let spec = report
+            .speculation
+            .expect("speculative engine reports stats");
+        assert!(spec.rounds > 0, "decode must speculate");
+        assert!(
+            0 < spec.accepted && spec.accepted < spec.drafted,
+            "prompt {prompt_len}, draft_k {draft_k}: {}/{} accepted — both the accept and \
+             the reject path must run",
+            spec.accepted,
+            spec.drafted
+        );
+    }
+}
+
+/// A near-inert tail makes the draft track the target closely under Int4
+/// KV (shared fixed variance map), so acceptance must stay high. (An
+/// exactly-zero tail ratio cannot be used here: the MANT W4 grid has no
+/// zero code, so packed zeroed tail projections are *not* inert — see
+/// `DraftConfig`.)
+#[test]
+fn speculative_high_agreement_accepts_most_candidates() {
+    let report = serve_one_speculatively(2, 61, 0.02, long_request(0, 6, 26, 512), 4);
+    let spec = report
+        .speculation
+        .expect("speculative engine reports stats");
+    assert!(spec.drafted >= 16, "{} candidates drafted", spec.drafted);
+    assert!(
+        spec.accepted * 2 >= spec.drafted,
+        "near-inert tail must keep acceptance high: {}/{}",
+        spec.accepted,
+        spec.drafted
+    );
+}
+
+/// Rounds never draft across a V-window commit: with 16-row windows,
+/// `draft_k` 8 and outputs four windows long, rounds start at every offset
+/// of a window — a draft that is always wrong advances a token a round, one
+/// that is right every other time two, from an odd and from an even
+/// position — so rejections land on every side of a commit: in rounds cut
+/// short of one, in rounds whose first row fills the window, at that row
+/// and past it. Every rejected tail is undone by a truncate: the stream
+/// still equals the baseline, both pools drain, and the rounds cut short
+/// show up as fewer candidates than `rounds · draft_k`.
+#[test]
+fn rounds_stop_short_of_a_window_commit_and_roll_back_by_truncate() {
+    for (seed, prompt_len, agrees) in [(72u64, 7usize, false), (69, 7, true), (69, 8, true)] {
+        let request = long_request(0, prompt_len, 70, 512);
+        let report = serve_one_speculatively(3, seed, 0.5, request, 8);
+        let spec = report
+            .speculation
+            .expect("speculative engine reports stats");
+        assert!(spec.rounds >= 30, "{} rounds", spec.rounds);
+        assert!(
+            spec.drafted < spec.rounds * 8,
+            "{} candidates in {} rounds: no round was cut short",
+            spec.drafted,
+            spec.rounds
+        );
+        assert_eq!(spec.accepted > 0, agrees, "{} accepted", spec.accepted);
+        assert!(spec.accepted * 4 < spec.drafted, "a low-agreement draft");
+        assert_eq!(spec.rollback_ns.count, spec.draft_ns.count);
     }
 }
 

@@ -47,12 +47,14 @@ pub mod site {
     /// `PagedKvCache::push` reports a forced `PoolExhausted` before
     /// touching the pool.
     pub const POOL_ALLOC: &str = "pool.alloc";
-    /// `BatchRunner::step` panics at entry (before any KV mutation).
+    /// `BatchRunner::step_runs` panics at entry (before any KV mutation).
     pub const BATCH_STEP: &str = "batch.step";
-    /// `BatchRunner::speculate_step` panics at entry.
+    /// The serving engine's draft phase panics at entry, in a tick that
+    /// holds a speculative verify run (before either runner is stepped).
     pub const SPEC_STEP: &str = "batch.spec_step";
-    /// A drafted candidate token is corrupted before verification
-    /// (payload offsets the token id); the verify pass must reject it.
+    /// A drafted candidate token is corrupted right after the draft
+    /// argmax (payload offsets the token id); the verify run must reject
+    /// it.
     pub const SPEC_DRAFT_CORRUPT: &str = "batch.spec_draft_corrupt";
     /// The engine's deadline sweep sees its iteration clock skewed
     /// forward by `payload` iterations (early expiry).
