@@ -1,19 +1,20 @@
-//! Prefix sharing + on-demand CoW allocation vs whole-lifetime
-//! reservation, on a shared-prompt serving trace.
+//! Prefix sharing on vs off, on a shared-prompt serving trace.
 //!
-//! PR 3's reservation discipline sizes the pool for every request's worst
-//! case (`prompt + max_new_tokens`), so on long-output traces admission
-//! collapses to `pool / lifetime_blocks` concurrent requests. The
-//! refcounted copy-on-write pool allocates blocks as tokens arrive,
-//! shares identical block-aligned prompt prefixes across requests on the
-//! *same* physical packed blocks, and relieves pressure by preemption —
-//! so the same pool admits more sequences and skips most prefill work.
+//! The refcounted copy-on-write pool allocates blocks as tokens arrive and
+//! relieves pressure by preemption. With prefix sharing on it also maps
+//! identical block-aligned prompt prefixes of different requests onto the
+//! *same* physical packed blocks — so the same pool skips most prefill work
+//! and holds each request in fewer blocks of its own.
 //!
 //! This bench serves one multi-persona trace (every prompt = system ++
-//! persona ++ unique tail) twice on an identically sized pool and
-//! **asserts** the CoW engine (a) admits strictly more concurrent
-//! requests, (b) beats the reservation engine on aggregate tokens/s, and
-//! (c) produces byte-identical token streams.
+//! persona ++ unique tail) twice on an identically sized pool, sharing off
+//! and on, and **asserts** the sharing engine (a) serves most prefill from
+//! the cache, (b) beats the non-sharing engine on aggregate tokens/s, and
+//! (c) produces byte-identical token streams; then that a burst into half
+//! the pool preempts and still recovers every stream exactly. (Peak
+//! concurrency is printed, not asserted: on-demand allocation already fits
+//! this trace's arrivals without sharing, and requests that skip their
+//! prefill leave sooner.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -28,9 +29,7 @@ use mant_sim::{shared_prefix_trace, LengthDist, SharedPrefixConfig};
 const GROUP: usize = 16;
 const BLOCK_TOKENS: usize = 16;
 /// 64 blocks: each request's lifetime is ~7 blocks/layer × 2 layers = 14,
-/// so reservation admits at most 4 concurrent requests — while the CoW
-/// engine's per-request exclusive footprint (~4-6 blocks past the shared
-/// prefix) lets the full 6-lane batch fit once the prefix is cached.
+/// of which the shared prefix is 8–10 once it is cached.
 const POOL_BLOCKS: usize = 64;
 const MAX_BATCH: usize = 6;
 
@@ -38,7 +37,6 @@ fn serve(
     model: &TransformerModel,
     packed: &mant_model::PackedWeights,
     requests: &[mant_serve::GenRequest],
-    admission: AdmissionPolicy,
     prefix_sharing: bool,
 ) -> ServeReport {
     let mut engine = ServeEngine::new(
@@ -50,7 +48,9 @@ fn serve(
             block_tokens: BLOCK_TOKENS,
             act: ActMode::None,
             kv: KvMode::Mant4 { group: GROUP },
-            admission,
+            admission: AdmissionPolicy::Watermark {
+                watermark_blocks: 8,
+            },
             prefix_sharing,
             speculative: None,
         },
@@ -77,27 +77,20 @@ fn shared_prefix_serving(_c: &mut Criterion) {
     let trace = shared_prefix_trace(&cfg);
     let requests = requests_from_shared_trace(&cfg, &trace, model.config.vocab, 4402);
 
-    let reserve = serve(&model, &packed, &requests, AdmissionPolicy::Reserve, false);
-    let shared = serve(
-        &model,
-        &packed,
-        &requests,
-        AdmissionPolicy::Watermark {
-            watermark_blocks: 8,
-        },
-        true,
-    );
+    let plain = serve(&model, &packed, &requests, false);
+    let shared = serve(&model, &packed, &requests, true);
 
-    let reserve_tps = reserve.tokens_per_sec();
+    let plain_tps = plain.tokens_per_sec();
     let shared_tps = shared.tokens_per_sec();
     println!(
-        "prefix_sharing: reservation pool   : {:.1} tok/s, peak {} running, occupancy {:.2}, \
-         {}/{} blocks peak",
-        reserve_tps,
-        reserve.peak_running,
-        reserve.mean_batch_occupancy,
-        reserve.peak_used_blocks,
-        reserve.pool_blocks,
+        "prefix_sharing: CoW, sharing off   : {:.1} tok/s, peak {} running, occupancy {:.2}, \
+         {}/{} blocks peak, {} preemptions",
+        plain_tps,
+        plain.peak_running,
+        plain.mean_batch_occupancy,
+        plain.peak_used_blocks,
+        plain.pool_blocks,
+        plain.preemptions,
     );
     println!(
         "prefix_sharing: CoW + prefix cache : {:.1} tok/s, peak {} running, occupancy {:.2}, \
@@ -113,24 +106,17 @@ fn shared_prefix_serving(_c: &mut Criterion) {
         shared.preemptions,
     );
     println!(
-        "prefix_sharing: CoW pool wins {:.2}x tokens/s at {}x vs {}x peak concurrency",
-        shared_tps / reserve_tps,
+        "prefix_sharing: sharing wins {:.2}x tokens/s at {}x vs {}x peak concurrency",
+        shared_tps / plain_tps,
         shared.peak_running,
-        reserve.peak_running,
+        plain.peak_running,
     );
 
     // The acceptance claims, pinned in-code.
     assert!(
-        shared.peak_running > reserve.peak_running,
-        "CoW admission must admit strictly more concurrent requests \
-         ({} vs {})",
-        shared.peak_running,
-        reserve.peak_running,
-    );
-    assert!(
-        shared_tps > reserve_tps,
-        "CoW + prefix sharing ({shared_tps:.1} tok/s) must beat whole-lifetime \
-         reservation ({reserve_tps:.1} tok/s) on the shared-prompt trace"
+        shared_tps > plain_tps,
+        "prefix sharing ({shared_tps:.1} tok/s) must beat the same pool without it \
+         ({plain_tps:.1} tok/s) on the shared-prompt trace"
     );
     assert!(
         shared.prefix_hit_rate() > 0.5,
@@ -139,7 +125,7 @@ fn shared_prefix_serving(_c: &mut Criterion) {
         shared.prefix_hit_rate(),
     );
     // Sharing and preemption change the schedule, never the tokens.
-    let mut a: Vec<_> = reserve
+    let mut a: Vec<_> = plain
         .completions
         .iter()
         .map(|c| (c.id, &c.tokens))
@@ -151,11 +137,14 @@ fn shared_prefix_serving(_c: &mut Criterion) {
         .collect();
     a.sort_by_key(|&(id, _)| id);
     b.sort_by_key(|&(id, _)| id);
-    assert_eq!(a, b, "token streams must be byte-identical across policies");
+    assert_eq!(
+        a, b,
+        "token streams must be byte-identical with and without sharing"
+    );
 
     // --- Preemption recovery ---
-    // A bursty arrival front on a pool half the size forces the watermark
-    // scheduler to evict running sequences. Recovery must (a) complete
+    // A bursty arrival front on a pool half the size forces the scheduler
+    // to evict running sequences. Recovery must (a) complete
     // every request byte-identically and (b) re-prefill the victims
     // mostly from the prefix cache — preemption recompute rides the same
     // shared blocks.

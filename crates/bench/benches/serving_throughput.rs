@@ -291,7 +291,9 @@ fn serve_trace_smoke(_c: &mut Criterion) {
             block_tokens: GROUP,
             act,
             kv,
-            admission: AdmissionPolicy::Reserve,
+            admission: AdmissionPolicy::Watermark {
+                watermark_blocks: 4,
+            },
             prefix_sharing: false,
             speculative: None,
         },

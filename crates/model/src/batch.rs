@@ -441,8 +441,8 @@ impl BatchRunner<'_> {
     }
 
     /// Pool blocks one sequence needs over its whole lifetime to cache
-    /// `tokens` tokens — one paged cache per layer. The quantity admission
-    /// control reserves up front so a step can never exhaust the pool.
+    /// `tokens` tokens — one paged cache per layer: what submission checks
+    /// against the whole pool, and admission against its free list.
     pub fn blocks_for_request(&self, tokens: usize) -> usize {
         self.model.config.layers * self.pool.blocks_for_tokens(tokens)
     }

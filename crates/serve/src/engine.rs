@@ -8,12 +8,12 @@
 //!    sharing on, a candidate whose prompt prefix is already cached opens
 //!    its session directly on the shared physical blocks and skips that
 //!    part of prefill entirely.
-//! 2. **Relieve** — (watermark policy) if this iteration's block demand
-//!    (boundary allocations + copy-on-write) exceeds the free list, drop
-//!    prefix snapshots, then preempt the **youngest** running sequence:
-//!    its blocks are released, the request requeued, and its tokens
-//!    recomputed on readmission — byte-identical, since re-encoding a
-//!    prefix is deterministic.
+//! 2. **Relieve** — if this iteration's block demand (boundary
+//!    allocations + copy-on-write) exceeds the free list, drop prefix
+//!    snapshots, then preempt the **youngest** running sequence: its
+//!    blocks are released, the request requeued, and its tokens recomputed
+//!    on readmission — byte-identical, since re-encoding a prefix is
+//!    deterministic.
 //! 3. **Compose** — every active sequence contributes at most one *run* of
 //!    consecutive tokens. A decoding sequence feeds its last generated
 //!    token: one row, always, never deferred. A sequence still feeding
@@ -83,7 +83,7 @@ use mant_trace::Hist;
 
 pub use mant_model::argmax;
 
-use crate::metrics::{DegradationStats, LatencyBreakdown, ServeReport, SpeculationStats};
+use crate::metrics::{DegradationStats, ServeReport, SpeculationStats};
 use crate::request::{Completion, GenRequest, SubmitError};
 use crate::scheduler::FcfsScheduler;
 
@@ -118,8 +118,7 @@ pub enum EngineEvent {
         id: u64,
     },
     /// A request's sequence was quarantined: the batched step it was part
-    /// of kept panicking (or panicked under the reservation policy, which
-    /// cannot requeue), so its sessions were torn down and every pool
+    /// of kept panicking, so its sessions were torn down and every pool
     /// block it held was released.
     Poisoned {
         /// The request's id.
@@ -127,14 +126,13 @@ pub enum EngineEvent {
     },
 }
 
-/// How the scheduler decides a candidate fits the paged KV pool.
+/// How the scheduler decides a candidate fits the paged KV pool. There is
+/// one discipline; the enum and [`ServeConfig::admission`] keep their shape
+/// only because the frozen `benchmark/` package spells both in a struct
+/// literal — flattening them to a `watermark_blocks` field is left to a
+/// `[benchmark]` PR.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionPolicy {
-    /// Whole-lifetime reservation: admit only when
-    /// `prompt + max_new_tokens` worth of blocks can be set aside up
-    /// front. A step can never exhaust the pool, but the pool is sized
-    /// for the worst case — concurrency collapses on long-output traces.
-    Reserve,
     /// On-demand (vLLM-style): admit while the free list covers the
     /// candidate's remaining *prefill* plus `watermark_blocks` of decode
     /// headroom; blocks are allocated as tokens arrive, and pool pressure
@@ -170,17 +168,15 @@ pub struct ServeConfig {
     pub act: ActMode,
     /// KV-cache mode; must be quantized ([`KvMode::Int4`]/[`KvMode::Mant4`]).
     pub kv: KvMode,
-    /// Admission discipline (reservation vs watermark + preemption).
+    /// Admission discipline: the watermark's decode headroom.
     pub admission: AdmissionPolicy,
     /// Share identical block-aligned prompt prefixes across requests via
-    /// the runner's copy-on-write prefix cache. Requires the watermark
-    /// policy (reservation would double-count shared blocks).
+    /// the runner's copy-on-write prefix cache.
     pub prefix_sharing: bool,
     /// Speculative decoding: decode-phase sequences run draft-and-verify
     /// rounds against a cheap draft model instead of one-token steps.
     /// Requires [`ServeEngine::new_with_draft`] (the engine needs the
-    /// draft's packed weights) and the watermark policy. `None` keeps
-    /// plain one-token decode.
+    /// draft's packed weights). `None` keeps plain one-token decode.
     pub speculative: Option<SpeculativeConfig>,
 }
 
@@ -279,8 +275,6 @@ struct ActiveSeq {
     admitted_iter: u64,
     /// Monotone admission stamp; the preemption victim is the largest.
     admit_seq: u64,
-    /// Blocks reserved for the whole lifetime (reservation policy only).
-    reserved: usize,
 }
 
 impl ActiveSeq {
@@ -329,53 +323,45 @@ pub struct ServeEngine<'m> {
     scheduler: FcfsScheduler,
     active: Vec<ActiveSeq>,
     max_batch: usize,
-    admission: AdmissionPolicy,
+    /// Free-block headroom admission keeps for decode growth
+    /// ([`AdmissionPolicy::Watermark`]).
+    watermark_blocks: usize,
     prefix_sharing: bool,
     iter: u64,
-    reserved_blocks: usize,
     /// Preempted requests' carry state, keyed by request id.
     resume: HashMap<u64, ResumeState>,
     admit_counter: u64,
-    completions: Vec<Completion>,
-    generated_tokens: usize,
-    prompt_tokens: usize,
-    recomputed_tokens: usize,
-    prefix_cached_tokens: usize,
-    prefill_tokens: usize,
-    preemptions: usize,
-    expired_requests: usize,
-    cancelled_requests: usize,
-    poisoned_requests: usize,
-    step_rollbacks: usize,
+    /// The run so far, accumulated in the shape it is reported in: every
+    /// count, the completions and the always-on latency histograms land
+    /// here directly; [`ServeEngine::report`] clones it and fills in what
+    /// only a snapshot can know.
+    totals: ServeReport,
     /// Consecutive ticks whose batched step panicked; crossing
     /// [`STEP_PANIC_QUARANTINE_AFTER`] escalates rollback to quarantine.
     consecutive_step_panics: u32,
     ladder: Ladder,
-    busy_iterations: u64,
+    /// Runs stepped, summed over busy iterations (the occupancy numerator).
     occupancy_sum: u64,
-    stepped_rows: usize,
-    logit_rows: usize,
-    kv_only_rows: usize,
-    peak_running: usize,
-    peak_used_blocks: usize,
     vocab: usize,
     events_enabled: bool,
     events: Vec<EngineEvent>,
-    /// Always-on wall-clock latency histograms (tick phases + request
-    /// latencies); cloned into every [`ServeReport`].
-    breakdown: LatencyBreakdown,
     /// Wall-clock submission instants of in-flight requests, for
     /// queue-wait / TTFT / E2E samples. Entries leave on completion,
     /// cancellation, and expiry.
     submit_times: HashMap<u64, Instant>,
 }
 
-/// Why [`ServeEngine::remove_request`] is pulling a request out of the
-/// engine — decides which counter and event record the removal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RemoveReason {
-    Expired,
-    Cancelled,
+/// Why a request leaves the engine; [`ServeEngine::retire`] holds what each
+/// reason does. The first four are terminal; `RollBack` and `Preempt`
+/// requeue the request with its progress carried.
+#[derive(Clone, Copy)]
+enum Leave {
+    Finish,
+    Cancel,
+    Expire,
+    Poison,
+    RollBack,
+    Preempt,
 }
 
 /// Prompt and replay rows one tick feeds on top of its decode rows (see
@@ -469,12 +455,9 @@ impl<'m> ServeEngine<'m> {
     /// # Panics
     ///
     /// Panics on the shape/mode mismatches
-    /// [`TransformerModel::batch_runner`] rejects, if `max_batch` is 0, if
-    /// `prefix_sharing` is requested under the reservation policy
-    /// (whole-lifetime reservation double-counts shared blocks; sharing
-    /// needs the watermark discipline), or if `cfg.speculative` is set —
-    /// speculation needs a draft model, so it goes through
-    /// [`ServeEngine::new_with_draft`].
+    /// [`TransformerModel::batch_runner`] rejects, if `max_batch` is 0, or
+    /// if `cfg.speculative` is set — speculation needs a draft model, so it
+    /// goes through [`ServeEngine::new_with_draft`].
     pub fn new(model: &'m TransformerModel, packed: &'m PackedWeights, cfg: ServeConfig) -> Self {
         assert!(
             cfg.speculative.is_none(),
@@ -496,10 +479,8 @@ impl<'m> ServeEngine<'m> {
     /// # Panics
     ///
     /// Panics on everything [`ServeEngine::new`] rejects, plus: a missing
-    /// `cfg.speculative`, `draft_k == 0`, a draft/target vocabulary
-    /// mismatch, or a non-watermark admission policy (whole-lifetime
-    /// reservation cannot account the transient blocks a rolled-back
-    /// verify round holds).
+    /// `cfg.speculative`, `draft_k == 0`, or a draft/target vocabulary
+    /// mismatch.
     pub fn new_with_draft(
         model: &'m TransformerModel,
         packed: &'m PackedWeights,
@@ -514,11 +495,6 @@ impl<'m> ServeEngine<'m> {
         assert_eq!(
             model.config.vocab, draft_model.config.vocab,
             "draft and target models must share a vocabulary"
-        );
-        assert!(
-            matches!(cfg.admission, AdmissionPolicy::Watermark { .. }),
-            "speculative decoding requires AdmissionPolicy::Watermark; whole-lifetime \
-             reservation cannot account the transient blocks a rolled-back verify round holds"
         );
         let draft_runner = draft_model.batch_runner(
             draft_packed,
@@ -541,11 +517,7 @@ impl<'m> ServeEngine<'m> {
         cfg: ServeConfig,
     ) -> Self {
         assert!(cfg.max_batch > 0, "max_batch must be at least 1");
-        assert!(
-            !(cfg.prefix_sharing && cfg.admission == AdmissionPolicy::Reserve),
-            "prefix sharing requires AdmissionPolicy::Watermark; whole-lifetime reservation \
-             double-counts shared blocks"
-        );
+        let AdmissionPolicy::Watermark { watermark_blocks } = cfg.admission;
         let runner = model.batch_runner(packed, cfg.act, cfg.kv, cfg.pool_blocks, cfg.block_tokens);
         ServeEngine {
             runner,
@@ -554,36 +526,18 @@ impl<'m> ServeEngine<'m> {
             scheduler: FcfsScheduler::new(),
             active: Vec::new(),
             max_batch: cfg.max_batch,
-            admission: cfg.admission,
+            watermark_blocks,
             prefix_sharing: cfg.prefix_sharing,
             iter: 0,
-            reserved_blocks: 0,
             resume: HashMap::new(),
             admit_counter: 0,
-            completions: Vec::new(),
-            generated_tokens: 0,
-            prompt_tokens: 0,
-            recomputed_tokens: 0,
-            prefix_cached_tokens: 0,
-            prefill_tokens: 0,
-            preemptions: 0,
-            expired_requests: 0,
-            cancelled_requests: 0,
-            poisoned_requests: 0,
-            step_rollbacks: 0,
+            totals: ServeReport::default(),
             consecutive_step_panics: 0,
             ladder: Ladder::default(),
-            busy_iterations: 0,
             occupancy_sum: 0,
-            stepped_rows: 0,
-            logit_rows: 0,
-            kv_only_rows: 0,
-            peak_running: 0,
-            peak_used_blocks: 0,
             vocab: model.config.vocab,
             events_enabled: false,
             events: Vec::new(),
-            breakdown: LatencyBreakdown::default(),
             submit_times: HashMap::new(),
         }
     }
@@ -665,7 +619,7 @@ impl<'m> ServeEngine<'m> {
     /// requests never appear in [`ServeReport::completions`]; they count
     /// in [`ServeReport::cancelled_requests`].
     pub fn cancel(&mut self, id: u64) -> bool {
-        self.remove_request(id, RemoveReason::Cancelled)
+        self.remove_request(id, Leave::Cancel)
     }
 
     /// Cancels an in-flight request because its *wall-clock* deadline
@@ -675,41 +629,108 @@ impl<'m> ServeEngine<'m> {
     /// this entry point is for callers tracking deadlines in a clock the
     /// engine cannot see, like the gateway's `deadline_ms`.)
     pub fn expire(&mut self, id: u64) -> bool {
-        self.remove_request(id, RemoveReason::Expired)
+        self.remove_request(id, Leave::Expire)
     }
 
-    fn remove_request(&mut self, id: u64, reason: RemoveReason) -> bool {
-        let found = if self.scheduler.remove(id).is_some() {
-            // A queued request may also carry preemption resume state.
-            self.resume.remove(&id);
-            true
+    /// Takes request `id` out of the waiting queue or the batch for the
+    /// terminal reason `how`; `false` when it is in neither.
+    fn remove_request(&mut self, id: u64, how: Leave) -> bool {
+        if self.scheduler.remove(id).is_some() {
+            self.note_exit(id, how);
         } else if let Some(idx) = self.active.iter().position(|s| s.req.id == id) {
-            let s = self.active.remove(idx);
-            self.runner.end_session(s.sid);
-            if let (Some(d), Some(dsid)) = (self.draft.as_mut(), s.draft_sid) {
-                d.runner.end_session(dsid);
-            }
-            self.reserved_blocks -= s.reserved;
-            true
+            self.retire(idx, how);
         } else {
-            false
-        };
-        if found {
-            self.submit_times.remove(&id);
-            match reason {
-                RemoveReason::Expired => {
-                    self.expired_requests += 1;
-                    mant_trace::counter("requests.expired", 1);
-                    self.push_event(EngineEvent::Expired { id });
-                }
-                RemoveReason::Cancelled => {
-                    self.cancelled_requests += 1;
-                    mant_trace::counter("requests.cancelled", 1);
-                    self.push_event(EngineEvent::Cancelled { id });
-                }
-            }
+            return false;
         }
-        found
+        true
+    }
+
+    /// The one way out of the batch: takes sequence `idx` off `active`, ends
+    /// its session on both runners — every block it held, its share of
+    /// copy-on-write prefix blocks included, returns to the pools — and does
+    /// what `how` asks. A finished request becomes a [`Completion`]; a
+    /// rolled-back or preempted one is requeued with its progress carried, so
+    /// readmission replays (never re-emits) every token produced so far and
+    /// the stream stays byte-identical; the rest are dropped.
+    fn retire(&mut self, idx: usize, how: Leave) {
+        let s = self.active.remove(idx);
+        self.runner.end_session(s.sid);
+        if let (Some(d), Some(dsid)) = (self.draft.as_mut(), s.draft_sid) {
+            d.runner.end_session(dsid);
+        }
+        let id = s.req.id;
+        match how {
+            Leave::Finish => {
+                if let Some(t0) = self.submit_times.get(&id) {
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    self.totals.breakdown.e2e.record(ns);
+                    mant_trace::sample("e2e", ns);
+                }
+                self.totals.completions.push(Completion {
+                    id,
+                    prompt_len: s.req.prompt.len(),
+                    tokens: s.generated,
+                    arrival_iter: s.req.arrival_iter,
+                    admitted_iter: s.admitted_iter,
+                    first_token_iter: s.first_token_iter.expect("finished implies first token"),
+                    finish_iter: self.iter,
+                });
+            }
+            Leave::RollBack | Leave::Preempt => {
+                self.resume.insert(
+                    id,
+                    ResumeState {
+                        generated: s.generated,
+                        prompt_fed: s.prompt_fed,
+                        first_token_iter: s.first_token_iter,
+                        admitted_iter: s.admitted_iter,
+                    },
+                );
+                self.scheduler
+                    .submit(s.req)
+                    .expect("a running request was valid at first submission");
+            }
+            Leave::Cancel | Leave::Expire | Leave::Poison => {}
+        }
+        self.note_exit(id, how);
+    }
+
+    /// The bookkeeping of an exit, for a running sequence ([`Self::retire`])
+    /// or a queued request alike: one counter and trace counter per reason,
+    /// and for a terminal one the event its caller streams and the end of
+    /// the request's carry state and submission instant.
+    fn note_exit(&mut self, id: u64, how: Leave) {
+        let t = &mut self.totals;
+        let (count, label, event) = match how {
+            // Counted by its `Completion`.
+            Leave::Finish => (None, "requests.done", Some(EngineEvent::Finished { id })),
+            Leave::Cancel => (
+                Some(&mut t.cancelled_requests),
+                "requests.cancelled",
+                Some(EngineEvent::Cancelled { id }),
+            ),
+            Leave::Expire => (
+                Some(&mut t.expired_requests),
+                "requests.expired",
+                Some(EngineEvent::Expired { id }),
+            ),
+            Leave::Poison => (
+                Some(&mut t.poisoned_requests),
+                "requests.poisoned",
+                Some(EngineEvent::Poisoned { id }),
+            ),
+            Leave::RollBack => (Some(&mut t.step_rollbacks), "step.rollbacks", None),
+            Leave::Preempt => (Some(&mut t.preemptions), "preemptions", None),
+        };
+        if let Some(count) = count {
+            *count += 1;
+        }
+        mant_trace::counter(label, 1);
+        if let Some(event) = event {
+            self.resume.remove(&id);
+            self.submit_times.remove(&id);
+            self.push_event(event);
+        }
     }
 
     /// Enforces engine-clock deadlines ([`GenRequest::deadline_iter`]):
@@ -727,11 +748,7 @@ impl<'m> ServeEngine<'m> {
         #[cfg(not(feature = "fault-inject"))]
         let sweep_iter = self.iter;
         for req in self.scheduler.take_expired(sweep_iter) {
-            self.resume.remove(&req.id);
-            self.submit_times.remove(&req.id);
-            self.expired_requests += 1;
-            mant_trace::counter("requests.expired", 1);
-            self.push_event(EngineEvent::Expired { id: req.id });
+            self.note_exit(req.id, Leave::Expire);
         }
         let due: Vec<u64> = self
             .active
@@ -740,7 +757,7 @@ impl<'m> ServeEngine<'m> {
             .map(|s| s.req.id)
             .collect();
         for id in due {
-            self.remove_request(id, RemoveReason::Expired);
+            self.remove_request(id, Leave::Expire);
         }
     }
 
@@ -815,8 +832,8 @@ impl<'m> ServeEngine<'m> {
     /// iteration. With
     /// nothing runnable, the clock still advances by one (an idle
     /// iteration). Busy ticks record their phase timings into the
-    /// always-on [`LatencyBreakdown`] and, when global tracing is enabled,
-    /// emit the matching `tick.*` spans.
+    /// always-on [`ServeReport::breakdown`] and, when global tracing is
+    /// enabled, emit the matching `tick.*` spans.
     pub fn tick(&mut self) -> usize {
         let t_tick = Instant::now();
         self.expire_due();
@@ -826,17 +843,15 @@ impl<'m> ServeEngine<'m> {
         // verdict below applies from the next tick, or a release would plan
         // longer rounds than the pressure valve just made room for.
         let rung = self.ladder.rung;
-        let preempted_before = self.preemptions;
-        if let AdmissionPolicy::Watermark { .. } = self.admission {
-            self.relieve_pressure(rung);
-        }
+        let preempted_before = self.totals.preemptions;
+        self.relieve_pressure(rung);
         // Degradation-ladder verdict for this tick: pressured when the
         // pool just had to preempt or the free list is nearly drained,
         // relaxed only once it has clearly recovered. Updated before the
         // idle early-exit so a drained engine walks back down the ladder.
         let free_frac = self.runner.pool().free_blocks() as f64
             / self.runner.pool().total_blocks().max(1) as f64;
-        let preempted_now = self.preemptions > preempted_before;
+        let preempted_now = self.totals.preemptions > preempted_before;
         self.ladder.update(
             preempted_now || free_frac < LADDER_ENGAGE_FRAC,
             !preempted_now && free_frac > LADDER_RELEASE_FRAC,
@@ -845,7 +860,7 @@ impl<'m> ServeEngine<'m> {
         // Sampled after the pressure valve, so a sequence admitted and
         // preempted in the same tick (which never ran a step) does not
         // inflate the concurrency peak.
-        self.peak_running = self.peak_running.max(self.active.len());
+        self.totals.peak_running = self.totals.peak_running.max(self.active.len());
         if self.active.is_empty() {
             self.iter += 1;
             return 0;
@@ -904,13 +919,11 @@ impl<'m> ServeEngine<'m> {
             "the planned runs need more blocks than the pressure valve left free"
         );
         let t_composed = Instant::now();
-        // Sequences leaving the batch this tick for a reason other than
-        // finishing: quarantined after a panic (blocks released, request
-        // dead) or rolled back to the queue (blocks released, request
-        // requeued for byte-identical recompute). Collected here, removed
-        // back-to-front at tick end so indices stay valid throughout.
-        let mut poisoned: Vec<usize> = Vec::new();
-        let mut rolled_back: Vec<usize> = Vec::new();
+        // Sequences leaving the batch this tick, and why: finished, or — the
+        // whole stepped batch at once — rolled back or quarantined after a
+        // panic. In `active` order, as `plan` is; retired back-to-front at
+        // tick end so indices stay valid throughout.
+        let mut leaving: Vec<(usize, Leave)> = Vec::new();
         // The step — draft passes, then the one target pass — mutates every
         // session it feeds as it goes, so a panic inside it cannot be
         // retried per-sequence: recovery is a whole-batch rollback through
@@ -918,8 +931,7 @@ impl<'m> ServeEngine<'m> {
         // runners, requests requeued, tokens recomputed byte-identically on
         // readmission). A *persistent* panic would turn that into a
         // livelock, so after a few consecutive failures the batch is
-        // quarantined instead. The reservation policy cannot requeue with
-        // carried progress, so it quarantines immediately.
+        // quarantined instead.
         let mut draft_ns = 0u64;
         let step_result = {
             let (runner, active) = (&mut self.runner, &self.active);
@@ -951,31 +963,28 @@ impl<'m> ServeEngine<'m> {
             Err(_) => {
                 self.consecutive_step_panics += 1;
                 mant_trace::counter("step.panics", 1);
-                let can_roll_back = matches!(self.admission, AdmissionPolicy::Watermark { .. });
-                let stepped = plan.iter().map(|&(i, _, _)| i);
-                if can_roll_back && self.consecutive_step_panics < STEP_PANIC_QUARANTINE_AFTER {
-                    rolled_back.extend(stepped);
+                let how = if self.consecutive_step_panics < STEP_PANIC_QUARANTINE_AFTER {
+                    Leave::RollBack
                 } else {
-                    poisoned.extend(stepped);
                     self.consecutive_step_panics = 0;
-                }
+                    Leave::Poison
+                };
                 // The batch's sequences neither emit nor finish this tick:
                 // no run is advanced, they are already marked to leave.
-                plan.clear();
+                leaving.extend(plan.drain(..).map(|(i, _, _)| (i, how)));
                 Vec::new()
             }
         };
         let t_stepped = Instant::now();
         self.iter += 1;
-        self.busy_iterations += 1;
-        self.peak_used_blocks = self.peak_used_blocks.max(self.runner.pool().used_blocks());
+        self.totals.busy_iterations += 1;
+        self.totals.peak_used_blocks = self.totals.peak_used_blocks.max(self.used_blocks());
 
         let mut produced = 0usize;
         let mut stepped_rows = 0usize;
         let mut logit_rows = 0usize;
         let mut kv_only_rows = 0usize;
         let mut rollback_ns = 0u64;
-        let mut finished: Vec<usize> = Vec::new();
         let mut first_tokens: Vec<u64> = Vec::new();
         let mut token_events: Vec<EngineEvent> = Vec::new();
         let mut logits = logits.into_iter();
@@ -991,8 +1000,8 @@ impl<'m> ServeEngine<'m> {
             if fresh > 0 {
                 s.prompt_fed = end.min(prompt_len);
             }
-            self.prompt_tokens += fresh;
-            self.recomputed_tokens += end.min(s.replay_until).saturating_sub(start) - fresh;
+            self.totals.prompt_tokens += fresh;
+            self.totals.recomputed_tokens += end.min(s.replay_until).saturating_sub(start) - fresh;
             // The rest of the run's rows left the last layer after their K/V
             // were cached.
             let read = s.logit_rows(len, verify);
@@ -1024,12 +1033,13 @@ impl<'m> ServeEngine<'m> {
                 }
             }
             produced += emitted;
-            self.generated_tokens += emitted;
+            self.totals.generated_tokens += emitted;
             s.pos = end;
             if verify {
                 self.spec.rounds += 1;
                 self.spec.drafted += len as u64;
                 self.spec.accepted += accepted;
+                self.spec.emitted += emitted as u64;
                 mant_trace::counter("spec.drafted", len as u64);
                 mant_trace::counter("spec.accepted", accepted);
                 if emitted < len {
@@ -1049,7 +1059,7 @@ impl<'m> ServeEngine<'m> {
                 }
             }
             if s.generated.len() == s.req.max_new_tokens {
-                finished.push(i);
+                leaving.push((i, Leave::Finish));
             }
             if self.prefix_sharing && s.pos <= prompt_len && s.pos.is_multiple_of(bt) {
                 // Prefill just reached a block boundary (a run never
@@ -1074,109 +1084,27 @@ impl<'m> ServeEngine<'m> {
         for id in first_tokens {
             if let Some(t0) = self.submit_times.get(&id) {
                 let ns = t0.elapsed().as_nanos() as u64;
-                self.breakdown.ttft.record(ns);
+                self.totals.breakdown.ttft.record(ns);
                 mant_trace::sample("ttft", ns);
             }
         }
-        // Retire back-to-front so indices stay valid. Finished, poisoned,
-        // and rolled-back sequences are disjoint (a panicked step emits no
-        // tokens, so its sequences cannot have finished) and all release
-        // their sessions' blocks on both pools here.
-        #[derive(Clone, Copy, PartialEq, Eq)]
-        enum Leave {
-            Finish,
-            Poison,
-            RollBack,
-        }
-        let mut leaving: Vec<(usize, Leave)> = finished
-            .iter()
-            .map(|&i| (i, Leave::Finish))
-            .chain(poisoned.iter().map(|&i| (i, Leave::Poison)))
-            .chain(rolled_back.iter().map(|&i| (i, Leave::RollBack)))
-            .collect();
-        leaving.sort_unstable_by_key(|&(i, _)| i);
         for &(i, how) in leaving.iter().rev() {
-            let s = self.active.remove(i);
-            self.runner.end_session(s.sid);
-            if let (Some(d), Some(dsid)) = (self.draft.as_mut(), s.draft_sid) {
-                d.runner.end_session(dsid);
-            }
-            self.reserved_blocks -= s.reserved;
-            match how {
-                Leave::Finish => {
-                    if let Some(t0) = self.submit_times.remove(&s.req.id) {
-                        let ns = t0.elapsed().as_nanos() as u64;
-                        self.breakdown.e2e.record(ns);
-                        mant_trace::sample("e2e", ns);
-                    }
-                    mant_trace::counter("requests.done", 1);
-                    self.push_event(EngineEvent::Finished { id: s.req.id });
-                    self.completions.push(Completion {
-                        id: s.req.id,
-                        prompt_len: s.req.prompt.len(),
-                        tokens: s.generated,
-                        arrival_iter: s.req.arrival_iter,
-                        admitted_iter: s.admitted_iter,
-                        first_token_iter: s.first_token_iter.expect("finished implies first token"),
-                        finish_iter: self.iter,
-                    });
-                }
-                Leave::Poison => {
-                    self.submit_times.remove(&s.req.id);
-                    self.resume.remove(&s.req.id);
-                    self.poisoned_requests += 1;
-                    mant_trace::counter("requests.poisoned", 1);
-                    self.push_event(EngineEvent::Poisoned { id: s.req.id });
-                }
-                Leave::RollBack => {
-                    // The preemption path: carry progress so readmission
-                    // replays (not re-emits) every token produced so far,
-                    // keeping the stream byte-identical.
-                    self.step_rollbacks += 1;
-                    mant_trace::counter("step.rollbacks", 1);
-                    self.resume.insert(
-                        s.req.id,
-                        ResumeState {
-                            generated: s.generated,
-                            prompt_fed: s.prompt_fed,
-                            first_token_iter: s.first_token_iter,
-                            admitted_iter: s.admitted_iter,
-                        },
-                    );
-                    self.scheduler
-                        .submit(s.req)
-                        .expect("a running request was valid at first submission");
-                }
-            }
+            self.retire(i, how);
         }
         let t_advanced = Instant::now();
-        note_phase(&mut self.breakdown.expire, "tick.expire", t_tick, t_expired);
-        note_phase(
-            &mut self.breakdown.admit,
-            "tick.admit",
-            t_expired,
-            t_admitted,
-        );
-        note_phase(
-            &mut self.breakdown.compose,
-            "tick.compose",
-            t_admitted,
-            t_composed,
-        );
-        note_phase(&mut self.breakdown.step, "tick.step", t_composed, t_stepped);
-        note_phase(
-            &mut self.breakdown.advance,
-            "tick.advance",
-            t_stepped,
-            t_advanced,
-        );
-        note_phase(&mut self.breakdown.tick, "tick", t_tick, t_advanced);
+        let b = &mut self.totals.breakdown;
+        note_phase(&mut b.expire, "tick.expire", t_tick, t_expired);
+        note_phase(&mut b.admit, "tick.admit", t_expired, t_admitted);
+        note_phase(&mut b.compose, "tick.compose", t_admitted, t_composed);
+        note_phase(&mut b.step, "tick.step", t_composed, t_stepped);
+        note_phase(&mut b.advance, "tick.advance", t_stepped, t_advanced);
+        note_phase(&mut b.tick, "tick", t_tick, t_advanced);
         if produced > 0 {
             mant_trace::counter("tokens.generated", produced as u64);
         }
-        self.stepped_rows += stepped_rows;
-        self.logit_rows += logit_rows;
-        self.kv_only_rows += kv_only_rows;
+        self.totals.stepped_rows += stepped_rows;
+        self.totals.logit_rows += logit_rows;
+        self.totals.kv_only_rows += kv_only_rows;
         mant_trace::counter("rows.stepped", stepped_rows as u64);
         mant_trace::counter("rows.logits", logit_rows as u64);
         mant_trace::counter("rows.kv_only", kv_only_rows as u64);
@@ -1212,32 +1140,15 @@ impl<'m> ServeEngine<'m> {
     /// counting them, so the transport layer adds its own sheds.
     pub fn report(&self, wall_seconds: f64) -> ServeReport {
         ServeReport {
-            completions: self.completions.clone(),
             iterations: self.iter,
-            busy_iterations: self.busy_iterations,
             wall_seconds,
-            generated_tokens: self.generated_tokens,
-            prompt_tokens: self.prompt_tokens,
-            mean_batch_occupancy: self.occupancy_sum as f64 / self.busy_iterations.max(1) as f64,
-            stepped_rows: self.stepped_rows,
-            logit_rows: self.logit_rows,
-            kv_only_rows: self.kv_only_rows,
-            peak_running: self.peak_running,
-            peak_used_blocks: self.peak_used_blocks,
-            preemptions: self.preemptions,
-            recomputed_tokens: self.recomputed_tokens,
-            prefix_cached_tokens: self.prefix_cached_tokens,
-            prefill_tokens: self.prefill_tokens,
-            expired_requests: self.expired_requests,
-            cancelled_requests: self.cancelled_requests,
-            poisoned_requests: self.poisoned_requests,
-            step_rollbacks: self.step_rollbacks,
-            degradation: self.ladder.stats(),
-            rejected_requests: 0,
+            mean_batch_occupancy: self.occupancy_sum as f64
+                / self.totals.busy_iterations.max(1) as f64,
             pool_blocks: self.runner.pool().total_blocks(),
             block_bits: self.runner.pool().block_bits(),
-            breakdown: self.breakdown.clone(),
+            degradation: self.ladder.stats(),
             speculation: self.draft.as_ref().map(|_| self.spec.clone()),
+            ..self.totals.clone()
         }
     }
 
@@ -1247,160 +1158,128 @@ impl<'m> ServeEngine<'m> {
     fn note_queue_wait(&mut self, id: u64) {
         if let Some(t0) = self.submit_times.get(&id) {
             let ns = t0.elapsed().as_nanos() as u64;
-            self.breakdown.queue_wait.record(ns);
+            self.totals.breakdown.queue_wait.record(ns);
             mant_trace::sample("queue_wait", ns);
         }
     }
 
-    /// FCFS admission under the configured policy (head-of-line: a
-    /// request that does not fit yet is waited for, never skipped).
+    /// FCFS admission under the watermark (head-of-line: a request that
+    /// does not fit yet is waited for, never skipped).
     fn admit(&mut self) {
         while self.active.len() < self.effective_max_batch() {
             let Some(candidate) = self.scheduler.peek_ready(self.iter) else {
                 break;
             };
-            match self.admission {
-                AdmissionPolicy::Reserve => {
-                    let need = self.runner.blocks_for_request(candidate.total_tokens());
-                    if self.reserved_blocks + need > self.runner.pool().total_blocks() {
-                        break; // wait for blocks, never skip ahead
-                    }
-                    let req = self.scheduler.pop().expect("peeked above");
-                    self.note_queue_wait(req.id);
-                    let sid = self.runner.create_session();
-                    self.reserved_blocks += need;
-                    self.prefill_tokens += req.prompt.len();
-                    self.admit_counter += 1;
-                    self.active.push(ActiveSeq {
-                        sid,
-                        // Speculation requires the watermark policy, so a
-                        // reservation-policy engine never has a draft.
-                        draft_sid: None,
-                        pos: 0,
-                        generated: Vec::new(),
-                        replay_until: req.prompt.len(),
-                        prompt_fed: 0,
-                        first_token_iter: None,
-                        admitted_iter: self.iter,
-                        admit_seq: self.admit_counter,
-                        reserved: need,
-                        req,
-                    });
-                }
-                AdmissionPolicy::Watermark { watermark_blocks } => {
-                    // The feed stream a (re)admission must have cached
-                    // before producing new tokens: the prompt, plus any
-                    // generated tokens carried over a preemption.
-                    let carried = self
-                        .resume
+            // The feed stream a (re)admission must have cached before
+            // producing new tokens: the prompt, plus any generated tokens
+            // carried over a preemption.
+            let carried = self
+                .resume
+                .get(&candidate.id)
+                .map_or(0, |r| r.generated.len());
+            let feed_len = candidate.prompt.len() + carried;
+            // Only the first feed_len - 1 tokens are shareable: the last
+            // token must be stepped to yield logits.
+            let lookup: Vec<usize> = candidate
+                .prompt
+                .iter()
+                .copied()
+                .chain(
+                    self.resume
                         .get(&candidate.id)
-                        .map_or(0, |r| r.generated.len());
-                    let feed_len = candidate.prompt.len() + carried;
-                    // Only the first feed_len - 1 tokens are shareable:
-                    // the last token must be stepped to yield logits.
-                    let lookup: Vec<usize> = candidate
-                        .prompt
-                        .iter()
-                        .copied()
-                        .chain(
-                            self.resume
-                                .get(&candidate.id)
-                                .into_iter()
-                                .flat_map(|r| r.generated.iter().copied()),
-                        )
-                        .take(feed_len - 1)
-                        .collect();
-                    let shared = if self.prefix_sharing {
-                        self.runner.cached_prefix_len(&lookup)
-                    } else {
-                        0
-                    };
-                    let need = self.runner.blocks_for_request(feed_len)
-                        - self.runner.blocks_for_request(shared);
-                    let free = self.runner.pool().free_blocks();
-                    // With speculation, the draft pool must clear the same
-                    // discipline (its per-request demand is smaller — fewer
-                    // layers — but it is a separate pool).
-                    let draft_fits = self.draft.as_ref().is_none_or(|d| {
-                        let d_need = d.runner.blocks_for_request(feed_len)
-                            - d.runner.blocks_for_request(shared);
-                        let d_free = d.runner.pool().free_blocks();
-                        d_free >= d_need + watermark_blocks
-                            || (self.active.is_empty() && d_free >= d_need)
-                    });
-                    let admissible = (free >= need + watermark_blocks
-                        || (self.active.is_empty() && free >= need))
-                        && draft_fits;
-                    if !admissible {
-                        // With nothing running, snapshots are the only
-                        // holders: drop them until the head fits (the
-                        // submit-time sizing check guarantees it will).
-                        if self.active.is_empty() {
-                            assert!(
-                                self.evict_lru_prefix_everywhere(),
-                                "head request needs {need} blocks but only {free} exist and \
-                                 nothing holds the rest; submit-time sizing should prevent this"
-                            );
-                            continue; // re-evaluate (the hit may be gone)
-                        }
-                        break;
-                    }
-                    let req = self.scheduler.pop().expect("peeked above");
-                    if !self.resume.contains_key(&req.id) {
-                        // First admission only: a readmission after
-                        // preemption is not queueing delay.
-                        self.note_queue_wait(req.id);
-                    }
-                    let prefix_sharing = self.prefix_sharing;
-                    let (sid, cached) = if prefix_sharing {
-                        self.runner.create_session_with_prefix(&lookup)
-                    } else {
-                        (self.runner.create_session(), 0)
-                    };
-                    debug_assert_eq!(cached, shared);
-                    let draft_sid = self.draft.as_mut().map(|d| {
-                        if prefix_sharing {
-                            let (dsid, d_cached) = d.runner.create_session_with_prefix(&lookup);
-                            debug_assert_eq!(
-                                d_cached, cached,
-                                "draft prefix cache diverged from the target's"
-                            );
-                            dsid
-                        } else {
-                            d.runner.create_session()
-                        }
-                    });
-                    let carry = self.resume.remove(&req.id);
-                    self.prefill_tokens += feed_len;
-                    self.prefix_cached_tokens += cached;
-                    self.admit_counter += 1;
-                    self.active.push(ActiveSeq {
-                        sid,
-                        draft_sid,
-                        pos: cached,
-                        generated: carry
-                            .as_ref()
-                            .map_or_else(Vec::new, |r| r.generated.clone()),
-                        replay_until: feed_len,
-                        prompt_fed: carry.as_ref().map_or(0, |r| r.prompt_fed),
-                        first_token_iter: carry.as_ref().and_then(|r| r.first_token_iter),
-                        admitted_iter: carry.as_ref().map_or(self.iter, |r| r.admitted_iter),
-                        admit_seq: self.admit_counter,
-                        reserved: 0,
-                        req,
-                    });
+                        .into_iter()
+                        .flat_map(|r| r.generated.iter().copied()),
+                )
+                .take(feed_len - 1)
+                .collect();
+            let shared = if self.prefix_sharing {
+                self.runner.cached_prefix_len(&lookup)
+            } else {
+                0
+            };
+            let need =
+                self.runner.blocks_for_request(feed_len) - self.runner.blocks_for_request(shared);
+            let free = self.runner.pool().free_blocks();
+            // With speculation, the draft pool must clear the same
+            // discipline (its per-request demand is smaller — fewer layers —
+            // but it is a separate pool).
+            let draft_fits = self.draft.as_ref().is_none_or(|d| {
+                let d_need =
+                    d.runner.blocks_for_request(feed_len) - d.runner.blocks_for_request(shared);
+                let d_free = d.runner.pool().free_blocks();
+                d_free >= d_need + self.watermark_blocks
+                    || (self.active.is_empty() && d_free >= d_need)
+            });
+            let admissible = (free >= need + self.watermark_blocks
+                || (self.active.is_empty() && free >= need))
+                && draft_fits;
+            if !admissible {
+                // With nothing running, snapshots are the only holders: drop
+                // them until the head fits (the submit-time sizing check
+                // guarantees it will).
+                if self.active.is_empty() {
+                    assert!(
+                        self.evict_lru_prefix_everywhere(),
+                        "head request needs {need} blocks but only {free} exist and \
+                         nothing holds the rest; submit-time sizing should prevent this"
+                    );
+                    continue; // re-evaluate (the hit may be gone)
                 }
+                break;
             }
+            let req = self.scheduler.pop().expect("peeked above");
+            if !self.resume.contains_key(&req.id) {
+                // First admission only: a readmission after preemption is
+                // not queueing delay.
+                self.note_queue_wait(req.id);
+            }
+            let prefix_sharing = self.prefix_sharing;
+            let (sid, cached) = if prefix_sharing {
+                self.runner.create_session_with_prefix(&lookup)
+            } else {
+                (self.runner.create_session(), 0)
+            };
+            debug_assert_eq!(cached, shared);
+            let draft_sid = self.draft.as_mut().map(|d| {
+                if prefix_sharing {
+                    let (dsid, d_cached) = d.runner.create_session_with_prefix(&lookup);
+                    debug_assert_eq!(
+                        d_cached, cached,
+                        "draft prefix cache diverged from the target's"
+                    );
+                    dsid
+                } else {
+                    d.runner.create_session()
+                }
+            });
+            let carry = self.resume.remove(&req.id);
+            self.totals.prefill_tokens += feed_len;
+            self.totals.prefix_cached_tokens += cached;
+            self.admit_counter += 1;
+            self.active.push(ActiveSeq {
+                sid,
+                draft_sid,
+                pos: cached,
+                generated: carry
+                    .as_ref()
+                    .map_or_else(Vec::new, |r| r.generated.clone()),
+                replay_until: feed_len,
+                prompt_fed: carry.as_ref().map_or(0, |r| r.prompt_fed),
+                first_token_iter: carry.as_ref().and_then(|r| r.first_token_iter),
+                admitted_iter: carry.as_ref().map_or(self.iter, |r| r.admitted_iter),
+                admit_seq: self.admit_counter,
+                req,
+            });
         }
     }
 
-    /// Watermark-policy pressure valve, run before every step: if the
-    /// iteration's block demand (boundary allocations + copy-on-write)
-    /// exceeds the free list, drop prefix snapshots first — they are pure
-    /// cache — then preempt the youngest running sequence: release its
-    /// blocks, requeue the request, and recompute its tokens on
-    /// readmission (byte-identical by determinism). The oldest sequence
-    /// is never preempted, so the engine always makes progress.
+    /// The pressure valve, run before every step: if the iteration's block
+    /// demand (boundary allocations + copy-on-write) exceeds the free list,
+    /// drop prefix snapshots first — they are pure cache — then preempt the
+    /// youngest running sequence: release its blocks, requeue the request,
+    /// and recompute its tokens on readmission (byte-identical by
+    /// determinism). The oldest sequence is never preempted, so the engine
+    /// always makes progress.
     fn relieve_pressure(&mut self, rung: u8) {
         loop {
             // Per-sequence demand for the run each will actually take this
@@ -1418,7 +1297,10 @@ impl<'m> ServeEngine<'m> {
                 "a lone running sequence exhausted the pool; submit-time sizing should \
                  prevent this"
             );
-            self.preempt_youngest();
+            let youngest = (0..self.active.len())
+                .max_by_key(|&i| self.active[i].admit_seq)
+                .expect("more than one sequence is running");
+            self.retire(youngest, Leave::Preempt);
         }
     }
 
@@ -1488,38 +1370,6 @@ impl<'m> ServeEngine<'m> {
             debug_assert_eq!(d_evicted, evicted, "draft prefix cache diverged");
         }
         evicted
-    }
-
-    /// Evicts the most recently admitted sequence and requeues its
-    /// request with its progress carried, so readmission resumes the
-    /// exact same token stream.
-    fn preempt_youngest(&mut self) {
-        let idx = self
-            .active
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.admit_seq)
-            .map(|(i, _)| i)
-            .expect("caller checked active is non-empty");
-        let s = self.active.remove(idx);
-        self.runner.end_session(s.sid);
-        if let (Some(d), Some(dsid)) = (self.draft.as_mut(), s.draft_sid) {
-            d.runner.end_session(dsid);
-        }
-        self.preemptions += 1;
-        mant_trace::counter("preemptions", 1);
-        self.resume.insert(
-            s.req.id,
-            ResumeState {
-                generated: s.generated,
-                prompt_fed: s.prompt_fed,
-                first_token_iter: s.first_token_iter,
-                admitted_iter: s.admitted_iter,
-            },
-        );
-        self.scheduler
-            .submit(s.req)
-            .expect("a running request was valid at first submission");
     }
 }
 
@@ -1593,8 +1443,155 @@ pub fn sequential_generate(
 
 #[cfg(test)]
 mod tests {
-    use super::window_cap;
+    use super::*;
+    use crate::request::requests_from_shared_trace;
+    use mant_model::{synthesize_speculative_pair, DraftConfig, ModelConfig};
+    use mant_sim::{shared_prefix_trace, LengthDist, SharedPrefixConfig};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Conservation and drain — what [`ServeEngine::retire`] owns. One seeded
+    /// run with a draft model, prefix sharing and a pool tight enough to
+    /// preempt, in which requests finish, are cancelled (running and
+    /// queued), expire by `deadline_iter` and are preempted — and, with
+    /// fault injection, three consecutive `batch.step` panics roll the batch
+    /// back twice and then quarantine it. Every accepted request ends exactly
+    /// one way, nothing is left pending, and once the prefix cache is dropped
+    /// both pools are all free.
+    #[test]
+    fn every_request_leaves_exactly_one_way_and_both_pools_drain() {
+        const SEED: u64 = 24;
+        let cfg = ModelConfig::sim_llama();
+        let draft_cfg = DraftConfig {
+            layers: 1,
+            tail_block_ratio: 0.02,
+        };
+        let (target, draft) = synthesize_speculative_pair(&cfg, SEED, &draft_cfg);
+        let packed = target.pack_weights(64).unwrap();
+        let draft_packed = draft.pack_weights(64).unwrap();
+        let shared_cfg = SharedPrefixConfig {
+            personas: 2,
+            requests_per_persona: 6,
+            system_prompt_len: 16,
+            persona_prompt_len: 0,
+            unique_prompt_len: LengthDist::Uniform { lo: 1, hi: 4 },
+            output: LengthDist::Fixed(20),
+            arrivals_per_iter: 0.3,
+            seed: SEED,
+        };
+        let trace = shared_prefix_trace(&shared_cfg);
+        let mut requests = requests_from_shared_trace(&shared_cfg, &trace, cfg.vocab, SEED ^ 1);
+        // A quarter of the requests cannot make their deadline.
+        for r in requests.iter_mut().skip(1).step_by(4) {
+            r.deadline_iter = Some(r.arrival_iter + 10);
+        }
+        // A 40-token lifetime is 3 blocks in each of the target's 2 layers:
+        // four lanes want 24 of the pool's 14.
+        let mut engine = ServeEngine::new_with_draft(
+            &target,
+            &packed,
+            &draft,
+            &draft_packed,
+            ServeConfig {
+                max_batch: 4,
+                pool_blocks: 14,
+                block_tokens: 16,
+                act: ActMode::None,
+                kv: KvMode::Int4 { group: 16 },
+                admission: AdmissionPolicy::Watermark {
+                    watermark_blocks: 2,
+                },
+                prefix_sharing: true,
+                speculative: Some(SpeculativeConfig { draft_k: 4 }),
+            },
+        );
+        engine.enable_events();
+        let totals = (engine.free_blocks(), engine.draft_free_blocks());
+        for r in &requests {
+            engine.submit(r.clone());
+        }
+        #[cfg(feature = "fault-inject")]
+        mant_trace::fault::install(mant_trace::fault::FaultPlan::new().with_site(
+            mant_trace::fault::site::BATCH_STEP,
+            mant_trace::fault::SiteRule {
+                after: 60,
+                every: 1,
+                limit: 3,
+                payload: 0,
+            },
+        ));
+        let mut ticks = 0;
+        while engine.pending() > 0 && ticks < 10_000 {
+            if ticks == 6 {
+                let running = engine.active.last().expect("a busy tick").req.id;
+                let queued = requests.last().expect("non-empty").id;
+                assert!(
+                    engine.cancel(running) && engine.cancel(queued),
+                    "seed {SEED}"
+                );
+            }
+            engine.tick();
+            ticks += 1;
+        }
+        #[cfg(feature = "fault-inject")]
+        mant_trace::fault::clear();
+
+        let report = engine.report(0.0);
+        let mut outcomes: BTreeMap<u64, EngineEvent> = BTreeMap::new();
+        // Finished, cancelled, expired, poisoned.
+        let mut seen = [0usize; 4];
+        for e in engine.drain_events() {
+            let (id, kind) = match e {
+                EngineEvent::Token { .. } => continue,
+                EngineEvent::Finished { id } => (id, 0),
+                EngineEvent::Cancelled { id } => (id, 1),
+                EngineEvent::Expired { id } => (id, 2),
+                EngineEvent::Poisoned { id } => (id, 3),
+            };
+            seen[kind] += 1;
+            if let Some(first) = outcomes.insert(id, e.clone()) {
+                panic!("seed {SEED}: request {id} left twice: {first:?}, then {e:?}");
+            }
+        }
+        assert_eq!(engine.pending(), 0, "seed {SEED}: hung after {ticks} ticks");
+        assert_eq!(
+            seen,
+            [
+                report.completions.len(),
+                report.cancelled_requests,
+                report.expired_requests,
+                report.poisoned_requests,
+            ],
+            "seed {SEED}: counters disagree with events"
+        );
+        assert_eq!(
+            outcomes.len(),
+            requests.len(),
+            "seed {SEED}: a request vanished"
+        );
+        assert!(
+            !report.completions.is_empty()
+                && report.cancelled_requests == 2
+                && report.expired_requests > 0
+                && report.preemptions > 0
+                && report.prefix_cached_tokens > 0,
+            "seed {SEED}: a way out went unexercised: {report:?}"
+        );
+        #[cfg(feature = "fault-inject")]
+        assert!(
+            report.step_rollbacks > 0 && report.poisoned_requests > 0,
+            "seed {SEED}: {} rollbacks, {} poisoned",
+            report.step_rollbacks,
+            report.poisoned_requests
+        );
+        assert!(engine.submit_times.is_empty() && engine.resume.is_empty());
+        while engine.evict_lru_prefix_everywhere() {}
+        assert_eq!(
+            (engine.free_blocks(), engine.draft_free_blocks()),
+            totals,
+            "seed {SEED}: a pool leaked blocks"
+        );
+    }
 
     proptest! {
         /// The capped round is a round (`>= 1`), no longer than asked for,

@@ -15,11 +15,10 @@
 //!   row of the ragged batch, per-sequence incremental attention over a
 //!   paged, packed, **refcounted copy-on-write** KV-cache pool accounted
 //!   in real packed bits;
-//! - [`AdmissionPolicy`]: whole-lifetime block reservation (a step can
-//!   never exhaust the pool) or vLLM-style watermark admission — blocks
-//!   allocated as tokens arrive, pool pressure relieved by dropping
-//!   prefix snapshots and preempting the youngest sequence (recompute on
-//!   readmission, byte-identical by determinism);
+//! - [`AdmissionPolicy`]: vLLM-style watermark admission, the one
+//!   discipline — blocks allocated as tokens arrive, pool pressure
+//!   relieved by dropping prefix snapshots and preempting the youngest
+//!   sequence (recompute on readmission, byte-identical by determinism);
 //! - **prefix sharing**: with [`ServeConfig::prefix_sharing`], requests
 //!   whose prompts share a block-aligned prefix (a common system prompt)
 //!   map it onto the *same* physical packed blocks and skip that prefill;

@@ -49,9 +49,11 @@ pub struct SpeculationStats {
     pub rounds: u64,
     /// Draft candidate tokens proposed across all rounds.
     pub drafted: u64,
-    /// Candidates the batched verify pass confirmed (always followed by
-    /// one bonus token per round, so emitted tokens = `accepted + rounds`).
+    /// Candidates the batched verify pass confirmed.
     pub accepted: u64,
+    /// Tokens the rounds appended to their streams
+    /// ([`SpeculationStats::emitted_tokens`]).
+    pub(crate) emitted: u64,
     /// Per-tick draft-phase time (the one-row draft passes, batched across
     /// every speculating sequence), ns.
     pub draft_ns: Hist,
@@ -71,10 +73,12 @@ impl SpeculationStats {
         }
     }
 
-    /// Decode tokens emitted by speculative rounds (accepted candidates
-    /// plus one bonus target token per round).
+    /// Decode tokens emitted by speculative rounds: a round's confirmed
+    /// candidates plus the target's own token at the first disagreement —
+    /// a round whose every candidate was confirmed has no such token, its
+    /// last candidate being the last row's.
     pub fn emitted_tokens(&self) -> u64 {
-        self.accepted + self.rounds
+        self.emitted
     }
 }
 
@@ -183,7 +187,7 @@ fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// The outcome of one serving run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServeReport {
     /// Every finished request, in completion order.
     pub completions: Vec<Completion>,

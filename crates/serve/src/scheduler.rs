@@ -1,11 +1,11 @@
 //! FCFS admission queue for the continuous-batching engine.
 //!
 //! Requests wait here until (a) their arrival time has passed, (b) the
-//! running batch has a free lane, and (c) the paged KV pool clears the
-//! engine's admission policy. Admission is strictly first-come-first-served
-//! with head-of-line blocking: a large request that does not fit yet is
-//! *waited for*, not skipped, so no request can be starved by a stream of
-//! small ones.
+//! running batch has a free lane, and (c) the paged KV pool's free list
+//! covers the request's prefill plus the engine's watermark. Admission is
+//! strictly first-come-first-served with head-of-line blocking: a large
+//! request that does not fit yet is *waited for*, not skipped, so no
+//! request can be starved by a stream of small ones.
 //!
 //! Submission is validating: work that can never produce a token — an
 //! empty prompt, `max_new_tokens == 0` — is refused with a typed

@@ -157,7 +157,9 @@ fn check_engine_matches_baseline(cfg: &ModelConfig, seed: u64) {
             block_tokens: 64,
             act,
             kv,
-            admission: AdmissionPolicy::Reserve,
+            admission: AdmissionPolicy::Watermark {
+                watermark_blocks: 4,
+            },
             prefix_sharing: false,
             speculative: None,
         },
@@ -201,8 +203,8 @@ fn engine_matches_sequential_baseline_sim_llama_large() {
 }
 
 /// A pool too small for every request at once throttles admission instead
-/// of failing: all requests still complete, peak block usage respects the
-/// reservation discipline, and outputs stay exact.
+/// of failing: all requests still complete, block usage stays inside the
+/// pool, and outputs stay exact.
 #[test]
 fn tight_pool_throttles_admission_but_stays_exact() {
     let cfg = ModelConfig::sim_llama();
@@ -220,7 +222,7 @@ fn tight_pool_throttles_admission_but_stays_exact() {
             deadline_iter: None,
         })
         .collect();
-    // Each request needs layers(2) × ⌈9/64⌉ = 2 blocks; 5 blocks admit at
+    // Each request needs layers(2) × ⌈9/64⌉ = 2 blocks; 5 blocks hold at
     // most 2 at a time even though max_batch is 4.
     let mut engine = ServeEngine::new(
         &model,
@@ -231,7 +233,9 @@ fn tight_pool_throttles_admission_but_stays_exact() {
             block_tokens: 64,
             act: ActMode::None,
             kv,
-            admission: AdmissionPolicy::Reserve,
+            admission: AdmissionPolicy::Watermark {
+                watermark_blocks: 1,
+            },
             prefix_sharing: false,
             speculative: None,
         },
@@ -241,8 +245,7 @@ fn tight_pool_throttles_admission_but_stays_exact() {
     }
     let report = engine.run_to_completion();
     assert_eq!(report.completions.len(), 4);
-    assert!(report.peak_used_blocks <= 4, "{}", report.peak_used_blocks);
-    assert!(report.mean_batch_occupancy <= 2.0 + 1e-9);
+    assert!(report.peak_used_blocks <= 5, "{}", report.peak_used_blocks);
     let (baseline, _) = sequential_generate(&model, &packed, ActMode::None, kv, &requests);
     for c in &report.completions {
         assert_eq!(c.tokens, baseline[c.id as usize]);
@@ -771,6 +774,18 @@ fn speculative_high_agreement_accepts_most_candidates() {
         spec.accepted,
         spec.drafted
     );
+    // A plain run's one logit row emits one token and a verify run reads a
+    // row per candidate, so what the plain rows did not emit the rounds did.
+    // (`accepted + rounds` counts one more for every fully accepted round.)
+    let plain = report.logit_rows as u64 - spec.drafted;
+    assert_eq!(
+        spec.emitted_tokens(),
+        report.generated_tokens as u64 - plain,
+        "{} rounds, {}/{} accepted",
+        spec.rounds,
+        spec.accepted,
+        spec.drafted
+    );
 }
 
 /// Rounds never draft across a V-window commit: with 16-row windows,
@@ -1158,7 +1173,9 @@ fn impossible_request_rejected_at_submit() {
             block_tokens: 64,
             act: ActMode::None,
             kv: KvMode::Mant4 { group: 64 },
-            admission: AdmissionPolicy::Reserve,
+            admission: AdmissionPolicy::Watermark {
+                watermark_blocks: 1,
+            },
             prefix_sharing: false,
             speculative: None,
         },

@@ -42,7 +42,9 @@ fn engine_streams() -> Vec<(u64, Vec<usize>)> {
             block_tokens: 64,
             act,
             kv,
-            admission: AdmissionPolicy::Reserve,
+            admission: AdmissionPolicy::Watermark {
+                watermark_blocks: 4,
+            },
             prefix_sharing: false,
             speculative: None,
         },

@@ -218,7 +218,7 @@ impl FaultPlan {
         if (hit - state.rule.after) % state.rule.every != 0 {
             return None;
         }
-        // Reserve a fire slot; back out if the limit is already spent.
+        // Claim a fire slot; back out if the limit is already spent.
         let fired = state.fires.fetch_add(1, Ordering::SeqCst);
         if fired >= state.rule.limit {
             state.fires.fetch_sub(1, Ordering::SeqCst);

@@ -170,7 +170,8 @@ fn main() {
         spec.drafted,
     );
     println!(
-        "  tokens per verify run     : {:.2} emitted (accepted + bonus) per run of the target step",
+        "  tokens per verify run     : {:.2} emitted (accepted, plus the target's own token at a \
+         disagreement) per run of the target step",
         spec.emitted_tokens() as f64 / spec.rounds.max(1) as f64,
     );
     println!(

@@ -4,7 +4,7 @@
 //! physical packed MANT4 blocks (refcounted, copy-on-write), skip that
 //! prefill entirely, and — by the engine's bit-exactness contract — still
 //! produce byte-identical token streams to both the one-request-at-a-time
-//! baseline and the PR 3 whole-lifetime-reservation engine.
+//! baseline and the same engine with sharing off.
 //!
 //! Run with `cargo run --release --example serving_prefix`.
 
@@ -52,22 +52,19 @@ fn main() {
         shared_cfg.persona_prompt_len,
     );
 
-    let mut engine = ServeEngine::new(
-        model,
-        &packed,
-        ServeConfig {
-            max_batch: 6,
-            pool_blocks: 64,
-            block_tokens: 16,
-            act,
-            kv,
-            admission: AdmissionPolicy::Watermark {
-                watermark_blocks: 8,
-            },
-            prefix_sharing: true,
-            speculative: None,
+    let serve_cfg = ServeConfig {
+        max_batch: 6,
+        pool_blocks: 64,
+        block_tokens: 16,
+        act,
+        kv,
+        admission: AdmissionPolicy::Watermark {
+            watermark_blocks: 8,
         },
-    );
+        prefix_sharing: true,
+        speculative: None,
+    };
+    let mut engine = ServeEngine::new(model, &packed, serve_cfg);
     for r in &requests {
         engine.submit(r.clone());
     }
@@ -107,34 +104,25 @@ fn main() {
         queue.p50, queue.p95, queue.max
     );
 
-    // The PR 3 discipline on the same pool, for comparison.
-    let mut reserve_engine = ServeEngine::new(
-        model,
-        &packed,
-        ServeConfig {
-            max_batch: 6,
-            pool_blocks: 64,
-            block_tokens: 16,
-            act,
-            kv,
-            admission: AdmissionPolicy::Reserve,
-            prefix_sharing: false,
-            speculative: None,
-        },
-    );
+    // The same engine on the same pool with sharing off, for comparison.
+    let plain_cfg = ServeConfig {
+        prefix_sharing: false,
+        ..serve_cfg
+    };
+    let mut plain_engine = ServeEngine::new(model, &packed, plain_cfg);
     for r in &requests {
-        reserve_engine.submit(r.clone());
+        plain_engine.submit(r.clone());
     }
-    let reserve = reserve_engine.run_to_completion();
-    println!("\nwhole-lifetime reservation engine (same pool, no sharing):");
+    let plain = plain_engine.run_to_completion();
+    println!("\nsame engine, same pool, prefix sharing off:");
     println!(
         "  aggregate throughput      : {:.1} generated tok/s, peak {} running",
-        reserve.tokens_per_sec(),
-        reserve.peak_running
+        plain.tokens_per_sec(),
+        plain.peak_running
     );
     println!(
-        "  CoW + sharing wins        : {:.2}x aggregate tokens/s",
-        report.tokens_per_sec() / reserve.tokens_per_sec()
+        "  sharing wins              : {:.2}x aggregate tokens/s",
+        report.tokens_per_sec() / plain.tokens_per_sec()
     );
 
     // Bit-exactness: sharing changed the schedule, not one token.
@@ -143,10 +131,10 @@ fn main() {
         .completions
         .iter()
         .all(|c| c.tokens == outputs[c.id as usize])
-        && reserve
+        && plain
             .completions
             .iter()
             .all(|c| c.tokens == outputs[c.id as usize]);
-    println!("  outputs identical across all three engines: {identical}");
+    println!("  outputs identical across both engines and the baseline: {identical}");
     assert!(identical, "prefix sharing must not change greedy outputs");
 }
