@@ -21,6 +21,15 @@
 //! on every shape, and the 3-member batch — the first size that takes
 //! the tile — must not lose more than 10 %.
 //!
+//! Decode-shaped steps get two rows. The two-member fused sweep — one
+//! nibble decode per weight block feeding both members — against two
+//! one-member sweeps on the 256×256 and 512×256 (`n×k`) projections; on
+//! AVX2 it must take ≤ 0.8× their time. The LM head's lanes-as-rows f32
+//! kernel over its tiled copy against the row-major `matvec_batch`, at
+//! 512×256 for 1 and 4 members, outputs asserted bit-identical; on AVX2 it
+//! must be ≥ 2.5× faster. Both sides of each ratio are timed in alternating
+//! repetitions, and under `MANT_FORCE_SCALAR` both rows are printed only.
+//!
 //! The attention tail closes the report: the softmax kernel per element
 //! against the libm loop it replaced — on 256 benign scores, and on the
 //! eight score rows (layer × head) of one position of a real `sim_llama`
@@ -36,14 +45,14 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mant_model::{ActMode, ForwardObserver, KvMode, ModelConfig, TransformerModel};
-use mant_numerics::{kernels, KernelDispatch, EXP_FLOOR};
+use mant_numerics::{kernels, KernelDispatch, TiledF32, EXP_FLOOR};
 use mant_quant::{
     attention_incremental_paged, dequant_then_gemm, mant_gemm, mant_gemv, mant_gemv_batch,
     mant_gemv_scalar, mant_gemv_with, quantize_activations_int8, quantize_vector_int8,
     CandidateSet, KvCachePool, MantWeightQuantizer, PagedKvCache, PoolConfig, UnpackedWeights,
     VarianceMap,
 };
-use mant_tensor::{gemm, TensorGenerator};
+use mant_tensor::{gemm, matvec_batch, TensorGenerator};
 
 const K: usize = 512;
 const N: usize = 256;
@@ -53,6 +62,9 @@ const GEMM_M: usize = 8;
 /// gate/up, FFN down.
 const SIM_SHAPES: [(usize, usize); 3] = [(256, 256), (512, 256), (256, 512)];
 const BATCH_SWEEP: [usize; 3] = [3, 8, 32];
+/// `(n, k)` shapes of the two-member fused-sweep row: attention and FFN
+/// gate/up.
+const FUSED2_SHAPES: [(usize, usize); 2] = [(256, 256), (512, 256)];
 
 /// Best-of-8 mean seconds per call over `iters` calls. Best-of, not
 /// mean-of: CI containers throttle in bursts, and the ratio assertions
@@ -313,6 +325,100 @@ fn attention_tail() -> (String, [f64; 3]) {
     (json, ratios)
 }
 
+/// The decode-shaped section; returns its JSON fields, the worst
+/// two-member fused sweep's time over two one-member sweeps, and the
+/// smallest tiled-LM-head speedup over the row-major `matvec_batch`.
+fn decode_shaped(gen: &mut TensorGenerator) -> (String, f64, f64) {
+    let tier = kernels();
+    let mut rows = Vec::new();
+    let mut fused2_vs_two = 0.0f64;
+    for (n, k) in FUSED2_SHAPES {
+        let w = gen.group_diverse_matrix(n, k, G, 0.02);
+        let wq = MantWeightQuantizer::new(G)
+            .quantize(&w)
+            .expect("valid group size");
+        let xs: Vec<_> = (0..2)
+            .map(|_| {
+                let x: Vec<f32> = (0..k).map(|_| gen.standard_normal()).collect();
+                quantize_vector_int8(&x, G).expect("valid group size")
+            })
+            .collect();
+        let (t_pair, t_two) = time_best_pair(
+            20,
+            || {
+                black_box(mant_gemv_batch(black_box(&xs), black_box(&wq)).expect("shapes"));
+            },
+            || {
+                for x in &xs {
+                    black_box(mant_gemv(black_box(x), black_box(&wq)).expect("shapes"));
+                }
+            },
+        );
+        let ratio = t_pair / t_two;
+        fused2_vs_two = fused2_vs_two.max(ratio);
+        println!(
+            "fused sweep {n}x{k}, 2 members: {:.1} us vs 2 one-member sweeps {:.1} us = {ratio:.2}x",
+            t_pair * 1e6,
+            t_two * 1e6,
+        );
+        rows.push(format!(
+            "    {{\"n\": {n}, \"k\": {k}, \"pair_ns\": {:.0}, \"two_gemv_ns\": {:.0}, \"ratio\": {ratio:.3}}}",
+            t_pair * 1e9,
+            t_two * 1e9,
+        ));
+    }
+
+    // The sim model's LM head: vocab 512 × hidden 256, f32.
+    let (vocab, hidden) = (512, 256);
+    let head = gen.group_diverse_matrix(vocab, hidden, G, 0.02);
+    let tiled = TiledF32::from_row_major(head.as_slice(), vocab, hidden);
+    let hs: Vec<Vec<f32>> = (0..4)
+        .map(|_| (0..hidden).map(|_| gen.standard_normal()).collect())
+        .collect();
+    let mut head_rows = Vec::new();
+    let mut lm_head_speedup = f64::INFINITY;
+    for m in [1usize, 4] {
+        let refs: Vec<&[f32]> = hs[..m].iter().map(Vec::as_slice).collect();
+        let bits = |v: &[Vec<f32>]| v.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&tier.matvec_tiled_f32(&tiled, &refs)),
+            bits(&matvec_batch(&head, &refs)),
+            "tiled LM head drifted from matvec_batch"
+        );
+        let (t_tiled, t_rows) = time_best_pair(
+            50,
+            || {
+                black_box(tier.matvec_tiled_f32(black_box(&tiled), black_box(&refs)));
+            },
+            || {
+                black_box(matvec_batch(black_box(&head), black_box(&refs)));
+            },
+        );
+        let speedup = t_rows / t_tiled;
+        lm_head_speedup = lm_head_speedup.min(speedup);
+        println!(
+            "lm head {vocab}x{hidden}, {m} member(s): tiled {} {:.1} us vs row-major matvec_batch \
+             {:.1} us = {speedup:.2}x",
+            tier.name(),
+            t_tiled * 1e6,
+            t_rows * 1e6,
+        );
+        head_rows.push(format!(
+            "    {{\"members\": {m}, \"tiled_ns\": {:.0}, \"row_major_ns\": {:.0}, \"speedup\": {speedup:.3}}}",
+            t_tiled * 1e9,
+            t_rows * 1e9,
+        ));
+    }
+    let json = format!(
+        "  \"fused_two_members\": [\n{}\n  ],\n  \"fused2_vs_two_gemv\": {fused2_vs_two:.3},\n  \
+         \"fused2_threshold\": 0.8,\n  \"lm_head_{vocab}x{hidden}\": [\n{}\n  ],\n  \
+         \"lm_head_speedup\": {lm_head_speedup:.3},\n  \"lm_head_threshold\": 2.5,\n",
+        rows.join(",\n"),
+        head_rows.join(",\n"),
+    );
+    (json, fused2_vs_two, lm_head_speedup)
+}
+
 fn bench_gemm_kernels(c: &mut Criterion) {
     let mut gen = TensorGenerator::new(1001);
     let x = gen.activation_matrix(GEMM_M, K, 1.0, 0.01, 15.0);
@@ -466,6 +572,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         }
     }
 
+    let (decode_json, fused2_vs_two, lm_head_speedup) = decode_shaped(&mut gen);
     let (tail_json, [softmax_benign, softmax_prefill, softmax_prefill_scalar]) = attention_tail();
 
     let gemv_packed_speedup = t_gemv_scalar / t_gemv_packed;
@@ -488,7 +595,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"gemm_kernels\",\n  \"tier\": \"{}\",\n  \"shape\": {{\"m\": {GEMM_M}, \"k\": {K}, \"n\": {N}, \"group\": {G}}},\n  \"gemv_scalar_ns\": {:.0},\n  \"gemv_packed_ns\": {:.0},\n  \"gemv_simd_ns\": {:.0},\n  \"gemv_packed_speedup\": {gemv_packed_speedup:.3},\n  \"gemv_simd_speedup\": {gemv_simd_speedup:.3},\n  \"gemv_total_speedup\": {gemv_total_speedup:.3},\n  \"gemm_scalar_ns\": {:.0},\n  \"gemm_packed_ns\": {:.0},\n  \"gemm_packed_speedup\": {gemm_speedup:.3},\n  \"gemv_packed_threshold\": 1.3,\n  \"gemv_simd_threshold\": 2.0,\n  \"mac_peak_gmacs\": {mac_peak_gmacs:.2},\n  \"batch_sweep\": [\n{}\n  ],\n  \"batch32_vs_gemv\": {batch32_vs_gemv:.3},\n  \"batch3_vs_gemv\": {batch3_vs_gemv:.3},\n  \"batch32_threshold\": 3.0,\n  \"batch3_threshold\": 0.9,\n{tail_json}  \"bit_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"gemm_kernels\",\n  \"tier\": \"{}\",\n  \"shape\": {{\"m\": {GEMM_M}, \"k\": {K}, \"n\": {N}, \"group\": {G}}},\n  \"gemv_scalar_ns\": {:.0},\n  \"gemv_packed_ns\": {:.0},\n  \"gemv_simd_ns\": {:.0},\n  \"gemv_packed_speedup\": {gemv_packed_speedup:.3},\n  \"gemv_simd_speedup\": {gemv_simd_speedup:.3},\n  \"gemv_total_speedup\": {gemv_total_speedup:.3},\n  \"gemm_scalar_ns\": {:.0},\n  \"gemm_packed_ns\": {:.0},\n  \"gemm_packed_speedup\": {gemm_speedup:.3},\n  \"gemv_packed_threshold\": 1.3,\n  \"gemv_simd_threshold\": 2.0,\n  \"mac_peak_gmacs\": {mac_peak_gmacs:.2},\n  \"batch_sweep\": [\n{}\n  ],\n  \"batch32_vs_gemv\": {batch32_vs_gemv:.3},\n  \"batch3_vs_gemv\": {batch3_vs_gemv:.3},\n  \"batch32_threshold\": 3.0,\n  \"batch3_threshold\": 0.9,\n{decode_json}{tail_json}  \"bit_identical\": true\n}}\n",
         tier.name(),
         t_gemv_scalar * 1e9,
         t_gemv_packed * 1e9,
@@ -530,6 +637,14 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         assert!(
             batch3_vs_gemv >= 0.9,
             "a 3-member batch must not lose to 3 GEMVs by > 10%, got {batch3_vs_gemv:.2}x"
+        );
+        assert!(
+            fused2_vs_two <= 0.8,
+            "a two-member fused sweep must take <= 0.8x two one-member sweeps, got {fused2_vs_two:.2}x"
+        );
+        assert!(
+            lm_head_speedup >= 2.5,
+            "the tiled LM head must beat the row-major matvec_batch by >= 2.5x, got {lm_head_speedup:.2}x"
         );
         assert!(
             softmax_benign >= 2.0,

@@ -17,6 +17,7 @@
 //!   packed groups end to end — linear layers via [`QuantizedLinear`], the
 //!   KV cache via the incremental `fused_dot`/`attend` group APIs.
 
+use mant_numerics::TiledF32;
 use mant_quant::{
     mant_gemv, mant_gemv_batch, quantize_vector_int8, MantQuantizedMatrix, MantWeightQuantizer,
     QuantError, QuantizedVector,
@@ -141,11 +142,13 @@ pub struct PackedLayer {
 }
 
 /// All linear-layer weights of a model in packed form — what the quantized
-/// execution backend holds instead of dense f32 matrices.
+/// execution backend holds instead of dense f32 matrices — plus the f32 LM
+/// head in the tiled layout the serving runner reads it in.
 #[derive(Clone, Debug)]
 pub struct PackedWeights {
     layers: Vec<PackedLayer>,
     group_size: usize,
+    lm_head: TiledF32,
 }
 
 impl PackedWeights {
@@ -157,6 +160,15 @@ impl PackedWeights {
     /// The quantization group size shared by every projection.
     pub fn group_size(&self) -> usize {
         self.group_size
+    }
+
+    /// The model's f32 LM head, copied once at packing time into eight-row
+    /// tiles for [`mant_numerics::KernelDispatch::matvec_tiled_f32`] — the
+    /// layout [`crate::BatchRunner`] computes logits from. Still f32 and
+    /// not counted by [`PackedWeights::storage_bits`]: the head is outside
+    /// the quantized linear layers.
+    pub fn lm_head(&self) -> &TiledF32 {
+        &self.lm_head
     }
 
     /// Total packed storage in bits across all projections.
@@ -252,7 +264,12 @@ impl TransformerModel {
                 w_down: pack(li, Proj::Down, &l.w_down)?,
             });
         }
-        Ok(PackedWeights { layers, group_size })
+        let head = &self.weights.lm_head;
+        Ok(PackedWeights {
+            layers,
+            group_size,
+            lm_head: TiledF32::from_row_major(head.as_slice(), head.rows(), head.cols()),
+        })
     }
 }
 

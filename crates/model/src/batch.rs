@@ -25,11 +25,17 @@
 //! - the **last layer is demand-driven**: every row's K/V projections and
 //!   cache push run, but the query projection, attention, `wo` and the FFN
 //!   run only for the rows whose logits the caller asks for
-//!   ([`Run::logit_rows`]), and so does the f32 LM head
-//!   ([`mant_tensor::matvec_batch`]). A row's K/V depend only on the
-//!   layer's input, and nothing reads the last layer's hidden state of a
-//!   row without logits — so a mid-prompt chunk pays for one layer's K/V
-//!   work less than `layers` whole layers, and nothing observable moves.
+//!   ([`Run::logit_rows`]), and so does the f32 LM head. A row's K/V
+//!   depend only on the layer's input, and nothing reads the last layer's
+//!   hidden state of a row without logits — so a mid-prompt chunk pays for
+//!   one layer's K/V work less than `layers` whole layers, and nothing
+//!   observable moves;
+//! - the LM head runs lanes-as-rows
+//!   ([`mant_numerics::KernelDispatch::matvec_tiled_f32`]) over the copy of
+//!   `lm_head` that [`PackedWeights::lm_head`] tiled once at packing time:
+//!   one vector holds column `k` of eight vocab rows, and each lane is the
+//!   ascending-`k` chain the sequential runner's `mant_tensor::matvec`
+//!   computes, so the logits keep its bits.
 //!
 //! Every per-sequence floating-point operation is executed in the same
 //! order as the sequential [`crate::ModelRunner`] on the same backend —
@@ -55,11 +61,11 @@
 
 use std::collections::HashMap;
 
+use mant_numerics::kernels;
 use mant_quant::pool::{
     attention_incremental_paged, KvCachePool, PagedKvCache, PoolConfig, RunAttention,
 };
 use mant_quant::{quantize_vector_int8, QuantizedVector, VarianceMap};
-use mant_tensor::matvec_batch;
 use mant_tensor::ops::{gelu, rmsnorm, silu};
 
 use crate::backend::PackedWeights;
@@ -673,7 +679,9 @@ impl BatchRunner<'_> {
             let finals: Vec<Vec<f32>> =
                 xs.iter().map(|x| rmsnorm(x, &w.final_norm, 1e-5)).collect();
             let final_refs: Vec<&[f32]> = finals.iter().map(Vec::as_slice).collect();
-            timed(prof, &mut t_gemv, || matvec_batch(&w.lm_head, &final_refs))
+            timed(prof, &mut t_gemv, || {
+                kernels().matvec_tiled_f32(self.packed.lm_head(), &final_refs)
+            })
         };
         if prof {
             // Laid end-to-end ending now, so the buckets nest inside the

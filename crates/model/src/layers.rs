@@ -369,6 +369,11 @@ impl TransformerModel {
             self.config.layers,
             "packed weights and model disagree on layer count"
         );
+        assert_eq!(
+            (packed.lm_head().rows(), packed.lm_head().cols()),
+            (self.config.vocab, self.config.hidden),
+            "packed LM head shape mismatch"
+        );
         for l in packed.layers() {
             assert_eq!(
                 (l.wq.rows(), l.wq.cols()),

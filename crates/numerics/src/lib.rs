@@ -79,5 +79,5 @@ pub use packing::{pack_nibbles, pack_nibbles_into, unpack_nibbles, NibbleIter};
 pub use pot::pot4_grid;
 pub use probit::probit;
 pub use simd::{
-    kernel_lut, kernels, scalar_forced, tile8_len, KernelDispatch, KernelLut, TILE_ROWS,
+    kernel_lut, kernels, scalar_forced, tile8_len, KernelDispatch, KernelLut, TiledF32, TILE_ROWS,
 };

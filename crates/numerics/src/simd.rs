@@ -35,6 +35,10 @@
 //!   function's IEEE operations one for one, and its sum has one lane
 //!   order on every tier; the staged `P·V` sums are exact integers with the
 //!   f64 scale epilogue per lane in the scalar association.
+//! - The f32 row tile ([`KernelDispatch::matvec_tiled_f32`], the LM head)
+//!   reorders nothing either: a lane is one output's chain, fed column by
+//!   column with `mulps` then `addps` in ascending order from the scalar
+//!   chain's starting value.
 //!
 //! Dispatch is a [`KernelDispatch`] tier selected **once per process** by
 //! [`kernels()`] via `is_x86_feature_detected!`: AVX2 (32 codes per
@@ -107,6 +111,58 @@ pub const TILE_ROWS: usize = 8;
 /// eight rows of two.
 pub const fn tile8_len(k: usize) -> usize {
     k.div_ceil(2) * TILE_ROWS * 2
+}
+
+/// An f32 matrix copied into [`TILE_ROWS`]-row tiles for
+/// [`KernelDispatch::matvec_tiled_f32`]: tile `t` holds rows `8t..8t + 8`
+/// column by column — entry `(t · cols + k) · 8 + r` is row `8t + r`,
+/// column `k` — so one 256-bit vector is column `k` of eight rows. A short
+/// last tile is zero-padded. Built once per weight matrix (the serving
+/// runner's LM head), never per call.
+#[derive(Clone, Debug)]
+pub struct TiledF32 {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
+}
+
+impl TiledF32 {
+    /// Tiles a row-major `rows × cols` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows · cols`.
+    pub fn from_row_major(data: &[f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(data.len(), rows * cols, "row-major matrix of rows × cols");
+        let mut tiled = vec![0.0f32; rows.div_ceil(TILE_ROWS) * TILE_ROWS * cols];
+        for (n, row) in data.chunks_exact(cols.max(1)).take(rows).enumerate() {
+            let (t, r) = (n / TILE_ROWS, n % TILE_ROWS);
+            for (k, &v) in row.iter().enumerate() {
+                tiled[(t * cols + k) * TILE_ROWS + r] = v;
+            }
+        }
+        TiledF32 {
+            rows,
+            cols,
+            data: tiled,
+        }
+    }
+
+    /// Output rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Accumulation-dimension length.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Tile `t`: `cols` columns of [`TILE_ROWS`] entries.
+    fn tile(&self, t: usize) -> &[f32] {
+        let len = self.cols * TILE_ROWS;
+        &self.data[t * len..(t + 1) * len]
+    }
 }
 
 /// The kernel tier every packed-dot and INT8-quantization call routes
@@ -198,18 +254,27 @@ impl KernelDispatch {
         }
     }
 
-    /// A whole row-tile's group dots in one call: group `g` of the result
-    /// equals [`crate::kernels::dot_packed_x4`] over the `g`-th
-    /// `group_size`-code slice of `xcodes` and the `g`-th packed group of
-    /// each row, through each row's `g`-th decode table. The activation
-    /// codes are widened to vector operands once per iteration and swept
-    /// across all four weight rows, and one call per 4-row tile pays the
-    /// per-call setup (dispatch, masks, reduction plumbing) once instead
-    /// of once per group — which dominates at serving group sizes.
+    /// A whole row-tile's group dots for every member in one call: for
+    /// member `j` and group `g`, `out[j · groups + g]` equals
+    /// [`crate::kernels::dot_packed_x4`] over the `g`-th `group_size`-code
+    /// slice of `xcodes[j]` and the `g`-th packed group of each row,
+    /// through each row's `g`-th decode table. One call per 4-row tile
+    /// pays the per-call setup (dispatch, masks, reduction plumbing) once
+    /// instead of once per group — which dominates at serving group sizes.
     ///
-    /// `w` holds each row's full packed codes (`groups · ⌈group_size/2⌉`
-    /// bytes), `luts[lane][g]` the per-group decode tables, and `out`
-    /// receives one `[i64; 4]` per group.
+    /// On the AVX2 arm each 32-code block of each of the four rows is
+    /// `pshufb`-decoded **once** and `pmaddwd`-ed against every member of
+    /// a register block of up to two — the decode the paper's PE does once
+    /// beside its MACs (Eq. (5), Sec. VI), shared by the members of a
+    /// decode-shaped step instead of repeated per member. The i32 sums are
+    /// exact under [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP), so the
+    /// member count changes no bit. The SSSE3 arm loops over members; the
+    /// scalar arm is [`crate::kernels::dot_packed_x4`] per member and group.
+    ///
+    /// `xcodes` holds the members' codes (`groups · group_size` each), `w`
+    /// each row's full packed codes (`groups · ⌈group_size/2⌉` bytes),
+    /// `luts[lane][g]` the per-group decode tables, and `out` receives one
+    /// `[i64; 4]` per (member, group), member-major.
     ///
     /// # Panics
     ///
@@ -217,48 +282,61 @@ impl KernelDispatch {
     /// [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP).
     pub fn dot_packed_x4_groups(
         self,
-        xcodes: &[i8],
+        xcodes: &[&[i8]],
         w: [&[u8]; 4],
         group_size: usize,
         luts: [&[&KernelLut]; 4],
         out: &mut [[i64; 4]],
     ) {
-        let groups = out.len();
-        debug_assert_eq!(xcodes.len(), groups * group_size);
+        let groups = luts[0].len();
+        debug_assert_eq!(out.len(), xcodes.len() * groups);
+        debug_assert!(xcodes.iter().all(|x| x.len() == groups * group_size));
         debug_assert!(luts.iter().all(|l| l.len() == groups));
         let gb = group_size.div_ceil(2);
         debug_assert!(w.iter().all(|r| r.len() == groups * gb));
+        if groups == 0 {
+            return;
+        }
         match self {
             #[cfg(target_arch = "x86_64")]
             KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-                // SAFETY: the match guard just confirmed AVX2 on this CPU.
-                unsafe { x86::dot_packed_x4_groups_avx2(xcodes, w, group_size, luts, out) }
+                for (x, o) in xcodes.chunks(2).zip(out.chunks_mut(2 * groups)) {
+                    // SAFETY: the match guard just confirmed AVX2 on this CPU.
+                    unsafe {
+                        match *x {
+                            [a] => x86::dot_packed_x4_groups_avx2([a], w, group_size, luts, o),
+                            [a, b] => {
+                                x86::dot_packed_x4_groups_avx2([a, b], w, group_size, luts, o)
+                            }
+                            _ => unreachable!("chunks of at most two"),
+                        }
+                    }
+                }
             }
             #[cfg(target_arch = "x86_64")]
             KernelDispatch::Ssse3 if std::arch::is_x86_feature_detected!("ssse3") => {
-                for (g, o) in out.iter_mut().enumerate() {
-                    // SAFETY: the match guard just confirmed SSSE3.
-                    *o = unsafe {
-                        x86::dot_packed_x4_ssse3(
-                            &xcodes[g * group_size..(g + 1) * group_size],
-                            w.map(|r| &r[g * gb..(g + 1) * gb]),
-                            [luts[0][g], luts[1][g], luts[2][g], luts[3][g]],
-                        )
-                    };
+                for (x, o) in xcodes.iter().zip(out.chunks_mut(groups)) {
+                    for (g, o) in o.iter_mut().enumerate() {
+                        // SAFETY: the match guard just confirmed SSSE3.
+                        *o = unsafe {
+                            x86::dot_packed_x4_ssse3(
+                                &x[g * group_size..(g + 1) * group_size],
+                                w.map(|r| &r[g * gb..(g + 1) * gb]),
+                                [luts[0][g], luts[1][g], luts[2][g], luts[3][g]],
+                            )
+                        };
+                    }
                 }
             }
             _ => {
-                for (g, o) in out.iter_mut().enumerate() {
-                    *o = kernels::dot_packed_x4(
-                        &xcodes[g * group_size..(g + 1) * group_size],
-                        w.map(|r| &r[g * gb..(g + 1) * gb]),
-                        [
-                            &luts[0][g].pair,
-                            &luts[1][g].pair,
-                            &luts[2][g].pair,
-                            &luts[3][g].pair,
-                        ],
-                    );
+                for (x, o) in xcodes.iter().zip(out.chunks_mut(groups)) {
+                    for (g, o) in o.iter_mut().enumerate() {
+                        *o = kernels::dot_packed_x4(
+                            &x[g * group_size..(g + 1) * group_size],
+                            w.map(|r| &r[g * gb..(g + 1) * gb]),
+                            luts.map(|l| &l[g].pair),
+                        );
+                    }
                 }
             }
         }
@@ -404,6 +482,48 @@ impl KernelDispatch {
                 }
             }
         }
+    }
+
+    /// `y_j = W · x_j` in f32 over a [`TiledF32`] copy of `W`, for every
+    /// member `x_j` — the serving runner's LM head. Output `[j][n]` carries
+    /// exactly the bits of `mant_tensor::matvec_batch`: one chain per
+    /// output, started from the empty iterator sum's value (whose sign is
+    /// observable) and fed `acc += w[n][k] · x_j[k]` in ascending `k`,
+    /// IEEE `*` then `+`, never an FMA and never reassociated.
+    ///
+    /// A lane is an output row: on the AVX2 arm one `mulps` / `addps` pair
+    /// per column advances eight rows' chains at once, four tiles abreast
+    /// so the independent chains hide the add latency, each tile block
+    /// swept by every member while it is hot. The scalar arm runs the same
+    /// eight-lane loop without intrinsics; the SSSE3 tier takes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `x` differs in length from `w.cols()`.
+    pub fn matvec_tiled_f32(self, w: &TiledF32, xs: &[&[f32]]) -> Vec<Vec<f32>> {
+        for x in xs {
+            assert_eq!(x.len(), w.cols, "matvec inner dimension mismatch");
+        }
+        let mut out: Vec<Vec<f32>> = xs.iter().map(|_| vec![0.0f32; w.rows]).collect();
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+                // SAFETY: the match guard just confirmed AVX2 on this CPU;
+                // the member lengths were asserted above.
+                unsafe { x86::matvec_tiled_f32_avx2(w, xs, &mut out) }
+            }
+            _ => {
+                for t in 0..w.rows.div_ceil(TILE_ROWS) {
+                    let (tile, lo) = (w.tile(t), t * TILE_ROWS);
+                    let live = (w.rows - lo).min(TILE_ROWS);
+                    for (y, x) in out.iter_mut().zip(xs) {
+                        let acc = scalar_tile8_f32(tile, x);
+                        y[lo..lo + live].copy_from_slice(&acc[..live]);
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// [`crate::kernels::int8_dot`] through this tier. Unlike the group
@@ -698,6 +818,26 @@ fn scalar_tile8_group(tile: &[i16], x: &[i16], lo: usize, len: usize) -> [i32; T
     ints
 }
 
+/// The value a chain of [`KernelDispatch::matvec_tiled_f32`] starts from:
+/// the empty iterator sum's, whatever this toolchain uses for it (the
+/// sign of zero is observable).
+fn empty_f32_sum() -> f32 {
+    std::iter::empty::<f32>().sum()
+}
+
+/// The scalar arm of [`KernelDispatch::matvec_tiled_f32`] for one tile and
+/// one member: eight chains, column `k` of every row added in ascending
+/// `k`.
+fn scalar_tile8_f32(tile: &[f32], x: &[f32]) -> [f32; TILE_ROWS] {
+    let mut acc = [empty_f32_sum(); TILE_ROWS];
+    for (column, &xv) in tile.chunks_exact(TILE_ROWS).zip(x) {
+        for (a, &wv) in acc.iter_mut().zip(column) {
+            *a += wv * xv;
+        }
+    }
+    acc
+}
+
 /// The scalar oracle for [`KernelDispatch::abs_max`]: the NaN-skipping
 /// fold from 0.0 (same expression as `mant-tensor`'s `abs_max`).
 pub fn scalar_abs_max(xs: &[f32]) -> f32 {
@@ -716,7 +856,7 @@ pub fn scalar_quantize_i8(xs: &[f32], scale: f32, out: &mut [i8]) {
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::{scalar_abs_max, tile8_len, KernelLut, TILE_ROWS};
+    use super::{scalar_abs_max, tile8_len, KernelLut, TiledF32, TILE_ROWS};
     use crate::kernels::{self, EncodeTable, ENCODE_LANES, MAX_I32_GROUP, STAGED_LANES};
 
     /// Elements per i64 drain of the `int8_dot` i32 lane accumulators.
@@ -882,27 +1022,32 @@ mod x86 {
         hsum_i32x4(acc) + tail
     }
 
-    /// AVX2 grouped row-tile sweep (see
-    /// [`super::KernelDispatch::dot_packed_x4_groups`]): per group, the
-    /// activation vector is widened to even/odd i16 lanes once per
-    /// iteration and swept across all four weight rows' decode tables —
-    /// the same amortization the scalar tile does, at 32 codes per step —
-    /// with the masks, bounds plumbing, and dispatch paid once per tile.
+    /// AVX2 grouped row-tile sweep for a register block of `MB` members
+    /// (see [`super::KernelDispatch::dot_packed_x4_groups`]): per group and
+    /// 32-code block, every member's activation vector is widened to
+    /// even/odd i16 lanes, then each of the four weight rows is decoded
+    /// once and `pmaddwd`-ed against all `MB` members — the decode is paid
+    /// per row and block, not per member — with the masks, bounds
+    /// plumbing, and dispatch paid once per tile. `out` holds `MB` runs of
+    /// `groups` results.
     #[target_feature(enable = "avx2")]
-    pub(super) fn dot_packed_x4_groups_avx2(
-        xcodes: &[i8],
+    pub(super) fn dot_packed_x4_groups_avx2<const MB: usize>(
+        xcodes: [&[i8]; MB],
         w: [&[u8]; 4],
         group_size: usize,
         luts: [&[&KernelLut]; 4],
         out: &mut [[i64; 4]],
     ) {
         debug_assert!(group_size <= MAX_I32_GROUP, "i32 group bound exceeded");
+        let groups = luts[0].len();
         let gb = group_size.div_ceil(2);
         let blocks = group_size / 32;
+        assert!(xcodes.iter().all(|x| x.len() == groups * group_size));
+        assert!(w.iter().all(|r| r.len() == groups * gb));
+        assert_eq!(out.len(), MB * groups);
         let m0f = _mm256_set1_epi16(0x0f);
         let m00ff = _mm256_set1_epi16(0x00ff);
-        for (g, o) in out.iter_mut().enumerate() {
-            let xg = &xcodes[g * group_size..(g + 1) * group_size];
+        for g in 0..groups {
             let tabs = [0, 1, 2, 3].map(|lane| {
                 let l: &KernelLut = luts[lane][g];
                 // SAFETY: `lo8`/`hi8` are 16-byte arrays; unaligned loads.
@@ -917,54 +1062,60 @@ mod x86 {
                     _mm256_broadcastsi128_si256(thi),
                 )
             });
-            let mut acc = [_mm256_setzero_si256(); 4];
+            let xg = xcodes.map(|x| &x[g * group_size..(g + 1) * group_size]);
+            let mut acc = [[_mm256_setzero_si256(); 4]; MB];
             for i in 0..blocks {
-                // SAFETY: `i < blocks = group_size / 32`, so the 32-byte
-                // load at `g*group_size + i*32` stays inside this group's
-                // slice of `xcodes`.
-                let x = unsafe { _mm256_loadu_si256(xg.as_ptr().add(i * 32).cast()) };
-                let xe = _mm256_srai_epi16::<8>(_mm256_slli_epi16::<8>(x));
-                let xo = _mm256_srai_epi16::<8>(x);
+                let xs = xg.map(|x| {
+                    // SAFETY: `i < blocks = group_size / 32`, so the 32-byte
+                    // load at `i*32` stays inside this group's slice.
+                    let x = unsafe { _mm256_loadu_si256(x.as_ptr().add(i * 32).cast()) };
+                    (
+                        _mm256_srai_epi16::<8>(_mm256_slli_epi16::<8>(x)),
+                        _mm256_srai_epi16::<8>(x),
+                    )
+                });
                 for lane in 0..4 {
                     // SAFETY: `i*16 + 16 <= blocks*16 <= gb`, so the
                     // 16-byte load stays inside this group's `gb` bytes
-                    // of row `lane`.
+                    // of row `lane` (lengths asserted above).
                     let wb =
                         unsafe { _mm_loadu_si128(w[lane].as_ptr().add(g * gb + i * 16).cast()) };
                     let w16 = _mm256_cvtepu8_epi16(wb);
                     let (tlo, thi) = tabs[lane];
                     let we = decode16_avx2(_mm256_and_si256(w16, m0f), tlo, thi, m00ff);
                     let wo = decode16_avx2(_mm256_srli_epi16::<4>(w16), tlo, thi, m00ff);
-                    acc[lane] = _mm256_add_epi32(acc[lane], _mm256_madd_epi16(xe, we));
-                    acc[lane] = _mm256_add_epi32(acc[lane], _mm256_madd_epi16(xo, wo));
+                    for (acc, &(xe, xo)) in acc.iter_mut().zip(&xs) {
+                        acc[lane] = _mm256_add_epi32(acc[lane], _mm256_madd_epi16(xe, we));
+                        acc[lane] = _mm256_add_epi32(acc[lane], _mm256_madd_epi16(xo, wo));
+                    }
                 }
             }
-            let tail = if group_size == blocks * 32 {
-                [0i64; 4]
-            } else {
-                kernels::dot_packed_x4(
-                    &xg[blocks * 32..],
-                    w.map(|r| &r[g * gb + blocks * 16..(g + 1) * gb]),
-                    [
-                        &luts[0][g].pair,
-                        &luts[1][g].pair,
-                        &luts[2][g].pair,
-                        &luts[3][g].pair,
-                    ],
-                )
-            };
-            // One hadd tree reduces all four lane accumulators together —
-            // every intermediate is a subset sum of one group's products, so
-            // the [`MAX_I32_GROUP`] bound keeps each `phaddd` overflow-free.
-            let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
-            let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
-            let s = _mm256_hadd_epi32(s01, s23);
-            let quad = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
-            let mut sums = [0i32; 4];
-            // SAFETY: `sums` is a writable 16-byte buffer.
-            unsafe { _mm_storeu_si128(sums.as_mut_ptr().cast(), quad) };
-            for lane in 0..4 {
-                o[lane] = i64::from(sums[lane]) + tail[lane];
+            for (j, (acc, xg)) in acc.iter().zip(xg).enumerate() {
+                let tail = if group_size == blocks * 32 {
+                    [0i64; 4]
+                } else {
+                    kernels::dot_packed_x4(
+                        &xg[blocks * 32..],
+                        w.map(|r| &r[g * gb + blocks * 16..(g + 1) * gb]),
+                        luts.map(|l| &l[g].pair),
+                    )
+                };
+                // One hadd tree reduces all four lane accumulators together —
+                // every intermediate is a subset sum of one group's products,
+                // so the [`MAX_I32_GROUP`] bound keeps each `phaddd`
+                // overflow-free.
+                let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
+                let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
+                let s = _mm256_hadd_epi32(s01, s23);
+                let quad =
+                    _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
+                let mut sums = [0i32; 4];
+                // SAFETY: `sums` is a writable 16-byte buffer.
+                unsafe { _mm_storeu_si128(sums.as_mut_ptr().cast(), quad) };
+                let o = &mut out[j * groups + g];
+                for lane in 0..4 {
+                    o[lane] = i64::from(sums[lane]) + tail[lane];
+                }
             }
         }
     }
@@ -1228,6 +1379,62 @@ mod x86 {
                     _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), lo));
                     _mm256_storeu_pd(p.add(4), _mm256_add_pd(_mm256_loadu_pd(p.add(4)), hi));
                 }
+            }
+        }
+    }
+
+    /// AVX2 body of [`super::KernelDispatch::matvec_tiled_f32`]: the tiles
+    /// in blocks of four (the last block takes what is left), each block
+    /// swept by every member in turn while it is hot.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn matvec_tiled_f32_avx2(w: &TiledF32, xs: &[&[f32]], out: &mut [Vec<f32>]) {
+        let tiles = w.rows.div_ceil(TILE_ROWS);
+        let mut t = 0;
+        while t < tiles {
+            let block = (tiles - t).min(4);
+            match block {
+                1 => tiled_f32_block_avx2::<1>(w, t, xs, out),
+                2 => tiled_f32_block_avx2::<2>(w, t, xs, out),
+                3 => tiled_f32_block_avx2::<3>(w, t, xs, out),
+                _ => tiled_f32_block_avx2::<4>(w, t, xs, out),
+            }
+            t += block;
+        }
+    }
+
+    /// Tiles `t0..t0 + T` of [`matvec_tiled_f32_avx2`] for every member:
+    /// `T` independent `f32x8` chains (lane = output row), per column one
+    /// broadcast of `x[k]`, then per tile one load, `mulps`, `addps` — the
+    /// scalar `acc += w · x` of each lane, in the scalar order.
+    #[target_feature(enable = "avx2")]
+    fn tiled_f32_block_avx2<const T: usize>(
+        w: &TiledF32,
+        t0: usize,
+        xs: &[&[f32]],
+        out: &mut [Vec<f32>],
+    ) {
+        let tiles: [&[f32]; T] = std::array::from_fn(|i| w.tile(t0 + i));
+        let start = _mm256_set1_ps(super::empty_f32_sum());
+        for (x, y) in xs.iter().zip(out.iter_mut()) {
+            assert!(x.len() == w.cols && y.len() == w.rows);
+            let mut acc = [start; T];
+            for (k, &xv) in x.iter().enumerate() {
+                let xk = _mm256_set1_ps(xv);
+                for (a, tile) in acc.iter_mut().zip(&tiles) {
+                    // SAFETY: `k < x.len() = cols` (asserted above) and a
+                    // tile holds `cols · 8` entries, so the eight floats at
+                    // `k · 8` are inside it; unaligned load.
+                    let wv = unsafe { _mm256_loadu_ps(tile.as_ptr().add(k * TILE_ROWS)) };
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, xk));
+                }
+            }
+            for (i, a) in acc.iter().enumerate() {
+                let lo = (t0 + i) * TILE_ROWS;
+                let live = (w.rows - lo).min(TILE_ROWS);
+                let mut lanes = [0.0f32; TILE_ROWS];
+                // SAFETY: `lanes` is a writable 32-byte buffer; unaligned store.
+                unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), *a) };
+                y[lo..lo + live].copy_from_slice(&lanes[..live]);
             }
         }
     }
@@ -1915,17 +2122,24 @@ mod tests {
     #[test]
     fn dot_packed_x4_matches_scalar_all_tiers() {
         // Three groups a tile, each byte-aligned and decoded through its
-        // own table per row: every tier's grouped sweep must equal the
-        // scalar tile kernel run group by group.
+        // own table per row, against one to three members (three runs a
+        // two-member register block and a one-member block): every tier's
+        // grouped sweep must equal the scalar tile kernel run member by
+        // member, group by group.
         const GROUPS: usize = 3;
         let luts: Vec<KernelLut> = [0u32, 17, 60, 127, 5, 99]
             .iter()
             .map(|&a| kernel_lut(&mant_decode_lut(Mant::new(a).unwrap())))
             .collect();
         for len in [3usize, 16, 33, 64, 65, 129] {
-            let xcodes: Vec<i8> = (0..GROUPS * len)
-                .map(|i| ((i * 91 + 5) % 255) as u8 as i8)
+            let members: Vec<Vec<i8>> = (0..3)
+                .map(|j| {
+                    (0..GROUPS * len)
+                        .map(|i| ((i * 91 + j * 41 + 5) % 255) as u8 as i8)
+                        .collect()
+                })
                 .collect();
+            let xs: Vec<&[i8]> = members.iter().map(Vec::as_slice).collect();
             let rows: Vec<Vec<u8>> = (0..4)
                 .map(|r| {
                     (0..GROUPS)
@@ -1954,19 +2168,24 @@ mod tests {
                 &row_luts[3][..],
             ];
             let gb = len.div_ceil(2);
-            let oracle: Vec<[i64; 4]> = (0..GROUPS)
-                .map(|g| {
-                    kernels::dot_packed_x4(
-                        &xcodes[g * len..(g + 1) * len],
-                        w.map(|r| &r[g * gb..(g + 1) * gb]),
-                        lr.map(|l| &l[g].pair),
-                    )
-                })
-                .collect();
-            for d in tiers() {
-                let mut got = vec![[0i64; 4]; GROUPS];
-                d.dot_packed_x4_groups(&xcodes, w, len, lr, &mut got);
-                assert_eq!(got, oracle, "{} len {len}", d.name());
+            for m in 1..=xs.len() {
+                let oracle: Vec<[i64; 4]> = xs[..m]
+                    .iter()
+                    .flat_map(|x| {
+                        (0..GROUPS).map(move |g| {
+                            kernels::dot_packed_x4(
+                                &x[g * len..(g + 1) * len],
+                                w.map(|r| &r[g * gb..(g + 1) * gb]),
+                                lr.map(|l| &l[g].pair),
+                            )
+                        })
+                    })
+                    .collect();
+                for d in tiers() {
+                    let mut got = vec![[0i64; 4]; m * GROUPS];
+                    d.dot_packed_x4_groups(&xs[..m], w, len, lr, &mut got);
+                    assert_eq!(got, oracle, "{} len {len} members {m}", d.name());
+                }
             }
         }
     }

@@ -285,16 +285,24 @@ proptest! {
         }
     }
 
-    /// The SIMD grouped 4-row tile equals the scalar tile kernel run group
-    /// by group, for any mix of coefficients and any tail parity: two
-    /// byte-aligned groups a row, each through its own decode table.
+    /// The SIMD grouped 4-row tile equals the scalar tile kernel run member
+    /// by member, group by group, for any mix of coefficients and any tail
+    /// parity: two byte-aligned groups a row, each through its own decode
+    /// table, against one or two members with independent activation codes
+    /// (the fused sweep's decode-shaped batches, one decode feeding both).
     #[test]
     fn simd_dot_packed_x4_bit_identical(coeffs in (0u32..128, 0u32..128, 0u32..128, 0u32..128),
                                         wcodes in proptest::collection::vec(0u8..16, 8..560),
-                                        xseed in proptest::collection::vec(-128i64..=127, 140)) {
+                                        members in 1usize..=2,
+                                        xseed in proptest::collection::vec(-128i64..=127, 2 * 140)) {
         let len = wcodes.len() / 8;
         let gb = len.div_ceil(2);
-        let xcodes: Vec<i8> = xseed[..2 * len].iter().map(|&v| v as i8).collect();
+        let xcodes: Vec<Vec<i8>> = xseed
+            .chunks_exact(140)
+            .take(members)
+            .map(|s| s[..2 * len].iter().map(|&v| v as i8).collect())
+            .collect();
+        let xs: Vec<&[i8]> = xcodes.iter().map(Vec::as_slice).collect();
         let packed: Vec<Vec<u8>> = wcodes
             .chunks_exact(2 * len)
             .take(4)
@@ -307,17 +315,18 @@ proptest! {
         let w = [&packed[0][..], &packed[1][..], &packed[2][..], &packed[3][..]];
         let row_luts: Vec<[&KernelLut; 2]> = (0..4).map(|r| [&luts[r], &luts[(r + 1) % 4]]).collect();
         let lr = [&row_luts[0][..], &row_luts[1][..], &row_luts[2][..], &row_luts[3][..]];
-        let oracle: Vec<[i64; 4]> = (0..2)
-            .map(|g| dot_packed_x4(
-                &xcodes[g * len..(g + 1) * len],
+        let oracle: Vec<[i64; 4]> = xs
+            .iter()
+            .flat_map(|x| (0..2).map(move |g| dot_packed_x4(
+                &x[g * len..(g + 1) * len],
                 w.map(|r| &r[g * gb..(g + 1) * gb]),
                 lr.map(|l| &l[g].pair),
-            ))
+            )))
             .collect();
         for d in tiers() {
-            let mut got = vec![[0i64; 4]; 2];
-            d.dot_packed_x4_groups(&xcodes, w, len, lr, &mut got);
-            prop_assert_eq!(&got, &oracle, "tier {}", d.name());
+            let mut got = vec![[0i64; 4]; members * 2];
+            d.dot_packed_x4_groups(&xs, w, len, lr, &mut got);
+            prop_assert_eq!(&got, &oracle, "tier {} members {}", d.name(), members);
         }
     }
 
@@ -959,5 +968,123 @@ fn staged_pv_sums_equal_the_scalar_loop() {
                 }
             }
         }
+    }
+}
+
+/// splitmix64: the deterministic value source of the f32 tile test.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A value of mixed sign and magnitude (2⁻⁸..2⁸); one in 32 is taken from
+/// `specials` instead.
+fn mixed_value(seed: u64, specials: &[f32]) -> f32 {
+    let h = mix(seed);
+    if h.is_multiple_of(32) {
+        return specials[(h >> 8) as usize % specials.len()];
+    }
+    let m = ((h >> 16) % (1 << 20)) as f32 / (1 << 20) as f32 * 2.0 - 1.0;
+    m * 2f32.powi(((h >> 40) % 17) as i32 - 8)
+}
+
+/// Output bits with every NaN made one value: Rust leaves NaN payloads
+/// unspecified, so which NaN an operation returns is not part of the
+/// contract — that it returns one is.
+fn f32_bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+        .collect()
+}
+
+/// The LM head's lanes-as-rows f32 kernel equals `mant_tensor::matvec_batch`
+/// bit for bit on every tier: row counts on both sides of the eight-row
+/// tile and the four-tile block (1, 7, 8, 9, 512), column counts 1, 5, 256,
+/// 1..=9 members. Member 0 is all `+0.0` and member 1 all `-0.0`, so an
+/// output is a signed zero whose sign shows the chain's starting value;
+/// weights carry signed zeros, `±∞` and NaN in some rows and ±1e-30
+/// entries whose products with the members' ±1e-12 entries are subnormal;
+/// members 4 and 6 carry an `∞` and a NaN. Two witness rows then pin the
+/// chain itself, against fixed values: a reassociated chain or one fused
+/// into an FMA fails them.
+#[test]
+fn tiled_f32_matvec_bit_identical_to_matvec_batch() {
+    use mant_numerics::TiledF32;
+    use mant_tensor::{matvec_batch, Matrix};
+
+    let wspecial = [-0.0, 0.0, 1e-30, -1e-30];
+    let xspecial = [-0.0, 0.0, 1e-12, -1e-12];
+    for rows in [1usize, 7, 8, 9, 512] {
+        for cols in [1usize, 5, 256] {
+            let w = Matrix::from_fn(rows, cols, |r, c| match (r % 7, r % 11) {
+                (3, _) if c == r % cols => f32::INFINITY,
+                (5, _) if c == (r + 1) % cols => f32::NAN,
+                (_, 4) if c == (r + 2) % cols => f32::NEG_INFINITY,
+                _ => mixed_value((r * cols + c) as u64, &wspecial),
+            });
+            let xs: Vec<Vec<f32>> = (0..9)
+                .map(|j| match j {
+                    0 => vec![0.0; cols],
+                    1 => vec![-0.0; cols],
+                    _ => (0..cols)
+                        .map(|c| match (j, c) {
+                            (4, 0) => f32::INFINITY,
+                            (6, c) if c == cols / 2 => f32::NAN,
+                            _ => mixed_value(((j << 32) + c) as u64 ^ 0xa5a5, &xspecial),
+                        })
+                        .collect(),
+                })
+                .collect();
+            let tiled = TiledF32::from_row_major(w.as_slice(), rows, cols);
+            for m in 1..=9 {
+                let refs: Vec<&[f32]> = xs[..m].iter().map(Vec::as_slice).collect();
+                let want = matvec_batch(&w, &refs);
+                for d in tiers() {
+                    let got = d.matvec_tiled_f32(&tiled, &refs);
+                    assert_eq!(got.len(), m);
+                    for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            f32_bits(g),
+                            f32_bits(w),
+                            "tier {} rows {rows} cols {cols} members {m} member {j}",
+                            d.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    // Chain witnesses against x = [1, 1 + 2⁻¹², 1, 1, 1]. Row 0 in order:
+    // 1 + 0, then three `+ 2⁻²⁴` ties that each round back to 1. Any
+    // regrouping adds two of them first and ends above 1. Row 1: the
+    // product (1 + 2⁻¹²)² rounds to 1 + 2⁻¹¹, cancelling the first term
+    // to `+0.0`; an FMA keeps its exact 2⁻²⁴.
+    let tiny = 2f32.powi(-24);
+    let w = Matrix::from_vec(
+        2,
+        5,
+        vec![
+            1.0,
+            0.0,
+            tiny,
+            tiny,
+            tiny, //
+            -(1.0 + 2f32.powi(-11)),
+            1.0 + 2f32.powi(-12),
+            0.0,
+            0.0,
+            0.0,
+        ],
+    );
+    let x = [1.0, 1.0 + 2f32.powi(-12), 1.0, 1.0, 1.0];
+    let want = [1.0f32, 0.0];
+    assert_eq!(f32_bits(&matvec_batch(&w, &[&x])[0]), f32_bits(&want));
+    let tiled = TiledF32::from_row_major(w.as_slice(), 2, 5);
+    for d in tiers() {
+        let got = d.matvec_tiled_f32(&tiled, &[&x]);
+        assert_eq!(f32_bits(&got[0]), f32_bits(&want), "tier {}", d.name());
     }
 }

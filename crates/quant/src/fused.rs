@@ -105,9 +105,10 @@ pub fn mant_gemm_with(
 }
 
 /// Batch size from which the GEMM driver decodes each weight tile once
-/// ([`mant_gemv_batch`]) instead of running the fused per-member kernels:
-/// the tile decode and interleave cost about one member's fused sweep, so
-/// they start paying for themselves once three or more members reuse them.
+/// into an i16 tile ([`mant_gemv_batch`]) instead of running the fused
+/// sweep, whose in-register decode feeds at most a two-member register
+/// block: the tile's decode and interleave start paying for themselves
+/// once three or more members reuse them.
 pub const DECODE_ONCE_MIN_BATCH: usize = 3;
 
 /// Batched [`mant_gemv`]: one weight matrix against a whole batch of
@@ -128,8 +129,11 @@ pub const DECODE_ONCE_MIN_BATCH: usize = 3;
 /// rows' group dots, and the scale epilogue (`i32 → f64`, `(xs · ws) ·
 /// int`, `+=`) runs on it in place. A short last tile is zero-padded: the
 /// spare rows decode to zeros under a zero scale and are never stored.
-/// Below the threshold there is nothing to amortize the decode against,
-/// and small batches keep the fused per-member kernels of [`mant_gemv`].
+/// Below the threshold — the one or two rows of a decode-shaped step —
+/// the batch takes [`mant_gemv`]'s fused sweep with all its members in
+/// one call per 4-row tile: each 32-code block of a weight row is decoded
+/// once in registers and multiplied against both members, with no i16
+/// tile to write and re-read.
 ///
 /// Both paths produce identical bits. The decoded operands are the same
 /// integers the pair tables hold; an i32 lane holds exactly one (member,
@@ -261,14 +265,15 @@ fn gemm_rows(
     }
 }
 
-/// The fused per-member sweep ([`mant_gemv`], and batches too small to
-/// amortize a tile decode): four output rows per tile, the nibble decode
-/// inside the dot kernel. Per group, one byte load and one pair-table hit
-/// per code pair across four weight rows while the activation codes sit
-/// in L1, i32 accumulation inside the group, the decode plan's interned
-/// table per group. Every output accumulates its groups in ascending
-/// order as `acc += xs · ws · int as f64` from zero — the expression all
-/// other paths reproduce.
+/// The fused sweep ([`mant_gemv`], and batches too small to amortize a
+/// tile decode): four output rows per tile, the nibble decode inside the
+/// dot kernel, **one** [`KernelDispatch::dot_packed_x4_groups`] call per
+/// tile for all members — so each weight block is decoded once and fed to
+/// both members of a two-row step, not once per member. Per group, i32
+/// accumulation inside the group, the decode plan's interned table per
+/// group. Every output accumulates its groups in ascending order as `acc
+/// += xs · ws · int as f64` from zero — the expression all other paths
+/// reproduce.
 fn fused_sweep(
     d: KernelDispatch,
     codes: &[&[i8]],
@@ -278,16 +283,20 @@ fn fused_sweep(
 ) {
     let (n, gs, groups) = (w.rows(), w.group_size(), w.groups_per_row());
     let gb = w.group_bytes();
-    // The reused per-tile buffer of raw group dots from the grouped sweep.
-    let mut gout = vec![[0i64; 4]; groups];
+    // The reused per-tile buffer of raw group dots, member-major.
+    let mut gout = vec![[0i64; 4]; codes.len() * groups];
     for tile_lo in (0..n / 4 * 4).step_by(4) {
         let wrows = [0, 1, 2, 3].map(|lane| w.packed_row(tile_lo + lane));
         let lrows = [0, 1, 2, 3].map(|lane| w.plan_row(tile_lo + lane));
         let mrows = [0, 1, 2, 3].map(|lane| w.meta_row(tile_lo + lane));
-        for ((x, xsc), y) in codes.iter().zip(xscales.chunks(groups)).zip(out.iter_mut()) {
-            d.dot_packed_x4_groups(x, wrows, gs, lrows, &mut gout);
+        d.dot_packed_x4_groups(codes, wrows, gs, lrows, &mut gout);
+        for ((ints, xsc), y) in gout
+            .chunks(groups)
+            .zip(xscales.chunks(groups))
+            .zip(out.iter_mut())
+        {
             let mut acc = [0.0f64; 4];
-            for (g, (ints, &xs)) in gout.iter().zip(xsc).enumerate() {
+            for (g, (ints, &xs)) in ints.iter().zip(xsc).enumerate() {
                 for lane in 0..4 {
                     acc[lane] += xs * f64::from(mrows[lane][g].scale) * ints[lane] as f64;
                 }
@@ -703,19 +712,20 @@ mod tests {
     #[test]
     fn gemm_tile_remainders_bit_identical_to_gemv() {
         // Output-row counts on every side of the fused sweep's 4-row tile
-        // and the decode-once sweep's 8-row tile — a lone full tile (8), a
-        // short last tile after full ones (12, 250), none (256) — against
-        // batch sizes on every side of the eight-member register block.
-        // Every batch row and every `mant_gemm` row (the same driver, the
-        // members arriving as tensor rows) must match the one-vector GEMV
-        // bit for bit.
+        // (remainder rows 1, 3, 5, 9, 250) and the decode-once sweep's
+        // 8-row tile — a lone full tile (8), a short last tile after full
+        // ones (12, 250), none (256) — against batch sizes on every side of
+        // the eight-member register block, and the fused sweep's one and
+        // two members. Every batch row and every `mant_gemm` row (the same
+        // driver, the members arriving as tensor rows) must match the
+        // one-vector GEMV bit for bit.
         use crate::activation::quantize_vector_int8;
         let mut gen = TensorGenerator::new(74);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         for n in [1usize, 3, 4, 5, 8, 9, 12, 250, 256] {
             let w = gen.group_diverse_matrix(n, 128, 32, 0.02);
             let wq = MantWeightQuantizer::new(32).quantize(&w).unwrap();
-            for m in [3usize, 7, 8, 9, 33] {
+            for m in [1usize, 2, 3, 7, 8, 9, 33] {
                 let x = gen.activation_matrix(m, 128, 1.0, 0.02, 20.0);
                 let xs: Vec<_> = (0..m)
                     .map(|r| quantize_vector_int8(x.row(r), 32).unwrap())

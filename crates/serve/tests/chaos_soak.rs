@@ -89,8 +89,9 @@ fn run_soak(
             block_tokens: 16,
             act: ActMode::None,
             kv: KvMode::Int4 { group: 16 },
-            // Watermark admission is what lets a panicked step roll the
-            // whole batch back instead of quarantining it outright.
+            // The only admission policy. A panicked step rolls the whole
+            // batch back to the queue; the third in a row quarantines the
+            // batch instead.
             admission: AdmissionPolicy::Watermark {
                 watermark_blocks: 4,
             },
