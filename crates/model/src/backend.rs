@@ -15,7 +15,8 @@
 //!   f32 [`ExecutionBackend::Reference`] path over (fake-quantized) dense
 //!   weights, and the [`ExecutionBackend::Quantized`] path that consumes
 //!   packed groups end to end — linear layers via [`QuantizedLinear`], the
-//!   KV cache via the incremental `fused_dot`/`attend` group APIs.
+//!   KV cache via the block-swept incremental attention
+//!   (`attention_incremental_paged`).
 
 use mant_numerics::TiledF32;
 use mant_quant::{
@@ -440,5 +441,58 @@ mod tests {
             }
             assert_eq!(h.0, want, "{name}: variance buckets moved ({:#018x})", h.0);
         }
+    }
+
+    #[test]
+    fn golden_pin_sim_llama_seed7_reference_forward() {
+        // The f32 reference backend — the forward the KV calibration and
+        // the synthesizer's probes run — pinned bit for bit: every field of
+        // both variance maps (buckets and the f64 calibration anchors) and
+        // eight logit rows of an FP16-cache reference runner. A change to
+        // that backend's matvec, attention or softmax that moves one bit
+        // anywhere in the calibration fails here, on every tier.
+        const K_MAP: u64 = 0x855a_abdb_2554_db47;
+        const V_MAP: u64 = 0xf107_9431_6d84_ec5d;
+        const LOGITS: [u64; 8] = [
+            0x93f1_6cb1_fdf1_ba77,
+            0xb8af_dd53_0ad0_2f2e,
+            0x616f_73bc_277c_cc58,
+            0xfbe3_96c8_fcf3_2bb3,
+            0x0980_9a35_dcc7_a2eb,
+            0x74b3_e4d6_d872_96a0,
+            0x3e18_e848_c121_3b97,
+            0x447b_f12a_db0a_83b1,
+        ];
+
+        let m = TransformerModel::synthesize(&ModelConfig::sim_llama(), 7);
+        let (kmap, vmap) = m.kv_maps(64);
+        let map_hash = |map: &mant_quant::VarianceMap| {
+            let mut h = Fnv::new();
+            for &dtype in map.buckets() {
+                h.eat_dtype(dtype);
+            }
+            for &(variance, dtype) in map.entries() {
+                h.eat(&variance.to_bits().to_le_bytes());
+                h.eat_dtype(dtype);
+            }
+            h.0
+        };
+        let mut runner = m.runner(crate::ActMode::None, crate::KvMode::Fp16);
+        let rows: Vec<u64> = [3usize, 141, 59, 265, 358, 97, 93, 238]
+            .into_iter()
+            .map(|token| {
+                let mut h = Fnv::new();
+                for v in runner.step(token) {
+                    h.eat(&v.to_bits().to_le_bytes());
+                }
+                h.0
+            })
+            .collect();
+        let got = (map_hash(&kmap), map_hash(&vmap), rows);
+        assert_eq!(
+            got,
+            (K_MAP, V_MAP, LOGITS.to_vec()),
+            "the reference forward moved: (K map, V map, logit rows) = {got:#018x?}"
+        );
     }
 }

@@ -2,6 +2,7 @@
 
 use mant_numerics::fp16::quantize_fp16;
 use mant_numerics::int::quantize_symmetric_int;
+use mant_numerics::{kernels, TiledF32};
 use mant_quant::{
     attention_f32, attention_incremental_paged, quantize_vector_int8, CandidateSet, FakeQuantizer,
     KvCachePool, PagedKvCache, PoolConfig, VarianceMap,
@@ -222,6 +223,65 @@ pub struct ModelRunner<'m> {
     /// `None` selects the f32 reference backend over the model's dense
     /// weights.
     packed: Option<&'m PackedWeights>,
+    /// The reference backend's copy of the model's dense weights, tiled for
+    /// [`mant_numerics::KernelDispatch::matvec_tiled_f32`]; built on the
+    /// first reference step. The runner borrows the model, so the copy
+    /// cannot go stale.
+    tiled: Option<TiledWeights>,
+}
+
+/// Every f32 matrix of the reference forward in the row tiles of
+/// [`TiledF32`]: per layer the projections (the gate only for
+/// [`FfnKind::GatedSilu`]), then the LM head. `matvec_tiled_f32` over these
+/// carries exactly the bits of `mant_tensor::matvec` over the row-major
+/// originals.
+struct TiledWeights {
+    layers: Vec<TiledLayer>,
+    lm_head: TiledF32,
+}
+
+/// One layer of [`TiledWeights`].
+struct TiledLayer {
+    wq: TiledF32,
+    wk: TiledF32,
+    wv: TiledF32,
+    wo: TiledF32,
+    w_gate: Option<TiledF32>,
+    w_up: TiledF32,
+    w_down: TiledF32,
+}
+
+impl TiledWeights {
+    fn of(model: &TransformerModel) -> Self {
+        let tile = |m: &Matrix| TiledF32::from_row_major(m.as_slice(), m.rows(), m.cols());
+        let gated = model.config.ffn_kind == FfnKind::GatedSilu;
+        let layers = model
+            .weights
+            .layers
+            .iter()
+            .map(|l| TiledLayer {
+                wq: tile(&l.wq),
+                wk: tile(&l.wk),
+                wv: tile(&l.wv),
+                wo: tile(&l.wo),
+                w_gate: gated.then(|| tile(&l.w_gate)),
+                w_up: tile(&l.w_up),
+                w_down: tile(&l.w_down),
+            })
+            .collect();
+        TiledWeights {
+            layers,
+            lm_head: tile(&model.weights.lm_head),
+        }
+    }
+}
+
+/// `W · x` over a tiled copy — the reference backend's one matvec.
+fn matvec_tiled(w: &TiledF32, x: &[f32]) -> Vec<f32> {
+    kernels()
+        .matvec_tiled_f32(w, &[x])
+        .pop()
+        .expect("one input, one output")
 }
 
 impl TransformerModel {
@@ -331,6 +391,7 @@ impl TransformerModel {
             kv,
             seq_len: 0,
             packed: None,
+            tiled: None,
         }
     }
 
@@ -443,6 +504,9 @@ impl ModelRunner<'_> {
         let cfg = &self.model.config;
         assert!(token < cfg.vocab, "token {token} out of vocabulary");
         let w = &self.model.weights;
+        if self.packed.is_none() && self.tiled.is_none() {
+            self.tiled = Some(TiledWeights::of(self.model));
+        }
         let mut x: Vec<f32> = w.embedding.row(token).to_vec();
         if let RunnerKv::Quant { pool, caches } = &mut self.kv {
             // Every layer pushes one row this step; cover them all at once.
@@ -455,6 +519,7 @@ impl ModelRunner<'_> {
             // so the per-layer handle stays independent of later `self`
             // borrows.
             let packed_layer = self.packed.map(|p| (&p.layers()[li], p.group_size()));
+            let tiled = self.tiled.as_ref().map(|t| &t.layers[li]);
 
             // --- Attention block ---
             let xn = rmsnorm(&x, &layer.attn_norm, 1e-5);
@@ -464,10 +529,11 @@ impl ModelRunner<'_> {
             let (q, k, v) = match packed_layer {
                 None => {
                     let xq = self.quantize_act(&xn);
+                    let t = tiled.expect("the reference backend tiles its weights");
                     (
-                        matvec(&layer.wq, &xq),
-                        matvec(&layer.wk, &xq),
-                        matvec(&layer.wv, &xq),
+                        matvec_tiled(&t.wq, &xq),
+                        matvec_tiled(&t.wk, &xq),
+                        matvec_tiled(&t.wv, &xq),
                     )
                 }
                 Some((pl, g)) => {
@@ -509,7 +575,10 @@ impl ModelRunner<'_> {
             let o = match packed_layer {
                 None => {
                     let attn_q = self.quantize_act(&attn);
-                    matvec(&layer.wo, &attn_q)
+                    matvec_tiled(
+                        &tiled.expect("the reference backend tiles its weights").wo,
+                        &attn_q,
+                    )
                 }
                 Some((pl, _)) => pl.wo.matvec_f32(&attn),
             };
@@ -527,7 +596,9 @@ impl ModelRunner<'_> {
                     let (gate, up) = match packed_layer {
                         None => {
                             let xnq = self.quantize_act(&xn);
-                            (matvec(&layer.w_gate, &xnq), matvec(&layer.w_up, &xnq))
+                            let t = tiled.expect("the reference backend tiles its weights");
+                            let gate = t.w_gate.as_ref().expect("a gated model tiles its gate");
+                            (matvec_tiled(gate, &xnq), matvec_tiled(&t.w_up, &xnq))
                         }
                         Some((pl, g)) => {
                             let xnq =
@@ -545,7 +616,12 @@ impl ModelRunner<'_> {
                     match packed_layer {
                         None => {
                             let hq = self.quantize_act(&h);
-                            matvec(&layer.w_down, &hq)
+                            matvec_tiled(
+                                &tiled
+                                    .expect("the reference backend tiles its weights")
+                                    .w_down,
+                                &hq,
+                            )
                         }
                         Some((pl, _)) => pl.w_down.matvec_f32(&h),
                     }
@@ -555,7 +631,10 @@ impl ModelRunner<'_> {
                     let up = match packed_layer {
                         None => {
                             let xnq = self.quantize_act(&xn);
-                            matvec(&layer.w_up, &xnq)
+                            matvec_tiled(
+                                &tiled.expect("the reference backend tiles its weights").w_up,
+                                &xnq,
+                            )
                         }
                         Some((pl, g)) => {
                             let xnq =
@@ -568,7 +647,12 @@ impl ModelRunner<'_> {
                     match packed_layer {
                         None => {
                             let hq = self.quantize_act(&h);
-                            matvec(&layer.w_down, &hq)
+                            matvec_tiled(
+                                &tiled
+                                    .expect("the reference backend tiles its weights")
+                                    .w_down,
+                                &hq,
+                            )
                         }
                         Some((pl, _)) => pl.w_down.matvec_f32(&h),
                     }
@@ -582,7 +666,13 @@ impl ModelRunner<'_> {
 
         self.seq_len += 1;
         let xn = rmsnorm(&x, &w.final_norm, 1e-5);
-        matvec(&w.lm_head, &xn)
+        match &self.tiled {
+            Some(t) => matvec_tiled(&t.lm_head, &xn),
+            // The packed runner is the serving engine's oracle: its head
+            // stays on the row-major `matvec`, independent of the tiled
+            // head `BatchRunner` reads.
+            None => matvec(&w.lm_head, &xn),
+        }
     }
 
     /// Applies the runtime activation quantization mode.

@@ -484,6 +484,109 @@ impl KernelDispatch {
         }
     }
 
+    /// The decode-attention sweep: `n` rows of packed groups at a fixed
+    /// byte stride against one or more INT8 vectors, group dots **and**
+    /// the f64 scale epilogue. Row `r`'s `groups` packed groups start at
+    /// `rows[r · stride]`, back to back (`⌈group_size/2⌉` bytes each);
+    /// its decode tables and scales are `luts[r · groups + g]` and
+    /// `wscales[r · groups + g]`, resolved by the caller once for the
+    /// whole sweep. For member `j` (codes `xcodes[j · groups ·
+    /// group_size..]`, scales `xscales[j · groups..]`), row `r` and every
+    /// group `g` in ascending order,
+    ///
+    /// ```text
+    /// accs[j·n + r] += (xscales[j·groups + g] · wscales[r·groups + g]) · Σ_i x_j[i] · w_r[i]   (i in group g)
+    /// ```
+    ///
+    /// — one `fused_dot`-style chain per (member, row), so a caller that
+    /// starts `accs` at `+0.0` gets a cached K row's score, and one that
+    /// starts it at `-0.0` with a single group gets a V channel's term
+    /// exactly (`-0.0 + t` is `t` for every `t`).
+    ///
+    /// Lanes are rows: on the AVX2 arm eight rows form a block, each row's
+    /// 32-code runs are `pshufb`-decoded **once** in registers and
+    /// `pmaddwd`-ed against every member of a register block of up to two
+    /// (the other query heads of a GQA group), one `phaddd` tree turns the
+    /// eight rows' accumulators into one `i32x8` whose lane `r` is row
+    /// `r`'s group dot, and the epilogue runs on it in place (`cvtdq2pd`,
+    /// `mulpd`, `mulpd`, `addpd`). A short last block repeats its last
+    /// row in the spare lanes, which are never stored. Group tails past
+    /// the last whole 32-code run go through the scalar pair-table walk.
+    /// Exactness as [`KernelDispatch::dot_tile8_scaled`]: every `phaddd`
+    /// intermediate is a subset sum of one (row, group) dot, exact under
+    /// [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP); `i32 → f64` is
+    /// exact; the vector operators round per lane like the scalar ones, in
+    /// the scalar association, and no FMA is formed. Odd group sizes and
+    /// every tier but AVX2 run the scalar arm:
+    /// [`crate::kernels::dot_packed`] per (member, row, group) and the
+    /// same expression.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `groups` is zero or does not divide the scale and table
+    /// counts, if `xcodes` or `accs` disagree with them, or if `rows` is
+    /// too short for `n` rows at `stride`; debug-asserts the
+    /// [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP) bound.
+    #[allow(clippy::too_many_arguments)] // one sweep's operands, each a distinct role
+    pub fn dot_packed_rows_scaled(
+        self,
+        rows: &[u8],
+        stride: usize,
+        group_size: usize,
+        groups: usize,
+        luts: &[&KernelLut],
+        wscales: &[f64],
+        xcodes: &[i8],
+        xscales: &[f64],
+        accs: &mut [f64],
+    ) {
+        assert!(groups > 0, "a row holds at least one group");
+        assert_eq!(luts.len(), wscales.len(), "one table per scale");
+        assert!(
+            wscales.len().is_multiple_of(groups) && xscales.len().is_multiple_of(groups),
+            "scales come in whole rows and members"
+        );
+        let (n, m) = (wscales.len() / groups, xscales.len() / groups);
+        let gb = group_size.div_ceil(2);
+        assert_eq!(xcodes.len(), m * groups * group_size, "member codes");
+        assert_eq!(accs.len(), m * n, "one accumulator per member and row");
+        assert!(
+            n == 0 || (n - 1) * stride + groups * gb <= rows.len(),
+            "rows hold fewer than n strided rows"
+        );
+        debug_assert!(group_size <= kernels::MAX_I32_GROUP, "i32 group bound");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelDispatch::Avx2
+                if group_size.is_multiple_of(2) && std::arch::is_x86_feature_detected!("avx2") =>
+            {
+                // SAFETY: the match guard just confirmed AVX2 on this CPU
+                // and an even group size; the lengths were asserted above.
+                unsafe {
+                    x86::dot_packed_rows_scaled_avx2(
+                        rows, stride, group_size, groups, luts, wscales, xcodes, xscales, accs,
+                    );
+                }
+            }
+            _ => {
+                let k = groups * group_size;
+                for (j, accs) in accs.chunks_exact_mut(n.max(1)).take(m).enumerate() {
+                    for (r, acc) in accs.iter_mut().enumerate() {
+                        let row = &rows[r * stride..];
+                        for g in 0..groups {
+                            let int = kernels::dot_packed(
+                                &xcodes[j * k + g * group_size..j * k + (g + 1) * group_size],
+                                &row[g * gb..(g + 1) * gb],
+                                &luts[r * groups + g].pair,
+                            );
+                            *acc += xscales[j * groups + g] * wscales[r * groups + g] * int as f64;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// `y_j = W · x_j` in f32 over a [`TiledF32`] copy of `W`, for every
     /// member `x_j` — the serving runner's LM head. Output `[j][n]` carries
     /// exactly the bits of `mant_tensor::matvec_batch`: one chain per
@@ -1378,6 +1481,345 @@ mod x86 {
                     let p = out.as_mut_ptr();
                     _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), lo));
                     _mm256_storeu_pd(p.add(4), _mm256_add_pd(_mm256_loadu_pd(p.add(4)), hi));
+                }
+            }
+        }
+    }
+
+    /// AVX2 body of [`super::KernelDispatch::dot_packed_rows_scaled`]:
+    /// deals the members' codes into the decode's operand order once, then
+    /// sweeps the rows for members in register blocks of two (the rows are
+    /// decoded once per block), the remainder through the block of its
+    /// size.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)] // the dispatcher's operands
+    pub(super) fn dot_packed_rows_scaled_avx2(
+        rows: &[u8],
+        stride: usize,
+        group_size: usize,
+        groups: usize,
+        luts: &[&KernelLut],
+        wscales: &[f64],
+        xcodes: &[i8],
+        xscales: &[f64],
+        accs: &mut [f64],
+    ) {
+        let (n, k) = (wscales.len() / groups, groups * group_size);
+        let (whole64, half) = (group_size / 64, group_size % 64 >= 32);
+        let per_group = (whole64 + usize::from(half)) * 64;
+        let sweep = SweptRows {
+            rows,
+            stride,
+            group_size,
+            groups,
+            whole64,
+            half,
+            per_group,
+            luts,
+            wscales,
+        };
+        // Member `j`'s codes, widened and dealt per run of 64 (see
+        // `run64_avx2`): `[member][group][run][slot]`, a short last run
+        // zero-padded.
+        let mut on_stack = [0i16; 256];
+        let mut on_heap = Vec::new();
+        let dealt = xscales.len() * per_group;
+        let xq: &mut [i16] = if dealt <= on_stack.len() {
+            &mut on_stack[..dealt]
+        } else {
+            on_heap.resize(dealt, 0);
+            &mut on_heap
+        };
+        for (x, xq) in xcodes
+            .chunks_exact(group_size)
+            .zip(xq.chunks_exact_mut(per_group.max(1)))
+        {
+            for (x, xq) in x[..group_size / 32 * 32]
+                .chunks(64)
+                .zip(xq.chunks_exact_mut(64))
+            {
+                // Codes `16h..16h + 16` are packed bytes `8h..8h + 8`.
+                for (h, x) in x.chunks_exact(16).enumerate() {
+                    let at = run64_slot(h);
+                    for (j, pair) in x.chunks_exact(2).enumerate() {
+                        xq[at + j] = i16::from(pair[0]);
+                        xq[at + 16 + j] = i16::from(pair[1]);
+                    }
+                }
+            }
+        }
+        let per_member = groups * per_group;
+        for (b, accs) in accs.chunks_mut(2 * n.max(1)).enumerate() {
+            let x = &xcodes[b * 2 * k..];
+            let xq = &xq[b * 2 * per_member..];
+            let xs = &xscales[b * 2 * groups..];
+            let one64 = group_size == 64;
+            if accs.len() > n {
+                let ops = (&x[..2 * k], &xq[..2 * per_member], &xs[..2 * groups]);
+                if one64 {
+                    packed_rows_block_avx2::<2, true>(&sweep, ops, accs);
+                } else {
+                    packed_rows_block_avx2::<2, false>(&sweep, ops, accs);
+                }
+            } else {
+                let ops = (&x[..k], &xq[..per_member], &xs[..groups]);
+                if one64 {
+                    packed_rows_block_avx2::<1, true>(&sweep, ops, accs);
+                } else {
+                    packed_rows_block_avx2::<1, false>(&sweep, ops, accs);
+                }
+            }
+        }
+    }
+
+    /// Where the sixteen codes of packed bytes `8h..8h + 8` of a run of 64
+    /// sit among the dealt member codes: the even ones from this slot on,
+    /// the odd ones sixteen further — the operand order [`run64_avx2`]'s
+    /// byte unpacks produce (`unpacklo` takes packed bytes `0..8` and
+    /// `16..24`, `unpackhi` bytes `8..16` and `24..32`).
+    fn run64_slot(h: usize) -> usize {
+        (h % 2) * 32 + (h / 2) * 8
+    }
+
+    /// The row operands of one [`dot_packed_rows_scaled_avx2`] call, with
+    /// the group's run structure: `whole64` runs of 64 codes, then a run
+    /// of 32 if `half`, then (not here) a scalar tail.
+    struct SweptRows<'a> {
+        rows: &'a [u8],
+        stride: usize,
+        group_size: usize,
+        groups: usize,
+        whole64: usize,
+        half: bool,
+        /// Dealt codes per member and group.
+        per_group: usize,
+        luts: &'a [&'a KernelLut],
+        wscales: &'a [f64],
+    }
+
+    /// One member block of [`dot_packed_rows_scaled_avx2`]: per block of
+    /// eight rows (lane = row) and per group, the rows' group dots for all
+    /// `MB` members ([`rows8_group_dots_avx2`], plus the scalar pair-table
+    /// walk over a group's codes past its last whole 32), then the
+    /// epilogue, added straight into the accumulators (a short last block
+    /// works on a copy of its live lanes). The operands are the block's
+    /// INT8 codes, the same codes dealt for the decode, and the group
+    /// scales. `ONE64` is the serving group size, 64: one run per group,
+    /// and no run loop in the rows' inner code.
+    #[target_feature(enable = "avx2")]
+    fn packed_rows_block_avx2<const MB: usize, const ONE64: bool>(
+        s: &SweptRows<'_>,
+        (xcodes, xq, xscales): (&[i8], &[i16], &[f64]),
+        accs: &mut [f64],
+    ) {
+        let (groups, gs) = (s.groups, s.group_size);
+        let n = s.wscales.len() / groups;
+        let (k, gb) = (groups * gs, gs.div_ceil(2));
+        let whole = gs / 32 * 32;
+        assert!(xcodes.len() == MB * k && xscales.len() == MB * groups && accs.len() == MB * n);
+        assert!(xq.len() == MB * groups * s.per_group && s.luts.len() == n * groups);
+        assert_eq!(s.wscales.len(), n * groups);
+        assert!(n == 0 || (n - 1) * s.stride + groups * gb <= s.rows.len());
+        assert!(!ONE64 || gs == 64);
+        for r0 in (0..n).step_by(TILE_ROWS) {
+            let live = (n - r0).min(TILE_ROWS);
+            // Spare lanes of a short block repeat its last row.
+            let mut row_of = [0usize; TILE_ROWS];
+            for (l, r) in row_of.iter_mut().enumerate() {
+                *r = r0 + l.min(live - 1);
+            }
+            let mut spare = [[0.0f64; TILE_ROWS]; MB];
+            if live < TILE_ROWS {
+                for (j, spare) in spare.iter_mut().enumerate() {
+                    spare[..live].copy_from_slice(&accs[j * n + r0..][..live]);
+                }
+            }
+            for g in 0..groups {
+                // SAFETY: every `row_of[l] < n`, `g < groups`, and the
+                // asserts above bound the rows, tables and dealt codes.
+                let mut ints = unsafe { rows8_group_dots_avx2::<MB, ONE64>(s, &row_of, g, xq) };
+                if whole < gs {
+                    for (j, ints) in ints.iter_mut().enumerate() {
+                        let x = &xcodes[j * k + g * gs + whole..j * k + (g + 1) * gs];
+                        let mut tail = [0i32; TILE_ROWS];
+                        for (t, &r) in tail.iter_mut().zip(&row_of) {
+                            let row = &s.rows[r * s.stride + g * gb..];
+                            let lut = &s.luts[r * groups + g].pair;
+                            *t = kernels::dot_packed(x, &row[whole / 2..gb], lut) as i32;
+                        }
+                        // SAFETY: `tail` is eight i32s; unaligned load.
+                        let tail = unsafe { _mm256_loadu_si256(tail.as_ptr().cast()) };
+                        *ints = _mm256_add_epi32(*ints, tail);
+                    }
+                }
+                // SAFETY: every `row_of[l] < n` and `g < groups`, and
+                // `wscales` holds `n · groups` scales (asserted above).
+                let [ws_lo, ws_hi] = unsafe {
+                    if groups == 1 && live == TILE_ROWS {
+                        let ws = s.wscales.as_ptr().add(r0);
+                        [_mm256_loadu_pd(ws), _mm256_loadu_pd(ws.add(4))]
+                    } else {
+                        [
+                            row_scales4_avx2(s.wscales, &row_of[..4], groups, g),
+                            row_scales4_avx2(s.wscales, &row_of[4..], groups, g),
+                        ]
+                    }
+                };
+                for (j, (ints, spare)) in ints.iter().zip(&mut spare).enumerate() {
+                    let xs = _mm256_set1_pd(xscales[j * groups + g]);
+                    let lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(*ints));
+                    let hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(*ints));
+                    // `(xs · ws) · int`, then `+=` — the scalar association.
+                    let lo = _mm256_mul_pd(_mm256_mul_pd(xs, ws_lo), lo);
+                    let hi = _mm256_mul_pd(_mm256_mul_pd(xs, ws_hi), hi);
+                    let acc = match accs[j * n + r0..].first_chunk_mut::<TILE_ROWS>() {
+                        Some(lanes) if live == TILE_ROWS => lanes,
+                        _ => spare,
+                    };
+                    // SAFETY: `acc` is eight f64s; unaligned 4-lane accesses.
+                    unsafe {
+                        let p = acc.as_mut_ptr();
+                        _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), lo));
+                        _mm256_storeu_pd(p.add(4), _mm256_add_pd(_mm256_loadu_pd(p.add(4)), hi));
+                    }
+                }
+            }
+            if live < TILE_ROWS {
+                for (j, spare) in spare.iter().enumerate() {
+                    accs[j * n + r0..][..live].copy_from_slice(&spare[..live]);
+                }
+            }
+        }
+    }
+
+    /// Group `g`'s scales of four rows as one `f64x4`, read straight from
+    /// `wscales` — not through a stack array, whose scalar stores a vector
+    /// load could not take forwarded.
+    ///
+    /// # Safety
+    ///
+    /// `rows[l] · groups + g` must index `wscales` for `l < 4`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn row_scales4_avx2(
+        wscales: &[f64],
+        rows: &[usize],
+        groups: usize,
+        g: usize,
+    ) -> __m256d {
+        // SAFETY: the caller's contract.
+        let at = |l: usize| unsafe { *wscales.get_unchecked(rows[l] * groups + g) };
+        _mm256_set_pd(at(3), at(2), at(1), at(0))
+    }
+
+    /// Group `g`'s dots of the eight rows `row_of` against `MB` members,
+    /// over the group's whole 32-code runs: lane `l` of member `j`'s result
+    /// is row `row_of[l]`'s sum. Per row, each run of 64 codes (32 packed
+    /// bytes), and a last 32 zero-extended to one, goes through
+    /// [`run64_avx2`]; the eight rows' `i32x8` accumulators then meet in
+    /// one `phaddd` tree.
+    ///
+    /// # Safety
+    ///
+    /// Every `row_of[l]` must be a row of `s` and `g` one of its groups;
+    /// `xq` must hold `MB` members' dealt codes.
+    #[target_feature(enable = "avx2")]
+    unsafe fn rows8_group_dots_avx2<const MB: usize, const ONE64: bool>(
+        s: &SweptRows<'_>,
+        row_of: &[usize; TILE_ROWS],
+        g: usize,
+        xq: &[i16],
+    ) -> [__m256i; MB] {
+        let member_stride = s.groups * s.per_group;
+        let gb = s.group_size.div_ceil(2);
+        // No closures here: one would carry this function's target
+        // features into a generic callee that cannot inline it.
+        let mut d = [[_mm256_setzero_si256(); MB]; TILE_ROWS];
+        // SAFETY: the caller guarantees every row and `g` are in range, so
+        // each table exists, a row's group starts `g · gb` bytes into it
+        // and holds `gb >= 32 · whole64 (+ 16 if half)` bytes, and member
+        // `MB - 1`'s dealt runs end inside `xq`.
+        unsafe {
+            let x = xq.as_ptr().add(g * s.per_group);
+            for (d, &r) in d.iter_mut().zip(row_of) {
+                let lut: &KernelLut = s.luts.get_unchecked(r * s.groups + g);
+                let tabs = [
+                    _mm256_broadcastsi128_si256(_mm_loadu_si128(lut.lo8.as_ptr().cast())),
+                    _mm256_broadcastsi128_si256(_mm_loadu_si128(lut.hi8.as_ptr().cast())),
+                ];
+                let w = s.rows.as_ptr().add(r * s.stride + g * gb);
+                if ONE64 {
+                    run64_avx2(_mm256_loadu_si256(w.cast()), tabs, x, member_stride, d);
+                    continue;
+                }
+                for i in 0..s.whole64 {
+                    let run = _mm256_loadu_si256(w.add(32 * i).cast());
+                    run64_avx2(run, tabs, x.add(64 * i), member_stride, d);
+                }
+                if s.half {
+                    let i = s.whole64;
+                    let run = _mm256_zextsi128_si256(_mm_loadu_si128(w.add(32 * i).cast()));
+                    run64_avx2(run, tabs, x.add(64 * i), member_stride, d);
+                }
+            }
+        }
+        // Per 128-bit half, `hadd(hadd(a, b), hadd(c, d))` holds four
+        // rows' half-sums in row order; the cross-lane permutes put rows
+        // 0–3 below rows 4–7 and add the halves. Every intermediate is a
+        // subset sum of one row's products.
+        let mut out = [_mm256_setzero_si256(); MB];
+        for j in 0..MB {
+            let q0 = _mm256_hadd_epi32(
+                _mm256_hadd_epi32(d[0][j], d[1][j]),
+                _mm256_hadd_epi32(d[2][j], d[3][j]),
+            );
+            let q1 = _mm256_hadd_epi32(
+                _mm256_hadd_epi32(d[4][j], d[5][j]),
+                _mm256_hadd_epi32(d[6][j], d[7][j]),
+            );
+            out[j] = _mm256_add_epi32(
+                _mm256_permute2x128_si256::<0x20>(q0, q1),
+                _mm256_permute2x128_si256::<0x31>(q0, q1),
+            );
+        }
+        out
+    }
+
+    /// 64 codes of one row (32 packed bytes in `w`) against `MB` members,
+    /// added into `acc`. The decode works on bytes: the low and the high
+    /// nibbles each index the `lo8` and `hi8` shuffle tables in `tabs`
+    /// (four `pshufb` for 64 codes), and `punpck{l,h}bw` of a low-byte and
+    /// a high-byte result are the i16 operands themselves, two vectors of
+    /// sixteen per nibble half — in an order [`run64_slot`] states, which
+    /// the members' codes were dealt to match. Member `j`'s 64 dealt codes
+    /// start at `x + j · member_stride`.
+    ///
+    /// # Safety
+    ///
+    /// `x + j · member_stride + 64` must be in bounds of the dealt codes
+    /// for every `j < MB`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn run64_avx2<const MB: usize>(
+        w: __m256i,
+        [tlo, thi]: [__m256i; 2],
+        x: *const i16,
+        member_stride: usize,
+        acc: &mut [__m256i; MB],
+    ) {
+        let m0f = _mm256_set1_epi8(0x0f);
+        let even = _mm256_and_si256(w, m0f);
+        let odd = _mm256_and_si256(_mm256_srli_epi16::<4>(w), m0f);
+        for (c, idx) in [even, odd].into_iter().enumerate() {
+            let lo = _mm256_shuffle_epi8(tlo, idx);
+            let hi = _mm256_shuffle_epi8(thi, idx);
+            let ops = [_mm256_unpacklo_epi8(lo, hi), _mm256_unpackhi_epi8(lo, hi)];
+            for (j, acc) in acc.iter_mut().enumerate() {
+                for (h, op) in ops.iter().enumerate() {
+                    // SAFETY: slot `16c + 32h` of member `j`'s run is in
+                    // bounds (the caller's contract); unaligned load.
+                    let xv = unsafe {
+                        _mm256_loadu_si256(x.add(j * member_stride + 16 * c + 32 * h).cast())
+                    };
+                    *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(xv, *op));
                 }
             }
         }

@@ -255,6 +255,32 @@ fn packing_rejects_malformed_length() {
     let _ = NibbleIter::new(&packed, 5);
 }
 
+/// The decode-attention sweep at the `MAX_I32_GROUP` bound: nine rows (a
+/// whole lane block and a one-row block) of worst-case magnitudes, two
+/// members, every tier exact — no `phaddd` intermediate overflows.
+#[test]
+fn simd_packed_rows_exact_at_i32_bound() {
+    let lut = mant_kernel_lut(127);
+    let rows = pack_nibbles(&vec![0xfu8; 9 * MAX_I32_GROUP]);
+    let x = vec![-128i8; 2 * MAX_I32_GROUP];
+    let expect = MAX_I32_GROUP as f64 * 128.0 * f64::from(127 * 7 + 128);
+    for d in tiers() {
+        let mut accs = vec![0.0f64; 18];
+        d.dot_packed_rows_scaled(
+            &rows,
+            MAX_I32_GROUP / 2,
+            MAX_I32_GROUP,
+            1,
+            &[&lut; 9],
+            &[1.0; 9],
+            &x,
+            &[1.0, 1.0],
+            &mut accs,
+        );
+        assert_eq!(accs, vec![expect; 18], "tier {}", d.name());
+    }
+}
+
 proptest! {
     /// Every SIMD tier's packed dot is bit-identical to the scalar oracle
     /// for any MANT coefficient, any length (odd tails, lengths that are
@@ -401,6 +427,97 @@ proptest! {
             d.dot_tile8_scaled(&tile, &wscales, gs, &x16, xscales, &mut got);
             let got: Vec<u64> = got.iter().flatten().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&got, &oracle, "tier {} gs {} groups {} m {}", d.name(), gs, groups, m);
+        }
+    }
+
+    /// The decode-attention sweep equals, on every tier, per-row
+    /// `dot_packed` followed by the scalar epilogue. Rows are a window of
+    /// `groups` groups inside wider strided rows (a K row holds every KV
+    /// head), row counts straddle the eight-lane block, one to three
+    /// members share the rows (GQA), and group 0 is pinned at the extremes
+    /// (x = −128 against −1017) under full-mantissa f64 scales, so a
+    /// reassociated or FMA-fused epilogue fails. The accumulators start at
+    /// `+0.0` (a K score), at `-0.0` (a V term, which must come out as the
+    /// term itself, `-0.0` included) or at arbitrary values.
+    #[test]
+    fn simd_packed_rows_bit_identical_to_per_row_dot_packed(
+        shape in (0usize..10, 1usize..=3, 0usize..=20, 1usize..=3),
+        layout in (0usize..=2, 0usize..=2, 0usize..3, 0usize..2),
+        coeffs in proptest::collection::vec(0u32..129, 20 * 3),
+        wseed in proptest::collection::vec(0u8..16, 20 * 7 * 128),
+        xseed in proptest::collection::vec(-128i64..=127, 3 * 3 * 128),
+        scales in proptest::collection::vec(-4.0f64..4.0, 20 * 3 + 3 * 3),
+        init in proptest::collection::vec(-4.0f64..4.0, 3 * 20),
+    ) {
+        let gs = [2usize, 4, 8, 16, 32, 48, 64, 96, 128, 33][shape.0];
+        let (groups, n, m) = (shape.1, shape.2, shape.3);
+        let (before, after, start, zero_member) = (layout.0, layout.1, layout.2, layout.3 == 1);
+        let (k, gb) = (groups * gs, gs.div_ceil(2));
+        let stride = (before + groups + after) * gb;
+        let lut_of = |r: usize, g: usize| match coeffs[r * 3 + g] {
+            _ if g == 0 => mant_kernel_lut(127),
+            128 => kernel_lut(&int4_decode_lut()),
+            a => mant_kernel_lut(a),
+        };
+        let tables: Vec<KernelLut> =
+            (0..n * groups).map(|i| lut_of(i / groups, i % groups)).collect();
+        let luts: Vec<&KernelLut> = tables.iter().collect();
+        let rows: Vec<u8> = (0..n)
+            .flat_map(|r| {
+                let seed = &wseed[r * 7 * 128..];
+                let mut row: Vec<u8> = (0..before + groups + after)
+                    .flat_map(|g| pack_nibbles(&seed[g * gs..(g + 1) * gs]))
+                    .collect();
+                row[before * gb..(before + 1) * gb].copy_from_slice(&pack_nibbles(&vec![0xf; gs]));
+                row
+            })
+            .collect();
+        let mut x: Vec<i8> = xseed[..m * k].iter().map(|&v| v as i8).collect();
+        x.chunks_mut(k).for_each(|x| x[..gs].fill(-128));
+        if zero_member {
+            x[..k].fill(0);
+        }
+        let wscales = &scales[..n * groups];
+        let xscales = &scales[60..60 + m * groups];
+        let start_at = |i: usize| [0.0, -0.0, init[i]][start];
+
+        let mut oracle: Vec<f64> = (0..m * n).map(start_at).collect();
+        for j in 0..m {
+            for r in 0..n {
+                let row = &rows[r * stride + before * gb..];
+                for g in 0..groups {
+                    let int = dot_packed(
+                        &x[j * k + g * gs..j * k + (g + 1) * gs],
+                        &row[g * gb..(g + 1) * gb],
+                        &tables[r * groups + g].pair,
+                    );
+                    let term = xscales[j * groups + g] * wscales[r * groups + g] * int as f64;
+                    if groups == 1 && start == 1 {
+                        prop_assert_eq!((-0.0 + term).to_bits(), term.to_bits());
+                    }
+                    oracle[j * n + r] += term;
+                }
+            }
+        }
+        let oracle: Vec<u64> = oracle.iter().map(|v| v.to_bits()).collect();
+        for d in tiers() {
+            let mut got: Vec<f64> = (0..m * n).map(start_at).collect();
+            d.dot_packed_rows_scaled(
+                &rows[(before * gb).min(rows.len())..],
+                stride,
+                gs,
+                groups,
+                &luts,
+                wscales,
+                &x,
+                xscales,
+                &mut got,
+            );
+            let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(
+                &got, &oracle,
+                "tier {} gs {} groups {} n {} m {} start {}", d.name(), gs, groups, n, m, start
+            );
         }
     }
 

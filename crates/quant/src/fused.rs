@@ -42,8 +42,12 @@ pub fn group_dot(meta: GroupMeta, xcodes: &[i8], wcodes: &[u8]) -> i64 {
 /// the process-wide kernel tier ([`fn@mant_numerics::kernels`]): a pair-LUT
 /// walk on the scalar tier, `pshufb`-decoded `pmaddwd` lanes on the SIMD
 /// tiers — bit-identical to [`group_dot`] on the unpacked codes either
-/// way. The primitive the K/V caches and the paged pool consume their
-/// storage with.
+/// way. One table lookup and one dispatch per group: the primitive of the
+/// per-row references [`crate::PagedKvCache::fused_dot`] and
+/// `attend_window`, which the decode-attention sweep
+/// ([`mant_numerics::KernelDispatch::dot_packed_rows_scaled`], a block of
+/// rows per call) is tested against. No serving path calls it per cached
+/// row or V channel.
 pub fn group_dot_packed(meta: GroupMeta, xcodes: &[i8], wpacked: &[u8]) -> i64 {
     kernels().dot_packed(xcodes, wpacked, kernel_table(meta.dtype))
 }

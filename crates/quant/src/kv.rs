@@ -15,7 +15,8 @@
 //!   window is committed to 4-bit MANT.
 //!
 //! This module holds the **encode engines** only — `encode_k_row_into`,
-//! `VStaging`, `attend_window` and the probability quantizer. Where the
+//! `VStaging`, the probability quantizer, and `attend_window` (the
+//! per-channel reference of committed-window `P·V`). Where the
 //! bytes land, and every public cache operation over them, is
 //! [`crate::pool`]'s [`crate::PagedKvCache`]: the one KV store.
 
@@ -83,6 +84,11 @@ pub(crate) struct CommittedWindow {
 /// window's per-channel metadata and channel-major **packed** codes
 /// (`dim × ⌈group_size/2⌉` bytes), `pcodes`/`pscale` the window's
 /// INT8-quantized probabilities. Adds into `out` for channels `chan_lo..`.
+///
+/// The per-channel **reference** behind [`crate::PagedKvCache::attend`]:
+/// one [`group_dot_packed`] per channel. Decode attention takes a head's
+/// channels of a window in one `dot_packed_rows_scaled` call instead,
+/// with the same term, rounded to f32 the same way, per channel.
 pub(crate) fn attend_window(
     meta: &[GroupMeta],
     codes: &[u8],

@@ -28,9 +28,10 @@
 //! - [`pool`]: the one KV store — a paged, packed, **refcounted** block
 //!   allocator owning MANT4/INT8 group storage that hands fixed-size
 //!   blocks to per-sequence [`PagedKvCache`] views, with incremental
-//!   group-wise access ([`PagedKvCache::fused_dot`] for `Q·Kᵀ`,
-//!   [`PagedKvCache::attend`] for `P·V`) so decode-step attention never
-//!   dequantizes the full cache. Views fork **copy-on-write**
+//!   group-wise access ([`attention_incremental_paged`] sweeping pool
+//!   blocks and V windows; [`PagedKvCache::fused_dot`] and
+//!   [`PagedKvCache::attend`] are its per-row references) so decode-step
+//!   attention never dequantizes the full cache. Views fork **copy-on-write**
 //!   ([`PagedKvCache::fork`]), so identical prompt prefixes share
 //!   physical blocks; a single-sequence caller sizes a private pool (or
 //!   grows one, [`KvCachePool::grow`]); [`mant_gemv_batch`] is the

@@ -45,6 +45,14 @@ pub fn kernel_table(dtype: GroupDtype) -> &'static KernelLut {
     &tables()[dtype_key(dtype)]
 }
 
+/// [`kernel_table`] with the store's first-use check paid once: the
+/// returned lookup is a plain index, for loops that resolve a block's or a
+/// window's groups in one go.
+pub(crate) fn kernel_table_lookup() -> impl Fn(GroupDtype) -> &'static KernelLut {
+    let tables = tables();
+    move |dtype| &tables[dtype_key(dtype)]
+}
+
 /// The interned 256-entry pair-decode table of a group dtype — the
 /// scalar-tier view of [`kernel_table`], kept for oracle paths and tests.
 pub fn pair_table(dtype: GroupDtype) -> &'static PairLut {

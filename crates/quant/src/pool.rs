@@ -48,15 +48,15 @@ use mant_tensor::Matrix;
 
 use crate::activation::{quantize_vector_int8, QuantizedVector};
 use crate::error::QuantError;
-use crate::fused::{decode_tile_row, group_dot_packed, DECODE_ONCE_MIN_BATCH};
+use crate::fused::{decode_tile_row, group_dot_packed};
 use crate::kv::{attend_window, encode_k_row_into, quantize_probs_int8_into, VStaging};
-use crate::mantq::{packed_code, GroupMeta};
-use crate::plan::kernel_table;
+use crate::mantq::{packed_code, GroupDtype, GroupMeta};
+use crate::plan::{kernel_table, kernel_table_lookup};
 use crate::variance::VarianceMap;
 
 #[allow(unused_imports)] // doc links
 use mant_numerics::KernelDispatch;
-use mant_numerics::{kernels, tile8_len, TILE_ROWS};
+use mant_numerics::{kernels, tile8_len, KernelLut, TILE_ROWS};
 
 /// Shape of a [`KvCachePool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -300,8 +300,21 @@ impl KvCachePool {
     }
 
     fn k_row(&self, block: u32, slot: usize) -> (&[u8], &[GroupMeta]) {
-        let (codes, meta) = self.k_row_at(block, slot);
-        (&self.k_codes[codes], &self.k_meta[meta])
+        self.k_rows(block, slot..slot + 1)
+    }
+
+    /// Consecutive K rows of one block: packed codes (a row every
+    /// [`KvCachePool::k_row_bytes`]) and metadata (a row every `kv_dim /
+    /// group_size` entries).
+    fn k_rows(&self, block: u32, slots: Range<usize>) -> (&[u8], &[GroupMeta]) {
+        let (first, last) = (
+            self.k_row_at(block, slots.start),
+            self.k_row_at(block, slots.end),
+        );
+        (
+            &self.k_codes[first.0.start..last.0.start],
+            &self.k_meta[first.1.start..last.1.start],
+        )
     }
 
     fn k_row_mut(&mut self, block: u32, slot: usize) -> (&mut [u8], &mut [GroupMeta]) {
@@ -617,6 +630,14 @@ impl PagedKvCache {
     /// the pooled packed key codes (Eq. (5): integer psums, one `s_q · s_k`
     /// multiply per group), from query group `q_lo` and key group `k_lo`.
     ///
+    /// The **per-row reference** of decode attention: one block lookup,
+    /// then one dispatched [`group_dot_packed`] and one f64 multiply-add per
+    /// group. The serving paths score whole pool blocks at a time
+    /// ([`attention_incremental_paged`], [`RunAttention`]) through
+    /// [`KernelDispatch::dot_packed_rows_scaled`], whose epilogue is this
+    /// sum — same expression, same association, ascending groups from
+    /// `+0.0` — so tests compare them bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if the query's group size differs from the cache's, or if
@@ -646,50 +667,155 @@ impl PagedKvCache {
         acc as f32
     }
 
+    /// Scores query heads against cached K rows `rows` of one KV head (its
+    /// `gph` groups from key group `k_lo`), one
+    /// [`KernelDispatch::dot_packed_rows_scaled`] call per pool block: the
+    /// block's tables and scales are resolved once, and every query head
+    /// of `xcodes` (INT8, `gph · group_size` codes each; f64 group scales
+    /// `xscales`) is a member of the call — the GQA heads sharing the KV
+    /// head. `emit(member, t0, sums)` receives each block's sums for rows
+    /// `t0..t0 + sums.len()`: the f64 value [`PagedKvCache::fused_dot`]
+    /// rounds to f32, bit for bit.
+    #[allow(clippy::too_many_arguments)] // one sweep's operands
+    fn score_rows(
+        &self,
+        pool: &KvCachePool,
+        rows: Range<usize>,
+        k_lo: usize,
+        gph: usize,
+        xcodes: &[i8],
+        xscales: &[f64],
+        sweep: &mut RowSweep,
+        mut emit: impl FnMut(usize, usize, &[f64]),
+    ) {
+        let (g, gb, bt) = (
+            self.staging.group_size,
+            pool.group_bytes(),
+            pool.cfg.block_tokens,
+        );
+        let gpr = pool.cfg.kv_dim / g;
+        let members = xscales.len() / gph;
+        let mut t0 = rows.start;
+        while t0 < rows.end {
+            let slot = t0 % bt;
+            let n = (bt - slot).min(rows.end - t0);
+            let (codes, meta) = pool.k_rows(self.blocks[t0 / bt], slot..slot + n);
+            sweep.resolve(meta, (gpr, k_lo, gph), members * n, 0.0);
+            kernels().dot_packed_rows_scaled(
+                &codes[k_lo * gb..],
+                pool.k_row_bytes(),
+                g,
+                gph,
+                &sweep.luts,
+                &sweep.scales,
+                xcodes,
+                xscales,
+                &mut sweep.accs,
+            );
+            for (j, sums) in sweep.accs.chunks_exact(n).enumerate() {
+                emit(j, t0, sums);
+            }
+            t0 += n;
+        }
+    }
+
     /// Incremental `P·V` over pooled committed windows plus the
     /// per-sequence INT8 staging window: adds `Σ_t probs[t] · v_t[c]` into
     /// `out[c - chan_lo]`, probabilities quantized to INT8 per window.
+    ///
+    /// The **per-row reference**: every committed window goes through
+    /// `attend_window`, one [`group_dot_packed`] per channel. Decode
+    /// attention takes the same windows one
+    /// [`KernelDispatch::dot_packed_rows_scaled`] call per head and window,
+    /// bit for bit the same.
     ///
     /// # Panics
     ///
     /// Panics if `probs.len() != self.len()` or the channel range exceeds
     /// the cache width.
     pub fn attend(&self, pool: &KvCachePool, probs: &[f32], chan_lo: usize, out: &mut [f32]) {
-        let mut p8 = vec![0i8; self.staging.group_size];
-        self.attend_with(pool, probs, &mut p8, chan_lo, out);
+        let g = self.staging.group_size;
+        let mut p8 = vec![0i8; g];
+        let chans = chan_lo..chan_lo + out.len();
+        let staged = self.each_window(pool, probs, &mut p8, chans, |win| {
+            attend_window(win.meta, win.codes, g, win.pcodes, win.pscale, chan_lo, out);
+        });
+        self.staging
+            .attend_staged_with(staged, &mut p8, chan_lo, out);
     }
 
-    /// [`PagedKvCache::attend`] with the caller's scratch for one window's
-    /// probability codes (`group_size` long), so a caller that attends head
-    /// after head allocates nothing per head.
+    /// [`PagedKvCache::attend`] with the committed windows swept: per
+    /// window, the head's channels are one
+    /// [`KernelDispatch::dot_packed_rows_scaled`] call (a channel is a row
+    /// of one group at stride `group_bytes`, the window's INT8
+    /// probabilities the one member), with the caller's scratch for the
+    /// probability codes and the sweep, so a caller that attends head after
+    /// head allocates nothing per head. The accumulators start at `-0.0`,
+    /// so each holds exactly [`attend_window`]'s f64 term (`-0.0 + t` is
+    /// `t`, signed zeros included), rounded to f32 before its `+=` as
+    /// there.
     fn attend_with(
         &self,
         pool: &KvCachePool,
         probs: &[f32],
         p8: &mut [i8],
+        sweep: &mut RowSweep,
         chan_lo: usize,
         out: &mut [f32],
     ) {
+        let (g, gb) = (self.staging.group_size, pool.group_bytes());
+        let chans = chan_lo..chan_lo + out.len();
+        let staged = self.each_window(pool, probs, p8, chans.clone(), |win| {
+            sweep.resolve(&win.meta[chans.clone()], (1, 0, 1), chans.len(), -0.0);
+            kernels().dot_packed_rows_scaled(
+                &win.codes[chan_lo * gb..],
+                gb,
+                g,
+                1,
+                &sweep.luts,
+                &sweep.scales,
+                win.pcodes,
+                &[f64::from(win.pscale)],
+                &mut sweep.accs,
+            );
+            for (o, &term) in out.iter_mut().zip(&sweep.accs) {
+                *o += term as f32;
+            }
+        });
+        self.staging.attend_staged_with(staged, p8, chan_lo, out);
+    }
+
+    /// The committed-window half of `P·V`: checks the shapes, then hands
+    /// `each` every committed window whose probabilities are not all zero,
+    /// in ascending order, with those probabilities quantized to INT8 in
+    /// `p8`. Returns the staged rows' probabilities.
+    fn each_window<'p>(
+        &self,
+        pool: &KvCachePool,
+        probs: &'p [f32],
+        p8: &mut [i8],
+        chans: Range<usize>,
+        mut each: impl FnMut(WindowOperands<'_>),
+    ) -> &'p [f32] {
         assert_eq!(probs.len(), self.rows, "probability length mismatch");
-        assert!(
-            chan_lo + out.len() <= self.staging.dim,
-            "channel range out of bounds"
-        );
+        assert!(chans.end <= self.staging.dim, "channel range out of bounds");
         let g = self.staging.group_size;
         let bt = pool.cfg.block_tokens;
-        let mut t0 = 0usize;
-        for w in 0..self.committed_windows {
-            let window_probs = &probs[t0..t0 + g];
-            t0 += g;
+        let (windows, staged) = probs.split_at(self.committed_windows * g);
+        for (w, window_probs) in windows.chunks_exact(g).enumerate() {
             let Some(pscale) = quantize_probs_int8_into(window_probs, &mut p8[..g]) else {
                 continue;
             };
             let win_token = w * g;
             let (meta, codes) = pool.v_window(self.blocks[win_token / bt], (win_token % bt) / g);
-            attend_window(meta, codes, g, &p8[..g], pscale, chan_lo, out);
+            each(WindowOperands {
+                meta,
+                codes,
+                pcodes: &p8[..g],
+                pscale,
+            });
         }
-        self.staging
-            .attend_staged_with(&probs[t0..], p8, chan_lo, out);
+        staged
     }
 
     /// Drops this view's hold on every block (a block returns to the free
@@ -757,6 +883,58 @@ impl PagedKvCache {
     }
 }
 
+/// One committed V window as the `P·V` paths read it: per-channel metadata
+/// and channel-major packed codes from the pool, and the window's
+/// probabilities quantized to INT8.
+struct WindowOperands<'a> {
+    meta: &'a [GroupMeta],
+    codes: &'a [u8],
+    pcodes: &'a [i8],
+    pscale: f32,
+}
+
+/// Scratch of the decode-attention sweep
+/// ([`KernelDispatch::dot_packed_rows_scaled`]): the swept rows' decode
+/// tables and scales, resolved once per pool block (K) or window (V), and
+/// the kernel's accumulators. Reused across blocks, windows and heads.
+#[derive(Default)]
+struct RowSweep {
+    luts: Vec<&'static KernelLut>,
+    scales: Vec<f64>,
+    accs: Vec<f64>,
+}
+
+impl RowSweep {
+    /// Resolves the swept groups to their interned tables and f64 scales,
+    /// row-major: from each row of `row_len` entries of `meta`, the
+    /// `per_row` groups from `lo` on. Sets `accs` accumulators to `start`.
+    fn resolve(
+        &mut self,
+        meta: &[GroupMeta],
+        (row_len, lo, per_row): (usize, usize, usize),
+        accs: usize,
+        start: f64,
+    ) {
+        let table = kernel_table_lookup();
+        let n = meta.len() / row_len * per_row;
+        self.luts.resize(n, table(GroupDtype::Int4));
+        self.scales.resize(n, 0.0);
+        let rows = meta.chunks_exact(row_len).map(|row| &row[lo..lo + per_row]);
+        let dst = self
+            .luts
+            .chunks_exact_mut(per_row)
+            .zip(self.scales.chunks_exact_mut(per_row));
+        for (row, (luts, scales)) in rows.zip(dst) {
+            for ((m, l), s) in row.iter().zip(luts).zip(scales) {
+                *l = table(m.dtype);
+                *s = f64::from(m.scale);
+            }
+        }
+        self.accs.clear();
+        self.accs.resize(accs, start);
+    }
+}
+
 /// The shape contract of paged attention, checked once per call; returns
 /// the cache group size.
 fn check_attention_shapes(
@@ -785,10 +963,20 @@ fn check_attention_shapes(
 }
 
 /// Multi-head attention of one query vector against a pooled cache on the
-/// **incremental path**: [`PagedKvCache::fused_dot`] scores against the
-/// query quantized to group-wise INT8, then [`PagedKvCache::attend`]. No
-/// `seq × dim` matrix is materialized — work is proportional to the codes
-/// read. With `kv_heads < heads`, query heads share K/V heads (GQA).
+/// **incremental path**: scores against the query quantized to group-wise
+/// INT8, softmax, then `P·V` over the committed windows and the staging
+/// window. No `seq × dim` matrix is materialized — work is proportional to
+/// the codes read. With `kv_heads < heads`, query heads share K/V heads
+/// (GQA).
+///
+/// The cache is swept a block at a time, not a row at a time: per KV head
+/// and pool block one [`KernelDispatch::dot_packed_rows_scaled`] call
+/// scores the block's K rows for every query head of that KV head, and per
+/// head and committed window one call takes the head's channels of `P·V`.
+/// The block lookup, the decode tables and the dispatch are paid per block
+/// or window, the epilogue runs in vector lanes. Bit for bit the per-row
+/// references: a score is [`PagedKvCache::fused_dot`]` · 1/√head_dim`, and
+/// `P·V` is [`PagedKvCache::attend`].
 ///
 /// # Panics
 ///
@@ -804,29 +992,47 @@ pub fn attention_incremental_paged(
     head_dim: usize,
 ) -> Vec<f32> {
     let g = check_attention_shapes(q.len(), cache, heads, kv_heads, head_dim);
-    let queries_per_kv = heads / kv_heads;
-    let groups_per_head = head_dim / g;
+    let per_kv = heads / kv_heads;
+    let gph = head_dim / g;
     let qv = quantize_vector_int8(q, g).expect("group divides head dim, hence q length");
+    let q_scales: Vec<f64> = (0..qv.groups()).map(|j| f64::from(qv.scale(j))).collect();
     let scale = 1.0 / (head_dim as f32).sqrt();
+    let len = cache.len();
     let mut out = vec![0.0f32; heads * head_dim];
-    let mut scores = vec![0.0f32; cache.len()];
+    // The scores of one KV head's query heads, `[head][t]`.
+    let mut scores = vec![0.0f32; per_kv * len];
     let mut p8 = vec![0i8; g];
-    for h in 0..heads {
-        let lo = h * head_dim;
-        let kv_head = h / queries_per_kv;
-        let q_lo_group = lo / g;
-        let k_lo_group = kv_head * head_dim / g;
-        for (t, s) in scores.iter_mut().enumerate() {
-            *s = cache.fused_dot(pool, t, &qv, q_lo_group, k_lo_group, groups_per_head) * scale;
-        }
-        kernels().softmax(&mut scores);
-        cache.attend_with(
+    let mut sweep = RowSweep::default();
+    for kv_head in 0..kv_heads {
+        // A KV head's query heads are adjacent: one run of codes.
+        let heads_of = kv_head * per_kv..(kv_head + 1) * per_kv;
+        let codes = &qv.codes()[heads_of.start * head_dim..heads_of.end * head_dim];
+        let xscales = &q_scales[heads_of.start * gph..heads_of.end * gph];
+        cache.score_rows(
             pool,
-            &scores,
-            &mut p8,
-            kv_head * head_dim,
-            &mut out[lo..lo + head_dim],
+            0..len,
+            kv_head * gph,
+            gph,
+            codes,
+            xscales,
+            &mut sweep,
+            |j, t0, sums| {
+                for (s, &a) in scores[j * len + t0..].iter_mut().zip(sums) {
+                    *s = a as f32 * scale;
+                }
+            },
         );
+        for (h, scores) in heads_of.zip(scores.chunks_exact_mut(len.max(1))) {
+            kernels().softmax(scores);
+            cache.attend_with(
+                pool,
+                scores,
+                &mut p8,
+                &mut sweep,
+                kv_head * head_dim,
+                &mut out[h * head_dim..(h + 1) * head_dim],
+            );
+        }
     }
     out
 }
@@ -891,9 +1097,12 @@ pub fn attention_f32(
 /// member. A vector lane is a K row (a V channel), so a member's register
 /// holds the tile's eight group dots with no horizontal reduction, and the
 /// `(q_scale · k_scale) · int` epilogue runs on it in place. Only whole
-/// tiles are swept: `tiled_rows` is a multiple of eight, the at most seven
-/// K rows past it are scored per row, and a head's ragged last channel
-/// tile repeats its last channel in the spare lanes, which are dropped.
+/// tiles are swept: `tiled_rows` is a multiple of eight, the rows past it
+/// (at most eight, the just-pushed one included) are scored for each query
+/// as [`attention_incremental_paged`] scores a block — one
+/// [`KernelDispatch::dot_packed_rows_scaled`] call per KV head, every
+/// query head sharing it a member — and a head's ragged last channel tile
+/// repeats its last channel in the spare lanes, which are dropped.
 /// Only the INT8 staging window is mutable — a later row can widen a
 /// channel scale and re-encode it — so its share of `P·V` is taken the
 /// moment the query's own row has been pushed, as
@@ -940,6 +1149,8 @@ pub struct RunAttention {
     tails: Vec<f32>,
     /// One window's INT8 probability codes.
     p8: Vec<i8>,
+    /// The per-row sweep's scratch, for the rows past `tiled_rows`.
+    sweep: RowSweep,
     /// Leading cache rows (a multiple of [`TILE_ROWS`]) whose K tiles have
     /// been swept for every query still to come.
     tiled_rows: usize,
@@ -951,9 +1162,21 @@ pub struct RunAttention {
 }
 
 impl RunAttention {
-    /// Run length from which the sweep pays for decoding each tile —
-    /// the GEMM tier's own break-even, for the same reason.
-    pub const MIN_ROWS: usize = DECODE_ONCE_MIN_BATCH;
+    /// Run length from which the tile sweep beats
+    /// [`attention_incremental_paged`] per row. Measured on the serving
+    /// shape (4 heads of 64, group 64, 64-token blocks; AVX2, two vCPUs),
+    /// pushes included, best of 60 alternating repetitions, as per-query
+    /// time ÷ run time at contexts 200 / 500 / 760:
+    ///
+    /// | rows | 2 | 3 | 4 | 5 | 8 |
+    /// |---|---|---|---|---|---|
+    /// | ratio | 0.71–0.75 | 0.71–0.95 | 1.09–1.16 | 1.22–1.32 | 1.47–1.56 |
+    ///
+    /// Three rows lose to three block-swept queries, four win. This is its
+    /// own break-even, not the GEMM tier's
+    /// [`DECODE_ONCE_MIN_BATCH`](crate::fused::DECODE_ONCE_MIN_BATCH) (3):
+    /// the per-query path it is measured against sweeps blocks, not rows.
+    pub const MIN_ROWS: usize = 4;
 
     /// Quantizes the run's queries and scores them against every K row
     /// `cache` already holds. Call before the run's first push.
@@ -1001,6 +1224,7 @@ impl RunAttention {
             probs: vec![0.0; qs.len() * heads * (base + qs.len())],
             tails: vec![0.0; qs.len() * heads * head_dim],
             p8: vec![0; cache.group_size()],
+            sweep: RowSweep::default(),
             tiled_rows: base / TILE_ROWS * TILE_ROWS,
             dec: vec![0i16; TILE_ROWS * head_dim],
             tile: vec![0i16; tile8_len(head_dim)],
@@ -1094,25 +1318,54 @@ impl RunAttention {
         let rows_now = self.base + row + 1;
         assert_eq!(cache.len(), rows_now, "attend_pushed out of step with push");
         let g = cache.group_size();
-        let per_kv = self.heads / self.kv_heads;
-        let gph = self.head_dim / g;
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let staged_from = cache.committed_windows * g;
         let stride = self.stride();
+        let RunAttention {
+            heads,
+            kv_heads,
+            head_dim,
+            ref qv,
+            ref q_scales,
+            ref mut probs,
+            ref mut tails,
+            ref mut p8,
+            ref mut sweep,
+            tiled_rows,
+            ..
+        } = *self;
+        let per_kv = heads / kv_heads;
+        let gph = head_dim / g;
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        let staged_from = cache.committed_windows * g;
+        // The rows no tile covered yet, swept for this row's query heads.
+        for kv_head in 0..kv_heads {
+            let codes = &qv[row].codes()[kv_head * per_kv * head_dim..][..per_kv * head_dim];
+            let at = (kv_head * qv.len() + row) * per_kv;
+            cache.score_rows(
+                pool,
+                tiled_rows..rows_now,
+                kv_head * gph,
+                gph,
+                codes,
+                &q_scales[at * gph..(at + per_kv) * gph],
+                sweep,
+                |j, t0, sums| {
+                    let member = row * heads + kv_head * per_kv + j;
+                    for (s, &a) in probs[member * stride + t0..].iter_mut().zip(sums) {
+                        *s = a as f32 * scale;
+                    }
+                },
+            );
+        }
         let d = kernels();
-        for h in 0..self.heads {
-            let kv_head = h / per_kv;
-            let member = row * self.heads + h;
-            let scores = &mut self.probs[member * stride..][..rows_now];
-            for (t, s) in scores.iter_mut().enumerate().skip(self.tiled_rows) {
-                *s = cache.fused_dot(pool, t, &self.qv[row], h * gph, kv_head * gph, gph) * scale;
-            }
+        for h in 0..heads {
+            let member = row * heads + h;
+            let scores = &mut probs[member * stride..][..rows_now];
             d.softmax(scores);
             cache.staging.attend_staged_with(
                 &scores[staged_from..],
-                &mut self.p8,
-                kv_head * self.head_dim,
-                &mut self.tails[member * self.head_dim..][..self.head_dim],
+                p8,
+                h / per_kv * head_dim,
+                &mut tails[member * head_dim..][..head_dim],
             );
         }
         if rows_now.is_multiple_of(TILE_ROWS) {
@@ -1718,6 +1971,112 @@ mod tests {
             let g: Vec<u32> = g.iter().map(|v| v.to_bits()).collect();
             let w: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
             assert_eq!(g, w, "run {lo}..{hi} row {i}");
+        }
+    }
+
+    /// Decode attention as the per-row references compute it: per head,
+    /// `fused_dot` per cached row, the softmax kernel, then `attend`.
+    fn per_row_attention(
+        q: &[f32],
+        cache: &PagedKvCache,
+        pool: &KvCachePool,
+        (heads, kv_heads, head_dim): (usize, usize, usize),
+    ) -> Vec<f32> {
+        let g = cache.group_size();
+        let (gph, scale) = (head_dim / g, 1.0 / (head_dim as f32).sqrt());
+        let qv = quantize_vector_int8(q, g).unwrap();
+        let mut out = vec![0.0f32; heads * head_dim];
+        for (h, o) in out.chunks_exact_mut(head_dim).enumerate() {
+            let kv_head = h / (heads / kv_heads);
+            let mut scores: Vec<f32> = (0..cache.len())
+                .map(|t| cache.fused_dot(pool, t, &qv, h * gph, kv_head * gph, gph) * scale)
+                .collect();
+            kernels().softmax(&mut scores);
+            cache.attend(pool, &scores, kv_head * head_dim, o);
+        }
+        out
+    }
+
+    #[test]
+    fn swept_attention_bit_identical_to_the_per_row_references() {
+        // (heads, kv_heads, head_dim, group, block_tokens, rows): MHA at
+        // the serving shape, GQA with three and two members per KV head,
+        // a group size below one 32-code run, and an odd group size (the
+        // kernel's scalar arm). Every row count leaves a partial block, a
+        // ragged lane block and a non-empty staging window.
+        for (i, &(heads, kv_heads, head_dim, g, bt, rows)) in [
+            (4usize, 4usize, 64usize, 64usize, 64usize, 203usize),
+            (6, 2, 32, 16, 32, 75),
+            (4, 2, 32, 32, 32, 70),
+            (2, 1, 64, 2, 4, 23),
+            (3, 1, 9, 3, 6, 20),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let kv_dim = kv_heads * head_dim;
+            let mut pool = KvCachePool::new(PoolConfig {
+                kv_dim,
+                group_size: g,
+                block_tokens: bt,
+                blocks: rows.div_ceil(bt),
+            })
+            .unwrap();
+            let mut gen = TensorGenerator::new(40 + i as u64);
+            let data = gen.group_diverse_matrix(rows + 1, kv_dim, g, 0.5);
+            let mut cache = PagedKvCache::new(&pool, vmap(), vmap());
+            for t in 0..rows {
+                cache.push(&mut pool, data.row(t), data.row(t + 1)).unwrap();
+                if t % 7 != 0 && t + 1 != rows {
+                    continue;
+                }
+                let q: Vec<f32> = (0..heads * head_dim)
+                    .map(|_| 4.0 * gen.standard_normal())
+                    .collect();
+                let shape = (heads, kv_heads, head_dim);
+                let got = attention_incremental_paged(&q, &cache, &pool, heads, kv_heads, head_dim);
+                let want = per_row_attention(&q, &cache, &pool, shape);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "case {i} after {} rows", t + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn swept_pv_bit_identical_to_attend_on_skipped_and_vanishing_windows() {
+        // Window 0's probabilities are all zero (the window is skipped),
+        // window 1's are a few at the smallest normal f32 against values
+        // of order 1e-6, so its f64 terms round to f32 zeros of either sign
+        // and to subnormals; the rest are ordinary. Channel ranges start
+        // mid-width and end off the eight-lane block.
+        let mut pool = pool(4, 32);
+        let mut gen = TensorGenerator::new(77);
+        let data = gen.group_diverse_matrix(101, 64, 16, 0.5);
+        let mut cache = PagedKvCache::new(&pool, vmap(), vmap());
+        for t in 0..100 {
+            let v: Vec<f32> = data.row(t + 1).iter().map(|&x| x * 1e-6).collect();
+            let v = if (16..32).contains(&t) {
+                v
+            } else {
+                data.row(t + 1).to_vec()
+            };
+            cache.push(&mut pool, data.row(t), &v).unwrap();
+        }
+        assert_eq!(cache.committed_windows(), 6);
+        let mut probs: Vec<f32> = (0..100).map(|_| gen.standard_normal().abs()).collect();
+        probs[..16].fill(0.0);
+        for (t, p) in probs[16..32].iter_mut().enumerate() {
+            *p = if t % 3 == 0 { f32::MIN_POSITIVE } else { 0.0 };
+        }
+        let mut p8 = vec![0i8; 16];
+        let mut sweep = RowSweep::default();
+        for (chan_lo, len) in [(0usize, 64usize), (5, 13), (16, 16), (40, 24), (63, 1)] {
+            let mut want = vec![0.0f32; len];
+            cache.attend(&pool, &probs, chan_lo, &mut want);
+            let mut got = vec![0.0f32; len];
+            cache.attend_with(&pool, &probs, &mut p8, &mut sweep, chan_lo, &mut got);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "channels {chan_lo}..+{len}");
         }
     }
 
