@@ -1,17 +1,18 @@
 //! Benchmarks the paper's computational claim (Tbl. I / Eq. (5)): fused
 //! decode-and-compute MANT GEMM vs dequantize-then-FP32-GEMM vs plain
-//! FP32 — plus the three-tier kernel ladder on the packed GEMV:
-//! the unpacked scalar path (one code per byte, a masked 16-entry
-//! two-lane LUT walk per element, i64 accumulation), the packed
-//! pair-LUT scalar kernel (one byte load + one 256-entry table hit per
-//! code pair), and the runtime-dispatched SIMD tier (`pshufb` nibble
-//! decode + `pmaddwd` widening MAC, 16–32 codes per iteration).
+//! FP32 — plus three GEMV kernels over the same weights: the unpacked
+//! scalar path (one code per byte, a masked 16-entry two-lane LUT walk
+//! per element, i64 accumulation), the packed pair-LUT scalar kernel (one
+//! byte load + one 256-entry table hit per code pair), and the
+//! runtime-dispatched tier (on AVX2, `pshufb` nibble decode + `pmaddwd`
+//! widening MAC, 32 codes per iteration).
 //!
-//! The tier ratios are asserted — packed-scalar ≥ 1.3× over unpacked,
-//! and on AVX2 hardware SIMD ≥ 2× over packed-scalar (≥ 4× over
-//! unpacked); without SIMD the ladder degrades gracefully to 1.0× — and
-//! written to `BENCH_kernels.json` so the kernel-level perf trajectory
-//! is machine-readable.
+//! The ratios are asserted — packed-scalar ≥ 1.3× over unpacked, and on
+//! AVX2 ≥ 2× over packed-scalar (≥ 4× over unpacked); under
+//! `MANT_FORCE_SCALAR` the dispatched tier *is* the packed-scalar kernel,
+//! so its ratio reads 1.0× and is printed only — and written to
+//! `BENCH_kernels.json` so the kernel-level perf trajectory is
+//! machine-readable.
 //!
 //! The decode-once tier gets a batch sweep: `mant_gemv_batch` at 3, 8 and
 //! 32 members against that many `mant_gemv` calls on the sim model's
@@ -502,7 +503,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     });
     group.finish();
 
-    // --- Tier ladder: assertions + machine-readable report ---
+    // --- GEMV kernels: assertions + machine-readable report ---
     // Bit-identity first: neither packing nor the SIMD tier may change a
     // single output bit relative to the unpacked scalar reference.
     let simd_out = mant_gemv(&qv, &wq).expect("shapes agree");
@@ -658,9 +659,8 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         softmax_prefill_scalar >= 1.2,
         "the softmax's scalar arm must beat the libm loop by >= 1.2x on a real prefill row, got {softmax_prefill_scalar:.2}x"
     );
-    // Without a SIMD tier the ladder's top rung is the packed-scalar
-    // kernel itself — a graceful 1.0× — so the vector floors only bind
-    // when vector code actually runs.
+    // On the scalar tier the dispatched GEMV is the packed-scalar kernel
+    // itself (1.0×), so the vector floors bind only on AVX2.
     if tier == KernelDispatch::Avx2 {
         assert!(
             gemv_simd_speedup >= 2.0,
@@ -697,12 +697,6 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         assert!(
             attn_speedup >= 1.8,
             "swept decode attention at context 1024 must beat the per-row reference loop by >= 1.8x, got {attn_speedup:.2}x"
-        );
-    } else if tier.is_simd() {
-        assert!(
-            gemv_simd_speedup >= 1.2,
-            "{} GEMV must beat the packed-scalar kernel, got {gemv_simd_speedup:.2}x",
-            tier.name()
         );
     }
 }

@@ -21,9 +21,10 @@
 //! arithmetic (paper Eq. (5)).
 //!
 //! The integer group-dot kernels live in [`mod@kernels`] (scalar, the
-//! bit-identity oracle) and [`simd`] (runtime-dispatched x86_64 SSSE3 /
-//! AVX2 tiers, selected once per process by [`kernels()`](simd::kernels)
-//! and bit-identical to the oracle on every input). The attention tail —
+//! bit-identity oracle) and [`simd`] (one runtime-dispatched x86_64 AVX2
+//! arm per entry beside its scalar arm, the tier selected once per process
+//! by [`kernels()`](simd::kernels), bit-identical to the oracle on every
+//! input). The attention tail —
 //! the workspace's one softmax ([`KernelDispatch::softmax`], with its
 //! polynomial [`exp_nonpositive`]) and the staged-window `P·V`
 //! ([`KernelDispatch::staged_pv`]) — lives there too.

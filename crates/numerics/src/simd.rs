@@ -42,8 +42,9 @@
 //!
 //! Dispatch is a [`KernelDispatch`] tier selected **once per process** by
 //! [`kernels()`] via `is_x86_feature_detected!`: AVX2 (32 codes per
-//! iteration), SSSE3 (16 codes), or the scalar oracle. Setting
-//! `MANT_FORCE_SCALAR=1` pins the scalar tier for differential testing.
+//! iteration) or the scalar oracle. Every entry is one AVX2 arm beside
+//! its scalar arm. Setting `MANT_FORCE_SCALAR=1` pins the scalar tier for
+//! differential testing.
 //! Each tier method re-checks the cached CPU-feature flag before entering
 //! an `unsafe` SIMD function, so constructing a tier value on hardware
 //! without that feature safely falls back to scalar instead of being
@@ -175,7 +176,10 @@ impl TiledF32 {
 pub enum KernelDispatch {
     /// The scalar oracle kernels from [`mod@crate::kernels`].
     Scalar,
-    /// 128-bit `pshufb`/`pmaddwd` kernels, 16 codes per iteration.
+    /// A former SSSE3 tier, kept only because the standalone `benchmark/`
+    /// package names it. [`KernelDispatch::detect`] never returns it, and
+    /// every entry runs its scalar arm under it. It goes when the
+    /// benchmark contract is next revised.
     Ssse3,
     /// 256-bit kernels, 32 codes per iteration.
     Avx2,
@@ -202,17 +206,14 @@ pub fn kernels() -> KernelDispatch {
 }
 
 impl KernelDispatch {
-    /// Probes the CPU for the best available tier (AVX2 > SSSE3 >
-    /// scalar). Ignores `MANT_FORCE_SCALAR`; use [`kernels()`] for the
-    /// process-wide choice.
+    /// Probes the CPU for the best available tier: AVX2, else scalar.
+    /// Ignores `MANT_FORCE_SCALAR`; use [`kernels()`] for the process-wide
+    /// choice.
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
                 return KernelDispatch::Avx2;
-            }
-            if std::arch::is_x86_feature_detected!("ssse3") {
-                return KernelDispatch::Ssse3;
             }
         }
         KernelDispatch::Scalar
@@ -227,11 +228,6 @@ impl KernelDispatch {
         }
     }
 
-    /// Whether this tier runs vector code (i.e. is not the scalar oracle).
-    pub fn is_simd(self) -> bool {
-        self != KernelDispatch::Scalar
-    }
-
     /// [`crate::kernels::dot_packed`] through this tier — bit-identical
     /// to the scalar oracle on every input (see the module docs for why).
     ///
@@ -244,11 +240,6 @@ impl KernelDispatch {
             KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
                 // SAFETY: the match guard just confirmed AVX2 on this CPU.
                 unsafe { x86::dot_packed_avx2(xcodes, wpacked, lut) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Ssse3 if std::arch::is_x86_feature_detected!("ssse3") => {
-                // SAFETY: the match guard just confirmed SSSE3 on this CPU.
-                unsafe { x86::dot_packed_ssse3(xcodes, wpacked, lut) }
             }
             _ => kernels::dot_packed(xcodes, wpacked, &lut.pair),
         }
@@ -268,8 +259,8 @@ impl KernelDispatch {
     /// beside its MACs (Eq. (5), Sec. VI), shared by the members of a
     /// decode-shaped step instead of repeated per member. The i32 sums are
     /// exact under [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP), so the
-    /// member count changes no bit. The SSSE3 arm loops over members; the
-    /// scalar arm is [`crate::kernels::dot_packed_x4`] per member and group.
+    /// member count changes no bit. The scalar arm is
+    /// [`crate::kernels::dot_packed_x4`] per member and group.
     ///
     /// `xcodes` holds the members' codes (`groups · group_size` each), `w`
     /// each row's full packed codes (`groups · ⌈group_size/2⌉` bytes),
@@ -310,21 +301,6 @@ impl KernelDispatch {
                             }
                             _ => unreachable!("chunks of at most two"),
                         }
-                    }
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Ssse3 if std::arch::is_x86_feature_detected!("ssse3") => {
-                for (x, o) in xcodes.iter().zip(out.chunks_mut(groups)) {
-                    for (g, o) in o.iter_mut().enumerate() {
-                        // SAFETY: the match guard just confirmed SSSE3.
-                        *o = unsafe {
-                            x86::dot_packed_x4_ssse3(
-                                &x[g * group_size..(g + 1) * group_size],
-                                w.map(|r| &r[g * gb..(g + 1) * gb]),
-                                [luts[0][g], luts[1][g], luts[2][g], luts[3][g]],
-                            )
-                        };
                     }
                 }
             }
@@ -430,8 +406,8 @@ impl KernelDispatch {
     /// is exact and equals the scalar `i64 as f64`; vector `mulpd` /
     /// `addpd` round per lane exactly like the scalar operators, and no
     /// FMA is formed. The AVX2 arm needs an even `group_size` (a pair must
-    /// not straddle two groups); odd group sizes, the SSSE3 tier and the
-    /// scalar tier run the scalar arm on the same layout.
+    /// not straddle two groups); odd group sizes and the scalar tier run
+    /// the scalar arm on the same layout.
     ///
     /// # Panics
     ///
@@ -598,7 +574,7 @@ impl KernelDispatch {
     /// per column advances eight rows' chains at once, four tiles abreast
     /// so the independent chains hide the add latency, each tile block
     /// swept by every member while it is hot. The scalar arm runs the same
-    /// eight-lane loop without intrinsics; the SSSE3 tier takes it.
+    /// eight-lane loop without intrinsics.
     ///
     /// # Panics
     ///
@@ -629,30 +605,6 @@ impl KernelDispatch {
         out
     }
 
-    /// [`crate::kernels::int8_dot`] through this tier. Unlike the group
-    /// dots there is no length bound here (the scalar kernel accumulates
-    /// in i64), so the vector tiers drain their i32 lane accumulators to
-    /// i64 every `x86::INT8_CHUNK` elements.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts `a.len() == b.len()`.
-    pub fn int8_dot(self, a: &[i8], b: &[i8]) -> i64 {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-                // SAFETY: the match guard just confirmed AVX2 on this CPU.
-                unsafe { x86::int8_dot_avx2(a, b) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Ssse3 if std::arch::is_x86_feature_detected!("ssse3") => {
-                // SAFETY: the match guard just confirmed SSSE3 on this CPU.
-                unsafe { x86::int8_dot_ssse3(a, b) }
-            }
-            _ => kernels::int8_dot(a, b),
-        }
-    }
-
     /// Peak-rate probe for the kernel bench's roofline row: `iters` rounds
     /// of six independent register-resident `pmaddwd` + `paddd` chains on
     /// this tier — the multiply-accumulate of
@@ -674,20 +626,14 @@ impl KernelDispatch {
     /// `max |x|` over the slice with NaN entries skipped — bit-identical
     /// to the scalar fold `m.max(v.abs())` from 0.0 (a maximum is
     /// order-independent, and `maxps(x, acc)` keeps `acc` when `x` is
-    /// NaN, exactly like `f32::max`). The SSSE3 tier uses the x86_64
-    /// baseline SSE2 128-bit path; AVX2 uses 256-bit.
+    /// NaN, exactly like `f32::max`). The AVX2 arm takes eight lanes at
+    /// a time.
     pub fn abs_max(self, xs: &[f32]) -> f32 {
         match self {
             #[cfg(target_arch = "x86_64")]
             KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
                 // SAFETY: the match guard just confirmed AVX2 on this CPU.
                 unsafe { x86::abs_max_avx2(xs) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Ssse3 => {
-                // SAFETY: SSE2 is unconditionally part of the x86_64
-                // baseline target features.
-                unsafe { x86::abs_max_sse2(xs) }
             }
             _ => scalar_abs_max(xs),
         }
@@ -697,9 +643,8 @@ impl KernelDispatch {
     /// `out[i] = clamp(round(xs[i] / scale), ±127)` with NaN → 0 —
     /// bit-identical to [`quantize_symmetric_int`] per element. The AVX2
     /// tier reproduces `f32::round`'s ties-away rule exactly (truncate,
-    /// then add ±1 where the exact fractional remainder reaches 0.5); the
-    /// SSSE3 tier stays scalar (`roundps` needs SSE4.1, and rounding
-    /// differences are not acceptable here).
+    /// then add ±1 where the exact fractional remainder reaches 0.5),
+    /// never `roundps`, whose nearest-even ties would differ.
     ///
     /// # Panics
     ///
@@ -830,7 +775,7 @@ impl KernelDispatch {
     /// lane issues [`kernels::exp_nonpositive`]'s IEEE operations one for
     /// one — `mulps`/`addps`/`subps`, never an FMA, the rounding by the
     /// magic-number add, not `roundps` — so every tier returns the scalar
-    /// arm's bits. The SSSE3 tier takes the scalar arm.
+    /// arm's bits.
     pub fn softmax(self, x: &mut [f32]) {
         match self {
             #[cfg(target_arch = "x86_64")]
@@ -959,14 +904,8 @@ pub fn scalar_quantize_i8(xs: &[f32], scale: f32, out: &mut [i8]) {
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::{scalar_abs_max, tile8_len, KernelLut, TiledF32, TILE_ROWS};
+    use super::{tile8_len, KernelLut, TiledF32, TILE_ROWS};
     use crate::kernels::{self, EncodeTable, ENCODE_LANES, MAX_I32_GROUP, STAGED_LANES};
-
-    /// Elements per i64 drain of the `int8_dot` i32 lane accumulators.
-    /// Each `pmaddwd` adds at most `2 · 128 · 128 = 2^15` per lane; a
-    /// chunk contributes at most `2^18 / 16` blocks × 2 madds × `2^15`
-    /// = `2^30` per lane on the narrowest (SSSE3) tier — no overflow.
-    pub(super) const INT8_CHUNK: usize = 1 << 18;
 
     /// Reassembles i16 decoded operands from two byte-shuffle hits:
     /// `idx` holds a 4-bit code in the low byte of each i16 lane (high
@@ -981,14 +920,6 @@ mod x86 {
         _mm256_or_si256(lo, hi)
     }
 
-    /// 128-bit twin of [`decode16_avx2`].
-    #[target_feature(enable = "ssse3")]
-    fn decode16_ssse3(idx: __m128i, tlo: __m128i, thi: __m128i, m00ff: __m128i) -> __m128i {
-        let lo = _mm_and_si128(_mm_shuffle_epi8(tlo, idx), m00ff);
-        let hi = _mm_slli_epi16::<8>(_mm_shuffle_epi8(thi, idx));
-        _mm_or_si128(lo, hi)
-    }
-
     /// Horizontal i32 lane sum of a group-dot accumulator, in registers.
     /// Runs once per group per output row, so it must not round-trip
     /// through memory. Exactness: the lanes partition the group's
@@ -1000,34 +931,20 @@ mod x86 {
     fn hsum_i32x8(v: __m256i) -> i64 {
         let lo = _mm256_castsi256_si128(v);
         let hi = _mm256_extracti128_si256::<1>(v);
-        hsum_i32x4(_mm_add_epi32(lo, hi))
-    }
-
-    /// 128-bit twin of [`hsum_i32x8`]; same exactness argument.
-    #[target_feature(enable = "sse2")]
-    fn hsum_i32x4(v: __m128i) -> i64 {
+        let v = _mm_add_epi32(lo, hi);
         let s2 = _mm_add_epi32(v, _mm_unpackhi_epi64(v, v));
         let s1 = _mm_add_epi32(s2, _mm_shuffle_epi32::<0b01>(s2));
         i64::from(_mm_cvtsi128_si32(s1))
     }
 
-    /// Widening horizontal sum for the `int8_dot` chunk drains, where a
-    /// lane can hold up to 2^30 and the cross-lane total can exceed i32 —
-    /// each lane is widened to i64 before summing. Runs once per
-    /// [`INT8_CHUNK`] elements, so the memory round-trip is free.
+    /// Widening horizontal sum: each lane is widened to i64 before
+    /// summing, so the cross-lane total cannot overflow. Only the peak
+    /// probe's `black_box` sink uses it, once per call.
     #[target_feature(enable = "avx2")]
     fn hsum_i32x8_wide(v: __m256i) -> i64 {
         let mut tmp = [0i32; 8];
         // SAFETY: `tmp` is a writable 32-byte buffer; unaligned store.
         unsafe { _mm256_storeu_si256(tmp.as_mut_ptr().cast(), v) };
-        tmp.iter().map(|&l| i64::from(l)).sum()
-    }
-
-    /// 128-bit twin of [`hsum_i32x8_wide`].
-    fn hsum_i32x4_wide(v: __m128i) -> i64 {
-        let mut tmp = [0i32; 4];
-        // SAFETY: `tmp` is a writable 16-byte buffer; unaligned store.
-        unsafe { _mm_storeu_si128(tmp.as_mut_ptr().cast(), v) };
         tmp.iter().map(|&l| i64::from(l)).sum()
     }
 
@@ -1079,50 +996,6 @@ mod x86 {
             kernels::dot_packed(&xcodes[blocks * 32..], &wpacked[blocks * 16..], &lut.pair)
         };
         hsum_i32x8(acc) + tail
-    }
-
-    /// SSSE3 [`kernels::dot_packed`]: 8 packed weight bytes (16 codes)
-    /// per iteration; same operand pairing argument as the AVX2 path.
-    #[target_feature(enable = "ssse3")]
-    pub(super) fn dot_packed_ssse3(xcodes: &[i8], wpacked: &[u8], lut: &KernelLut) -> i64 {
-        debug_assert_eq!(wpacked.len(), xcodes.len().div_ceil(2));
-        debug_assert!(xcodes.len() <= MAX_I32_GROUP, "i32 group bound exceeded");
-        let blocks = xcodes.len() / 16;
-        // SAFETY: `lo8`/`hi8` are 16-byte arrays; unaligned 16-byte loads.
-        let (tlo, thi) = unsafe {
-            (
-                _mm_loadu_si128(lut.lo8.as_ptr().cast()),
-                _mm_loadu_si128(lut.hi8.as_ptr().cast()),
-            )
-        };
-        let m0f = _mm_set1_epi16(0x0f);
-        let m00ff = _mm_set1_epi16(0x00ff);
-        let zero = _mm_setzero_si128();
-        let mut acc = _mm_setzero_si128();
-        for i in 0..blocks {
-            // SAFETY: `i < blocks = xcodes.len() / 16`, so bytes
-            // `i*16 .. i*16+16` are in `xcodes` and the 8-byte load at
-            // `i*8` is within `wpacked`'s `ceil(len/2)` bytes.
-            let (x, wb) = unsafe {
-                (
-                    _mm_loadu_si128(xcodes.as_ptr().add(i * 16).cast()),
-                    _mm_loadl_epi64(wpacked.as_ptr().add(i * 8).cast()),
-                )
-            };
-            let w16 = _mm_unpacklo_epi8(wb, zero);
-            let we = decode16_ssse3(_mm_and_si128(w16, m0f), tlo, thi, m00ff);
-            let wo = decode16_ssse3(_mm_srli_epi16::<4>(w16), tlo, thi, m00ff);
-            let xe = _mm_srai_epi16::<8>(_mm_slli_epi16::<8>(x));
-            let xo = _mm_srai_epi16::<8>(x);
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(xe, we));
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(xo, wo));
-        }
-        let tail = if xcodes.len() == blocks * 16 {
-            0
-        } else {
-            kernels::dot_packed(&xcodes[blocks * 16..], &wpacked[blocks * 8..], &lut.pair)
-        };
-        hsum_i32x4(acc) + tail
     }
 
     /// AVX2 grouped row-tile sweep for a register block of `MB` members
@@ -1221,59 +1094,6 @@ mod x86 {
                 }
             }
         }
-    }
-
-    /// SSSE3 [`kernels::dot_packed_x4`], 16 codes per iteration.
-    #[target_feature(enable = "ssse3")]
-    pub(super) fn dot_packed_x4_ssse3(
-        xcodes: &[i8],
-        w: [&[u8]; 4],
-        luts: [&KernelLut; 4],
-    ) -> [i64; 4] {
-        debug_assert!(w.iter().all(|r| r.len() == xcodes.len().div_ceil(2)));
-        debug_assert!(xcodes.len() <= MAX_I32_GROUP, "i32 group bound exceeded");
-        let blocks = xcodes.len() / 16;
-        let tabs = luts.map(|l| {
-            // SAFETY: `lo8`/`hi8` are 16-byte arrays; unaligned loads.
-            unsafe {
-                (
-                    _mm_loadu_si128(l.lo8.as_ptr().cast()),
-                    _mm_loadu_si128(l.hi8.as_ptr().cast()),
-                )
-            }
-        });
-        let m0f = _mm_set1_epi16(0x0f);
-        let m00ff = _mm_set1_epi16(0x00ff);
-        let zero = _mm_setzero_si128();
-        let mut acc = [_mm_setzero_si128(); 4];
-        for i in 0..blocks {
-            // SAFETY: `i < blocks = xcodes.len() / 16`: the 16-byte load
-            // is within `xcodes`.
-            let x = unsafe { _mm_loadu_si128(xcodes.as_ptr().add(i * 16).cast()) };
-            let xe = _mm_srai_epi16::<8>(_mm_slli_epi16::<8>(x));
-            let xo = _mm_srai_epi16::<8>(x);
-            for lane in 0..4 {
-                // SAFETY: every row holds `ceil(len/2) >= blocks*8`
-                // bytes, so the 8-byte load at `i*8` is in bounds.
-                let wb = unsafe { _mm_loadl_epi64(w[lane].as_ptr().add(i * 8).cast()) };
-                let w16 = _mm_unpacklo_epi8(wb, zero);
-                let (tlo, thi) = tabs[lane];
-                let we = decode16_ssse3(_mm_and_si128(w16, m0f), tlo, thi, m00ff);
-                let wo = decode16_ssse3(_mm_srli_epi16::<4>(w16), tlo, thi, m00ff);
-                acc[lane] = _mm_add_epi32(acc[lane], _mm_madd_epi16(xe, we));
-                acc[lane] = _mm_add_epi32(acc[lane], _mm_madd_epi16(xo, wo));
-            }
-        }
-        let tail = kernels::dot_packed_x4(
-            &xcodes[blocks * 16..],
-            w.map(|r| &r[blocks * 8..]),
-            luts.map(|l| &l.pair),
-        );
-        let mut out = [0i64; 4];
-        for lane in 0..4 {
-            out[lane] = hsum_i32x4(acc[lane]) + tail[lane];
-        }
-        out
     }
 
     /// AVX2 [`kernels::decode_packed_i16`]: 16 packed bytes (32 codes)
@@ -1910,71 +1730,6 @@ mod x86 {
         iters as u64 * 6 * 16
     }
 
-    /// AVX2 [`kernels::int8_dot`]: 32 elements per iteration, i32 lanes
-    /// drained to the i64 total every [`INT8_CHUNK`] elements (the scalar
-    /// kernel has no length bound, so the vector path must chunk).
-    #[target_feature(enable = "avx2")]
-    pub(super) fn int8_dot_avx2(a: &[i8], b: &[i8]) -> i64 {
-        debug_assert_eq!(a.len(), b.len());
-        let mut total = 0i64;
-        for (ca, cb) in a.chunks(INT8_CHUNK).zip(b.chunks(INT8_CHUNK)) {
-            let blocks = ca.len() / 32;
-            let mut acc = _mm256_setzero_si256();
-            for i in 0..blocks {
-                // SAFETY: `i < blocks = ca.len() / 32`, so both 32-byte
-                // loads are within their chunks.
-                let (va, vb) = unsafe {
-                    (
-                        _mm256_loadu_si256(ca.as_ptr().add(i * 32).cast()),
-                        _mm256_loadu_si256(cb.as_ptr().add(i * 32).cast()),
-                    )
-                };
-                let a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-                let a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(va));
-                let b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-                let b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(vb));
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_lo, b_lo));
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_hi, b_hi));
-            }
-            total +=
-                hsum_i32x8_wide(acc) + kernels::int8_dot(&ca[blocks * 32..], &cb[blocks * 32..]);
-        }
-        total
-    }
-
-    /// SSSE3 [`kernels::int8_dot`], 16 elements per iteration. Sign
-    /// extension uses `unpack(0, v)` + arithmetic shift (no `pmovsx`
-    /// before SSE4.1).
-    #[target_feature(enable = "ssse3")]
-    pub(super) fn int8_dot_ssse3(a: &[i8], b: &[i8]) -> i64 {
-        debug_assert_eq!(a.len(), b.len());
-        let zero = _mm_setzero_si128();
-        let mut total = 0i64;
-        for (ca, cb) in a.chunks(INT8_CHUNK).zip(b.chunks(INT8_CHUNK)) {
-            let blocks = ca.len() / 16;
-            let mut acc = _mm_setzero_si128();
-            for i in 0..blocks {
-                // SAFETY: `i < blocks = ca.len() / 16`, so both 16-byte
-                // loads are within their chunks.
-                let (va, vb) = unsafe {
-                    (
-                        _mm_loadu_si128(ca.as_ptr().add(i * 16).cast()),
-                        _mm_loadu_si128(cb.as_ptr().add(i * 16).cast()),
-                    )
-                };
-                let a_lo = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(zero, va));
-                let a_hi = _mm_srai_epi16::<8>(_mm_unpackhi_epi8(zero, va));
-                let b_lo = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(zero, vb));
-                let b_hi = _mm_srai_epi16::<8>(_mm_unpackhi_epi8(zero, vb));
-                acc = _mm_add_epi32(acc, _mm_madd_epi16(a_lo, b_lo));
-                acc = _mm_add_epi32(acc, _mm_madd_epi16(a_hi, b_hi));
-            }
-            total +=
-                hsum_i32x4_wide(acc) + kernels::int8_dot(&ca[blocks * 16..], &cb[blocks * 16..]);
-        }
-        total
-    }
-
     /// AVX2 `max |x|` with NaN skipped: `maxps(|x|, acc)` returns `acc`
     /// when `|x|` is NaN — the same per-element semantics as the scalar
     /// fold's `f32::max`, and a maximum is order-independent, so the
@@ -1995,29 +1750,6 @@ mod x86 {
         unsafe { _mm256_storeu_ps(tmp.as_mut_ptr(), acc) };
         let head = tmp.iter().fold(0.0f32, |m, &v| m.max(v));
         xs[blocks * 8..].iter().fold(head, |m, &v| m.max(v.abs()))
-    }
-
-    /// SSE2 `max |x|` — SSE2 is the x86_64 baseline, so this is callable
-    /// on any CPU this module compiles for (no runtime check needed).
-    #[target_feature(enable = "sse2")]
-    pub(super) fn abs_max_sse2(xs: &[f32]) -> f32 {
-        let blocks = xs.len() / 4;
-        if blocks == 0 {
-            return scalar_abs_max(xs);
-        }
-        let sign = _mm_set1_ps(-0.0);
-        let mut acc = _mm_setzero_ps();
-        for i in 0..blocks {
-            // SAFETY: `i < blocks = xs.len() / 4`: the 4-float load is
-            // within `xs`.
-            let v = unsafe { _mm_loadu_ps(xs.as_ptr().add(i * 4)) };
-            acc = _mm_max_ps(_mm_andnot_ps(sign, v), acc);
-        }
-        let mut tmp = [0.0f32; 4];
-        // SAFETY: `tmp` is a writable 16-byte buffer; unaligned store.
-        unsafe { _mm_storeu_ps(tmp.as_mut_ptr(), acc) };
-        let head = tmp.iter().fold(0.0f32, |m, &v| m.max(v));
-        xs[blocks * 4..].iter().fold(head, |m, &v| m.max(v.abs()))
     }
 
     /// Eight lanes of AVX2 symmetric INT8 quantization, bit-identical to
@@ -2491,15 +2223,11 @@ mod tests {
     use crate::packing::pack_nibbles;
 
     fn tiers() -> Vec<KernelDispatch> {
-        let mut t = vec![KernelDispatch::Scalar];
+        // The retained variant must run the scalar arms.
+        let mut t = vec![KernelDispatch::Scalar, KernelDispatch::Ssse3];
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("ssse3") {
-                t.push(KernelDispatch::Ssse3);
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                t.push(KernelDispatch::Avx2);
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            t.push(KernelDispatch::Avx2);
         }
         t
     }
@@ -2776,28 +2504,6 @@ mod tests {
             let mut got = vec![[0.0f64; TILE_ROWS]; 3];
             d.dot_tile8_scaled(&tile, &[[1.0; TILE_ROWS]], k, &x16, &[1.0; 3], &mut got);
             assert_eq!(got, vec![[int; TILE_ROWS]; 3], "{}", d.name());
-        }
-    }
-
-    #[test]
-    fn int8_dot_matches_scalar_all_tiers() {
-        for len in [0usize, 1, 15, 16, 17, 32, 64, 100, 1000] {
-            let a: Vec<i8> = (0..len).map(|i| ((i * 57 + 9) % 255) as u8 as i8).collect();
-            let b: Vec<i8> = (0..len).map(|i| ((i * 23 + 1) % 255) as u8 as i8).collect();
-            let oracle = kernels::int8_dot(&a, &b);
-            for d in tiers() {
-                assert_eq!(d.int8_dot(&a, &b), oracle, "{} len {len}", d.name());
-            }
-        }
-        // Saturated inputs: worst-case products, length past one chunk
-        // boundary would take too long here; the drain bound itself is
-        // arithmetic (see INT8_CHUNK docs). 2^15 saturated elements
-        // exercise multi-block accumulation at maximum magnitude.
-        let a = vec![-128i8; 1 << 15];
-        let b = vec![-128i8; 1 << 15];
-        let expect = (1i64 << 15) * 128 * 128;
-        for d in tiers() {
-            assert_eq!(d.int8_dot(&a, &b), expect, "{}", d.name());
         }
     }
 

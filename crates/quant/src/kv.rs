@@ -683,7 +683,7 @@ mod tests {
                 .map(|t| staging.staged_row(t)[c])
                 .collect();
             let s8 = staging.staging_scale(c);
-            let int_result = kernels().int8_dot(&pcodes, &col);
+            let int_result = kernels::int8_dot(&pcodes, &col);
             let want = 0.25f32 + (f64::from(pscale) * f64::from(s8) * int_result as f64) as f32;
             assert_eq!(o.to_bits(), want.to_bits(), "channel {c}");
         }
