@@ -22,8 +22,9 @@
 //! on every shape, and the 3-member batch — the first size that takes
 //! the tile — must not lose more than 10 %.
 //!
-//! Decode-shaped steps get two rows. The two-member fused sweep — one
-//! nibble decode per weight block feeding both members — against two
+//! Decode-shaped steps get two rows. The two-member fused sweep — the
+//! packed row sweep decode attention also runs, one nibble decode per
+//! 64-code run of a weight row feeding both members — against two
 //! one-member sweeps on the 256×256 and 512×256 (`n×k`) projections; on
 //! AVX2 it must take ≤ 0.8× their time. The LM head's lanes-as-rows f32
 //! kernel over its tiled copy against the row-major `matvec_batch`, at

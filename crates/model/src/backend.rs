@@ -495,4 +495,59 @@ mod tests {
             "the reference forward moved: (K map, V map, logit rows) = {got:#018x?}"
         );
     }
+
+    #[test]
+    fn golden_pin_sim_llama_seed7_packed_forward() {
+        // The packed forward — fused integer GEMVs over the packed weights,
+        // Mant4 KV, the serving path's kernels — pinned bit for bit: eight
+        // logit rows of a packed runner (one-member GEMVs over a growing
+        // context) and one batch-runner tick of two one-token runs (the
+        // two-member GEMV). Every equivalence suite compares two paths
+        // that share these kernels; this pin is the one that fails when a
+        // kernel change moves all of them the same way, on every tier.
+        const LOGITS: [u64; 8] = [
+            0x6742_2ba2_2898_3bb0,
+            0x3650_6013_c324_5f57,
+            0xf561_fcf3_65cf_2bec,
+            0x30fe_1346_0674_4cac,
+            0xe667_ff49_7822_6298,
+            0xf6d9_fa69_76d7_894c,
+            0x705d_1e6e_8ca3_7941,
+            0xc72f_b308_3929_db33,
+        ];
+        // Row 0 is token 3 on an empty cache, as `LOGITS[0]` is.
+        const TICK: [u64; 2] = [0x6742_2ba2_2898_3bb0, 0x012d_30b5_6446_8007];
+
+        let m = TransformerModel::synthesize(&ModelConfig::sim_llama(), 7);
+        let packed = m.pack_weights(64).unwrap();
+        let kv = crate::KvMode::Mant4 { group: 64 };
+        let row_hash = |logits: &[f32]| {
+            let mut h = Fnv::new();
+            for v in logits {
+                h.eat(&v.to_bits().to_le_bytes());
+            }
+            h.0
+        };
+        let tokens = [3usize, 141, 59, 265, 358, 97, 93, 238];
+        let mut runner = m.packed_runner(&packed, crate::ActMode::None, kv);
+        let rows: Vec<u64> = tokens.iter().map(|&t| row_hash(&runner.step(t))).collect();
+        let mut br = m.batch_runner(&packed, crate::ActMode::None, kv, 8, 64);
+        let ids = [br.create_session(), br.create_session()];
+        let runs: Vec<crate::Run<'_>> = ids
+            .iter()
+            .zip(&tokens)
+            .map(|(&id, t)| crate::Run {
+                id,
+                tokens: std::slice::from_ref(t),
+                logit_rows: 1,
+            })
+            .collect();
+        let tick: Vec<u64> = br.step_runs(&runs).iter().map(|l| row_hash(l)).collect();
+        let got = (rows, tick);
+        assert_eq!(
+            got,
+            (LOGITS.to_vec(), TICK.to_vec()),
+            "the packed forward moved: (logit rows, tick rows) = {got:#018x?}"
+        );
+    }
 }

@@ -140,39 +140,6 @@ pub fn dot_packed(xcodes: &[i8], wpacked: &[u8], lut: &PairLut) -> i64 {
     i64::from(acc)
 }
 
-/// Four-row tile of [`dot_packed`]: one activation group swept against
-/// four packed weight groups in a single pass, so each activation byte
-/// pair is loaded once per tile instead of once per output row — the
-/// inner kernel of the cache-blocked GEMM/GEMV-batch. Each lane's
-/// accumulation order matches a standalone [`dot_packed`] call, so the
-/// four results are bit-identical to four separate calls.
-///
-/// # Panics
-///
-/// Debug-asserts every packed row holds `xcodes.len().div_ceil(2)` bytes
-/// and the group is within [`MAX_I32_GROUP`].
-pub fn dot_packed_x4(xcodes: &[i8], w: [&[u8]; 4], luts: [&PairLut; 4]) -> [i64; 4] {
-    debug_assert!(w.iter().all(|r| r.len() == xcodes.len().div_ceil(2)));
-    debug_assert!(xcodes.len() <= MAX_I32_GROUP, "i32 group bound exceeded");
-    let mut acc = [0i32; 4];
-    let mut pairs = xcodes.chunks_exact(2);
-    for (i, xp) in pairs.by_ref().enumerate() {
-        let (x0, x1) = (i32::from(xp[0]), i32::from(xp[1]));
-        for lane in 0..4 {
-            let ops = &luts[lane][usize::from(w[lane][i])];
-            acc[lane] += x0 * ops[0] + x1 * ops[1];
-        }
-    }
-    if let [x] = pairs.remainder() {
-        let x = i32::from(*x);
-        let last = xcodes.len() / 2;
-        for lane in 0..4 {
-            acc[lane] += x * luts[lane][usize::from(w[lane][last])][0];
-        }
-    }
-    acc.map(i64::from)
-}
-
 /// Decodes a nibble-packed weight group into its integer operands in
 /// natural code order — the amortization step of the decode-once GEMM:
 /// for a batch of activations, each weight group is decoded to i16
@@ -759,34 +726,6 @@ mod tests {
                 int4_group_mac(&xcodes, &wcodes),
                 "len={len}"
             );
-        }
-    }
-
-    #[test]
-    fn packed_dot_x4_matches_four_singles() {
-        use crate::packing::pack_nibbles;
-        for len in [7usize, 64] {
-            let xcodes: Vec<i8> = (0..len).map(|i| ((i * 91) % 255) as u8 as i8).collect();
-            let rows: Vec<Vec<u8>> = (0..4)
-                .map(|r| (0..len).map(|i| ((i * 3 + r * 5) % 16) as u8).collect())
-                .collect();
-            let packed: Vec<Vec<u8>> = rows.iter().map(|r| pack_nibbles(r)).collect();
-            let luts: Vec<PairLut> = [0u32, 17, 60, 127]
-                .iter()
-                .map(|&a| pair_decode_lut(&mant_decode_lut(Mant::new(a).unwrap())))
-                .collect();
-            let tiled = dot_packed_x4(
-                &xcodes,
-                [&packed[0], &packed[1], &packed[2], &packed[3]],
-                [&luts[0], &luts[1], &luts[2], &luts[3]],
-            );
-            for lane in 0..4 {
-                assert_eq!(
-                    tiled[lane],
-                    dot_packed(&xcodes, &packed[lane], &luts[lane]),
-                    "lane {lane} len {len}"
-                );
-            }
         }
     }
 

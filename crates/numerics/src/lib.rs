@@ -69,9 +69,9 @@ pub use flint::flint4_grid;
 pub use grid::Grid;
 pub use int::{int4_grid, int8_grid, uniform_symmetric_grid};
 pub use kernels::{
-    decode_packed_i16, dot_i8_i16, dot_packed, dot_packed_x4, exp_nonpositive, int4_decode_lut,
-    int4_group_mac, int8_dot, mant_decode_lut, mant_group_psums, pair_decode_lut, EncodeTable,
-    PairLut, EXP_FLOOR, MAX_I32_GROUP,
+    decode_packed_i16, dot_i8_i16, dot_packed, exp_nonpositive, int4_decode_lut, int4_group_mac,
+    int8_dot, mant_decode_lut, mant_group_psums, pair_decode_lut, EncodeTable, PairLut, EXP_FLOOR,
+    MAX_I32_GROUP,
 };
 pub use mant::{Mant, MantCode};
 pub use mxfp::{e8m0_quantize_scale, fp4_e2m1_grid};

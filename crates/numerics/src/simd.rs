@@ -245,79 +245,6 @@ impl KernelDispatch {
         }
     }
 
-    /// A whole row-tile's group dots for every member in one call: for
-    /// member `j` and group `g`, `out[j · groups + g]` equals
-    /// [`crate::kernels::dot_packed_x4`] over the `g`-th `group_size`-code
-    /// slice of `xcodes[j]` and the `g`-th packed group of each row,
-    /// through each row's `g`-th decode table. One call per 4-row tile
-    /// pays the per-call setup (dispatch, masks, reduction plumbing) once
-    /// instead of once per group — which dominates at serving group sizes.
-    ///
-    /// On the AVX2 arm each 32-code block of each of the four rows is
-    /// `pshufb`-decoded **once** and `pmaddwd`-ed against every member of
-    /// a register block of up to two — the decode the paper's PE does once
-    /// beside its MACs (Eq. (5), Sec. VI), shared by the members of a
-    /// decode-shaped step instead of repeated per member. The i32 sums are
-    /// exact under [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP), so the
-    /// member count changes no bit. The scalar arm is
-    /// [`crate::kernels::dot_packed_x4`] per member and group.
-    ///
-    /// `xcodes` holds the members' codes (`groups · group_size` each), `w`
-    /// each row's full packed codes (`groups · ⌈group_size/2⌉` bytes),
-    /// `luts[lane][g]` the per-group decode tables, and `out` receives one
-    /// `[i64; 4]` per (member, group), member-major.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the slice lengths agree and `group_size` respects
-    /// [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP).
-    pub fn dot_packed_x4_groups(
-        self,
-        xcodes: &[&[i8]],
-        w: [&[u8]; 4],
-        group_size: usize,
-        luts: [&[&KernelLut]; 4],
-        out: &mut [[i64; 4]],
-    ) {
-        let groups = luts[0].len();
-        debug_assert_eq!(out.len(), xcodes.len() * groups);
-        debug_assert!(xcodes.iter().all(|x| x.len() == groups * group_size));
-        debug_assert!(luts.iter().all(|l| l.len() == groups));
-        let gb = group_size.div_ceil(2);
-        debug_assert!(w.iter().all(|r| r.len() == groups * gb));
-        if groups == 0 {
-            return;
-        }
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-                for (x, o) in xcodes.chunks(2).zip(out.chunks_mut(2 * groups)) {
-                    // SAFETY: the match guard just confirmed AVX2 on this CPU.
-                    unsafe {
-                        match *x {
-                            [a] => x86::dot_packed_x4_groups_avx2([a], w, group_size, luts, o),
-                            [a, b] => {
-                                x86::dot_packed_x4_groups_avx2([a, b], w, group_size, luts, o)
-                            }
-                            _ => unreachable!("chunks of at most two"),
-                        }
-                    }
-                }
-            }
-            _ => {
-                for (x, o) in xcodes.iter().zip(out.chunks_mut(groups)) {
-                    for (g, o) in o.iter_mut().enumerate() {
-                        *o = kernels::dot_packed_x4(
-                            &x[g * group_size..(g + 1) * group_size],
-                            w.map(|r| &r[g * gb..(g + 1) * gb]),
-                            luts.map(|l| &l[g].pair),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// [`crate::kernels::decode_packed_i16`] through this tier — decodes
     /// a nibble-packed weight group to its i16 integer operands in
     /// natural code order, the once-per-tile amortization step of the
@@ -460,9 +387,10 @@ impl KernelDispatch {
         }
     }
 
-    /// The decode-attention sweep: `n` rows of packed groups at a fixed
-    /// byte stride against one or more INT8 vectors, group dots **and**
-    /// the f64 scale epilogue. Row `r`'s `groups` packed groups start at
+    /// The packed row sweep behind decode attention and the one- and
+    /// two-member weight GEMV: `n` rows of packed groups at a fixed byte
+    /// stride against one or more INT8 vectors, group dots **and** the f64
+    /// scale epilogue. Row `r`'s `groups` packed groups start at
     /// `rows[r · stride]`, back to back (`⌈group_size/2⌉` bytes each);
     /// its decode tables and scales are `luts[r · groups + g]` and
     /// `wscales[r · groups + g]`, resolved by the caller once for the
@@ -475,17 +403,19 @@ impl KernelDispatch {
     /// ```
     ///
     /// — one `fused_dot`-style chain per (member, row), so a caller that
-    /// starts `accs` at `+0.0` gets a cached K row's score, and one that
-    /// starts it at `-0.0` with a single group gets a V channel's term
-    /// exactly (`-0.0 + t` is `t` for every `t`).
+    /// starts `accs` at `+0.0` gets a cached K row's score or a weight
+    /// row's GEMV output, and one that starts it at `-0.0` with a single
+    /// group gets a V channel's term exactly (`-0.0 + t` is `t` for every
+    /// `t`).
     ///
     /// Lanes are rows: on the AVX2 arm eight rows form a block, each row's
     /// 32-code runs are `pshufb`-decoded **once** in registers and
     /// `pmaddwd`-ed against every member of a register block of up to two
-    /// (the other query heads of a GQA group), one `phaddd` tree turns the
-    /// eight rows' accumulators into one `i32x8` whose lane `r` is row
-    /// `r`'s group dot, and the epilogue runs on it in place (`cvtdq2pd`,
-    /// `mulpd`, `mulpd`, `addpd`). A short last block repeats its last
+    /// (the other query heads of a GQA group, the other activation vector
+    /// of a two-row step), one `phaddd` tree turns the eight rows'
+    /// accumulators into one `i32x8` whose lane `r` is row `r`'s group
+    /// dot, and the epilogue runs on it in place (`cvtdq2pd`, `mulpd`,
+    /// `mulpd`, `addpd`). A short last block repeats its last
     /// row in the spare lanes, which are never stored. Group tails past
     /// the last whole 32-code run go through the scalar pair-table walk.
     /// Exactness as [`KernelDispatch::dot_tile8_scaled`]: every `phaddd`
@@ -996,104 +926,6 @@ mod x86 {
             kernels::dot_packed(&xcodes[blocks * 32..], &wpacked[blocks * 16..], &lut.pair)
         };
         hsum_i32x8(acc) + tail
-    }
-
-    /// AVX2 grouped row-tile sweep for a register block of `MB` members
-    /// (see [`super::KernelDispatch::dot_packed_x4_groups`]): per group and
-    /// 32-code block, every member's activation vector is widened to
-    /// even/odd i16 lanes, then each of the four weight rows is decoded
-    /// once and `pmaddwd`-ed against all `MB` members — the decode is paid
-    /// per row and block, not per member — with the masks, bounds
-    /// plumbing, and dispatch paid once per tile. `out` holds `MB` runs of
-    /// `groups` results.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn dot_packed_x4_groups_avx2<const MB: usize>(
-        xcodes: [&[i8]; MB],
-        w: [&[u8]; 4],
-        group_size: usize,
-        luts: [&[&KernelLut]; 4],
-        out: &mut [[i64; 4]],
-    ) {
-        debug_assert!(group_size <= MAX_I32_GROUP, "i32 group bound exceeded");
-        let groups = luts[0].len();
-        let gb = group_size.div_ceil(2);
-        let blocks = group_size / 32;
-        assert!(xcodes.iter().all(|x| x.len() == groups * group_size));
-        assert!(w.iter().all(|r| r.len() == groups * gb));
-        assert_eq!(out.len(), MB * groups);
-        let m0f = _mm256_set1_epi16(0x0f);
-        let m00ff = _mm256_set1_epi16(0x00ff);
-        for g in 0..groups {
-            let tabs = [0, 1, 2, 3].map(|lane| {
-                let l: &KernelLut = luts[lane][g];
-                // SAFETY: `lo8`/`hi8` are 16-byte arrays; unaligned loads.
-                let (tlo, thi) = unsafe {
-                    (
-                        _mm_loadu_si128(l.lo8.as_ptr().cast()),
-                        _mm_loadu_si128(l.hi8.as_ptr().cast()),
-                    )
-                };
-                (
-                    _mm256_broadcastsi128_si256(tlo),
-                    _mm256_broadcastsi128_si256(thi),
-                )
-            });
-            let xg = xcodes.map(|x| &x[g * group_size..(g + 1) * group_size]);
-            let mut acc = [[_mm256_setzero_si256(); 4]; MB];
-            for i in 0..blocks {
-                let xs = xg.map(|x| {
-                    // SAFETY: `i < blocks = group_size / 32`, so the 32-byte
-                    // load at `i*32` stays inside this group's slice.
-                    let x = unsafe { _mm256_loadu_si256(x.as_ptr().add(i * 32).cast()) };
-                    (
-                        _mm256_srai_epi16::<8>(_mm256_slli_epi16::<8>(x)),
-                        _mm256_srai_epi16::<8>(x),
-                    )
-                });
-                for lane in 0..4 {
-                    // SAFETY: `i*16 + 16 <= blocks*16 <= gb`, so the
-                    // 16-byte load stays inside this group's `gb` bytes
-                    // of row `lane` (lengths asserted above).
-                    let wb =
-                        unsafe { _mm_loadu_si128(w[lane].as_ptr().add(g * gb + i * 16).cast()) };
-                    let w16 = _mm256_cvtepu8_epi16(wb);
-                    let (tlo, thi) = tabs[lane];
-                    let we = decode16_avx2(_mm256_and_si256(w16, m0f), tlo, thi, m00ff);
-                    let wo = decode16_avx2(_mm256_srli_epi16::<4>(w16), tlo, thi, m00ff);
-                    for (acc, &(xe, xo)) in acc.iter_mut().zip(&xs) {
-                        acc[lane] = _mm256_add_epi32(acc[lane], _mm256_madd_epi16(xe, we));
-                        acc[lane] = _mm256_add_epi32(acc[lane], _mm256_madd_epi16(xo, wo));
-                    }
-                }
-            }
-            for (j, (acc, xg)) in acc.iter().zip(xg).enumerate() {
-                let tail = if group_size == blocks * 32 {
-                    [0i64; 4]
-                } else {
-                    kernels::dot_packed_x4(
-                        &xg[blocks * 32..],
-                        w.map(|r| &r[g * gb + blocks * 16..(g + 1) * gb]),
-                        luts.map(|l| &l[g].pair),
-                    )
-                };
-                // One hadd tree reduces all four lane accumulators together —
-                // every intermediate is a subset sum of one group's products,
-                // so the [`MAX_I32_GROUP`] bound keeps each `phaddd`
-                // overflow-free.
-                let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
-                let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
-                let s = _mm256_hadd_epi32(s01, s23);
-                let quad =
-                    _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
-                let mut sums = [0i32; 4];
-                // SAFETY: `sums` is a writable 16-byte buffer.
-                unsafe { _mm_storeu_si128(sums.as_mut_ptr().cast(), quad) };
-                let o = &mut out[j * groups + g];
-                for lane in 0..4 {
-                    o[lane] = i64::from(sums[lane]) + tail[lane];
-                }
-            }
-        }
     }
 
     /// AVX2 [`kernels::decode_packed_i16`]: 16 packed bytes (32 codes)
@@ -2286,77 +2118,6 @@ mod tests {
         let expect = MAX_I32_GROUP as i64 * 128 * (127 * 7 + 128);
         for d in tiers() {
             assert_eq!(d.dot_packed(&xcodes, &packed, &lut), expect, "{}", d.name());
-        }
-    }
-
-    #[test]
-    fn dot_packed_x4_matches_scalar_all_tiers() {
-        // Three groups a tile, each byte-aligned and decoded through its
-        // own table per row, against one to three members (three runs a
-        // two-member register block and a one-member block): every tier's
-        // grouped sweep must equal the scalar tile kernel run member by
-        // member, group by group.
-        const GROUPS: usize = 3;
-        let luts: Vec<KernelLut> = [0u32, 17, 60, 127, 5, 99]
-            .iter()
-            .map(|&a| kernel_lut(&mant_decode_lut(Mant::new(a).unwrap())))
-            .collect();
-        for len in [3usize, 16, 33, 64, 65, 129] {
-            let members: Vec<Vec<i8>> = (0..3)
-                .map(|j| {
-                    (0..GROUPS * len)
-                        .map(|i| ((i * 91 + j * 41 + 5) % 255) as u8 as i8)
-                        .collect()
-                })
-                .collect();
-            let xs: Vec<&[i8]> = members.iter().map(Vec::as_slice).collect();
-            let rows: Vec<Vec<u8>> = (0..4)
-                .map(|r| {
-                    (0..GROUPS)
-                        .flat_map(|g| {
-                            pack_nibbles(
-                                &(0..len)
-                                    .map(|i| ((i * 3 + r * 5 + g * 7) % 16) as u8)
-                                    .collect::<Vec<_>>(),
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            let w = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
-            let row_luts: Vec<Vec<&KernelLut>> = (0..4)
-                .map(|r| {
-                    (0..GROUPS)
-                        .map(|g| &luts[(r + 2 * g) % luts.len()])
-                        .collect()
-                })
-                .collect();
-            let lr = [
-                &row_luts[0][..],
-                &row_luts[1][..],
-                &row_luts[2][..],
-                &row_luts[3][..],
-            ];
-            let gb = len.div_ceil(2);
-            for m in 1..=xs.len() {
-                let oracle: Vec<[i64; 4]> = xs[..m]
-                    .iter()
-                    .flat_map(|x| {
-                        (0..GROUPS).map(move |g| {
-                            kernels::dot_packed_x4(
-                                &x[g * len..(g + 1) * len],
-                                w.map(|r| &r[g * gb..(g + 1) * gb]),
-                                lr.map(|l| &l[g].pair),
-                            )
-                        })
-                    })
-                    .collect();
-                for d in tiers() {
-                    let mut got = vec![[0i64; 4]; m * GROUPS];
-                    d.dot_packed_x4_groups(&xs[..m], w, len, lr, &mut got);
-                    assert_eq!(got, oracle, "{} len {len} members {m}", d.name());
-                }
-            }
         }
     }
 

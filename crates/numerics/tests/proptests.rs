@@ -4,8 +4,8 @@ use mant_numerics::int::quantize_symmetric_int;
 use mant_numerics::packing::{pack_nibbles, unpack_nibbles, NibbleIter};
 use mant_numerics::simd::{scalar_abs_max, scalar_quantize_i8, tile8_len, TILE_ROWS};
 use mant_numerics::{
-    dot_packed, dot_packed_x4, exp_nonpositive, fp16, int4_decode_lut, int4_group_mac, kernel_lut,
-    kernels, mant_decode_lut, mant_group_psums, pair_decode_lut, EncodeTable, Grid, KernelDispatch,
+    dot_packed, exp_nonpositive, fp16, int4_decode_lut, int4_group_mac, kernel_lut, kernels,
+    mant_decode_lut, mant_group_psums, pair_decode_lut, EncodeTable, Grid, KernelDispatch,
     KernelLut, Mant, MantCode, EXP_FLOOR, MAX_I32_GROUP,
 };
 use proptest::prelude::*;
@@ -184,30 +184,6 @@ proptest! {
         );
     }
 
-    /// The 4-row tile kernel equals four independent packed dots for any
-    /// mix of coefficients and any tail parity.
-    #[test]
-    fn packed_dot_x4_bit_identical(coeffs in (0u32..128, 0u32..128, 0u32..128, 0u32..128),
-                                   wcodes in proptest::collection::vec(0u8..16, 4..132),
-                                   xseed in proptest::collection::vec(-128i64..=127, 33)) {
-        let len = wcodes.len() / 4;
-        let xcodes: Vec<i8> = xseed[..len].iter().map(|&v| v as i8).collect();
-        let rows: Vec<&[u8]> = wcodes.chunks_exact(len).take(4).collect();
-        let packed: Vec<Vec<u8>> = rows.iter().map(|r| pack_nibbles(r)).collect();
-        let luts: Vec<_> = [coeffs.0, coeffs.1, coeffs.2, coeffs.3]
-            .iter()
-            .map(|&a| pair_decode_lut(&mant_decode_lut(Mant::new(a).unwrap())))
-            .collect();
-        let tiled = dot_packed_x4(
-            &xcodes,
-            [&packed[0], &packed[1], &packed[2], &packed[3]],
-            [&luts[0], &luts[1], &luts[2], &luts[3]],
-        );
-        for lane in 0..4 {
-            prop_assert_eq!(tiled[lane], dot_packed(&xcodes, &packed[lane], &luts[lane]));
-        }
-    }
-
     /// Worst-case magnitudes never overflow the packed kernel's i32 group
     /// accumulator at any admissible group length: the extreme-magnitude
     /// sum stays exact all the way to `MAX_I32_GROUP`.
@@ -306,51 +282,6 @@ proptest! {
         }
     }
 
-    /// The SIMD grouped 4-row tile equals the scalar tile kernel run member
-    /// by member, group by group, for any mix of coefficients and any tail
-    /// parity: two byte-aligned groups a row, each through its own decode
-    /// table, against one or two members with independent activation codes
-    /// (the fused sweep's decode-shaped batches, one decode feeding both).
-    #[test]
-    fn simd_dot_packed_x4_bit_identical(coeffs in (0u32..128, 0u32..128, 0u32..128, 0u32..128),
-                                        wcodes in proptest::collection::vec(0u8..16, 8..560),
-                                        members in 1usize..=2,
-                                        xseed in proptest::collection::vec(-128i64..=127, 2 * 140)) {
-        let len = wcodes.len() / 8;
-        let gb = len.div_ceil(2);
-        let xcodes: Vec<Vec<i8>> = xseed
-            .chunks_exact(140)
-            .take(members)
-            .map(|s| s[..2 * len].iter().map(|&v| v as i8).collect())
-            .collect();
-        let xs: Vec<&[i8]> = xcodes.iter().map(Vec::as_slice).collect();
-        let packed: Vec<Vec<u8>> = wcodes
-            .chunks_exact(2 * len)
-            .take(4)
-            .map(|row| row.chunks_exact(len).flat_map(pack_nibbles).collect())
-            .collect();
-        let luts: Vec<KernelLut> = [coeffs.0, coeffs.1, coeffs.2, coeffs.3]
-            .iter()
-            .map(|&a| mant_kernel_lut(a))
-            .collect();
-        let w = [&packed[0][..], &packed[1][..], &packed[2][..], &packed[3][..]];
-        let row_luts: Vec<[&KernelLut; 2]> = (0..4).map(|r| [&luts[r], &luts[(r + 1) % 4]]).collect();
-        let lr = [&row_luts[0][..], &row_luts[1][..], &row_luts[2][..], &row_luts[3][..]];
-        let oracle: Vec<[i64; 4]> = xs
-            .iter()
-            .flat_map(|x| (0..2).map(move |g| dot_packed_x4(
-                &x[g * len..(g + 1) * len],
-                w.map(|r| &r[g * gb..(g + 1) * gb]),
-                lr.map(|l| &l[g].pair),
-            )))
-            .collect();
-        for d in tiers() {
-            let mut got = vec![[0i64; 4]; members * 2];
-            d.dot_packed_x4_groups(&xs, w, len, lr, &mut got);
-            prop_assert_eq!(&got, &oracle, "tier {} members {}", d.name(), members);
-        }
-    }
-
     /// The eight-row tile sweep — decode, interleave, lane-per-row dots,
     /// fused f64 epilogue — equals on every tier, bit for bit, the
     /// per-member oracle: scalar `dot_packed` per (member, row, group),
@@ -436,12 +367,12 @@ proptest! {
     /// term itself, `-0.0` included) or at arbitrary values.
     #[test]
     fn simd_packed_rows_bit_identical_to_per_row_dot_packed(
-        shape in (0usize..10, 1usize..=3, 0usize..=20, 1usize..=3),
+        shape in (0usize..10, 1usize..=4, 0usize..=20, 1usize..=3),
         layout in (0usize..=2, 0usize..=2, 0usize..3, 0usize..2),
-        coeffs in proptest::collection::vec(0u32..129, 20 * 3),
-        wseed in proptest::collection::vec(0u8..16, 20 * 7 * 128),
-        xseed in proptest::collection::vec(-128i64..=127, 3 * 3 * 128),
-        scales in proptest::collection::vec(-4.0f64..4.0, 20 * 3 + 3 * 3),
+        coeffs in proptest::collection::vec(0u32..129, 20 * 4),
+        wseed in proptest::collection::vec(0u8..16, 20 * 8 * 128),
+        xseed in proptest::collection::vec(-128i64..=127, 3 * 4 * 128),
+        scales in proptest::collection::vec(-4.0f64..4.0, 20 * 4 + 3 * 4),
         init in proptest::collection::vec(-4.0f64..4.0, 3 * 20),
     ) {
         let gs = [2usize, 4, 8, 16, 32, 48, 64, 96, 128, 33][shape.0];
@@ -449,7 +380,7 @@ proptest! {
         let (before, after, start, zero_member) = (layout.0, layout.1, layout.2, layout.3 == 1);
         let (k, gb) = (groups * gs, gs.div_ceil(2));
         let stride = (before + groups + after) * gb;
-        let lut_of = |r: usize, g: usize| match coeffs[r * 3 + g] {
+        let lut_of = |r: usize, g: usize| match coeffs[r * 4 + g] {
             _ if g == 0 => mant_kernel_lut(127),
             128 => kernel_lut(&int4_decode_lut()),
             a => mant_kernel_lut(a),
@@ -459,7 +390,7 @@ proptest! {
         let luts: Vec<&KernelLut> = tables.iter().collect();
         let rows: Vec<u8> = (0..n)
             .flat_map(|r| {
-                let seed = &wseed[r * 7 * 128..];
+                let seed = &wseed[r * 8 * 128..];
                 let mut row: Vec<u8> = (0..before + groups + after)
                     .flat_map(|g| pack_nibbles(&seed[g * gs..(g + 1) * gs]))
                     .collect();
@@ -473,7 +404,7 @@ proptest! {
             x[..k].fill(0);
         }
         let wscales = &scales[..n * groups];
-        let xscales = &scales[60..60 + m * groups];
+        let xscales = &scales[80..80 + m * groups];
         let start_at = |i: usize| [0.0, -0.0, init[i]][start];
 
         let mut oracle: Vec<f64> = (0..m * n).map(start_at).collect();

@@ -44,10 +44,11 @@ pub fn group_dot(meta: GroupMeta, xcodes: &[i8], wcodes: &[u8]) -> i64 {
 /// tiers — bit-identical to [`group_dot`] on the unpacked codes either
 /// way. One table lookup and one dispatch per group: the primitive of the
 /// per-row references [`crate::PagedKvCache::fused_dot`] and
-/// `attend_window`, which the decode-attention sweep
+/// `attend_window`, which the row sweep
 /// ([`mant_numerics::KernelDispatch::dot_packed_rows_scaled`], a block of
-/// rows per call) is tested against. No serving path calls it per cached
-/// row or V channel.
+/// rows per call, behind decode attention and the one- and two-member
+/// GEMV) is tested against. No serving path calls it per cached row, V
+/// channel or weight row.
 pub fn group_dot_packed(meta: GroupMeta, xcodes: &[i8], wpacked: &[u8]) -> i64 {
     kernels().dot_packed(xcodes, wpacked, kernel_table(meta.dtype))
 }
@@ -110,10 +111,20 @@ pub fn mant_gemm_with(
 
 /// Batch size from which the GEMM driver decodes each weight tile once
 /// into an i16 tile ([`mant_gemv_batch`]) instead of running the fused
-/// sweep, whose in-register decode feeds at most a two-member register
-/// block: the tile's decode and interleave start paying for themselves
-/// once three or more members reuse them.
+/// sweep, whose in-register decode
+/// ([`KernelDispatch::dot_packed_rows_scaled`]) feeds register blocks of
+/// at most two members. The tile's decode and interleave pay for
+/// themselves only once enough members reuse them: against the row sweep
+/// that is eight to ten members on the sim model's shapes, so batches of
+/// three to about eight members take the slower path at this value (the
+/// `gemm_kernels` batch sweep shows it).
 pub const DECODE_ONCE_MIN_BATCH: usize = 3;
+
+/// Group scales the fused sweep widens to f64 per
+/// [`KernelDispatch::dot_packed_rows_scaled`] call: 32 KB, so a call's
+/// scales stay in L1 while the sim model's projections still take one
+/// call each.
+const SWEEP_SCALES: usize = 4096;
 
 /// Batched [`mant_gemv`]: one weight matrix against a whole batch of
 /// independently quantized activation vectors (a continuous-batching
@@ -134,10 +145,11 @@ pub const DECODE_ONCE_MIN_BATCH: usize = 3;
 /// int`, `+=`) runs on it in place. A short last tile is zero-padded: the
 /// spare rows decode to zeros under a zero scale and are never stored.
 /// Below the threshold — the one or two rows of a decode-shaped step —
-/// the batch takes [`mant_gemv`]'s fused sweep with all its members in
-/// one call per 4-row tile: each 32-code block of a weight row is decoded
-/// once in registers and multiplied against both members, with no i16
-/// tile to write and re-read.
+/// the batch takes [`mant_gemv`]'s fused sweep, the row sweep decode
+/// attention runs ([`KernelDispatch::dot_packed_rows_scaled`]) with the
+/// weight rows as its rows and all the members in each call: each 64-code
+/// run of a weight row is decoded once in registers and multiplied
+/// against both members, with no i16 tile to write and re-read.
 ///
 /// Both paths produce identical bits. The decoded operands are the same
 /// integers the pair tables hold; an i32 lane holds exactly one (member,
@@ -270,14 +282,15 @@ fn gemm_rows(
 }
 
 /// The fused sweep ([`mant_gemv`], and batches too small to amortize a
-/// tile decode): four output rows per tile, the nibble decode inside the
-/// dot kernel, **one** [`KernelDispatch::dot_packed_x4_groups`] call per
-/// tile for all members — so each weight block is decoded once and fed to
-/// both members of a two-row step, not once per member. Per group, i32
-/// accumulation inside the group, the decode plan's interned table per
-/// group. Every output accumulates its groups in ascending order as `acc
-/// += xs · ws · int as f64` from zero — the expression all other paths
-/// reproduce.
+/// tile decode): the weight rows are the swept rows of
+/// [`KernelDispatch::dot_packed_rows_scaled`] at a stride of one packed
+/// row, the members its members — so each 64-code run of a weight row is
+/// decoded once in registers and fed to both members of a two-row step.
+/// The rows go in chunks of whole eight-row blocks holding about
+/// [`SWEEP_SCALES`] groups, whose scales are widened to f64 into one
+/// reused buffer. Every output accumulates its groups in ascending order
+/// as `acc += (xs · ws) · int` from `+0.0` — the expression all other
+/// paths reproduce.
 fn fused_sweep(
     d: KernelDispatch,
     codes: &[&[i8]],
@@ -286,43 +299,33 @@ fn fused_sweep(
     out: &mut [&mut [f32]],
 ) {
     let (n, gs, groups) = (w.rows(), w.group_size(), w.groups_per_row());
-    let gb = w.group_bytes();
-    // The reused per-tile buffer of raw group dots, member-major.
-    let mut gout = vec![[0i64; 4]; codes.len() * groups];
-    for tile_lo in (0..n / 4 * 4).step_by(4) {
-        let wrows = [0, 1, 2, 3].map(|lane| w.packed_row(tile_lo + lane));
-        let lrows = [0, 1, 2, 3].map(|lane| w.plan_row(tile_lo + lane));
-        let mrows = [0, 1, 2, 3].map(|lane| w.meta_row(tile_lo + lane));
-        d.dot_packed_x4_groups(codes, wrows, gs, lrows, &mut gout);
-        for ((ints, xsc), y) in gout
-            .chunks(groups)
-            .zip(xscales.chunks(groups))
-            .zip(out.iter_mut())
-        {
-            let mut acc = [0.0f64; 4];
-            for (g, (ints, &xs)) in ints.iter().zip(xsc).enumerate() {
-                for lane in 0..4 {
-                    acc[lane] += xs * f64::from(mrows[lane][g].scale) * ints[lane] as f64;
-                }
+    let stride = groups * w.group_bytes();
+    let chunk = (SWEEP_SCALES / groups / TILE_ROWS).max(1) * TILE_ROWS;
+    let xcodes = codes.concat();
+    let mut wscales = Vec::with_capacity(chunk.min(n) * groups);
+    let mut accs = vec![0.0f64; codes.len() * chunk.min(n)];
+    for lo in (0..n).step_by(chunk) {
+        let rows = lo..(lo + chunk).min(n);
+        let live = rows.len();
+        wscales.clear();
+        wscales.extend(w.meta_rows(rows.clone()).iter().map(|m| f64::from(m.scale)));
+        let accs = &mut accs[..codes.len() * live];
+        accs.fill(0.0);
+        d.dot_packed_rows_scaled(
+            w.packed_rows(rows.clone()),
+            stride,
+            gs,
+            groups,
+            w.plan_rows(rows),
+            &wscales,
+            &xcodes,
+            xscales,
+            accs,
+        );
+        for (accs, y) in accs.chunks_exact(live).zip(out.iter_mut()) {
+            for (o, &a) in y[lo..lo + live].iter_mut().zip(accs) {
+                *o = a as f32;
             }
-            for lane in 0..4 {
-                y[tile_lo + lane] = acc[lane] as f32;
-            }
-        }
-    }
-    for ni in n / 4 * 4..n {
-        let (wrow, lrow, mrow) = (w.packed_row(ni), w.plan_row(ni), w.meta_row(ni));
-        for ((x, xsc), y) in codes.iter().zip(xscales.chunks(groups)).zip(out.iter_mut()) {
-            let mut acc = 0.0f64;
-            for (g, &xs) in xsc.iter().enumerate() {
-                let int = d.dot_packed(
-                    &x[g * gs..(g + 1) * gs],
-                    &wrow[g * gb..(g + 1) * gb],
-                    lrow[g],
-                );
-                acc += xs * f64::from(mrow[g].scale) * int as f64;
-            }
-            y[ni] = acc as f32;
         }
     }
 }
@@ -693,36 +696,39 @@ mod tests {
 
     #[test]
     fn packed_gemv_bit_identical_to_scalar() {
-        // The packed pair-LUT GEMV must match the pre-packing scalar path
-        // bit for bit — including on an odd group size, where packed
-        // groups carry a pad nibble.
+        // The packed GEMV must match the pre-packing scalar path bit for
+        // bit — including on an odd group size, where packed groups carry
+        // a pad nibble — over row counts short of, exactly at and past the
+        // sweep's eight-row lane block.
         use crate::activation::quantize_vector_int8;
         let mut gen = TensorGenerator::new(73);
-        for (k, g) in [(256usize, 64usize), (15, 5)] {
-            let w = gen.group_diverse_matrix(7, k, g, 0.02);
-            let wq = MantWeightQuantizer::new(g).quantize(&w).unwrap();
-            let scalar_w = UnpackedWeights::from_packed(&wq);
-            assert_eq!(scalar_w.code_bytes(), 7 * k);
-            let x: Vec<f32> = (0..k).map(|_| gen.standard_normal()).collect();
-            let xq = quantize_vector_int8(&x, g).unwrap();
-            let packed = mant_gemv(&xq, &wq).unwrap();
-            let scalar = mant_gemv_scalar(&xq, &scalar_w);
-            let p_bits: Vec<u32> = packed.iter().map(|v| v.to_bits()).collect();
-            let s_bits: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(p_bits, s_bits, "k={k} g={g}");
+        for n in [7usize, 8, 9, 17] {
+            for (k, g) in [(256usize, 64usize), (15, 5)] {
+                let w = gen.group_diverse_matrix(n, k, g, 0.02);
+                let wq = MantWeightQuantizer::new(g).quantize(&w).unwrap();
+                let scalar_w = UnpackedWeights::from_packed(&wq);
+                assert_eq!(scalar_w.code_bytes(), n * k);
+                let x: Vec<f32> = (0..k).map(|_| gen.standard_normal()).collect();
+                let xq = quantize_vector_int8(&x, g).unwrap();
+                let packed = mant_gemv(&xq, &wq).unwrap();
+                let scalar = mant_gemv_scalar(&xq, &scalar_w);
+                let p_bits: Vec<u32> = packed.iter().map(|v| v.to_bits()).collect();
+                let s_bits: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(p_bits, s_bits, "n={n} k={k} g={g}");
+            }
         }
     }
 
     #[test]
     fn gemm_tile_remainders_bit_identical_to_gemv() {
-        // Output-row counts on every side of the fused sweep's 4-row tile
-        // (remainder rows 1, 3, 5, 9, 250) and the decode-once sweep's
-        // 8-row tile — a lone full tile (8), a short last tile after full
-        // ones (12, 250), none (256) — against batch sizes on every side of
-        // the eight-member register block, and the fused sweep's one and
-        // two members. Every batch row and every `mant_gemm` row (the same
-        // driver, the members arriving as tensor rows) must match the
-        // one-vector GEMV bit for bit.
+        // Output-row counts on every side of the eight-row block both
+        // sweeps share — a lone short block (1, 3, 4, 5), a lone full one
+        // (8), a short last block after full ones (9, 12, 250), none (256)
+        // — and of the fused sweep's 64-row chunk (250, 256), against
+        // batch sizes on every side of the eight-member register block,
+        // and the fused sweep's one and two members. Every batch row and
+        // every `mant_gemm` row (the same `gemm_rows`, the members arriving
+        // as tensor rows) must match the one-vector GEMV bit for bit.
         use crate::activation::quantize_vector_int8;
         let mut gen = TensorGenerator::new(74);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();

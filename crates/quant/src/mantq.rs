@@ -1,5 +1,7 @@
 //! MANT weight quantization: per-group adaptive types with packed storage.
 
+use std::ops::Range;
+
 use mant_numerics::fp16::quantize_fp16;
 use mant_numerics::{int4_grid, kernels, EncodeTable, Grid, Mant, MantCode, NumericsError};
 use mant_tensor::par::par_map_indexed;
@@ -391,8 +393,7 @@ impl MantQuantizedMatrix {
     ///
     /// Panics if out of bounds.
     pub fn packed_row(&self, r: usize) -> &[u8] {
-        let rb = self.groups_per_row() * self.group_bytes();
-        &self.codes[r * rb..(r + 1) * rb]
+        self.packed_rows(r..r + 1)
     }
 
     /// Row `r`'s interned decode tables, one per group.
@@ -401,8 +402,7 @@ impl MantQuantizedMatrix {
     ///
     /// Panics if out of bounds.
     pub fn plan_row(&self, r: usize) -> &[&'static KernelLut] {
-        let gpr = self.groups_per_row();
-        &self.plan[r * gpr..(r + 1) * gpr]
+        self.plan_rows(r..r + 1)
     }
 
     /// Row `r`'s group metadata, one entry per group.
@@ -411,8 +411,26 @@ impl MantQuantizedMatrix {
     ///
     /// Panics if out of bounds.
     pub fn meta_row(&self, r: usize) -> &[GroupMeta] {
+        self.meta_rows(r..r + 1)
+    }
+
+    /// The packed codes of rows `rows`, row after row at a stride of
+    /// [`Self::packed_row`]'s length.
+    pub(crate) fn packed_rows(&self, rows: Range<usize>) -> &[u8] {
+        let rb = self.groups_per_row() * self.group_bytes();
+        &self.codes[rows.start * rb..rows.end * rb]
+    }
+
+    /// The decode tables of rows `rows`, row-major.
+    pub(crate) fn plan_rows(&self, rows: Range<usize>) -> &[&'static KernelLut] {
         let gpr = self.groups_per_row();
-        &self.meta[r * gpr..(r + 1) * gpr]
+        &self.plan[rows.start * gpr..rows.end * gpr]
+    }
+
+    /// The group metadata of rows `rows`, row-major.
+    pub(crate) fn meta_rows(&self, rows: Range<usize>) -> &[GroupMeta] {
+        let gpr = self.groups_per_row();
+        &self.meta[rows.start * gpr..rows.end * gpr]
     }
 
     /// Dequantizes to an f32 matrix.
