@@ -14,13 +14,15 @@
 //! `BENCH_kernels.json` so the kernel-level perf trajectory is
 //! machine-readable.
 //!
-//! The decode-once tier gets a batch sweep: `mant_gemv_batch` at 3, 8 and
-//! 32 members against that many `mant_gemv` calls on the sim model's
-//! three projection shapes, each placed against the host's measured
-//! `pmaddwd` issue rate (a register-resident probe) as GMAC/s and a share
-//! of that peak. On AVX2 the 32-member batch must beat 32 GEMVs by ≥ 3×
-//! on every shape, and the 3-member batch — the first size that takes
-//! the tile — must not lose more than 10 %.
+//! The batch GEMV gets a sweep: `mant_gemv_batch` at 3, 8 and 32 members
+//! against that many `mant_gemv` calls on the sim model's three
+//! projection shapes, each placed against the host's measured `pmaddwd`
+//! throughput (a register-resident probe) as GMAC/s and a share of that
+//! peak. Below `DECODE_ONCE_MIN_BATCH` (3 and 8 members) the batch runs
+//! the packed row sweep, one decode per block of up to four members; 32
+//! members take the decode-once tile. On AVX2 the 32-member batch must
+//! beat 32 GEMVs by ≥ 3× on every shape, and the 3-member batch must not
+//! lose more than 10 %.
 //!
 //! Decode-shaped steps get two rows. The two-member fused sweep — the
 //! packed row sweep decode attention also runs, one nibble decode per
@@ -672,10 +674,6 @@ fn bench_gemm_kernels(c: &mut Criterion) {
             "AVX2 GEMV must beat the unpacked baseline by >= 4x, got {gemv_total_speedup:.2}x"
         );
         assert!(
-            batch32_vs_gemv >= 3.0,
-            "a 32-member batch must beat 32 GEMVs by >= 3x on every shape, got {batch32_vs_gemv:.2}x"
-        );
-        assert!(
             batch3_vs_gemv >= 0.9,
             "a 3-member batch must not lose to 3 GEMVs by > 10%, got {batch3_vs_gemv:.2}x"
         );
@@ -698,6 +696,12 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         assert!(
             attn_speedup >= 1.8,
             "swept decode attention at context 1024 must beat the per-row reference loop by >= 1.8x, got {attn_speedup:.2}x"
+        );
+        // Last, so that this floor's known miss on the row-kernel GEMV
+        // (ROADMAP item 1) does not hide the ones above.
+        assert!(
+            batch32_vs_gemv >= 3.0,
+            "a 32-member batch must beat 32 GEMVs by >= 3x on every shape, got {batch32_vs_gemv:.2}x"
         );
     }
 }

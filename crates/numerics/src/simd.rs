@@ -387,14 +387,14 @@ impl KernelDispatch {
         }
     }
 
-    /// The packed row sweep behind decode attention and the one- and
-    /// two-member weight GEMV: `n` rows of packed groups at a fixed byte
-    /// stride against one or more INT8 vectors, group dots **and** the f64
-    /// scale epilogue. Row `r`'s `groups` packed groups start at
-    /// `rows[r · stride]`, back to back (`⌈group_size/2⌉` bytes each);
-    /// its decode tables and scales are `luts[r · groups + g]` and
-    /// `wscales[r · groups + g]`, resolved by the caller once for the
-    /// whole sweep. For member `j` (codes `xcodes[j · groups ·
+    /// The packed row sweep behind decode attention and the weight GEMV of
+    /// a few-row step (below `mant_quant`'s `DECODE_ONCE_MIN_BATCH`): `n`
+    /// rows of packed groups at a fixed byte stride against one or more
+    /// INT8 vectors, group dots **and** the f64 scale epilogue. Row `r`'s
+    /// `groups` packed groups start at `rows[r · stride]`, back to back
+    /// (`⌈group_size/2⌉` bytes each); its decode tables and scales are
+    /// `luts[r · groups + g]` and `wscales[r · groups + g]`, resolved by
+    /// the caller once for the whole sweep. For member `j` (codes `xcodes[j · groups ·
     /// group_size..]`, scales `xscales[j · groups..]`), row `r` and every
     /// group `g` in ascending order,
     ///
@@ -410,9 +410,9 @@ impl KernelDispatch {
     ///
     /// Lanes are rows: on the AVX2 arm eight rows form a block, each row's
     /// 32-code runs are `pshufb`-decoded **once** in registers and
-    /// `pmaddwd`-ed against every member of a register block of up to two
-    /// (the other query heads of a GQA group, the other activation vector
-    /// of a two-row step), one `phaddd` tree turns the eight rows'
+    /// `pmaddwd`-ed against every member of a register block of up to four
+    /// (the other query heads of a GQA group, the other activation vectors
+    /// of a few-row step), one `phaddd` tree turns the eight rows'
     /// accumulators into one `i32x8` whose lane `r` is row `r`'s group
     /// dot, and the epilogue runs on it in place (`cvtdq2pd`, `mulpd`,
     /// `mulpd`, `addpd`). A short last block repeats its last
@@ -424,8 +424,8 @@ impl KernelDispatch {
     /// exact; the vector operators round per lane like the scalar ones, in
     /// the scalar association, and no FMA is formed. Odd group sizes and
     /// every tier but AVX2 run the scalar arm:
-    /// [`crate::kernels::dot_packed`] per (member, row, group) and the
-    /// same expression.
+    /// [`crate::kernels::dot_packed`] per (row, group, member) — each
+    /// weight group read once per row — and the same expression.
     ///
     /// # Panics
     ///
@@ -476,16 +476,15 @@ impl KernelDispatch {
             }
             _ => {
                 let k = groups * group_size;
-                for (j, accs) in accs.chunks_exact_mut(n.max(1)).take(m).enumerate() {
-                    for (r, acc) in accs.iter_mut().enumerate() {
-                        let row = &rows[r * stride..];
-                        for g in 0..groups {
-                            let int = kernels::dot_packed(
-                                &xcodes[j * k + g * group_size..j * k + (g + 1) * group_size],
-                                &row[g * gb..(g + 1) * gb],
-                                &luts[r * groups + g].pair,
-                            );
-                            *acc += xscales[j * groups + g] * wscales[r * groups + g] * int as f64;
+                for r in 0..n {
+                    let row = &rows[r * stride..];
+                    for g in 0..groups {
+                        let (w, ws) = (&row[g * gb..(g + 1) * gb], wscales[r * groups + g]);
+                        let lut = &luts[r * groups + g].pair;
+                        for j in 0..m {
+                            let x = &xcodes[j * k + g * group_size..][..group_size];
+                            let int = kernels::dot_packed(x, w, lut);
+                            accs[j * n + r] += xscales[j * groups + g] * ws * int as f64;
                         }
                     }
                 }
@@ -1140,7 +1139,7 @@ mod x86 {
 
     /// AVX2 body of [`super::KernelDispatch::dot_packed_rows_scaled`]:
     /// deals the members' codes into the decode's operand order once, then
-    /// sweeps the rows for members in register blocks of two (the rows are
+    /// sweeps the rows for members in register blocks of four (the rows are
     /// decoded once per block), the remainder through the block of its
     /// size.
     #[target_feature(enable = "avx2")]
@@ -1201,25 +1200,22 @@ mod x86 {
             }
         }
         let per_member = groups * per_group;
-        for (b, accs) in accs.chunks_mut(2 * n.max(1)).enumerate() {
-            let x = &xcodes[b * 2 * k..];
-            let xq = &xq[b * 2 * per_member..];
-            let xs = &xscales[b * 2 * groups..];
-            let one64 = group_size == 64;
-            if accs.len() > n {
-                let ops = (&x[..2 * k], &xq[..2 * per_member], &xs[..2 * groups]);
-                if one64 {
-                    packed_rows_block_avx2::<2, true>(&sweep, ops, accs);
-                } else {
-                    packed_rows_block_avx2::<2, false>(&sweep, ops, accs);
-                }
-            } else {
-                let ops = (&x[..k], &xq[..per_member], &xs[..groups]);
-                if one64 {
-                    packed_rows_block_avx2::<1, true>(&sweep, ops, accs);
-                } else {
-                    packed_rows_block_avx2::<1, false>(&sweep, ops, accs);
-                }
+        for (b, accs) in accs.chunks_mut(4 * n.max(1)).enumerate() {
+            let mb = accs.len() / n;
+            let ops = (
+                &xcodes[b * 4 * k..][..mb * k],
+                &xq[b * 4 * per_member..][..mb * per_member],
+                &xscales[b * 4 * groups..][..mb * groups],
+            );
+            match (mb, group_size == 64) {
+                (1, true) => packed_rows_block_avx2::<1, true>(&sweep, ops, accs),
+                (1, false) => packed_rows_block_avx2::<1, false>(&sweep, ops, accs),
+                (2, true) => packed_rows_block_avx2::<2, true>(&sweep, ops, accs),
+                (2, false) => packed_rows_block_avx2::<2, false>(&sweep, ops, accs),
+                (3, true) => packed_rows_block_avx2::<3, true>(&sweep, ops, accs),
+                (3, false) => packed_rows_block_avx2::<3, false>(&sweep, ops, accs),
+                (_, true) => packed_rows_block_avx2::<4, true>(&sweep, ops, accs),
+                (_, false) => packed_rows_block_avx2::<4, false>(&sweep, ops, accs),
             }
         }
     }

@@ -359,21 +359,22 @@ proptest! {
     /// The decode-attention sweep equals, on every tier, per-row
     /// `dot_packed` followed by the scalar epilogue. Rows are a window of
     /// `groups` groups inside wider strided rows (a K row holds every KV
-    /// head), row counts straddle the eight-lane block, one to three
-    /// members share the rows (GQA), and group 0 is pinned at the extremes
+    /// head), row counts straddle the eight-lane block, one to five
+    /// members share the rows (GQA heads, GEMV activations) on every side
+    /// of the four-member register block, and group 0 is pinned at the extremes
     /// (x = −128 against −1017) under full-mantissa f64 scales, so a
     /// reassociated or FMA-fused epilogue fails. The accumulators start at
     /// `+0.0` (a K score), at `-0.0` (a V term, which must come out as the
     /// term itself, `-0.0` included) or at arbitrary values.
     #[test]
     fn simd_packed_rows_bit_identical_to_per_row_dot_packed(
-        shape in (0usize..10, 1usize..=4, 0usize..=20, 1usize..=3),
+        shape in (0usize..10, 1usize..=4, 0usize..=20, 1usize..=5),
         layout in (0usize..=2, 0usize..=2, 0usize..3, 0usize..2),
         coeffs in proptest::collection::vec(0u32..129, 20 * 4),
         wseed in proptest::collection::vec(0u8..16, 20 * 8 * 128),
-        xseed in proptest::collection::vec(-128i64..=127, 3 * 4 * 128),
-        scales in proptest::collection::vec(-4.0f64..4.0, 20 * 4 + 3 * 4),
-        init in proptest::collection::vec(-4.0f64..4.0, 3 * 20),
+        xseed in proptest::collection::vec(-128i64..=127, 5 * 4 * 128),
+        scales in proptest::collection::vec(-4.0f64..4.0, 20 * 4 + 5 * 4),
+        init in proptest::collection::vec(-4.0f64..4.0, 5 * 20),
     ) {
         let gs = [2usize, 4, 8, 16, 32, 48, 64, 96, 128, 33][shape.0];
         let (groups, n, m) = (shape.1, shape.2, shape.3);

@@ -46,8 +46,8 @@ pub fn group_dot(meta: GroupMeta, xcodes: &[i8], wcodes: &[u8]) -> i64 {
 /// per-row references [`crate::PagedKvCache::fused_dot`] and
 /// `attend_window`, which the row sweep
 /// ([`mant_numerics::KernelDispatch::dot_packed_rows_scaled`], a block of
-/// rows per call, behind decode attention and the one- and two-member
-/// GEMV) is tested against. No serving path calls it per cached row, V
+/// rows per call, behind decode attention and the few-row GEMV) is
+/// tested against. No serving path calls it per cached row, V
 /// channel or weight row.
 pub fn group_dot_packed(meta: GroupMeta, xcodes: &[i8], wpacked: &[u8]) -> i64 {
     kernels().dot_packed(xcodes, wpacked, kernel_table(meta.dtype))
@@ -109,22 +109,28 @@ pub fn mant_gemm_with(
     Ok(out)
 }
 
-/// Batch size from which the GEMM driver decodes each weight tile once
-/// into an i16 tile ([`mant_gemv_batch`]) instead of running the fused
-/// sweep, whose in-register decode
-/// ([`KernelDispatch::dot_packed_rows_scaled`]) feeds register blocks of
-/// at most two members. The tile's decode and interleave pay for
-/// themselves only once enough members reuse them: against the row sweep
-/// that is eight to ten members on the sim model's shapes, so batches of
-/// three to about eight members take the slower path at this value (the
-/// `gemm_kernels` batch sweep shows it).
-pub const DECODE_ONCE_MIN_BATCH: usize = 3;
+/// Batch size from which the GEMM entries, on the AVX2 tier, decode each
+/// weight tile once into an i16 tile ([`mant_gemv_batch`]) instead of
+/// running the fused sweep ([`KernelDispatch::dot_packed_rows_scaled`],
+/// one in-register decode per block of up to four members). Timed in
+/// alternation on the sim model's projection shapes, the fused sweep
+/// takes 0.4–0.5× the tile's time at three members, 0.8–1.0× at eight
+/// and nine, 0.9–1.2× at ten and 0.95–1.1× from eleven to sixteen. The
+/// scalar tier's row sweep walks the pair table per member: it takes
+/// 0.8–0.9× the tile's time at two members, 1.0–1.1× at three and 1.5–1.6×
+/// at eight, so there the tile starts at three.
+pub const DECODE_ONCE_MIN_BATCH: usize = 10;
+
+/// [`DECODE_ONCE_MIN_BATCH`] on every tier but AVX2.
+const SCALAR_DECODE_ONCE_MIN_BATCH: usize = 3;
 
 /// Group scales the fused sweep widens to f64 per
-/// [`KernelDispatch::dot_packed_rows_scaled`] call: 32 KB, so a call's
-/// scales stay in L1 while the sim model's projections still take one
-/// call each.
-const SWEEP_SCALES: usize = 4096;
+/// [`KernelDispatch::dot_packed_rows_scaled`] call, in whole eight-row
+/// blocks: the scratch stays at 128 KB whatever the matrix (a whole
+/// 4096×4096 call would widen 2 MB). Timed at 4096-wide shapes, no
+/// larger chunk was consistently faster (DESIGN.md, "One packed-row
+/// kernel").
+const SWEEP_SCALES: usize = 16_384;
 
 /// Batched [`mant_gemv`]: one weight matrix against a whole batch of
 /// independently quantized activation vectors (a continuous-batching
@@ -144,12 +150,13 @@ const SWEEP_SCALES: usize = 4096;
 /// rows' group dots, and the scale epilogue (`i32 → f64`, `(xs · ws) ·
 /// int`, `+=`) runs on it in place. A short last tile is zero-padded: the
 /// spare rows decode to zeros under a zero scale and are never stored.
-/// Below the threshold — the one or two rows of a decode-shaped step —
-/// the batch takes [`mant_gemv`]'s fused sweep, the row sweep decode
-/// attention runs ([`KernelDispatch::dot_packed_rows_scaled`]) with the
-/// weight rows as its rows and all the members in each call: each 64-code
-/// run of a weight row is decoded once in registers and multiplied
-/// against both members, with no i16 tile to write and re-read.
+/// Below the threshold — the few rows of a decode-shaped step — the batch
+/// takes [`mant_gemv`]'s fused sweep, the row sweep decode attention runs
+/// ([`KernelDispatch::dot_packed_rows_scaled`]) with the weight rows as
+/// its rows and all the members in each call: each 64-code run of a
+/// weight row is decoded once in registers per block of up to four
+/// members and multiplied against each of them, with no i16 tile to write
+/// and re-read.
 ///
 /// Both paths produce identical bits. The decoded operands are the same
 /// integers the pair tables hold; an i32 lane holds exactly one (member,
@@ -262,7 +269,7 @@ fn check_operand(len: usize, group_size: usize, w: &MantQuantizedMatrix) -> Resu
 /// [`mant_gemm`], parameterised by member count (a GEMV is one): member
 /// `i` is `codes[i]` with per-group f64 scales `xscales[i · groups..]`,
 /// and `out[i][n]` receives row `n` of `W` against it. Picks the sweep by
-/// member count alone.
+/// member count and tier.
 fn gemm_rows(
     d: KernelDispatch,
     codes: &[&[i8]],
@@ -274,7 +281,11 @@ fn gemm_rows(
         // Empty sums: the zero-initialised outputs already hold them.
         return;
     }
-    if codes.len() >= DECODE_ONCE_MIN_BATCH {
+    let decode_once = match d {
+        KernelDispatch::Avx2 => DECODE_ONCE_MIN_BATCH,
+        _ => SCALAR_DECODE_ONCE_MIN_BATCH,
+    };
+    if codes.len() >= decode_once {
         tile8_sweep(d, codes, xscales, w, out);
     } else {
         fused_sweep(d, codes, xscales, w, out);
@@ -285,7 +296,7 @@ fn gemm_rows(
 /// tile decode): the weight rows are the swept rows of
 /// [`KernelDispatch::dot_packed_rows_scaled`] at a stride of one packed
 /// row, the members its members — so each 64-code run of a weight row is
-/// decoded once in registers and fed to both members of a two-row step.
+/// decoded once in registers per block of up to four members.
 /// The rows go in chunks of whole eight-row blocks holding about
 /// [`SWEEP_SCALES`] groups, whose scales are widened to f64 into one
 /// reused buffer. Every output accumulates its groups in ascending order
@@ -699,11 +710,12 @@ mod tests {
         // The packed GEMV must match the pre-packing scalar path bit for
         // bit — including on an odd group size, where packed groups carry
         // a pad nibble — over row counts short of, exactly at and past the
-        // sweep's eight-row lane block.
+        // sweep's eight-row lane block; a row of 1024 groups of two puts
+        // 16 rows in each of the sweep's chunks, so 17 rows take two.
         use crate::activation::quantize_vector_int8;
         let mut gen = TensorGenerator::new(73);
         for n in [7usize, 8, 9, 17] {
-            for (k, g) in [(256usize, 64usize), (15, 5)] {
+            for (k, g) in [(256usize, 64usize), (15, 5), (2048, 2)] {
                 let w = gen.group_diverse_matrix(n, k, g, 0.02);
                 let wq = MantWeightQuantizer::new(g).quantize(&w).unwrap();
                 let scalar_w = UnpackedWeights::from_packed(&wq);
@@ -724,9 +736,10 @@ mod tests {
         // Output-row counts on every side of the eight-row block both
         // sweeps share — a lone short block (1, 3, 4, 5), a lone full one
         // (8), a short last block after full ones (9, 12, 250), none (256)
-        // — and of the fused sweep's 64-row chunk (250, 256), against
-        // batch sizes on every side of the eight-member register block,
-        // and the fused sweep's one and two members. Every batch row and
+        // — against batch sizes on every side of the fused sweep's
+        // four-member register block (1–5, 8, 9) and, from
+        // DECODE_ONCE_MIN_BATCH up, every remainder of the tile sweep's
+        // eight-member block (and 33). Every batch row and
         // every `mant_gemm` row (the same `gemm_rows`, the members arriving
         // as tensor rows) must match the one-vector GEMV bit for bit.
         use crate::activation::quantize_vector_int8;
@@ -735,7 +748,8 @@ mod tests {
         for n in [1usize, 3, 4, 5, 8, 9, 12, 250, 256] {
             let w = gen.group_diverse_matrix(n, 128, 32, 0.02);
             let wq = MantWeightQuantizer::new(32).quantize(&w).unwrap();
-            for m in [1usize, 2, 3, 7, 8, 9, 33] {
+            let tiled = DECODE_ONCE_MIN_BATCH..DECODE_ONCE_MIN_BATCH + 8;
+            for m in [1usize, 2, 3, 4, 5, 8, 9, 33].into_iter().chain(tiled) {
                 let x = gen.activation_matrix(m, 128, 1.0, 0.02, 20.0);
                 let xs: Vec<_> = (0..m)
                     .map(|r| quantize_vector_int8(x.row(r), 32).unwrap())
@@ -762,7 +776,8 @@ mod tests {
         for (k, g) in [(128usize, 64usize), (15, 5)] {
             let w = gen.group_diverse_matrix(9, k, g, 0.02);
             let wq = MantWeightQuantizer::new(g).quantize(&w).unwrap();
-            for m in [1usize, 2, 3, 4, 8] {
+            let t = DECODE_ONCE_MIN_BATCH;
+            for m in [1usize, 2, 3, 4, 5, t - 1, t, t + 1] {
                 let xs: Vec<_> = (0..m)
                     .map(|_| {
                         let x: Vec<f32> = (0..k).map(|_| gen.standard_normal()).collect();

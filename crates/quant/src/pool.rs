@@ -1174,7 +1174,7 @@ impl RunAttention {
     ///
     /// Three rows lose to three block-swept queries, four win. This is its
     /// own break-even, not the GEMM tier's
-    /// [`DECODE_ONCE_MIN_BATCH`](crate::fused::DECODE_ONCE_MIN_BATCH) (3):
+    /// [`DECODE_ONCE_MIN_BATCH`](crate::fused::DECODE_ONCE_MIN_BATCH) (10):
     /// the per-query path it is measured against sweeps blocks, not rows.
     pub const MIN_ROWS: usize = 4;
 
