@@ -114,6 +114,27 @@ pub const fn tile8_len(k: usize) -> usize {
     k.div_ceil(2) * TILE_ROWS * 2
 }
 
+/// Appends the weight scales of `n` rows of `groups` groups to `out` in
+/// the order [`KernelDispatch::dot_packed_rows_scaled`] reads them:
+/// `[block][group][lane]`, a block being [`TILE_ROWS`] rows, so one
+/// (block, group)'s eight scales are adjacent. A short last block repeats
+/// its last row's scales in the spare lanes (the kernel reads those lanes
+/// but never stores them, so a caller may leave any value there).
+/// `scale(r, g)` is row `r`'s group `g`.
+pub fn block_order_scales(
+    n: usize,
+    groups: usize,
+    scale: impl Fn(usize, usize) -> f32,
+    out: &mut Vec<f32>,
+) {
+    out.reserve(n.div_ceil(TILE_ROWS) * groups * TILE_ROWS);
+    for r0 in (0..n).step_by(TILE_ROWS) {
+        for g in 0..groups {
+            out.extend((r0..r0 + TILE_ROWS).map(|r| scale(r.min(n - 1), g)));
+        }
+    }
+}
+
 /// An f32 matrix copied into [`TILE_ROWS`]-row tiles for
 /// [`KernelDispatch::matvec_tiled_f32`]: tile `t` holds rows `8t..8t + 8`
 /// column by column — entry `(t · cols + k) · 8 + r` is row `8t + r`,
@@ -392,21 +413,24 @@ impl KernelDispatch {
     /// rows of packed groups at a fixed byte stride against one or more
     /// INT8 vectors, group dots **and** the f64 scale epilogue. Row `r`'s
     /// `groups` packed groups start at `rows[r · stride]`, back to back
-    /// (`⌈group_size/2⌉` bytes each); its decode tables and scales are
-    /// `luts[r · groups + g]` and `wscales[r · groups + g]`, resolved by
-    /// the caller once for the whole sweep. For member `j` (codes `xcodes[j · groups ·
-    /// group_size..]`, scales `xscales[j · groups..]`), row `r` and every
-    /// group `g` in ascending order,
+    /// (`⌈group_size/2⌉` bytes each); its decode tables are
+    /// `luts[r · groups + g]`, and its scales `ws(r, g)` sit in `wscales`
+    /// in the kernel's own order, eight rows a block
+    /// ([`block_order_scales`]) — both resolved by the caller once for the
+    /// whole sweep. Member `j` is `xcodes[j]` (`groups · group_size` INT8
+    /// codes, read where they lie) with scales `xscales[j · groups..]`.
+    /// For member `j`, row `r` and every group `g` in ascending order,
     ///
     /// ```text
-    /// accs[j·n + r] += (xscales[j·groups + g] · wscales[r·groups + g]) · Σ_i x_j[i] · w_r[i]   (i in group g)
+    /// accs[j·n + r] += (xscales[j·groups + g] · f64(ws(r, g))) · Σ_i x_j[i] · w_r[i]   (i in group g)
     /// ```
     ///
     /// — one `fused_dot`-style chain per (member, row), so a caller that
     /// starts `accs` at `+0.0` gets a cached K row's score or a weight
     /// row's GEMV output, and one that starts it at `-0.0` with a single
     /// group gets a V channel's term exactly (`-0.0 + t` is `t` for every
-    /// `t`).
+    /// `t`). The weight scales are f32 (every caller's scales are: FP16
+    /// group scales held as f32), so widening them to f64 is exact.
     ///
     /// Lanes are rows: on the AVX2 arm eight rows form a block, each row's
     /// 32-code runs are `pshufb`-decoded **once** in registers and
@@ -414,47 +438,55 @@ impl KernelDispatch {
     /// (the other query heads of a GQA group, the other activation vectors
     /// of a few-row step), one `phaddd` tree turns the eight rows'
     /// accumulators into one `i32x8` whose lane `r` is row `r`'s group
-    /// dot, and the epilogue runs on it in place (`cvtdq2pd`, `mulpd`,
-    /// `mulpd`, `addpd`). A short last block repeats its last
-    /// row in the spare lanes, which are never stored. Group tails past
-    /// the last whole 32-code run go through the scalar pair-table walk.
+    /// dot, and the epilogue runs on it in place (`cvtdq2pd`, two
+    /// `cvtps2pd` for the block's scales, `mulpd`, `mulpd`, `addpd`) into
+    /// f64 accumulators that stay in registers across the block's groups.
+    /// A short last block repeats its last row in the spare lanes, which
+    /// are never stored. Group tails past the last whole 32-code run go
+    /// through the scalar pair-table walk.
     /// Exactness as [`KernelDispatch::dot_tile8_scaled`]: every `phaddd`
     /// intermediate is a subset sum of one (row, group) dot, exact under
-    /// [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP); `i32 → f64` is
-    /// exact; the vector operators round per lane like the scalar ones, in
-    /// the scalar association, and no FMA is formed. Odd group sizes and
-    /// every tier but AVX2 run the scalar arm:
-    /// [`crate::kernels::dot_packed`] per (row, group, member) — each
+    /// [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP); `i32 → f64` and
+    /// `f32 → f64` are exact; the vector operators round per lane like the
+    /// scalar ones, in the scalar association and group order, and no FMA
+    /// is formed. Odd group sizes and every tier but AVX2 run the scalar
+    /// arm: [`crate::kernels::dot_packed`] per (row, group, member) — each
     /// weight group read once per row — and the same expression.
     ///
     /// # Panics
     ///
-    /// Panics if `groups` is zero or does not divide the scale and table
-    /// counts, if `xcodes` or `accs` disagree with them, or if `rows` is
-    /// too short for `n` rows at `stride`; debug-asserts the
-    /// [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP) bound.
+    /// Panics if `groups` is zero or does not divide the table count, if
+    /// `wscales`, `xcodes`, `xscales` or `accs` disagree with the row and
+    /// member counts, or if `rows` is too short for `n` rows at `stride`;
+    /// debug-asserts the [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP)
+    /// bound.
     #[allow(clippy::too_many_arguments)] // one sweep's operands, each a distinct role
-    pub fn dot_packed_rows_scaled(
+    pub fn dot_packed_rows_scaled<X: AsRef<[i8]>>(
         self,
         rows: &[u8],
         stride: usize,
         group_size: usize,
         groups: usize,
         luts: &[&KernelLut],
-        wscales: &[f64],
-        xcodes: &[i8],
+        wscales: &[f32],
+        xcodes: &[X],
         xscales: &[f64],
         accs: &mut [f64],
     ) {
         assert!(groups > 0, "a row holds at least one group");
-        assert_eq!(luts.len(), wscales.len(), "one table per scale");
         assert!(
-            wscales.len().is_multiple_of(groups) && xscales.len().is_multiple_of(groups),
-            "scales come in whole rows and members"
+            luts.len().is_multiple_of(groups),
+            "tables come in whole rows"
         );
-        let (n, m) = (wscales.len() / groups, xscales.len() / groups);
-        let gb = group_size.div_ceil(2);
-        assert_eq!(xcodes.len(), m * groups * group_size, "member codes");
+        let (n, m) = (luts.len() / groups, xcodes.len());
+        let (k, gb) = (groups * group_size, group_size.div_ceil(2));
+        assert_eq!(
+            wscales.len(),
+            n.div_ceil(TILE_ROWS) * groups * TILE_ROWS,
+            "one scale per lane of every block and group"
+        );
+        assert!(xcodes.iter().all(|x| x.as_ref().len() == k), "member codes");
+        assert_eq!(xscales.len(), m * groups, "member scales");
         assert_eq!(accs.len(), m * n, "one accumulator per member and row");
         assert!(
             n == 0 || (n - 1) * stride + groups * gb <= rows.len(),
@@ -475,14 +507,15 @@ impl KernelDispatch {
                 }
             }
             _ => {
-                let k = groups * group_size;
                 for r in 0..n {
                     let row = &rows[r * stride..];
+                    let block = r / TILE_ROWS * groups;
                     for g in 0..groups {
-                        let (w, ws) = (&row[g * gb..(g + 1) * gb], wscales[r * groups + g]);
+                        let w = &row[g * gb..(g + 1) * gb];
+                        let ws = f64::from(wscales[(block + g) * TILE_ROWS + r % TILE_ROWS]);
                         let lut = &luts[r * groups + g].pair;
-                        for j in 0..m {
-                            let x = &xcodes[j * k + g * group_size..][..group_size];
+                        for (j, x) in xcodes.iter().enumerate() {
+                            let x = &x.as_ref()[g * group_size..][..group_size];
                             let int = kernels::dot_packed(x, w, lut);
                             accs[j * n + r] += xscales[j * groups + g] * ws * int as f64;
                         }
@@ -832,6 +865,7 @@ pub fn scalar_quantize_i8(xs: &[f32], scale: f32, out: &mut [i8]) {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::*;
+    use std::mem::MaybeUninit;
 
     use super::{tile8_len, KernelLut, TiledF32, TILE_ROWS};
     use crate::kernels::{self, EncodeTable, ENCODE_LANES, MAX_I32_GROUP, STAGED_LANES};
@@ -1138,24 +1172,25 @@ mod x86 {
     }
 
     /// AVX2 body of [`super::KernelDispatch::dot_packed_rows_scaled`]:
-    /// deals the members' codes into the decode's operand order once, then
     /// sweeps the rows for members in register blocks of four (the rows are
     /// decoded once per block), the remainder through the block of its
-    /// size.
+    /// size. Each member block's codes are first dealt into the decode's
+    /// operand order, on the stack when they fit. Only this loop sees the
+    /// callers' member type; the blocks take plain slices.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)] // the dispatcher's operands
-    pub(super) fn dot_packed_rows_scaled_avx2(
+    pub(super) fn dot_packed_rows_scaled_avx2<X: AsRef<[i8]>>(
         rows: &[u8],
         stride: usize,
         group_size: usize,
         groups: usize,
         luts: &[&KernelLut],
-        wscales: &[f64],
-        xcodes: &[i8],
+        wscales: &[f32],
+        xcodes: &[X],
         xscales: &[f64],
         accs: &mut [f64],
     ) {
-        let (n, k) = (wscales.len() / groups, groups * group_size);
+        let n = luts.len() / groups;
         let (whole64, half) = (group_size / 64, group_size % 64 >= 32);
         let per_group = (whole64 + usize::from(half)) * 64;
         let sweep = SweptRows {
@@ -1169,22 +1204,61 @@ mod x86 {
             luts,
             wscales,
         };
-        // Member `j`'s codes, widened and dealt per run of 64 (see
+        // A member block's codes, widened and dealt per run of 64 (see
         // `run64_avx2`): `[member][group][run][slot]`, a short last run
-        // zero-padded.
-        let mut on_stack = [0i16; 256];
+        // zero-padded. Every block writes the same slots, so the pads stay
+        // zero from block to block. The stack buffer holds four members of
+        // a 512-wide row; only the part in use is zeroed, so a call that
+        // sweeps a pool block for one member clears 128 bytes, not 4 KB.
+        let per_member = groups * per_group;
+        let mut on_stack = [MaybeUninit::<i16>::uninit(); 2048];
         let mut on_heap = Vec::new();
-        let dealt = xscales.len() * per_group;
+        let dealt = xcodes.len().min(4) * per_member;
         let xq: &mut [i16] = if dealt <= on_stack.len() {
-            &mut on_stack[..dealt]
+            let xq = &mut on_stack[..dealt];
+            xq.fill(MaybeUninit::new(0));
+            // SAFETY: every element of `xq` was just initialized, and
+            // `MaybeUninit<i16>` has the layout of `i16`.
+            unsafe { &mut *(xq as *mut [MaybeUninit<i16>] as *mut [i16]) }
         } else {
             on_heap.resize(dealt, 0);
             &mut on_heap
         };
-        for (x, xq) in xcodes
-            .chunks_exact(group_size)
-            .zip(xq.chunks_exact_mut(per_group.max(1)))
-        {
+        for (b, accs) in accs.chunks_mut(4 * n.max(1)).enumerate() {
+            let mb = accs.len() / n;
+            let mut block: [&[i8]; 4] = [&[]; 4];
+            for (m, x) in block.iter_mut().zip(&xcodes[4 * b..][..mb]) {
+                *m = x.as_ref();
+            }
+            let members = &block[..mb];
+            deal_run64(members, group_size, per_group, xq);
+            let ops = (
+                members,
+                &xq[..mb * per_member],
+                &xscales[4 * b * groups..][..mb * groups],
+            );
+            match (mb, group_size == 64) {
+                (1, true) => packed_rows_block_avx2::<1, true>(&sweep, ops, accs),
+                (1, false) => packed_rows_block_avx2::<1, false>(&sweep, ops, accs),
+                (2, true) => packed_rows_block_avx2::<2, true>(&sweep, ops, accs),
+                (2, false) => packed_rows_block_avx2::<2, false>(&sweep, ops, accs),
+                (3, true) => packed_rows_block_avx2::<3, true>(&sweep, ops, accs),
+                (3, false) => packed_rows_block_avx2::<3, false>(&sweep, ops, accs),
+                (_, true) => packed_rows_block_avx2::<4, true>(&sweep, ops, accs),
+                (_, false) => packed_rows_block_avx2::<4, false>(&sweep, ops, accs),
+            }
+        }
+    }
+
+    /// Deals `members`' codes into `xq` in [`run64_avx2`]'s operand order,
+    /// `[member][group][run][slot]` at `per_group` slots a group: each
+    /// whole 32-code run of a group widened to i16, per 16 codes the even
+    /// ones at [`run64_slot`] and the odd ones sixteen further. The slots a
+    /// short last run leaves are not written.
+    #[target_feature(enable = "avx2")]
+    fn deal_run64(members: &[&[i8]], group_size: usize, per_group: usize, xq: &mut [i16]) {
+        let groups = members.iter().flat_map(|x| x.chunks_exact(group_size));
+        for (x, xq) in groups.zip(xq.chunks_exact_mut(per_group.max(1))) {
             for (x, xq) in x[..group_size / 32 * 32]
                 .chunks(64)
                 .zip(xq.chunks_exact_mut(64))
@@ -1197,25 +1271,6 @@ mod x86 {
                         xq[at + 16 + j] = i16::from(pair[1]);
                     }
                 }
-            }
-        }
-        let per_member = groups * per_group;
-        for (b, accs) in accs.chunks_mut(4 * n.max(1)).enumerate() {
-            let mb = accs.len() / n;
-            let ops = (
-                &xcodes[b * 4 * k..][..mb * k],
-                &xq[b * 4 * per_member..][..mb * per_member],
-                &xscales[b * 4 * groups..][..mb * groups],
-            );
-            match (mb, group_size == 64) {
-                (1, true) => packed_rows_block_avx2::<1, true>(&sweep, ops, accs),
-                (1, false) => packed_rows_block_avx2::<1, false>(&sweep, ops, accs),
-                (2, true) => packed_rows_block_avx2::<2, true>(&sweep, ops, accs),
-                (2, false) => packed_rows_block_avx2::<2, false>(&sweep, ops, accs),
-                (3, true) => packed_rows_block_avx2::<3, true>(&sweep, ops, accs),
-                (3, false) => packed_rows_block_avx2::<3, false>(&sweep, ops, accs),
-                (_, true) => packed_rows_block_avx2::<4, true>(&sweep, ops, accs),
-                (_, false) => packed_rows_block_avx2::<4, false>(&sweep, ops, accs),
             }
         }
     }
@@ -1242,55 +1297,74 @@ mod x86 {
         /// Dealt codes per member and group.
         per_group: usize,
         luts: &'a [&'a KernelLut],
-        wscales: &'a [f64],
+        /// `[block][group][lane]`, see [`super::block_order_scales`].
+        wscales: &'a [f32],
     }
 
     /// One member block of [`dot_packed_rows_scaled_avx2`]: per block of
-    /// eight rows (lane = row) and per group, the rows' group dots for all
-    /// `MB` members ([`rows8_group_dots_avx2`], plus the scalar pair-table
-    /// walk over a group's codes past its last whole 32), then the
-    /// epilogue, added straight into the accumulators (a short last block
-    /// works on a copy of its live lanes). The operands are the block's
-    /// INT8 codes, the same codes dealt for the decode, and the group
-    /// scales. `ONE64` is the serving group size, 64: one run per group,
-    /// and no run loop in the rows' inner code.
+    /// eight rows (lane = row), each member's two `f64x4` accumulators are
+    /// loaded once, carried in registers across the block's groups and
+    /// stored once (a short last block loads and stores a copy of its live
+    /// lanes). Per group: the rows' group dots for all `MB` members
+    /// ([`rows8_group_dots_avx2`], plus the scalar pair-table walk over a
+    /// group's codes past its last whole 32), then the epilogue on the
+    /// block's eight scales, widened by two `cvtps2pd`. The operands are
+    /// the block's INT8 codes, the same codes dealt for the decode, and the
+    /// group scales. `ONE64` is the serving group size, 64: one run per
+    /// group, and no run loop in the rows' inner code.
     #[target_feature(enable = "avx2")]
     fn packed_rows_block_avx2<const MB: usize, const ONE64: bool>(
         s: &SweptRows<'_>,
-        (xcodes, xq, xscales): (&[i8], &[i16], &[f64]),
+        (xcodes, xq, xscales): (&[&[i8]], &[i16], &[f64]),
         accs: &mut [f64],
     ) {
         let (groups, gs) = (s.groups, s.group_size);
-        let n = s.wscales.len() / groups;
-        let (k, gb) = (groups * gs, gs.div_ceil(2));
+        let n = s.luts.len() / groups;
+        let gb = gs.div_ceil(2);
         let whole = gs / 32 * 32;
-        assert!(xcodes.len() == MB * k && xscales.len() == MB * groups && accs.len() == MB * n);
+        assert!(xcodes.len() == MB && xscales.len() == MB * groups && accs.len() == MB * n);
+        assert!(xcodes.iter().all(|x| x.len() == groups * gs));
         assert!(xq.len() == MB * groups * s.per_group && s.luts.len() == n * groups);
-        assert_eq!(s.wscales.len(), n * groups);
+        assert_eq!(s.wscales.len(), n.div_ceil(TILE_ROWS) * groups * TILE_ROWS);
         assert!(n == 0 || (n - 1) * s.stride + groups * gb <= s.rows.len());
         assert!(!ONE64 || gs == 64);
-        for r0 in (0..n).step_by(TILE_ROWS) {
+        for (b, r0) in (0..n).step_by(TILE_ROWS).enumerate() {
             let live = (n - r0).min(TILE_ROWS);
-            // Spare lanes of a short block repeat its last row.
-            let mut row_of = [0usize; TILE_ROWS];
-            for (l, r) in row_of.iter_mut().enumerate() {
-                *r = r0 + l.min(live - 1);
-            }
-            let mut spare = [[0.0f64; TILE_ROWS]; MB];
-            if live < TILE_ROWS {
-                for (j, spare) in spare.iter_mut().enumerate() {
-                    spare[..live].copy_from_slice(&accs[j * n + r0..][..live]);
-                }
+            let mut lanes = [[0.0f64; TILE_ROWS]; MB];
+            let mut acc = [[_mm256_setzero_pd(); 2]; MB];
+            for (j, (acc, lanes)) in acc.iter_mut().zip(&mut lanes).enumerate() {
+                let from = &accs[j * n + r0..][..live];
+                let p = match from.first_chunk::<TILE_ROWS>() {
+                    Some(full) => full.as_ptr(),
+                    None => {
+                        lanes[..live].copy_from_slice(from);
+                        lanes.as_ptr()
+                    }
+                };
+                // SAFETY: `p` points at eight f64s; unaligned 4-lane loads.
+                *acc = unsafe { [_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4))] };
             }
             for g in 0..groups {
-                // SAFETY: every `row_of[l] < n`, `g < groups`, and the
-                // asserts above bound the rows, tables and dealt codes.
-                let mut ints = unsafe { rows8_group_dots_avx2::<MB, ONE64>(s, &row_of, g, xq) };
+                // SAFETY: rows `r0..r0 + live` are rows of `s` and `g` one
+                // of their groups, so the block's first row's group `g` and
+                // its table are in bounds, as are the next `live - 1` rows'
+                // a row stride on; member `MB - 1`'s dealt runs of group `g`
+                // end inside `xq` (all asserted above).
+                let mut ints = unsafe {
+                    rows8_group_dots_avx2::<MB, ONE64>(
+                        s,
+                        s.rows.as_ptr().add(r0 * s.stride + g * gb),
+                        s.luts.as_ptr().add(r0 * groups + g),
+                        live,
+                        xq.as_ptr().add(g * s.per_group),
+                    )
+                };
                 if whole < gs {
-                    for (j, ints) in ints.iter_mut().enumerate() {
-                        let x = &xcodes[j * k + g * gs + whole..j * k + (g + 1) * gs];
+                    for (x, ints) in xcodes.iter().zip(&mut ints) {
+                        let x = &x[g * gs + whole..(g + 1) * gs];
                         let mut tail = [0i32; TILE_ROWS];
-                        for (t, &r) in tail.iter_mut().zip(&row_of) {
+                        for (l, t) in tail.iter_mut().enumerate() {
+                            let r = r0 + l.min(live - 1);
                             let row = &s.rows[r * s.stride + g * gb..];
                             let lut = &s.luts[r * groups + g].pair;
                             *t = kernels::dot_packed(x, &row[whole / 2..gb], lut) as i32;
@@ -1300,136 +1374,166 @@ mod x86 {
                         *ints = _mm256_add_epi32(*ints, tail);
                     }
                 }
-                // SAFETY: every `row_of[l] < n` and `g < groups`, and
-                // `wscales` holds `n · groups` scales (asserted above).
+                // SAFETY: block `b` has `groups` runs of eight scales
+                // (asserted above), and `g < groups`.
                 let [ws_lo, ws_hi] = unsafe {
-                    if groups == 1 && live == TILE_ROWS {
-                        let ws = s.wscales.as_ptr().add(r0);
-                        [_mm256_loadu_pd(ws), _mm256_loadu_pd(ws.add(4))]
-                    } else {
-                        [
-                            row_scales4_avx2(s.wscales, &row_of[..4], groups, g),
-                            row_scales4_avx2(s.wscales, &row_of[4..], groups, g),
-                        ]
-                    }
+                    let ws = s.wscales.as_ptr().add((b * groups + g) * TILE_ROWS);
+                    [
+                        _mm256_cvtps_pd(_mm_loadu_ps(ws)),
+                        _mm256_cvtps_pd(_mm_loadu_ps(ws.add(4))),
+                    ]
                 };
-                for (j, (ints, spare)) in ints.iter().zip(&mut spare).enumerate() {
+                for (j, (ints, acc)) in ints.iter().zip(&mut acc).enumerate() {
                     let xs = _mm256_set1_pd(xscales[j * groups + g]);
                     let lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(*ints));
                     let hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(*ints));
                     // `(xs · ws) · int`, then `+=` — the scalar association.
-                    let lo = _mm256_mul_pd(_mm256_mul_pd(xs, ws_lo), lo);
-                    let hi = _mm256_mul_pd(_mm256_mul_pd(xs, ws_hi), hi);
-                    let acc = match accs[j * n + r0..].first_chunk_mut::<TILE_ROWS>() {
-                        Some(lanes) if live == TILE_ROWS => lanes,
-                        _ => spare,
-                    };
-                    // SAFETY: `acc` is eight f64s; unaligned 4-lane accesses.
-                    unsafe {
-                        let p = acc.as_mut_ptr();
-                        _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), lo));
-                        _mm256_storeu_pd(p.add(4), _mm256_add_pd(_mm256_loadu_pd(p.add(4)), hi));
-                    }
+                    acc[0] = _mm256_add_pd(acc[0], _mm256_mul_pd(_mm256_mul_pd(xs, ws_lo), lo));
+                    acc[1] = _mm256_add_pd(acc[1], _mm256_mul_pd(_mm256_mul_pd(xs, ws_hi), hi));
                 }
             }
-            if live < TILE_ROWS {
-                for (j, spare) in spare.iter().enumerate() {
-                    accs[j * n + r0..][..live].copy_from_slice(&spare[..live]);
+            for (j, (acc, lanes)) in acc.iter().zip(&mut lanes).enumerate() {
+                let to = &mut accs[j * n + r0..][..live];
+                let p = match to.first_chunk_mut::<TILE_ROWS>() {
+                    Some(full) => full.as_mut_ptr(),
+                    None => lanes.as_mut_ptr(),
+                };
+                // SAFETY: `p` points at eight writable f64s; unaligned
+                // 4-lane stores.
+                unsafe {
+                    _mm256_storeu_pd(p, acc[0]);
+                    _mm256_storeu_pd(p.add(4), acc[1]);
+                }
+                if live < TILE_ROWS {
+                    to.copy_from_slice(&lanes[..live]);
                 }
             }
         }
     }
 
-    /// Group `g`'s scales of four rows as one `f64x4`, read straight from
-    /// `wscales` — not through a stack array, whose scalar stores a vector
-    /// load could not take forwarded.
-    ///
-    /// # Safety
-    ///
-    /// `rows[l] · groups + g` must index `wscales` for `l < 4`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn row_scales4_avx2(
-        wscales: &[f64],
-        rows: &[usize],
-        groups: usize,
-        g: usize,
-    ) -> __m256d {
-        // SAFETY: the caller's contract.
-        let at = |l: usize| unsafe { *wscales.get_unchecked(rows[l] * groups + g) };
-        _mm256_set_pd(at(3), at(2), at(1), at(0))
-    }
-
-    /// Group `g`'s dots of the eight rows `row_of` against `MB` members,
+    /// Group `g`'s dots of one block's eight rows against `MB` members,
     /// over the group's whole 32-code runs: lane `l` of member `j`'s result
-    /// is row `row_of[l]`'s sum. Per row, each run of 64 codes (32 packed
-    /// bytes), and a last 32 zero-extended to one, goes through
-    /// [`run64_avx2`]; the eight rows' `i32x8` accumulators then meet in
-    /// one `phaddd` tree.
+    /// is row `l`'s sum, and the lanes past `live` repeat the last live
+    /// row. `w` is the block's first row's group `g` and `t` its table; the
+    /// rows are unrolled, both pointers stepping a row on (`stride` bytes,
+    /// `groups` tables) while the next row is live. Rows 0–3 meet in the
+    /// first half of the `phaddd` tree before rows 4–7 are decoded, so no
+    /// more than two rows' accumulators are ever live beside it.
+    ///
+    /// This and its two helpers are `#[inline(always)]` functions without
+    /// target features of their own (a `#[target_feature]` function cannot
+    /// be forced inline): they must melt into
+    /// [`packed_rows_block_avx2`], or its f64 accumulators would be spilled
+    /// around every call.
     ///
     /// # Safety
     ///
-    /// Every `row_of[l]` must be a row of `s` and `g` one of its groups;
-    /// `xq` must hold `MB` members' dealt codes.
-    #[target_feature(enable = "avx2")]
+    /// The CPU must support AVX2. For every `l < live`, `w + l · stride`
+    /// must start group `g`'s packed bytes in a row of `s` and
+    /// `t + l · groups` point at its table; `x` must be group `g`'s dealt
+    /// codes of member 0, with `MB` members' in bounds at
+    /// `s.groups · s.per_group` apart.
+    #[inline(always)]
     unsafe fn rows8_group_dots_avx2<const MB: usize, const ONE64: bool>(
         s: &SweptRows<'_>,
-        row_of: &[usize; TILE_ROWS],
-        g: usize,
-        xq: &[i16],
+        mut w: *const u8,
+        mut t: *const &KernelLut,
+        live: usize,
+        x: *const i16,
+    ) -> [__m256i; MB] {
+        let mut rest = live;
+        // SAFETY: the caller's contract, passed on row by row.
+        unsafe {
+            let q0 = rows4_dots_avx2::<MB, ONE64>(s, &mut w, &mut t, &mut rest, x);
+            let q1 = rows4_dots_avx2::<MB, ONE64>(s, &mut w, &mut t, &mut rest, x);
+            // Per 128-bit half, `q0` holds rows 0–3's half-sums in row
+            // order and `q1` rows 4–7's; the cross-lane permutes put rows
+            // 0–3 below rows 4–7 and add the halves. Every intermediate is
+            // a subset sum of one row's products.
+            std::array::from_fn(|j| {
+                _mm256_add_epi32(
+                    _mm256_permute2x128_si256::<0x20>(q0[j], q1[j]),
+                    _mm256_permute2x128_si256::<0x31>(q0[j], q1[j]),
+                )
+            })
+        }
+    }
+
+    /// Four rows of [`rows8_group_dots_avx2`], reduced as they come:
+    /// `hadd(hadd(d0, d1), hadd(d2, d3))` per member, each pair folded as
+    /// soon as its second row is done.
+    ///
+    /// # Safety
+    ///
+    /// As [`rows8_group_dots_avx2`], for the rows `*w` and `*t` point at
+    /// with `*rest` live rows from there on.
+    #[inline(always)]
+    unsafe fn rows4_dots_avx2<const MB: usize, const ONE64: bool>(
+        s: &SweptRows<'_>,
+        w: &mut *const u8,
+        t: &mut *const &KernelLut,
+        rest: &mut usize,
+        x: *const i16,
+    ) -> [__m256i; MB] {
+        // SAFETY: the caller's contract, one row at a time.
+        unsafe {
+            let d0 = row_dots_avx2::<MB, ONE64>(s, w, t, rest, x);
+            let d1 = row_dots_avx2::<MB, ONE64>(s, w, t, rest, x);
+            let h01: [__m256i; MB] = std::array::from_fn(|j| _mm256_hadd_epi32(d0[j], d1[j]));
+            let d2 = row_dots_avx2::<MB, ONE64>(s, w, t, rest, x);
+            let d3 = row_dots_avx2::<MB, ONE64>(s, w, t, rest, x);
+            std::array::from_fn(|j| _mm256_hadd_epi32(h01[j], _mm256_hadd_epi32(d2[j], d3[j])))
+        }
+    }
+
+    /// One row's group dots against `MB` members (lanes are partial sums),
+    /// each run of 64 codes (32 packed bytes at `*w`), and a last 32
+    /// zero-extended to one, through [`run64_avx2`]; then `*w` and `*t`
+    /// step to the next row if one is still live (`*rest` counts them).
+    ///
+    /// # Safety
+    ///
+    /// As [`rows8_group_dots_avx2`], for the row `*w` and `*t` point at.
+    #[inline(always)]
+    unsafe fn row_dots_avx2<const MB: usize, const ONE64: bool>(
+        s: &SweptRows<'_>,
+        w: &mut *const u8,
+        t: &mut *const &KernelLut,
+        rest: &mut usize,
+        x: *const i16,
     ) -> [__m256i; MB] {
         let member_stride = s.groups * s.per_group;
-        let gb = s.group_size.div_ceil(2);
-        // No closures here: one would carry this function's target
-        // features into a generic callee that cannot inline it.
-        let mut d = [[_mm256_setzero_si256(); MB]; TILE_ROWS];
-        // SAFETY: the caller guarantees every row and `g` are in range, so
-        // each table exists, a row's group starts `g · gb` bytes into it
-        // and holds `gb >= 32 · whole64 (+ 16 if half)` bytes, and member
-        // `MB - 1`'s dealt runs end inside `xq`.
+        // SAFETY: the CPU supports AVX2; `*t` points at this row's table
+        // and `*w` at its group, which holds `32 · whole64 (+ 16 if half)`
+        // bytes; member `MB - 1`'s dealt runs end inside the dealt codes.
+        // The pointers step only onto a row the caller vouches for.
         unsafe {
-            let x = xq.as_ptr().add(g * s.per_group);
-            for (d, &r) in d.iter_mut().zip(row_of) {
-                let lut: &KernelLut = s.luts.get_unchecked(r * s.groups + g);
-                let tabs = [
-                    _mm256_broadcastsi128_si256(_mm_loadu_si128(lut.lo8.as_ptr().cast())),
-                    _mm256_broadcastsi128_si256(_mm_loadu_si128(lut.hi8.as_ptr().cast())),
-                ];
-                let w = s.rows.as_ptr().add(r * s.stride + g * gb);
-                if ONE64 {
-                    run64_avx2(_mm256_loadu_si256(w.cast()), tabs, x, member_stride, d);
-                    continue;
-                }
+            let mut d = [_mm256_setzero_si256(); MB];
+            let lut: &KernelLut = **t;
+            let tabs = [
+                _mm256_broadcastsi128_si256(_mm_loadu_si128(lut.lo8.as_ptr().cast())),
+                _mm256_broadcastsi128_si256(_mm_loadu_si128(lut.hi8.as_ptr().cast())),
+            ];
+            if ONE64 {
+                run64_avx2(_mm256_loadu_si256(w.cast()), tabs, x, member_stride, &mut d);
+            } else {
                 for i in 0..s.whole64 {
                     let run = _mm256_loadu_si256(w.add(32 * i).cast());
-                    run64_avx2(run, tabs, x.add(64 * i), member_stride, d);
+                    run64_avx2(run, tabs, x.add(64 * i), member_stride, &mut d);
                 }
                 if s.half {
                     let i = s.whole64;
                     let run = _mm256_zextsi128_si256(_mm_loadu_si128(w.add(32 * i).cast()));
-                    run64_avx2(run, tabs, x.add(64 * i), member_stride, d);
+                    run64_avx2(run, tabs, x.add(64 * i), member_stride, &mut d);
                 }
             }
+            if *rest > 1 {
+                *rest -= 1;
+                *w = w.add(s.stride);
+                *t = t.add(s.groups);
+            }
+            d
         }
-        // Per 128-bit half, `hadd(hadd(a, b), hadd(c, d))` holds four
-        // rows' half-sums in row order; the cross-lane permutes put rows
-        // 0–3 below rows 4–7 and add the halves. Every intermediate is a
-        // subset sum of one row's products.
-        let mut out = [_mm256_setzero_si256(); MB];
-        for j in 0..MB {
-            let q0 = _mm256_hadd_epi32(
-                _mm256_hadd_epi32(d[0][j], d[1][j]),
-                _mm256_hadd_epi32(d[2][j], d[3][j]),
-            );
-            let q1 = _mm256_hadd_epi32(
-                _mm256_hadd_epi32(d[4][j], d[5][j]),
-                _mm256_hadd_epi32(d[6][j], d[7][j]),
-            );
-            out[j] = _mm256_add_epi32(
-                _mm256_permute2x128_si256::<0x20>(q0, q1),
-                _mm256_permute2x128_si256::<0x31>(q0, q1),
-            );
-        }
-        out
     }
 
     /// 64 codes of one row (32 packed bytes in `w`) against `MB` members,

@@ -4,9 +4,9 @@ use mant_numerics::int::quantize_symmetric_int;
 use mant_numerics::packing::{pack_nibbles, unpack_nibbles, NibbleIter};
 use mant_numerics::simd::{scalar_abs_max, scalar_quantize_i8, tile8_len, TILE_ROWS};
 use mant_numerics::{
-    dot_packed, exp_nonpositive, fp16, int4_decode_lut, int4_group_mac, kernel_lut, kernels,
-    mant_decode_lut, mant_group_psums, pair_decode_lut, EncodeTable, Grid, KernelDispatch,
-    KernelLut, Mant, MantCode, EXP_FLOOR, MAX_I32_GROUP,
+    block_order_scales, dot_packed, exp_nonpositive, fp16, int4_decode_lut, int4_group_mac,
+    kernel_lut, kernels, mant_decode_lut, mant_group_psums, pair_decode_lut, EncodeTable, Grid,
+    KernelDispatch, KernelLut, Mant, MantCode, EXP_FLOOR, MAX_I32_GROUP,
 };
 use proptest::prelude::*;
 
@@ -243,8 +243,8 @@ fn simd_packed_rows_exact_at_i32_bound() {
             MAX_I32_GROUP,
             1,
             &[&lut; 9],
-            &[1.0; 9],
-            &x,
+            &[1.0; 2 * TILE_ROWS],
+            &[&x[..MAX_I32_GROUP], &x[MAX_I32_GROUP..]],
             &[1.0, 1.0],
             &mut accs,
         );
@@ -361,19 +361,21 @@ proptest! {
     /// `groups` groups inside wider strided rows (a K row holds every KV
     /// head), row counts straddle the eight-lane block, one to five
     /// members share the rows (GQA heads, GEMV activations) on every side
-    /// of the four-member register block, and group 0 is pinned at the extremes
-    /// (x = −128 against −1017) under full-mantissa f64 scales, so a
-    /// reassociated or FMA-fused epilogue fails. The accumulators start at
+    /// of the four-member register block, one to eight groups a row (a
+    /// 512-wide weight row holds eight), and group 0 is pinned at the
+    /// extremes (x = −128 against −1017) under full-mantissa f32 weight and
+    /// f64 member scales, so a reassociated or FMA-fused epilogue fails. The accumulators start at
     /// `+0.0` (a K score), at `-0.0` (a V term, which must come out as the
     /// term itself, `-0.0` included) or at arbitrary values.
     #[test]
     fn simd_packed_rows_bit_identical_to_per_row_dot_packed(
-        shape in (0usize..10, 1usize..=4, 0usize..=20, 1usize..=5),
+        shape in (0usize..10, 1usize..=8, 0usize..=20, 1usize..=5),
         layout in (0usize..=2, 0usize..=2, 0usize..3, 0usize..2),
-        coeffs in proptest::collection::vec(0u32..129, 20 * 4),
-        wseed in proptest::collection::vec(0u8..16, 20 * 8 * 128),
-        xseed in proptest::collection::vec(-128i64..=127, 5 * 4 * 128),
-        scales in proptest::collection::vec(-4.0f64..4.0, 20 * 4 + 5 * 4),
+        coeffs in proptest::collection::vec(0u32..129, 20 * 8),
+        wseed in proptest::collection::vec(0u8..16, 20 * 12 * 128),
+        xseed in proptest::collection::vec(-128i64..=127, 5 * 8 * 128),
+        wscales in proptest::collection::vec(-4.0f32..4.0, 20 * 8),
+        xscales in proptest::collection::vec(-4.0f64..4.0, 5 * 8),
         init in proptest::collection::vec(-4.0f64..4.0, 5 * 20),
     ) {
         let gs = [2usize, 4, 8, 16, 32, 48, 64, 96, 128, 33][shape.0];
@@ -381,7 +383,7 @@ proptest! {
         let (before, after, start, zero_member) = (layout.0, layout.1, layout.2, layout.3 == 1);
         let (k, gb) = (groups * gs, gs.div_ceil(2));
         let stride = (before + groups + after) * gb;
-        let lut_of = |r: usize, g: usize| match coeffs[r * 4 + g] {
+        let lut_of = |r: usize, g: usize| match coeffs[r * 8 + g] {
             _ if g == 0 => mant_kernel_lut(127),
             128 => kernel_lut(&int4_decode_lut()),
             a => mant_kernel_lut(a),
@@ -391,7 +393,7 @@ proptest! {
         let luts: Vec<&KernelLut> = tables.iter().collect();
         let rows: Vec<u8> = (0..n)
             .flat_map(|r| {
-                let seed = &wseed[r * 8 * 128..];
+                let seed = &wseed[r * 12 * 128..];
                 let mut row: Vec<u8> = (0..before + groups + after)
                     .flat_map(|g| pack_nibbles(&seed[g * gs..(g + 1) * gs]))
                     .collect();
@@ -404,8 +406,12 @@ proptest! {
         if zero_member {
             x[..k].fill(0);
         }
-        let wscales = &scales[..n * groups];
-        let xscales = &scales[80..80 + m * groups];
+        let xscales = &xscales[..m * groups];
+        // Row-major for the oracle; the kernel reads them in block order.
+        let ws = |r: usize, g: usize| wscales[r * groups + g];
+        let mut blocked = Vec::new();
+        block_order_scales(n, groups, ws, &mut blocked);
+        let members: Vec<&[i8]> = x.chunks_exact(k).collect();
         let start_at = |i: usize| [0.0, -0.0, init[i]][start];
 
         let mut oracle: Vec<f64> = (0..m * n).map(start_at).collect();
@@ -418,7 +424,7 @@ proptest! {
                         &row[g * gb..(g + 1) * gb],
                         &tables[r * groups + g].pair,
                     );
-                    let term = xscales[j * groups + g] * wscales[r * groups + g] * int as f64;
+                    let term = xscales[j * groups + g] * f64::from(ws(r, g)) * int as f64;
                     if groups == 1 && start == 1 {
                         prop_assert_eq!((-0.0 + term).to_bits(), term.to_bits());
                     }
@@ -435,8 +441,8 @@ proptest! {
                 gs,
                 groups,
                 &luts,
-                wscales,
-                &x,
+                &blocked,
+                &members,
                 xscales,
                 &mut got,
             );

@@ -209,6 +209,16 @@ pub fn quantize_vector_int8(x: &[f32], group_size: usize) -> Result<QuantizedVec
     })
 }
 
+/// The vector's INT8 codes, groups consecutive: how a batch of vectors
+/// is handed to the row sweep
+/// ([`KernelDispatch::dot_packed_rows_scaled`](mant_numerics::KernelDispatch::dot_packed_rows_scaled))
+/// as its members, with no copy.
+impl AsRef<[i8]> for QuantizedVector {
+    fn as_ref(&self) -> &[i8] {
+        &self.codes
+    }
+}
+
 impl QuantizedVector {
     /// Vector length.
     pub fn len(&self) -> usize {

@@ -15,6 +15,8 @@
 //! INT option instead run a single plain MAC lane. The group scales
 //! `s_X · s_W` multiply the integer result afterwards, outside the array.
 
+use std::cell::RefCell;
+
 use mant_numerics::{
     int4_group_mac, kernels, mant_group_psums, tile8_len, unpack_nibbles, KernelDispatch,
     KernelLut, TILE_ROWS,
@@ -96,15 +98,12 @@ pub fn mant_gemm_with(
     w: &MantQuantizedMatrix,
 ) -> Result<Matrix, QuantError> {
     check_operand(x.cols(), x.group_size(), w)?;
-    let (m, n, groups) = (x.rows(), w.rows(), x.groups_per_row());
+    let (m, n) = (x.rows(), w.rows());
     let codes: Vec<&[i8]> = (0..m).map(|mi| x.row_codes(mi)).collect();
-    let xscales: Vec<f64> = (0..m * groups)
-        .map(|i| f64::from(x.scale(i / groups, i % groups)))
-        .collect();
     let mut out = Matrix::zeros(m, n);
     if n > 0 {
         let mut rows: Vec<&mut [f32]> = out.as_mut_slice().chunks_exact_mut(n).collect();
-        gemm_rows(d, &codes, &xscales, w, &mut rows);
+        gemm_rows(d, &codes, |i, g| x.scale(i, g), w, &mut rows);
     }
     Ok(out)
 }
@@ -113,24 +112,19 @@ pub fn mant_gemm_with(
 /// weight tile once into an i16 tile ([`mant_gemv_batch`]) instead of
 /// running the fused sweep ([`KernelDispatch::dot_packed_rows_scaled`],
 /// one in-register decode per block of up to four members). Timed in
-/// alternation on the sim model's projection shapes, the fused sweep
-/// takes 0.4–0.5× the tile's time at three members, 0.8–1.0× at eight
-/// and nine, 0.9–1.2× at ten and 0.95–1.1× from eleven to sixteen. The
-/// scalar tier's row sweep walks the pair table per member: it takes
-/// 0.8–0.9× the tile's time at two members, 1.0–1.1× at three and 1.5–1.6×
-/// at eight, so there the tile starts at three.
-pub const DECODE_ONCE_MIN_BATCH: usize = 10;
+/// alternation on the sim model's three projection shapes (12
+/// repetitions, medians), the fused sweep takes 0.60–0.61× the tile's
+/// time at eight members, 0.68–0.69× at ten, 0.72–0.76× at twelve,
+/// 0.84–0.88× at sixteen, 0.90× at twenty and 0.99× at twenty-four; from
+/// twenty-eight on the two are level (0.99–1.01×), and at thirty-two the
+/// tile is ahead (the sweep takes 1.04–1.06×). The scalar tier's row
+/// sweep walks the pair table per member: it takes 0.94–1.01× the tile's
+/// time at two members, 1.13–1.19× at three and 1.6× at eight, so there
+/// the tile starts at three.
+pub const DECODE_ONCE_MIN_BATCH: usize = 28;
 
 /// [`DECODE_ONCE_MIN_BATCH`] on every tier but AVX2.
 const SCALAR_DECODE_ONCE_MIN_BATCH: usize = 3;
-
-/// Group scales the fused sweep widens to f64 per
-/// [`KernelDispatch::dot_packed_rows_scaled`] call, in whole eight-row
-/// blocks: the scratch stays at 128 KB whatever the matrix (a whole
-/// 4096×4096 call would widen 2 MB). Timed at 4096-wide shapes, no
-/// larger chunk was consistently faster (DESIGN.md, "One packed-row
-/// kernel").
-const SWEEP_SCALES: usize = 16_384;
 
 /// Batched [`mant_gemv`]: one weight matrix against a whole batch of
 /// independently quantized activation vectors (a continuous-batching
@@ -150,21 +144,22 @@ const SWEEP_SCALES: usize = 16_384;
 /// rows' group dots, and the scale epilogue (`i32 → f64`, `(xs · ws) ·
 /// int`, `+=`) runs on it in place. A short last tile is zero-padded: the
 /// spare rows decode to zeros under a zero scale and are never stored.
-/// Below the threshold — the few rows of a decode-shaped step — the batch
-/// takes [`mant_gemv`]'s fused sweep, the row sweep decode attention runs
-/// ([`KernelDispatch::dot_packed_rows_scaled`]) with the weight rows as
-/// its rows and all the members in each call: each 64-code run of a
-/// weight row is decoded once in registers per block of up to four
-/// members and multiplied against each of them, with no i16 tile to write
-/// and re-read.
+/// Below the threshold — every decode-shaped step, and prefill runs of up
+/// to 27 rows — the batch takes [`mant_gemv`]'s fused sweep, the row sweep
+/// decode attention runs ([`KernelDispatch::dot_packed_rows_scaled`])
+/// with the weight rows as its rows and all the members in one call, each
+/// read from its own vector: each 64-code run of a weight row is decoded
+/// once in registers per block of up to four members and multiplied
+/// against each of them, with no i16 tile to write and re-read, and the
+/// weight scales come from the matrix in the sweep's order.
 ///
 /// Both paths produce identical bits. The decoded operands are the same
 /// integers the pair tables hold; an i32 lane holds exactly one (member,
 /// row, group) sum, exact under
-/// [`MAX_I32_GROUP`](mant_numerics::MAX_I32_GROUP); `i32 → f64` is exact;
-/// and the epilogue is the GEMV's expression in the GEMV's association
-/// and ascending group order, in per-lane IEEE `mulpd`/`addpd` with no
-/// FMA.
+/// [`MAX_I32_GROUP`](mant_numerics::MAX_I32_GROUP); `i32 → f64` and
+/// `f32 → f64` are exact; and the epilogue is the GEMV's expression in
+/// the GEMV's association and ascending group order, in per-lane IEEE
+/// `mulpd`/`addpd` with no FMA.
 ///
 /// # Errors
 ///
@@ -191,14 +186,8 @@ pub fn mant_gemv_batch_with(
     for x in xs {
         check_operand(x.len(), x.group_size(), w)?;
     }
-    let codes: Vec<&[i8]> = xs.iter().map(QuantizedVector::codes).collect();
-    let xscales: Vec<f64> = xs
-        .iter()
-        .flat_map(|x| (0..x.groups()).map(|g| f64::from(x.scale(g))))
-        .collect();
     let mut out = vec![vec![0.0f32; w.rows()]; xs.len()];
-    let mut rows: Vec<&mut [f32]> = out.iter_mut().map(Vec::as_mut_slice).collect();
-    gemm_rows(d, &codes, &xscales, w, &mut rows);
+    gemm_rows(d, xs, |i, g| xs[i].scale(g), w, &mut out);
     Ok(out)
 }
 
@@ -244,9 +233,14 @@ pub fn mant_gemv_with(
     w: &MantQuantizedMatrix,
 ) -> Result<Vec<f32>, QuantError> {
     check_operand(x.len(), x.group_size(), w)?;
-    let xscales: Vec<f64> = (0..x.groups()).map(|g| f64::from(x.scale(g))).collect();
     let mut out = vec![0.0f32; w.rows()];
-    gemm_rows(d, &[x.codes()], &xscales, w, &mut [&mut out]);
+    gemm_rows(
+        d,
+        std::slice::from_ref(x),
+        |_, g| x.scale(g),
+        w,
+        std::slice::from_mut(&mut out),
+    );
     Ok(out)
 }
 
@@ -265,17 +259,26 @@ fn check_operand(len: usize, group_size: usize, w: &MantQuantizedMatrix) -> Resu
     Ok(())
 }
 
+thread_local! {
+    /// The GEMM entries' scratch on this thread: the members' group scales
+    /// widened to f64, and the row sweep's f64 accumulators. Kept from call
+    /// to call, so a decode-sized step allocates nothing but its outputs;
+    /// it holds the largest `members · rows` accumulators a thread has
+    /// swept.
+    static SCRATCH: RefCell<[Vec<f64>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
+}
+
 /// The one driver behind [`mant_gemv`], [`mant_gemv_batch`] and
 /// [`mant_gemm`], parameterised by member count (a GEMV is one): member
-/// `i` is `codes[i]` with per-group f64 scales `xscales[i · groups..]`,
-/// and `out[i][n]` receives row `n` of `W` against it. Picks the sweep by
-/// member count and tier.
-fn gemm_rows(
+/// `i` is `codes[i]` with group scales `xscale(i, g)`, and `out[i][n]`
+/// receives row `n` of `W` against it. Picks the sweep by member count
+/// and tier.
+fn gemm_rows<X: AsRef<[i8]>, O: AsMut<[f32]>>(
     d: KernelDispatch,
-    codes: &[&[i8]],
-    xscales: &[f64],
+    codes: &[X],
+    xscale: impl Fn(usize, usize) -> f32,
     w: &MantQuantizedMatrix,
-    out: &mut [&mut [f32]],
+    out: &mut [O],
 ) {
     if w.cols() == 0 {
         // Empty sums: the zero-initialised outputs already hold them.
@@ -285,58 +288,53 @@ fn gemm_rows(
         KernelDispatch::Avx2 => DECODE_ONCE_MIN_BATCH,
         _ => SCALAR_DECODE_ONCE_MIN_BATCH,
     };
-    if codes.len() >= decode_once {
-        tile8_sweep(d, codes, xscales, w, out);
-    } else {
-        fused_sweep(d, codes, xscales, w, out);
-    }
+    SCRATCH.with_borrow_mut(|[xscales, accs]| {
+        let groups = w.groups_per_row();
+        xscales.clear();
+        xscales
+            .extend((0..codes.len() * groups).map(|i| f64::from(xscale(i / groups, i % groups))));
+        if codes.len() >= decode_once {
+            tile8_sweep(d, codes, xscales, w, out);
+        } else {
+            fused_sweep(d, codes, xscales, w, accs, out);
+        }
+    });
 }
 
 /// The fused sweep ([`mant_gemv`], and batches too small to amortize a
-/// tile decode): the weight rows are the swept rows of
-/// [`KernelDispatch::dot_packed_rows_scaled`] at a stride of one packed
-/// row, the members its members — so each 64-code run of a weight row is
-/// decoded once in registers per block of up to four members.
-/// The rows go in chunks of whole eight-row blocks holding about
-/// [`SWEEP_SCALES`] groups, whose scales are widened to f64 into one
-/// reused buffer. Every output accumulates its groups in ascending order
-/// as `acc += (xs · ws) · int` from `+0.0` — the expression all other
-/// paths reproduce.
-fn fused_sweep(
+/// tile decode): one [`KernelDispatch::dot_packed_rows_scaled`] call with
+/// the weight rows as its rows, at a stride of one packed row, and the
+/// members as its members, each read where it lies — so each 64-code run
+/// of a weight row is decoded once in registers per block of up to four
+/// members. The tables and the block-ordered scales are the matrix's own,
+/// resolved at quantization; `accs` is the caller's scratch. Every output
+/// accumulates its groups in ascending order as `acc += (xs · ws) · int`
+/// from `+0.0` — the expression all other paths reproduce.
+fn fused_sweep<X: AsRef<[i8]>, O: AsMut<[f32]>>(
     d: KernelDispatch,
-    codes: &[&[i8]],
+    codes: &[X],
     xscales: &[f64],
     w: &MantQuantizedMatrix,
-    out: &mut [&mut [f32]],
+    accs: &mut Vec<f64>,
+    out: &mut [O],
 ) {
-    let (n, gs, groups) = (w.rows(), w.group_size(), w.groups_per_row());
-    let stride = groups * w.group_bytes();
-    let chunk = (SWEEP_SCALES / groups / TILE_ROWS).max(1) * TILE_ROWS;
-    let xcodes = codes.concat();
-    let mut wscales = Vec::with_capacity(chunk.min(n) * groups);
-    let mut accs = vec![0.0f64; codes.len() * chunk.min(n)];
-    for lo in (0..n).step_by(chunk) {
-        let rows = lo..(lo + chunk).min(n);
-        let live = rows.len();
-        wscales.clear();
-        wscales.extend(w.meta_rows(rows.clone()).iter().map(|m| f64::from(m.scale)));
-        let accs = &mut accs[..codes.len() * live];
-        accs.fill(0.0);
-        d.dot_packed_rows_scaled(
-            w.packed_rows(rows.clone()),
-            stride,
-            gs,
-            groups,
-            w.plan_rows(rows),
-            &wscales,
-            &xcodes,
-            xscales,
-            accs,
-        );
-        for (accs, y) in accs.chunks_exact(live).zip(out.iter_mut()) {
-            for (o, &a) in y[lo..lo + live].iter_mut().zip(accs) {
-                *o = a as f32;
-            }
+    let (n, groups) = (w.rows(), w.groups_per_row());
+    accs.clear();
+    accs.resize(codes.len() * n, 0.0);
+    d.dot_packed_rows_scaled(
+        w.packed_rows(0..n),
+        groups * w.group_bytes(),
+        w.group_size(),
+        groups,
+        w.plan_rows(0..n),
+        w.sweep_scales(),
+        codes,
+        xscales,
+        accs,
+    );
+    for (accs, y) in accs.chunks_exact(n.max(1)).zip(out) {
+        for (o, &a) in y.as_mut().iter_mut().zip(accs) {
+            *o = a as f32;
         }
     }
 }
@@ -346,17 +344,17 @@ fn fused_sweep(
 /// [`KernelDispatch::dot_tile8_scaled`] call for the whole batch. The
 /// scratch is one tile, reused across tiles — the weights stay 4-bit
 /// resident.
-fn tile8_sweep(
+fn tile8_sweep<X: AsRef<[i8]>, O: AsMut<[f32]>>(
     d: KernelDispatch,
-    codes: &[&[i8]],
+    codes: &[X],
     xscales: &[f64],
     w: &MantQuantizedMatrix,
-    out: &mut [&mut [f32]],
+    out: &mut [O],
 ) {
     let (n, k, gs, groups) = (w.rows(), w.cols(), w.group_size(), w.groups_per_row());
     let mut x16 = Vec::with_capacity(codes.len() * k);
     for x in codes {
-        x16.extend(x.iter().map(|&c| i16::from(c)));
+        x16.extend(x.as_ref().iter().map(|&c| i16::from(c)));
     }
     let mut dec = vec![0i16; TILE_ROWS * k];
     let mut tile = vec![0i16; tile8_len(k)];
@@ -378,7 +376,7 @@ fn tile8_sweep(
         accs.fill([0.0; TILE_ROWS]);
         d.dot_tile8_scaled(&tile, &wscales, gs, &x16, xscales, &mut accs);
         for (y, acc) in out.iter_mut().zip(&accs) {
-            for (o, &a) in y[tile_lo..tile_lo + rows].iter_mut().zip(acc) {
+            for (o, &a) in y.as_mut()[tile_lo..tile_lo + rows].iter_mut().zip(acc) {
                 *o = a as f32;
             }
         }

@@ -3,7 +3,9 @@
 use std::ops::Range;
 
 use mant_numerics::fp16::quantize_fp16;
-use mant_numerics::{int4_grid, kernels, EncodeTable, Grid, Mant, MantCode, NumericsError};
+use mant_numerics::{
+    block_order_scales, int4_grid, kernels, EncodeTable, Grid, Mant, MantCode, NumericsError,
+};
 use mant_tensor::par::par_map_indexed;
 use mant_tensor::Matrix;
 
@@ -206,6 +208,12 @@ pub struct MantQuantizedMatrix {
     meta: Vec<GroupMeta>,
     /// The decode plan: `meta[i]`'s interned kernel table, same indexing.
     plan: Vec<&'static KernelLut>,
+    /// `meta`'s scales in the row sweep's block order
+    /// ([`block_order_scales`]: `[block][group][lane]`, eight rows a
+    /// block), resolved with the plan so no GEMV call gathers or widens
+    /// them. Not counted in [`Self::storage_bits`]: it is a second copy
+    /// of the metadata's scales, laid out for the kernel.
+    sweep_scales: Vec<f32>,
 }
 
 impl MantQuantizedMatrix {
@@ -246,9 +254,18 @@ impl MantQuantizedMatrix {
         Ok(Self::assemble(w, group_size, codes, meta))
     }
 
-    /// Finishes construction: resolves the decode plan from the metadata.
+    /// Finishes construction: resolves the decode plan and the row sweep's
+    /// scales from the metadata.
     fn assemble(w: &Matrix, group_size: usize, codes: Vec<u8>, meta: Vec<GroupMeta>) -> Self {
         let plan = meta.iter().map(|m| kernel_table(m.dtype)).collect();
+        let gpr = w.cols() / group_size;
+        let mut sweep_scales = Vec::new();
+        block_order_scales(
+            w.rows(),
+            gpr,
+            |r, g| meta[r * gpr + g].scale,
+            &mut sweep_scales,
+        );
         MantQuantizedMatrix {
             rows: w.rows(),
             cols: w.cols(),
@@ -256,6 +273,7 @@ impl MantQuantizedMatrix {
             codes,
             meta,
             plan,
+            sweep_scales,
         }
     }
 
@@ -427,6 +445,14 @@ impl MantQuantizedMatrix {
         &self.plan[rows.start * gpr..rows.end * gpr]
     }
 
+    /// Every group's scale in the order
+    /// [`KernelDispatch::dot_packed_rows_scaled`](mant_numerics::KernelDispatch::dot_packed_rows_scaled)
+    /// reads them ([`block_order_scales`]); empty when a row holds no
+    /// group.
+    pub(crate) fn sweep_scales(&self) -> &[f32] {
+        &self.sweep_scales
+    }
+
     /// The group metadata of rows `rows`, row-major.
     pub(crate) fn meta_rows(&self, rows: Range<usize>) -> &[GroupMeta] {
         let gpr = self.groups_per_row();
@@ -561,7 +587,7 @@ impl FakeQuantizer for MantWeightQuantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mant_numerics::int4_grid;
+    use mant_numerics::{int4_grid, TILE_ROWS};
     use mant_tensor::{mse, Matrix, TensorGenerator};
 
     use crate::quantizer::GridQuantizer;
@@ -717,6 +743,35 @@ mod tests {
         for b in 0..=255u8 {
             assert_eq!(t.pair[b as usize][0], m.dtype.decode(b & 0x0f) as i32);
             assert_eq!(t.pair[b as usize][1], m.dtype.decode(b >> 4) as i32);
+        }
+    }
+
+    #[test]
+    fn sweep_scales_are_the_group_scales_in_block_order() {
+        // Row counts short of, at and past one eight-row block, and a
+        // short last block after two full ones: lane `l` of block `b`,
+        // group `g` is row `8b + l`'s scale, the spare lanes repeat the
+        // last row.
+        let mut gen = TensorGenerator::new(37);
+        for n in [7usize, 8, 9, 17] {
+            let w = gen.group_diverse_matrix(n, 192, 64, 0.02);
+            let q = MantQuantizedMatrix::quantize(&w, 64, &CandidateSet::paper()).unwrap();
+            let groups = q.groups_per_row();
+            let blocks = n.div_ceil(TILE_ROWS);
+            assert_eq!(q.sweep_scales().len(), blocks * groups * TILE_ROWS, "n={n}");
+            for (i, &s) in q.sweep_scales().iter().enumerate() {
+                let (b, g, l) = (
+                    i / (groups * TILE_ROWS),
+                    i / TILE_ROWS % groups,
+                    i % TILE_ROWS,
+                );
+                let r = (b * TILE_ROWS + l).min(n - 1);
+                assert_eq!(
+                    s.to_bits(),
+                    q.meta(r, g).scale.to_bits(),
+                    "n={n} b={b} g={g} l={l}"
+                );
+            }
         }
     }
 

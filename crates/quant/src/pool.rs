@@ -683,7 +683,7 @@ impl PagedKvCache {
         rows: Range<usize>,
         k_lo: usize,
         gph: usize,
-        xcodes: &[i8],
+        xcodes: &[&[i8]],
         xscales: &[f64],
         sweep: &mut RowSweep,
         mut emit: impl FnMut(usize, usize, &[f64]),
@@ -694,7 +694,7 @@ impl PagedKvCache {
             pool.cfg.block_tokens,
         );
         let gpr = pool.cfg.kv_dim / g;
-        let members = xscales.len() / gph;
+        let members = xcodes.len();
         let mut t0 = rows.start;
         while t0 < rows.end {
             let slot = t0 % bt;
@@ -774,7 +774,7 @@ impl PagedKvCache {
                 1,
                 &sweep.luts,
                 &sweep.scales,
-                win.pcodes,
+                &[win.pcodes],
                 &[f64::from(win.pscale)],
                 &mut sweep.accs,
             );
@@ -900,14 +900,18 @@ struct WindowOperands<'a> {
 #[derive(Default)]
 struct RowSweep {
     luts: Vec<&'static KernelLut>,
-    scales: Vec<f64>,
+    scales: Vec<f32>,
     accs: Vec<f64>,
 }
 
 impl RowSweep {
-    /// Resolves the swept groups to their interned tables and f64 scales,
-    /// row-major: from each row of `row_len` entries of `meta`, the
-    /// `per_row` groups from `lo` on. Sets `accs` accumulators to `start`.
+    /// Resolves the swept groups — from each row of `row_len` entries of
+    /// `meta`, the `per_row` groups from `lo` on — to their interned
+    /// tables, row-major, and their scales in the kernel's block order
+    /// ([`mant_numerics::block_order_scales`]' layout; with one group a
+    /// row, row order padded to whole blocks), in one pass. The spare
+    /// lanes of a short last block keep whatever they held: the kernel
+    /// never stores those lanes. Sets `accs` accumulators to `start`.
     fn resolve(
         &mut self,
         meta: &[GroupMeta],
@@ -916,18 +920,16 @@ impl RowSweep {
         start: f64,
     ) {
         let table = kernel_table_lookup();
-        let n = meta.len() / row_len * per_row;
-        self.luts.resize(n, table(GroupDtype::Int4));
-        self.scales.resize(n, 0.0);
-        let rows = meta.chunks_exact(row_len).map(|row| &row[lo..lo + per_row]);
-        let dst = self
-            .luts
-            .chunks_exact_mut(per_row)
-            .zip(self.scales.chunks_exact_mut(per_row));
-        for (row, (luts, scales)) in rows.zip(dst) {
-            for ((m, l), s) in row.iter().zip(luts).zip(scales) {
+        let rows = meta.len() / row_len;
+        self.luts.resize(rows * per_row, table(GroupDtype::Int4));
+        self.scales
+            .resize(rows.div_ceil(TILE_ROWS) * per_row * TILE_ROWS, 0.0);
+        let dst = self.luts.chunks_exact_mut(per_row);
+        for (r, (row, luts)) in meta.chunks_exact(row_len).zip(dst).enumerate() {
+            let block = &mut self.scales[r / TILE_ROWS * per_row * TILE_ROWS..];
+            for (g, (m, l)) in row[lo..lo + per_row].iter().zip(luts).enumerate() {
                 *l = table(m.dtype);
-                *s = f64::from(m.scale);
+                block[g * TILE_ROWS + r % TILE_ROWS] = m.scale;
             }
         }
         self.accs.clear();
@@ -1003,17 +1005,17 @@ pub fn attention_incremental_paged(
     let mut scores = vec![0.0f32; per_kv * len];
     let mut p8 = vec![0i8; g];
     let mut sweep = RowSweep::default();
+    let head_codes: Vec<&[i8]> = qv.codes().chunks_exact(head_dim).collect();
     for kv_head in 0..kv_heads {
-        // A KV head's query heads are adjacent: one run of codes.
+        // A KV head's query heads are adjacent.
         let heads_of = kv_head * per_kv..(kv_head + 1) * per_kv;
-        let codes = &qv.codes()[heads_of.start * head_dim..heads_of.end * head_dim];
         let xscales = &q_scales[heads_of.start * gph..heads_of.end * gph];
         cache.score_rows(
             pool,
             0..len,
             kv_head * gph,
             gph,
-            codes,
+            &head_codes[heads_of.clone()],
             xscales,
             &mut sweep,
             |j, t0, sums| {
@@ -1174,7 +1176,7 @@ impl RunAttention {
     ///
     /// Three rows lose to three block-swept queries, four win. This is its
     /// own break-even, not the GEMM tier's
-    /// [`DECODE_ONCE_MIN_BATCH`](crate::fused::DECODE_ONCE_MIN_BATCH) (10):
+    /// [`DECODE_ONCE_MIN_BATCH`](crate::fused::DECODE_ONCE_MIN_BATCH) (28):
     /// the per-query path it is measured against sweeps blocks, not rows.
     pub const MIN_ROWS: usize = 4;
 
@@ -1337,8 +1339,8 @@ impl RunAttention {
         let scale = 1.0 / (head_dim as f32).sqrt();
         let staged_from = cache.committed_windows * g;
         // The rows no tile covered yet, swept for this row's query heads.
-        for kv_head in 0..kv_heads {
-            let codes = &qv[row].codes()[kv_head * per_kv * head_dim..][..per_kv * head_dim];
+        let head_codes: Vec<&[i8]> = qv[row].codes().chunks_exact(head_dim).collect();
+        for (kv_head, codes) in head_codes.chunks_exact(per_kv).enumerate() {
             let at = (kv_head * qv.len() + row) * per_kv;
             cache.score_rows(
                 pool,
