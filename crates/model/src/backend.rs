@@ -97,9 +97,10 @@ impl QuantizedLinear {
     }
 
     /// Multi-query matmul: `y_i = W · x_i` for a whole continuous batch of
-    /// independently quantized activations through the decode-pass GEMM
-    /// ([`mant_gemv_batch`]) — each weight group is decoded once and swept
-    /// across every sequence, amortizing the per-group overhead that makes
+    /// independently quantized activations through one packed row sweep
+    /// ([`mant_gemv_batch`]) — each weight group is decoded once per block
+    /// of up to four sequences (once for all of them on the scalar tier)
+    /// and swept across each, amortizing the per-group overhead that makes
     /// the software GEMV lose at batch 1. `out[i]` is bit-identical to
     /// `self.matvec(&xs[i])`.
     ///

@@ -107,6 +107,10 @@ pub fn kernel_lut(lut16: &[i32; 16]) -> KernelLut {
 /// 256-bit vector, so a group's eight dots fill one register.
 pub const TILE_ROWS: usize = 8;
 
+/// Codes of the longest group the scalar row sweep decodes once for all
+/// its members; it walks the pair table per member past that.
+const SWEEP_DECODE_STACK: usize = 512;
+
 /// Entries of an interleaved [`TILE_ROWS`]-row tile of `k` operands per
 /// row ([`KernelDispatch::interleave_tile8`]): `⌈k/2⌉` column pairs of
 /// eight rows of two.
@@ -267,12 +271,12 @@ impl KernelDispatch {
     }
 
     /// [`crate::kernels::decode_packed_i16`] through this tier — decodes
-    /// a nibble-packed weight group to its i16 integer operands in
-    /// natural code order, the once-per-tile amortization step of the
-    /// decode-once GEMM. Every tier emits the identical operand values
-    /// (the SIMD path reassembles them from the same `lo8`/`hi8` shuffle
-    /// tables the fused kernels use), so downstream dots are
-    /// bit-identical regardless of tier.
+    /// a nibble-packed group to its i16 integer operands in natural code
+    /// order, the once-per-tile amortization step of the attention tiles
+    /// ([`KernelDispatch::dot_tile8_scaled`]). Every tier emits the
+    /// identical operand values (the SIMD path reassembles them from the
+    /// same `lo8`/`hi8` shuffle tables the fused kernels use), so
+    /// downstream dots are bit-identical regardless of tier.
     ///
     /// # Panics
     ///
@@ -408,8 +412,8 @@ impl KernelDispatch {
         }
     }
 
-    /// The packed row sweep behind decode attention and the weight GEMV of
-    /// a few-row step (below `mant_quant`'s `DECODE_ONCE_MIN_BATCH`): `n`
+    /// The packed row sweep behind decode attention and every weight GEMM
+    /// (`mant_quant`'s `mant_gemv`, `mant_gemv_batch` and `mant_gemm`): `n`
     /// rows of packed groups at a fixed byte stride against one or more
     /// INT8 vectors, group dots **and** the f64 scale epilogue. Row `r`'s
     /// `groups` packed groups start at `rows[r · stride]`, back to back
@@ -436,7 +440,7 @@ impl KernelDispatch {
     /// 32-code runs are `pshufb`-decoded **once** in registers and
     /// `pmaddwd`-ed against every member of a register block of up to four
     /// (the other query heads of a GQA group, the other activation vectors
-    /// of a few-row step), one `phaddd` tree turns the eight rows'
+    /// of a step), one `phaddd` tree turns the eight rows'
     /// accumulators into one `i32x8` whose lane `r` is row `r`'s group
     /// dot, and the epilogue runs on it in place (`cvtdq2pd`, two
     /// `cvtps2pd` for the block's scales, `mulpd`, `mulpd`, `addpd`) into
@@ -450,8 +454,13 @@ impl KernelDispatch {
     /// `f32 → f64` are exact; the vector operators round per lane like the
     /// scalar ones, in the scalar association and group order, and no FMA
     /// is formed. Odd group sizes and every tier but AVX2 run the scalar
-    /// arm: [`crate::kernels::dot_packed`] per (row, group, member) — each
-    /// weight group read once per row — and the same expression.
+    /// arm and the same expression. With two or more members it decodes
+    /// each (row, group) once to i16 into a stack buffer
+    /// ([`crate::kernels::decode_packed_i16`]) and runs
+    /// [`crate::kernels::dot_i8_i16`] for each member — the same integers.
+    /// With one member, or a group longer than that buffer's 512 codes
+    /// (none of the paper's sizes), it walks the pair table fused per
+    /// member ([`crate::kernels::dot_packed`]).
     ///
     /// # Panics
     ///
@@ -507,6 +516,9 @@ impl KernelDispatch {
                 }
             }
             _ => {
+                let mut dec = [0i16; SWEEP_DECODE_STACK];
+                let dec = &mut dec[..group_size.min(SWEEP_DECODE_STACK)];
+                let decode_once = m > 1 && group_size <= SWEEP_DECODE_STACK;
                 for r in 0..n {
                     let row = &rows[r * stride..];
                     let block = r / TILE_ROWS * groups;
@@ -514,9 +526,16 @@ impl KernelDispatch {
                         let w = &row[g * gb..(g + 1) * gb];
                         let ws = f64::from(wscales[(block + g) * TILE_ROWS + r % TILE_ROWS]);
                         let lut = &luts[r * groups + g].pair;
+                        if decode_once {
+                            kernels::decode_packed_i16(w, group_size, lut, dec);
+                        }
                         for (j, x) in xcodes.iter().enumerate() {
                             let x = &x.as_ref()[g * group_size..][..group_size];
-                            let int = kernels::dot_packed(x, w, lut);
+                            let int = if decode_once {
+                                kernels::dot_i8_i16(x, dec)
+                            } else {
+                                kernels::dot_packed(x, w, lut)
+                            };
                             accs[j * n + r] += xscales[j * groups + g] * ws * int as f64;
                         }
                     }

@@ -17,10 +17,7 @@
 
 use std::cell::RefCell;
 
-use mant_numerics::{
-    int4_group_mac, kernels, mant_group_psums, tile8_len, unpack_nibbles, KernelDispatch,
-    KernelLut, TILE_ROWS,
-};
+use mant_numerics::{int4_group_mac, kernels, mant_group_psums, unpack_nibbles, KernelDispatch};
 use mant_tensor::{gemm, matvec, Matrix};
 
 use crate::activation::{ActivationTensor, QuantizedVector};
@@ -48,7 +45,7 @@ pub fn group_dot(meta: GroupMeta, xcodes: &[i8], wcodes: &[u8]) -> i64 {
 /// per-row references [`crate::PagedKvCache::fused_dot`] and
 /// `attend_window`, which the row sweep
 /// ([`mant_numerics::KernelDispatch::dot_packed_rows_scaled`], a block of
-/// rows per call, behind decode attention and the few-row GEMV) is
+/// rows per call, behind decode attention and every weight GEMM) is
 /// tested against. No serving path calls it per cached row, V
 /// channel or weight row.
 pub fn group_dot_packed(meta: GroupMeta, xcodes: &[i8], wpacked: &[u8]) -> i64 {
@@ -108,58 +105,27 @@ pub fn mant_gemm_with(
     Ok(out)
 }
 
-/// Batch size from which the GEMM entries, on the AVX2 tier, decode each
-/// weight tile once into an i16 tile ([`mant_gemv_batch`]) instead of
-/// running the fused sweep ([`KernelDispatch::dot_packed_rows_scaled`],
-/// one in-register decode per block of up to four members). Timed in
-/// alternation on the sim model's three projection shapes (12
-/// repetitions, medians), the fused sweep takes 0.60–0.61× the tile's
-/// time at eight members, 0.68–0.69× at ten, 0.72–0.76× at twelve,
-/// 0.84–0.88× at sixteen, 0.90× at twenty and 0.99× at twenty-four; from
-/// twenty-eight on the two are level (0.99–1.01×), and at thirty-two the
-/// tile is ahead (the sweep takes 1.04–1.06×). The scalar tier's row
-/// sweep walks the pair table per member: it takes 0.94–1.01× the tile's
-/// time at two members, 1.13–1.19× at three and 1.6× at eight, so there
-/// the tile starts at three.
-pub const DECODE_ONCE_MIN_BATCH: usize = 28;
-
-/// [`DECODE_ONCE_MIN_BATCH`] on every tier but AVX2.
-const SCALAR_DECODE_ONCE_MIN_BATCH: usize = 3;
-
 /// Batched [`mant_gemv`]: one weight matrix against a whole batch of
 /// independently quantized activation vectors (a continuous-batching
 /// decode iteration's ragged batch, a prefill run, a speculative verify
 /// pass). Output `[i][n]` is **bit-identical** to `mant_gemv(&xs[i], w)[n]`.
 ///
-/// From [`DECODE_ONCE_MIN_BATCH`] members up, the weights are taken in
-/// tiles of eight output rows ([`TILE_ROWS`]). A tile is **decoded once**
-/// to i16 operands and interleaved to `[column pair][row 0..8][2]`
-/// ([`KernelDispatch::interleave_tile8`]), so that one 256-bit vector is
-/// the same column pair of all eight rows; the members' INT8 codes are
-/// widened to i16 once per call. The sweep
-/// ([`KernelDispatch::dot_tile8_scaled`]) then needs no per-member nibble
-/// decode and **no horizontal reduction**: `pmaddwd(broadcast(x pair),
-/// tile vector)` adds each row's two products into that row's own 32-bit
-/// lane, so at the end of a group a member's register holds the eight
-/// rows' group dots, and the scale epilogue (`i32 → f64`, `(xs · ws) ·
-/// int`, `+=`) runs on it in place. A short last tile is zero-padded: the
-/// spare rows decode to zeros under a zero scale and are never stored.
-/// Below the threshold — every decode-shaped step, and prefill runs of up
-/// to 27 rows — the batch takes [`mant_gemv`]'s fused sweep, the row sweep
-/// decode attention runs ([`KernelDispatch::dot_packed_rows_scaled`])
-/// with the weight rows as its rows and all the members in one call, each
-/// read from its own vector: each 64-code run of a weight row is decoded
-/// once in registers per block of up to four members and multiplied
-/// against each of them, with no i16 tile to write and re-read, and the
-/// weight scales come from the matrix in the sweep's order.
+/// At every batch size the batch takes [`mant_gemv`]'s sweep
+/// ([`KernelDispatch::dot_packed_rows_scaled`], the row sweep decode
+/// attention runs) with the weight rows as its rows and all the members in
+/// one call, each read from its own vector: on AVX2 each 64-code run of a
+/// weight row is decoded once in registers per block of up to four members
+/// and multiplied against each of them, with no i16 tile to write and
+/// re-read; the scalar tier decodes each (row, group) once to i16 and runs
+/// a plain MAC per member. The weight scales come from the matrix in the
+/// sweep's order.
 ///
-/// Both paths produce identical bits. The decoded operands are the same
-/// integers the pair tables hold; an i32 lane holds exactly one (member,
-/// row, group) sum, exact under
-/// [`MAX_I32_GROUP`](mant_numerics::MAX_I32_GROUP); `i32 → f64` and
-/// `f32 → f64` are exact; and the epilogue is the GEMV's expression in
-/// the GEMV's association and ascending group order, in per-lane IEEE
-/// `mulpd`/`addpd` with no FMA.
+/// Every member's bits equal its one-vector GEMV's: the decoded operands
+/// are the integers the pair tables hold, a group's sum is exact in i32
+/// under [`MAX_I32_GROUP`](mant_numerics::MAX_I32_GROUP), `i32 → f64` and
+/// `f32 → f64` are exact, and the epilogue is the GEMV's expression in the
+/// GEMV's association and ascending group order, rounded per (member, row)
+/// with no FMA.
 ///
 /// # Errors
 ///
@@ -269,10 +235,16 @@ thread_local! {
 }
 
 /// The one driver behind [`mant_gemv`], [`mant_gemv_batch`] and
-/// [`mant_gemm`], parameterised by member count (a GEMV is one): member
-/// `i` is `codes[i]` with group scales `xscale(i, g)`, and `out[i][n]`
-/// receives row `n` of `W` against it. Picks the sweep by member count
-/// and tier.
+/// [`mant_gemm`] at every member count (a GEMV is one): member `i` is
+/// `codes[i]` with group scales `xscale(i, g)`, and `out[i][n]` receives
+/// row `n` of `W` against it. One
+/// [`KernelDispatch::dot_packed_rows_scaled`] call with the weight rows as
+/// its rows, at a stride of one packed row, and the members as its
+/// members, each read where it lies. The tables and the block-ordered
+/// scales are the matrix's own, resolved at quantization; the member
+/// scales and the accumulators are this thread's scratch. Every output
+/// accumulates its groups in ascending order as `acc += (xs · ws) · int`
+/// from `+0.0`.
 fn gemm_rows<X: AsRef<[i8]>, O: AsMut<[f32]>>(
     d: KernelDispatch,
     codes: &[X],
@@ -284,130 +256,30 @@ fn gemm_rows<X: AsRef<[i8]>, O: AsMut<[f32]>>(
         // Empty sums: the zero-initialised outputs already hold them.
         return;
     }
-    let decode_once = match d {
-        KernelDispatch::Avx2 => DECODE_ONCE_MIN_BATCH,
-        _ => SCALAR_DECODE_ONCE_MIN_BATCH,
-    };
+    let (n, groups) = (w.rows(), w.groups_per_row());
     SCRATCH.with_borrow_mut(|[xscales, accs]| {
-        let groups = w.groups_per_row();
         xscales.clear();
         xscales
             .extend((0..codes.len() * groups).map(|i| f64::from(xscale(i / groups, i % groups))));
-        if codes.len() >= decode_once {
-            tile8_sweep(d, codes, xscales, w, out);
-        } else {
-            fused_sweep(d, codes, xscales, w, accs, out);
-        }
-    });
-}
-
-/// The fused sweep ([`mant_gemv`], and batches too small to amortize a
-/// tile decode): one [`KernelDispatch::dot_packed_rows_scaled`] call with
-/// the weight rows as its rows, at a stride of one packed row, and the
-/// members as its members, each read where it lies — so each 64-code run
-/// of a weight row is decoded once in registers per block of up to four
-/// members. The tables and the block-ordered scales are the matrix's own,
-/// resolved at quantization; `accs` is the caller's scratch. Every output
-/// accumulates its groups in ascending order as `acc += (xs · ws) · int`
-/// from `+0.0` — the expression all other paths reproduce.
-fn fused_sweep<X: AsRef<[i8]>, O: AsMut<[f32]>>(
-    d: KernelDispatch,
-    codes: &[X],
-    xscales: &[f64],
-    w: &MantQuantizedMatrix,
-    accs: &mut Vec<f64>,
-    out: &mut [O],
-) {
-    let (n, groups) = (w.rows(), w.groups_per_row());
-    accs.clear();
-    accs.resize(codes.len() * n, 0.0);
-    d.dot_packed_rows_scaled(
-        w.packed_rows(0..n),
-        groups * w.group_bytes(),
-        w.group_size(),
-        groups,
-        w.plan_rows(0..n),
-        w.sweep_scales(),
-        codes,
-        xscales,
-        accs,
-    );
-    for (accs, y) in accs.chunks_exact(n.max(1)).zip(out) {
-        for (o, &a) in y.as_mut().iter_mut().zip(accs) {
-            *o = a as f32;
-        }
-    }
-}
-
-/// The decode-once sweep (see [`mant_gemv_batch`]): per tile of
-/// [`TILE_ROWS`] output rows, decode → interleave → one
-/// [`KernelDispatch::dot_tile8_scaled`] call for the whole batch. The
-/// scratch is one tile, reused across tiles — the weights stay 4-bit
-/// resident.
-fn tile8_sweep<X: AsRef<[i8]>, O: AsMut<[f32]>>(
-    d: KernelDispatch,
-    codes: &[X],
-    xscales: &[f64],
-    w: &MantQuantizedMatrix,
-    out: &mut [O],
-) {
-    let (n, k, gs, groups) = (w.rows(), w.cols(), w.group_size(), w.groups_per_row());
-    let mut x16 = Vec::with_capacity(codes.len() * k);
-    for x in codes {
-        x16.extend(x.as_ref().iter().map(|&c| i16::from(c)));
-    }
-    let mut dec = vec![0i16; TILE_ROWS * k];
-    let mut tile = vec![0i16; tile8_len(k)];
-    let mut wscales = vec![[0.0f64; TILE_ROWS]; groups];
-    let mut accs = vec![[0.0f64; TILE_ROWS]; codes.len()];
-    for tile_lo in (0..n).step_by(TILE_ROWS) {
-        let rows = (n - tile_lo).min(TILE_ROWS);
-        if rows < TILE_ROWS {
-            // The short last tile: spare rows are zeros under zero scales.
-            dec[rows * k..].fill(0);
-            wscales.fill([0.0; TILE_ROWS]);
-        }
-        for (lane, row) in dec.chunks_exact_mut(k).take(rows).enumerate() {
-            let ni = tile_lo + lane;
-            let groups = w.plan_row(ni).iter().copied().zip(w.meta_row(ni));
-            decode_tile_row(d, w.packed_row(ni), gs, groups, lane, row, &mut wscales);
-        }
-        d.interleave_tile8(&dec, k, &mut tile);
-        accs.fill([0.0; TILE_ROWS]);
-        d.dot_tile8_scaled(&tile, &wscales, gs, &x16, xscales, &mut accs);
-        for (y, acc) in out.iter_mut().zip(&accs) {
-            for (o, &a) in y.as_mut()[tile_lo..tile_lo + rows].iter_mut().zip(acc) {
+        accs.clear();
+        accs.resize(codes.len() * n, 0.0);
+        d.dot_packed_rows_scaled(
+            w.packed_rows(0..n),
+            groups * w.group_bytes(),
+            w.group_size(),
+            groups,
+            w.plan_rows(0..n),
+            w.sweep_scales(),
+            codes,
+            xscales,
+            accs,
+        );
+        for (accs, y) in accs.chunks_exact(n.max(1)).zip(out) {
+            for (o, &a) in y.as_mut().iter_mut().zip(accs) {
                 *o = a as f32;
             }
         }
-    }
-}
-
-/// Decodes one row of an eight-row tile for
-/// [`KernelDispatch::dot_tile8_scaled`]: `packed` holds the row's groups
-/// back to back, `groups` yields each group's decode table and metadata,
-/// the i16 operands land in `row` and the scales in lane `lane` of
-/// `scales`. Shared by the GEMM driver (a weight row) and run attention
-/// (a cached K row, a channel of a V window).
-pub(crate) fn decode_tile_row<'a>(
-    d: KernelDispatch,
-    packed: &[u8],
-    group_size: usize,
-    groups: impl Iterator<Item = (&'a KernelLut, &'a GroupMeta)>,
-    lane: usize,
-    row: &mut [i16],
-    scales: &mut [[f64; TILE_ROWS]],
-) {
-    let gb = group_size.div_ceil(2);
-    for (g, (lut, meta)) in groups.enumerate() {
-        d.decode_packed_i16(
-            &packed[g * gb..(g + 1) * gb],
-            group_size,
-            lut,
-            &mut row[g * group_size..(g + 1) * group_size],
-        );
-        scales[g][lane] = f64::from(meta.scale);
-    }
+    });
 }
 
 /// The pre-packing storage layout of a quantized matrix — one 4-bit code
@@ -731,64 +603,38 @@ mod tests {
 
     #[test]
     fn gemm_tile_remainders_bit_identical_to_gemv() {
-        // Output-row counts on every side of the eight-row block both
-        // sweeps share — a lone short block (1, 3, 4, 5), a lone full one
-        // (8), a short last block after full ones (9, 12, 250), none (256)
-        // — against batch sizes on every side of the fused sweep's
-        // four-member register block (1–5, 8, 9) and, from
-        // DECODE_ONCE_MIN_BATCH up, every remainder of the tile sweep's
-        // eight-member block (and 33). Every batch row and
-        // every `mant_gemm` row (the same `gemm_rows`, the members arriving
-        // as tensor rows) must match the one-vector GEMV bit for bit.
+        // Output-row counts on every side of the row sweep's eight-row
+        // block — a lone short block (1, 3, 4, 5), a lone full one (8), a
+        // short last block after full ones (9, 12, 250), none (256) —
+        // against member counts on every side of its four-member register
+        // block (1–5, 8, 9) and around and past a serving tick's 32 rows
+        // (27–29, 33, 28–35), on every tier, with an odd group size whose
+        // packed groups carry a pad nibble. Every batch row and every
+        // `mant_gemm` row (the same `gemm_rows`, the members arriving as
+        // tensor rows) must match the one-vector GEMV bit for bit.
         use crate::activation::quantize_vector_int8;
         let mut gen = TensorGenerator::new(74);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        for n in [1usize, 3, 4, 5, 8, 9, 12, 250, 256] {
-            let w = gen.group_diverse_matrix(n, 128, 32, 0.02);
-            let wq = MantWeightQuantizer::new(32).quantize(&w).unwrap();
-            let tiled = DECODE_ONCE_MIN_BATCH..DECODE_ONCE_MIN_BATCH + 8;
-            for m in [1usize, 2, 3, 4, 5, 8, 9, 33].into_iter().chain(tiled) {
-                let x = gen.activation_matrix(m, 128, 1.0, 0.02, 20.0);
-                let xs: Vec<_> = (0..m)
-                    .map(|r| quantize_vector_int8(x.row(r), 32).unwrap())
-                    .collect();
-                let batched = mant_gemv_batch(&xs, &wq).unwrap();
-                let gemm = mant_gemm(&quantize_activations_int8(&x, 32).unwrap(), &wq).unwrap();
-                for (r, (xq, y)) in xs.iter().zip(batched.iter()).enumerate() {
-                    let single = bits(&mant_gemv(xq, &wq).unwrap());
-                    assert_eq!(bits(y), single, "batch n={n} m={m} row {r}");
-                    assert_eq!(bits(gemm.row(r)), single, "gemm n={n} m={m} row {r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gemv_batch_decode_once_threshold_bit_identical() {
-        // Batch sizes straddling DECODE_ONCE_MIN_BATCH take different
-        // paths (fused per-member kernels vs decode-once tile sweep); all
-        // must match the one-vector GEMV bit for bit on every tier, and an
-        // odd group size exercises the decode tail's pad-nibble handling.
-        use crate::activation::quantize_vector_int8;
-        let mut gen = TensorGenerator::new(76);
-        for (k, g) in [(128usize, 64usize), (15, 5)] {
-            let w = gen.group_diverse_matrix(9, k, g, 0.02);
-            let wq = MantWeightQuantizer::new(g).quantize(&w).unwrap();
-            let t = DECODE_ONCE_MIN_BATCH;
-            for m in [1usize, 2, 3, 4, 5, t - 1, t, t + 1] {
-                let xs: Vec<_> = (0..m)
-                    .map(|_| {
-                        let x: Vec<f32> = (0..k).map(|_| gen.standard_normal()).collect();
-                        quantize_vector_int8(&x, g).unwrap()
-                    })
-                    .collect();
-                for d in [KernelDispatch::Scalar, kernels()] {
-                    let batched = mant_gemv_batch_with(d, &xs, &wq).unwrap();
-                    for (x, y) in xs.iter().zip(batched.iter()) {
-                        let single = mant_gemv_with(d, x, &wq).unwrap();
-                        let y_bits: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-                        let s_bits: Vec<u32> = single.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(y_bits, s_bits, "tier {} m={m} k={k} g={g}", d.name());
+        for (k, g) in [(128usize, 32usize), (128, 64), (15, 5)] {
+            for n in [1usize, 3, 4, 5, 8, 9, 12, 250, 256] {
+                let w = gen.group_diverse_matrix(n, k, g, 0.02);
+                let wq = MantWeightQuantizer::new(g).quantize(&w).unwrap();
+                let members = [1usize, 2, 3, 4, 5, 8, 9, 27, 28, 29, 33];
+                for m in members.into_iter().chain(28..36) {
+                    let x = gen.activation_matrix(m, k, 1.0, 0.02, 20.0);
+                    let xs: Vec<_> = (0..m)
+                        .map(|r| quantize_vector_int8(x.row(r), g).unwrap())
+                        .collect();
+                    let xq = quantize_activations_int8(&x, g).unwrap();
+                    for d in [KernelDispatch::Scalar, kernels()] {
+                        let batched = mant_gemv_batch_with(d, &xs, &wq).unwrap();
+                        let gemm = mant_gemm_with(d, &xq, &wq).unwrap();
+                        for (r, (xv, y)) in xs.iter().zip(batched.iter()).enumerate() {
+                            let single = bits(&mant_gemv_with(d, xv, &wq).unwrap());
+                            let at = format!("tier {} k={k} g={g} n={n} m={m} row {r}", d.name());
+                            assert_eq!(bits(y), single, "batch {at}");
+                            assert_eq!(bits(gemm.row(r)), single, "gemm {at}");
+                        }
                     }
                 }
             }

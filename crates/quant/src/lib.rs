@@ -58,7 +58,7 @@ pub use error::QuantError;
 pub use fused::{
     dequant_then_gemm, dequant_then_gemv, group_dot, group_dot_packed, mant_gemm, mant_gemm_with,
     mant_gemv, mant_gemv_batch, mant_gemv_batch_with, mant_gemv_scalar, mant_gemv_with,
-    UnpackedWeights, DECODE_ONCE_MIN_BATCH,
+    UnpackedWeights,
 };
 pub use mantq::{GroupDtype, MantQuantizedMatrix, MantWeightQuantizer};
 pub use plan::pair_table;

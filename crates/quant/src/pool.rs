@@ -48,15 +48,13 @@ use mant_tensor::Matrix;
 
 use crate::activation::{quantize_vector_int8, QuantizedVector};
 use crate::error::QuantError;
-use crate::fused::{decode_tile_row, group_dot_packed};
+use crate::fused::group_dot_packed;
 use crate::kv::{attend_window, encode_k_row_into, quantize_probs_int8_into, VStaging};
 use crate::mantq::{packed_code, GroupDtype, GroupMeta};
 use crate::plan::{kernel_table, kernel_table_lookup};
 use crate::variance::VarianceMap;
 
-#[allow(unused_imports)] // doc links
-use mant_numerics::KernelDispatch;
-use mant_numerics::{kernels, tile8_len, KernelLut, TILE_ROWS};
+use mant_numerics::{kernels, tile8_len, KernelDispatch, KernelLut, TILE_ROWS};
 
 /// Shape of a [`KvCachePool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1174,10 +1172,7 @@ impl RunAttention {
     /// |---|---|---|---|---|---|
     /// | ratio | 0.71–0.75 | 0.71–0.95 | 1.09–1.16 | 1.22–1.32 | 1.47–1.56 |
     ///
-    /// Three rows lose to three block-swept queries, four win. This is its
-    /// own break-even, not the GEMM tier's
-    /// [`DECODE_ONCE_MIN_BATCH`](crate::fused::DECODE_ONCE_MIN_BATCH) (28):
-    /// the per-query path it is measured against sweeps blocks, not rows.
+    /// Three rows lose to three block-swept queries, four win.
     pub const MIN_ROWS: usize = 4;
 
     /// Quantizes the run's queries and scores them against every K row
@@ -1471,6 +1466,32 @@ impl RunAttention {
             }
         }
         out
+    }
+}
+
+/// Decodes one row of an eight-row tile for
+/// [`KernelDispatch::dot_tile8_scaled`]: `packed` holds the row's groups
+/// back to back, `groups` yields each group's decode table and metadata,
+/// the i16 operands land in `row` and the scales in lane `lane` of
+/// `scales`. A row is a cached K row or a channel of a V window.
+fn decode_tile_row<'a>(
+    d: KernelDispatch,
+    packed: &[u8],
+    group_size: usize,
+    groups: impl Iterator<Item = (&'a KernelLut, &'a GroupMeta)>,
+    lane: usize,
+    row: &mut [i16],
+    scales: &mut [[f64; TILE_ROWS]],
+) {
+    let gb = group_size.div_ceil(2);
+    for (g, (lut, meta)) in groups.enumerate() {
+        d.decode_packed_i16(
+            &packed[g * gb..(g + 1) * gb],
+            group_size,
+            lut,
+            &mut row[g * group_size..(g + 1) * group_size],
+        );
+        scales[g][lane] = f64::from(meta.scale);
     }
 }
 

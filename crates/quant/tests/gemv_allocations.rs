@@ -2,16 +2,14 @@
 //! model's projection shapes, `mant_gemv` makes one heap allocation (the
 //! output vector) and `mant_gemv_batch` of up to four members makes one
 //! per member plus the outer vector, once the calling thread's scratch has
-//! grown. That holds wherever the batch takes the row sweep: up to four
-//! members on AVX2, up to two on the scalar tier, whose decode-once tile
-//! starts at three. Counted by a global allocator that tallies each
-//! thread's allocations, so the test harness's other threads do not
-//! interfere.
+//! grown. Every tier's row sweep holds its working set in that scratch or
+//! on the stack, the scalar arm's decoded group included. Counted by a
+//! global allocator that tallies each thread's allocations, so the test
+//! harness's other threads do not interfere.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mant_numerics::{kernels, KernelDispatch};
 use mant_quant::{mant_gemv, mant_gemv_batch, quantize_vector_int8, MantWeightQuantizer};
 use mant_tensor::TensorGenerator;
 
@@ -78,17 +76,12 @@ fn decode_sized_gemv_allocates_only_its_outputs() {
                 quantize_vector_int8(&x, 64).unwrap()
             })
             .collect();
-        let swept = if kernels() == KernelDispatch::Avx2 {
-            4
-        } else {
-            2
-        };
         // The first call grows this thread's scratch.
-        mant_gemv_batch(&xs[..swept], &wq).unwrap();
+        mant_gemv_batch(&xs, &wq).unwrap();
         let (count, y) = allocations(|| mant_gemv(&xs[0], &wq).unwrap());
         assert_eq!(count, 1, "{n}x{k} GEMV");
         drop(y);
-        for m in 1..=swept {
+        for m in 1..=xs.len() {
             let (count, ys) = allocations(|| mant_gemv_batch(&xs[..m], &wq).unwrap());
             assert_eq!(count, m + 1, "{n}x{k} batch of {m}");
             drop(ys);

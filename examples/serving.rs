@@ -134,8 +134,8 @@ fn main() {
 
     // Speculative decoding: a one-layer draft model proposes draft_k
     // candidates per round and the target confirms them in a single
-    // batched verify pass — the multi-row GEMM shape the decode-once
-    // kernels amortize — so decode-phase sequences emit several tokens
+    // batched verify pass — the multi-row GEMM shape the row sweep
+    // amortizes — so decode-phase sequences emit several tokens
     // per target pass. Greedy outputs must not move by a byte.
     let (target, draft) = synthesize_speculative_pair(
         &config,
