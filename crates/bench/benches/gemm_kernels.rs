@@ -117,17 +117,36 @@ fn time_best_pair(iters: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f6
     (a, b)
 }
 
-/// Alternating pairs behind each attention-tail floor.
+/// Alternating runs behind each asserted ratio.
 const FLOOR_PAIRS: usize = 5;
 
-/// [`FLOOR_PAIRS`] runs of [`time_best_pair`]; returns the run whose ratio
+/// [`FLOOR_PAIRS`] runs of [`time_best_alternating`]; returns the runs.
+fn time_alternating_runs<const N: usize>(
+    iters: usize,
+    mut fs: [&mut dyn FnMut(); N],
+) -> Vec<[f64; N]> {
+    (0..FLOOR_PAIRS)
+        .map(|_| {
+            let fs = fs.each_mut().map(|f| f as &mut dyn FnMut());
+            time_best_alternating(iters, fs)
+        })
+        .collect()
+}
+
+/// The median of `value` over `runs`.
+fn median_of<T>(runs: &[T], value: impl Fn(&T) -> f64) -> f64 {
+    let mut values: Vec<f64> = runs.iter().map(value).collect();
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// [`time_alternating_runs`] of two variants; returns the run whose ratio
 /// `g / f` is the median of the runs'.
 fn time_median_pair(iters: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, f64) {
-    let mut runs: Vec<(f64, f64)> = (0..FLOOR_PAIRS)
-        .map(|_| time_best_pair(iters, &mut f, &mut g))
-        .collect();
-    runs.sort_by(|x, y| (x.1 / x.0).total_cmp(&(y.1 / y.0)));
-    runs[FLOOR_PAIRS / 2]
+    let mut runs = time_alternating_runs(iters, [&mut f, &mut g]);
+    runs.sort_by(|x, y| (x[1] / x[0]).total_cmp(&(y[1] / y[0])));
+    let [a, b] = runs[FLOOR_PAIRS / 2];
+    (a, b)
 }
 
 /// The softmax every attention path ran before the kernel: libm `expf`
@@ -417,7 +436,7 @@ fn decode_shaped(gen: &mut TensorGenerator) -> (String, f64, f64) {
                 quantize_vector_int8(&x, G).expect("valid group size")
             })
             .collect();
-        let (t_pair, t_two) = time_best_pair(
+        let (t_pair, t_two) = time_median_pair(
             20,
             || {
                 black_box(mant_gemv_batch(black_box(&xs), black_box(&wq)).expect("shapes"));
@@ -556,8 +575,9 @@ fn bench_gemm_kernels(c: &mut Criterion) {
         tier.name()
     );
 
-    // The three GEMVs in one alternating loop: their ratios are asserted.
-    let [t_gemv_simd, t_gemv_packed, t_gemv_scalar] = time_best_alternating(
+    // The three GEMVs in one alternating loop, FLOOR_PAIRS times: each
+    // asserted ratio is its median over the runs.
+    let gemv_runs = time_alternating_runs(
         20,
         [
             &mut || {
@@ -671,9 +691,11 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     let (tail_json, [softmax_benign, softmax_prefill, softmax_prefill_scalar, attn_speedup]) =
         attention_tail();
 
-    let gemv_packed_speedup = t_gemv_scalar / t_gemv_packed;
-    let gemv_simd_speedup = t_gemv_packed / t_gemv_simd;
-    let gemv_total_speedup = t_gemv_scalar / t_gemv_simd;
+    let gemv_packed_speedup = median_of(&gemv_runs, |[_, packed, scalar]| scalar / packed);
+    let gemv_simd_speedup = median_of(&gemv_runs, |[simd, packed, _]| packed / simd);
+    let gemv_total_speedup = median_of(&gemv_runs, |[simd, _, scalar]| scalar / simd);
+    let [t_gemv_simd, t_gemv_packed, t_gemv_scalar] =
+        [0, 1, 2].map(|v| median_of(&gemv_runs, |run| run[v]));
     let gemm_speedup = t_gemm_scalar / t_gemm_packed;
     println!(
         "gemv {K}x{N}: unpacked {:.1} us / packed-scalar {:.1} us / {} {:.1} us \

@@ -197,7 +197,7 @@ enum RunnerKv {
     /// starts at one block a layer and [`KvCachePool::grow`]s; a block is
     /// always one V window, the smallest legal block.
     Quant {
-        pool: KvCachePool,
+        pool: Box<KvCachePool>,
         caches: Vec<PagedKvCache>,
     },
 }
@@ -374,7 +374,10 @@ impl TransformerModel {
             let caches = (0..layers)
                 .map(|_| PagedKvCache::new(&pool, kmap.clone(), vmap.clone()))
                 .collect();
-            RunnerKv::Quant { pool, caches }
+            RunnerKv::Quant {
+                pool: Box::new(pool),
+                caches,
+            }
         };
         let kv = match kv {
             KvMode::Fp16 => RunnerKv::Fp(

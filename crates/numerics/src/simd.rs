@@ -420,9 +420,11 @@ impl KernelDispatch {
     /// (`⌈group_size/2⌉` bytes each); its decode tables are
     /// `luts[r · groups + g]`, and its scales `ws(r, g)` sit in `wscales`
     /// in the kernel's own order, eight rows a block
-    /// ([`block_order_scales`]) — both resolved by the caller once for the
-    /// whole sweep. Member `j` is `xcodes[j]` (`groups · group_size` INT8
-    /// codes, read where they lie) with scales `xscales[j · groups..]`.
+    /// ([`block_order_scales`]) — both laid out by the caller once, where
+    /// the rows are written (a weight matrix at quantization, the KV pool
+    /// as a K row is pushed or a V window commits). Member `j` is
+    /// `xcodes[j]` (`groups · group_size` INT8 codes, read where they lie)
+    /// with scales `xscales[j · groups..]`.
     /// For member `j`, row `r` and every group `g` in ascending order,
     ///
     /// ```text

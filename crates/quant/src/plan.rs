@@ -7,10 +7,10 @@
 //! on the group's [`GroupDtype`] — and there are at most 129 of those
 //! (128 MANT coefficients plus INT4) — so the tables are built **once per
 //! process** and shared by every consumer: weight matrices cache one
-//! `&'static` table per group in their decode plan, while the streaming
-//! K/V caches and the paged pool resolve a group's table from its
-//! metadata at use time in O(1). Nothing ever rebuilds a table per token,
-//! per batch row, or per sequence.
+//! `&'static` table per group in their decode plan, and the paged KV pool
+//! files one per K group and V channel in its sweep index as the group is
+//! written. Nothing ever rebuilds a table per token, per batch row, or
+//! per sequence.
 
 use std::sync::OnceLock;
 
@@ -46,8 +46,8 @@ pub fn kernel_table(dtype: GroupDtype) -> &'static KernelLut {
 }
 
 /// [`kernel_table`] with the store's first-use check paid once: the
-/// returned lookup is a plain index, for loops that resolve a block's or a
-/// window's groups in one go.
+/// returned lookup is a plain index, for loops that resolve a K row's or a
+/// V window's groups in one go as the pool writes them.
 pub(crate) fn kernel_table_lookup() -> impl Fn(GroupDtype) -> &'static KernelLut {
     let tables = tables();
     move |dtype| &tables[dtype_key(dtype)]

@@ -18,6 +18,16 @@
 //!   written when the per-sequence INT8 process window (which lives in the
 //!   [`PagedKvCache`] view, not the arena) commits.
 //!
+//! Beside each side's codes and metadata a block carries a **sweep index**,
+//! written in the same store: every K group's and V channel's interned
+//! decode table and f32 scale, laid out for
+//! [`KernelDispatch::dot_packed_rows_scaled`] — K `[group][slot]`, V per
+//! window in channel order, each scale run padded by spare lanes — so
+//! decode attention hands pool slices straight to the kernel and resolves
+//! nothing per call. Like a weight matrix's block-ordered scales it is an
+//! index of the metadata, not packed storage: [`KvCachePool::block_bits`]
+//! does not count it.
+//!
 //! `block_tokens` is a multiple of `group_size`, so a V window never
 //! straddles blocks. The arithmetic is [`crate::kv`]'s encode engines
 //! (`encode_k_row_into`, `VStaging`, `attend_window`); this module decides
@@ -49,7 +59,9 @@ use mant_tensor::Matrix;
 use crate::activation::{quantize_vector_int8, QuantizedVector};
 use crate::error::QuantError;
 use crate::fused::group_dot_packed;
-use crate::kv::{attend_window, encode_k_row_into, quantize_probs_int8_into, VStaging};
+use crate::kv::{
+    attend_window, encode_k_row_into, quantize_probs_int8_into, CommittedWindow, VStaging,
+};
 use crate::mantq::{packed_code, GroupDtype, GroupMeta};
 use crate::plan::{kernel_table, kernel_table_lookup};
 use crate::variance::VarianceMap;
@@ -83,6 +95,12 @@ pub struct KvCachePool {
     v_codes: Vec<u8>,
     /// Committed V metadata, `blocks × windows_per_block × kv_dim`.
     v_meta: Vec<GroupMeta>,
+    /// K's sweep operands, one run per (block, group) of `block_tokens`
+    /// slots: `[block][group][slot]`.
+    k_index: SweepIndex,
+    /// Committed V's sweep operands, one run per (block, window) of
+    /// `kv_dim` channels: `[block][window][channel]`.
+    v_index: SweepIndex,
     /// Free block ids (LIFO: released blocks are reused first, keeping the
     /// hot working set compact).
     free: Vec<u32>,
@@ -125,6 +143,8 @@ impl KvCachePool {
             k_meta: Vec::new(),
             v_codes: Vec::new(),
             v_meta: Vec::new(),
+            k_index: SweepIndex::new(cfg.block_tokens, cfg.kv_dim / g),
+            v_index: SweepIndex::new(cfg.kv_dim, cfg.block_tokens / g),
             free: Vec::new(),
             refs: Vec::new(),
         };
@@ -132,9 +152,10 @@ impl KvCachePool {
         Ok(pool)
     }
 
-    /// Appends `extra_blocks` free blocks: the four arenas, `refs` and the
-    /// free list are extended; every live block keeps its id, refcount and
-    /// bytes. For a caller that cannot size its pool up front (the one-token
+    /// Appends `extra_blocks` free blocks: the four arenas (K and V codes
+    /// and metadata), both sweep indexes, `refs` and the free list are
+    /// extended; every live block keeps its id, refcount, bytes and index.
+    /// For a caller that cannot size its pool up front (the one-token
     /// runner); a serving pool's size *is* its admission budget.
     pub fn grow(&mut self, extra_blocks: usize) {
         let (old, blocks) = (self.cfg.blocks, self.cfg.blocks + extra_blocks);
@@ -143,6 +164,8 @@ impl KvCachePool {
         self.k_meta.resize(k_meta, GroupMeta::ZERO);
         self.v_codes.resize(v_codes, 0);
         self.v_meta.resize(v_meta, GroupMeta::ZERO);
+        self.k_index.resize(blocks);
+        self.v_index.resize(blocks);
         self.refs.resize(blocks, 0);
         // Lowest new id on top of the LIFO list.
         self.free.extend((old as u32..blocks as u32).rev());
@@ -279,7 +302,8 @@ impl KvCachePool {
     }
 
     /// Copies block `src`'s whole packed contents (K codes/meta, committed
-    /// V codes/meta) into block `dst` — the copy-on-write primitive.
+    /// V codes/meta) and both sweep indexes into block `dst` — the
+    /// copy-on-write primitive.
     fn copy_block(&mut self, src: u32, dst: u32) {
         let [k_codes, k_meta, v_codes, v_meta] = self.block_lens();
         let (s, d) = (src as usize, dst as usize);
@@ -288,6 +312,8 @@ impl KvCachePool {
         self.k_meta.copy_within(from(k_meta), d * k_meta);
         self.v_codes.copy_within(from(v_codes), d * v_codes);
         self.v_meta.copy_within(from(v_meta), d * v_meta);
+        self.k_index.copy_block(s, d);
+        self.v_index.copy_block(s, d);
     }
 
     /// Arena ranges of one token slot's K row: packed codes, metadata.
@@ -315,9 +341,17 @@ impl KvCachePool {
         )
     }
 
-    fn k_row_mut(&mut self, block: u32, slot: usize) -> (&mut [u8], &mut [GroupMeta]) {
+    /// Encodes `k` into one token slot's K row (codes and metadata) and
+    /// files each group's table and scale in the K sweep index.
+    fn write_k_row(&mut self, block: u32, slot: usize, kmap: &VarianceMap, k: &[f32]) {
         let (codes, meta) = self.k_row_at(block, slot);
-        (&mut self.k_codes[codes], &mut self.k_meta[meta])
+        let meta = &mut self.k_meta[meta];
+        encode_k_row_into(kmap, self.cfg.group_size, k, &mut self.k_codes[codes], meta);
+        let table = kernel_table_lookup();
+        for (group, m) in meta.iter().enumerate() {
+            self.k_index
+                .set(block as usize, group, slot, table(m.dtype), m.scale);
+        }
     }
 
     /// Arena ranges of one committed V window: metadata, packed codes.
@@ -332,9 +366,90 @@ impl KvCachePool {
         (&self.v_meta[meta], &self.v_codes[codes])
     }
 
-    fn v_window_mut(&mut self, block: u32, win_in_block: usize) -> (&mut [GroupMeta], &mut [u8]) {
+    /// Commits a V window's metadata and codes into the pool and files each
+    /// channel's table and scale in the V sweep index.
+    fn write_v_window(&mut self, block: u32, win_in_block: usize, window: &CommittedWindow) {
         let (meta, codes) = self.v_window_at(block, win_in_block);
-        (&mut self.v_meta[meta], &mut self.v_codes[codes])
+        self.v_meta[meta].copy_from_slice(&window.meta);
+        self.v_codes[codes].copy_from_slice(&window.codes);
+        let table = kernel_table_lookup();
+        for (chan, m) in window.meta.iter().enumerate() {
+            self.v_index
+                .set(block as usize, win_in_block, chan, table(m.dtype), m.scale);
+        }
+    }
+}
+
+/// Lanes a scale run is padded by past its end: a sweep of `n` rows reads
+/// `⌈n/8⌉·8` scales, so a slice from any entry of a run is a legal operand.
+const SPARE_LANES: usize = TILE_ROWS - 1;
+
+/// The kernel's operands beside a block's packed codes, written once with
+/// the codes: each group's interned decode table and its scale as f32, in
+/// the layout [`KernelDispatch::dot_packed_rows_scaled`] reads for a
+/// one-group sweep. A **run** is the groups one such sweep walks — one K
+/// group over a block's slots, or one V window's channels — and `runs`
+/// of them make a block. A one-group sweep reads its scales in row order
+/// padded to whole eight-row blocks, so each scale run carries
+/// [`SPARE_LANES`] spare lanes: they are read, never stored. An index of
+/// the metadata arenas, like a weight matrix's block-ordered scales: the
+/// packed accounting ([`KvCachePool::block_bits`]) does not count it.
+#[derive(Clone, Debug)]
+struct SweepIndex {
+    /// Entries of one run.
+    run: usize,
+    /// Runs per block.
+    runs: usize,
+    /// `[block][run][entry]`.
+    luts: Vec<&'static KernelLut>,
+    /// `[block][run][entry]`, each run `run + SPARE_LANES` long.
+    scales: Vec<f32>,
+}
+
+impl SweepIndex {
+    fn new(run: usize, runs: usize) -> Self {
+        SweepIndex {
+            run,
+            runs,
+            luts: Vec::new(),
+            scales: Vec::new(),
+        }
+    }
+
+    /// Sizes the index for `blocks` blocks; new entries hold the INT4
+    /// table and zero scales until written.
+    fn resize(&mut self, blocks: usize) {
+        let runs = blocks * self.runs;
+        self.luts
+            .resize(runs * self.run, kernel_table(GroupDtype::Int4));
+        self.scales.resize(runs * (self.run + SPARE_LANES), 0.0);
+    }
+
+    fn copy_block(&mut self, src: usize, dst: usize) {
+        let luts = self.runs * self.run;
+        let scales = self.runs * (self.run + SPARE_LANES);
+        self.luts
+            .copy_within(src * luts..(src + 1) * luts, dst * luts);
+        self.scales
+            .copy_within(src * scales..(src + 1) * scales, dst * scales);
+    }
+
+    fn set(&mut self, block: usize, run: usize, entry: usize, lut: &'static KernelLut, scale: f32) {
+        let at = block * self.runs + run;
+        self.luts[at * self.run + entry] = lut;
+        self.scales[at * (self.run + SPARE_LANES) + entry] = scale;
+    }
+
+    /// Tables and scales of entries `entries` of one run: the `luts` and
+    /// `wscales` of a one-group sweep over those rows.
+    fn operands(&self, block: u32, run: usize, entries: Range<usize>) -> (&[&KernelLut], &[f32]) {
+        let at = block as usize * self.runs + run;
+        let lanes = entries.len().div_ceil(TILE_ROWS) * TILE_ROWS;
+        let scales = at * (self.run + SPARE_LANES) + entries.start;
+        (
+            &self.luts[at * self.run..][entries],
+            &self.scales[scales..scales + lanes],
+        )
     }
 }
 
@@ -577,8 +692,7 @@ impl PagedKvCache {
         } else {
             self.make_private(pool, self.rows / bt);
         }
-        let (codes, meta) = pool.k_row_mut(self.blocks[self.rows / bt], self.rows % bt);
-        encode_k_row_into(&self.kmap, self.staging.group_size, k, codes, meta);
+        pool.write_k_row(self.blocks[self.rows / bt], self.rows % bt, &self.kmap, k);
         if let Some(window) = self.staging.push(v) {
             let g = self.staging.group_size;
             let win_token = self.committed_windows * g;
@@ -594,10 +708,7 @@ impl PagedKvCache {
                 1,
                 "committing into a shared block"
             );
-            let (vmeta, vcodes) =
-                pool.v_window_mut(self.blocks[win_token / bt], (win_token % bt) / g);
-            vmeta.copy_from_slice(&window.meta);
-            vcodes.copy_from_slice(&window.codes);
+            pool.write_v_window(self.blocks[win_token / bt], (win_token % bt) / g, &window);
             self.committed_windows += 1;
         }
         self.rows += 1;
@@ -666,14 +777,18 @@ impl PagedKvCache {
     }
 
     /// Scores query heads against cached K rows `rows` of one KV head (its
-    /// `gph` groups from key group `k_lo`), one
-    /// [`KernelDispatch::dot_packed_rows_scaled`] call per pool block: the
-    /// block's tables and scales are resolved once, and every query head
-    /// of `xcodes` (INT8, `gph · group_size` codes each; f64 group scales
-    /// `xscales`) is a member of the call — the GQA heads sharing the KV
-    /// head. `emit(member, t0, sums)` receives each block's sums for rows
-    /// `t0..t0 + sums.len()`: the f64 value [`PagedKvCache::fused_dot`]
-    /// rounds to f32, bit for bit.
+    /// `gph` groups from key group `k_lo`), per pool block one
+    /// [`KernelDispatch::dot_packed_rows_scaled`] call per group, in
+    /// ascending order onto the same accumulators: the block's tables and
+    /// scales are the pool's K index, read in place, and every query head
+    /// of `xcodes` is a member of the call — the GQA heads sharing the KV
+    /// head. `xcodes` and `xscales` hold, group by group, each member's
+    /// `group_size` INT8 codes and f64 scale of that group
+    /// ([`sweep_members`]' order). `emit(member, t0, sums)` receives each
+    /// block's sums for rows `t0..t0 + sums.len()`: the f64 value
+    /// [`PagedKvCache::fused_dot`] rounds to f32, bit for bit (one call per
+    /// group adds the same terms to the same chain as one call over all of
+    /// them).
     #[allow(clippy::too_many_arguments)] // one sweep's operands
     fn score_rows(
         &self,
@@ -691,26 +806,31 @@ impl PagedKvCache {
             pool.group_bytes(),
             pool.cfg.block_tokens,
         );
-        let gpr = pool.cfg.kv_dim / g;
-        let members = xcodes.len();
+        let members = xcodes.len() / gph;
         let mut t0 = rows.start;
         while t0 < rows.end {
-            let slot = t0 % bt;
+            let (block, slot) = (self.blocks[t0 / bt], t0 % bt);
             let n = (bt - slot).min(rows.end - t0);
-            let (codes, meta) = pool.k_rows(self.blocks[t0 / bt], slot..slot + n);
-            sweep.resolve(meta, (gpr, k_lo, gph), members * n, 0.0);
-            kernels().dot_packed_rows_scaled(
-                &codes[k_lo * gb..],
-                pool.k_row_bytes(),
-                g,
-                gph,
-                &sweep.luts,
-                &sweep.scales,
-                xcodes,
-                xscales,
-                &mut sweep.accs,
-            );
-            for (j, sums) in sweep.accs.chunks_exact(n).enumerate() {
+            let (codes, _) = pool.k_rows(block, slot..slot + n);
+            let accs = sweep.reset(members * n, 0.0);
+            let per_group = xcodes
+                .chunks_exact(members)
+                .zip(xscales.chunks_exact(members));
+            for (k, (x, xs)) in (k_lo..).zip(per_group) {
+                let (luts, scales) = pool.k_index.operands(block, k, slot..slot + n);
+                kernels().dot_packed_rows_scaled(
+                    &codes[k * gb..],
+                    pool.k_row_bytes(),
+                    g,
+                    1,
+                    luts,
+                    scales,
+                    x,
+                    xs,
+                    accs,
+                );
+            }
+            for (j, sums) in accs.chunks_exact(n).enumerate() {
                 emit(j, t0, sums);
             }
             t0 += n;
@@ -763,20 +883,20 @@ impl PagedKvCache {
     ) {
         let (g, gb) = (self.staging.group_size, pool.group_bytes());
         let chans = chan_lo..chan_lo + out.len();
-        let staged = self.each_window(pool, probs, p8, chans.clone(), |win| {
-            sweep.resolve(&win.meta[chans.clone()], (1, 0, 1), chans.len(), -0.0);
+        let staged = self.each_window(pool, probs, p8, chans, |win| {
+            let accs = sweep.reset(out.len(), -0.0);
             kernels().dot_packed_rows_scaled(
                 &win.codes[chan_lo * gb..],
                 gb,
                 g,
                 1,
-                &sweep.luts,
-                &sweep.scales,
+                win.luts,
+                win.scales,
                 &[win.pcodes],
                 &[f64::from(win.pscale)],
-                &mut sweep.accs,
+                accs,
             );
-            for (o, &term) in out.iter_mut().zip(&sweep.accs) {
+            for (o, &term) in out.iter_mut().zip(accs.iter()) {
                 *o += term as f32;
             }
         });
@@ -786,7 +906,8 @@ impl PagedKvCache {
     /// The committed-window half of `P·V`: checks the shapes, then hands
     /// `each` every committed window whose probabilities are not all zero,
     /// in ascending order, with those probabilities quantized to INT8 in
-    /// `p8`. Returns the staged rows' probabilities.
+    /// `p8` and the V index's operands of channels `chans`. Returns the
+    /// staged rows' probabilities.
     fn each_window<'p>(
         &self,
         pool: &KvCachePool,
@@ -804,11 +925,14 @@ impl PagedKvCache {
             let Some(pscale) = quantize_probs_int8_into(window_probs, &mut p8[..g]) else {
                 continue;
             };
-            let win_token = w * g;
-            let (meta, codes) = pool.v_window(self.blocks[win_token / bt], (win_token % bt) / g);
+            let (block, win) = (self.blocks[w * g / bt], (w * g % bt) / g);
+            let (meta, codes) = pool.v_window(block, win);
+            let (luts, scales) = pool.v_index.operands(block, win, chans.clone());
             each(WindowOperands {
                 meta,
                 codes,
+                luts,
+                scales,
                 pcodes: &p8[..g],
                 pscale,
             });
@@ -882,57 +1006,47 @@ impl PagedKvCache {
 }
 
 /// One committed V window as the `P·V` paths read it: per-channel metadata
-/// and channel-major packed codes from the pool, and the window's
-/// probabilities quantized to INT8.
+/// and channel-major packed codes from the pool, the V index's tables and
+/// scales of the channels asked for, and the window's probabilities
+/// quantized to INT8.
 struct WindowOperands<'a> {
     meta: &'a [GroupMeta],
     codes: &'a [u8],
+    luts: &'a [&'a KernelLut],
+    scales: &'a [f32],
     pcodes: &'a [i8],
     pscale: f32,
 }
 
-/// Scratch of the decode-attention sweep
-/// ([`KernelDispatch::dot_packed_rows_scaled`]): the swept rows' decode
-/// tables and scales, resolved once per pool block (K) or window (V), and
-/// the kernel's accumulators. Reused across blocks, windows and heads.
+/// The decode-attention sweep's accumulators
+/// ([`KernelDispatch::dot_packed_rows_scaled`]), reused across blocks,
+/// windows and heads.
 #[derive(Default)]
 struct RowSweep {
-    luts: Vec<&'static KernelLut>,
-    scales: Vec<f32>,
     accs: Vec<f64>,
 }
 
 impl RowSweep {
-    /// Resolves the swept groups — from each row of `row_len` entries of
-    /// `meta`, the `per_row` groups from `lo` on — to their interned
-    /// tables, row-major, and their scales in the kernel's block order
-    /// ([`mant_numerics::block_order_scales`]' layout; with one group a
-    /// row, row order padded to whole blocks), in one pass. The spare
-    /// lanes of a short last block keep whatever they held: the kernel
-    /// never stores those lanes. Sets `accs` accumulators to `start`.
-    fn resolve(
-        &mut self,
-        meta: &[GroupMeta],
-        (row_len, lo, per_row): (usize, usize, usize),
-        accs: usize,
-        start: f64,
-    ) {
-        let table = kernel_table_lookup();
-        let rows = meta.len() / row_len;
-        self.luts.resize(rows * per_row, table(GroupDtype::Int4));
-        self.scales
-            .resize(rows.div_ceil(TILE_ROWS) * per_row * TILE_ROWS, 0.0);
-        let dst = self.luts.chunks_exact_mut(per_row);
-        for (r, (row, luts)) in meta.chunks_exact(row_len).zip(dst).enumerate() {
-            let block = &mut self.scales[r / TILE_ROWS * per_row * TILE_ROWS..];
-            for (g, (m, l)) in row[lo..lo + per_row].iter().zip(luts).enumerate() {
-                *l = table(m.dtype);
-                block[g * TILE_ROWS + r % TILE_ROWS] = m.scale;
-            }
-        }
+    /// `len` accumulators, each set to `start`.
+    fn reset(&mut self, len: usize, start: f64) -> &mut [f64] {
         self.accs.clear();
-        self.accs.resize(accs, start);
+        self.accs.resize(len, start);
+        &mut self.accs
     }
+}
+
+/// One query's INT8 group codes and f64 group scales in the order
+/// [`PagedKvCache::score_rows`] takes them: per KV head, group by group of
+/// the head, that KV head's query heads (adjacent in the query). A KV
+/// head's operands are then one contiguous slice of each.
+fn sweep_members(qv: &QuantizedVector, kv_heads: usize, gph: usize) -> (Vec<&[i8]>, Vec<f64>) {
+    let per_kv = qv.groups() / gph / kv_heads;
+    let order = (0..kv_heads).flat_map(|kv_head| {
+        (0..gph).flat_map(move |k| (0..per_kv).map(move |j| (kv_head * per_kv + j) * gph + k))
+    });
+    let codes = order.clone().map(|i| qv.group_codes(i)).collect();
+    let scales = order.map(|i| f64::from(qv.scale(i))).collect();
+    (codes, scales)
 }
 
 /// The shape contract of paged attention, checked once per call; returns
@@ -970,13 +1084,14 @@ fn check_attention_shapes(
 /// (GQA).
 ///
 /// The cache is swept a block at a time, not a row at a time: per KV head
-/// and pool block one [`KernelDispatch::dot_packed_rows_scaled`] call
-/// scores the block's K rows for every query head of that KV head, and per
-/// head and committed window one call takes the head's channels of `P·V`.
-/// The block lookup, the decode tables and the dispatch are paid per block
-/// or window, the epilogue runs in vector lanes. Bit for bit the per-row
-/// references: a score is [`PagedKvCache::fused_dot`]` · 1/√head_dim`, and
-/// `P·V` is [`PagedKvCache::attend`].
+/// and pool block one [`KernelDispatch::dot_packed_rows_scaled`] call per
+/// group of the head scores the block's K rows for every query head of
+/// that KV head, and per head and committed window one call takes the
+/// head's channels of `P·V`. The block lookup and the dispatch are paid
+/// per block or window, the decode tables and scales are the pool's sweep
+/// index read in place, and the epilogue runs in vector lanes. Bit for bit
+/// the per-row references: a score is [`PagedKvCache::fused_dot`]` ·
+/// 1/√head_dim`, and `P·V` is [`PagedKvCache::attend`].
 ///
 /// # Panics
 ///
@@ -995,7 +1110,7 @@ pub fn attention_incremental_paged(
     let per_kv = heads / kv_heads;
     let gph = head_dim / g;
     let qv = quantize_vector_int8(q, g).expect("group divides head dim, hence q length");
-    let q_scales: Vec<f64> = (0..qv.groups()).map(|j| f64::from(qv.scale(j))).collect();
+    let (member_codes, member_scales) = sweep_members(&qv, kv_heads, gph);
     let scale = 1.0 / (head_dim as f32).sqrt();
     let len = cache.len();
     let mut out = vec![0.0f32; heads * head_dim];
@@ -1003,18 +1118,17 @@ pub fn attention_incremental_paged(
     let mut scores = vec![0.0f32; per_kv * len];
     let mut p8 = vec![0i8; g];
     let mut sweep = RowSweep::default();
-    let head_codes: Vec<&[i8]> = qv.codes().chunks_exact(head_dim).collect();
     for kv_head in 0..kv_heads {
         // A KV head's query heads are adjacent.
         let heads_of = kv_head * per_kv..(kv_head + 1) * per_kv;
-        let xscales = &q_scales[heads_of.start * gph..heads_of.end * gph];
+        let members = heads_of.start * gph..heads_of.end * gph;
         cache.score_rows(
             pool,
             0..len,
             kv_head * gph,
             gph,
-            &head_codes[heads_of.clone()],
-            xscales,
+            &member_codes[members.clone()],
+            &member_scales[members],
             &mut sweep,
             |j, t0, sums| {
                 for (s, &a) in scores[j * len + t0..].iter_mut().zip(sums) {
@@ -1100,8 +1214,8 @@ pub fn attention_f32(
 /// tiles are swept: `tiled_rows` is a multiple of eight, the rows past it
 /// (at most eight, the just-pushed one included) are scored for each query
 /// as [`attention_incremental_paged`] scores a block — one
-/// [`KernelDispatch::dot_packed_rows_scaled`] call per KV head, every
-/// query head sharing it a member — and a head's ragged last channel tile
+/// [`KernelDispatch::dot_packed_rows_scaled`] call per KV head and group,
+/// every query head sharing it a member — and a head's ragged last channel tile
 /// repeats its last channel in the spare lanes, which are dropped.
 /// Only the INT8 staging window is mutable — a later row can widen a
 /// channel scale and re-encode it — so its share of `P·V` is taken the
@@ -1321,7 +1435,6 @@ impl RunAttention {
             kv_heads,
             head_dim,
             ref qv,
-            ref q_scales,
             ref mut probs,
             ref mut tails,
             ref mut p8,
@@ -1334,16 +1447,18 @@ impl RunAttention {
         let scale = 1.0 / (head_dim as f32).sqrt();
         let staged_from = cache.committed_windows * g;
         // The rows no tile covered yet, swept for this row's query heads.
-        let head_codes: Vec<&[i8]> = qv[row].codes().chunks_exact(head_dim).collect();
-        for (kv_head, codes) in head_codes.chunks_exact(per_kv).enumerate() {
-            let at = (kv_head * qv.len() + row) * per_kv;
+        let (member_codes, member_scales) = sweep_members(&qv[row], kv_heads, gph);
+        let per_group = member_codes
+            .chunks_exact(per_kv * gph)
+            .zip(member_scales.chunks_exact(per_kv * gph));
+        for (kv_head, (codes, xscales)) in per_group.enumerate() {
             cache.score_rows(
                 pool,
                 tiled_rows..rows_now,
                 kv_head * gph,
                 gph,
                 codes,
-                &q_scales[at * gph..(at + per_kv) * gph],
+                xscales,
                 sweep,
                 |j, t0, sums| {
                     let member = row * heads + kv_head * per_kv + j;

@@ -1,9 +1,10 @@
 //! Property-based tests for the quantization framework.
 
+use mant_numerics::kernels;
 use mant_quant::{
-    dequant_then_gemv, mant_gemm, mant_gemv, quantize_activations_int8, quantize_vector_int8,
-    CandidateSet, KvCachePool, MantQuantizedMatrix, MantWeightQuantizer, PagedKvCache, PoolConfig,
-    VarianceMap,
+    attention_incremental_paged, dequant_then_gemv, mant_gemm, mant_gemv,
+    quantize_activations_int8, quantize_vector_int8, CandidateSet, KvCachePool,
+    MantQuantizedMatrix, MantWeightQuantizer, PagedKvCache, PoolConfig, VarianceMap,
 };
 use mant_tensor::Matrix;
 use proptest::prelude::*;
@@ -197,6 +198,37 @@ proptest! {
 /// The allocator invariant the refcounted pool must hold at every moment:
 /// every block is either on the free list or held by at least one view,
 /// never both, never neither.
+/// Decode attention over `cache` ([`attention_incremental_paged`], which
+/// reads the pool's sweep index) equals its per-row references bit for bit:
+/// per head, `fused_dot` per cached row (which reads the metadata arena),
+/// the softmax kernel, then `attend`. The query is drawn from `seed`.
+fn assert_attention_matches_per_row(
+    cache: &PagedKvCache,
+    pool: &KvCachePool,
+    (heads, kv_heads, head_dim): (usize, usize, usize),
+    seed: u64,
+) {
+    let mut gen = mant_tensor::TensorGenerator::new(seed);
+    let q: Vec<f32> = (0..heads * head_dim)
+        .map(|_| 4.0 * gen.standard_normal())
+        .collect();
+    let got = attention_incremental_paged(&q, cache, pool, heads, kv_heads, head_dim);
+    let g = cache.group_size();
+    let (gph, scale) = (head_dim / g, 1.0 / (head_dim as f32).sqrt());
+    let qv = quantize_vector_int8(&q, g).unwrap();
+    let mut want = vec![0.0f32; heads * head_dim];
+    for (h, o) in want.chunks_exact_mut(head_dim).enumerate() {
+        let kv_head = h / (heads / kv_heads);
+        let mut scores: Vec<f32> = (0..cache.len())
+            .map(|t| cache.fused_dot(pool, t, &qv, h * gph, kv_head * gph, gph) * scale)
+            .collect();
+        kernels().softmax(&mut scores);
+        cache.attend(pool, &scores, kv_head * head_dim, o);
+    }
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got), bits(&want), "after {} rows", cache.len());
+}
+
 fn assert_pool_invariant(pool: &KvCachePool, views: &[PagedKvCache]) {
     let refcounted = (0..pool.total_blocks() as u32)
         .filter(|&b| pool.refcount(b) > 0)
@@ -219,13 +251,16 @@ fn assert_pool_invariant(pool: &KvCachePool, views: &[PagedKvCache]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Alloc/free churn under random join / push / fork / leave never
-    /// leaks or double-frees a block: `free + #{refcount > 0} == capacity`
-    /// after every operation, and releasing every survivor empties the
-    /// pool completely.
+    /// Alloc/free churn under random join / push / fork / leave / grow
+    /// never leaks or double-frees a block: `free + #{refcount > 0} ==
+    /// capacity` after every operation, and releasing every survivor
+    /// empties the pool completely. After every push — into a fork's
+    /// shared partial block, into a reused released block, into a grown
+    /// pool — decode attention over the pushed view (two groups per head)
+    /// equals the per-row references.
     #[test]
     fn pool_churn_never_leaks_blocks(
-        ops in proptest::collection::vec((0usize..4, 0usize..8, 1usize..20), 60),
+        ops in proptest::collection::vec((0usize..5, 0usize..8, 1usize..20), 60),
     ) {
         let vmap = VarianceMap::analytic(&CandidateSet::paper()).unwrap();
         let pool_cfg = PoolConfig { kv_dim: 16, group_size: 8, block_tokens: 8, blocks: 12 };
@@ -250,6 +285,9 @@ proptest! {
                             break; // exhaustion is legal; state must stay consistent
                         }
                     }
+                    if !v.is_empty() {
+                        assert_attention_matches_per_row(v, &pool, (2, 1, 16), stamp as u64);
+                    }
                 }
                 // Fork: share every block copy-on-write.
                 2 if !views.is_empty() && views.len() < 6 => {
@@ -262,6 +300,8 @@ proptest! {
                     views[i].release(&mut pool);
                     views.remove(i);
                 }
+                // Grow: live and shared blocks keep their ids and bytes.
+                4 if pool.total_blocks() < 16 => pool.grow(1 + pick % 2),
                 _ => {}
             }
             assert_pool_invariant(&pool, &views);
@@ -304,7 +344,14 @@ proptest! {
             if t < b_rows {
                 b.push(&mut pool, b_tail.row(t), b_tail.row(t)).unwrap();
             }
+            // The first pushes land in the still-shared partial block.
+            if t < 2 {
+                assert_attention_matches_per_row(&a, &pool, (4, 4, 8), seed + t as u64);
+                assert_attention_matches_per_row(&b, &pool, (8, 4, 8), seed + t as u64);
+            }
         }
+        assert_attention_matches_per_row(&a, &pool, (4, 4, 8), seed);
+        assert_attention_matches_per_row(&b, &pool, (8, 4, 8), seed);
         for (view, tail, rows) in [(&a, &a_tail, a_rows), (&b, &b_tail, b_rows)] {
             let (mut alone_pool, mut alone) = one_block_cache(32, 8, 64);
             let stream = (0..prefix_rows)
@@ -330,6 +377,11 @@ proptest! {
     /// as both caches keep pushing (the replayed staging scales/stats
     /// drive the next commit exactly). The surviving parent is never
     /// perturbed, and no block leaks.
+    ///
+    /// Half the cases run a second geometry, three groups of 4 to a
+    /// 12-wide head and 12-token blocks (neither a multiple of the
+    /// kernel's eight lanes). Decode attention over the truncated child
+    /// and over it pushed on equals the per-row references.
     #[test]
     fn truncate_on_forked_cache_matches_fresh_replay(
         prefix_rows in 1usize..40,
@@ -337,14 +389,19 @@ proptest! {
         cut_back in 0usize..24,
         continue_rows in 0usize..20,
         seed in 0u64..500,
+        geometry in 0usize..2,
     ) {
         let vmap = VarianceMap::analytic(&CandidateSet::paper()).unwrap();
         let mut gen = mant_tensor::TensorGenerator::new(seed ^ 0xa11);
-        let pool_cfg = PoolConfig { kv_dim: 32, group_size: 8, block_tokens: 16, blocks: 24 };
+        // (pool, (heads, kv_heads, head_dim)).
+        let (pool_cfg, shape) = [
+            (PoolConfig { kv_dim: 32, group_size: 8, block_tokens: 16, blocks: 24 }, (4, 2, 16)),
+            (PoolConfig { kv_dim: 36, group_size: 4, block_tokens: 12, blocks: 32 }, (6, 3, 12)),
+        ][geometry];
         let mut pool = KvCachePool::new(pool_cfg).unwrap();
-        let g = pool_cfg.group_size;
+        let (dim, g) = (pool_cfg.kv_dim, pool_cfg.group_size);
         let total = prefix_rows + extra_rows + continue_rows;
-        let data = gen.group_diverse_matrix(total.max(1), 32, 8, 0.5);
+        let data = gen.group_diverse_matrix(total.max(1), dim, g, 0.5);
 
         let mut parent = PagedKvCache::new(&pool, vmap.clone(), vmap.clone());
         for t in 0..prefix_rows {
@@ -373,6 +430,9 @@ proptest! {
         let (child_v, fresh_v) = (child.dequantize_v(&pool), fresh.dequantize_v(&pool));
         prop_assert_eq!(child_k.as_slice(), fresh_k.as_slice());
         prop_assert_eq!(child_v.as_slice(), fresh_v.as_slice());
+        if len > 0 {
+            assert_attention_matches_per_row(&child, &pool, shape, seed);
+        }
         // Staging-region cuts replay exactly: continuing both caches on
         // identical rows (through further commits) stays bit-identical.
         if len >= committed_len {
@@ -380,6 +440,9 @@ proptest! {
                 let row = data.row(prefix_rows + extra_rows + t);
                 child.push(&mut pool, row, row).unwrap();
                 fresh.push(&mut pool, row, row).unwrap();
+            }
+            if !child.is_empty() {
+                assert_attention_matches_per_row(&child, &pool, shape, seed + 1);
             }
             let (child_k, fresh_k) = (child.dequantize_k(&pool), fresh.dequantize_k(&pool));
             let (child_v, fresh_v) = (child.dequantize_v(&pool), fresh.dequantize_v(&pool));
