@@ -52,8 +52,14 @@
 //! is printed only. Each softmax and attention ratio is the median of five
 //! alternating best-of-8 pairs, so one slow stretch of the host on one
 //! side of one pair cannot fail a floor.
+//!
+//! Last, run attention: one `RunAttention` of 32 rows (a prefill chunk)
+//! and of 4 rows at base 448 against the same rows attended one
+//! `attention_incremental_paged` call each, pushes included, outputs
+//! asserted bit-identical; the median pair is printed, with no floor.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -62,8 +68,8 @@ use mant_numerics::{kernels, KernelDispatch, TiledF32, EXP_FLOOR};
 use mant_quant::{
     attention_incremental_paged, dequant_then_gemm, mant_gemm, mant_gemv, mant_gemv_batch,
     mant_gemv_scalar, mant_gemv_with, quantize_activations_int8, quantize_vector_int8,
-    CandidateSet, KvCachePool, MantWeightQuantizer, PagedKvCache, PoolConfig, UnpackedWeights,
-    VarianceMap,
+    CandidateSet, KvCachePool, MantWeightQuantizer, PagedKvCache, PoolConfig, RunAttention,
+    UnpackedWeights, VarianceMap,
 };
 use mant_tensor::{gemm, matvec_batch, TensorGenerator};
 
@@ -418,6 +424,109 @@ fn attention_tail() -> (String, [f64; 4]) {
     (json, ratios)
 }
 
+/// The run-attention section; returns its JSON fields. One run of `rows`
+/// rows at base 448 on the serving shape (4 heads of 64, group 64, 64-token
+/// blocks) — [`RunAttention`]: push the first row, `begin`, then push and
+/// `attend_pushed` each later row, `finish` — against the same rows each
+/// pushed and attended by one [`attention_incremental_paged`] call, for 32
+/// rows (a prefill chunk) and 4. Each side forks the 448-row cache, pushes
+/// its rows and releases the fork, so the pushes and the fork are on both
+/// sides of the ratio. Outputs asserted bit-identical; the times are the
+/// median pair of [`FLOOR_PAIRS`] alternating runs, printed with no floor.
+fn run_attention(gen: &mut TensorGenerator) -> String {
+    const BASE: usize = 448;
+    let (heads, head_dim, kv_dim) = (4, 64, 256);
+    let map = VarianceMap::analytic(&CandidateSet::paper()).expect("non-empty set");
+    let keys = gen.group_diverse_matrix(BASE + 32, kv_dim, G, 0.5);
+    let values = gen.group_diverse_matrix(BASE + 32, kv_dim, G, 0.5);
+    let queries: Vec<Vec<f32>> = (0..32)
+        .map(|_| (0..kv_dim).map(|_| gen.standard_normal()).collect())
+        .collect();
+    let mut pool = KvCachePool::new(PoolConfig {
+        kv_dim,
+        group_size: G,
+        block_tokens: 64,
+        blocks: 12,
+    })
+    .expect("valid geometry");
+    let mut cache = PagedKvCache::new(&pool, map.clone(), map);
+    for r in 0..BASE {
+        cache
+            .push(&mut pool, keys.row(r), values.row(r))
+            .expect("the pool has room");
+    }
+    let pool = RefCell::new(pool);
+    let push = |fork: &mut PagedKvCache, pool: &mut KvCachePool, t: usize| {
+        fork.push(pool, keys.row(t), values.row(t))
+            .expect("the pool has room");
+    };
+    let as_run = |qs: &[Vec<f32>]| {
+        let pool = &mut *pool.borrow_mut();
+        let mut fork = cache.fork(pool);
+        push(&mut fork, pool, BASE);
+        let mut run = RunAttention::begin(qs, &fork, pool, heads, heads, head_dim);
+        for i in 1..qs.len() {
+            push(&mut fork, pool, BASE + i);
+            run.attend_pushed(i, &fork, pool);
+        }
+        let out = run.finish(&fork, pool);
+        fork.release(pool);
+        out
+    };
+    let per_query = |qs: &[Vec<f32>]| {
+        let pool = &mut *pool.borrow_mut();
+        let mut fork = cache.fork(pool);
+        let out = (0..qs.len())
+            .map(|i| {
+                push(&mut fork, pool, BASE + i);
+                attention_incremental_paged(&qs[i], &fork, pool, heads, heads, head_dim)
+            })
+            .collect::<Vec<_>>();
+        fork.release(pool);
+        out
+    };
+    let mut fields = Vec::new();
+    for rows in [32usize, 4] {
+        let qs = &queries[..rows];
+        assert_eq!(
+            bits_of_rows(&as_run(qs)),
+            bits_of_rows(&per_query(qs)),
+            "a {rows}-row run drifted from per-query attention"
+        );
+        let (t_run, t_per_query) = time_median_pair(
+            10,
+            || {
+                black_box(as_run(black_box(qs)));
+            },
+            || {
+                black_box(per_query(black_box(qs)));
+            },
+        );
+        println!(
+            "run attention at base {BASE}, {rows} rows: {:.1} us as one run vs {:.1} us as \
+             {rows} one-row calls = {:.2}x (median pair, pushes included)",
+            t_run * 1e6,
+            t_per_query * 1e6,
+            t_per_query / t_run,
+        );
+        fields.push(format!(
+            "    {{\"base\": {BASE}, \"rows\": {rows}, \"run_ns\": {:.0}, \"per_query_ns\": {:.0}, \
+             \"per_query_over_run\": {:.3}}}",
+            t_run * 1e9,
+            t_per_query * 1e9,
+            t_per_query / t_run,
+        ));
+    }
+    format!("  \"run_attention\": [\n{}\n  ],\n", fields.join(",\n"))
+}
+
+/// Every output row's f32 bits.
+fn bits_of_rows(rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
+    rows.iter()
+        .map(|r| r.iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
 /// The decode-shaped section; returns its JSON fields, the worst
 /// two-member fused sweep's time over two one-member sweeps, and the
 /// smallest tiled-LM-head speedup over the row-major `matvec_batch`.
@@ -690,6 +799,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     let (decode_json, fused2_vs_two, lm_head_speedup) = decode_shaped(&mut gen);
     let (tail_json, [softmax_benign, softmax_prefill, softmax_prefill_scalar, attn_speedup]) =
         attention_tail();
+    let run_json = run_attention(&mut gen);
 
     let gemv_packed_speedup = median_of(&gemv_runs, |[_, packed, scalar]| scalar / packed);
     let gemv_simd_speedup = median_of(&gemv_runs, |[simd, packed, _]| packed / simd);
@@ -713,7 +823,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"gemm_kernels\",\n  \"tier\": \"{}\",\n  \"shape\": {{\"m\": {GEMM_M}, \"k\": {K}, \"n\": {N}, \"group\": {G}}},\n  \"gemv_scalar_ns\": {:.0},\n  \"gemv_packed_ns\": {:.0},\n  \"gemv_simd_ns\": {:.0},\n  \"gemv_packed_speedup\": {gemv_packed_speedup:.3},\n  \"gemv_simd_speedup\": {gemv_simd_speedup:.3},\n  \"gemv_total_speedup\": {gemv_total_speedup:.3},\n  \"gemm_scalar_ns\": {:.0},\n  \"gemm_packed_ns\": {:.0},\n  \"gemm_packed_speedup\": {gemm_speedup:.3},\n  \"gemv_packed_threshold\": 1.3,\n  \"gemv_simd_threshold\": 2.0,\n  \"mac_peak_gmacs\": {mac_peak_gmacs:.2},\n  \"batch_sweep\": [\n{}\n  ],\n  \"batch32_vs_rows\": {batch32_vs_rows:.3},\n  \"batch3_vs_gemv\": {batch3_vs_gemv:.3},\n  \"batch32_threshold\": 0.75,\n  \"batch3_threshold\": 0.9,\n{decode_json}{tail_json}  \"bit_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"gemm_kernels\",\n  \"tier\": \"{}\",\n  \"shape\": {{\"m\": {GEMM_M}, \"k\": {K}, \"n\": {N}, \"group\": {G}}},\n  \"gemv_scalar_ns\": {:.0},\n  \"gemv_packed_ns\": {:.0},\n  \"gemv_simd_ns\": {:.0},\n  \"gemv_packed_speedup\": {gemv_packed_speedup:.3},\n  \"gemv_simd_speedup\": {gemv_simd_speedup:.3},\n  \"gemv_total_speedup\": {gemv_total_speedup:.3},\n  \"gemm_scalar_ns\": {:.0},\n  \"gemm_packed_ns\": {:.0},\n  \"gemm_packed_speedup\": {gemm_speedup:.3},\n  \"gemv_packed_threshold\": 1.3,\n  \"gemv_simd_threshold\": 2.0,\n  \"mac_peak_gmacs\": {mac_peak_gmacs:.2},\n  \"batch_sweep\": [\n{}\n  ],\n  \"batch32_vs_rows\": {batch32_vs_rows:.3},\n  \"batch3_vs_gemv\": {batch3_vs_gemv:.3},\n  \"batch32_threshold\": 0.75,\n  \"batch3_threshold\": 0.9,\n{decode_json}{tail_json}{run_json}  \"bit_identical\": true\n}}\n",
         tier.name(),
         t_gemv_scalar * 1e9,
         t_gemv_packed * 1e9,

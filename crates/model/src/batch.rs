@@ -12,16 +12,15 @@
 //!
 //! - linear projections run the **multi-query packed GEMM**
 //!   ([`crate::QuantizedLinear::matmul`]) over every row of every run:
-//!   each weight tile is decoded to integer operands once and swept across
-//!   all rows' INT8 activations, so a prefill chunk is matrix–matrix work
-//!   and not one GEMV per token;
+//!   one packed row sweep decodes each block of weight rows in registers
+//!   and runs it against the rows' INT8 activations, so a prefill chunk is
+//!   matrix–matrix work and not one GEMV per token;
 //! - attention runs per run over the session's pooled packed cache —
 //!   ragged context lengths batch naturally because `Q·Kᵀ`/`P·V` never
 //!   materialize a rectangular score matrix. Within a run each row is
-//!   pushed, then attends; the rows cached before the run began are swept
-//!   once for all its queries ([`mant_quant::pool::RunAttention`]), and a
-//!   run too short to pay for that attends one query at a time
-//!   ([`mant_quant::pool::attention_incremental_paged`]);
+//!   pushed, then attends; every run's live rows — one for a decode step —
+//!   take one path, [`mant_quant::pool::RunAttention`], which sweeps the
+//!   cached rows once for all its queries on the packed row sweep;
 //! - the **last layer is demand-driven**: every row's K/V projections and
 //!   cache push run, but the query projection, attention, `wo` and the FFN
 //!   run only for the rows whose logits the caller asks for
@@ -62,9 +61,7 @@
 use std::collections::HashMap;
 
 use mant_numerics::kernels;
-use mant_quant::pool::{
-    attention_incremental_paged, KvCachePool, PagedKvCache, PoolConfig, RunAttention,
-};
+use mant_quant::pool::{KvCachePool, PagedKvCache, PoolConfig, RunAttention};
 use mant_quant::{quantize_vector_int8, QuantizedVector, VarianceMap};
 use mant_tensor::ops::{gelu, rmsnorm, silu};
 
@@ -467,11 +464,12 @@ impl BatchRunner<'_> {
     /// through the sequential [`TransformerModel::packed_runner`]. Within a
     /// layer each run's rows push and attend in order, so row `i` attends
     /// over exactly the rows a sequential run would hold and every
-    /// V-window commit fires at the same row count; the cached rows a run
-    /// found when it began are swept once for all its queries
-    /// ([`RunAttention`]); a last-layer run with KV-only rows pushes them
-    /// all and attends its few live rows one query at a time. Layer-major
-    /// order changes nothing a causal transformer can observe.
+    /// V-window commit fires at the same row count. A run pushes its
+    /// KV-only rows (a last-layer run's rows without logits) first, then
+    /// its live rows attend as one [`RunAttention`], which sweeps the
+    /// cached rows once for all of them — at every run length, one row
+    /// included. Layer-major order changes nothing a causal transformer can
+    /// observe.
     ///
     /// # Panics
     ///
@@ -568,9 +566,10 @@ impl BatchRunner<'_> {
             for run in runs {
                 let rows = row0..row0 + run.tokens.len();
                 row0 = rows.end;
-                // The run's live rows are `qs[q0..q0 + live]`.
+                // The run's live rows are `rows` from `first_live` on, and
+                // their queries `qs[q0..q0 + live]`.
                 let (q0, live) = (attns.len(), live_rows(run));
-                let dead = rows.len() - live;
+                let first_live = rows.end - live;
                 let cache = &mut slots[run.id.slot].as_mut().expect("validated above").caches[li];
                 let mut push = |cache: &mut PagedKvCache, pool: &mut KvCachePool, r: usize| {
                     timed(prof, &mut t_kv, || {
@@ -582,41 +581,23 @@ impl BatchRunner<'_> {
                         }
                     });
                 };
-                if dead > 0 || live < RunAttention::MIN_ROWS {
-                    // Every row is pushed, in order; the live ones attend
-                    // right after their own push, one query at a time.
-                    for (j, r) in rows.enumerate() {
-                        push(cache, pool, r);
-                        if j >= dead {
-                            attns.push(timed(prof, &mut t_attn, || {
-                                attention_incremental_paged(
-                                    &qs[q0 + j - dead],
-                                    cache,
-                                    pool,
-                                    heads,
-                                    kv_heads,
-                                    head_dim,
-                                )
-                            }));
-                        }
-                    }
-                } else {
-                    let mut sweep = timed(prof, &mut t_attn, || {
-                        RunAttention::begin(
-                            &qs[q0..q0 + live],
-                            cache,
-                            pool,
-                            heads,
-                            kv_heads,
-                            head_dim,
-                        )
-                    });
-                    for (i, r) in rows.enumerate() {
-                        push(cache, pool, r);
-                        timed(prof, &mut t_attn, || sweep.attend_pushed(i, cache, pool));
-                    }
-                    attns.extend(timed(prof, &mut t_attn, || sweep.finish(cache, pool)));
+                // The KV-only rows are pushed first; the live rows attend
+                // as one run, each right after its own push.
+                for r in rows.start..first_live {
+                    push(cache, pool, r);
                 }
+                if live == 0 {
+                    continue;
+                }
+                push(cache, pool, first_live);
+                let mut run = timed(prof, &mut t_attn, || {
+                    RunAttention::begin(&qs[q0..q0 + live], cache, pool, heads, kv_heads, head_dim)
+                });
+                for (i, r) in (first_live..rows.end).enumerate().skip(1) {
+                    push(cache, pool, r);
+                    timed(prof, &mut t_attn, || run.attend_pushed(i, cache, pool));
+                }
+                attns.extend(timed(prof, &mut t_attn, || run.finish(cache, pool)));
             }
             if attns.is_empty() {
                 // Nothing reads this (last) layer's output.
@@ -1122,8 +1103,9 @@ mod tests {
         // random run partitions: random subsets per step, run lengths that
         // stay inside, end on and cross the 32-row blocks and 16-row V
         // windows, logits for no row (KV-only), the last row, every row, or
-        // a tail of the run shorter and longer than the run-attention
-        // break-even. After every step every logit row must equal the
+        // a random tail of the run, so runs that attend after leading
+        // KV-only rows and runs whose rows are all live both occur. After
+        // every step every logit row must equal the
         // sequential `ModelRunner`'s, and every stepped cache the one a twin
         // session reaches one token at a time. The step after the fork is
         // fixed: a KV-only run, a decode row and an all-logits run together,
@@ -1131,7 +1113,7 @@ mod tests {
         let m = TransformerModel::synthesize(&ModelConfig::sim_llama(), 70);
         let packed = m.pack_weights(64).unwrap();
         let kv = KvMode::Int4 { group: 16 };
-        let (mut mixed_steps, mut short_tails, mut long_tails) = (0, 0, 0);
+        let (mut mixed_steps, mut kv_only_led, mut all_live) = (0, 0, 0);
         for seed in 1..=4u64 {
             let mut rng = seed;
             let fork_at = 5 + next(&mut rng) % 40;
@@ -1182,11 +1164,9 @@ mod tests {
                 }
                 for &(_, len, logit_rows) in &picks {
                     if 0 < logit_rows && logit_rows < len {
-                        if logit_rows < RunAttention::MIN_ROWS {
-                            short_tails += 1;
-                        } else {
-                            long_tails += 1;
-                        }
+                        kv_only_led += 1;
+                    } else if logit_rows == len {
+                        all_live += 1;
                     }
                 }
                 let runs: Vec<Run<'_>> = picks
@@ -1228,9 +1208,9 @@ mod tests {
         }
         assert!(mixed_steps > 0, "no seed took the fixed mixed step");
         assert!(
-            short_tails > 0 && long_tails > 0,
-            "partly live runs must fall on both sides of the run-attention break-even \
-             ({short_tails} below, {long_tails} at or above)"
+            kv_only_led > 0 && all_live > 0,
+            "runs must attend both after leading KV-only rows and with every row live \
+             ({kv_only_led} led by KV-only rows, {all_live} all live)"
         );
     }
 

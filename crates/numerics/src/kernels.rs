@@ -141,13 +141,11 @@ pub fn dot_packed(xcodes: &[i8], wpacked: &[u8], lut: &PairLut) -> i64 {
 }
 
 /// Decodes a nibble-packed weight group into its integer operands in
-/// natural code order — the amortization step of the decode-once sweeps:
-/// for several members, each group is decoded to i16 **once** and every
-/// member then sweeps the decoded operands with plain integer MACs
-/// (`KernelDispatch::dot_tile8_scaled` over eight rows at a time, and
-/// [`dot_i8_i16`] per member in the scalar arm of
-/// `KernelDispatch::dot_packed_rows_scaled`), instead of paying the
-/// pair-table walk per member. Entry `i` of `out` is exactly `lut`'s decoded value for
+/// natural code order — the amortization step of the scalar row sweep:
+/// with several members, each (row, group) is decoded to i16 **once** and
+/// every member then runs [`dot_i8_i16`] over the decoded operands in the
+/// scalar arm of `KernelDispatch::dot_packed_rows_scaled`, instead of
+/// paying the pair-table walk per member. Entry `i` of `out` is exactly `lut`'s decoded value for
 /// code `i` (decoded MANT operands span ±1017, comfortably inside i16 —
 /// see [`MAX_I32_GROUP`]'s derivation), so any dot over the decoded
 /// operands is bit-identical to the fused packed kernels.
@@ -175,8 +173,7 @@ pub fn decode_packed_i16(wpacked: &[u8], len: usize, lut: &PairLut, out: &mut [i
 
 /// Integer dot of INT8 activation codes against a group's **pre-decoded**
 /// i16 operands ([`decode_packed_i16`]) — the per-member MAC of the scalar
-/// row sweep with two or more members, and the one-row scalar reference
-/// of the tile sweep. Bit-identical to [`dot_packed`] on the packed
+/// row sweep with two or more members. Bit-identical to [`dot_packed`] on the packed
 /// codes: the decoded operands are the identical integers and the i32
 /// accumulation is exact under the [`MAX_I32_GROUP`] bound, so any
 /// summation order gives the same total.

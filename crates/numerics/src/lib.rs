@@ -80,6 +80,6 @@ pub use packing::{pack_nibbles, pack_nibbles_into, unpack_nibbles, NibbleIter};
 pub use pot::pot4_grid;
 pub use probit::probit;
 pub use simd::{
-    block_order_scales, kernel_lut, kernels, scalar_forced, tile8_len, KernelDispatch, KernelLut,
-    TiledF32, TILE_ROWS,
+    block_order_scales, kernel_lut, kernels, scalar_forced, KernelDispatch, KernelLut, TiledF32,
+    TILE_ROWS,
 };

@@ -12,7 +12,7 @@
 //!   *any* partial-sum arrangement (vector lanes, horizontal reductions,
 //!   scalar tails) produces the identical total — integer addition is
 //!   associative when nothing overflows.
-//! - The decode-once tile sweep ([`KernelDispatch::dot_tile8_scaled`])
+//! - The packed row sweep ([`KernelDispatch::dot_packed_rows_scaled`])
 //!   carries its f64 scale epilogue: `i32 → f64` is exact, and vector
 //!   `mulpd`/`addpd` round each lane exactly like the scalar `*`/`+`, in
 //!   the scalar expression's association, with no FMA contraction.
@@ -102,21 +102,14 @@ pub fn kernel_lut(lut16: &[i32; 16]) -> KernelLut {
     }
 }
 
-/// Rows of the decoded tile the decode-once sweep works on
-/// ([`KernelDispatch::dot_tile8_scaled`]): eight, one per 32-bit lane of a
-/// 256-bit vector, so a group's eight dots fill one register.
+/// Rows of the packed row sweep's block
+/// ([`KernelDispatch::dot_packed_rows_scaled`]): eight, one per 32-bit lane
+/// of a 256-bit vector, so a group's eight dots fill one register.
 pub const TILE_ROWS: usize = 8;
 
 /// Codes of the longest group the scalar row sweep decodes once for all
 /// its members; it walks the pair table per member past that.
 const SWEEP_DECODE_STACK: usize = 512;
-
-/// Entries of an interleaved [`TILE_ROWS`]-row tile of `k` operands per
-/// row ([`KernelDispatch::interleave_tile8`]): `⌈k/2⌉` column pairs of
-/// eight rows of two.
-pub const fn tile8_len(k: usize) -> usize {
-    k.div_ceil(2) * TILE_ROWS * 2
-}
 
 /// Appends the weight scales of `n` rows of `groups` groups to `out` in
 /// the order [`KernelDispatch::dot_packed_rows_scaled`] reads them:
@@ -270,148 +263,6 @@ impl KernelDispatch {
         }
     }
 
-    /// [`crate::kernels::decode_packed_i16`] through this tier — decodes
-    /// a nibble-packed group to its i16 integer operands in natural code
-    /// order, the once-per-tile amortization step of the attention tiles
-    /// ([`KernelDispatch::dot_tile8_scaled`]). Every tier emits the
-    /// identical operand values (the SIMD path reassembles them from the
-    /// same `lo8`/`hi8` shuffle tables the fused kernels use), so
-    /// downstream dots are bit-identical regardless of tier.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the same contract as the scalar kernel.
-    pub fn decode_packed_i16(self, wpacked: &[u8], len: usize, lut: &KernelLut, out: &mut [i16]) {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-                // SAFETY: the match guard just confirmed AVX2 on this CPU.
-                unsafe { x86::decode_packed_i16_avx2(wpacked, len, lut, out) }
-            }
-            _ => kernels::decode_packed_i16(wpacked, len, &lut.pair, out),
-        }
-    }
-
-    /// Interleaves a decoded row-major tile — [`TILE_ROWS`] rows of `k`
-    /// i16 operands each, as [`KernelDispatch::decode_packed_i16`] wrote
-    /// them — into the layout [`KernelDispatch::dot_tile8_scaled`] sweeps:
-    /// `[k-pair][row 0..8][2]`, i.e. operand `i` of row `r` lands at
-    /// `((i / 2) · 8 + r) · 2 + i % 2`. One 32-byte vector then holds the
-    /// same column pair of all eight rows, which is what lets a vector
-    /// lane be an output row. `out` holds [`tile8_len`]`(k)` entries; with
-    /// an odd `k` the last pair's second slot is zero in every row. A pure
-    /// permutation — every tier writes the identical bytes (the AVX2 arm
-    /// is one 8×8 `u32` transpose per 16 columns).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len() != TILE_ROWS · k` or `out.len() !=
-    /// tile8_len(k)`.
-    pub fn interleave_tile8(self, rows: &[i16], k: usize, out: &mut [i16]) {
-        assert_eq!(rows.len(), TILE_ROWS * k, "tile is eight rows of k");
-        assert_eq!(out.len(), tile8_len(k), "interleaved tile length");
-        let done = match self {
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-                // SAFETY: the match guard just confirmed AVX2 on this CPU;
-                // the lengths were asserted above.
-                unsafe { x86::interleave_tile8_avx2(rows, k, out) }
-            }
-            _ => 0,
-        };
-        for (pair, o) in out
-            .chunks_exact_mut(TILE_ROWS * 2)
-            .enumerate()
-            .skip(done / 2)
-        {
-            for (r, o) in o.chunks_exact_mut(2).enumerate() {
-                let row = &rows[r * k..(r + 1) * k];
-                o[0] = row[2 * pair];
-                o[1] = row.get(2 * pair + 1).copied().unwrap_or(0);
-            }
-        }
-    }
-
-    /// The decode-once sweep, all of it: every member of a batch against
-    /// one interleaved eight-row tile ([`KernelDispatch::interleave_tile8`]),
-    /// group dots **and** the f64 scale epilogue. For member `j`, row `r`
-    /// and every group `g` in ascending order,
-    ///
-    /// ```text
-    /// accs[j][r] += (xscales[j·G + g] · wscales[g][r]) · Σ_i x_j[i] · w_r[i]   (i in group g)
-    /// ```
-    ///
-    /// with `G = wscales.len()` groups of `group_size` operands — the
-    /// exact expression and association of the one-vector GEMV, so a
-    /// caller that starts `accs` at zero gets the GEMV's bits.
-    ///
-    /// `xcodes` is the members' INT8 codes **widened to i16** (values in
-    /// `-128..=127`), `accs.len()` rows of `G · group_size`, row-major. On
-    /// the AVX2 arm a vector lane is an output row: per column pair the
-    /// tile's 32-byte vector is loaded once and each member of a register
-    /// block of up to eight adds `pmaddwd(broadcast(x pair), w)` into its
-    /// own `i32x8`. At the end of a group that register *is* the eight
-    /// rows' dots — no horizontal reduction — and the epilogue converts it
-    /// (`cvtdq2pd`) and applies `mulpd`, `mulpd`, `addpd` in place.
-    /// Exactness: an i32 lane holds one (member, row, group) sum, exact
-    /// under [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP); `i32 → f64`
-    /// is exact and equals the scalar `i64 as f64`; vector `mulpd` /
-    /// `addpd` round per lane exactly like the scalar operators, and no
-    /// FMA is formed. The AVX2 arm needs an even `group_size` (a pair must
-    /// not straddle two groups); odd group sizes and the scalar tier run
-    /// the scalar arm on the same layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree with `accs.len()` members,
-    /// `wscales.len()` groups and `group_size`; debug-asserts the
-    /// [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP) bound and the INT8
-    /// range of `xcodes`.
-    pub fn dot_tile8_scaled(
-        self,
-        tile: &[i16],
-        wscales: &[[f64; TILE_ROWS]],
-        group_size: usize,
-        xcodes: &[i16],
-        xscales: &[f64],
-        accs: &mut [[f64; TILE_ROWS]],
-    ) {
-        let (m, groups) = (accs.len(), wscales.len());
-        let k = groups * group_size;
-        assert_eq!(tile.len(), tile8_len(k), "interleaved tile length");
-        assert_eq!(xcodes.len(), m * k, "member codes");
-        assert_eq!(xscales.len(), m * groups, "member scales");
-        debug_assert!(group_size <= kernels::MAX_I32_GROUP, "i32 group bound");
-        debug_assert!(
-            xcodes.iter().all(|&x| i16::from(x as i8) == x),
-            "INT8 codes"
-        );
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Avx2
-                if group_size.is_multiple_of(2) && std::arch::is_x86_feature_detected!("avx2") =>
-            {
-                // SAFETY: the match guard just confirmed AVX2 on this CPU
-                // and an even group size; the lengths were asserted above.
-                unsafe {
-                    x86::dot_tile8_scaled_avx2(tile, wscales, group_size, xcodes, xscales, accs);
-                }
-            }
-            _ => {
-                for (j, acc) in accs.iter_mut().enumerate() {
-                    let x = &xcodes[j * k..(j + 1) * k];
-                    for (g, ws) in wscales.iter().enumerate() {
-                        let ints = scalar_tile8_group(tile, x, g * group_size, group_size);
-                        let xs = xscales[j * groups + g];
-                        for r in 0..TILE_ROWS {
-                            acc[r] += xs * ws[r] * f64::from(ints[r]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// The packed row sweep behind decode attention and every weight GEMM
     /// (`mant_quant`'s `mant_gemv`, `mant_gemv_batch` and `mant_gemm`): `n`
     /// rows of packed groups at a fixed byte stride against one or more
@@ -450,7 +301,7 @@ impl KernelDispatch {
     /// A short last block repeats its last row in the spare lanes, which
     /// are never stored. Group tails past the last whole 32-code run go
     /// through the scalar pair-table walk.
-    /// Exactness as [`KernelDispatch::dot_tile8_scaled`]: every `phaddd`
+    /// Exactness: every `phaddd`
     /// intermediate is a subset sum of one (row, group) dot, exact under
     /// [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP); `i32 → f64` and
     /// `f32 → f64` are exact; the vector operators round per lane like the
@@ -591,8 +442,8 @@ impl KernelDispatch {
     /// Peak-rate probe for the kernel bench's roofline row: `iters` rounds
     /// of six independent register-resident `pmaddwd` + `paddd` chains on
     /// this tier — the multiply-accumulate of
-    /// [`KernelDispatch::dot_tile8_scaled`] with no loads, stores or
-    /// epilogue. Returns the multiply-accumulates issued (16 per
+    /// [`KernelDispatch::dot_packed_rows_scaled`] with no loads, stores,
+    /// decode or epilogue. Returns the multiply-accumulates issued (16 per
     /// `pmaddwd`), or 0 when the tier has no 256-bit integer MAC to
     /// measure; the caller times the call.
     pub fn mac_peak_probe(self, iters: usize) -> u64 {
@@ -817,38 +668,6 @@ impl KernelDispatch {
     }
 }
 
-/// The scalar arm's group dots for [`KernelDispatch::dot_tile8_scaled`]:
-/// member codes `x[lo..lo + len]` against the same columns of all eight
-/// rows of an interleaved tile. Whole column pairs go two products at a
-/// time (the `pmaddwd` shape, which the compiler vectorizes on the
-/// baseline ISA); a group that starts or ends mid-pair — odd group sizes
-/// only — takes that column alone. Summation order is free: the i32 sums
-/// are exact under [`MAX_I32_GROUP`](crate::kernels::MAX_I32_GROUP).
-fn scalar_tile8_group(tile: &[i16], x: &[i16], lo: usize, len: usize) -> [i32; TILE_ROWS] {
-    let mut ints = [0i32; TILE_ROWS];
-    let mut column = |i: usize| {
-        let at = i / 2 * TILE_ROWS * 2 + i % 2;
-        for (r, int) in ints.iter_mut().enumerate() {
-            *int += i32::from(x[i]) * i32::from(tile[at + 2 * r]);
-        }
-    };
-    let (first, last) = (lo.div_ceil(2), (lo + len) / 2);
-    if lo % 2 == 1 {
-        column(lo);
-    }
-    if (lo + len) % 2 == 1 {
-        column(lo + len - 1);
-    }
-    for pair in first..last {
-        let w = &tile[pair * TILE_ROWS * 2..(pair + 1) * TILE_ROWS * 2];
-        let (x0, x1) = (i32::from(x[2 * pair]), i32::from(x[2 * pair + 1]));
-        for (int, w) in ints.iter_mut().zip(w.chunks_exact(2)) {
-            *int += x0 * i32::from(w[0]) + x1 * i32::from(w[1]);
-        }
-    }
-    ints
-}
-
 /// The value a chain of [`KernelDispatch::matvec_tiled_f32`] starts from:
 /// the empty iterator sum's, whatever this toolchain uses for it (the
 /// sign of zero is observable).
@@ -888,7 +707,7 @@ mod x86 {
     use core::arch::x86_64::*;
     use std::mem::MaybeUninit;
 
-    use super::{tile8_len, KernelLut, TiledF32, TILE_ROWS};
+    use super::{KernelLut, TiledF32, TILE_ROWS};
     use crate::kernels::{self, EncodeTable, ENCODE_LANES, MAX_I32_GROUP, STAGED_LANES};
 
     /// Reassembles i16 decoded operands from two byte-shuffle hits:
@@ -982,216 +801,6 @@ mod x86 {
         hsum_i32x8(acc) + tail
     }
 
-    /// AVX2 [`kernels::decode_packed_i16`]: 16 packed bytes (32 codes)
-    /// per iteration. The shuffle-table reassembly is the same
-    /// [`decode16_avx2`] the fused dot kernels use — identical operand
-    /// values — but here the even/odd lane vectors are re-interleaved
-    /// into natural code order and stored, so a whole batch can sweep
-    /// them afterwards without re-decoding. `punpcklwd`/`punpckhwd`
-    /// interleave within 128-bit halves, so one `vperm2i128` pair
-    /// restores cross-lane order.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn decode_packed_i16_avx2(
-        wpacked: &[u8],
-        len: usize,
-        lut: &KernelLut,
-        out: &mut [i16],
-    ) {
-        debug_assert_eq!(wpacked.len(), len.div_ceil(2));
-        debug_assert_eq!(out.len(), len);
-        let blocks = len / 32;
-        // SAFETY: `lo8`/`hi8` are 16-byte arrays; unaligned 16-byte loads.
-        let (tlo, thi) = unsafe {
-            (
-                _mm_loadu_si128(lut.lo8.as_ptr().cast()),
-                _mm_loadu_si128(lut.hi8.as_ptr().cast()),
-            )
-        };
-        let tlo = _mm256_broadcastsi128_si256(tlo);
-        let thi = _mm256_broadcastsi128_si256(thi);
-        let m0f = _mm256_set1_epi16(0x0f);
-        let m00ff = _mm256_set1_epi16(0x00ff);
-        for i in 0..blocks {
-            // SAFETY: `i < blocks = len / 32`, so the 16-byte load at
-            // `i*16` is within `wpacked`'s `ceil(len/2)` bytes.
-            let wb = unsafe { _mm_loadu_si128(wpacked.as_ptr().add(i * 16).cast()) };
-            let w16 = _mm256_cvtepu8_epi16(wb);
-            // Lane k holds packed byte k: low nibble = code 2k (even),
-            // high nibble = code 2k+1 (odd).
-            let we = decode16_avx2(_mm256_and_si256(w16, m0f), tlo, thi, m00ff);
-            let wo = decode16_avx2(_mm256_srli_epi16::<4>(w16), tlo, thi, m00ff);
-            let lo = _mm256_unpacklo_epi16(we, wo);
-            let hi = _mm256_unpackhi_epi16(we, wo);
-            let first = _mm256_permute2x128_si256::<0x20>(lo, hi);
-            let second = _mm256_permute2x128_si256::<0x31>(lo, hi);
-            // SAFETY: `i*32 + 32 <= blocks*32 <= len = out.len()`, so both
-            // 32-byte stores stay inside `out`.
-            unsafe {
-                _mm256_storeu_si256(out.as_mut_ptr().add(i * 32).cast(), first);
-                _mm256_storeu_si256(out.as_mut_ptr().add(i * 32 + 16).cast(), second);
-            }
-        }
-        kernels::decode_packed_i16(
-            &wpacked[blocks * 16..],
-            len - blocks * 32,
-            &lut.pair,
-            &mut out[blocks * 32..],
-        );
-    }
-
-    /// AVX2 body of [`super::KernelDispatch::interleave_tile8`]: per 16
-    /// columns, the eight rows' vectors are eight rows of eight `u32`
-    /// column pairs, and the tile wants them pair-major — an 8×8 `u32`
-    /// transpose (`punpck{l,h}dq`, `punpck{l,h}qdq`, `vperm2i128`).
-    /// Returns the number of leading columns written (a multiple of 16);
-    /// the caller finishes the rest.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn interleave_tile8_avx2(rows: &[i16], k: usize, out: &mut [i16]) -> usize {
-        assert!(rows.len() == TILE_ROWS * k && out.len() == tile8_len(k));
-        let blocks = k / 16;
-        for b in 0..blocks {
-            let mut v = [_mm256_setzero_si256(); TILE_ROWS];
-            for (r, row) in v.iter_mut().enumerate() {
-                // SAFETY: `b*16 + 16 <= k`, so row `r`'s 16 operands at
-                // `r*k + b*16` lie inside `rows`' `8*k` entries.
-                *row = unsafe { _mm256_loadu_si256(rows.as_ptr().add(r * k + b * 16).cast()) };
-            }
-            // `t[half][i]`: rows `2i, 2i+1` interleaved pair by pair —
-            // pairs 0, 1 | 4, 5 in half 0 and 2, 3 | 6, 7 in half 1.
-            let mut t = [[v[0]; 4]; 2];
-            for (i, two) in v.chunks_exact(2).enumerate() {
-                t[0][i] = _mm256_unpacklo_epi32(two[0], two[1]);
-                t[1][i] = _mm256_unpackhi_epi32(two[0], two[1]);
-            }
-            for (half, th) in t.iter().enumerate() {
-                // Four rows of pair `p` in the low 128 bits, of pair
-                // `p + 4` in the high: rows 0..4 in `top`, 4..8 in `bottom`.
-                let quads = [
-                    (
-                        _mm256_unpacklo_epi64(th[0], th[1]),
-                        _mm256_unpacklo_epi64(th[2], th[3]),
-                    ),
-                    (
-                        _mm256_unpackhi_epi64(th[0], th[1]),
-                        _mm256_unpackhi_epi64(th[2], th[3]),
-                    ),
-                ];
-                for (odd, (top, bottom)) in quads.into_iter().enumerate() {
-                    let pair = b * 8 + half * 2 + odd;
-                    // SAFETY: pairs `pair` and `pair + 4` are below
-                    // `blocks*8 <= k/2`, so both 16-entry stores are
-                    // inside `out`'s `ceil(k/2) * 16` entries.
-                    unsafe {
-                        _mm256_storeu_si256(
-                            out.as_mut_ptr().add(pair * 16).cast(),
-                            _mm256_permute2x128_si256::<0x20>(top, bottom),
-                        );
-                        _mm256_storeu_si256(
-                            out.as_mut_ptr().add((pair + 4) * 16).cast(),
-                            _mm256_permute2x128_si256::<0x31>(top, bottom),
-                        );
-                    }
-                }
-            }
-        }
-        blocks * 16
-    }
-
-    /// AVX2 body of [`super::KernelDispatch::dot_tile8_scaled`]: members
-    /// in register blocks of eight, the remainder through the block of
-    /// exactly its size, so no lane or register idles at any batch size.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn dot_tile8_scaled_avx2(
-        tile: &[i16],
-        wscales: &[[f64; TILE_ROWS]],
-        group_size: usize,
-        xcodes: &[i16],
-        xscales: &[f64],
-        accs: &mut [[f64; TILE_ROWS]],
-    ) {
-        let groups = wscales.len();
-        let k = groups * group_size;
-        for (b, block) in accs.chunks_mut(8).enumerate() {
-            let x = &xcodes[b * 8 * k..][..block.len() * k];
-            let xs = &xscales[b * 8 * groups..][..block.len() * groups];
-            match block.len() {
-                1 => tile8_block_avx2::<1>(tile, wscales, group_size, x, xs, block),
-                2 => tile8_block_avx2::<2>(tile, wscales, group_size, x, xs, block),
-                3 => tile8_block_avx2::<3>(tile, wscales, group_size, x, xs, block),
-                4 => tile8_block_avx2::<4>(tile, wscales, group_size, x, xs, block),
-                5 => tile8_block_avx2::<5>(tile, wscales, group_size, x, xs, block),
-                6 => tile8_block_avx2::<6>(tile, wscales, group_size, x, xs, block),
-                7 => tile8_block_avx2::<7>(tile, wscales, group_size, x, xs, block),
-                _ => tile8_block_avx2::<8>(tile, wscales, group_size, x, xs, block),
-            }
-        }
-    }
-
-    /// One register block of [`dot_tile8_scaled_avx2`]: `MB` members'
-    /// `i32x8` accumulators (lane = output row) live in registers beside
-    /// the tile vector and one broadcast — ten of sixteen at `MB = 8`.
-    /// Per column pair: one tile load, then per member a 4-byte broadcast
-    /// load, `pmaddwd`, `paddd`. Per group the accumulators are converted
-    /// and scaled where they sit; see the dispatcher for why every step is
-    /// exact.
-    #[target_feature(enable = "avx2")]
-    fn tile8_block_avx2<const MB: usize>(
-        tile: &[i16],
-        wscales: &[[f64; TILE_ROWS]],
-        group_size: usize,
-        xcodes: &[i16],
-        xscales: &[f64],
-        accs: &mut [[f64; TILE_ROWS]],
-    ) {
-        let groups = wscales.len();
-        let k = groups * group_size;
-        let pairs = group_size / 2;
-        assert!(group_size.is_multiple_of(2) && tile.len() == k * TILE_ROWS);
-        assert!(xcodes.len() == MB * k && xscales.len() == MB * groups && accs.len() == MB);
-        for (g, ws) in wscales.iter().enumerate() {
-            let mut acc = [_mm256_setzero_si256(); MB];
-            for p in g * pairs..(g + 1) * pairs {
-                // SAFETY: `p < groups * pairs = k / 2` and the tile holds
-                // 16 entries per pair (asserted above).
-                let w = unsafe { _mm256_loadu_si256(tile.as_ptr().add(p * 16).cast()) };
-                for (j, a) in acc.iter_mut().enumerate() {
-                    // SAFETY: `j < MB` and `2p + 1 < k`, so the two codes
-                    // at `j*k + 2p` are inside `xcodes`' `MB * k` entries
-                    // (asserted above); the read is unaligned.
-                    let x = unsafe {
-                        xcodes
-                            .as_ptr()
-                            .add(j * k + 2 * p)
-                            .cast::<i32>()
-                            .read_unaligned()
-                    };
-                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(_mm256_set1_epi32(x), w));
-                }
-            }
-            // SAFETY: `ws` is eight f64s; two unaligned 4-lane loads.
-            let (ws_lo, ws_hi) = unsafe {
-                (
-                    _mm256_loadu_pd(ws.as_ptr()),
-                    _mm256_loadu_pd(ws.as_ptr().add(4)),
-                )
-            };
-            for (j, (a, out)) in acc.iter().zip(accs.iter_mut()).enumerate() {
-                let xs = _mm256_set1_pd(xscales[j * groups + g]);
-                let lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(*a));
-                let hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(*a));
-                // `(xs · ws) · int`, then `+=` — the scalar association.
-                let lo = _mm256_mul_pd(_mm256_mul_pd(xs, ws_lo), lo);
-                let hi = _mm256_mul_pd(_mm256_mul_pd(xs, ws_hi), hi);
-                // SAFETY: `out` is eight f64s; unaligned 4-lane accesses.
-                unsafe {
-                    let p = out.as_mut_ptr();
-                    _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), lo));
-                    _mm256_storeu_pd(p.add(4), _mm256_add_pd(_mm256_loadu_pd(p.add(4)), hi));
-                }
-            }
-        }
-    }
-
     /// AVX2 body of [`super::KernelDispatch::dot_packed_rows_scaled`]:
     /// sweeps the rows for members in register blocks of four (the rows are
     /// decoded once per block), the remainder through the block of its
@@ -1275,9 +884,12 @@ mod x86 {
     /// `[member][group][run][slot]` at `per_group` slots a group: each
     /// whole 32-code run of a group widened to i16, per 16 codes the even
     /// ones at [`run64_slot`] and the odd ones sixteen further. The slots a
-    /// short last run leaves are not written.
+    /// short last run leaves are not written. Per 16 codes: one `pshufb`
+    /// gathers the even codes before the odd ones, one `pmovsxbw` widens
+    /// them, and two 16-byte stores place the halves.
     #[target_feature(enable = "avx2")]
     fn deal_run64(members: &[&[i8]], group_size: usize, per_group: usize, xq: &mut [i16]) {
+        let evens_first = _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
         let groups = members.iter().flat_map(|x| x.chunks_exact(group_size));
         for (x, xq) in groups.zip(xq.chunks_exact_mut(per_group.max(1))) {
             for (x, xq) in x[..group_size / 32 * 32]
@@ -1287,9 +899,17 @@ mod x86 {
                 // Codes `16h..16h + 16` are packed bytes `8h..8h + 8`.
                 for (h, x) in x.chunks_exact(16).enumerate() {
                     let at = run64_slot(h);
-                    for (j, pair) in x.chunks_exact(2).enumerate() {
-                        xq[at + j] = i16::from(pair[0]);
-                        xq[at + 16 + j] = i16::from(pair[1]);
+                    let (evens, odds) = xq[at..at + 24].split_at_mut(16);
+                    // SAFETY: `x` is 16 codes and `evens`, `odds` at least
+                    // eight i16s each; unaligned loads and stores.
+                    unsafe {
+                        let v = _mm_loadu_si128(x.as_ptr().cast());
+                        let w = _mm256_cvtepi8_epi16(_mm_shuffle_epi8(v, evens_first));
+                        _mm_storeu_si128(evens.as_mut_ptr().cast(), _mm256_castsi256_si128(w));
+                        _mm_storeu_si128(
+                            odds.as_mut_ptr().cast(),
+                            _mm256_extracti128_si256::<1>(w),
+                        );
                     }
                 }
             }
@@ -2239,153 +1859,6 @@ mod tests {
         let expect = MAX_I32_GROUP as i64 * 128 * (127 * 7 + 128);
         for d in tiers() {
             assert_eq!(d.dot_packed(&xcodes, &packed, &lut), expect, "{}", d.name());
-        }
-    }
-
-    #[test]
-    fn decode_packed_i16_matches_scalar_all_tiers() {
-        for len in [0usize, 1, 2, 15, 16, 31, 32, 33, 63, 64, 65, 129] {
-            let wcodes: Vec<u8> = (0..len).map(|i| ((i * 7 + 5) % 16) as u8).collect();
-            let packed = pack_nibbles(&wcodes);
-            for lut in luts_under_test() {
-                let mut oracle = vec![0i16; len];
-                kernels::decode_packed_i16(&packed, len, &lut.pair, &mut oracle);
-                for d in tiers() {
-                    let mut got = vec![0i16; len];
-                    d.decode_packed_i16(&packed, len, &lut, &mut got);
-                    assert_eq!(got, oracle, "tier {} len {len}", d.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn interleave_tile8_equals_naive_gather_all_tiers() {
-        // Lengths around the 16-column transpose block, odd ones included
-        // (the last pair's second slot must be zero, never stale).
-        for k in [0usize, 1, 2, 15, 16, 17, 31, 32, 33, 64, 130] {
-            let rows: Vec<i16> = (0..TILE_ROWS * k)
-                .map(|i| ((i * 29 + 7) % 2035) as i16 - 1017)
-                .collect();
-            let mut naive = vec![0i16; tile8_len(k)];
-            for pair in 0..k.div_ceil(2) {
-                for r in 0..TILE_ROWS {
-                    for half in 0..2 {
-                        let i = pair * 2 + half;
-                        if i < k {
-                            naive[(pair * TILE_ROWS + r) * 2 + half] = rows[r * k + i];
-                        }
-                    }
-                }
-            }
-            for d in tiers() {
-                let mut got = vec![-1i16; tile8_len(k)];
-                d.interleave_tile8(&rows, k, &mut got);
-                assert_eq!(got, naive, "tier {} k {k}", d.name());
-            }
-        }
-    }
-
-    /// Eight packed rows (row `r` through `luts[r]` in every group) taken
-    /// through the decode-once pipeline on tier `d`: decode, interleave.
-    fn decoded_tile(
-        d: KernelDispatch,
-        packed: &[Vec<u8>],
-        luts: &[KernelLut],
-        groups: usize,
-        gs: usize,
-    ) -> Vec<i16> {
-        let (k, gb) = (groups * gs, gs.div_ceil(2));
-        let mut dec = vec![0i16; TILE_ROWS * k];
-        for r in 0..TILE_ROWS {
-            for g in 0..groups {
-                d.decode_packed_i16(
-                    &packed[r][g * gb..(g + 1) * gb],
-                    gs,
-                    &luts[r],
-                    &mut dec[r * k + g * gs..r * k + (g + 1) * gs],
-                );
-            }
-        }
-        let mut tile = vec![0i16; tile8_len(k)];
-        d.interleave_tile8(&dec, k, &mut tile);
-        tile
-    }
-
-    #[test]
-    fn dot_tile8_scaled_matches_packed_kernels_all_tiers() {
-        // The whole decode-once pipeline against the fused packed kernel
-        // plus the GEMV's scalar epilogue, on every tier: member counts on
-        // both sides of the eight-member register block (and an empty
-        // batch), an odd group size that takes the scalar arm, and
-        // accumulators that do not start at zero (the contract is `+=`).
-        let luts: Vec<KernelLut> = [0u32, 17, 60, 127, 5, 99, 1, 64]
-            .iter()
-            .map(|&a| kernel_lut(&mant_decode_lut(Mant::new(a).unwrap())))
-            .collect();
-        for (groups, gs) in [(1usize, 16usize), (2, 32), (3, 64), (2, 33)] {
-            let (k, gb) = (groups * gs, gs.div_ceil(2));
-            let packed: Vec<Vec<u8>> = (0..TILE_ROWS)
-                .map(|r| {
-                    let codes: Vec<u8> = (0..k).map(|i| ((i * 5 + r * 3) % 16) as u8).collect();
-                    codes.chunks(gs).flat_map(pack_nibbles).collect()
-                })
-                .collect();
-            let wscales: Vec<[f64; TILE_ROWS]> = (0..groups)
-                .map(|g| std::array::from_fn(|r| f64::from(0.013f32 * (1 + g * 8 + r) as f32)))
-                .collect();
-            for count in [0usize, 1, 2, 5, 8, 9] {
-                let x8: Vec<i8> = (0..count * k)
-                    .map(|i| ((i * 73 + 9) % 255) as u8 as i8)
-                    .collect();
-                let x16: Vec<i16> = x8.iter().map(|&x| i16::from(x)).collect();
-                let xscales: Vec<f64> = (0..count * groups)
-                    .map(|i| f64::from(0.37f32 / (1 + i) as f32))
-                    .collect();
-                let mut expect = vec![[0.5f64; TILE_ROWS]; count];
-                for (j, acc) in expect.iter_mut().enumerate() {
-                    for g in 0..groups {
-                        for r in 0..TILE_ROWS {
-                            let int = kernels::dot_packed(
-                                &x8[j * k + g * gs..j * k + (g + 1) * gs],
-                                &packed[r][g * gb..(g + 1) * gb],
-                                &luts[r].pair,
-                            );
-                            acc[r] += xscales[j * groups + g] * wscales[g][r] * int as f64;
-                        }
-                    }
-                }
-                for d in tiers() {
-                    let tile = decoded_tile(d, &packed, &luts, groups, gs);
-                    let mut got = vec![[0.5f64; TILE_ROWS]; count];
-                    d.dot_tile8_scaled(&tile, &wscales, gs, &x16, &xscales, &mut got);
-                    let bits = |v: &[[f64; TILE_ROWS]]| -> Vec<u64> {
-                        v.iter().flatten().map(|x| x.to_bits()).collect()
-                    };
-                    assert_eq!(
-                        bits(&got),
-                        bits(&expect),
-                        "tier {} gs {gs} members {count}",
-                        d.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dot_tile8_scaled_exact_at_i32_bound() {
-        // One group of the maximum admissible length at worst-case
-        // magnitudes: each i32 lane ends within 0.7% of i32::MAX and must
-        // still convert to the exact f64 on every tier.
-        let k = MAX_I32_GROUP;
-        let tile = vec![-(127i16 * 7 + 128); tile8_len(k)];
-        let x16 = vec![-128i16; 3 * k];
-        let int = k as f64 * 128.0 * 1017.0;
-        for d in tiers() {
-            let mut got = vec![[0.0f64; TILE_ROWS]; 3];
-            d.dot_tile8_scaled(&tile, &[[1.0; TILE_ROWS]], k, &x16, &[1.0; 3], &mut got);
-            assert_eq!(got, vec![[int; TILE_ROWS]; 3], "{}", d.name());
         }
     }
 

@@ -52,6 +52,7 @@
 //! system prompt map their shared prefix onto the *same* physical packed
 //! blocks.
 
+use std::cell::Cell;
 use std::ops::Range;
 
 use mant_tensor::Matrix;
@@ -66,7 +67,9 @@ use crate::mantq::{packed_code, GroupDtype, GroupMeta};
 use crate::plan::{kernel_table, kernel_table_lookup};
 use crate::variance::VarianceMap;
 
-use mant_numerics::{kernels, tile8_len, KernelDispatch, KernelLut, TILE_ROWS};
+#[cfg(doc)]
+use mant_numerics::KernelDispatch;
+use mant_numerics::{kernels, KernelLut, TILE_ROWS};
 
 /// Shape of a [`KvCachePool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -842,102 +845,104 @@ impl PagedKvCache {
     /// `out[c - chan_lo]`, probabilities quantized to INT8 per window.
     ///
     /// The **per-row reference**: every committed window goes through
-    /// `attend_window`, one [`group_dot_packed`] per channel. Decode
-    /// attention takes the same windows one
-    /// [`KernelDispatch::dot_packed_rows_scaled`] call per head and window,
-    /// bit for bit the same.
+    /// `attend_window`, one [`group_dot_packed`] per channel. Attention
+    /// takes the same windows one [`KernelDispatch::dot_packed_rows_scaled`]
+    /// call per KV head and window (`PagedKvCache::window_pv`), bit for
+    /// bit the same.
     ///
     /// # Panics
     ///
     /// Panics if `probs.len() != self.len()` or the channel range exceeds
     /// the cache width.
     pub fn attend(&self, pool: &KvCachePool, probs: &[f32], chan_lo: usize, out: &mut [f32]) {
+        assert_eq!(probs.len(), self.rows, "probability length mismatch");
+        assert!(
+            chan_lo + out.len() <= self.staging.dim,
+            "channel range out of bounds"
+        );
         let g = self.staging.group_size;
+        let bt = pool.cfg.block_tokens;
         let mut p8 = vec![0i8; g];
-        let chans = chan_lo..chan_lo + out.len();
-        let staged = self.each_window(pool, probs, &mut p8, chans, |win| {
-            attend_window(win.meta, win.codes, g, win.pcodes, win.pscale, chan_lo, out);
-        });
+        let (windows, staged) = probs.split_at(self.committed_windows * g);
+        for (w, window_probs) in windows.chunks_exact(g).enumerate() {
+            let Some(pscale) = quantize_probs_int8_into(window_probs, &mut p8) else {
+                continue;
+            };
+            let (meta, codes) = pool.v_window(self.blocks[w * g / bt], (w * g % bt) / g);
+            attend_window(meta, codes, g, &p8, pscale, chan_lo, out);
+        }
         self.staging
             .attend_staged_with(staged, &mut p8, chan_lo, out);
     }
 
-    /// [`PagedKvCache::attend`] with the committed windows swept: per
-    /// window, the head's channels are one
-    /// [`KernelDispatch::dot_packed_rows_scaled`] call (a channel is a row
-    /// of one group at stride `group_bytes`, the window's INT8
-    /// probabilities the one member), with the caller's scratch for the
-    /// probability codes and the sweep, so a caller that attends head after
-    /// head allocates nothing per head. The accumulators start at `-0.0`,
-    /// so each holds exactly [`attend_window`]'s f64 term (`-0.0 + t` is
-    /// `t`, signed zeros included), rounded to f32 before its `+=` as
-    /// there.
-    fn attend_with(
+    /// Committed window `w`'s `P·V` terms over channels `chans`, for many
+    /// members at once: each member's probabilities over the window
+    /// (`probs`, one `group_size` slice a member) are quantized to INT8,
+    /// and the members whose probabilities are not all zero — the others
+    /// skip the window, as [`PagedKvCache::attend`] does — are swept in one
+    /// [`KernelDispatch::dot_packed_rows_scaled`] call: a channel is a row
+    /// of one group at stride `group_bytes`, its table and scale the pool's
+    /// V index. `emit(i, terms)` receives member `i`'s terms (`i` counts
+    /// every member offered), channel by channel. The accumulators start
+    /// at `-0.0`, so each holds exactly [`attend_window`]'s f64 term
+    /// (`-0.0 + t` is `t`, signed zeros included), for the caller to round
+    /// to f32 before its `+=` as there.
+    fn window_pv<'p>(
         &self,
         pool: &KvCachePool,
-        probs: &[f32],
-        p8: &mut [i8],
-        sweep: &mut RowSweep,
-        chan_lo: usize,
-        out: &mut [f32],
-    ) {
-        let (g, gb) = (self.staging.group_size, pool.group_bytes());
-        let chans = chan_lo..chan_lo + out.len();
-        let staged = self.each_window(pool, probs, p8, chans, |win| {
-            let accs = sweep.reset(out.len(), -0.0);
-            kernels().dot_packed_rows_scaled(
-                &win.codes[chan_lo * gb..],
-                gb,
-                g,
-                1,
-                win.luts,
-                win.scales,
-                &[win.pcodes],
-                &[f64::from(win.pscale)],
-                accs,
-            );
-            for (o, &term) in out.iter_mut().zip(accs.iter()) {
-                *o += term as f32;
-            }
-        });
-        self.staging.attend_staged_with(staged, p8, chan_lo, out);
-    }
-
-    /// The committed-window half of `P·V`: checks the shapes, then hands
-    /// `each` every committed window whose probabilities are not all zero,
-    /// in ascending order, with those probabilities quantized to INT8 in
-    /// `p8` and the V index's operands of channels `chans`. Returns the
-    /// staged rows' probabilities.
-    fn each_window<'p>(
-        &self,
-        pool: &KvCachePool,
-        probs: &'p [f32],
-        p8: &mut [i8],
+        w: usize,
         chans: Range<usize>,
-        mut each: impl FnMut(WindowOperands<'_>),
-    ) -> &'p [f32] {
-        assert_eq!(probs.len(), self.rows, "probability length mismatch");
-        assert!(chans.end <= self.staging.dim, "channel range out of bounds");
-        let g = self.staging.group_size;
-        let bt = pool.cfg.block_tokens;
-        let (windows, staged) = probs.split_at(self.committed_windows * g);
-        for (w, window_probs) in windows.chunks_exact(g).enumerate() {
-            let Some(pscale) = quantize_probs_int8_into(window_probs, &mut p8[..g]) else {
-                continue;
-            };
-            let (block, win) = (self.blocks[w * g / bt], (w * g % bt) / g);
-            let (meta, codes) = pool.v_window(block, win);
-            let (luts, scales) = pool.v_index.operands(block, win, chans.clone());
-            each(WindowOperands {
-                meta,
-                codes,
-                luts,
-                scales,
-                pcodes: &p8[..g],
-                pscale,
-            });
+        probs: impl Iterator<Item = &'p [f32]>,
+        sweep: &mut RowSweep,
+        mut emit: impl FnMut(usize, &[f64]),
+    ) {
+        let (g, gb, bt) = (
+            self.staging.group_size,
+            pool.group_bytes(),
+            pool.cfg.block_tokens,
+        );
+        let RowSweep {
+            accs,
+            pcodes,
+            pscales,
+            live,
+            ..
+        } = sweep;
+        pscales.clear();
+        live.clear();
+        for (i, p) in probs.enumerate() {
+            if pcodes.len() == live.len() {
+                pcodes.push(Vec::new());
+            }
+            let codes = &mut pcodes[live.len()];
+            codes.resize(g, 0);
+            if let Some(pscale) = quantize_probs_int8_into(p, codes) {
+                pscales.push(f64::from(pscale));
+                live.push(i);
+            }
         }
-        staged
+        if live.is_empty() {
+            return;
+        }
+        let (block, win) = (self.blocks[w * g / bt], (w * g % bt) / g);
+        let (_, codes) = pool.v_window(block, win);
+        let (luts, scales) = pool.v_index.operands(block, win, chans.clone());
+        accs.clear();
+        accs.resize(live.len() * chans.len(), -0.0);
+        kernels().dot_packed_rows_scaled(
+            &codes[chans.start * gb..],
+            gb,
+            g,
+            1,
+            luts,
+            scales,
+            &pcodes[..live.len()],
+            pscales,
+            accs,
+        );
+        for (&i, terms) in live.iter().zip(accs.chunks_exact(chans.len())) {
+            emit(i, terms);
+        }
     }
 
     /// Drops this view's hold on every block (a block returns to the free
@@ -1005,25 +1010,22 @@ impl PagedKvCache {
     }
 }
 
-/// One committed V window as the `P·V` paths read it: per-channel metadata
-/// and channel-major packed codes from the pool, the V index's tables and
-/// scales of the channels asked for, and the window's probabilities
-/// quantized to INT8.
-struct WindowOperands<'a> {
-    meta: &'a [GroupMeta],
-    codes: &'a [u8],
-    luts: &'a [&'a KernelLut],
-    scales: &'a [f32],
-    pcodes: &'a [i8],
-    pscale: f32,
-}
-
-/// The decode-attention sweep's accumulators
-/// ([`KernelDispatch::dot_packed_rows_scaled`]), reused across blocks,
-/// windows and heads.
+/// The row sweep's scratch, reused across blocks, windows, heads and the
+/// rows of a run: the accumulators of
+/// [`KernelDispatch::dot_packed_rows_scaled`], for `P·V`
+/// ([`PagedKvCache::window_pv`]) the members' INT8 window probabilities,
+/// and the staged rows' INT8 probabilities.
 #[derive(Default)]
 struct RowSweep {
     accs: Vec<f64>,
+    /// One window's INT8 probabilities, the members that sweep it first.
+    pcodes: Vec<Vec<i8>>,
+    /// Those members' probability scales.
+    pscales: Vec<f64>,
+    /// Those members' indices among the members offered.
+    live: Vec<usize>,
+    /// The staged rows' INT8 probabilities.
+    staged: Vec<i8>,
 }
 
 impl RowSweep {
@@ -1035,17 +1037,41 @@ impl RowSweep {
     }
 }
 
-/// One query's INT8 group codes and f64 group scales in the order
+/// A [`RunAttention`]'s buffers between runs.
+#[derive(Default)]
+struct RunScratch {
+    sweep: RowSweep,
+    probs: Vec<f32>,
+    tails: Vec<f32>,
+}
+
+thread_local! {
+    /// This thread's run buffers, lent to one [`RunAttention`] from `begin`
+    /// to `finish`, so a decode step's attention allocates only its query
+    /// and its output; they hold the largest run a thread has attended.
+    static SCRATCH: Cell<RunScratch> = Cell::new(RunScratch::default());
+}
+
+/// Queries' INT8 group codes and f64 group scales in the order
 /// [`PagedKvCache::score_rows`] takes them: per KV head, group by group of
-/// the head, that KV head's query heads (adjacent in the query). A KV
-/// head's operands are then one contiguous slice of each.
-fn sweep_members(qv: &QuantizedVector, kv_heads: usize, gph: usize) -> (Vec<&[i8]>, Vec<f64>) {
-    let per_kv = qv.groups() / gph / kv_heads;
-    let order = (0..kv_heads).flat_map(|kv_head| {
-        (0..gph).flat_map(move |k| (0..per_kv).map(move |j| (kv_head * per_kv + j) * gph + k))
+/// the head, each query's `per_kv` heads of that KV head (adjacent in a
+/// query), query after query. A KV head's operands are then one contiguous
+/// slice of each.
+fn sweep_members(
+    qvs: &[QuantizedVector],
+    kv_heads: usize,
+    per_kv: usize,
+    gph: usize,
+) -> (Vec<&[i8]>, Vec<f64>) {
+    let order = (0..kv_heads).flat_map(move |kv_head| {
+        (0..gph).flat_map(move |k| {
+            qvs.iter().flat_map(move |qv| {
+                (0..per_kv).map(move |j| (qv, (kv_head * per_kv + j) * gph + k))
+            })
+        })
     });
-    let codes = order.clone().map(|i| qv.group_codes(i)).collect();
-    let scales = order.map(|i| f64::from(qv.scale(i))).collect();
+    let codes = order.clone().map(|(qv, i)| qv.group_codes(i)).collect();
+    let scales = order.map(|(qv, i)| f64::from(qv.scale(i))).collect();
     (codes, scales)
 }
 
@@ -1083,21 +1109,23 @@ fn check_attention_shapes(
 /// the codes read. With `kv_heads < heads`, query heads share K/V heads
 /// (GQA).
 ///
-/// The cache is swept a block at a time, not a row at a time: per KV head
-/// and pool block one [`KernelDispatch::dot_packed_rows_scaled`] call per
-/// group of the head scores the block's K rows for every query head of
-/// that KV head, and per head and committed window one call takes the
-/// head's channels of `P·V`. The block lookup and the dispatch are paid
-/// per block or window, the decode tables and scales are the pool's sweep
-/// index read in place, and the epilogue runs in vector lanes. Bit for bit
-/// the per-row references: a score is [`PagedKvCache::fused_dot`]` ·
-/// 1/√head_dim`, and `P·V` is [`PagedKvCache::attend`].
+/// Decode attention is a one-row [`RunAttention`] — the query's own row is
+/// the last one the cache holds — so a decode step and every run take one
+/// path: per KV head and pool block one
+/// [`KernelDispatch::dot_packed_rows_scaled`] call per group of the head
+/// scores the block's K rows for every query head of that KV head, and per
+/// KV head and committed window one call takes those heads' channels of
+/// `P·V`. The block lookup and the dispatch are paid per block or window,
+/// the decode tables and scales are the pool's sweep index read in place,
+/// and the epilogue runs in vector lanes. Bit for bit the per-row
+/// references: a score is [`PagedKvCache::fused_dot`]` · 1/√head_dim`, and
+/// `P·V` is [`PagedKvCache::attend`].
 ///
 /// # Panics
 ///
-/// Panics if `q.len() != heads · head_dim`, if `kv_heads` is zero or does
-/// not divide `heads`, if the cache width is not `kv_heads · head_dim`,
-/// or if the group size does not divide `head_dim`.
+/// Panics if the cache is empty, if `q.len() != heads · head_dim`, if
+/// `kv_heads` is zero or does not divide `heads`, if the cache width is not
+/// `kv_heads · head_dim`, or if the group size does not divide `head_dim`.
 pub fn attention_incremental_paged(
     q: &[f32],
     cache: &PagedKvCache,
@@ -1106,49 +1134,9 @@ pub fn attention_incremental_paged(
     kv_heads: usize,
     head_dim: usize,
 ) -> Vec<f32> {
-    let g = check_attention_shapes(q.len(), cache, heads, kv_heads, head_dim);
-    let per_kv = heads / kv_heads;
-    let gph = head_dim / g;
-    let qv = quantize_vector_int8(q, g).expect("group divides head dim, hence q length");
-    let (member_codes, member_scales) = sweep_members(&qv, kv_heads, gph);
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let len = cache.len();
-    let mut out = vec![0.0f32; heads * head_dim];
-    // The scores of one KV head's query heads, `[head][t]`.
-    let mut scores = vec![0.0f32; per_kv * len];
-    let mut p8 = vec![0i8; g];
-    let mut sweep = RowSweep::default();
-    for kv_head in 0..kv_heads {
-        // A KV head's query heads are adjacent.
-        let heads_of = kv_head * per_kv..(kv_head + 1) * per_kv;
-        let members = heads_of.start * gph..heads_of.end * gph;
-        cache.score_rows(
-            pool,
-            0..len,
-            kv_head * gph,
-            gph,
-            &member_codes[members.clone()],
-            &member_scales[members],
-            &mut sweep,
-            |j, t0, sums| {
-                for (s, &a) in scores[j * len + t0..].iter_mut().zip(sums) {
-                    *s = a as f32 * scale;
-                }
-            },
-        );
-        for (h, scores) in heads_of.zip(scores.chunks_exact_mut(len.max(1))) {
-            kernels().softmax(scores);
-            cache.attend_with(
-                pool,
-                scores,
-                &mut p8,
-                &mut sweep,
-                kv_head * head_dim,
-                &mut out[h * head_dim..(h + 1) * head_dim],
-            );
-        }
-    }
-    out
+    let run = RunAttention::begin(&[q], cache, pool, heads, kv_heads, head_dim);
+    let mut rows = run.finish(cache, pool);
+    rows.pop().expect("a one-row run yields one row")
 }
 
 /// Multi-head attention of one query vector against materialized f32 K/V
@@ -1197,150 +1185,122 @@ pub fn attention_f32(
     out
 }
 
-/// Attention for a **run** of consecutive rows of one sequence — a prefill
-/// chunk, a replayed span, a speculative verify pass — with the K rows and
-/// V windows the cache already holds swept once for all of the run's
-/// queries instead of once per query.
+/// Attention for a **run** of consecutive rows of one sequence — a decode
+/// step (one row, [`attention_incremental_paged`]), a prefill chunk, a
+/// replayed span, a speculative verify pass — with the K rows and V windows
+/// the cache holds swept once for all of the run's queries instead of once
+/// per query.
 ///
-/// Packed K rows and committed V windows never change once written, so
-/// they are matrix operands for the GEMM tier's one kernel
-/// ([`KernelDispatch::dot_tile8_scaled`]; layout and exactness argument at
-/// [`crate::fused::mant_gemv_batch`]): eight cached K rows — or eight
-/// channels of a committed V window — are decoded to i16 once, interleaved
-/// to `[column pair][row 0..8][2]`, and every query of the run is a batch
-/// member. A vector lane is a K row (a V channel), so a member's register
-/// holds the tile's eight group dots with no horizontal reduction, and the
-/// `(q_scale · k_scale) · int` epilogue runs on it in place. Only whole
-/// tiles are swept: `tiled_rows` is a multiple of eight, the rows past it
-/// (at most eight, the just-pushed one included) are scored for each query
-/// as [`attention_incremental_paged`] scores a block — one
-/// [`KernelDispatch::dot_packed_rows_scaled`] call per KV head and group,
-/// every query head sharing it a member — and a head's ragged last channel tile
-/// repeats its last channel in the spare lanes, which are dropped.
-/// Only the INT8 staging window is mutable — a later row can widen a
-/// channel scale and re-encode it — so its share of `P·V` is taken the
-/// moment the query's own row has been pushed, as
-/// [`attention_incremental_paged`] would.
+/// Every dot goes through the packed row sweep
+/// ([`KernelDispatch::dot_packed_rows_scaled`]) with the run's query heads
+/// as members, its tables and scales read from the pool's sweep index
+/// where they lie:
 ///
-/// Protocol: [`RunAttention::begin`] before the run's first push, then for
-/// each row `i` in order [`PagedKvCache::push`] followed by
-/// [`RunAttention::attend_pushed`]`(i, ..)`, then [`RunAttention::finish`].
-/// Row `i` of the result equals `attention_incremental_paged(&qs[i], ..)`
-/// called right after row `i`'s push, **bit for bit**: every score is the
-/// same ascending f64 sum of `(q_scale · k_scale) · int` group terms
-/// `fused_dot` forms (the integer dots are exact on every kernel, the
-/// vector epilogue rounds per lane like the scalar one), and every output
-/// channel adds its windows in ascending order and the staged rows last,
-/// as `attend` does. (A window's term and the staged term are each taken
-/// from a zeroed accumulator; `0.0 + t` differs from `t` only for
-/// `t = -0.0`, and adding either zero to a sum that started at `+0.0`
-/// gives the same bits.)
+/// - **Scores.** [`RunAttention::begin`] scores every K row the cache
+///   holds — the run's first row included — for every query: per KV head
+///   and pool block one call per group of the head
+///   (`PagedKvCache::score_rows`). A row pushed later in the run is
+///   scored for its own query when that query attends; once a push
+///   completes a chunk of in-run rows (at a multiple of [`TILE_ROWS`], the
+///   kernel's row block), the chunk is scored the same way for every query
+///   still to come.
+/// - **`P·V`.** Per committed window and KV head one call takes the
+///   head's channels, with the INT8 probabilities of every query head that
+///   sees the window as members (`PagedKvCache::window_pv`). Only the
+///   INT8 staging window is mutable — a later row can widen a channel
+///   scale and re-encode it — so its share of `P·V` is taken the moment
+///   the query's own row has been pushed.
 ///
-/// Worth its tile decodes from [`RunAttention::MIN_ROWS`] rows up; below
-/// that call [`attention_incremental_paged`] per row.
+/// Protocol: [`PagedKvCache::push`] the run's first row, then
+/// [`RunAttention::begin`]; for each later row `i` in order, push it and
+/// call [`RunAttention::attend_pushed`]`(i, ..)`; then
+/// [`RunAttention::finish`]. Row `i` of the result equals
+/// `attention_incremental_paged(&qs[i], ..)` called right after row `i`'s
+/// push — and the per-row references, [`PagedKvCache::fused_dot`] and
+/// [`PagedKvCache::attend`] — **bit for bit**: every score is the same
+/// ascending f64 sum of `(q_scale · k_scale) · int` group terms `fused_dot`
+/// forms, however many members share the call, and every output channel
+/// adds its windows in ascending order and the staged rows last, as
+/// `attend` does. (The staged term is taken into a zeroed accumulator;
+/// `0.0 + t` differs from `t` only for `t = -0.0`, and adding either zero
+/// to a sum that started at `+0.0` gives the same bits.)
 pub struct RunAttention {
     heads: usize,
     kv_heads: usize,
     head_dim: usize,
-    /// Rows the cache held when the run began.
+    /// Rows the cache held before the run's first push.
     base: usize,
     /// The run's queries, INT8 at the cache group size.
     qv: Vec<QuantizedVector>,
-    /// The same codes widened to i16 in member order, `[KV head][row]
-    /// [query head of that KV head][head_dim]`: the members that sweep a
-    /// KV head's tile — every head sharing it, of every row from some row
-    /// on — are one contiguous slice.
-    q16: Vec<i16>,
-    /// The queries' group scales as f64, in the same order.
-    q_scales: Vec<f64>,
     /// Member `row · heads + head` owns `probs[member · stride..]
     /// [..base + row + 1]`: its scores over positions `0..=base + row`,
     /// softmaxed in place once the row has been pushed. One flat buffer,
-    /// every member at the last row's length ([`RunAttention::stride`]).
+    /// every member at the last row's length ([`RunAttention::stride`]);
+    /// every score a row reads is written first, so the buffer is reused
+    /// as it comes.
     probs: Vec<f32>,
     /// `[row][heads · head_dim]`: the staging window's share of `P·V`, per
     /// output channel.
     tails: Vec<f32>,
-    /// One window's INT8 probability codes.
-    p8: Vec<i8>,
-    /// The per-row sweep's scratch, for the rows past `tiled_rows`.
+    /// The row sweep's scratch.
     sweep: RowSweep,
-    /// Leading cache rows (a multiple of [`TILE_ROWS`]) whose K tiles have
-    /// been swept for every query still to come.
-    tiled_rows: usize,
-    /// Decoded operands of the tile being swept, row-major: [`TILE_ROWS`]
-    /// rows of `head_dim` (a K tile) or `group_size` (a V tile).
-    dec: Vec<i16>,
-    /// The same tile interleaved for the kernel.
-    tile: Vec<i16>,
+    /// Leading cache rows scored for every query still to come.
+    scored: usize,
 }
 
 impl RunAttention {
-    /// Run length from which the tile sweep beats
-    /// [`attention_incremental_paged`] per row. Measured on the serving
-    /// shape (4 heads of 64, group 64, 64-token blocks; AVX2, two vCPUs),
-    /// pushes included, best of 60 alternating repetitions, as per-query
-    /// time ÷ run time at contexts 200 / 500 / 760:
-    ///
-    /// | rows | 2 | 3 | 4 | 5 | 8 |
-    /// |---|---|---|---|---|---|
-    /// | ratio | 0.71–0.75 | 0.71–0.95 | 1.09–1.16 | 1.22–1.32 | 1.47–1.56 |
-    ///
-    /// Three rows lose to three block-swept queries, four win.
-    pub const MIN_ROWS: usize = 4;
-
-    /// Quantizes the run's queries and scores them against every K row
-    /// `cache` already holds. Call before the run's first push.
+    /// Quantizes the run's queries, scores them against every K row
+    /// `cache` holds and settles the first query. Call right after the
+    /// run's first push.
     ///
     /// # Panics
     ///
-    /// As [`attention_incremental_paged`], for every query.
-    pub fn begin(
-        qs: &[Vec<f32>],
+    /// Panics if `qs` or the cache is empty; otherwise as
+    /// [`attention_incremental_paged`], for every query.
+    pub fn begin<Q: AsRef<[f32]>>(
+        qs: &[Q],
         cache: &PagedKvCache,
         pool: &KvCachePool,
         heads: usize,
         kv_heads: usize,
         head_dim: usize,
     ) -> Self {
-        let base = cache.len();
+        assert!(!qs.is_empty(), "a run has at least one row");
+        let base = cache
+            .len()
+            .checked_sub(1)
+            .expect("a run begins after its first push");
         let qv: Vec<QuantizedVector> = qs
             .iter()
             .map(|q| {
+                let q = q.as_ref();
                 let g = check_attention_shapes(q.len(), cache, heads, kv_heads, head_dim);
                 quantize_vector_int8(q, g).expect("group divides head dim, hence q length")
             })
             .collect();
-        // One KV head's share of a query: its heads are adjacent.
-        let codes_per_kv = heads / kv_heads * head_dim;
-        let scales_per_kv = codes_per_kv / cache.group_size();
-        let mut q16 = Vec::with_capacity(qs.len() * heads * head_dim);
-        let mut q_scales = Vec::with_capacity(qs.len() * kv_heads * scales_per_kv);
-        for kv_head in 0..kv_heads {
-            for q in &qv {
-                let codes = &q.codes()[kv_head * codes_per_kv..(kv_head + 1) * codes_per_kv];
-                q16.extend(codes.iter().map(|&c| i16::from(c)));
-                let groups = kv_head * scales_per_kv..(kv_head + 1) * scales_per_kv;
-                q_scales.extend(groups.map(|j| f64::from(q.scale(j))));
-            }
-        }
+        let n = qv.len();
+        let RunScratch {
+            mut sweep,
+            mut probs,
+            mut tails,
+        } = SCRATCH.take();
+        sweep.staged.resize(cache.group_size(), 0);
+        probs.resize(probs.len().max(n * heads * (base + n)), 0.0);
+        tails.clear();
+        tails.resize(n * heads * head_dim, 0.0);
         let mut run = RunAttention {
             heads,
             kv_heads,
             head_dim,
             base,
             qv,
-            q16,
-            q_scales,
-            probs: vec![0.0; qs.len() * heads * (base + qs.len())],
-            tails: vec![0.0; qs.len() * heads * head_dim],
-            p8: vec![0; cache.group_size()],
-            sweep: RowSweep::default(),
-            tiled_rows: base / TILE_ROWS * TILE_ROWS,
-            dec: vec![0i16; TILE_ROWS * head_dim],
-            tile: vec![0i16; tile8_len(head_dim)],
+            probs,
+            tails,
+            sweep,
+            scored: base + 1,
         };
-        run.score_tiles(cache, pool, 0, run.tiled_rows, 0);
+        run.score(cache, pool, 0..n, 0..base + 1);
+        run.settle(0, cache);
         run
     }
 
@@ -1349,15 +1309,15 @@ impl RunAttention {
         self.base + self.qv.len()
     }
 
-    /// Scores queries `first_row..` against cache rows `t_lo..t_hi` (whole
-    /// tiles of [`TILE_ROWS`]), one decode per tile and KV head.
-    fn score_tiles(
+    /// Scores queries `queries` against cache rows `rows`: per KV head one
+    /// [`PagedKvCache::score_rows`] sweep, every head of those queries that
+    /// shares the KV head a member.
+    fn score(
         &mut self,
         cache: &PagedKvCache,
         pool: &KvCachePool,
-        t_lo: usize,
-        t_hi: usize,
-        first_row: usize,
+        queries: Range<usize>,
+        rows: Range<usize>,
     ) {
         let stride = self.stride();
         let RunAttention {
@@ -1365,157 +1325,107 @@ impl RunAttention {
             kv_heads,
             head_dim,
             ref qv,
-            ref q16,
-            ref q_scales,
             ref mut probs,
-            ref mut dec,
-            ref mut tile,
-            ..
-        } = *self;
-        if first_row >= qv.len() || t_lo == t_hi {
-            return;
-        }
-        let d = kernels();
-        let g = cache.group_size();
-        let gb = pool.group_bytes();
-        let bt = pool.cfg.block_tokens;
-        let per_kv = heads / kv_heads;
-        let gph = head_dim / g;
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        // Member m of a KV head is query row `first_row + m / per_kv`,
-        // head `kv_head · per_kv + m % per_kv`.
-        let count = (qv.len() - first_row) * per_kv;
-        let mut k_scales = vec![[0.0f64; TILE_ROWS]; gph];
-        let mut accs = vec![[0.0f64; TILE_ROWS]; count];
-        for kv_head in 0..kv_heads {
-            let at = (kv_head * qv.len() + first_row) * per_kv;
-            let members = &q16[at * head_dim..(at + count) * head_dim];
-            let member_scales = &q_scales[at * gph..(at + count) * gph];
-            let k_lo = kv_head * gph;
-            for t0 in (t_lo..t_hi).step_by(TILE_ROWS) {
-                for (lane, row) in dec.chunks_exact_mut(head_dim).enumerate() {
-                    let t = t0 + lane;
-                    let (codes, meta) = pool.k_row(cache.blocks[t / bt], t % bt);
-                    let groups = meta[k_lo..k_lo + gph]
-                        .iter()
-                        .map(|m| (kernel_table(m.dtype), m));
-                    let codes = &codes[k_lo * gb..(k_lo + gph) * gb];
-                    decode_tile_row(d, codes, g, groups, lane, row, &mut k_scales);
-                }
-                d.interleave_tile8(dec, head_dim, tile);
-                // `fused_dot`'s sum: ascending groups, f64, from zero.
-                accs.fill([0.0; TILE_ROWS]);
-                d.dot_tile8_scaled(tile, &k_scales, g, members, member_scales, &mut accs);
-                for (m, acc) in accs.iter().enumerate() {
-                    let member = (first_row + m / per_kv) * heads + kv_head * per_kv + m % per_kv;
-                    let scores = &mut probs[member * stride + t0..][..TILE_ROWS];
-                    for (s, &a) in scores.iter_mut().zip(acc) {
-                        *s = a as f32 * scale;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Finishes query `row` now that its own K/V row is in `cache`: scores
-    /// against the rows no tile covered yet, softmax, and the staging
-    /// window's share of `P·V`. Rows must come in order, each right after
-    /// its push.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` does not hold exactly the rows up to `row`.
-    pub fn attend_pushed(&mut self, row: usize, cache: &PagedKvCache, pool: &KvCachePool) {
-        let rows_now = self.base + row + 1;
-        assert_eq!(cache.len(), rows_now, "attend_pushed out of step with push");
-        let g = cache.group_size();
-        let stride = self.stride();
-        let RunAttention {
-            heads,
-            kv_heads,
-            head_dim,
-            ref qv,
-            ref mut probs,
-            ref mut tails,
-            ref mut p8,
             ref mut sweep,
-            tiled_rows,
             ..
         } = *self;
         let per_kv = heads / kv_heads;
-        let gph = head_dim / g;
+        let gph = head_dim / cache.group_size();
         let scale = 1.0 / (head_dim as f32).sqrt();
-        let staged_from = cache.committed_windows * g;
-        // The rows no tile covered yet, swept for this row's query heads.
-        let (member_codes, member_scales) = sweep_members(&qv[row], kv_heads, gph);
-        let per_group = member_codes
-            .chunks_exact(per_kv * gph)
-            .zip(member_scales.chunks_exact(per_kv * gph));
-        for (kv_head, (codes, xscales)) in per_group.enumerate() {
+        let (codes, xscales) = sweep_members(&qv[queries.clone()], kv_heads, per_kv, gph);
+        let per_head = codes.len() / kv_heads;
+        let operands = codes
+            .chunks_exact(per_head)
+            .zip(xscales.chunks_exact(per_head));
+        for (kv_head, (codes, xscales)) in operands.enumerate() {
             cache.score_rows(
                 pool,
-                tiled_rows..rows_now,
+                rows.clone(),
                 kv_head * gph,
                 gph,
                 codes,
                 xscales,
                 sweep,
                 |j, t0, sums| {
-                    let member = row * heads + kv_head * per_kv + j;
+                    let member =
+                        (queries.start + j / per_kv) * heads + kv_head * per_kv + j % per_kv;
                     for (s, &a) in probs[member * stride + t0..].iter_mut().zip(sums) {
                         *s = a as f32 * scale;
                     }
                 },
             );
         }
-        let d = kernels();
+    }
+
+    /// Query `row`'s scores are complete: softmax them, and take the
+    /// staging window's share of its `P·V` while the window holds exactly
+    /// the rows the query sees.
+    fn settle(&mut self, row: usize, cache: &PagedKvCache) {
+        let (heads, head_dim) = (self.heads, self.head_dim);
+        let (rows_now, stride) = (self.base + row + 1, self.stride());
+        let per_kv = heads / self.kv_heads;
+        let staged_from = cache.committed_windows * cache.group_size();
         for h in 0..heads {
             let member = row * heads + h;
-            let scores = &mut probs[member * stride..][..rows_now];
-            d.softmax(scores);
+            let scores = &mut self.probs[member * stride..][..rows_now];
+            kernels().softmax(scores);
             cache.staging.attend_staged_with(
                 &scores[staged_from..],
-                p8,
+                &mut self.sweep.staged,
                 h / per_kv * head_dim,
-                &mut tails[member * head_dim..][..head_dim],
+                &mut self.tails[member * head_dim..][..head_dim],
             );
-        }
-        if rows_now.is_multiple_of(TILE_ROWS) {
-            // The push completed a tile: later queries take it decoded.
-            self.score_tiles(cache, pool, rows_now - TILE_ROWS, rows_now, row + 1);
-            self.tiled_rows = rows_now;
         }
     }
 
-    /// `P·V` over the committed windows — each decoded once per KV head for
+    /// Attends query `row` now that its own K/V row is in `cache`: scores
+    /// against the in-run rows no chunk covered yet, softmax, and the
+    /// staging window's share of `P·V`; a push that completes a chunk also
+    /// scores it for the queries still to come. Rows `1..` come in order,
+    /// each right after its push (row 0 is [`RunAttention::begin`]'s).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is 0 or `cache` does not hold exactly the rows up
+    /// to `row`.
+    pub fn attend_pushed(&mut self, row: usize, cache: &PagedKvCache, pool: &KvCachePool) {
+        let rows_now = self.base + row + 1;
+        assert!(
+            row > 0 && cache.len() == rows_now,
+            "attend_pushed out of step with push"
+        );
+        self.score(cache, pool, row..row + 1, self.scored..rows_now);
+        self.settle(row, cache);
+        let n = self.qv.len();
+        if rows_now.is_multiple_of(TILE_ROWS) && row + 1 < n {
+            self.score(cache, pool, row + 1..n, self.scored..rows_now);
+            self.scored = rows_now;
+        }
+    }
+
+    /// `P·V` over the committed windows — each swept once per KV head for
     /// every query that sees it — plus each query's staged share; one
     /// output vector per run row.
-    pub fn finish(mut self, cache: &PagedKvCache, pool: &KvCachePool) -> Vec<Vec<f32>> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` does not hold exactly the run's rows.
+    pub fn finish(self, cache: &PagedKvCache, pool: &KvCachePool) -> Vec<Vec<f32>> {
         let stride = self.stride();
+        assert_eq!(cache.len(), stride, "finish out of step with push");
+        let (n, g) = (self.qv.len(), cache.group_size());
         let RunAttention {
             heads,
             kv_heads,
             head_dim,
             base,
+            probs,
+            tails,
+            mut sweep,
             ..
         } = self;
-        let d = kernels();
-        let g = cache.group_size();
-        let gb = pool.group_bytes();
-        let bt = pool.cfg.block_tokens;
         let per_kv = heads / kv_heads;
-        let n = self.qv.len();
         let mut out = vec![vec![0.0f32; heads * head_dim]; n];
-        // Per window and KV head: the members whose probabilities over the
-        // window are not all zero, with their INT8 codes (quantized, then
-        // widened for the kernel) and scales.
-        let mut live: Vec<usize> = Vec::new();
-        let mut p_scales: Vec<f64> = Vec::new();
-        let p8 = &mut self.p8[..g];
-        let mut p16 = vec![0i16; n * per_kv * g];
-        let mut accs = vec![[0.0f64; TILE_ROWS]; n * per_kv];
-        let dec = &mut self.dec[..TILE_ROWS * g];
-        let tile = &mut self.tile[..tile8_len(g)];
         for w in 0..cache.committed_windows {
             // A window committed inside the run exists only for the rows
             // pushed since.
@@ -1523,90 +1433,37 @@ impl RunAttention {
             if first_row >= n {
                 break;
             }
-            let win_token = w * g;
-            let (meta, codes) = pool.v_window(cache.blocks[win_token / bt], (win_token % bt) / g);
             for kv_head in 0..kv_heads {
-                let head_of = |m: usize| kv_head * per_kv + m % per_kv;
-                live.clear();
-                p_scales.clear();
-                for m in 0..(n - first_row) * per_kv {
-                    let member = (first_row + m / per_kv) * heads + head_of(m);
-                    let p = &self.probs[member * stride + win_token..][..g];
-                    if let Some(pscale) = quantize_probs_int8_into(p, p8) {
-                        let slot = &mut p16[live.len() * g..(live.len() + 1) * g];
-                        for (o, &c) in slot.iter_mut().zip(p8.iter()) {
-                            *o = i16::from(c);
-                        }
-                        live.push(m);
-                        p_scales.push(f64::from(pscale));
-                    }
-                }
-                let members = &p16[..live.len() * g];
-                let accs = &mut accs[..live.len()];
-                let (c_lo, c_hi) = (kv_head * head_dim, (kv_head + 1) * head_dim);
-                if live.is_empty() {
-                    continue;
-                }
-                for c0 in (c_lo..c_hi).step_by(TILE_ROWS) {
-                    let mut v_scales = [[0.0f64; TILE_ROWS]];
-                    for (lane, row) in dec.chunks_exact_mut(g).enumerate() {
-                        // A ragged last tile repeats its last channel; the
-                        // spare lanes are dropped below.
-                        let c = (c0 + lane).min(c_hi - 1);
-                        let group = std::iter::once((kernel_table(meta[c].dtype), &meta[c]));
-                        let codes = &codes[c * gb..(c + 1) * gb];
-                        decode_tile_row(d, codes, g, group, lane, row, &mut v_scales);
-                    }
-                    d.interleave_tile8(dec, g, tile);
-                    accs.fill([0.0; TILE_ROWS]);
-                    d.dot_tile8_scaled(tile, &v_scales, g, members, &p_scales, accs);
-                    let lanes = (c_hi - c0).min(TILE_ROWS);
-                    for (&m, acc) in live.iter().zip(accs.iter()) {
-                        let o0 = head_of(m) * head_dim + c0 - c_lo;
-                        let o = &mut out[first_row + m / per_kv][o0..o0 + lanes];
+                let heads_of = kv_head * per_kv..(kv_head + 1) * per_kv;
+                let members =
+                    (first_row..n).flat_map(|row| heads_of.clone().map(move |h| (row, h)));
+                cache.window_pv(
+                    pool,
+                    w,
+                    kv_head * head_dim..(kv_head + 1) * head_dim,
+                    members.map(|(row, h)| &probs[(row * heads + h) * stride + w * g..][..g]),
+                    &mut sweep,
+                    |i, terms| {
+                        let (row, h) = (first_row + i / per_kv, heads_of.start + i % per_kv);
                         // `attend_window`'s term, one `+=` per channel.
-                        for (oc, &a) in o.iter_mut().zip(acc) {
-                            *oc += a as f32;
+                        for (o, &t) in out[row][h * head_dim..].iter_mut().zip(terms) {
+                            *o += t as f32;
                         }
-                    }
-                }
+                    },
+                );
             }
         }
-        for (o, tail) in out
-            .iter_mut()
-            .zip(self.tails.chunks_exact(heads * head_dim))
-        {
-            for (oc, tc) in o.iter_mut().zip(tail.iter()) {
+        for (o, tail) in out.iter_mut().zip(tails.chunks_exact(heads * head_dim)) {
+            for (oc, tc) in o.iter_mut().zip(tail) {
                 *oc += tc;
             }
         }
+        SCRATCH.set(RunScratch {
+            sweep,
+            probs,
+            tails,
+        });
         out
-    }
-}
-
-/// Decodes one row of an eight-row tile for
-/// [`KernelDispatch::dot_tile8_scaled`]: `packed` holds the row's groups
-/// back to back, `groups` yields each group's decode table and metadata,
-/// the i16 operands land in `row` and the scales in lane `lane` of
-/// `scales`. A row is a cached K row or a channel of a V window.
-fn decode_tile_row<'a>(
-    d: KernelDispatch,
-    packed: &[u8],
-    group_size: usize,
-    groups: impl Iterator<Item = (&'a KernelLut, &'a GroupMeta)>,
-    lane: usize,
-    row: &mut [i16],
-    scales: &mut [[f64; TILE_ROWS]],
-) {
-    let gb = group_size.div_ceil(2);
-    for (g, (lut, meta)) in groups.enumerate() {
-        d.decode_packed_i16(
-            &packed[g * gb..(g + 1) * gb],
-            group_size,
-            lut,
-            &mut row[g * group_size..(g + 1) * group_size],
-        );
-        scales[g][lane] = f64::from(meta.scale);
     }
 }
 
@@ -2082,7 +1939,8 @@ mod tests {
     }
 
     /// Pushes `data` rows `lo..hi` through `view` as one run and checks
-    /// every row's attention against the one-query path on a twin cache.
+    /// every row's attention against the per-row references on a twin
+    /// cache, each query right after its own push.
     fn check_run(
         pool: &mut KvCachePool,
         view: &mut PagedKvCache,
@@ -2093,19 +1951,18 @@ mod tests {
         (heads, kv_heads): (usize, usize),
     ) {
         let head_dim = view.dim() / kv_heads;
+        let shape = (heads, kv_heads, head_dim);
         let qs: Vec<Vec<f32>> = (lo..hi).map(|t| queries.row(t).to_vec()).collect();
+        view.push(pool, data.row(lo), data.row(lo + 1)).unwrap();
         let mut run = RunAttention::begin(&qs, view, pool, heads, kv_heads, head_dim);
-        let mut want = Vec::new();
-        for (i, t) in (lo..hi).enumerate() {
+        for (i, t) in (lo..hi).enumerate().skip(1) {
             view.push(pool, data.row(t), data.row(t + 1)).unwrap();
             run.attend_pushed(i, view, pool);
-            twin.push(pool, data.row(t), data.row(t + 1)).unwrap();
-            want.push(attention_incremental_paged(
-                &qs[i], twin, pool, heads, kv_heads, head_dim,
-            ));
         }
         let got = run.finish(view, pool);
-        for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+        for (i, (t, g)) in (lo..hi).zip(got.iter()).enumerate() {
+            twin.push(pool, data.row(t), data.row(t + 1)).unwrap();
+            let w = per_row_attention(&qs[i], twin, pool, shape);
             let g: Vec<u32> = g.iter().map(|v| v.to_bits()).collect();
             let w: Vec<u32> = w.iter().map(|v| v.to_bits()).collect();
             assert_eq!(g, w, "run {lo}..{hi} row {i}");
@@ -2208,11 +2065,34 @@ mod tests {
         }
         let mut p8 = vec![0i8; 16];
         let mut sweep = RowSweep::default();
+        let zeros = [0.0f32; 16];
         for (chan_lo, len) in [(0usize, 64usize), (5, 13), (16, 16), (40, 24), (63, 1)] {
             let mut want = vec![0.0f32; len];
             cache.attend(&pool, &probs, chan_lo, &mut want);
+            // Every window offers an all-zero member first, which must be
+            // skipped without shifting the other's index.
             let mut got = vec![0.0f32; len];
-            cache.attend_with(&pool, &probs, &mut p8, &mut sweep, chan_lo, &mut got);
+            for w in 0..cache.committed_windows() {
+                let members = [&zeros[..], &probs[w * 16..(w + 1) * 16]];
+                let chans = chan_lo..chan_lo + len;
+                cache.window_pv(
+                    &pool,
+                    w,
+                    chans,
+                    members.into_iter(),
+                    &mut sweep,
+                    |i, terms| {
+                        assert_eq!(i, 1, "the zero member sweeps nothing");
+                        for (o, &t) in got.iter_mut().zip(terms) {
+                            *o += t as f32;
+                        }
+                    },
+                );
+            }
+            let staged = &probs[cache.committed_windows() * 16..];
+            cache
+                .staging
+                .attend_staged_with(staged, &mut p8, chan_lo, &mut got);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "channels {chan_lo}..+{len}");
         }
@@ -2220,16 +2100,18 @@ mod tests {
 
     #[test]
     fn run_attention_bit_identical_to_per_query_attention() {
-        // The cuts start a run at every `base % 8` (the K tile is eight
-        // rows): runs too short to reach a tile boundary (0..5, 16..18),
-        // runs that complete a K tile mid-run so later queries take it
-        // decoded (5..9, 23..28), runs ending exactly on a window commit
-        // (9..16, 77..80), one crossing a block boundary with a commit
-        // inside (28..35) and one crossing blocks and several commits
-        // (35..70). Plain heads; GQA with two query heads per KV head and
-        // two groups per head; an odd group size (scalar arm) whose
-        // 15-channel heads leave a ragged last channel tile; and GQA with
-        // an even group whose 12-channel heads are ragged on the AVX2 arm.
+        // The cuts start runs at every `base % 8` (in-run rows are scored
+        // for the queries still to come in chunks ending at multiples of
+        // eight): runs that end before a chunk does (0..5, 16..18), runs
+        // that complete a chunk mid-run (5..9, 23..28), runs ending exactly
+        // on a window commit (9..16, 77..80), one crossing a block boundary
+        // with a commit inside (28..35), one crossing blocks and several
+        // commits (35..70), a one-row run — decode attention — (80..81),
+        // and a 33-row run that crosses a pool block and commits a V
+        // window (81..114). Plain heads; GQA with two query heads per KV
+        // head and two groups per head; an odd group size (the kernel's
+        // scalar arm) with 15-channel heads; and GQA with an even group
+        // and 12-channel heads, ragged against the eight-row block.
         for (group_size, block_tokens, heads, kv_heads, groups_per_head) in [
             (16usize, 32usize, 4usize, 4usize, 1usize),
             (16, 32, 8, 4, 2),
@@ -2242,14 +2124,14 @@ mod tests {
                 kv_dim: kv_heads * head_dim,
                 group_size,
                 block_tokens,
-                blocks: 10,
+                blocks: 12,
             })
             .unwrap();
-            let data = gen.group_diverse_matrix(81, kv_heads * head_dim, group_size, 0.5);
-            let queries = gen.group_diverse_matrix(80, heads * head_dim, group_size, 1.0);
+            let data = gen.group_diverse_matrix(115, kv_heads * head_dim, group_size, 0.5);
+            let queries = gen.group_diverse_matrix(114, heads * head_dim, group_size, 1.0);
             let mut view = PagedKvCache::new(&pool, vmap(), vmap());
             let mut twin = PagedKvCache::new(&pool, vmap(), vmap());
-            for cut in [0usize, 5, 9, 16, 18, 23, 28, 35, 70, 77, 80].windows(2) {
+            for cut in [0usize, 5, 9, 16, 18, 23, 28, 35, 70, 77, 80, 81, 114].windows(2) {
                 check_run(
                     &mut pool,
                     &mut view,
