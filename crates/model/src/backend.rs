@@ -1,146 +1,61 @@
-//! Execution backends: packed-weight storage and dispatch.
+//! Packed-weight storage: the model's linear layers as 4-bit groups.
 //!
 //! The paper's central hardware claim (Sec. IV) is that MANT executes
 //! *without dequantization*: Eq. (5) splits every group dot product into a
 //! multiply-accumulate and a shift-accumulate lane, recombined once per
-//! group. This module gives the model runner that execution path in
-//! software:
-//!
-//! - [`QuantizedLinear`] holds one projection's packed 4-bit groups and
-//!   answers matvecs through the fused integer GEMV (`mant_quant::fused`);
-//! - [`PackedWeights`] mirrors the model's layer structure with packed
-//!   projections (embedding, norms, and LM head stay f32, matching the
-//!   paper's "linear layer" quantization scope);
-//! - [`ExecutionBackend`] names the two engines a runner can drive: the
-//!   f32 [`ExecutionBackend::Reference`] path over (fake-quantized) dense
-//!   weights, and the [`ExecutionBackend::Quantized`] path that consumes
-//!   packed groups end to end — linear layers via [`QuantizedLinear`], the
-//!   KV cache via the block-swept incremental attention
-//!   (`attention_incremental_paged`).
+//! group. [`PackedWeights`] mirrors the model's layer structure with each
+//! projection a [`MantQuantizedMatrix`] (embedding, norms, and LM head
+//! stay f32, matching the paper's "linear layer" quantization scope); the
+//! runners apply a projection by calling the fused integer GEMV
+//! (`mant_quant::fused`) on the matrix itself — [`mant_quant::mant_gemv`]
+//! for one token ([`crate::ModelRunner`] over
+//! [`TransformerModel::packed_runner`]), [`mant_quant::mant_gemv_batch`]
+//! for a batch of rows ([`crate::BatchRunner`]).
 
 use mant_numerics::TiledF32;
-use mant_quant::{
-    mant_gemv, mant_gemv_batch, quantize_vector_int8, MantQuantizedMatrix, MantWeightQuantizer,
-    QuantError, QuantizedVector,
-};
+use mant_quant::{MantQuantizedMatrix, MantWeightQuantizer, QuantError};
 use mant_tensor::Matrix;
 
 use crate::config::FfnKind;
 use crate::layers::{Proj, TransformerModel};
 
-/// Which execution engine a [`crate::ModelRunner`] drives.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecutionBackend {
-    /// f32 matvecs over dense (optionally fake-quantized) weights, with
-    /// quantized KV caches dequantized to matrices before attention.
-    #[default]
-    Reference,
-    /// Fused integer execution over packed groups: INT8 activations ×
-    /// 4-bit packed weights via the two-psum kernels, and incremental
-    /// attention that consumes K/V cache groups in place.
-    Quantized,
-}
-
-/// One linear projection stored as packed 4-bit MANT/INT4 groups,
-/// dispatching matvecs to the fused integer GEMV — never dequantized on
-/// the forward path.
-#[derive(Clone, Debug)]
-pub struct QuantizedLinear {
-    packed: MantQuantizedMatrix,
-}
-
-impl QuantizedLinear {
-    /// Wraps a packed matrix.
-    pub fn new(packed: MantQuantizedMatrix) -> Self {
-        QuantizedLinear { packed }
-    }
-
-    /// Number of output channels.
-    pub fn rows(&self) -> usize {
-        self.packed.rows()
-    }
-
-    /// Accumulation-dimension length.
-    pub fn cols(&self) -> usize {
-        self.packed.cols()
-    }
-
-    /// The quantization group size.
-    pub fn group_size(&self) -> usize {
-        self.packed.group_size()
-    }
-
-    /// The underlying packed matrix.
-    pub fn packed(&self) -> &MantQuantizedMatrix {
-        &self.packed
-    }
-
-    /// `y = W · x` over packed groups: per-group integer psums plus one
-    /// `s_x · s_w` multiply (Eq. (5)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x`'s length or group size disagrees with the weights.
-    pub fn matvec(&self, x: &QuantizedVector) -> Vec<f32> {
-        mant_gemv(x, &self.packed).expect("activation layout matches packed weights")
-    }
-
-    /// Quantizes `x` at the weight group size, then runs the fused GEMV.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group size does not divide `x.len()`.
-    pub fn matvec_f32(&self, x: &[f32]) -> Vec<f32> {
-        let xq = quantize_vector_int8(x, self.group_size())
-            .expect("group size divides the activation length");
-        self.matvec(&xq)
-    }
-
-    /// Multi-query matmul: `y_i = W · x_i` for a whole continuous batch of
-    /// independently quantized activations through one packed row sweep
-    /// ([`mant_gemv_batch`]) — each weight group is decoded once per block
-    /// of up to four sequences (once for all of them on the scalar tier)
-    /// and swept across each, amortizing the per-group overhead that makes
-    /// the software GEMV lose at batch 1. `out[i]` is bit-identical to
-    /// `self.matvec(&xs[i])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector's length or group size disagrees with the
-    /// weights.
-    pub fn matmul(&self, xs: &[QuantizedVector]) -> Vec<Vec<f32>> {
-        mant_gemv_batch(xs, &self.packed).expect("activation layout matches packed weights")
-    }
-
-    /// Dequantizes to a dense matrix (for the reference twin and tests —
-    /// never called on the quantized forward path).
-    pub fn dequantize(&self) -> Matrix {
-        self.packed.dequantize()
-    }
-
-    /// Storage bits of the packed representation.
-    pub fn storage_bits(&self) -> usize {
-        self.packed.storage_bits()
-    }
-}
-
 /// Packed projections of one transformer layer.
 #[derive(Clone, Debug)]
 pub struct PackedLayer {
     /// Query projection.
-    pub wq: QuantizedLinear,
+    pub wq: MantQuantizedMatrix,
     /// Key projection.
-    pub wk: QuantizedLinear,
+    pub wk: MantQuantizedMatrix,
     /// Value projection.
-    pub wv: QuantizedLinear,
+    pub wv: MantQuantizedMatrix,
     /// Attention output projection.
-    pub wo: QuantizedLinear,
+    pub wo: MantQuantizedMatrix,
     /// FFN gate (absent for [`FfnKind::PlainGelu`] models).
-    pub w_gate: Option<QuantizedLinear>,
+    pub w_gate: Option<MantQuantizedMatrix>,
     /// FFN up projection.
-    pub w_up: QuantizedLinear,
+    pub w_up: MantQuantizedMatrix,
     /// FFN down projection.
-    pub w_down: QuantizedLinear,
+    pub w_down: MantQuantizedMatrix,
+}
+
+impl PackedLayer {
+    /// The packed matrix of `proj`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Proj::Gate`] for a [`FfnKind::PlainGelu`] layer, which
+    /// packs no gate.
+    pub(crate) fn proj(&self, proj: Proj) -> &MantQuantizedMatrix {
+        match proj {
+            Proj::Q => &self.wq,
+            Proj::K => &self.wk,
+            Proj::V => &self.wv,
+            Proj::O => &self.wo,
+            Proj::Gate => self.w_gate.as_ref().expect("a gated layer packs a gate"),
+            Proj::Up => &self.w_up,
+            Proj::Down => &self.w_down,
+        }
+    }
 }
 
 /// All linear-layer weights of a model in packed form — what the quantized
@@ -182,7 +97,9 @@ impl PackedWeights {
                     + l.wk.storage_bits()
                     + l.wv.storage_bits()
                     + l.wo.storage_bits()
-                    + l.w_gate.as_ref().map_or(0, QuantizedLinear::storage_bits)
+                    + l.w_gate
+                        .as_ref()
+                        .map_or(0, MantQuantizedMatrix::storage_bits)
                     + l.w_up.storage_bits()
                     + l.w_down.storage_bits()
             })
@@ -245,10 +162,10 @@ impl TransformerModel {
     where
         F: Fn(usize, Proj) -> MantWeightQuantizer,
     {
-        let pack = |li: usize, proj: Proj, w: &Matrix| -> Result<QuantizedLinear, QuantError> {
+        let pack = |li: usize, proj: Proj, w: &Matrix| {
             let q = make(li, proj);
             debug_assert_eq!(q.group_size(), group_size, "quantizer group size drift");
-            Ok(QuantizedLinear::new(q.par_quantize(w)?))
+            q.par_quantize(w)
         };
         let mut layers = Vec::with_capacity(self.config.layers);
         for (li, l) in self.weights.layers.iter().enumerate() {
@@ -321,26 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_bit_identical_to_matvec() {
-        use mant_quant::quantize_vector_int8;
-        use mant_tensor::TensorGenerator;
-        let m = TransformerModel::synthesize(&ModelConfig::sim_llama(), 26);
-        let packed = m.pack_weights(64).unwrap();
-        let lin = &packed.layers()[0].wq;
-        let mut gen = TensorGenerator::new(26);
-        let xs: Vec<_> = (0..4)
-            .map(|_| {
-                let x: Vec<f32> = (0..lin.cols()).map(|_| gen.standard_normal()).collect();
-                quantize_vector_int8(&x, 64).unwrap()
-            })
-            .collect();
-        let batched = lin.matmul(&xs);
-        for (x, y) in xs.iter().zip(batched.iter()) {
-            assert_eq!(y, &lin.matvec(x), "multi-query matmul drifted from matvec");
-        }
-    }
-
-    #[test]
     fn plain_gelu_models_have_no_gate() {
         let m = TransformerModel::synthesize(&ModelConfig::sim_opt(), 23);
         let packed = m.pack_weights(64).unwrap();
@@ -374,8 +271,7 @@ mod tests {
 
     /// Everything the encode search decided about one projection: packed
     /// bytes, per-group type and scale bits, and the type histogram.
-    fn projection_hash(lin: &QuantizedLinear) -> u64 {
-        let q = lin.packed();
+    fn projection_hash(q: &MantQuantizedMatrix) -> u64 {
         let mut h = Fnv::new();
         for r in 0..q.rows() {
             h.eat(q.packed_row(r));

@@ -11,7 +11,7 @@
 //! caller's — rollback is [`BatchRunner::truncate_session`]):
 //!
 //! - linear projections run the **multi-query packed GEMM**
-//!   ([`crate::QuantizedLinear::matmul`]) over every row of every run:
+//!   ([`mant_quant::mant_gemv_batch`]) over every row of every run:
 //!   one packed row sweep decodes each block of weight rows in registers
 //!   and runs it against the rows' INT8 activations, so a prefill chunk is
 //!   matrix–matrix work and not one GEMV per token;
@@ -62,7 +62,9 @@ use std::collections::HashMap;
 
 use mant_numerics::kernels;
 use mant_quant::pool::{KvCachePool, PagedKvCache, PoolConfig, RunAttention};
-use mant_quant::{quantize_vector_int8, QuantizedVector, VarianceMap};
+use mant_quant::{
+    mant_gemv_batch, quantize_vector_int8, MantQuantizedMatrix, QuantizedVector, VarianceMap,
+};
 use mant_tensor::ops::{gelu, rmsnorm, silu};
 
 use crate::backend::PackedWeights;
@@ -540,7 +542,7 @@ impl BatchRunner<'_> {
             // --- Attention block ---
             let mut xqs = quantize_batch(xs.iter().map(|x| rmsnorm(x, &layer.attn_norm, 1e-5)), g);
             let (ks, vs) = timed(prof, &mut t_gemm, || {
-                (pl.wk.matmul(&xqs), pl.wv.matmul(&xqs))
+                (matmul(&pl.wk, &xqs), matmul(&pl.wv, &xqs))
             });
             if last {
                 // From here on `xs` and `xqs` hold the live rows only.
@@ -559,7 +561,7 @@ impl BatchRunner<'_> {
             let qs = if xqs.is_empty() {
                 Vec::new()
             } else {
-                timed(prof, &mut t_gemm, || pl.wq.matmul(&xqs))
+                timed(prof, &mut t_gemm, || matmul(&pl.wq, &xqs))
             };
             let mut attns: Vec<Vec<f32>> = Vec::with_capacity(xs.len());
             let mut row0 = 0usize;
@@ -604,7 +606,7 @@ impl BatchRunner<'_> {
                 break;
             }
             let attns_q = quantize_batch(attns.into_iter(), g);
-            let os = timed(prof, &mut t_gemm, || pl.wo.matmul(&attns_q));
+            let os = timed(prof, &mut t_gemm, || matmul(&pl.wo, &attns_q));
             for (x, o) in xs.iter_mut().zip(os.iter()) {
                 for (xi, oi) in x.iter_mut().zip(o.iter()) {
                     *xi += oi;
@@ -617,7 +619,7 @@ impl BatchRunner<'_> {
                 FfnKind::GatedSilu => {
                     let gate_w = pl.w_gate.as_ref().expect("gated model packs a gate");
                     let (gates, ups) = timed(prof, &mut t_gemm, || {
-                        (gate_w.matmul(&xnq), pl.w_up.matmul(&xnq))
+                        (matmul(gate_w, &xnq), matmul(&pl.w_up, &xnq))
                     });
                     gates
                         .iter()
@@ -631,14 +633,14 @@ impl BatchRunner<'_> {
                         .collect()
                 }
                 FfnKind::PlainGelu => {
-                    let ups = timed(prof, &mut t_gemm, || pl.w_up.matmul(&xnq));
+                    let ups = timed(prof, &mut t_gemm, || matmul(&pl.w_up, &xnq));
                     ups.iter()
                         .map(|up| up.iter().map(|&u| gelu(u)).collect())
                         .collect()
                 }
             };
             let hs_q = quantize_batch(hs.into_iter(), g);
-            let ffs = timed(prof, &mut t_gemm, || pl.w_down.matmul(&hs_q));
+            let ffs = timed(prof, &mut t_gemm, || matmul(&pl.w_down, &hs_q));
             for (x, ff) in xs.iter_mut().zip(ffs.iter()) {
                 for (xi, fi) in x.iter_mut().zip(ff.iter()) {
                     *xi += fi;
@@ -752,6 +754,13 @@ impl BatchRunner<'_> {
 fn quantize_batch(xs: impl Iterator<Item = Vec<f32>>, group: usize) -> Vec<QuantizedVector> {
     xs.map(|x| quantize_vector_int8(&x, group).expect("group size divides the activation length"))
         .collect()
+}
+
+/// `out[i] = W · xs[i]` for every row at once, through the packed row
+/// sweep ([`mant_gemv_batch`]): bit-identical to one
+/// [`mant_quant::mant_gemv`] per row, whatever else is in the batch.
+fn matmul(w: &MantQuantizedMatrix, xs: &[QuantizedVector]) -> Vec<Vec<f32>> {
+    mant_gemv_batch(xs, w).expect("activation layout matches packed weights")
 }
 
 /// Keeps `rows[i]` where `keep[i]`, in order.

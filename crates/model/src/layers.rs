@@ -1,17 +1,19 @@
 //! The transformer model, its step-wise runner, and quantized execution.
 
+use std::sync::OnceLock;
+
 use mant_numerics::fp16::quantize_fp16;
 use mant_numerics::int::quantize_symmetric_int;
 use mant_numerics::{kernels, TiledF32};
 use mant_quant::{
-    attention_f32, attention_incremental_paged, quantize_vector_int8, CandidateSet, FakeQuantizer,
-    KvCachePool, PagedKvCache, PoolConfig, VarianceMap,
+    attention_f32, attention_incremental_paged, mant_gemv, quantize_vector_int8, CandidateSet,
+    FakeQuantizer, KvCachePool, PagedKvCache, PoolConfig, VarianceMap,
 };
 use mant_tensor::ops::{gelu, rmsnorm, silu};
 use mant_tensor::par::par_map_slice;
 use mant_tensor::{abs_max, matvec, Matrix};
 
-use crate::backend::{ExecutionBackend, PackedWeights};
+use crate::backend::PackedWeights;
 use crate::config::{FfnKind, ModelConfig};
 use crate::synth;
 
@@ -216,18 +218,95 @@ enum RunnerKv {
 /// ```
 pub struct ModelRunner<'m> {
     model: &'m TransformerModel,
-    act: ActMode,
     kv: RunnerKv,
     seq_len: usize,
-    /// Packed linear weights when driving [`ExecutionBackend::Quantized`];
-    /// `None` selects the f32 reference backend over the model's dense
-    /// weights.
-    packed: Option<&'m PackedWeights>,
-    /// The reference backend's copy of the model's dense weights, tiled for
-    /// [`mant_numerics::KernelDispatch::matvec_tiled_f32`]; built on the
-    /// first reference step. The runner borrows the model, so the copy
-    /// cannot go stale.
-    tiled: Option<TiledWeights>,
+    backend: Backend<'m>,
+}
+
+/// The weights a [`ModelRunner`] runs its projections and LM head on.
+enum Backend<'m> {
+    /// Packed groups through the fused integer GEMV, on INT8 activations
+    /// at the packed group size; a quantized KV cache is read group-wise
+    /// in place ([`TransformerModel::packed_runner`]).
+    Packed(&'m PackedWeights),
+    /// The model's dense f32 weights behind the runner's [`ActMode`]; a
+    /// quantized KV cache is dequantized before attention.
+    Reference {
+        model: &'m TransformerModel,
+        act: ActMode,
+        /// The dense weights tiled for
+        /// [`mant_numerics::KernelDispatch::matvec_tiled_f32`], built on
+        /// the first projection. The runner borrows the model, so the
+        /// copy cannot go stale.
+        tiled: OnceLock<TiledWeights>,
+    },
+}
+
+impl Backend<'_> {
+    /// Applies `projs` of layer `li` to one input: reports `x` to `obs`
+    /// once per projection, quantizes it once for this backend — INT8 at
+    /// the packed group size, or the reference's [`ActMode`] — and runs
+    /// each projection on that one quantized input, in the listed order.
+    fn project<const N: usize>(
+        &self,
+        li: usize,
+        x: &[f32],
+        projs: [Proj; N],
+        obs: &mut dyn ForwardObserver,
+    ) -> [Vec<f32>; N] {
+        for proj in projs {
+            obs.on_linear_input(li, proj, x);
+        }
+        match self {
+            Backend::Packed(packed) => {
+                let xq = quantize_vector_int8(x, packed.group_size())
+                    .expect("the packed group size divides every projection input");
+                let layer = &packed.layers()[li];
+                projs.map(|proj| {
+                    mant_gemv(&xq, layer.proj(proj))
+                        .expect("activation layout matches packed weights")
+                })
+            }
+            Backend::Reference { model, act, tiled } => {
+                let xq = quantize_act(*act, x);
+                let layer = &tiled.get_or_init(|| TiledWeights::of(model)).layers[li];
+                projs.map(|proj| matvec_tiled(layer.proj(proj), &xq))
+            }
+        }
+    }
+
+    /// Attention of `q` over a quantized cache: the packed backend sweeps
+    /// the packed groups in place; the reference backend materializes the
+    /// dequantized cache (the path the decode bench measures against).
+    fn attend(
+        &self,
+        q: &[f32],
+        cache: &PagedKvCache,
+        pool: &KvCachePool,
+        cfg: &ModelConfig,
+    ) -> Vec<f32> {
+        let (heads, kv_heads, hd) = (cfg.heads, cfg.kv_heads, cfg.head_dim());
+        match self {
+            Backend::Packed(_) => attention_incremental_paged(q, cache, pool, heads, kv_heads, hd),
+            Backend::Reference { .. } => {
+                let (k_all, v_all) = (cache.dequantize_k(pool), cache.dequantize_v(pool));
+                attention_f32(q, &k_all, &v_all, heads, kv_heads, hd)
+            }
+        }
+    }
+
+    /// The LM head `head · x`.
+    fn lm_head(&self, head: &Matrix, x: &[f32]) -> Vec<f32> {
+        match self {
+            // The packed runner is the serving engine's oracle: its head
+            // stays on the row-major `matvec`, independent of the tiled
+            // head `BatchRunner` reads.
+            Backend::Packed(_) => matvec(head, x),
+            Backend::Reference { model, tiled, .. } => {
+                matvec_tiled(&tiled.get_or_init(|| TiledWeights::of(model)).lm_head, x)
+            }
+        }
+    }
 }
 
 /// Every f32 matrix of the reference forward in the row tiles of
@@ -249,6 +328,20 @@ struct TiledLayer {
     w_gate: Option<TiledF32>,
     w_up: TiledF32,
     w_down: TiledF32,
+}
+
+impl TiledLayer {
+    fn proj(&self, proj: Proj) -> &TiledF32 {
+        match proj {
+            Proj::Q => &self.wq,
+            Proj::K => &self.wk,
+            Proj::V => &self.wv,
+            Proj::O => &self.wo,
+            Proj::Gate => self.w_gate.as_ref().expect("a gated model tiles its gate"),
+            Proj::Up => &self.w_up,
+            Proj::Down => &self.w_down,
+        }
+    }
 }
 
 impl TiledWeights {
@@ -390,11 +483,13 @@ impl TransformerModel {
         };
         ModelRunner {
             model: self,
-            act,
             kv,
             seq_len: 0,
-            packed: None,
-            tiled: None,
+            backend: Backend::Reference {
+                model: self,
+                act,
+                tiled: OnceLock::new(),
+            },
         }
     }
 
@@ -421,7 +516,7 @@ impl TransformerModel {
     ) -> ModelRunner<'m> {
         self.validate_packed_setup(packed, act, kv);
         let mut runner = self.runner(act, kv);
-        runner.packed = Some(packed);
+        runner.backend = Backend::Packed(packed);
         runner
     }
 
@@ -484,15 +579,6 @@ impl ModelRunner<'_> {
         self.seq_len
     }
 
-    /// The execution backend this runner drives.
-    pub fn backend(&self) -> ExecutionBackend {
-        if self.packed.is_some() {
-            ExecutionBackend::Quantized
-        } else {
-            ExecutionBackend::Reference
-        }
-    }
-
     /// Processes one token, returning the next-token logits.
     pub fn step(&mut self, token: usize) -> Vec<f32> {
         self.step_observed(token, &mut NullObserver)
@@ -507,9 +593,7 @@ impl ModelRunner<'_> {
         let cfg = &self.model.config;
         assert!(token < cfg.vocab, "token {token} out of vocabulary");
         let w = &self.model.weights;
-        if self.packed.is_none() && self.tiled.is_none() {
-            self.tiled = Some(TiledWeights::of(self.model));
-        }
+        let backend = &self.backend;
         let mut x: Vec<f32> = w.embedding.row(token).to_vec();
         if let RunnerKv::Quant { pool, caches } = &mut self.kv {
             // Every layer pushes one row this step; cover them all at once.
@@ -518,42 +602,18 @@ impl ModelRunner<'_> {
         }
 
         for (li, layer) in w.layers.iter().enumerate() {
-            // `self.packed` is a Copy reference with the runner's lifetime,
-            // so the per-layer handle stays independent of later `self`
-            // borrows.
-            let packed_layer = self.packed.map(|p| (&p.layers()[li], p.group_size()));
-            let tiled = self.tiled.as_ref().map(|t| &t.layers[li]);
-
             // --- Attention block ---
             let xn = rmsnorm(&x, &layer.attn_norm, 1e-5);
-            obs.on_linear_input(li, Proj::Q, &xn);
-            obs.on_linear_input(li, Proj::K, &xn);
-            obs.on_linear_input(li, Proj::V, &xn);
-            let (q, k, v) = match packed_layer {
-                None => {
-                    let xq = self.quantize_act(&xn);
-                    let t = tiled.expect("the reference backend tiles its weights");
-                    (
-                        matvec_tiled(&t.wq, &xq),
-                        matvec_tiled(&t.wk, &xq),
-                        matvec_tiled(&t.wv, &xq),
-                    )
-                }
-                Some((pl, g)) => {
-                    let xq = quantize_vector_int8(&xn, g).expect("group size divides hidden");
-                    (pl.wq.matvec(&xq), pl.wk.matvec(&xq), pl.wv.matvec(&xq))
-                }
-            };
+            let [q, k, v] = backend.project(li, &xn, [Proj::Q, Proj::K, Proj::V], obs);
             obs.on_query_vector(li, &q);
             obs.on_kv_vectors(li, &k, &v);
 
-            let (heads, kv_heads, hd) = (cfg.heads, cfg.kv_heads, cfg.head_dim());
             let attn = match &mut self.kv {
                 RunnerKv::Fp(layers) => {
                     let (kc, vc) = &mut layers[li];
                     kc.push_row(&k);
                     vc.push_row(&v);
-                    attention_f32(&q, kc, vc, heads, kv_heads, hd)
+                    attention_f32(&q, kc, vc, cfg.heads, cfg.kv_heads, cfg.head_dim())
                 }
                 RunnerKv::Quant { pool, caches } => {
                     let cache = &mut caches[li];
@@ -562,29 +622,10 @@ impl ModelRunner<'_> {
                     cache
                         .push(pool, &k, &v)
                         .expect("the pool was grown to cover this step");
-                    if packed_layer.is_some() {
-                        // Quantized backend: consume packed cache groups in
-                        // place — no per-step full-cache dequantization.
-                        attention_incremental_paged(&q, cache, pool, heads, kv_heads, hd)
-                    } else {
-                        // Reference backend: materialize the dequantized
-                        // cache (the path the decode bench measures against).
-                        let (k_all, v_all) = (cache.dequantize_k(pool), cache.dequantize_v(pool));
-                        attention_f32(&q, &k_all, &v_all, heads, kv_heads, hd)
-                    }
+                    backend.attend(&q, cache, pool, cfg)
                 }
             };
-            obs.on_linear_input(li, Proj::O, &attn);
-            let o = match packed_layer {
-                None => {
-                    let attn_q = self.quantize_act(&attn);
-                    matvec_tiled(
-                        &tiled.expect("the reference backend tiles its weights").wo,
-                        &attn_q,
-                    )
-                }
-                Some((pl, _)) => pl.wo.matvec_f32(&attn),
-            };
+            let [o] = backend.project(li, &attn, [Proj::O], obs);
             obs.on_block_contribution(li, Proj::O, l2(&x), l2(&o));
             for (xi, oi) in x.iter_mut().zip(o.iter()) {
                 *xi += oi;
@@ -592,75 +633,20 @@ impl ModelRunner<'_> {
 
             // --- FFN block ---
             let xn = rmsnorm(&x, &layer.ffn_norm, 1e-5);
-            let ff = match cfg.ffn_kind {
+            let h: Vec<f32> = match cfg.ffn_kind {
                 FfnKind::GatedSilu => {
-                    obs.on_linear_input(li, Proj::Gate, &xn);
-                    obs.on_linear_input(li, Proj::Up, &xn);
-                    let (gate, up) = match packed_layer {
-                        None => {
-                            let xnq = self.quantize_act(&xn);
-                            let t = tiled.expect("the reference backend tiles its weights");
-                            let gate = t.w_gate.as_ref().expect("a gated model tiles its gate");
-                            (matvec_tiled(gate, &xnq), matvec_tiled(&t.w_up, &xnq))
-                        }
-                        Some((pl, g)) => {
-                            let xnq =
-                                quantize_vector_int8(&xn, g).expect("group size divides hidden");
-                            let gate_w = pl.w_gate.as_ref().expect("gated model packs a gate");
-                            (gate_w.matvec(&xnq), pl.w_up.matvec(&xnq))
-                        }
-                    };
-                    let h: Vec<f32> = gate
-                        .iter()
+                    let [gate, up] = backend.project(li, &xn, [Proj::Gate, Proj::Up], obs);
+                    gate.iter()
                         .zip(up.iter())
                         .map(|(&g, &u)| silu(g) * u)
-                        .collect();
-                    obs.on_linear_input(li, Proj::Down, &h);
-                    match packed_layer {
-                        None => {
-                            let hq = self.quantize_act(&h);
-                            matvec_tiled(
-                                &tiled
-                                    .expect("the reference backend tiles its weights")
-                                    .w_down,
-                                &hq,
-                            )
-                        }
-                        Some((pl, _)) => pl.w_down.matvec_f32(&h),
-                    }
+                        .collect()
                 }
                 FfnKind::PlainGelu => {
-                    obs.on_linear_input(li, Proj::Up, &xn);
-                    let up = match packed_layer {
-                        None => {
-                            let xnq = self.quantize_act(&xn);
-                            matvec_tiled(
-                                &tiled.expect("the reference backend tiles its weights").w_up,
-                                &xnq,
-                            )
-                        }
-                        Some((pl, g)) => {
-                            let xnq =
-                                quantize_vector_int8(&xn, g).expect("group size divides hidden");
-                            pl.w_up.matvec(&xnq)
-                        }
-                    };
-                    let h: Vec<f32> = up.iter().map(|&u| gelu(u)).collect();
-                    obs.on_linear_input(li, Proj::Down, &h);
-                    match packed_layer {
-                        None => {
-                            let hq = self.quantize_act(&h);
-                            matvec_tiled(
-                                &tiled
-                                    .expect("the reference backend tiles its weights")
-                                    .w_down,
-                                &hq,
-                            )
-                        }
-                        Some((pl, _)) => pl.w_down.matvec_f32(&h),
-                    }
+                    let [up] = backend.project(li, &xn, [Proj::Up], obs);
+                    up.iter().map(|&u| gelu(u)).collect()
                 }
             };
+            let [ff] = backend.project(li, &h, [Proj::Down], obs);
             obs.on_block_contribution(li, Proj::Down, l2(&x), l2(&ff));
             for (xi, fi) in x.iter_mut().zip(ff.iter()) {
                 *xi += fi;
@@ -669,62 +655,56 @@ impl ModelRunner<'_> {
 
         self.seq_len += 1;
         let xn = rmsnorm(&x, &w.final_norm, 1e-5);
-        match &self.tiled {
-            Some(t) => matvec_tiled(&t.lm_head, &xn),
-            // The packed runner is the serving engine's oracle: its head
-            // stays on the row-major `matvec`, independent of the tiled
-            // head `BatchRunner` reads.
-            None => matvec(&w.lm_head, &xn),
-        }
+        backend.lm_head(&w.lm_head, &xn)
     }
+}
 
-    /// Applies the runtime activation quantization mode.
-    fn quantize_act(&self, x: &[f32]) -> Vec<f32> {
-        match self.act {
-            ActMode::None => x.to_vec(),
-            ActMode::IntTensor { bits } => fake_int_quantize(x, bits, x.len()),
-            ActMode::IntGroup { bits, group } => fake_int_quantize(x, bits, group),
-            ActMode::OliveTensor { bits } => {
-                use mant_baselines::OliveQuantizer;
-                use mant_quant::{FakeQuantizer, Granularity};
-                let q = if bits == 8 {
-                    OliveQuantizer::w8(Granularity::Channel)
-                } else {
-                    OliveQuantizer::w4(Granularity::Channel)
-                };
-                q.fake_quantize(&Matrix::from_vec(1, x.len(), x.to_vec()))
-                    .into_vec()
-            }
-            ActMode::MxfpGroup { group } => {
-                use mant_numerics::{e8m0_quantize_scale, fp4_e2m1_grid};
-                let grid = fp4_e2m1_grid();
-                let elem_max = grid.max_abs();
-                let mut out = Vec::with_capacity(x.len());
-                for chunk in x.chunks(group.max(1)) {
-                    let amax = abs_max(chunk);
-                    if amax == 0.0 {
-                        out.extend(chunk.iter().copied());
-                        continue;
-                    }
-                    let scale = e8m0_quantize_scale(amax / elem_max);
-                    for &v in chunk {
-                        out.push(grid.quantize(v / scale) * scale);
-                    }
+/// Applies a runtime activation quantization mode.
+fn quantize_act(act: ActMode, x: &[f32]) -> Vec<f32> {
+    match act {
+        ActMode::None => x.to_vec(),
+        ActMode::IntTensor { bits } => fake_int_quantize(x, bits, x.len()),
+        ActMode::IntGroup { bits, group } => fake_int_quantize(x, bits, group),
+        ActMode::OliveTensor { bits } => {
+            use mant_baselines::OliveQuantizer;
+            use mant_quant::{FakeQuantizer, Granularity};
+            let q = if bits == 8 {
+                OliveQuantizer::w8(Granularity::Channel)
+            } else {
+                OliveQuantizer::w4(Granularity::Channel)
+            };
+            q.fake_quantize(&Matrix::from_vec(1, x.len(), x.to_vec()))
+                .into_vec()
+        }
+        ActMode::MxfpGroup { group } => {
+            use mant_numerics::{e8m0_quantize_scale, fp4_e2m1_grid};
+            let grid = fp4_e2m1_grid();
+            let elem_max = grid.max_abs();
+            let mut out = Vec::with_capacity(x.len());
+            for chunk in x.chunks(group.max(1)) {
+                let amax = abs_max(chunk);
+                if amax == 0.0 {
+                    out.extend(chunk.iter().copied());
+                    continue;
                 }
-                out
-            }
-            ActMode::SortedGroup { bits, group } => {
-                // Sort indices by magnitude, quantize in that order, undo.
-                let mut order: Vec<usize> = (0..x.len()).collect();
-                order.sort_by(|&a, &b| x[b].abs().partial_cmp(&x[a].abs()).expect("finite acts"));
-                let sorted: Vec<f32> = order.iter().map(|&i| x[i]).collect();
-                let quantized = fake_int_quantize(&sorted, bits, group);
-                let mut out = vec![0.0f32; x.len()];
-                for (pos, &i) in order.iter().enumerate() {
-                    out[i] = quantized[pos];
+                let scale = e8m0_quantize_scale(amax / elem_max);
+                for &v in chunk {
+                    out.push(grid.quantize(v / scale) * scale);
                 }
-                out
             }
+            out
+        }
+        ActMode::SortedGroup { bits, group } => {
+            // Sort indices by magnitude, quantize in that order, undo.
+            let mut order: Vec<usize> = (0..x.len()).collect();
+            order.sort_by(|&a, &b| x[b].abs().partial_cmp(&x[a].abs()).expect("finite acts"));
+            let sorted: Vec<f32> = order.iter().map(|&i| x[i]).collect();
+            let quantized = fake_int_quantize(&sorted, bits, group);
+            let mut out = vec![0.0f32; x.len()];
+            for (pos, &i) in order.iter().enumerate() {
+                out[i] = quantized[pos];
+            }
+            out
         }
     }
 }
@@ -975,14 +955,69 @@ mod tests {
         assert!(rel < 1e-3, "backend divergence {rel}");
     }
 
+    /// One observer callback as `(callback, layer, projection, length)`;
+    /// a block contribution has no vector and records length 0.
+    type Seen = (&'static str, usize, Option<Proj>, usize);
+
+    #[derive(Default)]
+    struct Recorder(Vec<Seen>);
+
+    impl ForwardObserver for Recorder {
+        fn on_linear_input(&mut self, layer: usize, proj: Proj, x: &[f32]) {
+            self.0.push(("linear", layer, Some(proj), x.len()));
+        }
+        fn on_kv_vectors(&mut self, layer: usize, k: &[f32], v: &[f32]) {
+            self.0.push(("k", layer, None, k.len()));
+            self.0.push(("v", layer, None, v.len()));
+        }
+        fn on_query_vector(&mut self, layer: usize, q: &[f32]) {
+            self.0.push(("query", layer, None, q.len()));
+        }
+        fn on_block_contribution(&mut self, layer: usize, proj: Proj, _: f32, _: f32) {
+            self.0.push(("block", layer, Some(proj), 0));
+        }
+    }
+
     #[test]
-    fn quantized_backend_reports_itself() {
-        let m = model();
-        let packed = m.pack_weights(64).unwrap();
-        let r = m.packed_runner(&packed, ActMode::None, KvMode::Mant4 { group: 64 });
-        assert_eq!(r.backend(), crate::backend::ExecutionBackend::Quantized);
-        let r = m.runner(ActMode::None, KvMode::Fp16);
-        assert_eq!(r.backend(), crate::backend::ExecutionBackend::Reference);
+    fn both_backends_report_the_same_observer_sequence() {
+        // Calibration, the synthesizer's probes and the kernel bench's
+        // query capture all read this sequence, from either backend.
+        for cfg in [ModelConfig::sim_llama(), ModelConfig::sim_opt()] {
+            let m = TransformerModel::synthesize(&cfg, 27);
+            let packed = m.pack_weights(64).unwrap();
+            let twin = packed.to_model(&m);
+            let kv = KvMode::Mant4 { group: 64 };
+            let mut runners = [
+                m.packed_runner(&packed, ActMode::None, kv),
+                twin.runner(ActMode::None, kv),
+            ];
+            let mut seen = [Recorder::default(), Recorder::default()];
+            for t in [3usize, 141, 59, 265] {
+                for (r, obs) in runners.iter_mut().zip(&mut seen) {
+                    r.step_observed(t, obs);
+                }
+            }
+            let [packed_seen, reference_seen] = seen;
+            assert_eq!(packed_seen.0, reference_seen.0, "{}", cfg.name);
+
+            let (h, kvd, ffn) = (cfg.hidden, cfg.kv_dim(), cfg.ffn);
+            let mut want: Vec<Seen> = Vec::new();
+            for _ in 0..4 {
+                for li in 0..cfg.layers {
+                    let lin = |p| ("linear", li, Some(p), h);
+                    want.extend([lin(Proj::Q), lin(Proj::K), lin(Proj::V)]);
+                    want.extend([("query", li, None, h), ("k", li, None, kvd)]);
+                    want.extend([("v", li, None, kvd), lin(Proj::O)]);
+                    want.push(("block", li, Some(Proj::O), 0));
+                    if cfg.ffn_kind == FfnKind::GatedSilu {
+                        want.push(lin(Proj::Gate));
+                    }
+                    want.extend([lin(Proj::Up), ("linear", li, Some(Proj::Down), ffn)]);
+                    want.push(("block", li, Some(Proj::Down), 0));
+                }
+            }
+            assert_eq!(packed_seen.0, want, "{}", cfg.name);
+        }
     }
 
     #[test]

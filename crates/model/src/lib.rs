@@ -12,10 +12,10 @@
 //! - [`layers`]: the FP32 reference model, a step-wise [`ModelRunner`] with
 //!   pluggable activation quantization and KV-cache modes, and forward
 //!   observers for calibration;
-//! - [`backend`]: the execution-backend layer — [`PackedWeights`] /
-//!   [`QuantizedLinear`] packed storage and the dispatch that lets the
-//!   runner execute entirely over packed groups (fused integer GEMV,
-//!   incremental KV attention) without dequantizing;
+//! - [`backend`]: [`PackedWeights`], every linear projection as a packed
+//!   `MantQuantizedMatrix`, which the runners apply through the fused
+//!   integer GEMV so that the forward pass (with incremental KV
+//!   attention) never dequantizes;
 //! - [`batch`]: the continuous-batching [`BatchRunner`] — per-sequence
 //!   sessions over a paged packed KV pool, multi-query packed GEMMs, and
 //!   a step contract bit-identical to N independent sequential runs;
@@ -31,7 +31,7 @@ pub mod eval;
 pub mod layers;
 pub mod synth;
 
-pub use backend::{ExecutionBackend, PackedLayer, PackedWeights, QuantizedLinear};
+pub use backend::{PackedLayer, PackedWeights};
 pub use batch::{BatchRunner, Run, SessionId};
 pub use calib::{calibrate, Calibration};
 pub use config::{FfnKind, ModelConfig};

@@ -191,17 +191,6 @@ pub fn dot_i8_i16(xcodes: &[i8], w: &[i16]) -> i64 {
     i64::from(acc)
 }
 
-/// Plain INT8 × INT8 dot product — the staging-window lane of the V-cache
-/// attention path (`P·V` against rows still held in the INT8 process
-/// window).
-pub fn int8_dot(a: &[i8], b: &[i8]) -> i64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| i64::from(x) * i64::from(y))
-        .sum()
-}
-
 /// `log2(e)` rounded to f32.
 pub(crate) const LOG2_E: f32 = std::f32::consts::LOG2_E;
 /// `1.5 · 2²³`: adding it to `|v| < 2²²` rounds `v` to the nearest integer
@@ -589,18 +578,6 @@ mod tests {
             expect += i64::from(x) * i64::from(wv);
         }
         assert_eq!(mac, expect);
-    }
-
-    #[test]
-    fn int8_dot_matches_scalar() {
-        let a: Vec<i8> = vec![127, -128, 3, 0, -7];
-        let b: Vec<i8> = vec![-128, 127, 9, 55, -1];
-        let expect: i64 = a
-            .iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| i64::from(x) * i64::from(y))
-            .sum();
-        assert_eq!(int8_dot(&a, &b), expect);
     }
 
     /// The softmax every caller gets: the process tier's.

@@ -70,7 +70,7 @@ pub use grid::Grid;
 pub use int::{int4_grid, int8_grid, uniform_symmetric_grid};
 pub use kernels::{
     decode_packed_i16, dot_i8_i16, dot_packed, exp_nonpositive, int4_decode_lut, int4_group_mac,
-    int8_dot, mant_decode_lut, mant_group_psums, pair_decode_lut, EncodeTable, PairLut, EXP_FLOOR,
+    mant_decode_lut, mant_group_psums, pair_decode_lut, EncodeTable, PairLut, EXP_FLOOR,
     MAX_I32_GROUP,
 };
 pub use mant::{Mant, MantCode};

@@ -661,7 +661,7 @@ mod tests {
     #[test]
     fn staged_attend_bits_equal_the_per_channel_int8_dot() {
         // The row-major sweep must give every channel the bits of the
-        // column formulation it replaced: one `int8_dot` of the window's
+        // column formulation it replaced: one INT8 dot of the window's
         // probability codes against the channel's staged codes, scaled in
         // f64 and added as one f32.
         let mut gen = TensorGenerator::new(83);
@@ -683,7 +683,11 @@ mod tests {
                 .map(|t| staging.staged_row(t)[c])
                 .collect();
             let s8 = staging.staging_scale(c);
-            let int_result = kernels::int8_dot(&pcodes, &col);
+            let int_result: i64 = pcodes
+                .iter()
+                .zip(&col)
+                .map(|(&p, &c)| i64::from(p) * i64::from(c))
+                .sum();
             let want = 0.25f32 + (f64::from(pscale) * f64::from(s8) * int_result as f64) as f32;
             assert_eq!(o.to_bits(), want.to_bits(), "channel {c}");
         }

@@ -15,14 +15,17 @@
 //! - [`activation`]: group-wise INT8 activation quantization with a
 //!   streaming max (paper Sec. V-B);
 //! - [`fused`]: the decode-free integer GEMM/GEMV of Eq. (5), consuming
-//!   **nibble-packed** groups through 256-entry pair-decode tables with
-//!   i32 in-group accumulation, cache-blocked four output rows per sweep
-//!   (kernels live in `mant_numerics::kernels`); [`mant_gemv`] is the
-//!   per-token primitive of the quantized execution backend, and
-//!   [`mant_gemv_scalar`] keeps the pre-packing one-code-per-byte path
-//!   as the bench baseline and bit-identity oracle;
-//! - [`plan`]: interned `&'static` pair-decode tables per group dtype —
-//!   built once per process, cached per matrix as its decode plan;
+//!   **nibble-packed** groups with i32 in-group accumulation: one driver
+//!   behind [`mant_gemv`], [`mant_gemv_batch`] and [`mant_gemm`] runs the
+//!   packed row sweep (`KernelDispatch::dot_packed_rows_scaled`, eight
+//!   weight rows a block, every activation row a member) over the
+//!   matrix's block-ordered f32 scales; [`mant_gemv`] is the per-token
+//!   primitive of the packed forward pass, and [`mant_gemv_scalar`] keeps
+//!   the pre-packing one-code-per-byte path as the bench baseline and
+//!   bit-identity oracle;
+//! - [`plan`]: interned `&'static` kernel decode tables (the 256-entry
+//!   pair table and the `pshufb` shuffle tables) per group dtype — built
+//!   once per process, cached per matrix as its decode plan;
 //! - [`kv`]: the real-time K-cache (spatial) and V-cache (two-phase
 //!   temporal) encode engines (paper Sec. V-C, Fig. 8);
 //! - [`pool`]: the one KV store — a paged, packed, **refcounted** block
@@ -61,7 +64,6 @@ pub use fused::{
     UnpackedWeights,
 };
 pub use mantq::{GroupDtype, MantQuantizedMatrix, MantWeightQuantizer};
-pub use plan::pair_table;
 pub use pool::{
     attention_f32, attention_incremental_paged, KvCachePool, PagedKvCache, PoolConfig, RunAttention,
 };

@@ -14,7 +14,7 @@
 
 use std::sync::OnceLock;
 
-use mant_numerics::{int4_decode_lut, kernel_lut, mant_decode_lut, KernelLut, Mant, PairLut};
+use mant_numerics::{int4_decode_lut, kernel_lut, mant_decode_lut, KernelLut, Mant};
 
 use crate::mantq::GroupDtype;
 
@@ -53,12 +53,6 @@ pub(crate) fn kernel_table_lookup() -> impl Fn(GroupDtype) -> &'static KernelLut
     move |dtype| &tables[dtype_key(dtype)]
 }
 
-/// The interned 256-entry pair-decode table of a group dtype — the
-/// scalar-tier view of [`kernel_table`], kept for oracle paths and tests.
-pub fn pair_table(dtype: GroupDtype) -> &'static PairLut {
-    &kernel_table(dtype).pair
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,13 +62,13 @@ mod tests {
     fn tables_decode_every_dtype_exactly() {
         for a in [0u32, 17, 60, 127] {
             let mant = Mant::new(a).unwrap();
-            let t = pair_table(GroupDtype::Mant(mant));
+            let t = &kernel_table(GroupDtype::Mant(mant)).pair;
             for b in 0..=255u8 {
                 assert_eq!(t[b as usize][0], mant.decode(MantCode::from_bits(b & 0x0f)));
                 assert_eq!(t[b as usize][1], mant.decode(MantCode::from_bits(b >> 4)));
             }
         }
-        let t = pair_table(GroupDtype::Int4);
+        let t = &kernel_table(GroupDtype::Int4).pair;
         for b in 0..=255u8 {
             assert_eq!(t[b as usize][0], i32::from(((b << 4) as i8) >> 4));
             assert_eq!(t[b as usize][1], i32::from((b as i8) >> 4));
@@ -101,9 +95,5 @@ mod tests {
         assert!(std::ptr::eq(a, b), "same dtype must intern to one table");
         let c = kernel_table(GroupDtype::Int4);
         assert!(!std::ptr::eq(a, c));
-        assert!(std::ptr::eq(
-            pair_table(GroupDtype::Int4),
-            &kernel_table(GroupDtype::Int4).pair
-        ));
     }
 }
